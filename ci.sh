@@ -19,6 +19,14 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
+# The host-time ledger (benchmark/) is a workspace of its own compiled
+# against the crates' public API, so neither step above builds it: a
+# signature change under it would otherwise surface only in the bench
+# pipeline. Its tests check the ledger's promises on small rounds.
+echo "== benchmark/: build + test against the current crates =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 # Observability must be optional: with the `trace` feature off, every
 # journal emission site compiles to an inert no-op and the workspace must
 # still build and pass the root suites.

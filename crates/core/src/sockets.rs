@@ -56,7 +56,7 @@ struct SocketCore {
     remote: Option<(Ipv4Addr, u16)>,
     state: SocketState,
     rx: VecDeque<u8>,
-    tx: VecDeque<u8>,
+    tx: Vec<u8>,
     close_requested: bool,
     /// Set when `tx`/close changed outside an upcall; cleared by `pump`.
     needs_kick: bool,
@@ -78,7 +78,7 @@ impl Socket {
                 remote: None,
                 state: SocketState::Connecting,
                 rx: VecDeque::new(),
-                tx: VecDeque::new(),
+                tx: Vec::new(),
                 close_requested: false,
                 needs_kick: false,
             })),
@@ -107,7 +107,7 @@ impl Socket {
         if c.close_requested || matches!(c.state, SocketState::Closed | SocketState::Reset) {
             return 0;
         }
-        c.tx.extend(data);
+        c.tx.extend_from_slice(data);
         c.needs_kick = true;
         data.len()
     }
@@ -117,7 +117,9 @@ impl Socket {
     pub fn read(&self, max: usize) -> Vec<u8> {
         let mut c = self.core.borrow_mut();
         let n = max.min(c.rx.len());
-        c.rx.drain(..n).collect()
+        let data = unp_tcp::copy_range(&c.rx, 0, n);
+        c.rx.drain(..n);
+        data
     }
 
     /// Bytes currently buffered for reading.
@@ -158,8 +160,7 @@ impl SocketApp {
         }
         let mut ops = Vec::new();
         if !c.tx.is_empty() {
-            let data: Vec<u8> = c.tx.drain(..).collect();
-            ops.push(AppOp::Send(data));
+            ops.push(AppOp::Send(std::mem::take(&mut c.tx)));
         }
         if c.close_requested && !matches!(c.state, SocketState::Closed | SocketState::Reset) {
             ops.push(AppOp::Close);

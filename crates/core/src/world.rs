@@ -401,7 +401,10 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
             announced: HashMap::new(),
             reg_timers: HashMap::new(),
             parked: HashMap::new(),
-            next_port: 2000 + idx as u16 * 8000,
+            // Per-host port bases 8000 apart; a `u16` holds eight of them,
+            // so from the ninth host on the base wraps (deliberately: only
+            // the monolithic organizations allocate from this field).
+            next_port: (idx as u16).wrapping_mul(8000).wrapping_add(2000),
             next_iss: 0x100 + idx as u32,
             arp_wait: HashMap::new(),
         });
@@ -2625,12 +2628,20 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<crat
                 // Charge the write boundary + any copy the org performs.
                 let cost = app_boundary_cost(w, h) + tx_copy_cost(w, h, data.len());
                 w.hosts[h].cpu.charge(eng.now(), cost);
-                w.hosts[h]
-                    .conns
-                    .get_mut(&cid)
-                    .expect("checked")
-                    .pending_tx
-                    .extend(data);
+                let conn = w.hosts[h].conns.get_mut(&cid).expect("checked");
+                // `pending_tx` holds only what the TCB refused: a write
+                // that finds it empty goes to the TCB straight from the
+                // app's buffer, and only the tail that did not fit queues.
+                let offered = if conn.pending_tx.is_empty() {
+                    offer_tx(&mut conn.tcb, &data, eng.now())
+                } else {
+                    None
+                };
+                let taken = offered.as_ref().map_or(0, |&(n, _)| n);
+                conn.pending_tx.extend(&data[taken..]);
+                if let Some((_, actions)) = offered {
+                    apply_tcp_actions(w, eng, h, cid, None, actions);
+                }
                 flush_conn_tx(w, eng, h, cid);
             }
             crate::app::AppOp::Close => {
@@ -2652,38 +2663,31 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<crat
     }
 }
 
+/// Offers `bytes` to the TCB in a single `send` of as many as fit. One
+/// call, because segment boundaries (Nagle, sender silly-window
+/// avoidance) depend on how many bytes one `send` sees. `None` when
+/// nothing fits or the connection no longer takes data.
+fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos) -> Option<(usize, Vec<TcpAction>)> {
+    let n = bytes.len().min(tcb.send_space());
+    if n == 0 {
+        return None;
+    }
+    tcb.send(&bytes[..n], now).ok()
+}
+
 /// Moves pending app bytes into the TCB and issues a deferred close.
 fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
     let now = eng.now();
     loop {
-        let (actions, progressed) = {
-            let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
-                return;
-            };
-            if conn.pending_tx.is_empty() {
-                break;
-            }
-            let chunk: Vec<u8> = conn
-                .pending_tx
-                .iter()
-                .copied()
-                .take(conn.tcb.send_space())
-                .collect();
-            if chunk.is_empty() {
-                break;
-            }
-            match conn.tcb.send(&chunk, now) {
-                Ok((n, actions)) => {
-                    conn.pending_tx.drain(..n);
-                    (actions, n > 0)
-                }
-                Err(_) => break,
-            }
+        let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
+            return;
         };
-        apply_tcp_actions(w, eng, h, cid, None, actions);
-        if !progressed {
+        let queued = conn.pending_tx.make_contiguous();
+        let Some((n, actions)) = offer_tx(&mut conn.tcb, queued, now) else {
             break;
-        }
+        };
+        conn.pending_tx.drain(..n);
+        apply_tcp_actions(w, eng, h, cid, None, actions);
     }
     // Deferred close once everything is queued.
     let close_now = {

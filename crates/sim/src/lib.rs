@@ -20,7 +20,7 @@ pub use costs::{CostModel, DemuxPath, LinkParams};
 pub use cpu::Cpu;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Simulated time in nanoseconds since world start.
 pub type Nanos = u64;
@@ -51,7 +51,12 @@ pub fn reset_events_executed() {
 
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    /// Schedule order; unique per engine, so an id outlives its slot.
+    seq: u64,
+    /// Where the closure sits in the engine's slab.
+    slot: u32,
+}
 
 type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
@@ -62,8 +67,13 @@ type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 pub struct Engine<W> {
     now: Nanos,
     seq: u64,
-    heap: BinaryHeap<Reverse<(Nanos, u64)>>,
-    pending: HashMap<u64, EventFn<W>>,
+    /// `(time, seq, slot)`: `seq` is unique, so order is `(time, seq)`.
+    heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
+    /// Scheduled closures, each tagged with its event's `seq`; a heap
+    /// entry or [`EventId`] whose `seq` differs from its slot's is stale.
+    slab: Vec<Option<(u64, EventFn<W>)>>,
+    /// Vacant `slab` slots, reused last-freed-first.
+    free: Vec<u32>,
     executed: u64,
     /// Heap entries whose event has been cancelled but not yet popped.
     tombstones: usize,
@@ -82,7 +92,8 @@ impl<W> Engine<W> {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
-            pending: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             executed: 0,
             tombstones: 0,
         }
@@ -100,7 +111,7 @@ impl<W> Engine<W> {
 
     /// Number of events currently scheduled.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Number of entries in the internal time heap, live and tombstoned.
@@ -116,11 +127,21 @@ impl<W> Engine<W> {
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
         let time = time.max(self.now);
-        let id = self.seq;
+        let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse((time, id)));
-        self.pending.insert(id, Box::new(f));
-        EventId(id)
+        let event = Some((seq, Box::new(f) as EventFn<W>));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = event;
+                slot
+            }
+            None => {
+                self.slab.push(event);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((time, seq, slot)));
+        EventId { seq, slot }
     }
 
     /// Schedules `f` to run `delay` after the current time.
@@ -131,16 +152,32 @@ impl<W> Engine<W> {
         self.at(self.now + delay, f)
     }
 
+    /// True while event `seq` occupies `slot`: it has neither run nor been
+    /// cancelled. A slot is reused, so the `seq` tag is what tells a stale
+    /// heap entry or [`EventId`] from the slot's current tenant.
+    fn is_live(slab: &[Option<(u64, EventFn<W>)>], seq: u64, slot: u32) -> bool {
+        matches!(slab.get(slot as usize), Some(Some((s, _))) if *s == seq)
+    }
+
+    /// Removes and returns event `seq`'s closure if it is still live.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<EventFn<W>> {
+        if !Self::is_live(&self.slab, seq, slot) {
+            return None;
+        }
+        self.free.push(slot);
+        self.slab[slot as usize].take().map(|(_, f)| f)
+    }
+
     /// Cancels a scheduled event. Returns true if it had not yet run.
     ///
     /// Cancellation is a tombstone: the closure is dropped immediately but
-    /// the `(time, id)` entry stays in the heap until popped. When
+    /// the `(time, seq, slot)` entry stays in the heap until popped. When
     /// tombstones outnumber live events the heap is compacted in place, so
     /// a workload that schedules and cancels many timers (e.g. TCP
     /// retransmission timers answered by ACKs) keeps the heap at O(live)
     /// rather than O(ever scheduled).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let cancelled = self.pending.remove(&id.0).is_some();
+        let cancelled = self.take(id.seq, id.slot).is_some();
         if cancelled {
             self.tombstones += 1;
             self.maybe_compact();
@@ -152,18 +189,18 @@ impl<W> Engine<W> {
     /// The `> 64` floor keeps small heaps from compacting on every other
     /// cancel, where the O(n) rebuild would cost more than the garbage.
     fn maybe_compact(&mut self) {
-        if self.tombstones > 64 && self.tombstones > self.pending.len() {
-            let pending = &self.pending;
+        if self.tombstones > 64 && self.tombstones > self.pending() {
+            let slab = &self.slab;
             self.heap
-                .retain(|Reverse((_, id))| pending.contains_key(id));
+                .retain(|&Reverse((_, seq, slot))| Self::is_live(slab, seq, slot));
             self.tombstones = 0;
         }
     }
 
     /// Runs the next event, if any. Returns false when the queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        while let Some(Reverse((time, id))) = self.heap.pop() {
-            if let Some(f) = self.pending.remove(&id) {
+        while let Some(Reverse((time, seq, slot))) = self.heap.pop() {
+            if let Some(f) = self.take(seq, slot) {
                 self.now = time;
                 unp_trace::set_time(time);
                 self.executed += 1;
@@ -195,9 +232,9 @@ impl<W> Engine<W> {
             // Peek at the next *live* event time.
             let next = loop {
                 match self.heap.peek() {
-                    Some(Reverse((t, id))) => {
-                        if self.pending.contains_key(id) {
-                            break Some(*t);
+                    Some(&Reverse((t, seq, slot))) => {
+                        if Self::is_live(&self.slab, seq, slot) {
+                            break Some(t);
                         }
                         self.heap.pop();
                         self.tombstones = self.tombstones.saturating_sub(1);
@@ -370,6 +407,73 @@ mod tests {
             w.log.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
             expect,
             "live events must be unaffected by compaction"
+        );
+    }
+
+    #[test]
+    fn stale_id_does_not_cancel_the_slots_next_tenant() {
+        let mut eng: Engine<World> = Engine::new();
+        let mut w = World::default();
+        let old = eng.at(10, |w, _| w.log.push((10, "old")));
+        assert!(eng.cancel(old));
+        // The freed slot is taken by the next event scheduled.
+        let new = eng.at(20, |w, _| w.log.push((20, "new")));
+        assert_eq!(old.slot, new.slot, "the test needs the slot reused");
+        assert!(!eng.cancel(old), "a stale id cancels nothing");
+        assert_eq!(eng.pending(), 1);
+        assert!(eng.run(&mut w, 10));
+        assert_eq!(w.log, vec![(20, "new")]);
+        // Nor does the id of an event that already ran.
+        let third = eng.at(30, |w, _| w.log.push((30, "third")));
+        assert_eq!(new.slot, third.slot);
+        assert!(!eng.cancel(new));
+        assert!(eng.run(&mut w, 10));
+        assert_eq!(w.log, vec![(20, "new"), (30, "third")]);
+    }
+
+    #[test]
+    fn slot_reuse_across_compaction_runs_live_events_in_order() {
+        let mut eng: Engine<World> = Engine::new();
+        let mut w = World::default();
+        // Two of every three events are cancelled five events after they
+        // are scheduled, so later events reuse their slots while the
+        // tombstones pointing at those slots still sit in the heap, and
+        // the heap compacts several times on the way. Times repeat: ties
+        // must run in schedule order.
+        const N: u64 = 2_000;
+        let time = |i: u64| 1_000 + (i * 7919) % 97;
+        let cancelled = |i: u64| !(i + 5).is_multiple_of(3) && i + 5 < N;
+        let mut ids = Vec::new();
+        for i in 0..N {
+            // The log's only number carries (time run, schedule order).
+            ids.push(eng.at(time(i), move |w, e| w.log.push((e.now() * N + i, "live"))));
+            if i >= 5 && cancelled(i - 5) {
+                assert!(eng.cancel(ids[(i - 5) as usize]));
+            }
+        }
+        for i in (0..N).filter(|&i| cancelled(i)) {
+            assert!(
+                !eng.cancel(ids[i as usize]),
+                "a cancelled id stays dead when its slot is reused"
+            );
+        }
+        let mut expect: Vec<(u64, u64)> = (0..N)
+            .filter(|&i| !cancelled(i))
+            .map(|i| (time(i), i))
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(eng.pending(), expect.len());
+        assert!(
+            (eng.slab.len() as u64) < N / 2,
+            "cancelled slots were reused"
+        );
+        assert!(eng.run(&mut w, 2 * N));
+        assert_eq!(
+            w.log
+                .iter()
+                .map(|(k, _)| (k / N, k % N))
+                .collect::<Vec<_>>(),
+            expect
         );
     }
 

@@ -41,6 +41,28 @@ pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpTimer};
 /// Time in nanoseconds (shared convention with `unp-sim`).
 pub type Nanos = u64;
 
+/// Copies bytes `[start, start + len)` out of a stream ring buffer as at
+/// most two slice copies (the range may straddle the ring's seam). Every
+/// stream-byte move out of a `VecDeque<u8>` in the stack goes through here.
+///
+/// # Panics
+/// Unless `start + len <= buf.len()` — an empty range past the end
+/// included.
+pub fn copy_range(buf: &std::collections::VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
+    debug_assert!(start + len <= buf.len(), "range past the stream's end");
+    let (front, back) = buf.as_slices();
+    let mut out = Vec::with_capacity(len);
+    if start < front.len() {
+        let n = len.min(front.len() - start);
+        out.extend_from_slice(&front[start..start + n]);
+        out.extend_from_slice(&back[..len - n]);
+    } else {
+        let start = start - front.len();
+        out.extend_from_slice(&back[start..start + len]);
+    }
+    out
+}
+
 /// Errors surfaced to the socket layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpError {

@@ -329,8 +329,8 @@ impl Loopback {
         let mut collected = Vec::new();
         // Write as much as the send buffer accepts.
         while !ep.to_send.is_empty() {
-            let chunk: Vec<u8> = ep.to_send.iter().copied().take(4096).collect();
-            match tcb.send(&chunk, now) {
+            let queued = ep.to_send.make_contiguous();
+            match tcb.send(&queued[..queued.len().min(4096)], now) {
                 Ok((0, actions)) => {
                     collected.extend(actions);
                     break;

@@ -15,7 +15,7 @@ use unp_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
 use crate::config::{CongestionControl, TcpConfig};
 use crate::reasm::OooBuffer;
 use crate::rtt::RttEstimator;
-use crate::{Nanos, TcpError};
+use crate::{copy_range, Nanos, TcpError};
 
 /// RFC 793 connection states (`CLOSED` and `LISTEN` are represented by the
 /// absence of a `Tcb` and by [`ListenTcb`] respectively; `Closed` remains
@@ -190,7 +190,7 @@ impl ListenTcb {
         tcb.emit_segment(
             TcpFlags::syn_ack(),
             tcb.iss,
-            &[],
+            Vec::new(),
             Some(tcb.cfg.mss_local as u16),
             &mut out,
         );
@@ -263,7 +263,6 @@ impl Tcb {
     fn new(local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16), cfg: TcpConfig, iss: SeqNum) -> Tcb {
         let rtt = RttEstimator::new(cfg.rto_initial, cfg.rto_min, cfg.rto_max);
         let mss_default = cfg.mss_default;
-        let recv_buf_cap = cfg.recv_buf;
         let (cwnd, ssthresh) = if cfg.congestion == CongestionControl::Off {
             (usize::MAX, usize::MAX)
         } else {
@@ -286,7 +285,7 @@ impl Tcb {
             snd_fin: None,
             irs: SeqNum(0),
             rcv_nxt: SeqNum(0),
-            recv_buf: VecDeque::with_capacity(recv_buf_cap),
+            recv_buf: VecDeque::new(),
             ooo: OooBuffer::new(),
             peer_fin: None,
             adv_edge: SeqNum(0),
@@ -339,7 +338,7 @@ impl Tcb {
         tcb.snd_nxt = tcb.iss + 1;
         let mut out = Vec::new();
         let mss = Some(tcb.cfg.mss_local as u16);
-        tcb.emit_segment(TcpFlags::SYN, tcb.iss, &[], mss, &mut out);
+        tcb.emit_segment(TcpFlags::SYN, tcb.iss, Vec::new(), mss, &mut out);
         tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), &mut out);
         (tcb, out)
     }
@@ -436,7 +435,7 @@ impl Tcb {
         &mut self,
         flags: TcpFlags,
         seq: SeqNum,
-        payload: &[u8],
+        payload: Vec<u8>,
         mss: Option<u16>,
         out: &mut Vec<TcpAction>,
     ) {
@@ -452,14 +451,14 @@ impl Tcb {
             mss,
         };
         self.stats.segs_out += 1;
-        out.push(TcpAction::Send(repr, payload.to_vec()));
+        out.push(TcpAction::Send(repr, payload));
     }
 
     fn emit_ack(&mut self, out: &mut Vec<TcpAction>) {
         self.ack_pending = 0;
         self.cancel_timer(TcpTimer::DelayedAck, out);
         let seq = self.snd_nxt;
-        self.emit_segment(TcpFlags::ack(), seq, &[], None, out);
+        self.emit_segment(TcpFlags::ack(), seq, Vec::new(), None, out);
     }
 
     /// Builds an RST in response to a segment that arrived for a dead or
@@ -551,7 +550,8 @@ impl Tcb {
     /// (receiver-side silly-window avoidance).
     pub fn recv(&mut self, max: usize, _now: Nanos) -> (Vec<u8>, Vec<TcpAction>) {
         let take = max.min(self.recv_buf.len());
-        let data: Vec<u8> = self.recv_buf.drain(..take).collect();
+        let data = copy_range(&self.recv_buf, 0, take);
+        self.recv_buf.drain(..take);
         let mut out = Vec::new();
         if !data.is_empty() && self.state.is_synchronized() && self.state != State::TimeWait {
             let new_edge = self.rcv_nxt + self.recv_window();
@@ -608,7 +608,7 @@ impl Tcb {
                     ..TcpFlags::default()
                 },
                 seq,
-                &[],
+                Vec::new(),
                 None,
                 &mut out,
             );
@@ -689,13 +689,7 @@ impl Tcb {
                     len = len.min(usable);
                 }
                 let seq = self.snd_nxt;
-                let payload: Vec<u8> = self
-                    .send_buf
-                    .iter()
-                    .skip(in_flight)
-                    .take(len)
-                    .copied()
-                    .collect();
+                let payload = copy_range(&self.send_buf, in_flight, len);
                 self.snd_nxt += len as u32;
                 let push = in_flight + len == self.send_buf.len();
                 let flags = TcpFlags {
@@ -710,7 +704,7 @@ impl Tcb {
                 }
                 self.ack_pending = 0;
                 self.cancel_timer(TcpTimer::DelayedAck, out);
-                self.emit_segment(flags, seq, &payload, None, out);
+                self.emit_segment(flags, seq, payload, None, out);
             }
         }
         // FIN transmission once the buffer is drained.
@@ -727,7 +721,7 @@ impl Tcb {
                         ..TcpFlags::default()
                     },
                     seq,
-                    &[],
+                    Vec::new(),
                     None,
                     out,
                 );
@@ -753,13 +747,13 @@ impl Tcb {
             State::SynSent => {
                 let mss = Some(self.cfg.mss_local as u16);
                 let seq = self.iss;
-                self.emit_segment(TcpFlags::SYN, seq, &[], mss, out);
+                self.emit_segment(TcpFlags::SYN, seq, Vec::new(), mss, out);
                 return;
             }
             State::SynReceived => {
                 let mss = Some(self.cfg.mss_local as u16);
                 let seq = self.iss;
-                self.emit_segment(TcpFlags::syn_ack(), seq, &[], mss, out);
+                self.emit_segment(TcpFlags::syn_ack(), seq, Vec::new(), mss, out);
                 return;
             }
             _ => {}
@@ -768,7 +762,7 @@ impl Tcb {
         self.rtt_probe = None;
         if !self.send_buf.is_empty() {
             let len = self.send_buf.len().min(self.snd_mss);
-            let payload: Vec<u8> = self.send_buf.iter().take(len).copied().collect();
+            let payload = copy_range(&self.send_buf, 0, len);
             self.stats.bytes_rexmit += len as u64;
             self.stats.rexmits += 1;
             unp_trace::emit(None, || unp_trace::Event::TcpRexmit {
@@ -796,7 +790,7 @@ impl Tcb {
                     ..TcpFlags::default()
                 },
                 seq,
-                &payload,
+                payload,
                 None,
                 out,
             );
@@ -809,7 +803,7 @@ impl Tcb {
                         ..TcpFlags::default()
                     },
                     fin_seq,
-                    &[],
+                    Vec::new(),
                     None,
                     out,
                 );
@@ -849,7 +843,7 @@ impl Tcb {
                                 ..TcpFlags::default()
                             },
                             seq,
-                            &[],
+                            Vec::new(),
                             None,
                             &mut out,
                         );
@@ -888,13 +882,7 @@ impl Tcb {
                     if unsent > 0 {
                         // Probe with one byte beyond the window.
                         self.stats.probes += 1;
-                        let payload: Vec<u8> = self
-                            .send_buf
-                            .iter()
-                            .skip(in_flight)
-                            .take(1)
-                            .copied()
-                            .collect();
+                        let payload = copy_range(&self.send_buf, in_flight, 1);
                         let seq = self.snd_nxt;
                         self.snd_nxt += 1;
                         self.emit_segment(
@@ -903,7 +891,7 @@ impl Tcb {
                                 ..TcpFlags::default()
                             },
                             seq,
-                            &payload,
+                            payload,
                             None,
                             &mut out,
                         );
@@ -990,7 +978,7 @@ impl Tcb {
                 self.snd_una = self.iss;
                 let mss = Some(self.cfg.mss_local as u16);
                 let seq = self.iss;
-                self.emit_segment(TcpFlags::syn_ack(), seq, &[], mss, out);
+                self.emit_segment(TcpFlags::syn_ack(), seq, Vec::new(), mss, out);
             }
         }
     }

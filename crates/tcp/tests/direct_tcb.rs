@@ -268,3 +268,197 @@ fn data_received_in_close_wait_still_delivered() {
     assert!(!sends(&back).is_empty());
     let _ = deliver(&mut a, &resp, 6 * MS);
 }
+
+/// The sender's segmentation, written down the straightforward way: the
+/// accepted stream is cut front to back into segments no longer than the
+/// MSS or the usable window, a short segment waiting while anything is in
+/// flight (Nagle, and the window-limited case of sender silly-window
+/// avoidance). Positions are stream offsets, not sequence numbers.
+struct CutModel {
+    mss: usize,
+    send_buf: usize,
+    nagle: bool,
+    /// Peer's advertised window, from the last ACK.
+    wnd: usize,
+    /// Stream offsets: acknowledged, sent, and accepted from the writer.
+    una: usize,
+    nxt: usize,
+    end: usize,
+}
+
+impl CutModel {
+    /// The writer offers `offered` bytes; returns how many fit.
+    fn accept(&mut self, offered: usize) -> usize {
+        let n = offered.min(self.send_buf - (self.end - self.una));
+        self.end += n;
+        n
+    }
+
+    /// An ACK up to stream offset `una`, advertising `wnd`.
+    fn on_ack(&mut self, una: usize, wnd: usize) {
+        self.una = una;
+        self.wnd = wnd;
+    }
+
+    /// The `(offset, len, psh)` of every segment that may go out now.
+    fn cut(&mut self) -> Vec<(usize, usize, bool)> {
+        let mut segs = Vec::new();
+        loop {
+            let in_flight = self.nxt - self.una;
+            let unsent = self.end - self.nxt;
+            let len = unsent.min(self.wnd.saturating_sub(in_flight)).min(self.mss);
+            let short = len < self.mss && (self.nagle || len < unsent);
+            if len == 0 || (short && in_flight > 0) {
+                return segs;
+            }
+            segs.push((self.nxt, len, self.nxt + len == self.end));
+            self.nxt += len;
+        }
+    }
+}
+
+mod segmentation {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// A's initial sequence number in `established_with`, plus the SYN.
+    const FIRST_SEQ: u32 = 1001;
+
+    fn pattern(i: usize) -> u8 {
+        (i.wrapping_mul(31) ^ (i >> 8)) as u8
+    }
+
+    /// Runs `writes` through an established pair in lock step — every
+    /// segment is delivered at once and in order, no timer ever fires —
+    /// with B reading in `reads`-sized pieces, some straight after a
+    /// segment and the rest when the wire falls idle. Every data segment A
+    /// emits is checked against `CutModel` as it is emitted.
+    fn run(
+        writes: &[usize],
+        reads: &[usize],
+        nagle: bool,
+        send_buf: usize,
+        recv_buf: usize,
+    ) -> Result<(), TestCaseError> {
+        let cfg = TcpConfig {
+            nagle,
+            send_buf,
+            recv_buf,
+            ..TcpConfig::low_latency()
+        };
+        let (mut a, mut b) = established_with(cfg);
+        let stream: Vec<u8> = (0..writes.iter().sum()).map(pattern).collect();
+        let mut model = CutModel {
+            mss: a.mss(),
+            send_buf,
+            nagle,
+            wnd: recv_buf,
+            una: 0,
+            nxt: 0,
+            end: 0,
+        };
+        // Segments in flight: (towards B?, header, payload).
+        let mut wire: VecDeque<(bool, TcpRepr, Vec<u8>)> = VecDeque::new();
+        let mut received = Vec::new();
+        let mut reads = reads.iter().copied().cycle();
+        let mut write_ends = writes.iter().scan(0, |end, w| {
+            *end += w;
+            Some(*end)
+        });
+        let mut write_end = 0;
+        let now = 2 * MS;
+
+        // Checks what A just emitted against the model and puts it on the
+        // wire.
+        let check = |actions: &[TcpAction],
+                     model: &mut CutModel,
+                     wire: &mut VecDeque<(bool, TcpRepr, Vec<u8>)>|
+         -> Result<(), TestCaseError> {
+            let emitted = sends(actions);
+            let got: Vec<(u32, usize, bool)> = emitted
+                .iter()
+                .map(|(r, p)| (r.seq.0, p.len(), r.flags.psh))
+                .collect();
+            let want = model.cut();
+            let want_seq: Vec<(u32, usize, bool)> = want
+                .iter()
+                .map(|&(off, len, psh)| (FIRST_SEQ + off as u32, len, psh))
+                .collect();
+            prop_assert_eq!(got, want_seq, "(seq, len, psh) of the data segments");
+            for (&(off, len, _), (repr, payload)) in want.iter().zip(emitted) {
+                prop_assert!(payload[..] == stream[off..off + len], "bytes at {}", off);
+                wire.push_back((true, repr, payload));
+            }
+            Ok(())
+        };
+
+        for _ in 0..1_000_000 {
+            // The writer: start the next write once the last is wholly
+            // accepted, and offer what is left whenever there is room.
+            if model.end == write_end {
+                match write_ends.next() {
+                    Some(end) => write_end = end,
+                    None if wire.is_empty() && b.recv_available() == 0 => break,
+                    None => {}
+                }
+            }
+            if model.end < write_end && a.send_space() > 0 {
+                let (n, actions) = a.send(&stream[model.end..write_end], now).unwrap();
+                prop_assert_eq!(n, model.accept(write_end - model.end), "bytes accepted");
+                check(&actions, &mut model, &mut wire)?;
+            }
+            // The wire, then the reader.
+            let mut to_read = 0;
+            match wire.pop_front() {
+                Some((true, repr, payload)) => {
+                    let out = b.on_segment(&repr, &payload, now);
+                    wire.extend(sends(&out).into_iter().map(|(r, p)| (false, r, p)));
+                    to_read = reads.next().unwrap() % 3;
+                }
+                Some((false, repr, payload)) => {
+                    prop_assert!(payload.is_empty(), "B sends no data");
+                    model.on_ack((repr.ack_num.0 - FIRST_SEQ) as usize, repr.window as usize);
+                    let actions = a.on_segment(&repr, &payload, now);
+                    check(&actions, &mut model, &mut wire)?;
+                }
+                // Idle: drain B, or the window never reopens.
+                None => to_read = usize::MAX,
+            }
+            while to_read > 0 && b.recv_available() > 0 {
+                let (data, out) = b.recv(reads.next().unwrap(), now);
+                received.extend(data);
+                wire.extend(sends(&out).into_iter().map(|(r, p)| (false, r, p)));
+                to_read -= 1;
+            }
+        }
+        prop_assert_eq!(model.una, stream.len(), "everything sent and acknowledged");
+        prop_assert!(received == stream, "byte stream intact");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Writes of 1 B to 3 × `send_buf` keep the send ring wrapping
+        /// under `output`'s range copies; reads that split segments do the
+        /// same to the receive ring under `recv`.
+        #[test]
+        fn segments_are_the_reference_cut_of_the_stream(
+            send_buf in prop_oneof![Just(2048usize), Just(4096), Just(16 * 1024)],
+            recv_buf in prop_oneof![Just(2048usize), Just(4096), Just(16 * 1024)],
+            nagle in proptest::bool::ANY,
+            write_fracs in proptest::collection::vec(0.0f64..1.0, 1..8),
+            reads in proptest::collection::vec(1usize..4000, 16..17),
+        ) {
+            // Skewed small, so one-byte and sub-MSS writes are common.
+            let writes: Vec<usize> = write_fracs
+                .iter()
+                .map(|f| 1 + (f.powi(3) * (3 * send_buf - 1) as f64) as usize)
+                .collect();
+            run(&writes, &reads, nagle, send_buf, recv_buf)?;
+        }
+    }
+}

@@ -20,15 +20,29 @@ const SLOTS: usize = 1 << SLOT_SHIFT;
 /// Number of levels.
 const LEVELS: usize = 4;
 
+/// The id list an entry sits in.
+#[derive(Clone, Copy)]
+enum Home {
+    /// `levels[level][slot]`.
+    Slot(usize, usize),
+    Overflow,
+}
+
 struct Entry<T> {
     deadline: Nanos,
     seq: u64,
     token: T,
+    /// Where the id sits — `pos` within `home`'s list — so `stop` can
+    /// remove it without a search.
+    home: Home,
+    pos: usize,
 }
 
 /// A hierarchical timing wheel. See module docs.
 pub struct TimerWheel<T> {
     /// `levels[l][slot]` holds ids of entries expiring in that slot's span.
+    /// Slots and `overflow` hold live ids only: `stop` removes eagerly, so
+    /// a wheel that is never advanced does not grow.
     levels: Vec<Vec<Vec<u64>>>,
     /// Entries too far out for the top level.
     overflow: Vec<u64>,
@@ -59,19 +73,48 @@ impl<T> TimerWheel<T> {
         1u64 << (SLOT_SHIFT * (l as u32 + 1))
     }
 
-    /// Places an entry id into the right slot for its deadline.
-    fn place(&mut self, id: u64) {
-        let deadline_tick = self.entries[&id].deadline >> TICK_SHIFT;
+    /// Pushes `id` onto the list its deadline belongs in and returns
+    /// where it landed.
+    fn place(&mut self, id: u64, deadline: Nanos) -> (Home, usize) {
+        let deadline_tick = deadline >> TICK_SHIFT;
         let delta = deadline_tick.saturating_sub(self.current_tick);
-        for l in 0..LEVELS {
-            if delta < Self::level_span_ticks(l) {
+        let home = (0..LEVELS)
+            .find(|&l| delta < Self::level_span_ticks(l))
+            .map_or(Home::Overflow, |l| {
                 let slot_unit = 1u64 << (SLOT_SHIFT * l as u32);
-                let slot = ((deadline_tick / slot_unit) % SLOTS as u64) as usize;
-                self.levels[l][slot].push(id);
-                return;
-            }
+                Home::Slot(l, ((deadline_tick / slot_unit) % SLOTS as u64) as usize)
+            });
+        let bucket = Self::bucket(&mut self.levels, &mut self.overflow, home);
+        bucket.push(id);
+        (home, bucket.len() - 1)
+    }
+
+    /// Places a live entry taken out of a cascading slot again.
+    fn replace(&mut self, id: u64) {
+        let deadline = self.entries[&id].deadline;
+        let (home, pos) = self.place(id, deadline);
+        let e = self.entries.get_mut(&id).expect("slot ids are live");
+        (e.home, e.pos) = (home, pos);
+    }
+
+    fn bucket<'a>(
+        levels: &'a mut [Vec<Vec<u64>>],
+        overflow: &'a mut Vec<u64>,
+        home: Home,
+    ) -> &'a mut Vec<u64> {
+        match home {
+            Home::Slot(level, slot) => &mut levels[level][slot],
+            Home::Overflow => overflow,
         }
-        self.overflow.push(id);
+    }
+
+    /// Removes `bucket[pos]` by swapping the last id into its place. Slot
+    /// order is free: fire order is fixed by the `(deadline, seq)` sort.
+    fn unplace(bucket: &mut Vec<u64>, pos: usize, entries: &mut HashMap<u64, Entry<T>>) {
+        bucket.swap_remove(pos);
+        if let Some(moved) = bucket.get(pos) {
+            entries.get_mut(moved).expect("slot ids are live").pos = pos;
+        }
     }
 }
 
@@ -81,21 +124,25 @@ impl<T> TimerService<T> for TimerWheel<T> {
         self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
+        let (home, pos) = self.place(id, deadline);
         self.entries.insert(
             id,
             Entry {
                 deadline,
                 seq,
                 token,
+                home,
+                pos,
             },
         );
-        self.place(id);
         TimerId(id)
     }
 
     fn stop(&mut self, id: TimerId) -> Option<T> {
-        // Lazy removal: the slot entry becomes a dead id skipped later.
-        self.entries.remove(&id.0).map(|e| e.token)
+        let e = self.entries.remove(&id.0)?;
+        let bucket = Self::bucket(&mut self.levels, &mut self.overflow, e.home);
+        Self::unplace(bucket, e.pos, &mut self.entries);
+        Some(e.token)
     }
 
     fn advance(&mut self, now: Nanos, fired: &mut Vec<T>) {
@@ -113,18 +160,14 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 }
                 let slot = ((tick / unit) % SLOTS as u64) as usize;
                 for id in std::mem::take(&mut self.levels[l][slot]) {
-                    if self.entries.contains_key(&id) {
-                        self.place(id);
-                    }
+                    self.replace(id);
                 }
             }
             // Retry overflow placement as the top level's cursor advances.
             let top_unit = 1u64 << (SLOT_SHIFT * (LEVELS as u32 - 1));
             if tick.is_multiple_of(top_unit) && !self.overflow.is_empty() {
                 for id in std::mem::take(&mut self.overflow) {
-                    if self.entries.contains_key(&id) {
-                        self.place(id);
-                    }
+                    self.replace(id);
                 }
             }
             // Harvest the level-0 slot for this tick.
@@ -132,9 +175,8 @@ impl<T> TimerService<T> for TimerWheel<T> {
             if tick < target_tick {
                 // The whole tick has elapsed: everything in it is ripe.
                 for id in std::mem::take(&mut self.levels[0][slot0]) {
-                    if let Some(e) = self.entries.get(&id) {
-                        ripe.push((e.deadline, e.seq, id));
-                    }
+                    let e = &self.entries[&id];
+                    ripe.push((e.deadline, e.seq, id));
                 }
                 self.current_tick += 1;
             } else {
@@ -143,16 +185,17 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 // `current_tick` at `target_tick` so the slot (and, on a
                 // boundary, the already-emptied cascade slots) are
                 // revisited then.
-                let entries = &self.entries;
                 let slot = &mut self.levels[0][slot0];
-                slot.retain(|id| match entries.get(id) {
-                    Some(e) if e.deadline <= now => {
-                        ripe.push((e.deadline, e.seq, *id));
-                        false
+                let mut pos = 0;
+                while let Some(&id) = slot.get(pos) {
+                    let e = &self.entries[&id];
+                    if e.deadline <= now {
+                        ripe.push((e.deadline, e.seq, id));
+                        Self::unplace(slot, pos, &mut self.entries);
+                    } else {
+                        pos += 1;
                     }
-                    Some(_) => true,
-                    None => false, // stopped: drop the dead id
-                });
+                }
                 break;
             }
         }
@@ -162,9 +205,8 @@ impl<T> TimerService<T> for TimerWheel<T> {
         // sub-tick deadline differences; sort for deterministic fire order.
         ripe.sort_unstable_by_key(|&(d, s, _)| (d, s));
         for (_, _, id) in ripe {
-            if let Some(e) = self.entries.remove(&id) {
-                fired.push(e.token);
-            }
+            let e = self.entries.remove(&id).expect("ripe ids are live");
+            fired.push(e.token);
         }
     }
 
@@ -230,6 +272,48 @@ mod tests {
         let mut fired = Vec::new();
         w.advance(200 << TICK_SHIFT, &mut fired);
         assert!(fired.is_empty());
+    }
+
+    #[test]
+    fn a_wheel_that_is_never_advanced_holds_only_live_ids() {
+        // A request/response flow stops every RTO and delayed-ACK timer
+        // before it fires, so nothing ever calls `advance`: `stop` itself
+        // must take the id out of its slot. Deadlines cover every level
+        // and the overflow list; eight timers are outstanding at any time
+        // so `stop` removes from the middle of shared slots too.
+        let mut w: TimerWheel<u64> = TimerWheel::new(0);
+        let held = |w: &TimerWheel<u64>| {
+            w.levels.iter().flatten().map(Vec::len).sum::<usize>() + w.overflow.len()
+        };
+        let keepers: Vec<u64> = (0..5).map(|l| 3u64 << (TICK_SHIFT + 6 * l)).collect();
+        for (i, &d) in keepers.iter().enumerate() {
+            w.start(d, i as u64);
+        }
+        let mut window = std::collections::VecDeque::new();
+        for i in 0..1_000_000u64 {
+            let deadline = (1 + i % 7) << (TICK_SHIFT + 6 * (i % 5) as u32);
+            window.push_back(w.start(deadline, 100 + i));
+            if window.len() == 8 {
+                // Alternate oldest and second-newest.
+                let pick = if i % 2 == 0 { 0 } else { 6 };
+                let id = window.remove(pick).expect("window holds eight ids");
+                assert!(w.stop(id).is_some());
+            }
+            if i % 50_000 == 0 {
+                assert_eq!(held(&w), w.pending(), "at pair {i}");
+            }
+        }
+        for id in window {
+            assert!(w.stop(id).is_some());
+        }
+        assert_eq!(w.pending(), keepers.len());
+        assert_eq!(held(&w), keepers.len());
+        // The recorded positions survived all the swap-removes: the
+        // keepers still fire, in deadline order.
+        let mut fired = Vec::new();
+        w.advance(*keepers.last().unwrap(), &mut fired);
+        assert_eq!(fired, vec![0, 1, 2, 3, 4]);
+        assert_eq!(held(&w), 0);
     }
 
     #[test]

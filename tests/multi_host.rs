@@ -181,3 +181,37 @@ fn shared_bus_contention_slows_concurrent_transfers() {
         "bus sharing must cost throughput: solo {solo:.0} vs contended {contended:.0}"
     );
 }
+
+#[test]
+fn thirty_three_hosts_build_with_overflow_checks_on() {
+    // `build_hosts` spaces the hosts' port bases 8000 apart in a `u16`,
+    // which wraps from the ninth host on; this test runs in the debug
+    // profile, where an implicit wrap would panic. The last host must be
+    // a working station in both kinds of organization (only the
+    // monolithic ones allocate from the wrapped base).
+    for org in [OrgKind::UserLibrary, OrgKind::InKernel] {
+        let (mut w, mut eng) = build_hosts(33, Network::Ethernet, org);
+        let stats = TransferStats::new_shared();
+        let st = Rc::clone(&stats);
+        listen(
+            &mut w,
+            0,
+            80,
+            TcpConfig::default(),
+            Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
+        );
+        connect(
+            &mut w,
+            &mut eng,
+            32,
+            (Ipv4Addr::new(10, 0, 0, 1), 80),
+            TcpConfig::default(),
+            Box::new(BulkSender::new(10_000, 4096)),
+            4096,
+        );
+        assert!(eng.run(&mut w, 10_000_000), "world did not drain");
+        let s = stats.borrow();
+        assert_eq!(s.bytes_received, 10_000, "{org:?}");
+        assert!(s.peer_closed && !s.reset, "{org:?}");
+    }
+}
