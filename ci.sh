@@ -10,12 +10,13 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (all targets, warnings are errors) =="
-cargo clippy --all-targets --offline -- -D warnings
+echo "== cargo clippy (workspace, all targets, warnings are errors) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
 
+# `default-members` makes this the whole workspace, not the facade alone.
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
@@ -29,10 +30,10 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # Observability must be optional: with the `trace` feature off, every
 # journal emission site compiles to an inert no-op and the workspace must
-# still build and pass the root suites.
+# still build and pass every suite.
 echo "== trace feature off: build + test =="
-cargo build --offline --no-default-features
-cargo test -q --offline --no-default-features
+cargo build --offline --workspace --no-default-features
+cargo test -q --offline --workspace --no-default-features
 
 # The two invariants the fast paths stand on, run explicitly (and in
 # release, matching how the artifacts are produced): the zero-copy frame

@@ -210,11 +210,7 @@ pub fn run_scenario(hostile: bool) -> RunMeasure {
         assert_eq!(s.bytes_received, XFER, "innocent {i} lost bytes");
         assert!(s.peer_closed && !s.reset, "innocent {i} stream failed");
     }
-    for h in &w.hosts {
-        assert_eq!(h.netio.channel_count(), 0, "host {} leaked channels", h.idx);
-        assert!(h.conns.is_empty(), "host {} leaked connections", h.idx);
-        assert_eq!(h.registry.tracked(), 0, "host {} registry lingers", h.idx);
-    }
+    assert_eq!(w.leaks(), Vec::<String>::new());
 
     let profile = Profile::build(&records);
     let mut lat: Vec<u64> = profile

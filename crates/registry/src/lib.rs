@@ -467,6 +467,19 @@ impl RegistryServer {
         hs
     }
 
+    /// A connection the registry handed to a library was closed there.
+    /// Its TCB sat out TIME_WAIT in the library, so nothing is owed for
+    /// the pair and the local port returns to the allocator — unless a
+    /// listener holds it (an accepted connection shares its listener's
+    /// port). Connections handed back through
+    /// [`RegistryServer::app_exit`] are released when the registry
+    /// finishes closing them instead.
+    pub fn connection_closed(&mut self, local_port: u16) {
+        if !self.listeners.contains_key(&local_port) {
+            self.ports.release(local_port);
+        }
+    }
+
     /// Number of connections the registry currently tracks (handshakes in
     /// progress plus inherited closers).
     pub fn tracked(&self) -> usize {
@@ -781,6 +794,26 @@ mod tests {
         let (actions, report) = r.owner_died(OwnerTag(5));
         assert!(actions.is_empty());
         assert_eq!(report, DeathReport::default());
+    }
+
+    #[test]
+    fn library_side_close_returns_the_ephemeral_port() {
+        let mut r = RegistryServer::new(IP_A);
+        r.listen(OwnerTag(1), 80, TcpConfig::default()).unwrap();
+        let span = usize::from(ports::EPHEMERAL_LIMIT - ports::EPHEMERAL_BASE) + 1;
+        for _ in 0..span {
+            r.connect(OwnerTag(1), (IP_B, 80), TcpConfig::default(), 0)
+                .unwrap();
+        }
+        let exhausted = r.connect(OwnerTag(1), (IP_B, 80), TcpConfig::default(), 0);
+        assert_eq!(exhausted.err(), Some(RegistryError::Exhausted));
+        r.connection_closed(2000);
+        assert!(r
+            .connect(OwnerTag(1), (IP_B, 80), TcpConfig::default(), 0)
+            .is_ok());
+        // An accepted connection's close must not unbind its listener.
+        r.connection_closed(80);
+        assert!(!r.port_free(80, 0));
     }
 
     #[test]

@@ -1092,34 +1092,45 @@ mod tests {
     use super::*;
     use crate::SegFlags;
 
-    fn seg(
+    /// What varies between the segments these tests journal; all are
+    /// plain ACKs of host 0's connection 80 ↔ 10.0.0.9:9000.
+    struct Seg {
         time: Nanos,
-        host: u16,
         dir: Dir,
-        lp: u16,
-        rp: u16,
         seq: u32,
         ack: u32,
-        flags: SegFlags,
         payload: u32,
-    ) -> Record {
+    }
+
+    fn seg(s: Seg) -> Record {
         Record {
-            time,
-            host: Some(host),
+            time: s.time,
+            host: Some(0),
             frame: None,
             event: Event::TcpSegment {
-                dir,
-                local_port: lp,
-                remote_port: rp,
+                dir: s.dir,
+                local_port: 80,
+                remote_port: 9000,
                 remote_ip: [10, 0, 0, 9],
-                seq,
-                ack,
+                seq: s.seq,
+                ack: s.ack,
                 wnd: 8192,
-                flags,
-                payload,
-                wire: 40 + payload,
+                flags: A,
+                payload: s.payload,
+                wire: 40 + s.payload,
             },
         }
+    }
+
+    /// A data-less ACK sent at `time`.
+    fn ack(time: Nanos, ack: u32) -> Record {
+        seg(Seg {
+            time,
+            dir: Dir::Tx,
+            seq: 0,
+            ack,
+            payload: 0,
+        })
     }
 
     const A: SegFlags = SegFlags {
@@ -1133,27 +1144,40 @@ mod tests {
     fn ack_regression_is_caught_and_wrap_is_not() {
         // Monotone acks, including across the 2^32 wrap: clean.
         let recs = vec![
-            seg(1, 0, Dir::Tx, 80, 9000, 0, u32::MAX - 10, A, 0),
-            seg(2, 0, Dir::Tx, 80, 9000, 0, 5, A, 0), // wrapped forward
-            seg(3, 0, Dir::Tx, 80, 9000, 0, 5, A, 0), // repeat is fine
+            ack(1, u32::MAX - 10),
+            ack(2, 5), // wrapped forward
+            ack(3, 5), // repeat is fine
         ];
         let m = Monitor::new().run_over(&recs);
         assert_eq!(m.total_violations(), 0);
         assert_eq!(m.checked().tcp_acks, 3);
 
         // A genuine rewind violates.
-        let recs = vec![
-            seg(1, 0, Dir::Tx, 80, 9000, 0, 5000, A, 0),
-            seg(2, 0, Dir::Tx, 80, 9000, 0, 4000, A, 0),
-        ];
+        let recs = vec![ack(1, 5000), ack(2, 4000)];
         let m = Monitor::new().run_over(&recs);
         assert_eq!(m.count(ViolationKind::TcpAckRegression), 1);
     }
 
     #[test]
     fn dup_ack_rexmit_requires_three_dups() {
-        let data = |t| seg(t, 0, Dir::Tx, 80, 9000, 100, 1, A, 500);
-        let dup = |t| seg(t, 0, Dir::Rx, 80, 9000, 1, 100, A, 0);
+        let data = |time| {
+            seg(Seg {
+                time,
+                dir: Dir::Tx,
+                seq: 100,
+                ack: 1,
+                payload: 500,
+            })
+        };
+        let dup = |time| {
+            seg(Seg {
+                time,
+                dir: Dir::Rx,
+                seq: 1,
+                ack: 100,
+                payload: 0,
+            })
+        };
         let rex = |t| Record {
             time: t,
             host: Some(0),

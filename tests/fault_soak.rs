@@ -18,7 +18,7 @@ use unp::core::world::{
     build_hosts, build_two_hosts, connect, crash_host, install_faults, listen, Network, OrgKind,
 };
 use unp::tcp::TcpConfig;
-use unp::trace::{Ctr, Gauge};
+use unp::trace::Ctr;
 use unp::wire::Ipv4Addr;
 
 const XFER: u64 = 60_000;
@@ -45,36 +45,7 @@ impl AppLogic for ResetWatch {
 
 /// Asserts the zero-leak oracle over a drained world.
 fn assert_no_leaks(w: &unp::core::World) {
-    for h in &w.hosts {
-        assert_eq!(h.netio.channel_count(), 0, "host {} leaked channels", h.idx);
-        assert_eq!(
-            h.netio.flow_table_len(),
-            0,
-            "host {} leaked flow-table entries",
-            h.idx
-        );
-        assert_eq!(h.registry.tracked(), 0, "host {} registry lingers", h.idx);
-        assert!(h.conns.is_empty(), "host {} leaked connections", h.idx);
-        if let unp::core::world::Nic::An1(nic) = &h.nic {
-            // Entry 0 is the kernel-default ring, bound for the host's
-            // lifetime; everything else must have been freed.
-            assert!(
-                nic.bqi_table.bound_entries() <= 1,
-                "host {} leaked BQI bindings",
-                h.idx
-            );
-        }
-    }
-    assert_eq!(
-        w.metrics.gauge(Gauge::OpenChannels),
-        0,
-        "channel gauge leaked"
-    );
-    assert_eq!(
-        w.metrics.gauge(Gauge::ActiveConnections),
-        0,
-        "connection gauge leaked"
-    );
+    assert_eq!(w.leaks(), Vec::<String>::new());
 }
 
 /// One five-host soak world: clients 0..=3 stream to server 4 while the

@@ -30,7 +30,7 @@ use unp::core::world::{
 };
 use unp::kernel::TenantBudget;
 use unp::tcp::TcpConfig;
-use unp::trace::{CausalGraph, Ctr, Gauge, Loss, Monitor, Profile};
+use unp::trace::{CausalGraph, Ctr, Loss, Monitor, Profile};
 
 const INNOCENTS: usize = 3;
 const XFER: u64 = 150_000;
@@ -246,14 +246,7 @@ fn run_scenario(hostile: bool) -> RunResult {
             .expect("hostile tenant account exists");
         assert_eq!(ts.open_channels, 0, "hostile channels leaked");
         assert_eq!(ts.ring_slots, 0, "hostile ring occupancy leaked");
-        for h in &w.hosts {
-            assert_eq!(h.netio.channel_count(), 0, "host {} leaked channels", h.idx);
-            assert_eq!(h.netio.flow_table_len(), 0, "host {} leaked flows", h.idx);
-            assert_eq!(h.registry.tracked(), 0, "host {} registry lingers", h.idx);
-            assert!(h.conns.is_empty(), "host {} leaked connections", h.idx);
-        }
-        assert_eq!(w.metrics.gauge(Gauge::OpenChannels), 0);
-        assert_eq!(w.metrics.gauge(Gauge::ActiveConnections), 0);
+        assert_eq!(w.leaks(), Vec::<String>::new());
 
         // Innocent app-deliver latency from the receive-path profile,
         // scoped to the innocent streams' server-side channels.

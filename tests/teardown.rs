@@ -1,0 +1,92 @@
+//! What a connection's end gives back, seen from outside the world:
+//! every refused, closed or exhausted connect must leave the host able to
+//! open the next one. (`World::leaks` over every teardown route is
+//! checked beside the world itself, in `core::world`'s own tests.)
+
+use std::rc::Rc;
+
+use unp::buffers::OwnerTag;
+use unp::core::app::{BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};
+use unp::core::world::{build_two_hosts, connect, listen, Network, Nic, OrgKind};
+use unp::tcp::TcpConfig;
+use unp::trace::Ctr;
+use unp::wire::Ipv4Addr;
+
+const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
+
+#[test]
+fn refused_connects_on_an1_give_their_bqi_slots_back() {
+    let (mut w, mut eng) = build_two_hosts(Network::An1, OrgKind::UserLibrary);
+    for _ in 0..100 {
+        let app = Box::new(BulkSender::new(1000, 512));
+        connect(&mut w, &mut eng, 0, SERVER, TcpConfig::default(), app, 512);
+        assert!(eng.run(&mut w, 1_000_000));
+    }
+    assert_eq!(w.metrics.get(Ctr::HandshakeFailures), 100);
+    for h in &w.hosts {
+        let Nic::An1(nic) = &h.nic else {
+            panic!("AN1 world")
+        };
+        // Entry 0, the kernel's own ring, is all that stays bound.
+        assert_eq!(nic.bqi_table.bound_entries(), 1, "host {}", h.idx);
+    }
+    // So the table still has a slot for a connection that is accepted,
+    // and its data is demultiplexed in hardware.
+    let stats = TransferStats::new_shared();
+    let st = Rc::clone(&stats);
+    let sink = move || Box::new(SinkApp::new(Rc::clone(&st))) as _;
+    listen(&mut w, 1, 80, TcpConfig::default(), Box::new(sink));
+    let app = Box::new(BulkSender::new(100_000, 4096).without_close());
+    connect(&mut w, &mut eng, 0, SERVER, TcpConfig::default(), app, 4096);
+    assert!(eng.run(&mut w, 5_000_000));
+    assert_eq!(stats.borrow().bytes_received, 100_000);
+    for h in &w.hosts {
+        let chan = h.conns.values().next().and_then(|c| c.chan.as_ref());
+        assert_ne!(chan.expect("held open").our_bqi, 0, "host {}", h.idx);
+    }
+}
+
+#[test]
+fn sequential_connects_outlast_the_ephemeral_port_range() {
+    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
+    // A short 2·MSL keeps the timing wheel's idle sweeps (and this test)
+    // short; the port comes back after TIME_WAIT however long that is.
+    let cfg = TcpConfig {
+        time_wait: 10_000_000,
+        ..TcpConfig::low_latency()
+    };
+    let echo = || Box::new(EchoApp) as _;
+    listen(&mut w, 1, 80, cfg.clone(), Box::new(echo));
+    let stats = TransferStats::new_shared();
+    // The registry hands out 1024..=5000: 3,977 ports, each of which a
+    // library-side close must return.
+    for _ in 0..5_000 {
+        let app = Box::new(PingPongApp::new(64, 1, Rc::clone(&stats)));
+        connect(&mut w, &mut eng, 0, SERVER, cfg.clone(), app, 64);
+        assert!(eng.run(&mut w, 1_000_000));
+    }
+    assert_eq!(stats.borrow().rtts.len(), 5_000);
+    assert!(!stats.borrow().reset);
+    assert_eq!(w.metrics.get(Ctr::HandshakeFailures), 0);
+    assert_eq!(w.leaks(), Vec::<String>::new());
+}
+
+#[test]
+fn connect_with_no_port_left_resets_the_application() {
+    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
+    // Bind the whole ephemeral range behind the world's back.
+    while w.hosts[0]
+        .registry
+        .connect(OwnerTag(9), SERVER, TcpConfig::default(), 0)
+        .is_ok()
+    {}
+    let stats = TransferStats::new_shared();
+    let app = Box::new(PingPongApp::new(64, 1, Rc::clone(&stats)));
+    connect(&mut w, &mut eng, 0, SERVER, TcpConfig::default(), app, 64);
+    eng.run(&mut w, 10_000);
+    assert!(
+        stats.borrow().reset,
+        "the app must learn its connect failed"
+    );
+    assert_eq!(w.metrics.get(Ctr::HandshakeFailures), 1);
+}
