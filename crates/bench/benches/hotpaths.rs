@@ -97,20 +97,38 @@ fn bench_demux(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_demux_scaling(c: &mut Criterion) {
-    // The flow-table tentpole's headline: classifying a frame among N
-    // active connection bindings. The two-tier `classify` (exact-match
-    // flow table + wildcard scan) should be flat in N; the 1993-style
-    // pure linear scan grows with it. The frame targets the
-    // last-installed binding — the scan's worst case.
-    let mut g = c.benchmark_group("demux_scaling");
-    for n in unp_bench::demux::SCALING_COUNTS {
-        let (m, frame) = unp_bench::demux::populated_module(n);
+fn bench_demux_scale(c: &mut Criterion) {
+    // The one channel-count sweep: a mixed population of N bindings
+    // (exact, listen, residual), one probe frame per demux tier. The
+    // keyed tiers should be flat in N and a churn cycle O(log N); the
+    // residual scan, the 1993-style linear reference and the from-scratch
+    // rebuild grow with it. The largest populations the committed
+    // BENCH_demux_scale.json sizes are left out: building 10^6 channels
+    // per run is the footprint report's job, not a micro-benchmark's.
+    let mut g = c.benchmark_group("demux_scale");
+    for n in [8usize, 64, 512, 4096, 65_536] {
+        let (mut m, flow, listen, scan) = unp_bench::scale::scale_module(n);
         g.bench_function(format!("flow_table_{n}"), |b| {
-            b.iter(|| m.classify(black_box(&frame)))
+            b.iter(|| m.classify(black_box(&flow)))
         });
-        g.bench_function(format!("linear_scan_{n}"), |b| {
-            b.iter(|| m.classify_scan_reference(black_box(&frame)))
+        g.bench_function(format!("listen_table_{n}"), |b| {
+            b.iter(|| m.classify(black_box(&listen)))
+        });
+        g.bench_function(format!("residual_scan_{n}"), |b| {
+            b.iter(|| m.classify(black_box(&scan)))
+        });
+        // The 1993-style scan over every binding, on the frame whose
+        // match is the last one installed: its worst case.
+        g.bench_function(format!("linear_reference_{n}"), |b| {
+            b.iter(|| m.classify_scan_reference(black_box(&scan)))
+        });
+        // Rebuild before churn: every churn cycle mints a fresh channel
+        // id, which would grow the id space the O(N) rebuild walks.
+        g.bench_function(format!("rebuild_active_{n}"), |b| {
+            b.iter(|| m.force_rebuild_active())
+        });
+        g.bench_function(format!("churn_cycle_{n}"), |b| {
+            b.iter(|| unp_bench::scale::churn_cycle(&mut m, n))
         });
     }
     g.finish();
@@ -253,9 +271,9 @@ fn bench_trace_overhead(c: &mut Criterion) {
     // site in the hot path reduces to one relaxed atomic load and the
     // event constructor closure is never run. `classify` carries a real
     // `demux_classify` emission, so comparing it quiescent vs recording —
-    // and against the `demux_scaling` numbers, which match PR 2's — shows
-    // the instrumentation costs nothing when off.
-    let (m, frame) = unp_bench::demux::populated_module(64);
+    // and against `demux_scale`'s `flow_table_64` — shows the
+    // instrumentation costs nothing when off.
+    let (m, frame, ..) = unp_bench::scale::scale_module(64);
     assert!(!unp_trace::journal_enabled());
     let mut g = c.benchmark_group("trace_overhead");
     g.throughput(Throughput::Elements(256));
@@ -317,7 +335,7 @@ criterion_group!(
     benches,
     bench_checksum,
     bench_demux,
-    bench_demux_scaling,
+    bench_demux_scale,
     bench_timers,
     bench_tcp_wire,
     bench_frame_path,

@@ -1,303 +1,154 @@
-//! Regenerates every table of the paper's evaluation section.
+//! Regenerates the paper's evaluation and the repo's own artifacts.
 //!
-//! Usage:
 //! ```text
-//! cargo run -p unp-bench --release --bin repro-tables            # all
-//! cargo run -p unp-bench --release --bin repro-tables -- table2  # one
-//! cargo run -p unp-bench --release --bin repro-tables -- quick   # smaller workloads
-//! cargo run -p unp-bench --release --bin repro-tables -- --timings
-//! #   also time each table (host wall-clock, events, frame allocations),
-//! #   run the frame-pool ablation and the demux fast-path report, and
-//! #   write BENCH_zero_copy.json + BENCH_demux.json
-//! cargo run -p unp-bench --release --bin repro-tables -- --trace
-//! #   also rerun the Table-2 workload with the event journal recording,
-//! #   print the receive-path latency breakdown cross-checked against the
-//! #   modeled costs, and write BENCH_trace.json
-//! cargo run -p unp-bench --release --bin repro-tables -- --profile
-//! #   also join the journal into per-frame path traces, print the
-//! #   per-stage latency decomposition and the 8→4096-channel churn
-//! #   sweep (rebuild_active timing), write BENCH_profile.json, then run
-//! #   the 8→10^6-channel mixed-population scale sweep (incremental
-//! #   churn, per-tier classify, memory footprint) and write
-//! #   BENCH_demux_scale.json
-//! cargo run -p unp-bench --release --bin repro-tables -- --churn-gate
-//! #   CI gate: per-event channel churn at 4096 channels must stay within
-//! #   a constant factor of 64 channels (incremental maintenance must not
-//! #   scale with the population); exit 1 otherwise; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --profile-baseline
-//! #   (re)generate BENCH_profile_baseline.json for the CI perf gate
-//! #   from the quick workload; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --profile-gate <baseline>
-//! #   re-run the quick workload and compare stage means against the
-//! #   committed baseline: exit 1 on regression past the tolerance band,
-//! #   warn on improvement; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --explain [f<id> | <port>]
-//! #   run the seeded faulty Table-2 workload, join the journal into the
-//! #   cross-host causal graph, and print the postmortem for one frame
-//! #   (f<id>), one connection (<port>), or the whole run; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --explain-gate
-//! #   CI gate: same workload, assert the fault-plan oracle (attribution
-//! #   coverage 1.0, every lost data frame claimed exactly once or
-//! #   superseded), write BENCH_causal.json, and diff the Chrome trace
-//! #   export against tests/golden/causal_trace.json; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --explain-baseline
-//! #   (re)generate the golden Chrome trace + BENCH_causal.json
-//! cargo run -p unp-bench --release --bin repro-tables -- --isolation-gate
-//! #   CI gate: run the multi-tenant isolation oracle (three innocent
-//! #   tenants + one byzantine tenant, baseline vs hostile run of the
-//! #   same seed), assert the isolation envelope, and write
-//! #   BENCH_isolation.json; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --monitor
-//! #   run the streaming conformance monitor over the golden workloads,
-//! #   the mutation harness, the overhead timing, and the monitored
-//! #   scale sweep; print the report plus a seeded postmortem demo and
-//! #   write BENCH_monitor.json; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --monitor-gate
-//! #   CI gate: same measurements, assert zero violations on conformant
-//! #   runs, non-vacuous checkers, 8/8 mutation classes caught, and the
-//! #   overhead bound; write BENCH_monitor.json; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --summary
-//! #   fold the headline scalar of every committed BENCH_*.json into
-//! #   BENCH_summary.json (also written by the artifact modes above)
+//! repro-tables [tables] [quick] [table1 … table5 fig1 ablations]
+//!     print the paper's tables (all, or the named ones); `quick` runs
+//!     smaller workloads. The bare invocation's output is the committed
+//!     golden tables_output.txt.
+//! repro-tables bench <name|all>
+//!     run a report, print it, and write its BENCH_<name>.json into the
+//!     current directory (`all` also writes BENCH_summary.json, the gate
+//!     table evaluated over them). Every artifact is simulated time and
+//!     exact counts at one fixed size, so CI checks them by `git diff`.
+//! repro-tables gate <name|all>
+//!     run a report and hold it to its rows of the gate table; exit 1 on
+//!     any failure. Beyond the artifacts: `profile_quick` (stage means vs
+//!     the committed BENCH_profile_baseline.json) and `churn` (the one
+//!     wall-clock check: 4096-vs-64-channel churn ratio).
+//! repro-tables explain [f<id> | <port> | postmortem]
+//!     run the seeded faulty Table-2 workload and print the causal
+//!     postmortem for one frame, one connection, or the whole run;
+//!     `postmortem` prints the flight-recorder window a seeded protocol
+//!     violation freezes.
+//! repro-tables baseline <profile|causal>
+//!     after a reviewed change, rewrite BENCH_profile_baseline.json or
+//!     tests/golden/causal_trace.json.
 //! ```
+//! Names: zero_copy demux trace profile demux_scale causal isolation
+//! monitor.
 
-use unp_bench::{
-    causal, demux, isolation, monitor, profile, scale, summary, tables, timings, trace,
-};
+use std::process::exit;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let want_timings = args.iter().any(|a| a == "--timings" || a == "timings");
-    let want_trace = args.iter().any(|a| a == "--trace" || a == "trace");
-    let want_profile = args.iter().any(|a| a == "--profile" || a == "profile");
-    let want_baseline = args.iter().any(|a| a == "--profile-baseline");
-    let want_churn_gate = args.iter().any(|a| a == "--churn-gate");
-    let gate_path = args
+use unp_bench::report::{select, Sizes, Workloads};
+use unp_bench::summary::{check, summary, TABLE};
+use unp_bench::{causal, monitor, profile, tables};
+use unp_trace::json::{parse, write, Value};
+
+fn usage(problem: &str) -> ! {
+    eprintln!("repro-tables: {problem}");
+    eprintln!(
+        "usage: repro-tables [tables] [quick] [table1..table5|fig1|ablations]... \
+         | bench <name|all> | gate <name|all> \
+         | explain [f<id>|<port>|postmortem] | baseline <profile|causal>"
+    );
+    exit(2)
+}
+
+fn read_document(file: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
+    parse(&text).map_err(|e| format!("parse {file}: {e}"))
+}
+
+fn write_artifact(file: &str, v: &Value) {
+    std::fs::write(file, write(v)).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {file}");
+}
+
+fn print_tables(selectors: &[&str]) {
+    let quick = selectors.contains(&"quick");
+    let (total, rounds) = if quick {
+        (400_000, 10)
+    } else {
+        (Sizes::DEFAULT.total, Sizes::DEFAULT.rounds)
+    };
+    let runs = tables::runs(total, rounds);
+    let named: Vec<&str> = selectors
         .iter()
-        .position(|a| a == "--profile-gate")
-        .map(|i| args.get(i + 1).expect("--profile-gate <baseline>").clone());
-    let explain_pos = args.iter().position(|a| a == "--explain");
-    let want_explain_gate = args.iter().any(|a| a == "--explain-gate");
-    let want_explain_baseline = args.iter().any(|a| a == "--explain-baseline");
-    let want_summary = args.iter().any(|a| a == "--summary");
-    let want_isolation_gate = args.iter().any(|a| a == "--isolation-gate");
-    let want_monitor = args.iter().any(|a| a == "--monitor");
-    let want_monitor_gate = args.iter().any(|a| a == "--monitor-gate");
-    let total: u64 = if quick { 400_000 } else { 2_000_000 };
-    let rounds = if quick { 10 } else { 30 };
-
-    if want_explain_gate || want_explain_baseline {
-        let result = if want_explain_gate {
-            causal::gate()
-        } else {
-            causal::baseline()
-        };
-        match result {
-            Ok(lines) => {
-                for l in lines {
-                    println!("{l}");
-                }
-            }
-            Err(msg) => {
-                eprintln!("causal gate FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if let Some(i) = explain_pos {
-        let graph = causal::causal_section();
-        causal::print_explain(&graph, args.get(i + 1).map(String::as_str));
-        return;
-    }
-
-    if want_isolation_gate {
-        match isolation::gate() {
-            Ok((lines, json)) => {
-                for l in lines {
-                    println!("{l}");
-                }
-                let path = "BENCH_isolation.json";
-                std::fs::write(path, json).expect("write isolation json");
-                println!("wrote {path}");
-                summary::write();
-            }
-            Err(msg) => {
-                eprintln!("isolation gate FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if want_monitor || want_monitor_gate {
-        let report = monitor::monitor_section(|line| println!("{line}"));
-        monitor::print_report(&report);
-        if want_monitor {
-            let lossy = causal::lossy_journal();
-            monitor::print_postmortem_demo(&lossy);
-        }
-        let json = monitor::to_json(&report);
-        let path = "BENCH_monitor.json";
-        std::fs::write(path, &json).expect("write monitor json");
-        println!("wrote {path}");
-        summary::write();
-        if want_monitor_gate {
-            match monitor::gate(&report) {
-                Ok(lines) => {
-                    for l in lines {
-                        println!("{l}");
-                    }
-                }
-                Err(msg) => {
-                    eprintln!("monitor gate FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
-    }
-
-    if want_summary {
-        summary::write();
-        return;
-    }
-
-    if want_churn_gate {
-        let (at_64, at_4096) = scale::churn_gate_measure();
-        let ratio = at_4096 / at_64;
-        println!(
-            "churn gate: create+activate+destroy {at_64:.1} ns @ 64 channels, {at_4096:.1} ns @ 4096 ({ratio:.2}x, bound {:.0}x)",
-            scale::CHURN_GATE_FACTOR
-        );
-        if ratio > scale::CHURN_GATE_FACTOR {
-            eprintln!(
-                "churn gate FAILED: per-event churn scaled {ratio:.2}x from 64 to 4096 channels (bound {:.0}x) — incremental maintenance has regressed to O(N)",
-                scale::CHURN_GATE_FACTOR
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // The gate/baseline modes are CI tools: deterministic quick workload,
-    // no table regeneration.
-    if want_baseline || gate_path.is_some() {
-        let rows = profile::profile_section(400_000);
-        let means = profile::gate_means(&rows);
-        if want_baseline {
-            let path = "BENCH_profile_baseline.json";
-            std::fs::write(path, profile::baseline_json(&rows)).expect("write baseline json");
-            println!("wrote {path}");
-        }
-        if let Some(path) = gate_path {
-            let baseline = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-            match profile::check_gate(&means, &baseline) {
-                Ok(warnings) => {
-                    for w in &warnings {
-                        println!("warning: {w}");
-                    }
-                    println!("profile gate: stage means within ±5% of {path}");
-                }
-                Err(msg) => {
-                    eprintln!("profile gate FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
-    }
-
-    let selectors: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            *a != "--timings"
-                && *a != "timings"
-                && *a != "--trace"
-                && *a != "trace"
-                && *a != "--profile"
-                && *a != "profile"
-        })
+        .copied()
+        .filter(|s| *s != "quick")
         .collect();
-    let pick =
-        |name: &str| selectors.is_empty() || selectors.iter().any(|a| *a == name || *a == "quick");
-
+    if let Some(unknown) = named
+        .iter()
+        .find(|s| runs.iter().all(|(name, _)| name != *s))
+    {
+        usage(&format!("unknown table {unknown:?}"));
+    }
     println!("Reproduction of \"Implementing Network Protocols at User Level\"");
     println!("(Thekkath, Nguyen, Moy, Lazowska — SIGCOMM 1993)\n");
-
-    type TableFn<'a> = (&'static str, Box<dyn FnOnce() + 'a>);
-    let runs: Vec<TableFn> = vec![
-        ("table1", Box::new(tables::table1)),
-        ("table2", Box::new(move || tables::table2(total))),
-        ("table3", Box::new(move || tables::table3(rounds))),
-        ("table4", Box::new(tables::table4)),
-        ("table5", Box::new(tables::table5)),
-        ("fig1", Box::new(move || tables::fig1_sweep(total))),
-        ("ablations", Box::new(move || tables::ablations(total))),
-    ];
-
-    let mut timed = Vec::new();
     for (name, run) in runs {
-        if !pick(name) {
-            continue;
-        }
-        if want_timings {
-            timed.push(timings::timed(name, run));
-        } else {
+        if named.is_empty() || named.contains(&name) {
             run();
         }
     }
+}
 
-    if want_timings {
-        let cmp = timings::pool_comparison(4096, total);
-        timings::print_report(&timed, &cmp);
-        let json = timings::to_json(&timed, &cmp);
-        let path = "BENCH_zero_copy.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
-
-        let d = demux::demux_section(total);
-        demux::print_report(&d);
-        let json = demux::to_json(&d);
-        let path = "BENCH_demux.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+fn bench(name: &str) {
+    let reports = select(name, |r| r.file.is_some()).unwrap_or_else(|e| usage(&e));
+    let w = Workloads::new(Sizes::DEFAULT);
+    let mut built = Vec::new();
+    for r in reports {
+        let doc = (r.build)(&w);
+        write_artifact(r.file.expect("selected by file"), &doc);
+        built.push((r.name, doc));
     }
-
-    if want_trace {
-        let trace_total = if quick { 400_000 } else { 1_000_000 };
-        let rows = trace::trace_section(trace_total);
-        trace::print_report(&rows);
-        let json = trace::to_json(&rows, trace_total);
-        let path = "BENCH_trace.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+    if name == "all" {
+        write_artifact("BENCH_summary.json", &summary(&built, &read_document));
     }
+}
 
-    if want_profile {
-        let profile_total = if quick { 400_000 } else { 1_000_000 };
-        let rows = profile::profile_section(profile_total);
-        let churn = profile::churn_sweep();
-        profile::print_report(&rows, &churn);
-        let json = profile::to_json(&rows, &churn, profile_total);
-        let path = "BENCH_profile.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
-
-        let points = scale::scale_sweep();
-        scale::print_report(&points);
-        let json = scale::to_json(&points);
-        let path = "BENCH_demux_scale.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+fn gate(name: &str) {
+    let reports = select(name, |_| true).unwrap_or_else(|e| usage(&e));
+    let w = Workloads::new(Sizes::DEFAULT);
+    let mut failures = 0;
+    for r in reports {
+        let doc = (r.build)(&w);
+        let rows: Vec<_> = TABLE.iter().filter(|row| row.report == r.name).collect();
+        let before = failures;
+        for row in &rows {
+            match check(row, &doc, &read_document).outcome {
+                Ok(None) => {}
+                Ok(Some(warning)) => eprintln!("warning: {warning}"),
+                Err(failure) => {
+                    eprintln!("gate FAILED: {failure}");
+                    failures += 1;
+                }
+            }
+        }
+        let held = rows.len() - (failures - before);
+        // Verdicts go to stderr so they survive `> /dev/null` on the reports.
+        eprintln!("gate {}: {held} of {} rows hold", r.name, rows.len());
     }
+    if failures > 0 {
+        eprintln!("gate FAILED: {failures} row(s)");
+        exit(1);
+    }
+}
 
-    // Every artifact-writing mode refreshes the consolidated summary so
-    // it never trails the per-mode files it folds.
-    if want_timings || want_trace || want_profile {
-        summary::write();
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let words: Vec<&str> = args.iter().map(String::as_str).collect();
+    match words.as_slice() {
+        ["bench", name] => bench(name),
+        ["gate", name] => gate(name),
+        ["explain", "postmortem"] => monitor::print_postmortem_demo(&causal::lossy_journal()),
+        ["explain", target @ ..] if target.len() <= 1 => {
+            let graph = causal::causal_graph(&causal::lossy_journal());
+            causal::print_explain(&graph, target.first().copied());
+        }
+        ["baseline", "profile"] => write_artifact(
+            profile::BASELINE_FILE,
+            &profile::quick_report(&Workloads::new(Sizes::DEFAULT)),
+        ),
+        ["baseline", "causal"] => match causal::baseline() {
+            Ok(()) => println!("wrote {}", causal::GOLDEN_TRACE),
+            Err(e) => {
+                eprintln!("baseline causal FAILED: {e}");
+                exit(1);
+            }
+        },
+        [cmd @ ("bench" | "gate" | "explain" | "baseline"), ..] => {
+            usage(&format!("bad arguments to {cmd}"))
+        }
+        ["tables", selectors @ ..] | selectors => print_tables(selectors),
     }
 }

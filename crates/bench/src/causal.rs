@@ -1,5 +1,5 @@
-//! `--explain` mode: the seeded faulty Table-2 workload joined into a
-//! cross-host [`CausalGraph`], with the fault-plan oracle cross-check.
+//! The seeded faulty Table-2 workload joined into a cross-host
+//! [`CausalGraph`], with the fault-plan oracle cross-check.
 //!
 //! One bulk transfer runs under a fixed [`FaultPlan::lossy`] schedule
 //! with the journal recording; the journal joins into per-frame
@@ -11,22 +11,23 @@
 //! * every lost data-carrying frame must be claimed by exactly one
 //!   attribution, or superseded by a redundant delivery of its range.
 //!
-//! `repro-tables --explain [f<id> | <port>]` prints the postmortem for
-//! one frame or one connection (summary when no target is given).
-//! `--explain-gate` is the CI surface: it runs the oracle check, writes
-//! `BENCH_causal.json`, and diffs the Chrome trace export against the
-//! pinned golden `tests/golden/causal_trace.json` (regenerate with
-//! `--explain-baseline` after a reviewed change). The workload is
-//! deterministic, so the golden is byte-exact.
+//! `repro-tables explain [f<id> | <port>]` prints the postmortem for one
+//! frame or one connection (summary when no target is given). `bench
+//! causal` writes `BENCH_causal.json`, which counts the oracle's failures
+//! and whether the Chrome trace export still matches the pinned golden
+//! `tests/golden/causal_trace.json` (regenerate with `baseline causal`
+//! after a reviewed change) — the gate table bounds both at zero. The
+//! workload is deterministic, so the golden is byte-exact.
 
-use std::rc::Rc;
-
+use unp_core::experiments::Transfer;
 use unp_core::faults::FaultPlan;
-use unp_core::world::{connect, install_faults, listen};
-use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
-use unp_tcp::TcpConfig;
+use unp_core::world::install_faults;
+use unp_core::{Network, OrgKind};
 use unp_trace::causal::{CausalGraph, JourneyFate};
-use unp_wire::Ipv4Addr;
+use unp_trace::json::Value;
+use unp_trace::Record;
+
+use crate::report::Workloads;
 
 /// Transfer size of the seeded workload. Small on purpose: the gate's
 /// golden Chrome trace pins every journey of this exact run.
@@ -46,47 +47,24 @@ pub const GOLDEN_TRACE: &str = "tests/golden/causal_trace.json";
 /// Runs the seeded faulty Table-2 workload with the journal recording
 /// and returns the raw records — the causal graph builds from them here,
 /// and the conformance monitor replays and mutates them in
-/// [`crate::monitor`]. Panics if the transfer fails to complete.
-pub fn lossy_journal() -> Vec<unp_trace::Record> {
+/// [`crate::monitor`].
+pub fn lossy_journal() -> Vec<Record> {
     unp_trace::journal_start();
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.mss_local = CAUSAL_PACKET.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(CAUSAL_TOTAL, CAUSAL_PACKET)),
+    Transfer::table2(
+        Network::Ethernet,
+        OrgKind::UserLibrary,
         CAUSAL_PACKET,
-    );
-    install_faults(&mut w, &mut eng, FaultPlan::lossy(CAUSAL_SEED, CAUSAL_LOSS));
-    assert!(eng.run(&mut w, 2_000_000_000), "causal run did not drain");
-    let records = unp_trace::journal_stop();
-    assert_eq!(
-        stats.borrow().bytes_received,
         CAUSAL_TOTAL,
-        "lossy transfer incomplete"
-    );
-    records
+    )
+    .run(|w, eng| install_faults(w, eng, FaultPlan::lossy(CAUSAL_SEED, CAUSAL_LOSS)));
+    unp_trace::journal_stop()
 }
 
-/// Runs the seeded faulty Table-2 workload and joins the journal into a
-/// causal graph. Panics if the transfer fails to complete or the
-/// latency-split invariant breaks — both would invalidate the report.
-pub fn causal_section() -> CausalGraph {
-    let records = lossy_journal();
-    let graph = CausalGraph::build(&records);
+/// Joins the seeded journal into a causal graph. Panics if the
+/// latency-split invariant breaks — that would invalidate every report
+/// built on the graph.
+pub fn causal_graph(records: &[Record]) -> CausalGraph {
+    let graph = CausalGraph::build(records);
     graph
         .check_consistency()
         .expect("latency splits must telescope to end-to-end");
@@ -94,22 +72,13 @@ pub fn causal_section() -> CausalGraph {
 }
 
 /// The fault-plan oracle: with the injected schedule as ground truth,
-/// attribution must be total (coverage 1.0) and every lost data frame
-/// claimed exactly once or redundantly delivered.
-pub fn oracle_check(graph: &CausalGraph) -> Result<(), String> {
-    if graph.coverage() < 1.0 {
-        let missing: Vec<String> = graph
-            .rexmits
-            .iter()
-            .filter(|a| !a.cause.is_attributed())
-            .map(|a| format!("t={} seq={}", a.t, a.seq))
-            .collect();
-        return Err(format!(
-            "attribution coverage {:.3} < 1.0 (unattributed: {})",
-            graph.coverage(),
-            missing.join(", ")
-        ));
-    }
+/// attribution must be total and every lost data frame claimed exactly
+/// once or redundantly delivered. Returns one line per failure.
+pub fn oracle_failures(graph: &CausalGraph) -> Vec<String> {
+    let unattributed = graph.rexmits.iter().filter(|a| !a.cause.is_attributed());
+    let mut failures: Vec<String> = unattributed
+        .map(|a| format!("retransmit t={} seq={} has no cause", a.t, a.seq))
+        .collect();
     let claims = graph.claims();
     for (j, loss) in graph.losses() {
         let Some(s) = &j.seg else { continue };
@@ -122,16 +91,14 @@ pub fn oracle_check(graph: &CausalGraph) -> Result<(), String> {
         match claims.get(&j.frame).copied().unwrap_or(0) {
             1 => {}
             0 if graph.superseded(j) => {}
-            n => {
-                return Err(format!(
-                    "lost data frame f{} ({}) claimed by {n} attributions, want 1",
-                    j.frame,
-                    loss.label()
-                ));
-            }
+            n => failures.push(format!(
+                "lost data frame f{} ({}) claimed by {n} attributions, want 1",
+                j.frame,
+                loss.label()
+            )),
         }
     }
-    Ok(())
+    failures
 }
 
 /// Counts losses that needed no retransmit because another transmission
@@ -155,11 +122,11 @@ pub fn print_explain(graph: &CausalGraph, target: Option<&str>) {
     match target {
         Some(t) if t.starts_with('f') => match t[1..].parse::<u64>() {
             Ok(frame) => print!("{}", graph.explain_frame(frame)),
-            Err(_) => eprintln!("--explain: bad frame id {t:?} (want f<number>)"),
+            Err(_) => eprintln!("explain: bad frame id {t:?} (want f<number>)"),
         },
         Some(t) => match t.trim_start_matches(':').parse::<u16>() {
             Ok(port) => print!("{}", graph.explain_conn(port)),
-            Err(_) => eprintln!("--explain: bad target {t:?} (want f<frame> or <port>)"),
+            Err(_) => eprintln!("explain: bad target {t:?} (want f<frame>, <port> or postmortem)"),
         },
         None => {
             print!("{}", graph.summary());
@@ -169,120 +136,91 @@ pub fn print_explain(graph: &CausalGraph, target: Option<&str>) {
     }
 }
 
-/// Serializes the run for `BENCH_causal.json`: workload parameters,
-/// journey fates, attribution coverage, and per-cause/per-loss counts.
-pub fn to_json(graph: &CausalGraph) -> String {
-    let arrived = graph
-        .journeys
-        .iter()
-        .filter(|j| j.fate == JourneyFate::Arrived)
-        .count();
-    let in_flight = graph
-        .journeys
-        .iter()
-        .filter(|j| j.fate == JourneyFate::InFlight)
-        .count();
-    let mut out = String::from("{\n  \"benchmark\": \"causal_attribution\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"org\": \"user_library\", \"total_bytes\": {CAUSAL_TOTAL}, \"user_packet\": {CAUSAL_PACKET}, \"seed\": {CAUSAL_SEED}, \"loss\": {CAUSAL_LOSS}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"journeys\": {{\"total\": {}, \"arrived\": {arrived}, \"lost\": {}, \"in_flight\": {in_flight}}},\n",
+/// Joins the seeded journal, runs the oracle and the golden diff, prints
+/// the verdict and returns the report: workload parameters, journey
+/// fates, attribution coverage, per-cause/per-loss counts, and the two
+/// structural failure counts.
+pub fn report(w: &Workloads) -> Value {
+    let graph = causal_graph(w.lossy_journal());
+    let failures = oracle_failures(&graph);
+    for f in &failures {
+        eprintln!("causal oracle: {f}");
+    }
+    let golden = std::fs::read_to_string(GOLDEN_TRACE);
+    let golden_matches = golden.is_ok_and(|g| g == graph.render_chrome_trace());
+    let fate = |f| graph.journeys.iter().filter(|j| j.fate == f).count();
+    println!(
+        "causal: {} journeys, {} rexmits, {} losses, coverage {:.0}%, {} oracle failures, chrome trace {} {GOLDEN_TRACE}",
         graph.journeys.len(),
-        graph.losses().count(),
-    ));
-    out.push_str(&format!(
-        "  \"rexmits\": {},\n  \"attribution_coverage\": {:.4},\n  \"superseded_losses\": {},\n",
         graph.rexmits.len(),
-        graph.coverage(),
-        superseded_count(graph),
-    ));
-    out.push_str("  \"causes\": {");
-    for (i, (label, n)) in graph.cause_counts().into_iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{label}\": {n}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    out.push_str("},\n  \"losses\": {");
-    for (i, (label, n)) in graph.loss_counts().into_iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{label}\": {n}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    out.push_str("}\n}\n");
-    out
-}
-
-/// The CI gate body: oracle check, `BENCH_causal.json`, golden Chrome
-/// trace diff. Returns the human verdict lines to print on success.
-pub fn gate() -> Result<Vec<String>, String> {
-    let graph = causal_section();
-    oracle_check(&graph)?;
-    if graph.rexmits.is_empty() || graph.losses().next().is_none() {
-        return Err("seeded plan injected no loss — the oracle checked nothing".into());
-    }
-    std::fs::write("BENCH_causal.json", to_json(&graph))
-        .map_err(|e| format!("write BENCH_causal.json: {e}"))?;
-    let trace = graph.render_chrome_trace();
-    unp_trace::json::parse(&trace).map_err(|e| format!("chrome trace is not valid JSON: {e}"))?;
-    let golden = std::fs::read_to_string(GOLDEN_TRACE)
-        .map_err(|e| format!("read {GOLDEN_TRACE}: {e} (regenerate with --explain-baseline)"))?;
-    if trace != golden {
-        return Err(format!(
-            "chrome trace diverged from {GOLDEN_TRACE} ({} vs {} bytes) — review, then refresh with --explain-baseline",
-            trace.len(),
-            golden.len()
-        ));
-    }
-    Ok(vec![
-        format!(
-            "causal gate: {} journeys, {} rexmits, {} losses, coverage {:.0}%",
-            graph.journeys.len(),
-            graph.rexmits.len(),
-            graph.losses().count(),
-            graph.coverage() * 100.0
+        graph.losses().count(),
+        graph.coverage() * 100.0,
+        failures.len(),
+        if golden_matches { "matches" } else { "DIVERGED from" },
+    );
+    let counts = |pairs: Vec<(&'static str, usize)>| {
+        Value::obj(pairs.into_iter().map(|(label, n)| (label, n.into())))
+    };
+    Value::obj([
+        ("benchmark", "causal_attribution".into()),
+        (
+            "workload",
+            Value::obj([
+                ("table", 2usize.into()),
+                ("org", "user_library".into()),
+                ("total_bytes", CAUSAL_TOTAL.into()),
+                ("user_packet", CAUSAL_PACKET.into()),
+                ("seed", CAUSAL_SEED.into()),
+                ("loss", Value::Num(CAUSAL_LOSS)),
+            ]),
         ),
-        format!("causal gate: chrome trace matches {GOLDEN_TRACE}"),
-        "wrote BENCH_causal.json".into(),
+        (
+            "journeys",
+            Value::obj([
+                ("total", graph.journeys.len().into()),
+                ("arrived", fate(JourneyFate::Arrived).into()),
+                ("lost", graph.losses().count().into()),
+                ("in_flight", fate(JourneyFate::InFlight).into()),
+            ]),
+        ),
+        ("rexmits", graph.rexmits.len().into()),
+        ("attribution_coverage", Value::fixed(graph.coverage(), 4)),
+        ("superseded_losses", superseded_count(&graph).into()),
+        ("oracle_failures", failures.len().into()),
+        ("golden_trace_mismatch", usize::from(!golden_matches).into()),
+        ("causes", counts(graph.cause_counts())),
+        ("losses", counts(graph.loss_counts())),
     ])
 }
 
-/// Regenerates the golden Chrome trace and `BENCH_causal.json` (the
-/// `--explain-baseline` mode; still oracle-checked so a broken run can't
-/// become the pin).
-pub fn baseline() -> Result<Vec<String>, String> {
-    let graph = causal_section();
-    oracle_check(&graph)?;
-    std::fs::write("BENCH_causal.json", to_json(&graph))
-        .map_err(|e| format!("write BENCH_causal.json: {e}"))?;
+/// Regenerates the golden Chrome trace (`baseline causal`); refuses while
+/// the oracle fails, so a broken run can't become the pin.
+pub fn baseline() -> Result<(), String> {
+    let graph = causal_graph(&lossy_journal());
+    if let Some(f) = oracle_failures(&graph).first() {
+        return Err(format!("causal oracle: {f}"));
+    }
     std::fs::write(GOLDEN_TRACE, graph.render_chrome_trace())
-        .map_err(|e| format!("write {GOLDEN_TRACE}: {e}"))?;
-    Ok(vec![
-        format!("wrote {GOLDEN_TRACE}"),
-        "wrote BENCH_causal.json".into(),
-    ])
+        .map_err(|e| format!("write {GOLDEN_TRACE}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::lookup;
 
     #[test]
     fn seeded_run_passes_its_own_oracle() {
-        let graph = causal_section();
+        let graph = causal_graph(&lossy_journal());
         assert!(
             graph.losses().next().is_some(),
             "the seeded plan must inject at least one loss"
         );
         assert!(!graph.rexmits.is_empty(), "losses must force retransmits");
-        oracle_check(&graph).expect("fault-plan oracle");
-        let json = to_json(&graph);
-        let v = unp_trace::json::parse(&json).expect("BENCH_causal.json parses");
+        assert_eq!(oracle_failures(&graph), Vec::<String>::new());
+        let v = report(&Workloads::new(crate::report::Sizes::SMALL));
         assert_eq!(
-            v.get("attribution_coverage")
-                .and_then(unp_trace::json::Value::as_f64),
+            lookup(&v, "attribution_coverage").and_then(Value::as_f64),
             Some(1.0)
         );
     }

@@ -1,222 +1,26 @@
-//! Demux section of `--timings`: what the flow-table fast path does for
-//! the reproduction itself.
+//! `bench demux`: what the flow-table fast path decides on the
+//! reproduction's own traffic — `BENCH_demux.json`.
 //!
-//! Two measurements, both host wall-clock (the *modeled* 1993 demux costs
-//! are unchanged by design — see `unp_kernel` docs):
-//!
-//! * **Workload counters** — a Table-2 bulk run with the software-demux
-//!   organization, reporting how many frames the flow table decided vs.
-//!   how many fell back to the filter scan, and the average modeled
-//!   filter instructions per packet (what the cost model charged).
-//! * **Scaling** — a module populated with N active connection bindings,
-//!   classifying a frame for the *last*-installed one (the scan's worst
-//!   case): ns/packet for the two-tier `classify` against the pure
-//!   linear `classify_scan_reference`, at N ∈ {1, 8, 64, 512}. The fast
-//!   path should be flat in N; the scan, linear. Results land in
-//!   `BENCH_demux.json`.
+//! A Table-2 bulk run with the software-demux organization, reporting how
+//! many frames each tier decided (exact flow table, listen table, filter
+//! scan) and the average modeled filter instructions per packet — what
+//! the cost model charged, unchanged by the fast path by design (see
+//! `unp_kernel` docs). How classify scales with the channel population on
+//! the host is `cargo bench -p unp-bench demux_scale`.
 
-use std::rc::Rc;
-use std::time::Instant;
+use unp_core::experiments::Transfer;
+use unp_core::{Network, OrgKind};
+use unp_kernel::DemuxStats;
+use unp_trace::json::Value;
 
-use unp_buffers::OwnerTag;
-use unp_core::world::{connect, listen};
-use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
-use unp_filter::programs::DemuxSpec;
-use unp_kernel::template::HeaderTemplate;
-use unp_kernel::{DemuxStats, NetIoModule};
-use unp_tcp::TcpConfig;
-use unp_wire::Ipv4Repr;
-use unp_wire::{EtherType, EthernetRepr, IpProtocol, Ipv4Addr, MacAddr, SeqNum, TcpFlags, TcpRepr};
-
-/// The channel counts the scaling sweep visits.
-pub const SCALING_COUNTS: [usize; 4] = [1, 8, 64, 512];
-
-/// One point of the scaling sweep.
-pub struct ScalingPoint {
-    /// Active connection bindings installed.
-    pub channels: usize,
-    /// ns/packet through the two-tier `classify` (flow-table hit).
-    pub flow_ns: f64,
-    /// ns/packet through the pure linear scan.
-    pub scan_ns: f64,
-}
-
-/// The whole demux report.
-pub struct DemuxSection {
-    /// Software-demux counters from the Table-2 bulk workload
-    /// (user-library organization on Ethernet), summed over both hosts.
-    pub workload: DemuxStats,
-    pub scaling: Vec<ScalingPoint>,
-}
-
-impl DemuxSection {
-    /// Fast-path flatness: ns/packet at the largest sweep point over
-    /// ns/packet at the second-smallest (8 channels). The acceptance bar
-    /// is ±20% — O(1) demux must not care how many connections exist.
-    pub fn fast_path_flatness(&self) -> f64 {
-        let at = |n: usize| {
-            self.scaling
-                .iter()
-                .find(|p| p.channels == n)
-                .expect("sweep point")
-                .flow_ns
-        };
-        at(512) / at(8)
-    }
-}
-
-const LOCAL: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-pub(crate) fn spec_for(i: usize) -> DemuxSpec {
-    // Unique (remote ip, remote port) per index without u8/u16 overflow up
-    // to well past 10^6 channels: the low 60 000 indices cycle the port
-    // space, the high bits land in the second IP octet. For i < 60 000
-    // this is byte-identical to the historical single-octet scheme.
-    let (hi, lo) = (i / 60_000, i % 60_000);
-    DemuxSpec {
-        link_header_len: 14,
-        protocol: IpProtocol::Tcp,
-        local_ip: LOCAL,
-        local_port: 80,
-        remote_ip: Some(Ipv4Addr::new(
-            10,
-            1 + hi as u8,
-            (lo / 250) as u8,
-            (lo % 250) as u8,
-        )),
-        remote_port: Some(1024 + lo as u16),
-    }
-}
-
-pub(crate) fn template_for(spec: &DemuxSpec) -> HeaderTemplate {
-    HeaderTemplate {
-        link_header_len: 14,
-        src_mac: None,
-        dst_mac: None,
-        ethertype: EtherType::Ipv4,
-        protocol: IpProtocol::Tcp,
-        src_ip: spec.local_ip,
-        dst_ip: spec.remote_ip.expect("connection spec"),
-        src_port: spec.local_port,
-        dst_port: spec.remote_port,
-        bqi: None,
-    }
-}
-
-/// A module with `n` active connection bindings, plus a frame addressed to
-/// the last-installed one — the linear scan's worst case, the flow table's
-/// indifferent case.
-pub fn populated_module(n: usize) -> (NetIoModule, Vec<u8>) {
-    populated_module_slots(n, 8)
-}
-
-/// [`populated_module`] with the ring-slot count exposed: the 10^5–10^6
-/// scale sweep uses one-slot rings so channel-count, not ring capacity,
-/// dominates the measured footprint.
-pub fn populated_module_slots(n: usize, slots: usize) -> (NetIoModule, Vec<u8>) {
-    let mut m = NetIoModule::new();
-    for i in 0..n {
-        let spec = spec_for(i);
-        let (id, ..) = m.create_channel(OwnerTag(1), &spec, template_for(&spec), slots, 2048);
-        m.activate(id);
-    }
-    let last = spec_for(n - 1);
-    let remote = last.remote_ip.expect("connection spec");
-    let seg = TcpRepr {
-        src_port: last.remote_port.expect("connection spec"),
-        dst_port: last.local_port,
-        seq: SeqNum(1),
-        ack_num: SeqNum(0),
-        flags: TcpFlags::ack(),
-        window: 8192,
-        mss: None,
-    }
-    .build_segment(remote, LOCAL, &[0u8; 64]);
-    let ip = Ipv4Repr::simple(remote, LOCAL, IpProtocol::Tcp, seg.len());
-    let frame = EthernetRepr {
-        dst: MacAddr::from_host_index(2),
-        src: MacAddr::from_host_index(1),
-        ethertype: EtherType::Ipv4,
-    }
-    .build_frame(&ip.build_packet(&seg));
-    (m, frame)
-}
-
-/// Best-of-`reps` ns/op — the minimum is the least-noise estimator for a
-/// deterministic operation.
-pub(crate) fn time_ns(mut f: impl FnMut(), iters: u64, reps: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// Runs the scaling sweep.
-pub fn scaling_sweep() -> Vec<ScalingPoint> {
-    SCALING_COUNTS
-        .iter()
-        .map(|&n| {
-            let (m, frame) = populated_module(n);
-            // Sanity: both paths agree on the target before we time them.
-            let (t1, i1, _) = m.classify(&frame);
-            assert_eq!((t1, i1), m.classify_scan_reference(&frame));
-            assert!(t1.is_some(), "scaling frame must hit");
-            let flow_ns = time_ns(
-                || {
-                    std::hint::black_box(m.classify(std::hint::black_box(&frame)));
-                },
-                200_000,
-                3,
-            );
-            // Fewer iterations where each op is O(n): keep total work flat.
-            let scan_iters = (1_000_000 / n as u64).max(2_000);
-            let scan_ns = time_ns(
-                || {
-                    std::hint::black_box(m.classify_scan_reference(std::hint::black_box(&frame)));
-                },
-                scan_iters,
-                3,
-            );
-            ScalingPoint {
-                channels: n,
-                flow_ns,
-                scan_ns,
-            }
-        })
-        .collect()
-}
+use crate::report::Workloads;
 
 /// Runs the Table-2 bulk workload under the user-library organization on
 /// Ethernet (software demux) and returns the demux counters, summed over
 /// both hosts.
 pub fn workload_stats(total: u64) -> DemuxStats {
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let cfg = TcpConfig::bulk_transfer();
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(total, 4096)),
-        4096,
-    );
-    assert!(eng.run(&mut w, 50_000_000), "bulk run did not drain");
-    assert_eq!(stats.borrow().bytes_received, total, "transfer incomplete");
+    let transfer = Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, 4096, total);
+    let (w, _) = transfer.run(|_, _| {});
     let mut sum = DemuxStats::default();
     for h in &w.hosts {
         let s = h.netio.demux_stats();
@@ -229,100 +33,44 @@ pub fn workload_stats(total: u64) -> DemuxStats {
     sum
 }
 
-/// Builds the full demux section.
-pub fn demux_section(total: u64) -> DemuxSection {
-    DemuxSection {
-        workload: workload_stats(total),
-        scaling: scaling_sweep(),
-    }
-}
-
-/// Prints the demux report.
-pub fn print_report(d: &DemuxSection) {
-    let w = &d.workload;
+/// Runs the workload, prints the counters and returns the report.
+pub fn report(w: &Workloads) -> Value {
+    let d = workload_stats(w.sizes.total);
     println!("== Demux fast path: Table-2 bulk workload (software demux) ==");
     println!(
         "  {} packets: {} flow-table hits, {} listen-table hits, {} scan fallbacks ({:.1}% keyed fast path)",
-        w.packets,
-        w.flow_hits,
-        w.listen_hits,
-        w.scan_fallbacks,
-        w.keyed_hit_rate() * 100.0
+        d.packets,
+        d.flow_hits,
+        d.listen_hits,
+        d.scan_fallbacks,
+        d.keyed_hit_rate() * 100.0
     );
     println!(
         "  avg modeled filter instructions per packet: {:.1} (scan-equivalent; unchanged by the fast path)",
-        w.avg_filter_instrs()
+        d.avg_filter_instrs()
     );
     println!();
-    println!("== Demux scaling: classify one frame among N connection bindings ==");
-    println!(
-        "  {:>9} {:>16} {:>16} {:>9}",
-        "channels", "flow-table (ns)", "linear scan (ns)", "scan/flow"
-    );
-    for p in &d.scaling {
-        println!(
-            "  {:>9} {:>16.1} {:>16.1} {:>8.1}x",
-            p.channels,
-            p.flow_ns,
-            p.scan_ns,
-            p.scan_ns / p.flow_ns
-        );
-    }
-    println!(
-        "  fast path 512 vs 8 channels: {:.2}x (flat ≡ 1.0; acceptance ±20%)",
-        d.fast_path_flatness()
-    );
-    println!();
-}
-
-/// Serializes the demux section as JSON (hand-rolled: the workspace is
-/// dependency-free by design).
-pub fn to_json(d: &DemuxSection) -> String {
-    let w = &d.workload;
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"flow_table_demux\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"packets\": {}, \"flow_hits\": {}, \"listen_hits\": {}, \"scan_fallbacks\": {}, \"flow_hit_rate\": {:.4}, \"keyed_hit_rate\": {:.4}, \"avg_filter_instrs\": {:.2}}},\n",
-        w.packets,
-        w.flow_hits,
-        w.listen_hits,
-        w.scan_fallbacks,
-        w.flow_hit_rate(),
-        w.keyed_hit_rate(),
-        w.avg_filter_instrs()
-    ));
-    out.push_str("  \"scaling\": [\n");
-    for (i, p) in d.scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"channels\": {}, \"flow_ns_per_packet\": {:.1}, \"scan_ns_per_packet\": {:.1}, \"scan_over_flow\": {:.2}}}{}\n",
-            p.channels,
-            p.flow_ns,
-            p.scan_ns,
-            p.scan_ns / p.flow_ns,
-            if i + 1 < d.scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"fast_path_flatness_8_to_512\": {:.3}\n}}\n",
-        d.fast_path_flatness()
-    ));
-    out
+    Value::obj([
+        ("benchmark", "flow_table_demux".into()),
+        (
+            "workload",
+            Value::obj([
+                ("table", 2usize.into()),
+                ("packets", d.packets.into()),
+                ("flow_hits", d.flow_hits.into()),
+                ("listen_hits", d.listen_hits.into()),
+                ("scan_fallbacks", d.scan_fallbacks.into()),
+                ("flow_hit_rate", Value::fixed(d.flow_hit_rate(), 4)),
+                ("keyed_hit_rate", Value::fixed(d.keyed_hit_rate(), 4)),
+                ("avg_filter_instrs", Value::fixed(d.avg_filter_instrs(), 2)),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn populated_module_hits_last_channel_on_flow_path() {
-        for n in [1usize, 8, 64] {
-            let (m, frame) = populated_module(n);
-            assert_eq!(m.flow_table_len(), n, "all bindings must distill");
-            let (target, instrs, path) = m.classify(&frame);
-            assert_eq!(path, unp_kernel::DemuxPath::FlowTable);
-            assert_eq!((target, instrs), m.classify_scan_reference(&frame));
-        }
-    }
 
     #[test]
     fn workload_mostly_flow_hits() {
@@ -340,52 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_flat_scan_linear() {
-        // Semantic shape of the sweep, with generous slack so debug builds
-        // and loaded CI hosts pass: the flow path must not grow anything
-        // like linearly from 8 to 512 channels (64x work for the scan),
-        // and the scan must visibly grow. The precise ±20% flatness bar is
-        // checked on the release artifact in BENCH_demux.json.
-        let sweep = scaling_sweep();
-        let at = |n: usize| sweep.iter().find(|p| p.channels == n).unwrap();
-        assert!(
-            at(512).flow_ns < at(8).flow_ns * 5.0,
-            "flow path grew {:.1}x from 8 to 512 channels",
-            at(512).flow_ns / at(8).flow_ns
-        );
-        assert!(
-            at(512).scan_ns > at(8).scan_ns * 2.0,
-            "scan path only grew {:.1}x from 8 to 512 channels",
-            at(512).scan_ns / at(8).scan_ns
-        );
-    }
-
-    #[test]
     fn json_is_shaped() {
-        let d = DemuxSection {
-            workload: DemuxStats {
-                flow_hits: 85,
-                listen_hits: 5,
-                scan_fallbacks: 10,
-                packets: 100,
-                filter_instrs: 700,
-            },
-            scaling: SCALING_COUNTS
-                .iter()
-                .map(|&n| ScalingPoint {
-                    channels: n,
-                    flow_ns: 50.0,
-                    scan_ns: 50.0 * n as f64,
-                })
-                .collect(),
-        };
-        let j = to_json(&d);
-        assert!(j.contains("\"fast_path_flatness_8_to_512\""));
-        assert!(j.contains("\"channels\": 512"));
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
-        );
+        use crate::report::Sizes;
+        crate::summary::assert_shaped("demux", &report(&Workloads::new(Sizes::SMALL)));
     }
 }

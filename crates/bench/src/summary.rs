@@ -1,93 +1,181 @@
-//! `BENCH_summary.json`: one consolidated artifact folding the headline
-//! scalar out of every committed `BENCH_*.json`.
+//! The gate table: every bound CI holds a report to, as data.
 //!
-//! Each artifact-writing mode leaves a detailed per-mode file; this
-//! module re-reads them with [`unp_trace::json`] (the same reader the
-//! export tests round-trip through) and pulls a handful of named
-//! scalars into one object, so a dashboard — or a reviewer — gets the
-//! repo's whole performance story from one file. Sources that have not
-//! been generated yet are listed under `"missing"` rather than failing:
-//! the summary describes what exists.
+//! One [`Row`] names a report, a path into its JSON value and a
+//! [`Bound`]; [`check`] evaluates a row and [`summary`] evaluates all of
+//! them into `BENCH_summary.json`. A check that is structural rather than
+//! scalar — the causal oracle walk, the Chrome-trace golden diff,
+//! `World::leaks()` — is a failure *count* in its report, bounded here at
+//! zero. A path that does not resolve to a number fails its row: a
+//! renamed field must not turn a gate into a no-op.
 
-use unp_trace::json::{parse, Value};
+use std::fmt;
 
-/// The headline extractions: `(file, [(summary key, path)])` where the
-/// path is dot-separated with `[i]`/`[-1]` array indexing.
-const SOURCES: &[(&str, &[(&str, &str)])] = &[
-    (
-        "BENCH_zero_copy.json",
-        &[
-            (
-                "pooled_allocs_per_frame",
-                "pool_comparison.pooled_allocs_per_frame",
-            ),
-            (
-                "alloc_reduction_factor",
-                "pool_comparison.alloc_reduction_factor",
-            ),
-        ],
+use unp_trace::json::Value;
+use unp_trace::monitor::mutations::BugClass;
+
+use crate::profile::BASELINE_FILE;
+
+/// What a gated value is held to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Exactly this value (counts).
+    Eq(f64),
+    AtMost(f64),
+    AtLeast(f64),
+    /// No more than this fraction above the same path in the committed
+    /// baseline file; as far below passes with a refresh-the-baseline
+    /// warning. A zero baseline bounds nothing (a stage the workload
+    /// never pays for).
+    Baseline(&'static str, f64),
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::Eq(x) => write!(f, "== {x}"),
+            Bound::AtMost(x) => write!(f, "<= {x}"),
+            Bound::AtLeast(x) => write!(f, ">= {x}"),
+            Bound::Baseline(file, tol) => write!(f, "within {:.0}% of {file}", tol * 100.0),
+        }
+    }
+}
+
+/// One gate: `report`'s value at `path` must satisfy `bound`.
+pub struct Row {
+    pub report: &'static str,
+    pub path: &'static str,
+    pub bound: Bound,
+}
+
+const fn row(report: &'static str, path: &'static str, bound: Bound) -> Row {
+    Row {
+        report,
+        path,
+        bound,
+    }
+}
+
+/// Relative tolerance of the profile perf gate.
+const PROFILE_TOLERANCE: Bound = Bound::Baseline(BASELINE_FILE, 0.05);
+
+/// Every gate in the repo.
+pub const TABLE: &[Row] = &[
+    // The pool must at least halve heap allocations per frame.
+    row(
+        "zero_copy",
+        "pool_comparison.alloc_reduction_factor",
+        Bound::AtLeast(2.0),
     ),
-    (
-        "BENCH_demux.json",
-        &[
-            ("flow_hit_rate", "workload.flow_hit_rate"),
-            ("fast_path_flatness_8_to_512", "fast_path_flatness_8_to_512"),
-        ],
+    row(
+        "zero_copy",
+        "pool_comparison.pooled_allocs_per_frame",
+        Bound::AtMost(0.5),
     ),
-    (
-        "BENCH_trace.json",
-        &[
-            ("wakeup_mean_ns", "rows[0].wakeup.mean_ns"),
-            ("proc_mean_ns", "rows[0].proc.mean_ns"),
-        ],
+    // A bulk transfer's data packets all carry an installed 5-tuple.
+    row("demux", "workload.flow_hit_rate", Bound::AtLeast(0.5)),
+    // A signaled wakeup can never take longer than the model charges, a
+    // frame can never be processed faster.
+    row("trace", "wakeup_over_model", Bound::Eq(0.0)),
+    row("trace", "proc_under_model", Bound::Eq(0.0)),
+    row("trace", "rows[0].wakeup.mean_ns", Bound::AtLeast(1.0)),
+    row("trace", "rows[0].proc.mean_ns", Bound::AtLeast(1.0)),
+    row(
+        "profile",
+        "gate.stage_mean_ns.end_to_end",
+        Bound::AtLeast(1.0),
     ),
-    (
-        "BENCH_profile.json",
-        &[
-            ("end_to_end_mean_ns", "gate.stage_mean_ns.end_to_end"),
-            (
-                "demux_classify_mean_ns",
-                "gate.stage_mean_ns.demux_classify",
-            ),
-        ],
+    row(
+        "profile",
+        "gate.stage_mean_ns.demux_classify",
+        Bound::AtLeast(1.0),
     ),
-    (
-        "BENCH_demux_scale.json",
-        &[
-            ("churn_cycle_ns_at_max_scale", "points[-1].churn_cycle_ns"),
-            (
-                "flow_classify_ns_at_max_scale",
-                "points[-1].flow_classify_ns",
-            ),
-        ],
+    // Demux structures stay ~100 bytes per channel at the largest point.
+    row(
+        "demux_scale",
+        "points[-1].demux_mem_bytes",
+        Bound::AtMost(128.0 * 1_000_000.0),
     ),
-    (
-        "BENCH_causal.json",
-        &[
-            ("attribution_coverage", "attribution_coverage"),
-            ("rexmits_attributed", "rexmits"),
-        ],
+    // The fault plan is the oracle: attribution is total, the oracle walk
+    // and the golden diff find nothing, and the plan did inject loss.
+    row("causal", "attribution_coverage", Bound::Eq(1.0)),
+    row("causal", "oracle_failures", Bound::Eq(0.0)),
+    row("causal", "golden_trace_mismatch", Bound::Eq(0.0)),
+    row("causal", "rexmits", Bound::AtLeast(1.0)),
+    row("causal", "journeys.lost", Bound::AtLeast(1.0)),
+    // The isolation envelope (see `crate::isolation`).
+    row("isolation", "baseline_quota_drops", Bound::Eq(0.0)),
+    row("isolation", "baseline_tx_rejections", Bound::Eq(0.0)),
+    row("isolation", "quota_drops", Bound::AtLeast(1.0)),
+    row("isolation", "tx_rejections", Bound::AtLeast(1.0)),
+    row("isolation", "quota_drops_misattributed", Bound::Eq(0.0)),
+    row("isolation", "quota_drops_untraced", Bound::Eq(0.0)),
+    row("isolation", "leaks", Bound::Eq(0.0)),
+    row("isolation", "throughput_ratio_min", Bound::AtLeast(0.6)),
+    row("isolation", "completion_envelope_used", Bound::AtMost(1.0)),
+    row("isolation", "p99_envelope_used", Bound::AtMost(1.0)),
+    // Zero violations on conformant runs, by checkers that each validated
+    // real events and each still catch their bug class.
+    row("monitor", "golden_violations", Bound::Eq(0.0)),
+    row("monitor", "checked.tcp_acks", Bound::AtLeast(1.0)),
+    row("monitor", "checked.transitions", Bound::AtLeast(1.0)),
+    row("monitor", "checked.rexmits", Bound::AtLeast(1.0)),
+    row("monitor", "checked.ring_events", Bound::AtLeast(1.0)),
+    row("monitor", "checked.pool_events", Bound::AtLeast(1.0)),
+    row("monitor", "checked.demux_classifies", Bound::AtLeast(1.0)),
+    row(
+        "monitor",
+        "mutations.caught",
+        Bound::Eq(BugClass::ALL.len() as f64),
     ),
-    (
-        "BENCH_isolation.json",
-        &[
-            ("innocent_throughput_ratio_min", "throughput_ratio_min"),
-            ("quota_drops_misattributed", "quota_drops_misattributed"),
-        ],
+    row(
+        "monitor",
+        "recorder.postmortem_records",
+        Bound::AtLeast(1.0),
     ),
-    (
-        "BENCH_monitor.json",
-        &[
-            ("golden_violations", "golden_violations"),
-            ("monitor_overhead_ratio", "overhead.ratio"),
-            ("peak_observer_mem_bytes", "scale.peak_observer_mem_bytes"),
-        ],
+    // Observer memory tracks the 256-frame sample, not 10^6 channels.
+    row(
+        "monitor",
+        "scale.peak_observer_mem_bytes",
+        Bound::AtMost(65_536.0),
     ),
+    row(
+        "profile_quick",
+        "gate.stage_mean_ns.demux_classify",
+        PROFILE_TOLERANCE,
+    ),
+    row(
+        "profile_quick",
+        "gate.stage_mean_ns.ring_enqueue",
+        PROFILE_TOLERANCE,
+    ),
+    row(
+        "profile_quick",
+        "gate.stage_mean_ns.wakeup_batch",
+        PROFILE_TOLERANCE,
+    ),
+    row(
+        "profile_quick",
+        "gate.stage_mean_ns.tcp_segment",
+        PROFILE_TOLERANCE,
+    ),
+    row(
+        "profile_quick",
+        "gate.stage_mean_ns.app_deliver",
+        PROFILE_TOLERANCE,
+    ),
+    row(
+        "profile_quick",
+        "gate.stage_mean_ns.end_to_end",
+        PROFILE_TOLERANCE,
+    ),
+    // Complexity class, not speed: O(log N) churn reads 0.7–2x here, the
+    // old O(N) rebuild-per-event ~50x.
+    row("churn", "ratio_4096_over_64", Bound::AtMost(8.0)),
 ];
 
 /// Walks `path` (`a.b[0].c`, `[-1]` for the last element) through a
-/// parsed document.
-fn lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+/// document.
+pub fn lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
     let mut cur = v;
     for seg in path.split('.') {
         let (key, idx) = match seg.find('[') {
@@ -108,67 +196,96 @@ fn lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
     Some(cur)
 }
 
-/// Renders an extracted scalar back out (integers stay integers).
-fn scalar(v: &Value) -> Option<String> {
-    let n = v.as_f64()?;
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        Some(format!("{}", n as i64))
-    } else {
-        Some(format!("{n}"))
-    }
+/// One evaluated row.
+pub struct Verdict {
+    /// The value found, when the path resolved to a number.
+    pub value: Option<f64>,
+    /// `Ok` carries a warning worth printing, if any; `Err` the failure.
+    pub outcome: Result<Option<String>, String>,
 }
 
-/// Builds the consolidated summary from the `BENCH_*.json` files in the
-/// current directory (the repo root, where the artifacts live).
-pub fn collect() -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"summary\",\n  \"sources\": {");
-    let mut missing: Vec<&str> = Vec::new();
-    let mut first_src = true;
-    for &(file, keys) in SOURCES {
-        let Ok(text) = std::fs::read_to_string(file) else {
-            missing.push(file);
-            continue;
-        };
-        let Ok(doc) = parse(&text) else {
-            missing.push(file);
-            continue;
-        };
-        if !first_src {
-            out.push(',');
-        }
-        first_src = false;
-        out.push_str(&format!("\n    \"{file}\": {{"));
-        let mut first_key = true;
-        for &(name, path) in keys {
-            let Some(val) = lookup(&doc, path).and_then(scalar) else {
-                continue;
-            };
-            if !first_key {
-                out.push_str(", ");
+/// Evaluates `row` against its report's document. `load` reads a
+/// committed baseline file as JSON.
+pub fn check(row: &Row, doc: &Value, load: &dyn Fn(&str) -> Result<Value, String>) -> Verdict {
+    let at = format!("{} {}", row.report, row.path);
+    let number = |doc: &Value, what: &str| {
+        lookup(doc, row.path)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("{at}: no number at this path in {what}"))
+    };
+    let value = match number(doc, "the report") {
+        Ok(v) => v,
+        Err(e) => {
+            return Verdict {
+                value: None,
+                outcome: Err(e),
             }
-            first_key = false;
-            out.push_str(&format!("\"{name}\": {val}"));
         }
-        out.push('}');
+    };
+    let fail = |cmp: &str, want: f64| Err(format!("{at} = {value}, want {cmp} {want}"));
+    let outcome = match row.bound {
+        Bound::Eq(x) if value != x => fail("==", x),
+        Bound::AtMost(x) if value > x => fail("<=", x),
+        Bound::AtLeast(x) if value < x => fail(">=", x),
+        Bound::Baseline(file, tol) => load(file)
+            .and_then(|base| number(&base, file))
+            .and_then(|base| {
+                if base == 0.0 {
+                    Ok(None)
+                } else if value > base * (1.0 + tol) {
+                    fail(&format!("<= {:.0}% over {file}'s", tol * 100.0), base)
+                } else if value < base * (1.0 - tol) {
+                    Ok(Some(format!(
+                        "{at} = {value} improved on {file}'s {base} — refresh the committed baseline"
+                    )))
+                } else {
+                    Ok(None)
+                }
+            }),
+        _ => Ok(None),
+    };
+    Verdict {
+        value: Some(value),
+        outcome,
     }
-    out.push_str("\n  },\n  \"missing\": [");
-    for (i, file) in missing.iter().enumerate() {
-        out.push_str(&format!("{}\"{file}\"", if i > 0 { ", " } else { "" }));
-    }
-    out.push_str("]\n}\n");
-    out
 }
 
-/// Writes `BENCH_summary.json` and announces it.
-pub fn write() {
-    let path = "BENCH_summary.json";
-    std::fs::write(path, collect()).expect("write summary json");
-    println!("wrote {path}");
+/// Evaluates every table row whose report is among `reports` into the
+/// `BENCH_summary.json` document: the headline value of each artifact
+/// next to the bound it is held to.
+pub fn summary(reports: &[(&str, Value)], load: &dyn Fn(&str) -> Result<Value, String>) -> Value {
+    let rows = TABLE.iter().filter_map(|row| {
+        let (_, doc) = reports.iter().find(|(name, _)| *name == row.report)?;
+        let v = check(row, doc, load);
+        Some(Value::obj([
+            ("report", row.report.into()),
+            ("path", row.path.into()),
+            ("bound", Value::Str(row.bound.to_string())),
+            ("value", v.value.map_or(Value::Null, Value::Num)),
+            ("ok", Value::Bool(v.outcome.is_ok())),
+        ]))
+    });
+    Value::obj([("benchmark", "summary".into()), ("rows", rows.collect())])
+}
+
+/// A report is shaped when it survives the writer and the reader
+/// unchanged and every table row naming it finds its number.
+#[cfg(test)]
+pub(crate) fn assert_shaped(report: &str, doc: &Value) {
+    use unp_trace::json::{parse, write};
+    assert_eq!(parse(&write(doc)).as_ref(), Ok(doc));
+    let rows: Vec<&Row> = TABLE.iter().filter(|r| r.report == report).collect();
+    assert!(!rows.is_empty(), "no gate row names report {report}");
+    for row in rows {
+        let v = check(row, doc, &|_| Ok(doc.clone()));
+        assert!(v.value.is_some(), "{:?}", v.outcome);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unp_trace::json::{parse, write};
 
     #[test]
     fn lookup_walks_nested_paths() {
@@ -180,13 +297,79 @@ mod tests {
         assert_eq!(lookup(&doc, "n[0]"), None, "scalar is not indexable");
     }
 
+    /// The smallest document with `value` at `path`.
+    fn doc_with(path: &str, value: f64) -> Value {
+        path.rsplit('.')
+            .fold(Value::Num(value), |inner, seg| match seg.split_once('[') {
+                Some((key, _)) => Value::obj([(key, Value::Arr(vec![inner]))]),
+                None => Value::obj([(seg, inner)]),
+            })
+    }
+
+    /// A value satisfying `bound` and the nearest one violating it.
+    fn inside_and_across(bound: Bound, baseline: f64) -> (f64, f64) {
+        match bound {
+            Bound::Eq(x) => (x, x + 1.0),
+            Bound::AtMost(x) => (x, x * 1.001 + 0.001),
+            Bound::AtLeast(x) => (x, x * 0.999 - 0.001),
+            Bound::Baseline(_, tol) => (baseline * (1.0 + tol * 0.8), baseline * (1.0 + tol * 1.2)),
+        }
+    }
+
+    #[test]
+    fn every_row_flips_at_its_bound_and_fails_on_a_renamed_field() {
+        const BASE: f64 = 1000.0;
+        for row in TABLE {
+            let load = |_: &str| Ok(doc_with(row.path, BASE));
+            let (inside, across) = inside_and_across(row.bound, BASE);
+            let pass = check(row, &doc_with(row.path, inside), &load);
+            assert_eq!(pass.outcome, Ok(None), "{} {}", row.report, row.path);
+            let fail = check(row, &doc_with(row.path, across), &load);
+            let msg = fail.outcome.expect_err("value across the bound must fail");
+            assert!(msg.contains(row.path) && msg.contains(row.report), "{msg}");
+            // A renamed field is a failure that names the path, never a pass.
+            let renamed = format!("{}_renamed", row.path);
+            let gone = check(row, &doc_with(&renamed, inside), &load);
+            assert_eq!(gone.value, None);
+            assert!(gone.outcome.unwrap_err().contains(row.path));
+        }
+    }
+
+    #[test]
+    fn baseline_rows_warn_on_improvement_and_need_their_file() {
+        let row = row("r", "a.b", Bound::Baseline("base.json", 0.05));
+        let load = |_: &str| Ok(doc_with("a.b", 100.0));
+        let at = |v: f64| check(&row, &doc_with("a.b", v), &load).outcome;
+        assert_eq!(at(104.0), Ok(None), "+4% sits inside the band");
+        assert!(at(106.0).is_err(), "+6% fails");
+        assert!(at(94.0).unwrap().is_some(), "-6% passes with a warning");
+        // A baseline without the stage, or no baseline at all, is an
+        // error, not a silent pass.
+        let empty = |_: &str| Ok(Value::obj([("a", Value::Null)]));
+        assert!(check(&row, &doc_with("a.b", 1.0), &empty).outcome.is_err());
+        let missing = |f: &str| Err(format!("read {f}: not found"));
+        let err = check(&row, &doc_with("a.b", 1.0), &missing).outcome;
+        assert!(err.unwrap_err().contains("base.json"));
+        // A zero baseline bounds nothing.
+        let zero = |_: &str| Ok(doc_with("a.b", 0.0));
+        assert_eq!(check(&row, &doc_with("a.b", 5.0), &zero).outcome, Ok(None));
+    }
+
     #[test]
     fn summary_parses_even_with_everything_missing() {
-        // `collect` reads the cwd; under `cargo test` that holds no
-        // artifacts, so every source lands in `missing` — and the output
-        // must still be valid JSON.
-        let v = parse(&collect()).expect("summary JSON parses");
-        assert!(v.get("sources").is_some());
-        assert!(v.get("missing").is_some());
+        // Reports that carry none of their gated fields: every row is
+        // present, unresolved and failed — and the document still
+        // round-trips.
+        let empty: Vec<(&str, Value)> = (TABLE.iter())
+            .map(|r| (r.report, Value::Obj(vec![])))
+            .collect();
+        let v = summary(&empty, &|f| Err(format!("read {f}")));
+        let rows = v.get("rows").and_then(Value::items).unwrap();
+        assert_eq!(rows.len(), TABLE.len());
+        for r in rows {
+            assert_eq!(r.get("value"), Some(&Value::Null));
+            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
+        }
+        assert_eq!(parse(&write(&v)), Ok(v));
     }
 }

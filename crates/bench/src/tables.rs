@@ -121,6 +121,23 @@ fn net_label(n: Network) -> &'static str {
     }
 }
 
+/// A named table generator, ready to run.
+pub type TableRun = (&'static str, Box<dyn FnOnce()>);
+
+/// Every table of the reproduction, in print order, at the given
+/// throughput byte budget and Table-3 round count.
+pub fn runs(total: u64, rounds: usize) -> Vec<TableRun> {
+    vec![
+        ("table1", Box::new(table1)),
+        ("table2", Box::new(move || table2(total))),
+        ("table3", Box::new(move || table3(rounds))),
+        ("table4", Box::new(table4)),
+        ("table5", Box::new(table5)),
+        ("fig1", Box::new(move || fig1_sweep(total))),
+        ("ablations", Box::new(move || ablations(total))),
+    ]
+}
+
 /// Prints Table 1: impact of the mechanisms on raw throughput.
 pub fn table1() {
     println!("== Table 1: Impact of Our Mechanisms on Throughput ==");

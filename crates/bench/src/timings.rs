@@ -1,44 +1,32 @@
-//! `--timings` mode: wall-clock and allocation accounting for the table
-//! reproductions.
+//! `bench zero_copy`: what the reproduction itself costs to run, in exact
+//! counts — `BENCH_zero_copy.json`.
 //!
-//! The paper tables report *simulated* 1993 time; this module reports what
-//! the reproduction itself costs to run — wall-clock per table, discrete
-//! events executed, and the zero-copy frame path's allocation behaviour
-//! (fresh heap buffers vs. pool-recycled ones, bytes memcpy'd). It also
-//! runs the Table-2 bulk workload twice, with the frame pool enabled and
-//! disabled, to measure what the freelist saves; the results land in
-//! `BENCH_zero_copy.json` so successive commits can be compared.
-
-use std::rc::Rc;
-use std::time::Instant;
+//! The paper tables report *simulated* 1993 time; this report counts the
+//! work behind them: discrete events executed per table and the zero-copy
+//! frame path's allocation behaviour (fresh heap buffers vs. pool-recycled
+//! ones, bytes memcpy'd). It also runs the Table-2 bulk workload twice,
+//! with the frame pool enabled and disabled, to measure what the freelist
+//! saves. How long any of it takes on the host is `benchmark/`'s
+//! `host_ns_per_event`, not a field here.
 
 use unp_buffers::{frame_stats, reset_frame_stats, FramePool, FrameStats};
-use unp_core::world::{connect, listen};
-use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
-use unp_tcp::TcpConfig;
-use unp_wire::Ipv4Addr;
+use unp_core::experiments::{mbps, Transfer};
+use unp_core::{Network, OrgKind};
+use unp_trace::json::Value;
 
-/// One timed table reproduction.
-pub struct Timing {
-    pub name: &'static str,
-    pub wall_ms: f64,
-    pub events: u64,
-    pub stats: FrameStats,
-}
+use crate::report::Workloads;
+use crate::tables;
 
-/// Runs `f` with the frame and event counters zeroed, returning what it
-/// spent.
-pub fn timed(name: &'static str, f: impl FnOnce()) -> Timing {
+/// Application write size of the pool ablation's bulk workload.
+const POOL_PACKET: usize = 4096;
+
+/// Runs `f` with the frame and event counters zeroed, returning the
+/// events it executed and the frame counters it left.
+pub fn counted(f: impl FnOnce()) -> (u64, FrameStats) {
     reset_frame_stats();
     unp_sim::reset_events_executed();
-    let t0 = Instant::now();
     f();
-    Timing {
-        name,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        events: unp_sim::events_executed(),
-        stats: frame_stats(),
-    }
+    (unp_sim::events_executed(), frame_stats())
 }
 
 /// One side of the pooled-vs-unpooled comparison.
@@ -47,172 +35,127 @@ pub struct PoolRun {
     pub stats: FrameStats,
 }
 
-/// Frame-pool ablation on the reproduction itself: the Table-2 bulk
-/// workload (user-library organization, Ethernet) with the pool recycling
-/// buffers vs. every allocation fresh.
-pub struct PoolComparison {
-    pub user_packet: usize,
-    pub total_bytes: u64,
-    pub pooled: PoolRun,
-    pub unpooled: PoolRun,
-}
-
-impl PoolComparison {
-    /// Heap allocations per delivered frame, pooled path.
-    pub fn pooled_allocs_per_frame(&self) -> f64 {
-        allocs_per_frame(&self.pooled.stats)
-    }
-
-    /// Heap allocations per delivered frame, pool disabled.
-    pub fn unpooled_allocs_per_frame(&self) -> f64 {
-        allocs_per_frame(&self.unpooled.stats)
-    }
-
-    /// How many times fewer heap allocations the pool makes per frame.
-    pub fn alloc_reduction_factor(&self) -> f64 {
-        self.unpooled_allocs_per_frame() / self.pooled_allocs_per_frame()
+impl PoolRun {
+    /// Heap allocations per frame allocated.
+    pub fn allocs_per_frame(&self) -> f64 {
+        let frames = self.stats.frames_fresh + self.stats.frames_recycled;
+        if frames == 0 {
+            return 0.0;
+        }
+        self.stats.frames_fresh as f64 / frames as f64
     }
 }
 
-fn allocs_per_frame(s: &FrameStats) -> f64 {
-    let frames = s.frames_fresh + s.frames_recycled;
-    if frames == 0 {
-        return 0.0;
-    }
-    s.frames_fresh as f64 / frames as f64
-}
-
-/// Runs the Table-2 bulk transfer once, with the given pool policy, and
-/// returns throughput plus the frame counters for the steady-state run
-/// (world construction excluded).
-fn table2_bulk(user_packet: usize, total: u64, pooled: bool) -> PoolRun {
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    if !pooled {
-        w.pool = FramePool::disabled(w.pool.buf_size());
-    }
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    reset_frame_stats();
-    assert!(eng.run(&mut w, 50_000_000), "bulk run did not drain");
-    let frame_counters = frame_stats();
-    let s = stats.borrow();
-    assert_eq!(s.bytes_received, total, "transfer incomplete");
+/// Runs the Table-2 bulk transfer (user-library organization, Ethernet)
+/// once with the given pool policy, and returns throughput plus the frame
+/// counters for the steady-state run (world construction excluded).
+pub fn pool_run(total: u64, pooled: bool) -> PoolRun {
+    let transfer = Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, POOL_PACKET, total);
+    let (_world, stats) = transfer.run(|w, _| {
+        if !pooled {
+            w.pool = FramePool::disabled(w.pool.buf_size());
+        }
+        reset_frame_stats();
+    });
     PoolRun {
-        throughput_mbps: s.throughput_bps().expect("bytes moved") / 1e6,
-        stats: frame_counters,
+        throughput_mbps: mbps(&stats),
+        stats: frame_stats(),
     }
 }
 
-/// Runs the pooled-vs-unpooled ablation.
-pub fn pool_comparison(user_packet: usize, total_bytes: u64) -> PoolComparison {
-    PoolComparison {
-        user_packet,
-        total_bytes,
-        pooled: table2_bulk(user_packet, total_bytes, true),
-        unpooled: table2_bulk(user_packet, total_bytes, false),
-    }
+fn frames_value(s: &FrameStats) -> Value {
+    Value::obj([
+        ("frames_fresh", s.frames_fresh.into()),
+        ("frames_recycled", s.frames_recycled.into()),
+        ("cow_copies", s.cow_copies.into()),
+        ("bytes_copied", s.bytes_copied.into()),
+    ])
 }
 
-/// Prints the timings report.
-pub fn print_report(timings: &[Timing], cmp: &PoolComparison) {
-    println!("== Timings: reproduction runtime (host wall-clock) ==");
+/// Regenerates every table under the counters, runs the pool ablation,
+/// prints both and returns the report.
+pub fn report(w: &Workloads) -> Value {
+    let total = w.sizes.total;
+    let counts: Vec<_> = tables::runs(total, w.sizes.rounds)
+        .into_iter()
+        .map(|(name, run)| (name, counted(run)))
+        .collect();
+    let (pooled, unpooled) = (pool_run(total, true), pool_run(total, false));
+    let reduction = unpooled.allocs_per_frame() / pooled.allocs_per_frame();
+
+    println!("== Reproduction cost: events and frame allocations per table ==");
     println!(
-        "{:<12} {:>10} {:>12} {:>10} {:>10} {:>8} {:>12}",
-        "table", "wall (ms)", "events", "fresh", "recycled", "cow", "bytes copied"
+        "{:<12} {:>12} {:>10} {:>10} {:>8} {:>12}",
+        "table", "events", "fresh", "recycled", "cow", "bytes copied"
     );
-    for t in timings {
+    for (name, (events, s)) in &counts {
         println!(
-            "{:<12} {:>10.1} {:>12} {:>10} {:>10} {:>8} {:>12}",
-            t.name,
-            t.wall_ms,
-            t.events,
-            t.stats.frames_fresh,
-            t.stats.frames_recycled,
-            t.stats.cow_copies,
-            t.stats.bytes_copied
+            "{name:<12} {events:>12} {:>10} {:>10} {:>8} {:>12}",
+            s.frames_fresh, s.frames_recycled, s.cow_copies, s.bytes_copied
         );
     }
     println!();
     println!(
-        "== Frame pool ablation: Table-2 bulk workload ({} B writes, {} B total) ==",
-        cmp.user_packet, cmp.total_bytes
+        "== Frame pool ablation: Table-2 bulk workload ({POOL_PACKET} B writes, {total} B total) =="
     );
-    for (label, run) in [("pooled", &cmp.pooled), ("pool disabled", &cmp.unpooled)] {
+    for (label, run) in [("pooled", &pooled), ("pool disabled", &unpooled)] {
         println!(
             "  {label:<14} {:>7.1} Mb/s   {:>7} fresh  {:>7} recycled  ({:.3} heap allocs/frame)",
             run.throughput_mbps,
             run.stats.frames_fresh,
             run.stats.frames_recycled,
-            allocs_per_frame(&run.stats)
+            run.allocs_per_frame()
         );
     }
-    println!(
-        "  pool cuts heap allocations {:.1}x per delivered frame",
-        cmp.alloc_reduction_factor()
-    );
+    println!("  pool cuts heap allocations {reduction:.1}x per delivered frame");
     println!();
-}
 
-fn json_stats(s: &FrameStats) -> String {
-    format!(
-        "{{\"frames_fresh\": {}, \"frames_recycled\": {}, \"cow_copies\": {}, \"bytes_copied\": {}}}",
-        s.frames_fresh, s.frames_recycled, s.cow_copies, s.bytes_copied
-    )
-}
-
-/// Serializes the report as JSON (hand-rolled: the workspace is
-/// dependency-free by design).
-pub fn to_json(timings: &[Timing], cmp: &PoolComparison) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"zero_copy_frame_path\",\n  \"tables\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"events\": {}, \"frames\": {}}}{}\n",
-            t.name,
-            t.wall_ms,
-            t.events,
-            json_stats(&t.stats),
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"pool_comparison\": {\n");
-    out.push_str(&format!(
-        "    \"workload\": {{\"table\": 2, \"user_packet\": {}, \"total_bytes\": {}}},\n",
-        cmp.user_packet, cmp.total_bytes
-    ));
-    for (label, run) in [("pooled", &cmp.pooled), ("unpooled", &cmp.unpooled)] {
-        out.push_str(&format!(
-            "    \"{label}\": {{\"throughput_mbps\": {:.3}, \"frames\": {}}},\n",
-            run.throughput_mbps,
-            json_stats(&run.stats)
-        ));
-    }
-    out.push_str(&format!(
-        "    \"pooled_allocs_per_frame\": {:.4},\n    \"unpooled_allocs_per_frame\": {:.4},\n    \"alloc_reduction_factor\": {:.2}\n",
-        cmp.pooled_allocs_per_frame(),
-        cmp.unpooled_allocs_per_frame(),
-        cmp.alloc_reduction_factor()
-    ));
-    out.push_str("  }\n}\n");
-    out
+    let side = |run: &PoolRun| {
+        Value::obj([
+            ("throughput_mbps", Value::fixed(run.throughput_mbps, 3)),
+            ("frames", frames_value(&run.stats)),
+        ])
+    };
+    Value::obj([
+        ("benchmark", "zero_copy_frame_path".into()),
+        (
+            "tables",
+            counts
+                .iter()
+                .map(|(name, (events, stats))| {
+                    Value::obj([
+                        ("name", (*name).into()),
+                        ("events", (*events).into()),
+                        ("frames", frames_value(stats)),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "pool_comparison",
+            Value::obj([
+                (
+                    "workload",
+                    Value::obj([
+                        ("table", 2usize.into()),
+                        ("user_packet", POOL_PACKET.into()),
+                        ("total_bytes", total.into()),
+                    ]),
+                ),
+                ("pooled", side(&pooled)),
+                ("unpooled", side(&unpooled)),
+                (
+                    "pooled_allocs_per_frame",
+                    Value::fixed(pooled.allocs_per_frame(), 4),
+                ),
+                (
+                    "unpooled_allocs_per_frame",
+                    Value::fixed(unpooled.allocs_per_frame(), 4),
+                ),
+                ("alloc_reduction_factor", Value::fixed(reduction, 2)),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -221,39 +164,24 @@ mod tests {
 
     #[test]
     fn pool_halves_allocations_on_bulk_workload() {
-        // The tentpole's acceptance bar: >= 2x fewer heap allocations per
-        // delivered frame with the pool on, same throughput result.
-        let cmp = pool_comparison(4096, 200_000);
+        // The zero-copy tentpole's acceptance bar: >= 2x fewer heap
+        // allocations per frame with the pool on, same throughput result.
+        let (pooled, unpooled) = (pool_run(200_000, true), pool_run(200_000, false));
         assert!(
-            cmp.alloc_reduction_factor() >= 2.0,
-            "pool saved only {:.2}x (pooled {:.4} vs unpooled {:.4} allocs/frame)",
-            cmp.alloc_reduction_factor(),
-            cmp.pooled_allocs_per_frame(),
-            cmp.unpooled_allocs_per_frame()
+            unpooled.allocs_per_frame() >= 2.0 * pooled.allocs_per_frame(),
+            "pool saved too little: pooled {:.4} vs unpooled {:.4} allocs/frame",
+            pooled.allocs_per_frame(),
+            unpooled.allocs_per_frame()
         );
         assert!(
-            (cmp.pooled.throughput_mbps - cmp.unpooled.throughput_mbps).abs() < 1e-9,
+            (pooled.throughput_mbps - unpooled.throughput_mbps).abs() < 1e-9,
             "pooling must not change simulation results"
         );
     }
 
     #[test]
     fn json_is_shaped() {
-        let t = vec![Timing {
-            name: "table2",
-            wall_ms: 1.5,
-            events: 42,
-            stats: FrameStats::default(),
-        }];
-        let cmp = pool_comparison(1024, 50_000);
-        let j = to_json(&t, &cmp);
-        assert!(j.contains("\"alloc_reduction_factor\""));
-        assert!(j.contains("\"table2\""));
-        // Balanced braces — cheap well-formedness check without a parser.
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
-        );
+        use crate::report::Sizes;
+        crate::summary::assert_shaped("zero_copy", &report(&Workloads::new(Sizes::SMALL)));
     }
 }

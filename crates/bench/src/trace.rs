@@ -1,12 +1,13 @@
-//! `--trace` mode: journal-driven latency breakdown of the user-library
-//! receive path, cross-checked against the cost model.
+//! `bench trace`: journal-driven latency breakdown of the user-library
+//! receive path, cross-checked against the cost model — `BENCH_trace.json`.
 //!
 //! The reproduced tables are built from *modeled* costs: every hop of a
 //! received frame (demux, ring placement, semaphore wakeup, protocol
 //! processing) charges a constant from [`CostModel`]. The journal records
-//! the same hops as timestamped events, so joining a frame's records by id
-//! reconstructs the latency the model actually produced — and the two must
-//! agree. Concretely:
+//! the same hops as timestamped events, so the per-frame
+//! [`PathTrace`](unp_trace::profile::PathTrace)s that
+//! [`Profile::build`] joins out of it reconstruct the latency the model
+//! actually produced — and the two must agree. Concretely:
 //!
 //! * A **signaled** delivery schedules the library wakeup at interrupt
 //!   priority, which preempts rather than queues, so the span from
@@ -22,21 +23,72 @@
 //!   record is bounded below by the modeled per-frame cost; the minimum
 //!   observed span approaches the model on an otherwise idle CPU.
 //!
-//! `repro-tables --trace` runs the Table-2 bulk workload per user packet
-//! size with the journal recording, prints the breakdown, asserts the
-//! invariants above, and writes `BENCH_trace.json`.
+//! The traced Table-2 sweep here runs once per invocation
+//! ([`Workloads::traced_sweep`]) and also feeds [`crate::profile`].
 
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::collections::BTreeMap;
 
-use unp_core::world::{connect, listen};
-use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
+use unp_core::experiments::Transfer;
+use unp_core::{Network, OrgKind};
 use unp_sim::{CostModel, DemuxPath, Nanos};
-use unp_tcp::TcpConfig;
-use unp_trace::{Dir, Event, Record};
-use unp_wire::Ipv4Addr;
+use unp_trace::json::Value;
+use unp_trace::profile::{Profile, Stage};
+use unp_trace::Event;
 
+use crate::report::Workloads;
 use crate::tables::T2_SIZES;
+
+/// One Table-2 bulk run with the journal recording, joined.
+pub struct TracedRun {
+    /// Application write size (the table column).
+    pub user_packet: usize,
+    /// The receive-side join of the run's journal.
+    pub profile: Profile,
+    /// Bytes the journal saw cross into the application.
+    pub app_bytes: u64,
+}
+
+/// Runs the Table-2 bulk workload (user-library organization, Ethernet)
+/// once with the journal recording and joins the result.
+pub fn traced_bulk(user_packet: usize, total: u64) -> TracedRun {
+    unp_trace::journal_start();
+    Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, user_packet, total).run(|_, _| {});
+    let records = unp_trace::journal_stop();
+    let profile = Profile::build(&records);
+    profile
+        .check_consistency()
+        .expect("stage decomposition must be self-consistent");
+    let app_bytes = records
+        .iter()
+        .map(|r| match r.event {
+            Event::AppDeliver { bytes, .. } => bytes as u64,
+            _ => 0,
+        })
+        .sum();
+    TracedRun {
+        user_packet,
+        profile,
+        app_bytes,
+    }
+}
+
+/// Runs the traced Table-2 sweep.
+pub fn traced_sweep(total: u64) -> Vec<TracedRun> {
+    T2_SIZES
+        .iter()
+        .map(|&size| traced_bulk(size, total))
+        .collect()
+}
+
+/// The sweep's workload, as its reports describe it.
+pub fn sweep_workload(total: u64) -> Value {
+    Value::obj([
+        ("table", 2usize.into()),
+        ("org", "user_library".into()),
+        ("network", "ethernet".into()),
+        ("total_bytes", total.into()),
+    ])
+}
 
 /// Summary of one span population (simulated nanoseconds).
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,36 +119,6 @@ impl SpanStats {
     }
 }
 
-/// The journal join for one Table-2 run.
-pub struct TraceRow {
-    /// Application write size (the table column).
-    pub user_packet: usize,
-    /// Frames placed into connection rings.
-    pub ring_enqueues: u64,
-    /// Enqueues that posted a semaphore.
-    pub signaled: u64,
-    /// Enqueues batched behind a pending notification.
-    pub batched: u64,
-    /// ring_enqueue(signal) → consuming wakeup_batch spans.
-    pub wakeup: SpanStats,
-    /// Wakeup spans exactly equal to the modeled cost.
-    pub wakeup_model_matches: u64,
-    /// Signaled frames a running library thread consumed before their own
-    /// semaphore wakeup fired (span < model).
-    pub wakeup_scooped: u64,
-    /// Wakeup spans exceeding the model — must always be zero.
-    pub wakeup_over_model: u64,
-    /// Batch-runnable → tcp_segment(rx) spans, one per processed frame.
-    pub proc: SpanStats,
-    /// Modeled per-frame processing cost at the workload's full frame
-    /// size (the dominant population in a bulk transfer).
-    pub proc_model: Nanos,
-    /// Processing spans at or above their frame's modeled cost.
-    pub proc_ge_model: u64,
-    /// Bytes the journal saw cross into the application.
-    pub app_bytes: u64,
-}
-
 /// Modeled signaled-wakeup latency for a software delivery whose filter
 /// scan executed `instrs` instructions.
 pub fn wakeup_model(c: &CostModel, instrs: usize) -> Nanos {
@@ -118,145 +140,69 @@ fn proc_model(c: &CostModel, wire: usize) -> Nanos {
         + c.lib_sw_rx_per_byte * wire as Nanos
 }
 
-/// Joins one run's journal into a [`TraceRow`].
-pub fn analyze(user_packet: usize, records: &[Record], costs: &CostModel) -> TraceRow {
-    let mut row = TraceRow {
-        user_packet,
-        ring_enqueues: 0,
-        signaled: 0,
-        batched: 0,
-        wakeup: SpanStats::default(),
-        wakeup_model_matches: 0,
-        wakeup_scooped: 0,
-        wakeup_over_model: 0,
-        proc: SpanStats::default(),
-        proc_model: proc_model(costs, 40 + user_packet.min(1460)),
-        proc_ge_model: 0,
-        app_bytes: 0,
-    };
-    // Per-frame scan length, from demux_classify.
-    let mut instrs: HashMap<u64, usize> = HashMap::new();
-    // Signaled enqueues awaiting the wakeup that consumes them.
-    let mut pending_signal: HashMap<u64, Nanos> = HashMap::new();
-    // Ring order per (host, channel) — channel ids are only unique within
-    // one host's net I/O module — to attribute frames to batches.
-    let mut ring: HashMap<(u16, u32), VecDeque<u64>> = HashMap::new();
-    // Frame → owning (host, channel), and channel → time its batch
-    // processor became free (wakeup, or the previous frame's completion).
-    let mut frame_chan: HashMap<u64, (u16, u32)> = HashMap::new();
-    let mut cursor: HashMap<(u16, u32), Nanos> = HashMap::new();
-    for r in records {
-        match &r.event {
-            Event::DemuxClassify {
-                filter_instrs,
-                matched: true,
-                ..
-            } => {
-                if let Some(f) = r.frame {
-                    instrs.insert(f, *filter_instrs as usize);
-                }
-            }
-            Event::RingEnqueue {
-                channel, signal, ..
-            } => {
-                row.ring_enqueues += 1;
-                let f = r.frame.expect("ring_enqueue carries its frame");
-                let key = (r.host.expect("ring_enqueue carries its host"), *channel);
-                ring.entry(key).or_default().push_back(f);
-                frame_chan.insert(f, key);
-                if *signal {
-                    row.signaled += 1;
-                    pending_signal.insert(f, r.time);
-                } else {
-                    row.batched += 1;
-                }
-            }
-            Event::WakeupBatch { channel, frames } => {
-                // This wakeup consumed the oldest `frames` ring entries.
-                let key = (r.host.expect("wakeup_batch carries its host"), *channel);
-                let fifo = ring.entry(key).or_default();
-                for _ in 0..*frames {
-                    let Some(f) = fifo.pop_front() else { break };
-                    let Some(t0) = pending_signal.remove(&f) else {
-                        continue; // batched frame: no signal span to close
-                    };
-                    let span = r.time - t0;
-                    row.wakeup.push(span);
-                    let model = wakeup_model(costs, instrs.get(&f).copied().unwrap_or(0));
-                    match span.cmp(&model) {
-                        std::cmp::Ordering::Equal => row.wakeup_model_matches += 1,
-                        std::cmp::Ordering::Less => row.wakeup_scooped += 1,
-                        std::cmp::Ordering::Greater => row.wakeup_over_model += 1,
-                    }
-                }
-                if *frames > 0 {
-                    cursor.insert(key, r.time);
-                }
-            }
-            Event::TcpSegment {
-                dir: Dir::Rx, wire, ..
-            } => {
-                let Some(ch) = r.frame.and_then(|f| frame_chan.get(&f)).copied() else {
-                    continue;
-                };
-                if let Some(free_at) = cursor.get(&ch).copied() {
-                    let span = r.time - free_at;
-                    row.proc.push(span);
-                    if span >= proc_model(costs, *wire as usize) {
-                        row.proc_ge_model += 1;
-                    }
-                    cursor.insert(ch, r.time);
-                }
-            }
-            Event::AppDeliver { bytes, .. } => row.app_bytes += *bytes as u64,
-            _ => {}
+/// The `ring_enqueue(signal)` → consuming `wakeup_batch` spans of one
+/// run, sorted against the model.
+#[derive(Default)]
+pub struct WakeupSpans {
+    pub spans: SpanStats,
+    /// Spans exactly equal to the modeled cost.
+    pub exact: u64,
+    /// Frames a running library thread consumed before their own
+    /// semaphore wakeup fired (span < model).
+    pub scooped: u64,
+    /// Spans exceeding the model — must always be zero: it would mean the
+    /// join or the cost charging is wrong.
+    pub over: u64,
+}
+
+/// Projects the signaled traces' ring → wakeup spans.
+pub fn wakeup_spans(profile: &Profile, costs: &CostModel) -> WakeupSpans {
+    let mut out = WakeupSpans::default();
+    for tr in &profile.traces {
+        if tr.signaled != Some(true) {
+            continue;
+        }
+        let (Some(ring), Some(wake)) = (tr.stage_time(Stage::Ring), tr.stage_time(Stage::Wakeup))
+        else {
+            continue;
+        };
+        let span = wake - ring;
+        out.spans.push(span);
+        match span.cmp(&wakeup_model(costs, tr.filter_instrs as usize)) {
+            std::cmp::Ordering::Equal => out.exact += 1,
+            std::cmp::Ordering::Less => out.scooped += 1,
+            std::cmp::Ordering::Greater => out.over += 1,
         }
     }
-    row
+    out
 }
 
-/// Runs the Table-2 bulk workload once with the journal recording and
-/// joins the result.
-fn traced_bulk(user_packet: usize, total: u64, costs: &CostModel) -> TraceRow {
-    unp_trace::journal_start();
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    assert!(eng.run(&mut w, 50_000_000), "traced run did not drain");
-    let records = unp_trace::journal_stop();
-    assert_eq!(stats.borrow().bytes_received, total, "transfer incomplete");
-    analyze(user_packet, &records, costs)
+/// Projects the per-frame processing spans: from the instant the frame's
+/// batch processor became free — its wakeup, or the previous frame's
+/// `tcp_segment(rx)` on the same `(host, channel)` — to its own. Returns
+/// the population and how many spans sit at or above their frame's
+/// modeled cost.
+pub fn proc_spans(profile: &Profile, costs: &CostModel) -> (SpanStats, u64) {
+    let mut processed: Vec<_> = (profile.traces.iter())
+        .filter_map(|tr| Some((tr.stage_time(Stage::Tcp)?, (tr.host?, tr.channel?), tr)))
+        .collect();
+    processed.sort_by_key(|&(tcp, ..)| tcp);
+    // Channel ids are only unique within one host's net I/O module.
+    let mut free_at: BTreeMap<(u16, u32), Nanos> = BTreeMap::new();
+    let (mut spans, mut ge_model) = (SpanStats::default(), 0);
+    for (tcp, chan, tr) in processed {
+        let prev = free_at.insert(chan, tcp);
+        if let Some(t0) = prev.max(tr.stage_time(Stage::Wakeup)) {
+            spans.push(tcp - t0);
+            ge_model += u64::from(tcp - t0 >= proc_model(costs, tr.wire as usize));
+        }
+    }
+    (spans, ge_model)
 }
 
-/// Runs the traced Table-2 sweep.
-pub fn trace_section(total: u64) -> Vec<TraceRow> {
+/// Prints the breakdown of the traced sweep and returns the report.
+pub fn report(w: &Workloads) -> Value {
     let costs = CostModel::calibrated_1993();
-    T2_SIZES
-        .iter()
-        .map(|&size| traced_bulk(size, total, &costs))
-        .collect()
-}
-
-/// Prints the breakdown and asserts the model cross-checks.
-pub fn print_report(rows: &[TraceRow]) {
     println!("== Trace: journaled receive-path latency vs the cost model ==");
     println!("   (Table-2 bulk workload, user-library org, Ethernet)");
     println!(
@@ -268,81 +214,78 @@ pub fn print_report(rows: &[TraceRow]) {
         "wakeup ns (exact+scooped)",
         "proc ns (model/min/mean)"
     );
-    for r in rows {
-        println!(
-            "{:<8} {:>8} {:>9} {:>8} {:>13} ({:>4}+{:<3}/{:<4}) {:>10} /{:>8} /{:>9.0}",
-            r.user_packet,
-            r.ring_enqueues,
-            r.signaled,
-            r.batched,
-            r.wakeup.mean().round() as u64,
-            r.wakeup_model_matches,
-            r.wakeup_scooped,
-            r.wakeup.count,
-            r.proc_model,
-            r.proc.min,
-            r.proc.mean(),
-        );
-        assert_eq!(
-            r.wakeup_over_model, 0,
-            "a signaled wakeup span can never exceed the modeled cost"
-        );
-        assert_eq!(
-            r.wakeup_model_matches + r.wakeup_scooped,
-            r.wakeup.count,
-            "every signaled span is either exact or scooped early"
-        );
-        assert_eq!(
-            r.proc_ge_model, r.proc.count,
-            "a frame cannot be processed faster than the model charges"
-        );
-    }
+    let (mut over_model, mut under_model) = (0, 0);
+    let rows: Value = w
+        .traced_sweep()
+        .iter()
+        .map(|run| {
+            let placed = |signal| {
+                let traces = run.profile.traces.iter();
+                traces.filter(|t| t.signaled == Some(signal)).count()
+            };
+            let (signaled, batched) = (placed(true), placed(false));
+            let wakeup = wakeup_spans(&run.profile, &costs);
+            let (proc, ge_model) = proc_spans(&run.profile, &costs);
+            // The dominant population of a bulk transfer: full frames.
+            let proc_full = proc_model(&costs, 40 + run.user_packet.min(1460));
+            println!(
+                "{:<8} {:>8} {:>9} {:>8} {:>13} ({:>4}+{:<3}/{:<4}) {:>10} /{:>8} /{:>9.0}",
+                run.user_packet,
+                signaled + batched,
+                signaled,
+                batched,
+                wakeup.spans.mean().round() as u64,
+                wakeup.exact,
+                wakeup.scooped,
+                wakeup.spans.count,
+                proc_full,
+                proc.min,
+                proc.mean(),
+            );
+            over_model += wakeup.over;
+            under_model += proc.count - ge_model;
+            Value::obj([
+                ("user_packet", run.user_packet.into()),
+                ("ring_enqueues", (signaled + batched).into()),
+                ("signaled", signaled.into()),
+                ("batched", batched.into()),
+                (
+                    "wakeup",
+                    Value::obj([
+                        ("count", wakeup.spans.count.into()),
+                        ("model_matches", wakeup.exact.into()),
+                        ("scooped", wakeup.scooped.into()),
+                        ("min_ns", wakeup.spans.min.into()),
+                        ("mean_ns", Value::fixed(wakeup.spans.mean(), 1)),
+                        ("max_ns", wakeup.spans.max.into()),
+                    ]),
+                ),
+                (
+                    "proc",
+                    Value::obj([
+                        ("count", proc.count.into()),
+                        ("model_full_ns", proc_full.into()),
+                        ("ge_model", ge_model.into()),
+                        ("min_ns", proc.min.into()),
+                        ("mean_ns", Value::fixed(proc.mean(), 1)),
+                        ("max_ns", proc.max.into()),
+                    ]),
+                ),
+                ("app_bytes", run.app_bytes.into()),
+            ])
+        })
+        .collect();
     println!("  every signaled wakeup span == modeled demux+ring+signal+resched+switch,");
     println!("  except frames a running batch continuation consumed early (scooped)");
     println!("  every per-frame processing span >= modeled tcp+ip+checksum+upcall cost");
     println!();
-}
-
-/// Serializes the rows as JSON (hand-rolled: the workspace is
-/// dependency-free by design).
-pub fn to_json(rows: &[TraceRow], total: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"packet_lifecycle_trace\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"org\": \"user_library\", \"network\": \"ethernet\", \"total_bytes\": {total}}},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"user_packet\": {}, \"ring_enqueues\": {}, \"signaled\": {}, \"batched\": {},\n",
-            r.user_packet, r.ring_enqueues, r.signaled, r.batched
-        ));
-        out.push_str(&format!(
-            "     \"wakeup\": {{\"count\": {}, \"model_matches\": {}, \"scooped\": {}, \"min_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}}},\n",
-            r.wakeup.count,
-            r.wakeup_model_matches,
-            r.wakeup_scooped,
-            r.wakeup.min,
-            r.wakeup.mean(),
-            r.wakeup.max
-        ));
-        out.push_str(&format!(
-            "     \"proc\": {{\"count\": {}, \"model_full_ns\": {}, \"ge_model\": {}, \"min_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}}},\n",
-            r.proc.count,
-            r.proc_model,
-            r.proc_ge_model,
-            r.proc.min,
-            r.proc.mean(),
-            r.proc.max
-        ));
-        out.push_str(&format!(
-            "     \"app_bytes\": {}}}{}\n",
-            r.app_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Value::obj([
+        ("benchmark", "packet_lifecycle_trace".into()),
+        ("workload", sweep_workload(w.sizes.traced_total)),
+        ("wakeup_over_model", over_model.into()),
+        ("proc_under_model", under_model.into()),
+        ("rows", rows),
+    ])
 }
 
 #[cfg(test)]
@@ -352,35 +295,35 @@ mod tests {
     #[test]
     fn traced_run_matches_the_model() {
         let costs = CostModel::calibrated_1993();
-        let row = traced_bulk(4096, 200_000, &costs);
-        assert_eq!(row.app_bytes, 200_000, "journal missed app deliveries");
-        assert!(row.signaled > 0 && row.batched > 0, "both paths exercised");
-        assert_eq!(row.wakeup_over_model, 0, "span exceeded the model");
-        assert_eq!(
-            row.wakeup_model_matches + row.wakeup_scooped,
-            row.wakeup.count
-        );
+        let run = traced_bulk(4096, 200_000);
+        assert_eq!(run.app_bytes, 200_000, "journal missed app deliveries");
+        let placed = |signal| {
+            let traces = run.profile.traces.iter();
+            traces.filter(|t| t.signaled == Some(signal)).count()
+        };
         assert!(
-            row.wakeup_model_matches * 10 >= row.wakeup.count * 9,
-            "exact matches must dominate: {} exact of {}",
-            row.wakeup_model_matches,
-            row.wakeup.count
+            placed(true) > 0 && placed(false) > 0,
+            "both paths exercised"
         );
-        assert_eq!(row.proc_ge_model, row.proc.count);
+        let wakeup = wakeup_spans(&run.profile, &costs);
+        assert_eq!(wakeup.over, 0, "span exceeded the model");
+        assert_eq!(wakeup.exact + wakeup.scooped, wakeup.spans.count);
+        assert!(
+            wakeup.exact * 10 >= wakeup.spans.count * 9,
+            "exact matches must dominate: {} exact of {}",
+            wakeup.exact,
+            wakeup.spans.count
+        );
+        let (proc, ge_model) = proc_spans(&run.profile, &costs);
+        assert_eq!(ge_model, proc.count);
         // The smallest span in the population is a pure ACK (40-byte
         // segment) on the sender side; it still pays that frame's model.
-        assert!(row.proc.min >= proc_model(&costs, 40), "min span sane");
+        assert!(proc.min >= proc_model(&costs, 40), "min span sane");
     }
 
     #[test]
     fn json_is_shaped() {
-        let rows = trace_section(100_000);
-        let j = to_json(&rows, 100_000);
-        assert!(j.contains("\"packet_lifecycle_trace\""));
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
-        );
+        use crate::report::Sizes;
+        crate::summary::assert_shaped("trace", &report(&Workloads::new(Sizes::SMALL)));
     }
 }

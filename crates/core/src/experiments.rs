@@ -8,13 +8,21 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use unp_buffers::OwnerTag;
+use unp_kernel::TenantBudget;
 use unp_sim::{CostModel, Engine, LinkParams, Nanos, MILLIS};
 use unp_tcp::TcpConfig;
+use unp_trace::causal::{CausalGraph, Loss};
+use unp_trace::profile::Profile;
 use unp_trace::Ctr;
 use unp_wire::Ipv4Addr;
 
 use crate::app::{BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};
-use crate::world::{build_two_hosts, connect, listen, Network, OrgKind};
+use crate::faults::{ByzantineKind, ByzantineSchedule, FaultPlan};
+use crate::world::{
+    build_hosts, build_two_hosts, connect, connect_as, crash_tenant, install_faults, listen,
+    listen_as, Eng, Network, OrgKind, World,
+};
 
 /// Default byte budget for throughput runs (enough for steady state to
 /// dominate the handshake).
@@ -22,44 +30,85 @@ pub const THROUGHPUT_BYTES: u64 = 2_000_000;
 
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
 
-fn transfer_cfg() -> TcpConfig {
-    TcpConfig::bulk_transfer()
+/// The Table-2 workload: host 0 streams `total` bytes to a verifying sink
+/// on host 1 in `write_size`-byte application writes. Every bulk-transfer
+/// measurement in the repo — the tables, the ablations, the `BENCH_*`
+/// reports, the journal tests — is this one definition with a different
+/// `prepare` hook.
+pub struct Transfer {
+    pub network: Network,
+    pub org: OrgKind,
+    pub cfg: TcpConfig,
+    /// The paper's "user packet size": bytes per application write.
+    pub write_size: usize,
+    pub total: u64,
+}
+
+impl Transfer {
+    /// The transfer as the paper measured it. Its workload puts one
+    /// network packet on the wire per user packet below the link MTU
+    /// ("user packet sizes beyond the link-imposed maximum will require
+    /// multiple network packet transmissions for each packet"), so the MSS
+    /// is capped at the write size and the segment stream matches.
+    pub fn table2(network: Network, org: OrgKind, user_packet: usize, total: u64) -> Transfer {
+        let mut cfg = TcpConfig::bulk_transfer();
+        cfg.mss_local = user_packet.min(1460);
+        Transfer {
+            network,
+            org,
+            cfg,
+            write_size: user_packet,
+            total,
+        }
+    }
+
+    /// Builds the two-host world, queues the listen and the connect, lets
+    /// `prepare` adjust the world before the first event runs (fault plan,
+    /// ablation switch, pool policy, counter resets), runs to completion
+    /// and returns the drained world with the sink's measurements. Arm a
+    /// journal or attach observers *before* calling, so frame ids and the
+    /// clock start from zero. Panics if the transfer does not complete.
+    pub fn run(self, prepare: impl FnOnce(&mut World, &mut Eng)) -> (World, TransferStats) {
+        let (mut w, mut eng) = build_two_hosts(self.network, self.org);
+        let stats = TransferStats::new_shared();
+        let st = Rc::clone(&stats);
+        listen(
+            &mut w,
+            1,
+            80,
+            self.cfg.clone(),
+            Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
+        );
+        connect(
+            &mut w,
+            &mut eng,
+            0,
+            SERVER,
+            self.cfg,
+            Box::new(BulkSender::new(self.total, self.write_size)),
+            self.write_size,
+        );
+        prepare(&mut w, &mut eng);
+        assert!(eng.run(&mut w, 100_000_000), "transfer did not drain");
+        let stats = stats.take();
+        assert_eq!(stats.bytes_received, self.total, "transfer incomplete");
+        (w, stats)
+    }
+}
+
+/// Payload throughput of a completed transfer in Mb/s.
+pub fn mbps(stats: &TransferStats) -> f64 {
+    stats.throughput_bps().expect("bytes moved") / 1e6
 }
 
 /// Table 2: unidirectional TCP throughput in Mb/s for `user_packet`-byte
 /// application writes.
 pub fn throughput_mbps(network: Network, org: OrgKind, user_packet: usize, total: u64) -> f64 {
-    let (mut w, mut eng) = build_two_hosts(network, org);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    // The paper's workload puts one network packet on the wire per user
-    // packet below the link MTU ("user packet sizes beyond the
-    // link-imposed maximum will require multiple network packet
-    // transmissions for each packet"); cap the MSS accordingly so the
-    // segment stream matches the measured workload.
-    let mut cfg = transfer_cfg();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        SERVER,
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    let drained = eng.run(&mut w, 50_000_000);
-    assert!(drained, "throughput run did not drain");
-    let s = stats.borrow();
-    assert_eq!(s.bytes_received, total, "transfer incomplete");
-    s.throughput_bps().expect("bytes moved") / 1e6
+    mbps(
+        &Transfer::table2(network, org, user_packet, total)
+            .run(|_, _| {})
+            .1,
+    )
 }
 
 /// Table 3: mean TCP round-trip time in milliseconds for `size`-byte
@@ -282,71 +331,31 @@ pub type SharedStats = Rc<RefCell<TransferStats>>;
 /// Throughput of the user-level library with an ablation applied.
 /// `ablate`: "none" | "batching" | "zero_copy".
 pub fn ablation_throughput(network: Network, user_packet: usize, total: u64, ablate: &str) -> f64 {
-    let (mut w, mut eng) = build_two_hosts(network, OrgKind::UserLibrary);
-    match ablate {
+    let transfer = Transfer::table2(network, OrgKind::UserLibrary, user_packet, total);
+    let (_, stats) = transfer.run(|w, _| match ablate {
         "none" => {}
         "batching" => w.ablate_batching = true,
         "zero_copy" => w.ablate_zero_copy = true,
         other => panic!("unknown ablation {other}"),
-    }
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = transfer_cfg();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        SERVER,
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    assert!(eng.run(&mut w, 50_000_000), "ablation run did not drain");
-    let s = stats.borrow();
-    assert_eq!(s.bytes_received, total);
-    s.throughput_bps().expect("bytes moved") / 1e6
+    });
+    mbps(&stats)
 }
 
 /// Nagle/delayed-ACK ablation on a small-write workload (the
 /// write-write-read RPC pathology is demonstrated in the
 /// `app_specific_tuning` example; this measures bulk small-write cost).
 pub fn ablation_nagle(total: u64, nagle: bool) -> (f64, u64) {
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = transfer_cfg();
+    let mut cfg = TcpConfig::bulk_transfer();
     cfg.nagle = nagle;
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        SERVER,
+    let transfer = Transfer {
+        network: Network::Ethernet,
+        org: OrgKind::UserLibrary,
         cfg,
-        Box::new(BulkSender::new(total, 128)),
-        128,
-    );
-    assert!(eng.run(&mut w, 100_000_000));
-    let s = stats.borrow();
-    assert_eq!(s.bytes_received, total);
-    (
-        s.throughput_bps().expect("moved") / 1e6,
-        w.metrics.get(Ctr::FramesSent),
-    )
+        write_size: 128,
+        total,
+    };
+    let (w, stats) = transfer.run(|_, _| {});
+    (mbps(&stats), w.metrics.get(Ctr::FramesSent))
 }
 
 /// The request/response-vs-TCP crossover (paper §1.1: specialized
@@ -426,6 +435,236 @@ pub fn ablation_congestion(
         lb.segments_carried,
         stats.bytes_rexmit,
     )
+}
+
+// ---------------------------------------------------------------------
+// Multi-tenant isolation: innocents vs one byzantine tenant
+// ---------------------------------------------------------------------
+
+/// Innocent tenants sharing the client host with the hostile one.
+pub const ISOLATION_INNOCENTS: usize = 3;
+/// Bytes each innocent tenant streams.
+pub const ISOLATION_XFER: u64 = 150_000;
+/// The hostile tenant id.
+pub const ISOLATION_HOSTILE: u64 = 66;
+/// Fault-plan seed (the byzantine schedules draw no randomness, but the
+/// plan carries it).
+pub const ISOLATION_SEED: u64 = 21;
+/// Byzantine activity window: opens once all connections are up (setup
+/// rides the deliberately slow registry path and contends with data
+/// transfer for the host CPU, so establishment takes tens of
+/// milliseconds), closes when the hostile tenant is crashed.
+const BYZ_START: u64 = 160_000_000;
+const CRASH_AT: u64 = 320_000_000;
+
+/// What one run of the isolation scenario measured.
+pub struct IsolationRun {
+    /// Per-innocent (throughput bps, completion instant ns), server side.
+    pub innocents: Vec<(f64, u64)>,
+    /// p99 of the innocent streams' end-to-end app-deliver latency (ns),
+    /// from the receive-path profile scoped to their server-side channels.
+    pub p99_ns: u64,
+    /// Kernel-counted quota drops / transmit-credit rejections.
+    pub quota_drops: u64,
+    pub tx_rejections: u64,
+    /// Tenants named by `Loss::QuotaExceeded` in the causal graph.
+    pub quota_loss_tenants: Vec<u64>,
+    /// [`World::leaks`] after the hostile tenant's crash and the drain.
+    pub leaks: Vec<String>,
+}
+
+/// Runs the isolation scenario once, journal recording. Three innocent
+/// tenants on host 0 stream to the server while a fourth tenant holds an
+/// active connection open (the transmit-flood / capability-storm vehicle)
+/// and a listener the server feeds (the ring-flood victim: its consumer
+/// never wakes during the window). With `hostile` the tenant's budgets,
+/// the byzantine schedules and the wedged crash are armed; without it the
+/// same topology, traffic and crash instant run unimpaired, which is the
+/// baseline the isolation envelope is measured against. Panics if an
+/// innocent stream is not byte-exact and cleanly closed.
+pub fn isolation_scenario(hostile: bool) -> (World, IsolationRun) {
+    unp_trace::journal_start();
+    let (mut w, mut eng) = build_hosts(2, Network::Ethernet, OrgKind::UserLibrary);
+    let server_ip = w.hosts[1].ip;
+    let client_ip = w.hosts[0].ip;
+    let tenant = OwnerTag(ISOLATION_HOSTILE);
+
+    // Innocent connects are staggered so the handshakes don't all contend
+    // for the registry at once.
+    let mut sinks = Vec::new();
+    for i in 0..ISOLATION_INNOCENTS {
+        let st = TransferStats::new_shared();
+        let sh = Rc::clone(&st);
+        let port = 81 + i as u16;
+        listen(
+            &mut w,
+            1,
+            port,
+            TcpConfig::default(),
+            Box::new(move || Box::new(SinkApp::new(Rc::clone(&sh)))),
+        );
+        eng.at(i as u64 * 10_000_000 + 1, move |w, eng| {
+            connect_as(
+                w,
+                eng,
+                0,
+                Some(OwnerTag(11 + i as u64)),
+                (server_ip, port),
+                TcpConfig::default(),
+                Box::new(BulkSender::new(ISOLATION_XFER, 4096)),
+                4096,
+            );
+        });
+        sinks.push(st);
+    }
+
+    let unverified_sink = || {
+        let st = TransferStats::new_shared();
+        Box::new(move || {
+            Box::new(SinkApp::new(Rc::clone(&st)).without_verify()) as Box<dyn crate::AppLogic>
+        })
+    };
+    listen_as(
+        &mut w,
+        0,
+        tenant,
+        90,
+        TcpConfig::default(),
+        unverified_sink(),
+    );
+    listen(&mut w, 1, 80, TcpConfig::default(), unverified_sink());
+    eng.at(31_000_000, move |w, eng| {
+        connect_as(
+            w,
+            eng,
+            0,
+            Some(tenant),
+            (server_ip, 80),
+            TcpConfig::default(),
+            Box::new(BulkSender::new(30_000, 4096).without_close()),
+            4096,
+        );
+    });
+    eng.at(36_000_000, move |w, eng| {
+        connect_as(
+            w,
+            eng,
+            1,
+            None,
+            (client_ip, 90),
+            TcpConfig::default(),
+            Box::new(BulkSender::new(400_000, 4096).without_close()),
+            4096,
+        );
+    });
+
+    let mut plan = FaultPlan::clean(ISOLATION_SEED);
+    if hostile {
+        w.hosts[0].netio.set_tenant_budget(
+            tenant,
+            TenantBudget {
+                ring_slots: 8,
+                tx_credit: 40,
+                max_channels: 4,
+            },
+        );
+        for kind in [
+            ByzantineKind::RingFlood,
+            ByzantineKind::TransmitFlood {
+                burst: 12,
+                period: 2_000_000,
+            },
+            ByzantineKind::CapabilityStorm { period: 3_000_000 },
+            ByzantineKind::StaleBqi { period: 5_000_000 },
+            ByzantineKind::WedgedRegistry,
+        ] {
+            plan.byzantine.push(ByzantineSchedule {
+                host: 0,
+                tenant: ISOLATION_HOSTILE,
+                kind,
+                start: BYZ_START,
+                end: CRASH_AT,
+            });
+        }
+    }
+    install_faults(&mut w, &mut eng, plan);
+
+    // Server-side channel ids of the innocent streams, harvested once
+    // everything is established, to scope the latency profile.
+    let chan_ids: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+    let cm = Rc::clone(&chan_ids);
+    eng.at(BYZ_START - 1_000_000, move |w, _eng| {
+        let mut ids: Vec<u32> = w.hosts[1]
+            .conns
+            .values()
+            .filter(|c| (81..81 + ISOLATION_INNOCENTS as u16).contains(&c.tcb.local().1))
+            .filter_map(|c| c.chan.as_ref().map(|ci| ci.id.0))
+            .collect();
+        ids.sort_unstable();
+        *cm.borrow_mut() = ids;
+    });
+    // Both runs crash the hostile tenant at the same instant so the
+    // workloads stay comparable (in the baseline it dies politely — no
+    // wedge schedule — and its held-open streams are inherited).
+    eng.at(CRASH_AT, move |w, eng| crash_tenant(w, eng, 0, tenant));
+
+    assert!(
+        eng.run(&mut w, 2_500_000_000),
+        "isolation run did not drain"
+    );
+    let records = unp_trace::journal_stop();
+    let innocent_chans = chan_ids.take();
+    assert_eq!(
+        innocent_chans.len(),
+        ISOLATION_INNOCENTS,
+        "innocent connections not all established before the window"
+    );
+    for (i, st) in sinks.iter().enumerate() {
+        let s = st.borrow();
+        assert_eq!(s.bytes_received, ISOLATION_XFER, "innocent {i} lost bytes");
+        assert!(s.peer_closed && !s.reset, "innocent {i} stream failed");
+    }
+
+    let mut lat: Vec<u64> = Profile::build(&records)
+        .traces
+        .iter()
+        .filter(|t| {
+            t.is_complete()
+                && t.host == Some(1)
+                && t.channel.is_some_and(|c| innocent_chans.contains(&c))
+        })
+        .filter_map(|t| t.end_to_end())
+        .collect();
+    lat.sort_unstable();
+    assert!(!lat.is_empty(), "no innocent deliveries profiled");
+    let p99_ns = lat[((lat.len() - 1) as f64 * 0.99).round() as usize];
+
+    let quota_loss_tenants = CausalGraph::build(&records)
+        .losses()
+        .filter_map(|(_, l)| match l {
+            Loss::QuotaExceeded { tenant, .. } => Some(tenant),
+            _ => None,
+        })
+        .collect();
+
+    let run = IsolationRun {
+        innocents: sinks
+            .iter()
+            .map(|s| {
+                let s = s.borrow();
+                (
+                    s.throughput_bps().expect("innocent throughput"),
+                    s.last_byte_at.expect("innocent completion"),
+                )
+            })
+            .collect(),
+        p99_ns,
+        quota_drops: w.metrics.get(Ctr::ChQuotaDrops),
+        tx_rejections: w.metrics.get(Ctr::TxQuotaRejections),
+        quota_loss_tenants,
+        leaks: w.leaks(),
+    };
+    (w, run)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
-//! A minimal JSON reader (the workspace is dependency-free by design).
+//! A minimal JSON reader and writer (the workspace is dependency-free
+//! by design).
 //!
-//! Every exporter in the workspace hand-rolls its JSON output; this is
-//! the matching input side, so tests can *parse* what the exporters
-//! wrote and compare structure instead of grepping substrings — schema
-//! drift then fails CI as a field mismatch, not a fuzzy string miss.
-//! `repro-tables` also uses it to fold the committed `BENCH_*.json`
-//! artifacts into the consolidated summary.
+//! The trace exporters hand-roll their JSON output; [`parse`] is the
+//! matching input side, so tests can parse what the exporters wrote and
+//! compare structure instead of grepping substrings — schema drift then
+//! fails CI as a field mismatch, not a fuzzy string miss. [`write`] is
+//! the output side for everything built as a [`Value`]: `repro-tables`
+//! builds every `BENCH_*.json` artifact that way and evaluates its gate
+//! table over the same values.
 //!
 //! Numbers are kept as `f64` (every artifact value fits losslessly:
 //! counters stay far below 2^53) and object keys keep their file order.
@@ -80,6 +82,129 @@ impl Value {
             _ => None,
         }
     }
+
+    /// An object from `(key, value)` pairs, kept in the given order.
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// A number rounded to `places` decimals, to exactly the value a
+    /// `{:.places}` format prints (reports state their precision this way
+    /// instead of carrying float noise into a diffed artifact).
+    pub fn fixed(x: f64, places: usize) -> Value {
+        Value::Num(format!("{x:.places$}").parse().expect("formatted float"))
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.into())
+    }
+}
+
+impl FromIterator<Value> for Value {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Value {
+        Value::Arr(items.into_iter().collect())
+    }
+}
+
+/// Prints a value as a JSON document (trailing newline included) that
+/// [`parse`] reads back to an equal value. Integral numbers print without
+/// a decimal point. A container of scalars stays on one line; a container
+/// holding containers puts one member per line, so an artifact diffs row
+/// by row. Non-finite numbers have no JSON spelling and print as `null`.
+pub fn write(v: &Value) -> String {
+    let mut out = String::new();
+    write_value(v, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+fn write_value(v: &Value, indent: usize, out: &mut String) {
+    let scalar = |v: &Value| !matches!(v, Value::Arr(_) | Value::Obj(_));
+    let (open, close, members): (_, _, Vec<(Option<&str>, &Value)>) = match v {
+        Value::Arr(items) if !items.iter().all(scalar) => {
+            ('[', ']', items.iter().map(|item| (None, item)).collect())
+        }
+        Value::Obj(members) if !members.iter().all(|(_, m)| scalar(m)) => {
+            let keyed = members.iter().map(|(k, m)| (Some(k.as_str()), m));
+            ('{', '}', keyed.collect())
+        }
+        leaf => return write_inline(leaf, out),
+    };
+    out.push(open);
+    for (i, (key, member)) in members.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&" ".repeat(indent + 2));
+        if let Some(key) = key {
+            write_string(key, out);
+            out.push_str(": ");
+        }
+        write_value(member, indent + 2, out);
+    }
+    out.push('\n');
+    out.push_str(&" ".repeat(indent));
+    out.push(close);
+}
+
+fn write_inline(v: &Value, out: &mut String) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) if !n.is_finite() => out.push_str("null"),
+        // Exactly representable integers print as integers.
+        Value::Num(n) if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 => {
+            out.push_str(&format!("{}", *n as i64))
+        }
+        Value::Num(n) => out.push_str(&format!("{n}")),
+        Value::Str(s) => write_string(s, out),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(if i == 0 { "" } else { ", " });
+                write_inline(item, out);
+            }
+            out.push(']');
+        }
+        Value::Obj(members) => {
+            out.push('{');
+            for (i, (k, item)) in members.iter().enumerate() {
+                out.push_str(if i == 0 { "" } else { ", " });
+                write_string(k, out);
+                out.push_str(": ");
+                write_inline(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses one JSON document. Trailing whitespace is allowed; trailing
@@ -250,6 +375,8 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -280,6 +407,87 @@ mod tests {
             .map(|(k, _)| k.clone())
             .collect();
         assert_eq!(keys, ["z", "a"]);
+    }
+
+    /// A generated document: containers nest to `depth`, may be empty,
+    /// strings carry every escape class, numbers cover integers up to
+    /// 2^53, negatives and fractions.
+    fn gen_value(rng: &mut TestRng, depth: u32) -> Value {
+        let scalar = |rng: &mut TestRng| match rng.below(7) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::Num(rng.below((1 << 53) + 1) as f64),
+            3 => Value::Num(-(rng.below(1 << 53) as f64)),
+            4 => Value::Num((rng.unit_f64() - 0.5) * 1e6),
+            5 => Value::fixed(rng.unit_f64() * 100.0, rng.below(5) as usize),
+            _ => Value::Str(gen_string(rng)),
+        };
+        if depth == 0 {
+            return scalar(rng);
+        }
+        let len = rng.below(5) as usize;
+        match rng.below(3) {
+            0 => scalar(rng),
+            1 => (0..len).map(|_| gen_value(rng, depth - 1)).collect(),
+            _ => Value::obj((0..len).map(|_| (gen_string(rng), gen_value(rng, depth - 1)))),
+        }
+    }
+
+    fn gen_string(rng: &mut TestRng) -> String {
+        const ALPHABET: [char; 12] = [
+            'a',
+            'Z',
+            ' ',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\t',
+            '\r',
+            '\u{1}',
+            'é',
+            '\u{1f600}',
+        ];
+        (0..rng.below(12))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn writer_round_trips(seed in any::<u64>()) {
+            let v = gen_value(&mut TestRng::from_seed(seed), 4);
+            let text = write(&v);
+            prop_assert_eq!(parse(&text), Ok(v), "document was:\n{}", text);
+        }
+    }
+
+    #[test]
+    fn writer_prints_integers_bare_and_one_row_per_line() {
+        let v = Value::obj([
+            ("n", Value::from(9_007_199_254_740_992u64)),
+            ("neg", Value::Num(-3.0)),
+            ("half", Value::fixed(0.5004, 2)),
+            ("empty", Value::Arr(vec![])),
+            (
+                "rows",
+                (0..2usize)
+                    .map(|i| Value::obj([("i", i.into()), ("s", "x".into())]))
+                    .collect(),
+            ),
+        ]);
+        let want = r#"{
+  "n": 9007199254740992,
+  "neg": -3,
+  "half": 0.5,
+  "empty": [],
+  "rows": [
+    {"i": 0, "s": "x"},
+    {"i": 1, "s": "x"}
+  ]
+}
+"#;
+        assert_eq!(write(&v), want);
     }
 
     #[test]

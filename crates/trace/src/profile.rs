@@ -154,6 +154,10 @@ pub struct PathTrace {
     pub signaled: Option<bool>,
     /// Scan-equivalent filter instruction count charged at classify.
     pub filter_instrs: u32,
+    /// Bytes past the link header of the segment `tcp_segment(rx)`
+    /// processed — what the modeled per-segment cost is keyed on; 0 until
+    /// that stage.
+    pub wire: u32,
     /// How the path ended.
     pub outcome: PathOutcome,
     /// Per-stage timestamps, indexed by `Stage as usize`; `None` where
@@ -171,6 +175,7 @@ impl PathTrace {
             path: None,
             signaled: None,
             filter_instrs: 0,
+            wire: 0,
             outcome: PathOutcome::Truncated,
             t: [None; N_STAGES],
         }
@@ -352,12 +357,15 @@ impl Profile {
                         }
                     }
                 }
-                Event::TcpSegment { dir: Dir::Rx, .. } => {
+                Event::TcpSegment {
+                    dir: Dir::Rx, wire, ..
+                } => {
                     let Some(f) = rec.frame else { continue };
                     let Some(idx) = find_open(&open, &traces, f, Stage::Tcp) else {
                         continue;
                     };
                     traces[idx].t[Stage::Tcp as usize] = Some(rec.time);
+                    traces[idx].wire = *wire;
                 }
                 Event::FrameCorruptDiscard { .. } => {
                     let Some(f) = rec.frame else { continue };

@@ -9,14 +9,10 @@
 //! tracing compiled out these tests vanish rather than fail.
 #![cfg(feature = "trace")]
 
-use std::rc::Rc;
-
-use unp::core::app::{BulkSender, SinkApp, TransferStats};
+use unp::core::experiments::Transfer;
 use unp::core::faults::{FaultPlan, LinkFaults, RingPressure};
-use unp::core::world::{build_two_hosts, connect, install_faults, listen, Network, OrgKind};
-use unp::tcp::TcpConfig;
+use unp::core::world::{install_faults, Network, OrgKind};
 use unp::trace::{CausalGraph, Cause, JourneyFate, Loss, Record};
-use unp::wire::Ipv4Addr;
 
 const TOTAL: u64 = 150_000;
 
@@ -25,32 +21,11 @@ const TOTAL: u64 = 150_000;
 /// to be reproducible).
 fn bulk_run(total: u64, user_packet: usize, faults: Option<FaultPlan>) -> Vec<Record> {
     unp::trace::journal_start();
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    if let Some(plan) = faults {
-        install_faults(&mut w, &mut eng, plan);
-    }
-    assert!(eng.run(&mut w, u64::MAX), "run did not drain");
-    assert_eq!(stats.borrow().bytes_received, total, "transfer incomplete");
+    Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, user_packet, total).run(|w, eng| {
+        if let Some(plan) = faults {
+            install_faults(w, eng, plan);
+        }
+    });
     unp::trace::journal_stop()
 }
 

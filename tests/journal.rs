@@ -4,13 +4,10 @@
 #![cfg(feature = "trace")]
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use unp::core::app::{BulkSender, SinkApp, TransferStats};
-use unp::core::world::{build_two_hosts, connect, listen, Network, OrgKind};
-use unp::tcp::TcpConfig;
+use unp::core::experiments::Transfer;
+use unp::core::world::{Network, OrgKind};
 use unp::trace::{render, Dir, Event, Record};
-use unp::wire::Ipv4Addr;
 
 const TOTAL: u64 = 150_000;
 
@@ -30,29 +27,7 @@ fn bulk_run(total: u64, user_packet: usize, capture: Capture) -> Vec<Record> {
         Capture::Full => unp::trace::journal_start(),
         Capture::Bounded(cap) => unp::trace::journal_start_bounded(cap),
     }
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    assert!(eng.run(&mut w, u64::MAX), "run did not drain");
-    assert_eq!(stats.borrow().bytes_received, total, "transfer incomplete");
+    Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, user_packet, total).run(|_, _| {});
     unp::trace::journal_stop()
 }
 

@@ -3,14 +3,10 @@
 //! with tracing compiled out these tests vanish rather than fail.
 #![cfg(feature = "trace")]
 
-use std::rc::Rc;
-
-use unp::core::app::{BulkSender, SinkApp, TransferStats};
+use unp::core::experiments::Transfer;
 use unp::core::faults::FaultPlan;
-use unp::core::world::{build_two_hosts, connect, install_faults, listen, Network, OrgKind};
-use unp::tcp::TcpConfig;
+use unp::core::world::{install_faults, Eng, Network, OrgKind, World};
 use unp::trace::{Ctr, PathOutcome, Profile, Record, Stage};
-use unp::wire::Ipv4Addr;
 
 const TOTAL: u64 = 150_000;
 
@@ -20,33 +16,16 @@ const TOTAL: u64 = 150_000;
 /// join to cope with.
 fn bulk_run(total: u64, user_packet: usize, faults: Option<FaultPlan>) -> Vec<Record> {
     unp::trace::journal_start();
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.mss_local = user_packet.min(1460);
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(total, user_packet)),
-        user_packet,
-    );
-    if let Some(plan) = faults {
-        install_faults(&mut w, &mut eng, plan);
-    }
-    assert!(eng.run(&mut w, u64::MAX), "run did not drain");
-    assert_eq!(stats.borrow().bytes_received, total, "transfer incomplete");
+    table2(total, user_packet).run(|w, eng| {
+        if let Some(plan) = faults {
+            install_faults(w, eng, plan);
+        }
+    });
     unp::trace::journal_stop()
+}
+
+fn table2(total: u64, user_packet: usize) -> Transfer {
+    Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, user_packet, total)
 }
 
 #[test]
@@ -131,31 +110,17 @@ fn profiler_joins_across_fault_duplicated_and_corrupt_frames() {
 
 #[test]
 fn windowed_snapshots_do_exact_delta_arithmetic() {
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    listen(
-        &mut w,
-        1,
-        80,
-        TcpConfig::bulk_transfer(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        TcpConfig::bulk_transfer(),
-        Box::new(BulkSender::new(TOTAL, 4096)),
-        4096,
-    );
+    // The hook runs before the transfer's first event, so it can step the
+    // engine itself; `run` drains whatever it leaves.
+    table2(TOTAL, 4096).run(windowed_checks);
+}
 
+fn windowed_checks(w: &mut World, eng: &mut Eng) {
     // Three snapshots bracketing two 100 ms slices of the transfer.
     let s0 = w.metrics.snapshot(eng.now());
-    eng.run_until(&mut w, 100_000_000);
+    eng.run_until(w, 100_000_000);
     let s1 = w.metrics.snapshot(eng.now());
-    eng.run_until(&mut w, 200_000_000);
+    eng.run_until(w, 200_000_000);
     let s2 = w.metrics.snapshot(eng.now());
 
     let w01 = s1.window_since(&s0);
@@ -197,35 +162,13 @@ fn windowed_snapshots_do_exact_delta_arithmetic() {
     let wz = s2.window_since(&s2);
     assert_eq!(wz.duration(), 0);
     assert_eq!(wz.rx_pps(), 0.0);
-
-    eng.run(&mut w, u64::MAX);
 }
 
 #[test]
 fn global_rexmit_counters_match_connection_scopes() {
     unp::trace::journal_start();
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    listen(
-        &mut w,
-        1,
-        80,
-        TcpConfig::bulk_transfer(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        TcpConfig::bulk_transfer(),
-        Box::new(BulkSender::new(TOTAL, 2048)),
-        2048,
-    );
-    install_faults(&mut w, &mut eng, FaultPlan::lossy(11, 0.02));
-    assert!(eng.run(&mut w, u64::MAX), "run did not drain");
-    assert_eq!(stats.borrow().bytes_received, TOTAL);
+    let (w, _) =
+        table2(TOTAL, 2048).run(|w, eng| install_faults(w, eng, FaultPlan::lossy(11, 0.02)));
     unp::trace::journal_stop();
 
     // Loss forces retransmission; the live global counters must agree

@@ -5,13 +5,10 @@
 #![cfg(feature = "trace")]
 
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
 
-use unp::core::app::{BulkSender, SinkApp, TransferStats};
-use unp::core::world::{build_two_hosts, connect, listen, Network, OrgKind};
-use unp::tcp::TcpConfig;
+use unp::core::experiments::Transfer;
+use unp::core::world::{Network, OrgKind};
 use unp::trace::{render, FlightRecorder, Record};
-use unp::wire::Ipv4Addr;
 
 const TOTAL: u64 = 150_000;
 
@@ -26,28 +23,7 @@ fn recorded_run(caps: &[usize]) -> (Vec<Record>, Vec<FlightRecorder>) {
         .map(|&cap| unp::trace::attach(Box::new(FlightRecorder::new(cap))))
         .collect();
 
-    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
-    let stats = TransferStats::new_shared();
-    let st = Rc::clone(&stats);
-    let cfg = TcpConfig::bulk_transfer();
-    listen(
-        &mut w,
-        1,
-        80,
-        cfg.clone(),
-        Box::new(move || Box::new(SinkApp::new(Rc::clone(&st)))),
-    );
-    connect(
-        &mut w,
-        &mut eng,
-        0,
-        (Ipv4Addr::new(10, 0, 0, 2), 80),
-        cfg,
-        Box::new(BulkSender::new(TOTAL, 2048)),
-        2048,
-    );
-    assert!(eng.run(&mut w, u64::MAX), "run did not drain");
-    assert_eq!(stats.borrow().bytes_received, TOTAL, "transfer incomplete");
+    Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, 2048, TOTAL).run(|_, _| {});
 
     let journal = unp::trace::journal_stop();
     let recorders = handles
