@@ -48,6 +48,13 @@ cargo test -q --offline --workspace --exclude unp-bench --no-default-features
 echo "== tier-1: zero-copy golden pcap + demux differential + journal (release) =="
 cargo test -q --release --offline --test zero_copy --test demux_differential --test journal
 
+# The steady-state data path's allocation budget: a Table-2 bulk frame
+# under the user-level library may touch the general allocator at most 3.5
+# times (a boxed closure per event or a fresh Vec per call reads ~14). In
+# release, like the ledger whose `allocs_per_frame` it mirrors.
+echo "== allocation budget (release) =="
+cargo test -q --release --offline --test alloc_budget
+
 # The profiler's join discipline must hold in release mode too: every
 # delivered frame's stage components sum exactly to its end-to-end span,
 # with fault-duplicated ids and checksum discards in the journal.

@@ -141,7 +141,7 @@ impl ByzantineSchedule {
 }
 
 /// What happens to one delivered copy of a frame.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameFate {
     /// Lost to a scheduled outage window.
     pub outage: bool,
@@ -149,9 +149,23 @@ pub struct FrameFate {
     pub drop: bool,
     /// One payload byte is flipped before delivery.
     pub corrupt: bool,
+    /// See [`FrameFate::delays`]: the first `copies` entries count.
+    delays: [Nanos; 2],
+    copies: u8,
+}
+
+impl FrameFate {
     /// Extra arrival delay per delivered copy: one entry normally, two
-    /// when duplicated; a nonzero entry means that copy was reordered.
-    pub delays: Vec<Nanos>,
+    /// when duplicated, none when the frame is lost; a nonzero entry means
+    /// that copy was reordered.
+    pub fn delays(&self) -> &[Nanos] {
+        &self.delays[..usize::from(self.copies)]
+    }
+
+    fn push_delay(&mut self, delay: Nanos) {
+        self.delays[usize::from(self.copies)] = delay;
+        self.copies += 1;
+    }
 }
 
 /// A seeded full-stack fault schedule. Default construction
@@ -241,7 +255,7 @@ impl FaultPlan {
     pub fn fate(&mut self, from: usize, to: usize, now: Nanos) -> FrameFate {
         let mut fate = FrameFate::default();
         if !self.enabled {
-            fate.delays.push(0);
+            fate.push_delay(0);
             return fate;
         }
         if self.in_outage(from, to, now) {
@@ -261,7 +275,7 @@ impl FaultPlan {
             } else {
                 0
             };
-            fate.delays.push(delay);
+            fate.push_delay(delay);
         }
         fate
     }
@@ -375,13 +389,8 @@ mod tests {
         let mut p = FaultPlan::none();
         for t in 0..1000 {
             let f = p.fate(0, 1, t * 1000);
-            assert_eq!(
-                f,
-                FrameFate {
-                    delays: vec![0],
-                    ..FrameFate::default()
-                }
-            );
+            assert!(!f.outage && !f.drop && !f.corrupt);
+            assert_eq!(f.delays(), [0]);
         }
         assert_eq!(p.ring_cap(0, 0), None);
     }
@@ -405,9 +414,9 @@ mod tests {
         let fates: Vec<_> = (0..2000).map(|t| p.fate(0, 1, t)).collect();
         assert!(fates.iter().any(|f| f.drop));
         assert!(fates.iter().any(|f| f.corrupt));
-        assert!(fates.iter().any(|f| f.delays.len() == 2));
-        assert!(fates.iter().any(|f| f.delays.iter().any(|&d| d > 0)));
-        assert!(fates.iter().any(|f| !f.drop && f.delays == vec![0]));
+        assert!(fates.iter().any(|f| f.delays().len() == 2));
+        assert!(fates.iter().any(|f| f.delays().iter().any(|&d| d > 0)));
+        assert!(fates.iter().any(|f| !f.drop && f.delays() == [0]));
     }
 
     #[test]

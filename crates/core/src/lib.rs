@@ -40,7 +40,7 @@ pub use faults::{
 };
 pub use world::{
     build_hosts, build_two_hosts, crash_host, crash_tenant, install_faults, sync_tenant_scopes,
-    Eng, Host, Network, OrgKind, World,
+    Eng, Event, Host, Network, OrgKind, World,
 };
 
 /// Congestion-control selection for the ablation experiments.

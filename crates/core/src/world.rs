@@ -4,19 +4,21 @@
 //! rule: **state machines mutate at event time, observable effects pay
 //! their way** — every trap, IPC, copy, checksum, filter run, semaphore
 //! signal, and context switch on the path of a packet is charged to the
-//! owning host's CPU via [`host_exec`], and the packet's next hop happens
-//! at the charge's completion time. The protocol code itself
+//! owning host's CPU, and the packet's next hop — an [`Event`] variant for
+//! the per-frame steps, a [`host_exec`] closure for the rest — happens at
+//! the charge's completion time. The protocol code itself
 //! (`unp-tcp`/`unp-proto`) is identical across organizations.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
-use unp_buffers::{Frame, FramePool, OwnerTag};
+use unp_buffers::{Frame, FramePool, OwnerTag, RingId};
 use unp_kernel::{Capability, ChannelId, ChannelStats, Delivery, HeaderTemplate, NetIoModule};
 use unp_netdev::{An1Nic, LanceNic, Link, StationId};
 use unp_proto::arp::ArpResult;
 use unp_proto::{icmp_input, ArpCache, IpEndpoint, IpRecv, UdpLayer};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
-use unp_sim::{CostModel, Cpu, DemuxPath, Engine, EventId, LinkParams, Nanos};
+use unp_sim::{CostModel, Cpu, DemuxPath, Engine, EventFn, EventId, LinkParams, Nanos};
 use unp_tcp::{ListenTcb, Tcb, TcpAction, TcpConfig, TcpTimer};
 use unp_timers::{TimerId, TimerService, TimerWheel};
 use unp_trace::{ConnKey, Ctr, Gauge, Hist, Metrics};
@@ -26,7 +28,7 @@ use unp_wire::{
 };
 
 /// The engine type for this world.
-pub type Eng = Engine<World>;
+pub type Eng = Engine<World, Event>;
 
 /// Which network the hosts share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +126,7 @@ pub struct Conn {
     /// Channel info when running under the UserLibrary organization.
     pub chan: Option<ChanInfo>,
     /// App bytes the library holds beyond the TCB's send buffer.
-    pending_tx: std::collections::VecDeque<u8>,
+    pending_tx: VecDeque<u8>,
     /// The app requested close once `pending_tx` drains.
     close_pending: bool,
     /// Typical application write size (the experiments' "user packet
@@ -229,6 +231,8 @@ pub struct Host {
     /// The timing wheel driving all protocol timers on this host.
     pub wheel: TimerWheel<TimerToken>,
     wheel_event: Option<(Nanos, EventId)>,
+    /// [`wheel_fire`]'s token list, empty between fires.
+    fired: Vec<TimerToken>,
     /// Live connections.
     pub conns: HashMap<u32, Conn>,
     next_conn: u32,
@@ -240,6 +244,10 @@ pub struct Host {
     /// In-flight handshakes, keyed by raw hs id.
     handshakes: HashMap<u64, Handshake>,
     chan_owner: HashMap<ChannelId, ChanOwner>,
+    /// Emptied wakeup batches: a batch travels by value in its
+    /// [`Event::LibraryChain`] and comes back here when it ends, so the
+    /// next wakeup fills a queue that already has its capacity.
+    batch_spare: Vec<VecDeque<Frame>>,
     /// Revoked capabilities the byzantine capability-storm replays, one
     /// per hostile tenant (minted from a destroyed scratch channel on the
     /// storm's first tick).
@@ -313,6 +321,27 @@ pub struct World {
     /// data path is byte-identical to a build without fault injection.
     /// Install an enabled plan with [`install_faults`].
     pub faults: crate::faults::FaultPlan,
+    /// Emptied action buffers. The TCB and the registry append their
+    /// actions to a buffer drawn from here; [`apply_tcp_actions`] /
+    /// [`apply_registry_actions`] drain it and put it back. A list, not
+    /// one buffer, because routing re-enters itself (`DataAvailable` →
+    /// `recv`, `SendSpace` → [`flush_conn_tx`]).
+    tcp_spare: Spare<TcpAction>,
+    reg_spare: Spare<RegistryAction>,
+}
+
+/// A free-list of emptied `Vec`s, so a buffer's capacity outlives its use.
+struct Spare<T>(Vec<Vec<T>>);
+
+impl<T> Spare<T> {
+    fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut buf: Vec<T>) {
+        buf.clear();
+        self.0.push(buf);
+    }
 }
 
 /// A promiscuous capture tap: a named BPF program applied to all traffic.
@@ -483,6 +512,7 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
             udp_registry: unp_registry::UdpRegistry::new(),
             wheel: TimerWheel::new(0),
             wheel_event: None,
+            fired: Vec::new(),
             conns: HashMap::new(),
             next_conn: 1,
             conn_index: HashMap::new(),
@@ -490,6 +520,7 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
             timers: HashMap::new(),
             handshakes: HashMap::new(),
             chan_owner: HashMap::new(),
+            batch_spare: Vec::new(),
             stale_caps: HashMap::new(),
             // Per-host port bases 8000 apart; a `u16` holds eight of them,
             // so from the ninth host on the base wraps (deliberately: only
@@ -514,6 +545,8 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
         pool: FramePool::new(buf_size, 256),
         taps: Vec::new(),
         faults: crate::faults::FaultPlan::none(),
+        tcp_spare: Spare(Vec::new()),
+        reg_spare: Spare(Vec::new()),
     };
     (world, Engine::new())
 }
@@ -676,26 +709,194 @@ fn stale_cap_for(w: &mut World, host: usize, tenant: u64) -> Capability {
     send_cap
 }
 
-/// Charges `cost` to host `h`'s CPU and schedules `f` at completion.
+// ---------------------------------------------------------------------
+// Events
+// ---------------------------------------------------------------------
+
+/// One scheduled step of the world. A step the data path schedules per
+/// frame, segment, wakeup or timer restart is a variant, kept by value in
+/// the engine's slab; anything per connection or rarer is a boxed closure
+/// in [`Event::Call`] — what [`host_exec`] and `eng.at` schedule. Every
+/// variant fires under its host's attribution scope, as [`host_exec`]'s
+/// closures do: deep protocol paths (TCB transitions, registry setup)
+/// have no other way to know whose CPU they run on.
+#[derive(Debug)]
+pub enum Event {
+    /// `frame` reaches `host`'s interface: [`frame_arrives`].
+    FrameArrives { host: usize, frame: Frame },
+    /// The Lance interrupt (and the PIO copy) is paid for: the kernel
+    /// takes the next staged frame.
+    LanceIntr { host: usize },
+    /// The AN1 completion interrupt is paid for: the kernel takes
+    /// `frame`, which the controller classified onto `ring`.
+    An1Intr {
+        host: usize,
+        frame: Frame,
+        ring: RingId,
+    },
+    /// A monolithic stack has paid for the segment `repr` + `data` from
+    /// `src`: look up its PCB.
+    PcbInput {
+        host: usize,
+        src: Ipv4Addr,
+        repr: TcpRepr,
+        data: Frame,
+    },
+    /// The library thread behind channel `chan` wakes up.
+    LibraryWakeup { host: usize, chan: ChannelId },
+    /// The library has paid for the frame at the front of `batch`: run
+    /// the protocol over it, then go on with the rest of the batch.
+    LibraryChain {
+        host: usize,
+        cid: u32,
+        batch: VecDeque<Frame>,
+    },
+    /// A segment's output processing is paid for: build its frame(s).
+    /// `cid` names the connection whose channel it leaves through (`None`
+    /// for the kernel's and the registry's own segments); `announce` is
+    /// the BQI a registry handshake segment advertises on AN1.
+    SendSegment {
+        host: usize,
+        cid: Option<u32>,
+        repr: TcpRepr,
+        payload: Vec<u8>,
+        remote: Ipv4Addr,
+        announce: u16,
+    },
+    /// Device access is paid for: `frame` goes on the wire.
+    Transmit { host: usize, frame: Frame },
+    /// An upcall into connection `cid`'s application.
+    App {
+        host: usize,
+        cid: u32,
+        upcall: AppEvent,
+    },
+    /// `host`'s timing wheel reaches its earliest deadline.
+    WheelFire { host: usize },
+    /// A closure: everything that is not a per-frame step.
+    Call(Closure),
+}
+
+/// The body of an [`Event::Call`]; opaque when the queue is printed.
+pub struct Closure(EventFn<World, Event>);
+
+impl fmt::Debug for Closure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("<closure>")
+    }
+}
+
+impl Event {
+    /// The host a step runs on; a closure names its own.
+    fn host(&self) -> Option<usize> {
+        match self {
+            Event::FrameArrives { host, .. }
+            | Event::LanceIntr { host }
+            | Event::An1Intr { host, .. }
+            | Event::PcbInput { host, .. }
+            | Event::LibraryWakeup { host, .. }
+            | Event::LibraryChain { host, .. }
+            | Event::SendSegment { host, .. }
+            | Event::Transmit { host, .. }
+            | Event::App { host, .. }
+            | Event::WheelFire { host } => Some(*host),
+            Event::Call(_) => None,
+        }
+    }
+}
+
+impl unp_sim::Event<World> for Event {
+    fn fire(self, w: &mut World, eng: &mut Eng) {
+        let _attr = self.host().map(|h| unp_trace::host_scope(h as u16));
+        match self {
+            Event::FrameArrives { host, frame } => frame_arrives(w, eng, host, frame),
+            Event::LanceIntr { host } => {
+                if let Nic::Lance(nic) = &mut w.hosts[host].nic {
+                    if let Some(staged) = nic.host_take_frame() {
+                        kernel_input(w, eng, host, staged.bytes, None);
+                    }
+                }
+            }
+            Event::An1Intr { host, frame, ring } => kernel_input(w, eng, host, frame, Some(ring)),
+            Event::PcbInput {
+                host,
+                src,
+                repr,
+                data,
+            } => pcb_input(w, eng, host, src, &repr, &data),
+            Event::LibraryWakeup { host, chan } => library_wakeup(w, eng, host, chan),
+            Event::LibraryChain {
+                host,
+                cid,
+                mut batch,
+            } => {
+                let frame = batch.pop_front().expect("scheduled for its front frame");
+                library_input(w, eng, host, cid, frame);
+                library_process_chain(w, eng, host, cid, batch);
+            }
+            Event::SendSegment {
+                host,
+                cid,
+                repr,
+                payload,
+                remote,
+                announce,
+            } => {
+                // Only the user library's connections have a channel:
+                // their data frames stamp the peer's announced BQI
+                // (hardware demux) and pass the template check under the
+                // channel's send capability.
+                let conn = cid.and_then(|c| w.hosts[host].conns.get(&c));
+                let chan = conn.and_then(|c| c.chan.as_ref());
+                let bqi = chan.and_then(|ci| ci.peer_bqi).unwrap_or(0);
+                let cap = chan.map(|ci| ci.send_cap);
+                send_tcp_frame(
+                    w, eng, host, &repr, &payload, remote, bqi, announce, cap, false,
+                );
+            }
+            Event::Transmit { host, frame } => transmit_frame(w, eng, host, frame),
+            Event::App { host, cid, upcall } => app_event(w, eng, host, cid, upcall),
+            Event::WheelFire { host } => wheel_fire(w, eng, host),
+            Event::Call(Closure(f)) => f(w, eng),
+        }
+    }
+
+    fn call(f: EventFn<World, Event>) -> Event {
+        Event::Call(Closure(f))
+    }
+}
+
+/// Charges `cost` to host `h`'s CPU and schedules `step` at completion.
+fn host_step(w: &mut World, eng: &mut Eng, h: usize, cost: Nanos, step: Event) {
+    let done = w.hosts[h].cpu.charge(eng.now(), cost);
+    eng.schedule(done, step);
+}
+
+/// Like [`host_step`] but at interrupt priority: device interrupt service
+/// preempts process/library work instead of queueing behind it (otherwise
+/// NIC staging buffers overflow whenever user-level processing is slower
+/// than the wire — a receive livelock real interrupt-driven kernels do not
+/// exhibit at these rates).
+fn host_step_intr(w: &mut World, eng: &mut Eng, h: usize, cost: Nanos, step: Event) {
+    let done = w.hosts[h].cpu.charge_priority(eng.now(), cost);
+    eng.schedule(done, step);
+}
+
+/// Charges `cost` to host `h`'s CPU and schedules the closure `f` at
+/// completion, under `h`'s attribution scope: [`host_step`] for the work
+/// that has no [`Event`] variant.
 pub fn host_exec<F>(w: &mut World, eng: &mut Eng, h: usize, cost: Nanos, f: F)
 where
     F: FnOnce(&mut World, &mut Eng) + 'static,
 {
     let done = w.hosts[h].cpu.charge(eng.now(), cost);
-    // Attribute everything the scheduled work emits to this host: deep
-    // protocol paths (TCB transitions, registry setup) have no other way
-    // to know whose CPU they run on. Inner scopes still nest.
     eng.at(done, move |w, eng| {
         let _attr = unp_trace::host_scope(h as u16);
         f(w, eng);
     });
 }
 
-/// Like [`host_exec`] but at interrupt priority: device interrupt service
-/// preempts process/library work instead of queueing behind it (otherwise
-/// NIC staging buffers overflow whenever user-level processing is slower
-/// than the wire — a receive livelock real interrupt-driven kernels do not
-/// exhibit at these rates).
+/// [`host_exec`] at interrupt priority (see [`host_step_intr`]).
 pub fn host_exec_intr<F>(w: &mut World, eng: &mut Eng, h: usize, cost: Nanos, f: F)
 where
     F: FnOnce(&mut World, &mut Eng) + 'static,
@@ -787,8 +988,10 @@ pub fn connect_as(
             host_exec(w, eng, host, cost, move |w, eng| {
                 let owner = tenant.unwrap_or_else(|| w.hosts[host].owner());
                 let now = eng.now();
-                match w.hosts[host].registry.connect(owner, remote, cfg, now) {
-                    Ok((hs, actions)) => {
+                let mut actions = w.reg_spare.take();
+                let registry = &mut w.hosts[host].registry;
+                match registry.connect_into(owner, remote, cfg, now, &mut actions) {
+                    Ok(hs) => {
                         let rec = Handshake::new(owner, Some(app), write_size);
                         w.hosts[host].handshakes.insert(hs.0, rec);
                         apply_registry_actions(w, eng, host, actions);
@@ -796,6 +999,7 @@ pub fn connect_as(
                     // Every ephemeral port is bound: the connect is
                     // refused like a handshake that failed.
                     Err(_) => {
+                        w.reg_spare.give(actions);
                         w.metrics.bump(Ctr::HandshakeFailures);
                         reset_unconnected(app, now);
                     }
@@ -811,7 +1015,9 @@ pub fn connect_as(
                 let iss = w.hosts[host].alloc_iss();
                 let local_ip = w.hosts[host].ip;
                 let now = eng.now();
-                let (tcb, actions) = Tcb::connect((local_ip, local_port), remote, cfg, iss, now);
+                let mut actions = w.tcp_spare.take();
+                let local = (local_ip, local_port);
+                let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut actions);
                 let c = install_conn(w, host, tcb, app, None, write_size);
                 apply_tcp_actions(w, eng, host, c, None, actions);
             });
@@ -841,7 +1047,7 @@ fn install_conn(
             tcb,
             app,
             chan,
-            pending_tx: std::collections::VecDeque::new(),
+            pending_tx: VecDeque::new(),
             close_pending: false,
             write_size,
         },
@@ -1072,9 +1278,7 @@ fn resolve_mac(
             if let Some(req) = request {
                 let frame = build_arp_frame(w, h, &req);
                 let cost = w.costs.ip_per_packet + tx_device_cost(w, h, frame.len());
-                host_exec(w, eng, h, cost, move |w, eng| {
-                    transmit_frame(w, eng, h, frame);
-                });
+                host_step(w, eng, h, cost, Event::Transmit { host: h, frame });
             }
             None
         }
@@ -1111,14 +1315,19 @@ fn transmit_frame(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
     });
     w.run_taps(now, &frame);
     if !w.faults.enabled {
-        for rcpt in w.link.recipients(StationId(h), dst) {
-            let bytes = frame.clone();
-            eng.at(arrival, move |w, eng| frame_arrives(w, eng, rcpt.0, bytes));
+        for StationId(host) in w.link.recipients(StationId(h), dst) {
+            let frame = frame.clone();
+            eng.schedule(arrival, Event::FrameArrives { host, frame });
         }
         return;
     }
-    for rcpt in w.link.recipients(StationId(h), dst) {
-        inject_and_deliver(w, eng, h, rcpt.0, arrival, now, &frame);
+    // Each verdict needs the whole world, so the recipients are walked by
+    // position instead of held as a borrow of the link.
+    for nth in 0.. {
+        let Some(StationId(to)) = w.link.recipients(StationId(h), dst).nth(nth) else {
+            break;
+        };
+        inject_and_deliver(w, eng, h, to, arrival, now, &frame);
     }
 }
 
@@ -1172,21 +1381,19 @@ fn inject_and_deliver(
             emit_fault(FaultKind::Corrupt);
         }
     }
-    if fate.delays.len() > 1 {
+    if fate.delays().len() > 1 {
         w.metrics.bump(Ctr::FaultDups);
         w.metrics.link(f16, t16).dups += 1;
         emit_fault(FaultKind::Duplicate);
     }
-    for &extra in &fate.delays {
+    for &extra in fate.delays() {
         if extra > 0 {
             w.metrics.bump(Ctr::FaultReorders);
             w.metrics.link(f16, t16).reorders += 1;
             emit_fault(FaultKind::Reorder);
         }
-        let copy = bytes.clone();
-        eng.at(arrival + extra, move |w, eng| {
-            frame_arrives(w, eng, to, copy);
-        });
+        let frame = bytes.clone();
+        eng.schedule(arrival + extra, Event::FrameArrives { host: to, frame });
     }
 }
 
@@ -1211,9 +1418,7 @@ fn send_ip(
         };
         let frame = encap_link(w, h, mac, ipf, 0, 0);
         let cost = tx_device_cost(w, h, frame.len());
-        host_exec(w, eng, h, cost, move |w, eng| {
-            transmit_frame(w, eng, h, frame);
-        });
+        host_step(w, eng, h, cost, Event::Transmit { host: h, frame });
     }
 }
 
@@ -1232,35 +1437,21 @@ pub fn frame_arrives(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
                 w.metrics.bump(Ctr::NicDrops);
                 return;
             }
-            host_exec_intr(w, eng, h, cost, move |w, eng| {
-                if let Nic::Lance(nic) = &mut w.hosts[h].nic {
-                    if let Some(staged) = nic.host_take_frame() {
-                        kernel_input(w, eng, h, staged.bytes, None);
-                    }
-                }
-            });
+            host_step_intr(w, eng, h, cost, Event::LanceIntr { host: h });
         }
         Nic::An1(nic) => {
             // Hardware classification happens in the controller before the
             // completion interrupt.
             let ring = nic.classify_frame(&frame);
-            host_exec_intr(w, eng, h, cost, move |w, eng| {
-                kernel_input(w, eng, h, frame, Some(ring));
-            });
+            let host = h;
+            host_step_intr(w, eng, h, cost, Event::An1Intr { host, frame, ring });
         }
     }
 }
 
 /// Kernel-side input processing after interrupt (+PIO) costs.
 /// `hw_ring` is `Some` on AN1 (the controller's BQI classification).
-fn kernel_input(
-    w: &mut World,
-    eng: &mut Eng,
-    h: usize,
-    frame: Frame,
-    hw_ring: Option<unp_buffers::RingId>,
-) {
-    let _attr = unp_trace::host_scope(h as u16);
+fn kernel_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame, hw_ring: Option<RingId>) {
     let lhl = w.hosts[h].link_header_len();
     if frame.len() < lhl {
         return;
@@ -1291,9 +1482,7 @@ fn arp_input(w: &mut World, eng: &mut Eng, h: usize, payload: &[u8]) {
     if let Some(rep) = reply {
         let frame = build_arp_frame(w, h, &rep);
         let cost = w.costs.ip_per_packet + tx_device_cost(w, h, frame.len());
-        host_exec(w, eng, h, cost, move |w, eng| {
-            transmit_frame(w, eng, h, frame);
-        });
+        host_step(w, eng, h, cost, Event::Transmit { host: h, frame });
     }
     // Flush packets that were waiting on this resolution.
     if let Some(waiting) = w.hosts[h].arp_wait.remove(&repr.sender_ip) {
@@ -1301,9 +1490,7 @@ fn arp_input(w: &mut World, eng: &mut Eng, h: usize, payload: &[u8]) {
         for (_proto, ip_packet) in waiting {
             let frame = encap_link(w, h, mac, ip_packet, 0, 0);
             let cost = tx_device_cost(w, h, frame.len());
-            host_exec(w, eng, h, cost, move |w, eng| {
-                transmit_frame(w, eng, h, frame);
-            });
+            host_step(w, eng, h, cost, Event::Transmit { host: h, frame });
         }
     }
 }
@@ -1414,11 +1601,40 @@ fn conn_segment(
     frame: u64,
 ) {
     let now = eng.now();
-    let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
-        return;
-    };
-    let actions = conn.tcb.on_segment(repr, data, now);
-    apply_tcp_actions(w, eng, h, cid, Some(frame), actions);
+    with_conn(w, eng, h, cid, Some(frame), |conn, out| {
+        conn.tcb.on_segment_into(repr, data, now, out)
+    });
+}
+
+/// Runs `call` on connection `cid` with an action buffer from the spares,
+/// then routes what the TCB appended to it. `None` when the connection is
+/// gone (nothing runs).
+fn with_conn<R>(
+    w: &mut World,
+    eng: &mut Eng,
+    h: usize,
+    cid: u32,
+    frame: Option<u64>,
+    call: impl FnOnce(&mut Conn, &mut Vec<TcpAction>) -> R,
+) -> Option<R> {
+    let conn = w.hosts[h].conns.get_mut(&cid)?;
+    let mut actions = w.tcp_spare.take();
+    let ret = call(conn, &mut actions);
+    apply_tcp_actions(w, eng, h, cid, frame, actions);
+    Some(ret)
+}
+
+/// Runs `call` on host `h`'s registry server with an action buffer from
+/// the spares, then routes what it appended.
+fn with_registry(
+    w: &mut World,
+    eng: &mut Eng,
+    h: usize,
+    call: impl FnOnce(&mut RegistryServer, &mut Vec<RegistryAction>),
+) {
+    let mut actions = w.reg_spare.take();
+    call(&mut w.hosts[h].registry, &mut actions);
+    apply_registry_actions(w, eng, h, actions);
 }
 
 /// TCP input for the monolithic organizations: in-kernel (or in-server)
@@ -1446,38 +1662,54 @@ fn tcp_input_direct(w: &mut World, eng: &mut Eng, h: usize, src: Ipv4Addr, paylo
     if matches!(w.hosts[h].nic, Nic::An1(_)) {
         cost += c.bqi_demux;
     }
-    host_exec(w, eng, h, cost, move |w, eng| {
-        let key = (repr.dst_port, src, repr.src_port);
-        let now = eng.now();
-        if let Some(&cid) = w.hosts[h].conn_index.get(&key) {
-            return conn_segment(w, eng, h, cid, &repr, &data, data.id());
-        }
-        // New connection to a listener?
-        if w.hosts[h].listeners.contains_key(&repr.dst_port) {
-            // Socket + PCB creation for the accepted connection.
-            w.hosts[h].cpu.charge(now, w.costs.pcb_setup);
-            let local_ip = w.hosts[h].ip;
-            let iss = w.hosts[h].alloc_iss();
-            let listener = w.hosts[h]
-                .listeners
-                .get_mut(&repr.dst_port)
-                .expect("checked");
-            let cfg = listener.cfg.clone();
-            let app = (listener.factory)();
-            let ltcb = ListenTcb::new((local_ip, repr.dst_port), cfg);
-            if let Some((tcb, actions)) = ltcb.on_syn((src, repr.src_port), &repr, iss, now) {
+    let host = h;
+    let input = Event::PcbInput {
+        host,
+        src,
+        repr,
+        data,
+    };
+    host_step(w, eng, h, cost, input);
+}
+
+/// The monolithic stack's PCB lookup for one parsed segment
+/// ([`Event::PcbInput`]): its connection, a listener, or a RST.
+fn pcb_input(w: &mut World, eng: &mut Eng, h: usize, src: Ipv4Addr, repr: &TcpRepr, data: &Frame) {
+    let key = (repr.dst_port, src, repr.src_port);
+    let now = eng.now();
+    if let Some(&cid) = w.hosts[h].conn_index.get(&key) {
+        return conn_segment(w, eng, h, cid, repr, data, data.id());
+    }
+    // New connection to a listener?
+    if w.hosts[h].listeners.contains_key(&repr.dst_port) {
+        // Socket + PCB creation for the accepted connection.
+        w.hosts[h].cpu.charge(now, w.costs.pcb_setup);
+        let local_ip = w.hosts[h].ip;
+        let iss = w.hosts[h].alloc_iss();
+        let listener = w.hosts[h]
+            .listeners
+            .get_mut(&repr.dst_port)
+            .expect("checked");
+        let cfg = listener.cfg.clone();
+        let app = (listener.factory)();
+        let ltcb = ListenTcb::new((local_ip, repr.dst_port), cfg);
+        let mut actions = w.tcp_spare.take();
+        let remote = (src, repr.src_port);
+        match ltcb.on_syn_into(remote, repr, iss, now, &mut actions) {
+            Some(tcb) => {
                 let write_size = 4096;
                 let cid = install_conn(w, h, tcb, app, None, write_size);
                 apply_tcp_actions(w, eng, h, cid, None, actions);
             }
-            return;
+            None => w.tcp_spare.give(actions),
         }
-        // Stray: RST.
-        if !repr.flags.rst {
-            let rst = Tcb::rst_for((w.hosts[h].ip, repr.dst_port), &repr, data.len());
-            send_tcp_segment(w, eng, h, None, rst, Vec::new(), src);
-        }
-    });
+        return;
+    }
+    // Stray: RST.
+    if !repr.flags.rst {
+        let rst = Tcb::rst_for((w.hosts[h].ip, repr.dst_port), repr, data.len());
+        send_tcp_segment(w, eng, h, None, rst, Vec::new(), src);
+    }
 }
 
 /// Registers and binds a UDP port on `host` through the UDP registry
@@ -1588,13 +1820,7 @@ fn icmp_input_host(w: &mut World, eng: &mut Eng, h: usize, src: Ipv4Addr, payloa
 
 // ------------------------- user-library input -------------------------
 
-fn userlib_ip_input(
-    w: &mut World,
-    eng: &mut Eng,
-    h: usize,
-    frame: Frame,
-    hw_ring: Option<unp_buffers::RingId>,
-) {
+fn userlib_ip_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame, hw_ring: Option<RingId>) {
     // Only TCP goes through connection channels; other IP protocols take
     // the kernel path (same handling as monolithic — they are not part of
     // the paper's measurements but keep the host fully functional).
@@ -1667,9 +1893,8 @@ fn userlib_ip_input(
                     + c.semaphore_signal
                     + c.wakeup_resched
                     + c.thread_switch;
-                host_exec_intr(w, eng, h, cost, move |w, eng| {
-                    library_wakeup(w, eng, h, id);
-                });
+                let wakeup = Event::LibraryWakeup { host: h, chan: id };
+                host_step_intr(w, eng, h, cost, wakeup);
             } else {
                 // Batched: no interrupt taken; the running library thread
                 // will consume this frame from the ring. Only the demux
@@ -1698,7 +1923,6 @@ fn userlib_ip_input(
 /// without a new semaphore signal): consume every queued frame, run the
 /// protocol over each, deliver to the application.
 fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: ChannelId) {
-    let _attr = unp_trace::host_scope(h as u16);
     let cid = match w.hosts[h].chan_owner.get(&chan) {
         Some(&ChanOwner::Conn(cid)) => cid,
         // Pre-establishment hardware deliveries land here with no conn
@@ -1706,10 +1930,13 @@ fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: ChannelId) {
         Some(&ChanOwner::Handshake(hs)) => {
             let setup = w.hosts[h].handshakes[&hs].setup.as_ref();
             let recv_cap = setup.expect("owner of its channel").chan.recv_cap;
-            if let Ok(frames) = w.hosts[h].netio.consume(recv_cap) {
-                for f in frames {
-                    registry_tcp_input(w, eng, h, f);
-                }
+            let Ok(ring) = w.hosts[h].netio.consume_batch(recv_cap) else {
+                return;
+            };
+            let frames: Vec<Frame> = ring.collect();
+            let _ = w.hosts[h].netio.end_wakeup(recv_cap);
+            for f in frames {
+                registry_tcp_input(w, eng, h, f);
             }
             return;
         }
@@ -1722,31 +1949,36 @@ fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: ChannelId) {
     // Consume without clearing the notification: packets arriving while
     // the library thread is processing are picked up by the same wakeup
     // (the paper's signal batching).
-    let Ok(frames) = w.hosts[h].netio.consume_batch(recv_cap) else {
+    let host = &mut w.hosts[h];
+    let Ok(ring) = host.netio.consume_batch(recv_cap) else {
         return;
     };
-    if frames.is_empty() {
-        let _ = w.hosts[h].netio.end_wakeup(recv_cap);
+    if ring.len() == 0 {
+        drop(ring);
+        let _ = host.netio.end_wakeup(recv_cap);
         return;
     }
+    // Sized to the ring's backlog, not the next power of two: the queue
+    // settles at the largest batch seen, as the `Vec` it replaces did.
+    let mut batch = host.batch_spare.pop().unwrap_or_default();
+    batch.reserve_exact(ring.len());
+    batch.extend(ring);
     w.metrics
-        .sample(Hist::WakeupBatchFrames, frames.len() as u64);
+        .sample(Hist::WakeupBatchFrames, batch.len() as u64);
     // Process the consumed batch one frame at a time, each charged
     // individually, so acknowledgments flow as segments are handled (the
     // batching amortizes only the semaphore/thread-switch, not the
     // protocol work — processing a batch "atomically" would stall the
     // sender's ACK clock).
-    library_process_chain(w, eng, h, cid, frames.into());
+    library_process_chain(w, eng, h, cid, batch);
 }
 
-fn library_process_chain(
-    w: &mut World,
-    eng: &mut Eng,
-    h: usize,
-    cid: u32,
-    mut frames: std::collections::VecDeque<Frame>,
-) {
-    let Some(frame) = frames.pop_front() else {
+/// Charges the library for the frame at the front of `batch` and schedules
+/// its [`Event::LibraryChain`]; an empty batch ends the wakeup. The frames
+/// are charged one by one whether or not the connection outlives them.
+fn library_process_chain(w: &mut World, eng: &mut Eng, h: usize, cid: u32, batch: VecDeque<Frame>) {
+    let Some(frame) = batch.front() else {
+        w.hosts[h].batch_spare.push(batch);
         // Batch done: re-check the ring; more may have arrived while we
         // were processing (they were batched, not signalled).
         let chan = w.hosts[h].conns.get(&cid).and_then(|c| c.chan.as_ref());
@@ -1768,55 +2000,56 @@ fn library_process_chain(
         Nic::An1(_) => 0,
     };
     let cost = tcp_seg_cost(w, len) + w.costs.library_call + w.costs.lib_upcall_sync + sw_extra;
-    host_exec(w, eng, h, cost, move |w, eng| {
-        let local_ip = w.hosts[h].ip;
-        'one: {
-            if frame.len() <= lhl {
-                break 'one;
-            }
-            // The library runs its own IP input (frag handled by the
-            // shared IP library). The common case — a complete
-            // unfragmented datagram — is sliced out of the ring frame
-            // without copying.
-            let now = eng.now();
-            let (src, payload) = match w.hosts[h].ip_ep.receive_in_place(&frame[lhl..], now) {
-                Some((src, IpProtocol::Tcp, range)) => {
-                    (src, frame.slice(lhl + range.start, lhl + range.end))
-                }
-                _ => {
-                    let recv = w.hosts[h].ip_ep.receive(&frame[lhl..], now);
-                    let IpRecv::Complete {
-                        protocol: IpProtocol::Tcp,
-                        src,
-                        payload,
-                        ..
-                    } = recv
-                    else {
-                        w.metrics.bump(Ctr::LibNonTcp);
-                        break 'one;
-                    };
-                    (src, Frame::from_vec(payload))
-                }
-            };
-            let Some((repr, data)) = parse_tcp(w, h, src, local_ip, &payload) else {
-                break 'one;
-            };
-            unp_trace::emit(Some(frame.id()), || unp_trace::Event::TcpSegment {
-                dir: unp_trace::Dir::Rx,
-                local_port: repr.dst_port,
-                remote_port: repr.src_port,
-                remote_ip: src.0,
-                seq: repr.seq.0,
-                ack: repr.ack_num.0,
-                wnd: u32::from(repr.window),
-                flags: seg_flags(&repr),
-                payload: data.len() as u32,
-                wire: (frame.len() - lhl) as u32,
-            });
-            conn_segment(w, eng, h, cid, &repr, &data, frame.id());
+    let host = h;
+    host_step(w, eng, h, cost, Event::LibraryChain { host, cid, batch });
+}
+
+/// The library's input for one ring frame: its own IP input (fragments
+/// handled by the shared IP library), the TCP parse, the connection.
+fn library_input(w: &mut World, eng: &mut Eng, h: usize, cid: u32, frame: Frame) {
+    let lhl = w.hosts[h].link_header_len();
+    if frame.len() <= lhl {
+        return;
+    }
+    // The common case — a complete unfragmented datagram — is sliced out
+    // of the ring frame without copying.
+    let now = eng.now();
+    let (src, payload) = match w.hosts[h].ip_ep.receive_in_place(&frame[lhl..], now) {
+        Some((src, IpProtocol::Tcp, range)) => {
+            (src, frame.slice(lhl + range.start, lhl + range.end))
         }
-        library_process_chain(w, eng, h, cid, frames);
+        _ => {
+            let recv = w.hosts[h].ip_ep.receive(&frame[lhl..], now);
+            let IpRecv::Complete {
+                protocol: IpProtocol::Tcp,
+                src,
+                payload,
+                ..
+            } = recv
+            else {
+                w.metrics.bump(Ctr::LibNonTcp);
+                return;
+            };
+            (src, Frame::from_vec(payload))
+        }
+    };
+    let local_ip = w.hosts[h].ip;
+    let Some((repr, data)) = parse_tcp(w, h, src, local_ip, &payload) else {
+        return;
+    };
+    unp_trace::emit(Some(frame.id()), || unp_trace::Event::TcpSegment {
+        dir: unp_trace::Dir::Rx,
+        local_port: repr.dst_port,
+        remote_port: repr.src_port,
+        remote_ip: src.0,
+        seq: repr.seq.0,
+        ack: repr.ack_num.0,
+        wnd: u32::from(repr.window),
+        flags: seg_flags(&repr),
+        payload: data.len() as u32,
+        wire: (frame.len() - lhl) as u32,
     });
+    conn_segment(w, eng, h, cid, &repr, &data, frame.id());
 }
 
 /// Kernel-default TCP traffic: handshakes and strays, handled by the
@@ -1854,8 +2087,9 @@ fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
         // registry's device access is by Mach IPC, not shared memory.
         let now = eng.now();
         w.hosts[h].cpu.charge(now, w.costs.registry_pkt_op);
-        let actions = w.hosts[h].registry.on_segment(src, &repr, &data, now);
-        apply_registry_actions(w, eng, h, actions);
+        with_registry(w, eng, h, |registry, out| {
+            registry.on_segment_into(src, &repr, &data, now, out)
+        });
         if announce != 0 {
             note_announce(w, h, key, announce);
         }
@@ -1879,8 +2113,15 @@ fn note_announce(w: &mut World, h: usize, key: PairKey, bqi: u16) {
 // Registry action routing
 // ---------------------------------------------------------------------
 
-fn apply_registry_actions(w: &mut World, eng: &mut Eng, h: usize, actions: Vec<RegistryAction>) {
-    for action in actions {
+/// Routes one batch of registry actions; the emptied buffer returns to
+/// the world's spares.
+fn apply_registry_actions(
+    w: &mut World,
+    eng: &mut Eng,
+    h: usize,
+    mut actions: Vec<RegistryAction>,
+) {
+    for action in actions.drain(..) {
         match action {
             RegistryAction::Send {
                 hs,
@@ -1895,9 +2136,15 @@ fn apply_registry_actions(w: &mut World, eng: &mut Eng, h: usize, actions: Vec<R
                 let announce = setup.map_or(0, |s| s.chan.our_bqi);
                 let c = &w.costs;
                 let cost = c.registry_pkt_op + tcp_seg_cost(w, repr.header_len() + payload.len());
-                host_exec(w, eng, h, cost, move |w, eng| {
-                    send_tcp_frame(w, eng, h, &repr, &payload, remote, 0, announce, None, false);
-                });
+                let send = Event::SendSegment {
+                    host: h,
+                    cid: None,
+                    repr,
+                    payload,
+                    remote,
+                    announce,
+                };
+                host_step(w, eng, h, cost, send);
             }
             RegistryAction::SetTimer(hs, t, deadline) => {
                 arm_timer(w, eng, h, TimerToken::Registry(hs.0, t), deadline);
@@ -1927,6 +2174,7 @@ fn apply_registry_actions(w: &mut World, eng: &mut Eng, h: usize, actions: Vec<R
             }
         }
     }
+    w.reg_spare.give(actions);
 }
 
 /// Re-derives the demux table-size gauges from the kernel modules.
@@ -2148,9 +2396,7 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Tcb
     }
     // Deliver the Connected upcall.
     let cost = app_boundary_cost(w, h);
-    host_exec(w, eng, h, cost, move |w, eng| {
-        app_event(w, eng, h, cid, AppEvent::Connected);
-    });
+    app_upcall(w, eng, h, cost, cid, AppEvent::Connected);
 }
 
 /// A handshake completed for a listener that no longer exists (the
@@ -2170,25 +2416,27 @@ fn listener_vanished(w: &mut World, eng: &mut Eng, h: usize, chan: ChanInfo, tcb
     });
     release_channel(w, h, &chan, pair_key(&tcb));
     let now = eng.now();
-    let actions = w.hosts[h].registry.app_exit(owner, vec![tcb], true, now);
-    apply_registry_actions(w, eng, h, actions);
+    with_registry(w, eng, h, |registry, out| {
+        registry.app_exit_into(owner, vec![tcb], true, now, out)
+    });
 }
 
 // ---------------------------------------------------------------------
 // TCP action routing (library / in-kernel stack, post-establishment)
 // ---------------------------------------------------------------------
 
-/// Routes one batch of TCP actions. `frame` is the id of the received
-/// frame that produced them (None for timer fires and app-initiated
-/// sends) — it stamps the `app_deliver` journal record so the profiler
-/// can join the final stage of the frame's path.
+/// Routes one batch of TCP actions; the emptied buffer returns to the
+/// world's spares. `frame` is the id of the received frame that produced
+/// them (None for timer fires and app-initiated sends) — it stamps the
+/// `app_deliver` journal record so the profiler can join the final stage
+/// of the frame's path.
 fn apply_tcp_actions(
     w: &mut World,
     eng: &mut Eng,
     h: usize,
     cid: u32,
     frame: Option<u64>,
-    actions: Vec<TcpAction>,
+    mut actions: Vec<TcpAction>,
 ) {
     // Harvest the connection's counter increments into the live registry
     // so windowed samplers see retransmit/RTT activity as it happens, not
@@ -2199,9 +2447,9 @@ fn apply_tcp_actions(
         w.metrics.add(Ctr::TcpRexmitSegs, d.rexmits);
         w.metrics.add(Ctr::TcpRttSamples, d.rtt_samples);
     }
-    for action in actions {
+    for action in actions.drain(..) {
         if !w.hosts[h].conns.contains_key(&cid) {
-            return; // connection reaped mid-sequence
+            break; // connection reaped mid-sequence
         }
         match action {
             TcpAction::Send(repr, payload) => {
@@ -2214,18 +2462,16 @@ fn apply_tcp_actions(
             TcpAction::CancelTimer(t) => cancel_timer(w, eng, h, TimerToken::Conn(cid, t)),
             TcpAction::Connected => {
                 let cost = app_boundary_cost(w, h);
-                host_exec(w, eng, h, cost, move |w, eng| {
-                    app_event(w, eng, h, cid, AppEvent::Connected);
-                });
+                app_upcall(w, eng, h, cost, cid, AppEvent::Connected);
             }
             TcpAction::DataAvailable => {
                 // Drain the receive buffer and upcall the application.
                 let now = eng.now();
-                let (key, (data, more_actions)) = {
-                    let conn = w.hosts[h].conns.get_mut(&cid).expect("checked");
-                    (conn_key(h, &conn.tcb), conn.tcb.recv(usize::MAX, now))
-                };
-                apply_tcp_actions(w, eng, h, cid, frame, more_actions);
+                let drained = with_conn(w, eng, h, cid, frame, |conn, out| {
+                    let data = conn.tcb.recv_into(usize::MAX, now, out);
+                    (conn_key(h, &conn.tcb), data)
+                });
+                let (key, data) = drained.expect("checked");
                 if !data.is_empty() {
                     w.metrics.sample(Hist::AppDeliverBytes, data.len() as u64);
                     w.metrics.conn(key).bytes_to_app += data.len() as u64;
@@ -2234,25 +2480,19 @@ fn apply_tcp_actions(
                         bytes: data.len() as u32,
                     });
                     let cost = app_boundary_cost(w, h) + rx_copy_cost(w, h, data.len());
-                    host_exec(w, eng, h, cost, move |w, eng| {
-                        app_event(w, eng, h, cid, AppEvent::Data(data));
-                    });
+                    app_upcall(w, eng, h, cost, cid, AppEvent::Data(data));
                 }
             }
             TcpAction::SendSpace => {
                 flush_conn_tx(w, eng, h, cid);
                 if w.hosts[h].conns.contains_key(&cid) {
                     let cost = w.costs.library_call;
-                    host_exec(w, eng, h, cost, move |w, eng| {
-                        app_event(w, eng, h, cid, AppEvent::SendSpace);
-                    });
+                    app_upcall(w, eng, h, cost, cid, AppEvent::SendSpace);
                 }
             }
             TcpAction::PeerClosed => {
                 let cost = app_boundary_cost(w, h);
-                host_exec(w, eng, h, cost, move |w, eng| {
-                    app_event(w, eng, h, cid, AppEvent::PeerClosed);
-                });
+                app_upcall(w, eng, h, cost, cid, AppEvent::PeerClosed);
             }
             TcpAction::Reset => {
                 w.metrics.bump(Ctr::ConnectionsReset);
@@ -2279,6 +2519,7 @@ fn apply_tcp_actions(
             }
         }
     }
+    w.tcp_spare.give(actions);
 }
 
 /// The journaled control-flag summary of a segment (what the online
@@ -2324,29 +2565,11 @@ fn send_tcp_frame(
     let mtu = w.link.params().mtu;
     let hlen = repr.header_len();
     let lhl = w.hosts[h].link_header_len();
-    let mut ip_frames: Vec<Frame> = Vec::with_capacity(1);
-    if IPV4_HEADER_LEN + hlen + payload.len() <= mtu {
-        let mut f = w.pool.alloc(lhl + IPV4_HEADER_LEN + hlen, payload);
-        f.prepend(hlen);
-        repr.emit_into(f.as_mut_slice(), local_ip, remote)
-            .expect("segment sized for its headroom");
-        let ident = w.hosts[h].ip_ep.alloc_ident();
-        let ip_repr = Ipv4Repr {
-            ident,
-            ..Ipv4Repr::simple(local_ip, remote, IpProtocol::Tcp, hlen + payload.len())
-        };
-        ip_repr
-            .emit(f.prepend(IPV4_HEADER_LEN))
-            .expect("headroom covers the IP header");
-        ip_frames.push(f);
-    } else {
-        let seg = repr.build_segment(local_ip, remote, payload);
-        let pkts = w.hosts[h].ip_ep.send(IpProtocol::Tcp, remote, &seg, mtu);
-        ip_frames.extend(pkts.iter().map(|p| w.pool.alloc(lhl, p)));
-    }
-    for ipf in ip_frames {
+    // One IP packet of the segment: resolve the next hop, prepend the link
+    // header, pass the channel's template check, pay for the device.
+    let emit = |w: &mut World, eng: &mut Eng, ipf: Frame| {
         let Some(mac) = resolve_mac(w, eng, h, remote, IpProtocol::Tcp, &ipf) else {
-            continue;
+            return;
         };
         let frame = encap_link(w, h, mac, ipf, bqi, announce);
         if !fabricated {
@@ -2373,23 +2596,46 @@ fn send_tcp_frame(
                 Ok(_) => {}
                 Err(unp_kernel::TxError::QuotaExceeded) => {
                     w.metrics.bump(Ctr::TxQuotaRejections);
-                    continue;
+                    return;
                 }
                 Err(_) => {
                     w.metrics.bump(Ctr::TxTemplateRejections);
-                    continue;
+                    return;
                 }
             }
         }
         let cost = tx_device_cost(w, h, frame.len());
-        host_exec(w, eng, h, cost, move |w, eng| {
-            transmit_frame(w, eng, h, frame);
-        });
+        host_step(w, eng, h, cost, Event::Transmit { host: h, frame });
+    };
+    if IPV4_HEADER_LEN + hlen + payload.len() <= mtu {
+        let mut f = w.pool.alloc(lhl + IPV4_HEADER_LEN + hlen, payload);
+        f.prepend(hlen);
+        repr.emit_into(f.as_mut_slice(), local_ip, remote)
+            .expect("segment sized for its headroom");
+        let ident = w.hosts[h].ip_ep.alloc_ident();
+        let ip_repr = Ipv4Repr {
+            ident,
+            ..Ipv4Repr::simple(local_ip, remote, IpProtocol::Tcp, hlen + payload.len())
+        };
+        ip_repr
+            .emit(f.prepend(IPV4_HEADER_LEN))
+            .expect("headroom covers the IP header");
+        emit(w, eng, f);
+    } else {
+        let seg = repr.build_segment(local_ip, remote, payload);
+        let pkts = w.hosts[h].ip_ep.send(IpProtocol::Tcp, remote, &seg, mtu);
+        // Every fragment is staged before the first leaves, as their
+        // frame ids record.
+        let fragments: Vec<Frame> = pkts.iter().map(|p| w.pool.alloc(lhl, p)).collect();
+        for ipf in fragments {
+            emit(w, eng, ipf);
+        }
     }
 }
 
-/// Builds and transmits one TCP segment, charging the full org-specific
-/// path. `cid` is `None` for connectionless RSTs from the kernel.
+/// Charges one TCP segment's output processing and schedules its
+/// [`Event::SendSegment`]. `cid` is `None` for connectionless RSTs from
+/// the kernel.
 fn send_tcp_segment(
     w: &mut World,
     eng: &mut Eng,
@@ -2400,16 +2646,15 @@ fn send_tcp_segment(
     remote: Ipv4Addr,
 ) {
     let cost = tcp_seg_cost(w, repr.header_len() + payload.len());
-    host_exec(w, eng, h, cost, move |w, eng| {
-        // Only the user library's connections have a channel: their data
-        // frames stamp the peer's announced BQI (hardware demux) and pass
-        // the template check under the channel's send capability.
-        let conn = cid.and_then(|c| w.hosts[h].conns.get(&c));
-        let chan = conn.and_then(|c| c.chan.as_ref());
-        let bqi = chan.and_then(|ci| ci.peer_bqi).unwrap_or(0);
-        let send_cap = chan.map(|ci| ci.send_cap);
-        send_tcp_frame(w, eng, h, &repr, &payload, remote, bqi, 0, send_cap, false);
-    });
+    let send = Event::SendSegment {
+        host: h,
+        cid,
+        repr,
+        payload,
+        remote,
+        announce: 0,
+    };
+    host_step(w, eng, h, cost, send);
 }
 
 /// The one connection removal, whatever ends the connection's life in
@@ -2488,11 +2733,24 @@ fn retire_conn_stats(
 // Application plumbing
 // ---------------------------------------------------------------------
 
-enum AppEvent {
+/// An upcall into a connection's application ([`Event::App`]).
+#[derive(Debug)]
+pub enum AppEvent {
+    /// The connection is established.
     Connected,
+    /// In-order data, drained from the TCB's receive buffer.
     Data(Vec<u8>),
+    /// Send-buffer space was freed.
     SendSpace,
+    /// The peer closed its direction.
     PeerClosed,
+}
+
+/// Charges the application boundary and schedules `upcall` into
+/// connection `cid`'s application.
+fn app_upcall(w: &mut World, eng: &mut Eng, h: usize, cost: Nanos, cid: u32, upcall: AppEvent) {
+    let host = h;
+    host_step(w, eng, h, cost, Event::App { host, cid, upcall });
 }
 
 fn app_event(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ev: AppEvent) {
@@ -2527,19 +2785,20 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<crat
                 // Charge the write boundary + any copy the org performs.
                 let cost = app_boundary_cost(w, h) + tx_copy_cost(w, h, data.len());
                 w.hosts[h].cpu.charge(eng.now(), cost);
+                let mut actions = w.tcp_spare.take();
                 let conn = w.hosts[h].conns.get_mut(&cid).expect("checked");
                 // `pending_tx` holds only what the TCB refused: a write
                 // that finds it empty goes to the TCB straight from the
                 // app's buffer, and only the tail that did not fit queues.
                 let offered = if conn.pending_tx.is_empty() {
-                    offer_tx(&mut conn.tcb, &data, eng.now())
+                    offer_tx(&mut conn.tcb, &data, eng.now(), &mut actions)
                 } else {
                     None
                 };
-                let taken = offered.as_ref().map_or(0, |&(n, _)| n);
-                conn.pending_tx.extend(&data[taken..]);
-                if let Some((_, actions)) = offered {
-                    apply_tcp_actions(w, eng, h, cid, None, actions);
+                conn.pending_tx.extend(&data[offered.unwrap_or(0)..]);
+                match offered {
+                    Some(_) => apply_tcp_actions(w, eng, h, cid, None, actions),
+                    None => w.tcp_spare.give(actions),
                 }
                 flush_conn_tx(w, eng, h, cid);
             }
@@ -2550,13 +2809,7 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<crat
                 flush_conn_tx(w, eng, h, cid);
             }
             crate::app::AppOp::Abort => {
-                let actions = {
-                    let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
-                        return;
-                    };
-                    conn.tcb.abort()
-                };
-                apply_tcp_actions(w, eng, h, cid, None, actions);
+                with_conn(w, eng, h, cid, None, |conn, out| conn.tcb.abort_into(out));
             }
         }
     }
@@ -2565,13 +2818,14 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<crat
 /// Offers `bytes` to the TCB in a single `send` of as many as fit. One
 /// call, because segment boundaries (Nagle, sender silly-window
 /// avoidance) depend on how many bytes one `send` sees. `None` when
-/// nothing fits or the connection no longer takes data.
-fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos) -> Option<(usize, Vec<TcpAction>)> {
+/// nothing fits or the connection no longer takes data; otherwise the
+/// count taken, with what the write triggered appended to `out`.
+fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos, out: &mut Vec<TcpAction>) -> Option<usize> {
     let n = bytes.len().min(tcb.send_space());
     if n == 0 {
         return None;
     }
-    tcb.send(&bytes[..n], now).ok()
+    tcb.send_into(&bytes[..n], now, out).ok()
 }
 
 /// Moves pending app bytes into the TCB and issues a deferred close.
@@ -2581,8 +2835,10 @@ fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
         let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
             return;
         };
+        let mut actions = w.tcp_spare.take();
         let queued = conn.pending_tx.make_contiguous();
-        let Some((n, actions)) = offer_tx(&mut conn.tcb, queued, now) else {
+        let Some(n) = offer_tx(&mut conn.tcb, queued, now, &mut actions) else {
+            w.tcp_spare.give(actions);
             break;
         };
         conn.pending_tx.drain(..n);
@@ -2596,12 +2852,11 @@ fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
         conn.close_pending && conn.pending_tx.is_empty() && conn.tcb.state().is_synchronized()
     };
     if close_now {
-        let actions = {
-            let conn = w.hosts[h].conns.get_mut(&cid).expect("checked");
+        with_conn(w, eng, h, cid, None, |conn, out| {
             conn.close_pending = false;
-            conn.tcb.close(now).unwrap_or_default()
-        };
-        apply_tcp_actions(w, eng, h, cid, None, actions);
+            // A refused close (already closing) adds nothing.
+            let _ = conn.tcb.close_into(now, out);
+        });
     }
 }
 
@@ -2613,9 +2868,7 @@ pub fn poke_conn(w: &mut World, eng: &mut Eng, host: usize, cid: u32) {
         return;
     }
     let cost = app_boundary_cost(w, host);
-    host_exec(w, eng, host, cost, move |w, eng| {
-        app_event(w, eng, host, cid, AppEvent::SendSpace);
-    });
+    app_upcall(w, eng, host, cost, cid, AppEvent::SendSpace);
 }
 
 /// Looks up a live connection id by its (local port, remote) key — the
@@ -2641,18 +2894,15 @@ impl crate::app::AppLogic for ExitedApp {}
 pub fn app_exit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnormal: bool) {
     let now = eng.now();
     if !w.hosts[host].org.is_user_library() {
-        let actions = {
-            let Some(conn) = w.hosts[host].conns.get_mut(&cid) else {
-                return;
-            };
+        with_conn(w, eng, host, cid, None, |conn, out| {
             conn.app = Box::new(ExitedApp);
             if abnormal {
-                conn.tcb.abort()
+                conn.tcb.abort_into(out);
             } else {
-                conn.tcb.close(now).unwrap_or_default()
+                // A refused close (already closing) adds nothing.
+                let _ = conn.tcb.close_into(now, out);
             }
-        };
-        apply_tcp_actions(w, eng, host, cid, None, actions);
+        });
         return;
     }
     // The registry tracks the connection under the tenant that opened it
@@ -2675,11 +2925,10 @@ pub fn app_exit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnormal: b
     let tcb = conn.tcb;
     host_exec(w, eng, host, cost, move |w, eng| {
         let now = eng.now();
-        let actions = w.hosts[host]
-            .registry
-            .app_exit(owner, vec![tcb], abnormal, now);
         w.metrics.bump(Ctr::ConnectionsInherited);
-        apply_registry_actions(w, eng, host, actions);
+        with_registry(w, eng, host, |registry, out| {
+            registry.app_exit_into(owner, vec![tcb], abnormal, now, out)
+        });
     });
 }
 
@@ -2799,7 +3048,8 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     }
     // Stage 2: the registry's death notice — abort the tenant's pending
     // handshakes, release its port reservations.
-    let (actions, report) = w.hosts[host].registry.owner_died(tenant);
+    let mut actions = w.reg_spare.take();
+    let report = w.hosts[host].registry.owner_died_into(tenant, &mut actions);
     for &port in &report.listeners {
         reclaimed(w, host, tenant, ReclaimKind::Port, port as u32);
     }
@@ -2837,10 +3087,9 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     }
     if !orphan_tcbs.is_empty() {
         let now = eng.now();
-        let actions = w.hosts[host]
-            .registry
-            .app_exit(tenant, orphan_tcbs, true, now);
-        apply_registry_actions(w, eng, host, actions);
+        with_registry(w, eng, host, |registry, out| {
+            registry.app_exit_into(tenant, orphan_tcbs, true, now, out)
+        });
     }
     let freed = match &mut w.hosts[host].nic {
         Nic::An1(nic) => nic.bqi_table.reclaim_owner(tenant),
@@ -2884,7 +3133,7 @@ fn resched_wheel(w: &mut World, eng: &mut Eng, h: usize) {
             if let Some((_, ev)) = prev {
                 eng.cancel(ev);
             }
-            let ev = eng.at(d, move |w, eng| wheel_fire(w, eng, h));
+            let ev = eng.schedule(d, Event::WheelFire { host: h });
             w.hosts[h].wheel_event = Some((d, ev));
         }
         (None, Some((_, ev))) => {
@@ -2896,27 +3145,24 @@ fn resched_wheel(w: &mut World, eng: &mut Eng, h: usize) {
 }
 
 fn wheel_fire(w: &mut World, eng: &mut Eng, h: usize) {
-    let _attr = unp_trace::host_scope(h as u16);
     w.hosts[h].wheel_event = None;
     let now = eng.now();
-    let mut fired = Vec::new();
+    let mut fired = std::mem::take(&mut w.hosts[h].fired);
     w.hosts[h].wheel.advance(now, &mut fired);
-    for token in fired {
+    for token in fired.drain(..) {
         w.hosts[h].timers.remove(&token);
         match token {
             TimerToken::Conn(cid, t) => {
-                let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
-                    continue;
-                };
-                let actions = conn.tcb.on_timer(t, now);
-                apply_tcp_actions(w, eng, h, cid, None, actions);
+                with_conn(w, eng, h, cid, None, |conn, out| {
+                    conn.tcb.on_timer_into(t, now, out)
+                });
             }
-            TimerToken::Registry(hs, t) => {
-                let actions = w.hosts[h].registry.on_timer(HsId(hs), t, now);
-                apply_registry_actions(w, eng, h, actions);
-            }
+            TimerToken::Registry(hs, t) => with_registry(w, eng, h, |registry, out| {
+                registry.on_timer_into(HsId(hs), t, now, out)
+            }),
         }
     }
+    w.hosts[h].fired = fired;
     resched_wheel(w, eng, h);
 }
 
@@ -2960,6 +3206,29 @@ mod tests {
         );
         assert!(eng.run(&mut w, 5_000_000), "simulation did not drain");
         (w, stats)
+    }
+
+    #[test]
+    fn an_event_fits_its_slab_slot() {
+        // The engine's slab keeps 8 + size_of::<Event>() bytes per slot and
+        // never shrinks, so a variant that outgrows this budget is paid
+        // for by every workload's peak heap: box the rare thing instead.
+        assert!(std::mem::size_of::<Event>() <= 96);
+    }
+
+    #[test]
+    fn the_pending_queue_prints_its_steps_by_name() {
+        let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
+        let remote = (Ipv4Addr::new(10, 0, 0, 2), 80);
+        let app = Box::new(BulkSender::new(50_000, 4096));
+        connect(&mut w, &mut eng, 0, remote, TcpConfig::default(), app, 4096);
+        let queue = format!("{eng:?}");
+        assert!(queue.ends_with(", 0, Call(<closure>))] }"), "{queue}");
+        // Nobody listens: by now the SYN is on the wire and its timer armed.
+        eng.run(&mut w, 3);
+        let queue = format!("{eng:?}");
+        assert!(queue.contains("FrameArrives { host: 1"), "{queue}");
+        assert!(queue.contains("WheelFire { host: 0 }"), "{queue}");
     }
 
     #[test]

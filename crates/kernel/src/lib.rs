@@ -1062,7 +1062,7 @@ impl NetIoModule {
     /// The library side: consume every queued packet for `cap` and clear
     /// the notification flag (single-shot read).
     pub fn consume(&mut self, cap: Capability) -> Result<Vec<Frame>, TxError> {
-        let out = self.consume_batch(cap)?;
+        let out = self.consume_batch(cap)?.collect();
         let _ = self.end_wakeup(cap)?;
         Ok(out)
     }
@@ -1073,7 +1073,14 @@ impl NetIoModule {
     /// batching the paper relies on ("batch multiple network packets per
     /// semaphore notification in order to amortize the cost of
     /// signaling"). Pair with [`NetIoModule::end_wakeup`].
-    pub fn consume_batch(&mut self, cap: Capability) -> Result<Vec<Frame>, TxError> {
+    ///
+    /// The batch is the ring's own drain: the slots are accounted as
+    /// consumed here, and the frames leave the ring as the caller takes
+    /// them (or all at once when it drops the drain).
+    pub fn consume_batch(
+        &mut self,
+        cap: Capability,
+    ) -> Result<std::collections::vec_deque::Drain<'_, Frame>, TxError> {
         let entry = self.caps.get(&cap.0).ok_or(TxError::BadCapability)?;
         if entry.right != Right::Receive {
             return Err(TxError::NoSendRight);
@@ -1083,17 +1090,17 @@ impl NetIoModule {
             .channels
             .get_mut(&channel.0)
             .ok_or(TxError::BadCapability)?;
-        let frames: Vec<Frame> = ch.rx_ring.drain(..).collect();
+        let frames = ch.rx_ring.len();
         // Consuming returns the slots to the tenant's ring budget.
         let owner = ch.owner;
         if let Some(acct) = self.tenants.get_mut(&owner.0) {
-            acct.ring_occupancy = acct.ring_occupancy.saturating_sub(frames.len());
+            acct.ring_occupancy = acct.ring_occupancy.saturating_sub(frames);
         }
         unp_trace::emit(None, || unp_trace::Event::WakeupBatch {
             channel: channel.0,
-            frames: frames.len() as u32,
+            frames: frames as u32,
         });
-        Ok(frames)
+        Ok(ch.rx_ring.drain(..))
     }
 
     /// Ends a wakeup: if the ring is empty the notification flag clears
@@ -1586,8 +1593,7 @@ mod tests {
             m.deliver_software(&frame),
             Delivery::Channel { signal: true, .. }
         ));
-        let batch1 = m.consume_batch(recv).unwrap();
-        assert_eq!(batch1.len(), 1);
+        assert_eq!(m.consume_batch(recv).unwrap().len(), 1);
         // While processing, two more arrive: neither signals.
         assert!(matches!(
             m.deliver_software(&frame),
@@ -1599,8 +1605,7 @@ mod tests {
         ));
         // The wakeup ends with packets still queued: keep going.
         assert!(!m.end_wakeup(recv).unwrap());
-        let batch2 = m.consume_batch(recv).unwrap();
-        assert_eq!(batch2.len(), 2);
+        assert_eq!(m.consume_batch(recv).unwrap().len(), 2);
         // Now the ring is empty: the thread blocks again...
         assert!(m.end_wakeup(recv).unwrap());
         // ...and the next packet posts a fresh signal.

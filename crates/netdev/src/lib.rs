@@ -68,12 +68,15 @@ impl Link {
 
     /// Stations that should receive a frame addressed to `dst` sent by
     /// `from` (unicast match or broadcast flood, never the sender).
-    pub fn recipients(&self, from: StationId, dst: MacAddr) -> Vec<StationId> {
+    pub fn recipients(
+        &self,
+        from: StationId,
+        dst: MacAddr,
+    ) -> impl Iterator<Item = StationId> + '_ {
         self.stations
             .iter()
-            .filter(|(sid, mac)| *sid != from && (dst.is_broadcast() || *mac == dst))
+            .filter(move |(sid, mac)| *sid != from && (dst.is_broadcast() || *mac == dst))
             .map(|(sid, _)| *sid)
-            .collect()
     }
 
     /// Reserves the medium for a frame of `len` bytes requested at `now` by
@@ -291,12 +294,10 @@ mod tests {
         link.attach(StationId(0), m(0));
         link.attach(StationId(1), m(1));
         link.attach(StationId(2), m(2));
-        assert_eq!(link.recipients(StationId(0), m(2)), vec![StationId(2)]);
-        assert_eq!(
-            link.recipients(StationId(0), MacAddr::BROADCAST),
-            vec![StationId(1), StationId(2)]
-        );
-        assert!(link.recipients(StationId(0), m(0)).is_empty(), "no self");
+        let to = |dst| link.recipients(StationId(0), dst).collect::<Vec<_>>();
+        assert_eq!(to(m(2)), vec![StationId(2)]);
+        assert_eq!(to(MacAddr::BROADCAST), vec![StationId(1), StationId(2)]);
+        assert!(to(m(0)).is_empty(), "no self");
         assert_eq!(link.mac_of(StationId(1)), Some(m(1)));
     }
 

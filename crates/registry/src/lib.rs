@@ -49,7 +49,10 @@ pub type Nanos = u64;
 pub struct HsId(pub u64);
 
 /// Outputs of the registry state machine, routed by the hosting
-/// organization (which charges the paper's costs for each).
+/// organization (which charges the paper's costs for each). Like the TCB
+/// under it, every [`RegistryServer`] entry point that produces actions
+/// has a sink form (`*_into`: appends to the caller's buffer, never
+/// clears it) and a `Vec`-returning wrapper over it.
 #[derive(Debug)]
 pub enum RegistryAction {
     /// Transmit a segment to `remote` on behalf of connection `hs`
@@ -209,6 +212,9 @@ pub struct RegistryServer {
     bindings: Vec<BindingReport>,
     next_hs: u64,
     next_iss: u32,
+    /// Where a TCB's output waits for [`RegistryServer::route`]; empty
+    /// between calls, kept for its capacity.
+    tcp_actions: Vec<TcpAction>,
 }
 
 impl RegistryServer {
@@ -225,6 +231,7 @@ impl RegistryServer {
             // Seed the ISS from the host address so two hosts never share
             // sequence spaces (the 4.3BSD clock-driven scheme's role).
             next_iss: 0x1000_u32.wrapping_add(local_ip.to_u32().wrapping_mul(2654435761)),
+            tcp_actions: Vec::new(),
         }
     }
 
@@ -276,12 +283,27 @@ impl RegistryServer {
         cfg: TcpConfig,
         now: Nanos,
     ) -> Result<(HsId, Vec<RegistryAction>), RegistryError> {
+        let mut out = Vec::new();
+        let hs = self.connect_into(owner, remote, cfg, now, &mut out)?;
+        Ok((hs, out))
+    }
+
+    /// [`RegistryServer::connect`], appending the actions to `out`.
+    pub fn connect_into(
+        &mut self,
+        owner: OwnerTag,
+        remote: (Ipv4Addr, u16),
+        cfg: TcpConfig,
+        now: Nanos,
+        out: &mut Vec<RegistryAction>,
+    ) -> Result<HsId, RegistryError> {
         let port = self
             .ports
             .alloc_ephemeral(remote, now)
             .ok_or(RegistryError::Exhausted)?;
         let iss = self.iss();
-        let (tcb, actions) = Tcb::connect((self.local_ip, port), remote, cfg, iss, now);
+        let local = (self.local_ip, port);
+        let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut self.tcp_actions);
         let hs = self.next_hs;
         self.next_hs += 1;
         self.index.insert((port, remote.0, remote.1), hs);
@@ -295,7 +317,8 @@ impl RegistryServer {
                 inherited: false,
             },
         );
-        Ok((HsId(hs), self.route(hs, actions)))
+        self.route(hs, out);
+        Ok(HsId(hs))
     }
 
     /// Processes a TCP segment that arrived on the kernel default path
@@ -309,20 +332,34 @@ impl RegistryServer {
         payload: &[u8],
         now: Nanos,
     ) -> Vec<RegistryAction> {
+        let mut out = Vec::new();
+        self.on_segment_into(src, repr, payload, now, &mut out);
+        out
+    }
+
+    /// [`RegistryServer::on_segment`], appending the actions to `out`.
+    pub fn on_segment_into(
+        &mut self,
+        src: Ipv4Addr,
+        repr: &TcpRepr,
+        payload: &[u8],
+        now: Nanos,
+        out: &mut Vec<RegistryAction>,
+    ) {
         let key = (repr.dst_port, src, repr.src_port);
         if let Some(&hs) = self.index.get(&key) {
-            let actions = {
-                let p = self.conns.get_mut(&hs).expect("indexed");
-                p.tcb.on_segment(repr, payload, now)
-            };
-            return self.route(hs, actions);
+            let p = self.conns.get_mut(&hs).expect("indexed");
+            p.tcb
+                .on_segment_into(repr, payload, now, &mut self.tcp_actions);
+            return self.route(hs, out);
         }
         // New connection to a listener?
         if let Some((owner, cfg)) = self.listeners.get(&repr.dst_port).cloned() {
             let listener = ListenTcb::new((self.local_ip, repr.dst_port), cfg);
             let iss = self.iss();
-            let on_syn = listener.on_syn((src, repr.src_port), repr, iss, now);
-            if let Some((tcb, actions)) = on_syn {
+            let remote = (src, repr.src_port);
+            let on_syn = listener.on_syn_into(remote, repr, iss, now, &mut self.tcp_actions);
+            if let Some(tcb) = on_syn {
                 let hs = self.next_hs;
                 self.next_hs += 1;
                 self.index.insert(key, hs);
@@ -336,42 +373,44 @@ impl RegistryServer {
                         inherited: false,
                     },
                 );
-                return self.route(hs, actions);
+                return self.route(hs, out);
             }
-            // Non-SYN segment to a listening port: no connection; RST it
-            // (unless it is itself a RST).
-            if repr.flags.rst {
-                return Vec::new();
-            }
-            let rst = Tcb::rst_for((self.local_ip, repr.dst_port), repr, payload.len());
-            return vec![RegistryAction::Send {
-                hs: HsId(0),
-                repr: rst,
-                payload: Vec::new(),
-                remote: src,
-            }];
         }
-        // Stray segment to a dead endpoint: answer with RST unless it is
-        // itself a RST.
+        // A non-SYN segment to a listening port, or a stray to a dead
+        // endpoint: no connection; answer with RST unless it is itself a
+        // RST.
         if repr.flags.rst {
-            return Vec::new();
+            return;
         }
         let rst = Tcb::rst_for((self.local_ip, repr.dst_port), repr, payload.len());
-        vec![RegistryAction::Send {
+        out.push(RegistryAction::Send {
             hs: HsId(0),
             repr: rst,
             payload: Vec::new(),
             remote: src,
-        }]
+        });
     }
 
     /// Handles a timer the host armed for connection `hs`.
     pub fn on_timer(&mut self, hs: HsId, timer: TcpTimer, now: Nanos) -> Vec<RegistryAction> {
+        let mut out = Vec::new();
+        self.on_timer_into(hs, timer, now, &mut out);
+        out
+    }
+
+    /// [`RegistryServer::on_timer`], appending the actions to `out`.
+    pub fn on_timer_into(
+        &mut self,
+        hs: HsId,
+        timer: TcpTimer,
+        now: Nanos,
+        out: &mut Vec<RegistryAction>,
+    ) {
         let Some(p) = self.conns.get_mut(&hs.0) else {
-            return Vec::new();
+            return;
         };
-        let actions = p.tcb.on_timer(timer, now);
-        self.route(hs.0, actions)
+        p.tcb.on_timer_into(timer, now, &mut self.tcp_actions);
+        self.route(hs.0, out);
     }
 
     /// The owning application exited. Established connections it still
@@ -386,20 +425,31 @@ impl RegistryServer {
         now: Nanos,
     ) -> Vec<RegistryAction> {
         let mut out = Vec::new();
+        self.app_exit_into(owner, tcbs, abnormal, now, &mut out);
+        out
+    }
+
+    /// [`RegistryServer::app_exit`], appending the actions to `out`.
+    pub fn app_exit_into(
+        &mut self,
+        owner: OwnerTag,
+        tcbs: Vec<Tcb>,
+        abnormal: bool,
+        now: Nanos,
+        out: &mut Vec<RegistryAction>,
+    ) {
         for mut tcb in tcbs {
             let (local, remote) = (tcb.local(), tcb.remote());
             let key = (local.1, remote.0, remote.1);
             if abnormal {
-                let actions = tcb.abort();
-                let hs = self.adopt(tcb, owner, remote.0, key);
-                out.extend(self.route(hs, actions));
+                tcb.abort_into(&mut self.tcp_actions);
             } else {
-                let actions = tcb.close(now).unwrap_or_default();
-                let hs = self.adopt(tcb, owner, remote.0, key);
-                out.extend(self.route(hs, actions));
+                // Already closing: nothing to add, the TCB finishes as is.
+                let _ = tcb.close_into(now, &mut self.tcp_actions);
             }
+            let hs = self.adopt(tcb, owner, remote.0, key);
+            self.route(hs, out);
         }
-        out
     }
 
     /// Full death cleanup for `owner`, beyond the established connections
@@ -412,8 +462,18 @@ impl RegistryServer {
     /// already closing for this owner are left to finish their protocol.
     /// Returns the actions to route plus a report of what was reclaimed.
     pub fn owner_died(&mut self, owner: OwnerTag) -> (Vec<RegistryAction>, DeathReport) {
-        let mut report = DeathReport::default();
         let mut out = Vec::new();
+        let report = self.owner_died_into(owner, &mut out);
+        (out, report)
+    }
+
+    /// [`RegistryServer::owner_died`], appending the actions to `out`.
+    pub fn owner_died_into(
+        &mut self,
+        owner: OwnerTag,
+        out: &mut Vec<RegistryAction>,
+    ) -> DeathReport {
+        let mut report = DeathReport::default();
         let mut dead_ports: Vec<u16> = self
             .listeners
             .iter()
@@ -434,14 +494,12 @@ impl RegistryServer {
             .collect();
         dead_hs.sort_unstable();
         for hs in dead_hs {
-            let (actions, port) = {
-                let p = self.conns.get_mut(&hs).expect("collected above");
-                (p.tcb.abort(), p.tcb.local().1)
-            };
-            report.handshakes.push((hs, port));
-            out.extend(self.route(hs, actions));
+            let p = self.conns.get_mut(&hs).expect("collected above");
+            p.tcb.abort_into(&mut self.tcp_actions);
+            report.handshakes.push((hs, p.tcb.local().1));
+            self.route(hs, out);
         }
-        (out, report)
+        report
     }
 
     fn adopt(
@@ -521,15 +579,15 @@ impl RegistryServer {
         self.ports.is_free(port, now)
     }
 
-    /// Converts TCB actions into registry actions, extracting completion.
-    fn route(&mut self, hs: u64, actions: Vec<TcpAction>) -> Vec<RegistryAction> {
-        let mut out = Vec::new();
+    /// Converts the TCB actions waiting in `tcp_actions` into registry
+    /// actions appended to `out`, extracting completion.
+    fn route(&mut self, hs: u64, out: &mut Vec<RegistryAction>) {
         let mut completed = false;
         let mut closed = false;
         let mut reset = false;
         {
             let p = self.conns.get_mut(&hs).expect("routing live conn");
-            for a in actions {
+            for a in self.tcp_actions.drain(..) {
                 match a {
                     TcpAction::Send(repr, payload) => out.push(RegistryAction::Send {
                         hs: HsId(hs),
@@ -591,7 +649,6 @@ impl RegistryServer {
                 }
             }
         }
-        out
     }
 }
 

@@ -21,6 +21,8 @@ pub use cpu::Cpu;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::marker::PhantomData;
 
 /// Simulated time in nanoseconds since world start.
 pub type Nanos = u64;
@@ -54,40 +56,92 @@ pub fn reset_events_executed() {
 pub struct EventId {
     /// Schedule order; unique per engine, so an id outlives its slot.
     seq: u64,
-    /// Where the closure sits in the engine's slab.
+    /// Where the event sits in the engine's slab.
     slot: u32,
 }
 
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+/// A boxed closure over the world and its engine: what [`Engine::at`] and
+/// [`Engine::after`] hand to [`Event::call`].
+pub type EventFn<W, E> = Box<dyn FnOnce(&mut W, &mut Engine<W, E>)>;
 
-/// A discrete-event engine generic over the world type `W`.
+/// What an [`Engine`] stores and fires. The engine keeps events by value
+/// in its slab, so a world whose steps are variants of one enum schedules
+/// them without touching the allocator; `call` is how that enum (or
+/// [`Call`], the default) carries the occasional closure.
+pub trait Event<W>: Sized {
+    /// Runs the event at its scheduled time.
+    fn fire(self, world: &mut W, eng: &mut Engine<W, Self>);
+
+    /// Wraps a closure as an event.
+    fn call(f: EventFn<W, Self>) -> Self;
+}
+
+/// The closure-only event: an engine that names no event type stores one
+/// boxed closure per event.
+pub struct Call<W>(EventFn<W, Call<W>>);
+
+impl<W> Event<W> for Call<W> {
+    fn fire(self, world: &mut W, eng: &mut Engine<W, Self>) {
+        (self.0)(world, eng)
+    }
+
+    fn call(f: EventFn<W, Self>) -> Self {
+        Call(f)
+    }
+}
+
+/// A discrete-event engine generic over the world type `W` and the event
+/// type `E` it stores.
 ///
-/// Closures scheduled on the engine receive `(&mut W, &mut Engine<W>)` so
-/// they can mutate the world and schedule follow-up events.
-pub struct Engine<W> {
+/// Events receive `(&mut W, &mut Engine<W, E>)` so they can mutate the
+/// world and schedule follow-up events.
+pub struct Engine<W, E = Call<W>> {
     now: Nanos,
     seq: u64,
     /// `(time, seq, slot)`: `seq` is unique, so order is `(time, seq)`.
     heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
-    /// Scheduled closures, each tagged with its event's `seq`; a heap
-    /// entry or [`EventId`] whose `seq` differs from its slot's is stale.
-    slab: Vec<Option<(u64, EventFn<W>)>>,
+    /// Scheduled events, each tagged with its `seq`; a heap entry or
+    /// [`EventId`] whose `seq` differs from its slot's is stale.
+    slab: Vec<Option<(u64, E)>>,
     /// Vacant `slab` slots, reused last-freed-first.
     free: Vec<u32>,
     executed: u64,
     /// Heap entries whose event has been cancelled but not yet popped.
     tombstones: usize,
+    _world: PhantomData<fn(&mut W)>,
 }
 
-impl<W> Default for Engine<W> {
+impl<W, E: Event<W>> Default for Engine<W, E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Engine<W> {
+/// The pending events in firing order, so a stuck or surprising run can be
+/// read off with `{:?}`.
+impl<W, E: fmt::Debug> fmt::Debug for Engine<W, E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut queue: Vec<(Nanos, u64, &E)> = self
+            .heap
+            .iter()
+            .filter_map(
+                |&Reverse((time, seq, slot))| match &self.slab[slot as usize] {
+                    Some((s, event)) if *s == seq => Some((time, seq, event)),
+                    _ => None,
+                },
+            )
+            .collect();
+        queue.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
+        f.debug_struct("Engine")
+            .field("now", &self.now)
+            .field("queue", &queue)
+            .finish()
+    }
+}
+
+impl<W, E: Event<W>> Engine<W, E> {
     /// Creates an empty engine at time zero.
-    pub fn new() -> Engine<W> {
+    pub fn new() -> Engine<W, E> {
         Engine {
             now: 0,
             seq: 0,
@@ -96,6 +150,7 @@ impl<W> Engine<W> {
             free: Vec::new(),
             executed: 0,
             tombstones: 0,
+            _world: PhantomData,
         }
     }
 
@@ -121,15 +176,12 @@ impl<W> Engine<W> {
         self.heap.len()
     }
 
-    /// Schedules `f` to run at absolute time `time` (clamped to `now`).
-    pub fn at<F>(&mut self, time: Nanos, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
+    /// Schedules `event` to fire at absolute time `time` (clamped to `now`).
+    pub fn schedule(&mut self, time: Nanos, event: E) -> EventId {
         let time = time.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let event = Some((seq, Box::new(f) as EventFn<W>));
+        let event = Some((seq, event));
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = event;
@@ -144,10 +196,19 @@ impl<W> Engine<W> {
         EventId { seq, slot }
     }
 
+    /// Schedules the closure `f` to run at absolute time `time` (clamped to
+    /// `now`): [`Engine::schedule`] of [`Event::call`].
+    pub fn at<F>(&mut self, time: Nanos, f: F) -> EventId
+    where
+        F: FnOnce(&mut W, &mut Engine<W, E>) + 'static,
+    {
+        self.schedule(time, E::call(Box::new(f)))
+    }
+
     /// Schedules `f` to run `delay` after the current time.
     pub fn after<F>(&mut self, delay: Nanos, f: F) -> EventId
     where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
+        F: FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     {
         self.at(self.now + delay, f)
     }
@@ -155,22 +216,22 @@ impl<W> Engine<W> {
     /// True while event `seq` occupies `slot`: it has neither run nor been
     /// cancelled. A slot is reused, so the `seq` tag is what tells a stale
     /// heap entry or [`EventId`] from the slot's current tenant.
-    fn is_live(slab: &[Option<(u64, EventFn<W>)>], seq: u64, slot: u32) -> bool {
+    fn is_live(slab: &[Option<(u64, E)>], seq: u64, slot: u32) -> bool {
         matches!(slab.get(slot as usize), Some(Some((s, _))) if *s == seq)
     }
 
-    /// Removes and returns event `seq`'s closure if it is still live.
-    fn take(&mut self, seq: u64, slot: u32) -> Option<EventFn<W>> {
+    /// Removes and returns event `seq` if it is still live.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<E> {
         if !Self::is_live(&self.slab, seq, slot) {
             return None;
         }
         self.free.push(slot);
-        self.slab[slot as usize].take().map(|(_, f)| f)
+        self.slab[slot as usize].take().map(|(_, event)| event)
     }
 
     /// Cancels a scheduled event. Returns true if it had not yet run.
     ///
-    /// Cancellation is a tombstone: the closure is dropped immediately but
+    /// Cancellation is a tombstone: the event is dropped immediately but
     /// the `(time, seq, slot)` entry stays in the heap until popped. When
     /// tombstones outnumber live events the heap is compacted in place, so
     /// a workload that schedules and cancels many timers (e.g. TCP
@@ -200,12 +261,12 @@ impl<W> Engine<W> {
     /// Runs the next event, if any. Returns false when the queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
         while let Some(Reverse((time, seq, slot))) = self.heap.pop() {
-            if let Some(f) = self.take(seq, slot) {
+            if let Some(event) = self.take(seq, slot) {
                 self.now = time;
                 unp_trace::set_time(time);
                 self.executed += 1;
                 EVENTS_EXECUTED.with(|c| c.set(c.get() + 1));
-                f(world, self);
+                event.fire(world, self);
                 return true;
             }
             // Cancelled entry: skip.

@@ -1,9 +1,12 @@
 //! The transmission control block and TCP state machine.
 //!
 //! One [`Tcb`] is one connection. It is a pure state machine: all methods
-//! take `now` and return [`TcpAction`]s for the hosting organization to
+//! take `now` and produce [`TcpAction`]s for the hosting organization to
 //! route (segments to transmit via IP, timers to arm on the timing wheel,
-//! notifications to deliver to the application). The same `Tcb` code runs
+//! notifications to deliver to the application). Every entry point has a
+//! sink form (`*_into`) that appends to a buffer the caller owns and
+//! reuses — the callee never clears it — and a form returning a fresh
+//! `Vec`, a one-line wrapper over the sink form. The same `Tcb` code runs
 //! in every simulated protocol organization, and the registry server uses
 //! it to execute the three-way handshake before transferring the block to
 //! the application's library (paper §3.4).
@@ -176,6 +179,20 @@ impl ListenTcb {
         iss: u32,
         now: Nanos,
     ) -> Option<(Tcb, Vec<TcpAction>)> {
+        let mut out = Vec::new();
+        let tcb = self.on_syn_into(remote, repr, iss, now, &mut out)?;
+        Some((tcb, out))
+    }
+
+    /// [`ListenTcb::on_syn`], appending the new block's actions to `out`.
+    pub fn on_syn_into(
+        &self,
+        remote: (Ipv4Addr, u16),
+        repr: &TcpRepr,
+        iss: u32,
+        now: Nanos,
+        out: &mut Vec<TcpAction>,
+    ) -> Option<Tcb> {
         if !repr.flags.syn || repr.flags.ack || repr.flags.rst {
             return None;
         }
@@ -186,16 +203,15 @@ impl ListenTcb {
         tcb.snd_nxt = tcb.iss + 1;
         tcb.apply_peer_mss(repr.mss);
         tcb.update_send_window(repr);
-        let mut out = Vec::new();
         tcb.emit_segment(
             TcpFlags::syn_ack(),
             tcb.iss,
             Vec::new(),
             Some(tcb.cfg.mss_local as u16),
-            &mut out,
+            out,
         );
-        tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), &mut out);
-        Some((tcb, out))
+        tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), out);
+        Some(tcb)
     }
 }
 
@@ -333,14 +349,27 @@ impl Tcb {
         iss: u32,
         now: Nanos,
     ) -> (Tcb, Vec<TcpAction>) {
+        let mut out = Vec::new();
+        let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut out);
+        (tcb, out)
+    }
+
+    /// [`Tcb::connect`], appending the SYN and its timer to `out`.
+    pub fn connect_into(
+        local: (Ipv4Addr, u16),
+        remote: (Ipv4Addr, u16),
+        cfg: TcpConfig,
+        iss: u32,
+        now: Nanos,
+        out: &mut Vec<TcpAction>,
+    ) -> Tcb {
         let mut tcb = Tcb::new(local, remote, cfg, SeqNum(iss));
         tcb.transition(State::SynSent);
         tcb.snd_nxt = tcb.iss + 1;
-        let mut out = Vec::new();
         let mss = Some(tcb.cfg.mss_local as u16);
-        tcb.emit_segment(TcpFlags::SYN, tcb.iss, Vec::new(), mss, &mut out);
-        tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), &mut out);
-        (tcb, out)
+        tcb.emit_segment(TcpFlags::SYN, tcb.iss, Vec::new(), mss, out);
+        tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), out);
+        tcb
     }
 
     // ------------------------------------------------------------------
@@ -529,6 +558,18 @@ impl Tcb {
     /// bytes accepted (may be less than `data.len()` when the send buffer
     /// fills; the caller waits for [`TcpAction::SendSpace`]).
     pub fn send(&mut self, data: &[u8], now: Nanos) -> Result<(usize, Vec<TcpAction>), TcpError> {
+        let mut out = Vec::new();
+        let take = self.send_into(data, now, &mut out)?;
+        Ok((take, out))
+    }
+
+    /// [`Tcb::send`], appending what the write triggers to `out`.
+    pub fn send_into(
+        &mut self,
+        data: &[u8],
+        now: Nanos,
+        out: &mut Vec<TcpAction>,
+    ) -> Result<usize, TcpError> {
         match self.state {
             State::Established | State::CloseWait | State::SynSent | State::SynReceived => {}
             State::Closed => return Err(TcpError::InvalidState),
@@ -540,49 +581,60 @@ impl Tcb {
         let space = self.send_space();
         let take = space.min(data.len());
         self.send_buf.extend(&data[..take]);
-        let mut out = Vec::new();
-        self.output(now, &mut out);
-        Ok((take, out))
+        self.output(now, out);
+        Ok(take)
     }
 
     /// Reads up to `max` bytes of in-order data. May emit a window-update
     /// ACK when the read opens the advertised window significantly
     /// (receiver-side silly-window avoidance).
-    pub fn recv(&mut self, max: usize, _now: Nanos) -> (Vec<u8>, Vec<TcpAction>) {
+    pub fn recv(&mut self, max: usize, now: Nanos) -> (Vec<u8>, Vec<TcpAction>) {
+        let mut out = Vec::new();
+        let data = self.recv_into(max, now, &mut out);
+        (data, out)
+    }
+
+    /// [`Tcb::recv`], appending any window update to `out`.
+    pub fn recv_into(&mut self, max: usize, _now: Nanos, out: &mut Vec<TcpAction>) -> Vec<u8> {
         let take = max.min(self.recv_buf.len());
         let data = copy_range(&self.recv_buf, 0, take);
         self.recv_buf.drain(..take);
-        let mut out = Vec::new();
         if !data.is_empty() && self.state.is_synchronized() && self.state != State::TimeWait {
             let new_edge = self.rcv_nxt + self.recv_window();
             let opened = new_edge.dist(self.adv_edge);
             let threshold = self.snd_mss.min(self.cfg.recv_buf / 2) as i32;
             if opened >= threshold {
-                self.emit_ack(&mut out);
+                self.emit_ack(out);
             }
         }
-        (data, out)
+        data
     }
 
     /// Closes the send direction (queues a FIN after any buffered data).
     pub fn close(&mut self, now: Nanos) -> Result<Vec<TcpAction>, TcpError> {
         let mut out = Vec::new();
+        self.close_into(now, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tcb::close`], appending the FIN (or the teardown) to `out`.
+    pub fn close_into(&mut self, now: Nanos, out: &mut Vec<TcpAction>) -> Result<(), TcpError> {
         match self.state {
             State::SynSent => {
-                self.enter_closed(&mut out);
-                Ok(out)
+                self.enter_closed(out);
+                Ok(())
             }
             State::SynReceived | State::Established => {
                 self.fin_queued = true;
                 self.transition(State::FinWait1);
-                self.output(now, &mut out);
-                Ok(out)
+                self.output(now, out);
+                Ok(())
             }
             State::CloseWait => {
                 self.fin_queued = true;
                 self.transition(State::LastAck);
-                self.output(now, &mut out);
-                Ok(out)
+                self.output(now, out);
+                Ok(())
             }
             State::FinWait1
             | State::FinWait2
@@ -599,6 +651,12 @@ impl Tcb {
     /// remote peer").
     pub fn abort(&mut self) -> Vec<TcpAction> {
         let mut out = Vec::new();
+        self.abort_into(&mut out);
+        out
+    }
+
+    /// [`Tcb::abort`], appending the RST and the teardown to `out`.
+    pub fn abort_into(&mut self, out: &mut Vec<TcpAction>) {
         if self.state.is_synchronized() && self.state != State::TimeWait {
             let seq = self.snd_nxt;
             self.emit_segment(
@@ -610,11 +668,10 @@ impl Tcb {
                 seq,
                 Vec::new(),
                 None,
-                &mut out,
+                out,
             );
         }
-        self.enter_closed(&mut out);
-        out
+        self.enter_closed(out);
     }
 
     fn enter_closed(&mut self, out: &mut Vec<TcpAction>) {
@@ -820,6 +877,12 @@ impl Tcb {
     /// this connection expires.
     pub fn on_timer(&mut self, t: TcpTimer, now: Nanos) -> Vec<TcpAction> {
         let mut out = Vec::new();
+        self.on_timer_into(t, now, &mut out);
+        out
+    }
+
+    /// [`Tcb::on_timer`], appending what the expiry triggers to `out`.
+    pub fn on_timer_into(&mut self, t: TcpTimer, now: Nanos, out: &mut Vec<TcpAction>) {
         // The wheel delivered it: it is no longer armed.
         self.timer_set[t.idx()] = None;
         match t {
@@ -830,8 +893,8 @@ impl Tcb {
                         if self.keepalive_fails > self.cfg.max_keepalive_probes {
                             // The peer is gone: reset the connection.
                             out.push(TcpAction::Reset);
-                            out.extend(self.abort());
-                            return out;
+                            self.abort_into(out);
+                            return;
                         }
                         // A keepalive probe: an ACK with seq = snd_nxt - 1
                         // (provokes a window/ack reply, per 4.3BSD).
@@ -845,23 +908,22 @@ impl Tcb {
                             seq,
                             Vec::new(),
                             None,
-                            &mut out,
+                            out,
                         );
-                        self.arm_timer(TcpTimer::Keepalive, now + interval, &mut out);
+                        self.arm_timer(TcpTimer::Keepalive, now + interval, out);
                     }
                 }
-                return out;
             }
             TcpTimer::Retransmit => {
                 if self.snd_nxt == self.snd_una {
-                    return out; // nothing outstanding
+                    return; // nothing outstanding
                 }
                 self.stats.rto_fires += 1;
                 self.retransmit_count += 1;
                 if self.retransmit_count > self.cfg.max_retransmits {
                     out.push(TcpAction::Reset);
-                    out.extend(self.abort());
-                    return out;
+                    self.abort_into(out);
+                    return;
                 }
                 self.rtt.on_retransmit();
                 if self.cfg.congestion != CongestionControl::Off {
@@ -871,9 +933,9 @@ impl Tcb {
                     self.cwnd = self.snd_mss;
                 }
                 self.dup_acks = 0;
-                self.retransmit_head(now, &mut out, unp_trace::RexmitReason::Rto);
+                self.retransmit_head(now, out, unp_trace::RexmitReason::Rto);
                 let rto = self.rtt.rto();
-                self.arm_timer(TcpTimer::Retransmit, now + rto, &mut out);
+                self.arm_timer(TcpTimer::Retransmit, now + rto, out);
             }
             TcpTimer::Persist => {
                 if self.snd_wnd == 0 && self.state.is_synchronized() {
@@ -893,24 +955,23 @@ impl Tcb {
                             seq,
                             payload,
                             None,
-                            &mut out,
+                            out,
                         );
                     }
                     self.persist_backoff = (self.persist_backoff + 1).min(10);
                     let delay = (self.rtt.rto() << self.persist_backoff).min(self.cfg.rto_max);
-                    self.arm_timer(TcpTimer::Persist, now + delay, &mut out);
+                    self.arm_timer(TcpTimer::Persist, now + delay, out);
                 }
             }
             TcpTimer::DelayedAck => {
                 if self.ack_pending > 0 {
-                    self.emit_ack(&mut out);
+                    self.emit_ack(out);
                 }
             }
             TcpTimer::TimeWait => {
-                self.enter_closed(&mut out);
+                self.enter_closed(out);
             }
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -920,14 +981,25 @@ impl Tcb {
     /// Processes a received segment addressed to this connection. The
     /// caller has already verified the checksum and demultiplexed.
     pub fn on_segment(&mut self, repr: &TcpRepr, payload: &[u8], now: Nanos) -> Vec<TcpAction> {
-        self.stats.segs_in += 1;
         let mut out = Vec::new();
+        self.on_segment_into(repr, payload, now, &mut out);
+        out
+    }
+
+    /// [`Tcb::on_segment`], appending the segment's effects to `out`.
+    pub fn on_segment_into(
+        &mut self,
+        repr: &TcpRepr,
+        payload: &[u8],
+        now: Nanos,
+        out: &mut Vec<TcpAction>,
+    ) {
+        self.stats.segs_in += 1;
         match self.state {
             State::Closed => {}
-            State::SynSent => self.on_segment_syn_sent(repr, payload, now, &mut out),
-            _ => self.on_segment_sync(repr, payload, now, &mut out),
+            State::SynSent => self.on_segment_syn_sent(repr, payload, now, out),
+            _ => self.on_segment_sync(repr, payload, now, out),
         }
-        out
     }
 
     fn on_segment_syn_sent(

@@ -51,6 +51,11 @@ pub struct TimerWheel<T> {
     current_tick: u64,
     next_id: u64,
     next_seq: u64,
+    /// `advance`'s working lists, empty between calls and kept for their
+    /// capacity: the ids of the slot being cascaded, and the
+    /// `(deadline, seq, id)` of everything due.
+    cascading: Vec<u64>,
+    ripe: Vec<(Nanos, u64, u64)>,
 }
 
 impl<T> TimerWheel<T> {
@@ -65,6 +70,8 @@ impl<T> TimerWheel<T> {
             current_tick: start >> TICK_SHIFT,
             next_id: 0,
             next_seq: 0,
+            cascading: Vec::new(),
+            ripe: Vec::new(),
         }
     }
 
@@ -89,12 +96,19 @@ impl<T> TimerWheel<T> {
         (home, bucket.len() - 1)
     }
 
-    /// Places a live entry taken out of a cascading slot again.
-    fn replace(&mut self, id: u64) {
-        let deadline = self.entries[&id].deadline;
-        let (home, pos) = self.place(id, deadline);
-        let e = self.entries.get_mut(&id).expect("slot ids are live");
-        (e.home, e.pos) = (home, pos);
+    /// Empties `home`'s list and places each of its entries again, now
+    /// that the cursor is closer to their deadlines. The list trades
+    /// buffers with `cascading`, so neither gives up its capacity.
+    fn cascade(&mut self, home: Home) {
+        let bucket = Self::bucket(&mut self.levels, &mut self.overflow, home);
+        let mut ids = std::mem::replace(bucket, std::mem::take(&mut self.cascading));
+        for id in ids.drain(..) {
+            let deadline = self.entries[&id].deadline;
+            let (home, pos) = self.place(id, deadline);
+            let e = self.entries.get_mut(&id).expect("slot ids are live");
+            (e.home, e.pos) = (home, pos);
+        }
+        self.cascading = ids;
     }
 
     fn bucket<'a>(
@@ -147,7 +161,6 @@ impl<T> TimerService<T> for TimerWheel<T> {
 
     fn advance(&mut self, now: Nanos, fired: &mut Vec<T>) {
         let target_tick = now >> TICK_SHIFT;
-        let mut ripe: Vec<(Nanos, u64, u64)> = Vec::new(); // (deadline, seq, id)
 
         while self.current_tick <= target_tick {
             let tick = self.current_tick;
@@ -158,25 +171,20 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 if !tick.is_multiple_of(unit) {
                     break;
                 }
-                let slot = ((tick / unit) % SLOTS as u64) as usize;
-                for id in std::mem::take(&mut self.levels[l][slot]) {
-                    self.replace(id);
-                }
+                self.cascade(Home::Slot(l, ((tick / unit) % SLOTS as u64) as usize));
             }
             // Retry overflow placement as the top level's cursor advances.
             let top_unit = 1u64 << (SLOT_SHIFT * (LEVELS as u32 - 1));
             if tick.is_multiple_of(top_unit) && !self.overflow.is_empty() {
-                for id in std::mem::take(&mut self.overflow) {
-                    self.replace(id);
-                }
+                self.cascade(Home::Overflow);
             }
             // Harvest the level-0 slot for this tick.
             let slot0 = (tick % SLOTS as u64) as usize;
             if tick < target_tick {
                 // The whole tick has elapsed: everything in it is ripe.
-                for id in std::mem::take(&mut self.levels[0][slot0]) {
+                for id in self.levels[0][slot0].drain(..) {
                     let e = &self.entries[&id];
-                    ripe.push((e.deadline, e.seq, id));
+                    self.ripe.push((e.deadline, e.seq, id));
                 }
                 self.current_tick += 1;
             } else {
@@ -190,7 +198,7 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 while let Some(&id) = slot.get(pos) {
                     let e = &self.entries[&id];
                     if e.deadline <= now {
-                        ripe.push((e.deadline, e.seq, id));
+                        self.ripe.push((e.deadline, e.seq, id));
                         Self::unplace(slot, pos, &mut self.entries);
                     } else {
                         pos += 1;
@@ -203,8 +211,8 @@ impl<T> TimerService<T> for TimerWheel<T> {
 
         // Level-0 placement is per-tick, but within a tick entries may have
         // sub-tick deadline differences; sort for deterministic fire order.
-        ripe.sort_unstable_by_key(|&(d, s, _)| (d, s));
-        for (_, _, id) in ripe {
+        self.ripe.sort_unstable_by_key(|&(d, s, _)| (d, s));
+        for (_, _, id) in self.ripe.drain(..) {
             let e = self.entries.remove(&id).expect("ripe ids are live");
             fired.push(e.token);
         }
