@@ -48,12 +48,22 @@ cargo test -q --offline --workspace --exclude unp-bench --no-default-features
 echo "== tier-1: zero-copy golden pcap + demux differential + journal (release) =="
 cargo test -q --release --offline --test zero_copy --test demux_differential --test journal
 
-# The steady-state data path's allocation budget: a Table-2 bulk frame
-# under the user-level library may touch the general allocator at most 3.5
-# times (a boxed closure per event or a fresh Vec per call reads ~14). In
-# release, like the ledger whose `allocs_per_frame` it mirrors.
-echo "== allocation budget (release) =="
+# The allocation budgets: a steady-state Table-2 bulk frame under the
+# user-level library may touch the general allocator at most 3.5 times (a
+# boxed closure per event or a fresh Vec per call reads ~14), and a
+# connect-echo-close may request at most 25 KB and keep 5.5 KB through
+# TIME_WAIT (a ring reserved up front reads 59 KB and 28 KB). In release,
+# like the ledger whose `allocs_per_frame`, `alloc_bytes_per_frame` and
+# `peak_heap_bytes` they mirror.
+echo "== allocation budgets (release) =="
 cargo test -q --release --offline --test alloc_budget
+
+# The timing wheel against its sorted-list oracle after every operation:
+# the release build runs the property at 512 cases (64 in the debug pass
+# above), across all four levels, the overflow list and multi-rotation
+# advances that the tick-by-tick wheel could not afford to be tested on.
+echo "== timing wheel equivalence, 512 cases (release) =="
+cargo test -q --release --offline -p unp-timers
 
 # The profiler's join discipline must hold in release mode too: every
 # delivered frame's stage components sum exactly to its end-to-end span,

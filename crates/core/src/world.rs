@@ -418,6 +418,10 @@ impl World {
                 (h.chan_owner.len(), "channel owner entries"),
                 (h.netio.channel_count(), "kernel channels"),
                 (h.netio.flow_table_len(), "flow-table entries"),
+                (
+                    usize::from(!h.netio.caches_match_rebuild()),
+                    "kernel demux caches (or table counts) off a fresh rebuild",
+                ),
                 (h.registry.tracked(), "registry connections"),
                 (bqi_slots, "BQI slots"),
                 (
@@ -438,6 +442,21 @@ impl World {
         for g in [Gauge::OpenChannels, Gauge::ActiveConnections] {
             if self.metrics.gauge(g) != 0 {
                 found.push(format!("gauge {g:?} reads {}", self.metrics.gauge(g)));
+            }
+        }
+        // The table-size gauges move by per-host differences; a fresh sum
+        // over every host is what they must still add up to.
+        let fresh = self
+            .hosts
+            .iter()
+            .map(|h| demux_entries(&h.netio))
+            .fold([0; 2], |sum, host| [sum[0] + host[0], sum[1] + host[1]]);
+        for (g, fresh) in DEMUX_ENTRY_GAUGES.into_iter().zip(fresh) {
+            if self.metrics.gauge(g) != fresh {
+                let reads = self.metrics.gauge(g);
+                found.push(format!(
+                    "gauge {g:?} reads {reads}, the tables hold {fresh}"
+                ));
             }
         }
         found
@@ -2177,19 +2196,35 @@ fn apply_registry_actions(
     w.reg_spare.give(actions);
 }
 
-/// Re-derives the demux table-size gauges from the kernel modules.
-/// Called wherever `OpenChannels` moves so the flow/listen entry counts
-/// in the metrics windows track channel churn exactly; set (not inc/dec)
-/// because a destroyed channel may have lived in either keyed table or
-/// in neither (residual scan tier).
-fn sync_demux_gauges(w: &mut World) {
-    let (mut flow, mut listen) = (0u64, 0u64);
-    for host in &w.hosts {
-        flow += host.netio.flow_table_len() as u64;
-        listen += host.netio.listen_table_len() as u64;
+/// Runs `change` — a channel creation or teardown — on host `h`'s kernel
+/// module and moves the demux table-size gauges by what it did to that
+/// host's tables, so the flow/listen entry counts in the metrics windows
+/// track channel churn exactly at a cost that knows nothing of the other
+/// hosts. By difference (not inc/dec) because a channel may live in
+/// either keyed table or in neither (residual scan tier), and the crash
+/// sweep destroys many at once. [`World::leaks`] referees the gauges
+/// against a fresh sum over every host.
+fn change_channels<R>(w: &mut World, h: usize, change: impl FnOnce(&mut NetIoModule) -> R) -> R {
+    let netio = &mut w.hosts[h].netio;
+    let before = demux_entries(netio);
+    let result = change(netio);
+    let after = demux_entries(netio);
+    for ((g, before), after) in DEMUX_ENTRY_GAUGES.into_iter().zip(before).zip(after) {
+        let moved = (w.metrics.gauge(g) + after).saturating_sub(before);
+        w.metrics.gauge_set(g, moved);
     }
-    w.metrics.gauge_set(Gauge::DemuxFlowEntries, flow);
-    w.metrics.gauge_set(Gauge::DemuxListenEntries, listen);
+    result
+}
+
+/// The gauges [`change_channels`] keeps, and what each mirrors of one
+/// kernel module, in the same order.
+const DEMUX_ENTRY_GAUGES: [Gauge; 2] = [Gauge::DemuxFlowEntries, Gauge::DemuxListenEntries];
+
+fn demux_entries(netio: &NetIoModule) -> [u64; 2] {
+    [
+        netio.flow_table_len() as u64,
+        netio.listen_table_len() as u64,
+    ]
 }
 
 /// Mirrors every kernel tenant account into the metrics registry's
@@ -2292,18 +2327,15 @@ fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ip
     // connection"). The window is byte-based (≤64 kB) but the ring is
     // slot-based, so size it for the worst case of small segments: a
     // 64 kB window of ~100-byte no-Nagle dribble segments.
-    let Some((chan_id, send_cap, recv_cap, ring)) =
-        w.hosts[h]
-            .netio
-            .try_create_channel(owner, &spec, template, 768, mtu + lhl + 8)
-    else {
+    let Some((chan_id, send_cap, recv_cap, ring)) = change_channels(w, h, |netio| {
+        netio.try_create_channel(owner, &spec, template, 768, mtu + lhl + 8)
+    }) else {
         // The tenant is at its channel cap: no channel. The handshake can
         // never finalize at the library level; the peer's retransmits run
         // out and the connection fails — contained to the over-cap tenant.
         return;
     };
     w.metrics.gauge_inc(Gauge::OpenChannels);
-    sync_demux_gauges(w);
     let host = &mut w.hosts[h];
     let our_bqi = match &mut host.nic {
         Nic::An1(nic) => nic.bqi_table.allocate(owner, ring).unwrap_or(0),
@@ -2329,10 +2361,10 @@ fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ip
 /// swept the channel (a wedged tenant's crash) — that sweep did the
 /// accounting, and leaves the BQI slot to its own owner sweep.
 fn release_channel(w: &mut World, h: usize, chan: &ChanInfo, key: PairKey) -> Option<ChannelStats> {
+    w.hosts[h].chan_owner.remove(&chan.id);
+    let stats = w.hosts[h].netio.channel_stats(chan.id)?;
+    change_channels(w, h, |netio| netio.destroy_channel(chan.id, OwnerTag(0)));
     let host = &mut w.hosts[h];
-    host.chan_owner.remove(&chan.id);
-    let stats = host.netio.channel_stats(chan.id)?;
-    host.netio.destroy_channel(chan.id, OwnerTag(0));
     if let Nic::An1(nic) = &mut host.nic {
         nic.bqi_table
             .free(chan.our_bqi, unp_buffers::BqiTable::KERNEL_OWNER);
@@ -2340,7 +2372,6 @@ fn release_channel(w: &mut World, h: usize, chan: &ChanInfo, key: PairKey) -> Op
     host.registry
         .record_channel_stats(key.0, (key.1, key.2), stats);
     w.metrics.gauge_dec(Gauge::OpenChannels);
-    sync_demux_gauges(w);
     Some(stats)
 }
 
@@ -3064,7 +3095,7 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     // their TCBs are handed to the registry, which resets each peer on
     // the dead tenant's behalf — inheritance from the kernel sweep, not
     // from the (wedged) library.
-    let swept = w.hosts[host].netio.reclaim_owner(tenant);
+    let swept = change_channels(w, host, |netio| netio.reclaim_owner(tenant));
     let mut orphan_tcbs: Vec<Tcb> = Vec::new();
     for (id, _ring) in swept {
         match w.hosts[host].chan_owner.get(&id) {
@@ -3080,9 +3111,8 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
             None => {}
         }
         // The kernel already destroyed the channel, so `release_channel`
-        // found nothing to account for: the gauges follow here.
+        // found nothing to account for: the gauge follows here.
         w.metrics.gauge_dec(Gauge::OpenChannels);
-        sync_demux_gauges(w);
         reclaimed(w, host, tenant, ReclaimKind::Channel, id.0);
     }
     if !orphan_tcbs.is_empty() {

@@ -113,6 +113,20 @@ impl InstrFenwick {
     }
 }
 
+/// Takes `id` out of `table[key]` — entries hold ascending ids, so a
+/// binary-search remove — and drops the entry with its last binding.
+/// Returns how many bindings went (1, or 0 if `id` was not there).
+fn unbind<K: Eq + std::hash::Hash>(table: &mut HashMap<K, Vec<u32>>, key: &K, id: u32) -> usize {
+    let Some(ids) = table.get_mut(key) else {
+        return 0;
+    };
+    let found = ids.binary_search(&id).map(|pos| ids.remove(pos));
+    if ids.is_empty() {
+        table.remove(key);
+    }
+    usize::from(found.is_ok())
+}
+
 /// Identifier of a delivery channel (one per connection endpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelId(pub u32);
@@ -269,6 +283,9 @@ struct Channel {
     /// a slot of the channel's shared region.
     capacity: usize,
     slot_size: usize,
+    /// Starts empty and grows to what is actually queued: the region
+    /// above is a limit the checks enforce, not host memory to reserve
+    /// (768 slots up front made an idle TIME_WAIT channel cost 24 KB).
     rx_ring: VecDeque<Frame>,
     template: HeaderTemplate,
     demux: CompiledDemux,
@@ -396,6 +413,11 @@ pub struct NetIoModule {
     /// Wildcard tier: 3-tuple → ids of fully-wildcard channels distilled
     /// to that key, ascending.
     listen_table: HashMap<ListenKey, Vec<u32>>,
+    /// Bindings in `flow_table` and in `listen_table` (ids, not keys),
+    /// counted where one is pushed or removed so reading them never walks
+    /// a table.
+    flow_entries: usize,
+    listen_entries: usize,
     /// Link-header length the keyed tables extract keys with, fixed by the
     /// first distillable channel (one module serves one device, so all its
     /// channels share framing; a mismatched spec stays on the scan tier).
@@ -453,6 +475,8 @@ impl NetIoModule {
             ring_index: HashMap::new(),
             flow_table: HashMap::new(),
             listen_table: HashMap::new(),
+            flow_entries: 0,
+            listen_entries: 0,
             flow_lhl: None,
             scan_order: Vec::new(),
             instr_fen: InstrFenwick::default(),
@@ -524,6 +548,7 @@ impl NetIoModule {
         let slot = if let Some(key) = spec.distill() {
             if *self.flow_lhl.get_or_insert(spec.link_header_len) == spec.link_header_len {
                 self.flow_table.entry(key).or_default().push(id.0);
+                self.flow_entries += 1;
                 FlowSlot::Exact(key)
             } else {
                 FlowSlot::Scan
@@ -531,6 +556,7 @@ impl NetIoModule {
         } else if let Some(key) = spec.distill_listen() {
             if *self.flow_lhl.get_or_insert(spec.link_header_len) == spec.link_header_len {
                 self.listen_table.entry(key).or_default().push(id.0);
+                self.listen_entries += 1;
                 FlowSlot::Listen(key)
             } else {
                 FlowSlot::Scan
@@ -544,7 +570,7 @@ impl NetIoModule {
             owner,
             capacity: region_slots,
             slot_size,
-            rx_ring: VecDeque::with_capacity(region_slots),
+            rx_ring: VecDeque::new(),
             template,
             demux: CompiledDemux::from_spec(spec),
             slot,
@@ -613,7 +639,11 @@ impl NetIoModule {
     /// event on small populations.
     pub fn caches_match_rebuild(&self) -> bool {
         let (fen, total, residual) = self.compute_caches();
-        fen == self.instr_fen && total == self.total_active_instrs && residual == self.residual
+        fen == self.instr_fen
+            && total == self.total_active_instrs
+            && residual == self.residual
+            && self.flow_entries == self.flow_table.values().map(Vec::len).sum::<usize>()
+            && self.listen_entries == self.listen_table.values().map(Vec::len).sum::<usize>()
     }
 
     /// Debug-build churn validation. Capped to small populations because
@@ -656,28 +686,12 @@ impl NetIoModule {
         if let Some(ring) = ch.ring_id {
             self.ring_index.remove(&ring);
         }
-        // Table entries hold ascending ids: binary-search remove, and drop
-        // the entry when its last binding goes.
         match ch.slot {
             FlowSlot::Exact(key) => {
-                if let Some(ids) = self.flow_table.get_mut(&key) {
-                    if let Ok(pos) = ids.binary_search(&id.0) {
-                        ids.remove(pos);
-                    }
-                    if ids.is_empty() {
-                        self.flow_table.remove(&key);
-                    }
-                }
+                self.flow_entries -= unbind(&mut self.flow_table, &key, id.0);
             }
             FlowSlot::Listen(key) => {
-                if let Some(ids) = self.listen_table.get_mut(&key) {
-                    if let Ok(pos) = ids.binary_search(&id.0) {
-                        ids.remove(pos);
-                    }
-                    if ids.is_empty() {
-                        self.listen_table.remove(&key);
-                    }
-                }
+                self.listen_entries -= unbind(&mut self.listen_table, &key, id.0);
             }
             FlowSlot::Scan => {}
         }
@@ -1177,12 +1191,12 @@ impl NetIoModule {
 
     /// Number of live flow-table entries (exact-match distilled bindings).
     pub fn flow_table_len(&self) -> usize {
-        self.flow_table.values().map(Vec::len).sum()
+        self.flow_entries
     }
 
     /// Number of live listen-table entries (wildcard distilled bindings).
     pub fn listen_table_len(&self) -> usize {
-        self.listen_table.values().map(Vec::len).sum()
+        self.listen_entries
     }
 
     /// Approximate heap footprint, in bytes, of the demultiplexing

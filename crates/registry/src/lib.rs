@@ -363,6 +363,9 @@ impl RegistryServer {
                 let hs = self.next_hs;
                 self.next_hs += 1;
                 self.index.insert(key, hs);
+                // The connection holds its listener's port from here to
+                // its own end, whatever becomes of the listener.
+                self.ports.share(repr.dst_port);
                 self.conns.insert(
                     hs,
                     Pending {
@@ -527,15 +530,13 @@ impl RegistryServer {
 
     /// A connection the registry handed to a library was closed there.
     /// Its TCB sat out TIME_WAIT in the library, so nothing is owed for
-    /// the pair and the local port returns to the allocator — unless a
-    /// listener holds it (an accepted connection shares its listener's
-    /// port). Connections handed back through
-    /// [`RegistryServer::app_exit`] are released when the registry
-    /// finishes closing them instead.
+    /// the pair and the connection's hold on its local port ends — which
+    /// frees the port unless a listener or other accepted connections
+    /// still share it. Connections handed back through
+    /// [`RegistryServer::app_exit`] let go when the registry finishes
+    /// closing them instead.
     pub fn connection_closed(&mut self, local_port: u16) {
-        if !self.listeners.contains_key(&local_port) {
-            self.ports.release(local_port);
-        }
+        self.ports.release(local_port);
     }
 
     /// Number of connections the registry currently tracks (handshakes in
@@ -856,7 +857,6 @@ mod tests {
     #[test]
     fn library_side_close_returns_the_ephemeral_port() {
         let mut r = RegistryServer::new(IP_A);
-        r.listen(OwnerTag(1), 80, TcpConfig::default()).unwrap();
         let span = usize::from(ports::EPHEMERAL_LIMIT - ports::EPHEMERAL_BASE) + 1;
         for _ in 0..span {
             r.connect(OwnerTag(1), (IP_B, 80), TcpConfig::default(), 0)
@@ -868,9 +868,6 @@ mod tests {
         assert!(r
             .connect(OwnerTag(1), (IP_B, 80), TcpConfig::default(), 0)
             .is_ok());
-        // An accepted connection's close must not unbind its listener.
-        r.connection_closed(80);
-        assert!(!r.port_free(80, 0));
     }
 
     #[test]
@@ -998,6 +995,82 @@ mod tests {
         let flagged = r.flagged_bindings();
         assert_eq!(flagged.len(), 1);
         assert_eq!(flagged[0].local_port, 81);
+    }
+
+    /// An active open from `ra` to `rb`'s `port`, run to completion.
+    fn open(ra: &mut RegistryServer, rb: &mut RegistryServer, port: u16) {
+        let (_hs, actions) = ra
+            .connect(OwnerTag(10), (IP_B, port), TcpConfig::default(), 0)
+            .unwrap();
+        let syn = actions.into_iter().filter_map(|a| match a {
+            RegistryAction::Send { repr, payload, .. } => Some((true, repr, payload)),
+            _ => None,
+        });
+        let (_, accepted) = run_handshake(ra, rb, syn.collect());
+        assert_eq!(accepted.len(), 1, "accepted on port {port}");
+    }
+
+    /// The local port of a fresh active open by `r`.
+    fn active_open_port(r: &mut RegistryServer) -> u16 {
+        let (_hs, actions) = r
+            .connect(OwnerTag(20), (IP_A, 9), TcpConfig::default(), 0)
+            .unwrap();
+        let RegistryAction::Send { repr, .. } = &actions[0] else {
+            panic!("expected SYN");
+        };
+        repr.src_port
+    }
+
+    #[test]
+    fn a_port_is_released_when_its_last_holder_goes() {
+        // An accepted connection shares its listener's port, and outlives
+        // the listener: the port stays bound — not handed to an active
+        // open, not freed by the first accepted connection to close —
+        // until the last of them is gone.
+        const PORT: u16 = crate::ports::EPHEMERAL_BASE + 6;
+        let mut ra = RegistryServer::new(IP_A);
+        let mut rb = RegistryServer::new(IP_B);
+        rb.listen(OwnerTag(20), PORT, TcpConfig::default()).unwrap();
+        open(&mut ra, &mut rb, PORT);
+        open(&mut ra, &mut rb, PORT);
+        rb.unlisten(OwnerTag(20), PORT).unwrap();
+        assert!(!rb.port_free(PORT, 0), "two accepted connections use it");
+        // The allocator walks up from EPHEMERAL_BASE, past PORT.
+        let taken: Vec<u16> = (0..8).map(|_| active_open_port(&mut rb)).collect();
+        assert!(!taken.contains(&PORT), "handed out under them: {taken:?}");
+        rb.connection_closed(PORT);
+        assert!(!rb.port_free(PORT, 0), "one accepted connection left");
+        rb.connection_closed(PORT);
+        assert!(rb.port_free(PORT, 0), "the last holder went");
+        // While the listener lives, its accepted connections come and go
+        // without touching its binding.
+        rb.listen(OwnerTag(20), PORT, TcpConfig::default()).unwrap();
+        open(&mut ra, &mut rb, PORT);
+        rb.connection_closed(PORT);
+        assert!(!rb.port_free(PORT, 0), "the listener holds it");
+    }
+
+    #[test]
+    fn a_refused_passive_open_leaves_the_listeners_port_bound() {
+        let mut rb = RegistryServer::new(IP_B);
+        rb.listen(OwnerTag(20), 80, TcpConfig::default()).unwrap();
+        let mut ra = RegistryServer::new(IP_A);
+        let (_hs, actions) = ra
+            .connect(OwnerTag(10), (IP_B, 80), TcpConfig::default(), 0)
+            .unwrap();
+        let RegistryAction::Send { repr: syn, .. } = &actions[0] else {
+            panic!("expected SYN");
+        };
+        let reply = rb.on_segment(IP_A, syn, &[], 1_000);
+        let RegistryAction::Send { repr: syn_ack, .. } = &reply[0] else {
+            panic!("expected SYN-ACK");
+        };
+        assert_eq!(rb.tracked(), 1);
+        // The client changes its mind: RST instead of the final ACK.
+        let rst = Tcb::rst_for((IP_A, syn.src_port), syn_ack, 0);
+        rb.on_segment(IP_A, &rst, &[], 2_000);
+        assert_eq!(rb.tracked(), 0, "half-open connection reaped");
+        assert!(!rb.port_free(80, 2_000), "the listener still holds port 80");
     }
 
     #[test]

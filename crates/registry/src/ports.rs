@@ -6,7 +6,7 @@
 //! having untrusted user libraries allocate these names is a security and
 //! administrative concern" (paper §3.4).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 
 use unp_wire::Ipv4Addr;
 
@@ -20,7 +20,10 @@ pub const EPHEMERAL_LIMIT: u16 = 5000;
 /// Machine-wide TCP port allocation state.
 #[derive(Debug)]
 pub struct PortAllocator {
-    bound: HashSet<u16>,
+    /// Bound ports, each with how many endpoints hold it: a listener and
+    /// every connection accepted through it share one port, and it stays
+    /// bound until the last of them lets go.
+    bound: HashMap<u16, usize>,
     next_ephemeral: u16,
     /// (local_port, (remote_ip, remote_port)) pairs under quarantine, with
     /// their release times.
@@ -37,7 +40,7 @@ impl PortAllocator {
     /// Creates an empty allocator.
     pub fn new() -> PortAllocator {
         PortAllocator {
-            bound: HashSet::new(),
+            bound: HashMap::new(),
             next_ephemeral: EPHEMERAL_BASE,
             quarantined: HashMap::new(),
         }
@@ -45,18 +48,38 @@ impl PortAllocator {
 
     /// Binds a specific port. Returns false if taken.
     pub fn bind(&mut self, port: u16) -> bool {
-        self.bound.insert(port)
+        match self.bound.entry(port) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(free) => {
+                free.insert(1);
+                true
+            }
+        }
     }
 
-    /// Releases a bound port.
+    /// Adds a holder to `port` — a connection accepted on a listener's
+    /// port — binding it if nothing held it.
+    pub fn share(&mut self, port: u16) {
+        *self.bound.entry(port).or_insert(0) += 1;
+    }
+
+    /// Lets go of one hold on `port`; the port is free again when its
+    /// last holder has. Returns false if it was not bound.
     pub fn release(&mut self, port: u16) -> bool {
-        self.bound.remove(&port)
+        let Entry::Occupied(mut holders) = self.bound.entry(port) else {
+            return false;
+        };
+        *holders.get_mut() -= 1;
+        if *holders.get() == 0 {
+            holders.remove();
+        }
+        true
     }
 
     /// True if `port` may be bound at `now` (not bound, and not the local
     /// half of any quarantined pair).
     pub fn is_free(&self, port: u16, now: Nanos) -> bool {
-        if self.bound.contains(&port) {
+        if self.bound.contains_key(&port) {
             return false;
         }
         !self
@@ -80,8 +103,7 @@ impl PortAllocator {
                 .quarantined
                 .get(&(p, remote.0, remote.1))
                 .is_some_and(|&until| until > now);
-            if !self.bound.contains(&p) && !pair_quarantined {
-                self.bound.insert(p);
+            if !pair_quarantined && self.bind(p) {
                 return Some(p);
             }
         }
@@ -122,9 +144,21 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_port_is_free_when_the_last_holder_releases() {
+        let mut a = PortAllocator::new();
+        assert!(a.bind(80));
+        a.share(80);
+        assert!(a.release(80));
+        assert!(!a.is_free(80, 0) && !a.bind(80));
+        assert!(a.release(80));
+        assert!(a.is_free(80, 0));
+        assert!(!a.release(80), "nothing left to release");
+    }
+
+    #[test]
     fn ephemeral_ports_unique_and_in_range() {
         let mut a = PortAllocator::new();
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
             let p = a.alloc_ephemeral(R, 0).unwrap();
             assert!((EPHEMERAL_BASE..=EPHEMERAL_LIMIT).contains(&p));

@@ -5,8 +5,9 @@
 //! wheels (Varghese & Lauck, SOSP '87) as the known fast implementation.
 //! This crate provides:
 //!
-//! * [`TimerWheel`] — a hierarchical timing wheel with O(1) start/stop and
-//!   amortized O(1) per-tick advance, used by the protocol library;
+//! * [`TimerWheel`] — a hierarchical timing wheel whose start, stop and
+//!   earliest-deadline query do not depend on how many timers are armed,
+//!   and whose advance skips empty time; used by the protocol library;
 //! * [`SortedTimerList`] — the naive ordered-list implementation used as the
 //!   baseline in the ablation benchmark (`cargo bench -p unp-bench`).
 //!

@@ -3,9 +3,15 @@
 //!
 //! Four levels of 64 slots each, with a ~1 ms base tick (2²⁰ ns), cover
 //! deadlines up to ≈ 4.9 hours; anything farther sits in an overflow list
-//! that is drained as the horizon advances. Start and stop are O(1);
-//! advancing performs amortized O(1) work per tick plus O(k) for the k
-//! timers fired or cascaded.
+//! that is re-placed as the horizon advances. One occupancy word per
+//! level (a bit per non-empty slot) is what keeps every operation off
+//! the population: start and stop are O(1); `next_deadline` reads the
+//! first occupied slot of each level in rotation order from its cursor;
+//! `advance` jumps from one occupied slot or due cascade to the next, so
+//! it costs O(k) for the k timers fired or cascaded plus O(1) per stop it
+//! makes, however much empty time lies between. Each list's earliest
+//! deadline is kept beside it, so no query scans a list; stopping the
+//! timer that *is* its list's earliest rescans that one list.
 
 use std::collections::HashMap;
 
@@ -19,116 +25,155 @@ const SLOT_SHIFT: u32 = 6;
 const SLOTS: usize = 1 << SLOT_SHIFT;
 /// Number of levels.
 const LEVELS: usize = 4;
+/// Index in `lists` of the overflow list; slot `s` of level `l` is
+/// `lists[l * SLOTS + s]`.
+const OVERFLOW: usize = LEVELS * SLOTS;
 
-/// The id list an entry sits in.
-#[derive(Clone, Copy)]
-enum Home {
-    /// `levels[level][slot]`.
-    Slot(usize, usize),
-    Overflow,
+/// Ticks one slot of level `l` spans (`SLOTS^l`).
+const fn unit(l: usize) -> u64 {
+    1 << (SLOT_SHIFT * l as u32)
 }
 
 struct Entry<T> {
-    deadline: Nanos,
-    seq: u64,
     token: T,
-    /// Where the id sits — `pos` within `home`'s list — so `stop` can
-    /// remove it without a search.
-    home: Home,
+    /// Where the timer sits — `lists[home][pos]` — so `stop` can remove
+    /// it without a search.
+    home: usize,
     pos: usize,
 }
 
 /// A hierarchical timing wheel. See module docs.
 pub struct TimerWheel<T> {
-    /// `levels[l][slot]` holds ids of entries expiring in that slot's span.
-    /// Slots and `overflow` hold live ids only: `stop` removes eagerly, so
-    /// a wheel that is never advanced does not grow.
-    levels: Vec<Vec<Vec<u64>>>,
-    /// Entries too far out for the top level.
-    overflow: Vec<u64>,
+    /// `(deadline, id)` of every pending timer, by the slot whose span
+    /// its deadline falls in. Live timers only: `stop` removes eagerly, so
+    /// a wheel that is never advanced does not grow. Ids count starts, so
+    /// `(deadline, id)` is also the fire order.
+    lists: Vec<Vec<(Nanos, u64)>>,
+    /// `earliest[home]` is the least deadline in `lists[home]`; stale
+    /// while that list is empty.
+    earliest: Vec<Nanos>,
+    /// `occupied[l]` has bit `s` set iff slot `s` of level `l` is non-empty.
+    occupied: [u64; LEVELS],
     entries: HashMap<u64, Entry<T>>,
-    /// Current time, in ticks, already processed.
+    /// The tick being processed: every earlier tick is fully harvested,
+    /// this one up to the last `advance`'s `now`.
     current_tick: u64,
     next_id: u64,
-    next_seq: u64,
     /// `advance`'s working lists, empty between calls and kept for their
-    /// capacity: the ids of the slot being cascaded, and the
-    /// `(deadline, seq, id)` of everything due.
-    cascading: Vec<u64>,
-    ripe: Vec<(Nanos, u64, u64)>,
+    /// capacity: the slot being cascaded, and everything due.
+    cascading: Vec<(Nanos, u64)>,
+    ripe: Vec<(Nanos, u64)>,
 }
 
 impl<T> TimerWheel<T> {
     /// Creates a wheel whose notion of "now" starts at `start` nanoseconds.
     pub fn new(start: Nanos) -> TimerWheel<T> {
         TimerWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            overflow: Vec::new(),
+            lists: (0..=OVERFLOW).map(|_| Vec::new()).collect(),
+            earliest: vec![0; OVERFLOW + 1],
+            occupied: [0; LEVELS],
             entries: HashMap::new(),
             current_tick: start >> TICK_SHIFT,
             next_id: 0,
-            next_seq: 0,
             cascading: Vec::new(),
             ripe: Vec::new(),
         }
     }
 
-    /// Ticks covered by level `l` (one slot's span is `SLOTS^l` ticks).
-    fn level_span_ticks(l: usize) -> u64 {
-        1u64 << (SLOT_SHIFT * (l as u32 + 1))
+    /// Index in `lists` of the level-`l` slot `tick` falls in.
+    fn slot_of(l: usize, tick: u64) -> usize {
+        l * SLOTS + ((tick / unit(l)) % SLOTS as u64) as usize
     }
 
-    /// Pushes `id` onto the list its deadline belongs in and returns
+    /// Level `l`'s occupancy word turned so that bit `k` stands for the
+    /// slot of tick `(from + k) * unit(l)`.
+    fn occupied_from(&self, l: usize, from: u64) -> u64 {
+        self.occupied[l].rotate_right((from % SLOTS as u64) as u32)
+    }
+
+    /// Pushes the timer onto the list its deadline belongs in and returns
     /// where it landed.
-    fn place(&mut self, id: u64, deadline: Nanos) -> (Home, usize) {
-        let deadline_tick = deadline >> TICK_SHIFT;
-        let delta = deadline_tick.saturating_sub(self.current_tick);
-        let home = (0..LEVELS)
-            .find(|&l| delta < Self::level_span_ticks(l))
-            .map_or(Home::Overflow, |l| {
-                let slot_unit = 1u64 << (SLOT_SHIFT * l as u32);
-                Home::Slot(l, ((deadline_tick / slot_unit) % SLOTS as u64) as usize)
-            });
-        let bucket = Self::bucket(&mut self.levels, &mut self.overflow, home);
-        bucket.push(id);
-        (home, bucket.len() - 1)
+    fn place(&mut self, deadline: Nanos, id: u64) -> (usize, usize) {
+        // A deadline behind the cursor is due at the next advance.
+        let tick = (deadline >> TICK_SHIFT).max(self.current_tick);
+        let delta = tick - self.current_tick;
+        let home = match (0..LEVELS).find(|&l| delta < unit(l + 1)) {
+            Some(l) => {
+                let home = Self::slot_of(l, tick);
+                self.occupied[l] |= 1 << (home % SLOTS);
+                home
+            }
+            None => OVERFLOW,
+        };
+        let list = &mut self.lists[home];
+        if list.is_empty() || deadline < self.earliest[home] {
+            self.earliest[home] = deadline;
+        }
+        list.push((deadline, id));
+        (home, list.len() - 1)
     }
 
-    /// Empties `home`'s list and places each of its entries again, now
+    /// Clears `home`'s occupancy bit once its list has emptied.
+    fn vacate(&mut self, home: usize) {
+        if home < OVERFLOW && self.lists[home].is_empty() {
+            self.occupied[home / SLOTS] &= !(1 << (home % SLOTS));
+        }
+    }
+
+    /// Removes `lists[home][pos]` by swapping the list's last timer into
+    /// its place. List order is free: fire order is fixed by the sort in
+    /// `advance`.
+    fn unplace(&mut self, home: usize, pos: usize) {
+        let list = &mut self.lists[home];
+        let (deadline, _) = list.swap_remove(pos);
+        if let Some((_, moved)) = list.get(pos) {
+            self.entries
+                .get_mut(moved)
+                .expect("listed ids are live")
+                .pos = pos;
+        }
+        if deadline == self.earliest[home] {
+            if let Some(next) = list.iter().map(|&(deadline, _)| deadline).min() {
+                self.earliest[home] = next;
+            }
+        }
+        self.vacate(home);
+    }
+
+    /// Empties `home`'s list and places each of its timers again, now
     /// that the cursor is closer to their deadlines. The list trades
     /// buffers with `cascading`, so neither gives up its capacity.
-    fn cascade(&mut self, home: Home) {
-        let bucket = Self::bucket(&mut self.levels, &mut self.overflow, home);
-        let mut ids = std::mem::replace(bucket, std::mem::take(&mut self.cascading));
-        for id in ids.drain(..) {
-            let deadline = self.entries[&id].deadline;
-            let (home, pos) = self.place(id, deadline);
-            let e = self.entries.get_mut(&id).expect("slot ids are live");
+    fn cascade(&mut self, home: usize) {
+        let mut timers =
+            std::mem::replace(&mut self.lists[home], std::mem::take(&mut self.cascading));
+        self.vacate(home);
+        for (deadline, id) in timers.drain(..) {
+            let (home, pos) = self.place(deadline, id);
+            let e = self.entries.get_mut(&id).expect("listed ids are live");
             (e.home, e.pos) = (home, pos);
         }
-        self.cascading = ids;
+        self.cascading = timers;
     }
 
-    fn bucket<'a>(
-        levels: &'a mut [Vec<Vec<u64>>],
-        overflow: &'a mut Vec<u64>,
-        home: Home,
-    ) -> &'a mut Vec<u64> {
-        match home {
-            Home::Slot(level, slot) => &mut levels[level][slot],
-            Home::Overflow => overflow,
+    /// The first tick after the current one that has work — a non-empty
+    /// level-0 slot, or a boundary whose cascade slot (or the overflow
+    /// list) is non-empty — or `target` if that comes first.
+    fn next_stop(&self, target: u64) -> u64 {
+        let mut stop = target;
+        for l in 0..LEVELS {
+            // Slots in the order their ticks come up: the one after the
+            // cursor's first, the cursor's own (a rotation on) last.
+            let next = self.current_tick / unit(l) + 1;
+            let ahead = self.occupied_from(l, next);
+            if ahead != 0 {
+                stop = stop.min((next + ahead.trailing_zeros() as u64) * unit(l));
+            }
         }
-    }
-
-    /// Removes `bucket[pos]` by swapping the last id into its place. Slot
-    /// order is free: fire order is fixed by the `(deadline, seq)` sort.
-    fn unplace(bucket: &mut Vec<u64>, pos: usize, entries: &mut HashMap<u64, Entry<T>>) {
-        bucket.swap_remove(pos);
-        if let Some(moved) = bucket.get(pos) {
-            entries.get_mut(moved).expect("slot ids are live").pos = pos;
+        if !self.lists[OVERFLOW].is_empty() {
+            let top = unit(LEVELS - 1);
+            stop = stop.min((self.current_tick / top + 1) * top);
         }
+        stop
     }
 }
 
@@ -136,70 +181,54 @@ impl<T> TimerService<T> for TimerWheel<T> {
     fn start(&mut self, deadline: Nanos, token: T) -> TimerId {
         let id = self.next_id;
         self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let (home, pos) = self.place(id, deadline);
-        self.entries.insert(
-            id,
-            Entry {
-                deadline,
-                seq,
-                token,
-                home,
-                pos,
-            },
-        );
+        let (home, pos) = self.place(deadline, id);
+        self.entries.insert(id, Entry { token, home, pos });
         TimerId(id)
     }
 
     fn stop(&mut self, id: TimerId) -> Option<T> {
         let e = self.entries.remove(&id.0)?;
-        let bucket = Self::bucket(&mut self.levels, &mut self.overflow, e.home);
-        Self::unplace(bucket, e.pos, &mut self.entries);
+        self.unplace(e.home, e.pos);
         Some(e.token)
     }
 
     fn advance(&mut self, now: Nanos, fired: &mut Vec<T>) {
-        let target_tick = now >> TICK_SHIFT;
+        let target = now >> TICK_SHIFT;
 
-        while self.current_tick <= target_tick {
+        while self.current_tick <= target {
             let tick = self.current_tick;
             // Cascade coarser levels *before* harvesting level 0, so timers
             // landing on this exact tick reach their level-0 slot in time.
             for l in 1..LEVELS {
-                let unit = 1u64 << (SLOT_SHIFT * l as u32);
-                if !tick.is_multiple_of(unit) {
+                if !tick.is_multiple_of(unit(l)) {
                     break;
                 }
-                self.cascade(Home::Slot(l, ((tick / unit) % SLOTS as u64) as usize));
+                let home = Self::slot_of(l, tick);
+                if !self.lists[home].is_empty() {
+                    self.cascade(home);
+                }
             }
             // Retry overflow placement as the top level's cursor advances.
-            let top_unit = 1u64 << (SLOT_SHIFT * (LEVELS as u32 - 1));
-            if tick.is_multiple_of(top_unit) && !self.overflow.is_empty() {
-                self.cascade(Home::Overflow);
+            if tick.is_multiple_of(unit(LEVELS - 1)) && !self.lists[OVERFLOW].is_empty() {
+                self.cascade(OVERFLOW);
             }
             // Harvest the level-0 slot for this tick.
-            let slot0 = (tick % SLOTS as u64) as usize;
-            if tick < target_tick {
+            let home = Self::slot_of(0, tick);
+            if tick < target {
                 // The whole tick has elapsed: everything in it is ripe.
-                for id in self.levels[0][slot0].drain(..) {
-                    let e = &self.entries[&id];
-                    self.ripe.push((e.deadline, e.seq, id));
-                }
-                self.current_tick += 1;
+                // Then skip the empty time up to the next tick with work.
+                self.ripe.append(&mut self.lists[home]);
+                self.vacate(home);
+                self.current_tick = self.next_stop(target);
             } else {
                 // Partial tick: fire only sub-tick deadlines `<= now`; the
-                // rest stay in the slot for a later advance. Leave
-                // `current_tick` at `target_tick` so the slot (and, on a
-                // boundary, the already-emptied cascade slots) are
-                // revisited then.
-                let slot = &mut self.levels[0][slot0];
+                // rest stay in the slot for a later advance, which starts
+                // on this tick again.
                 let mut pos = 0;
-                while let Some(&id) = slot.get(pos) {
-                    let e = &self.entries[&id];
-                    if e.deadline <= now {
-                        self.ripe.push((e.deadline, e.seq, id));
-                        Self::unplace(slot, pos, &mut self.entries);
+                while let Some(&(deadline, id)) = self.lists[home].get(pos) {
+                    if deadline <= now {
+                        self.ripe.push((deadline, id));
+                        self.unplace(home, pos);
                     } else {
                         pos += 1;
                     }
@@ -207,20 +236,45 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 break;
             }
         }
-        self.current_tick = self.current_tick.max(target_tick);
 
-        // Level-0 placement is per-tick, but within a tick entries may have
-        // sub-tick deadline differences; sort for deterministic fire order.
-        self.ripe.sort_unstable_by_key(|&(d, s, _)| (d, s));
-        for (_, _, id) in self.ripe.drain(..) {
+        // A slot is a whole tick, and several slots may have been
+        // harvested: sort into fire order.
+        self.ripe.sort_unstable();
+        for (_, id) in self.ripe.drain(..) {
             let e = self.entries.remove(&id).expect("ripe ids are live");
             fired.push(e.token);
         }
     }
 
     fn next_deadline(&self) -> Option<Nanos> {
-        // O(n) scan; used by event loops that only need it occasionally.
-        self.entries.values().map(|e| e.deadline).min()
+        // Each level's earliest timer is in its first occupied slot in the
+        // order the cursor reaches them: at level 0 starting with the
+        // cursor's own slot (the current tick, harvested only up to the
+        // last `now`), above it with the slot after — what a coarser
+        // cursor slot holds is a whole rotation ahead. A coarser level's
+        // earliest can still precede every finer timer, so the answer is
+        // the least over the levels and the overflow list.
+        let mut earliest = None;
+        let mut offer = |home: usize| {
+            let deadline = self.earliest[home];
+            if earliest.is_none_or(|e| deadline < e) {
+                earliest = Some(deadline);
+            }
+        };
+        for l in 0..LEVELS {
+            let from = self.current_tick / unit(l) + u64::from(l > 0);
+            let ahead = self.occupied_from(l, from);
+            if ahead != 0 {
+                offer(Self::slot_of(
+                    l,
+                    (from + ahead.trailing_zeros() as u64) * unit(l),
+                ));
+            }
+        }
+        if !self.lists[OVERFLOW].is_empty() {
+            offer(OVERFLOW);
+        }
+        earliest
     }
 
     fn pending(&self) -> usize {
@@ -290,8 +344,21 @@ mod tests {
         // and the overflow list; eight timers are outstanding at any time
         // so `stop` removes from the middle of shared slots too.
         let mut w: TimerWheel<u64> = TimerWheel::new(0);
+        // What the lists hold — and, on the way, that an occupancy bit is
+        // set exactly where a slot's list is non-empty and that each
+        // non-empty list's recorded earliest deadline is its least.
         let held = |w: &TimerWheel<u64>| {
-            w.levels.iter().flatten().map(Vec::len).sum::<usize>() + w.overflow.len()
+            for (home, list) in w.lists.iter().enumerate() {
+                let (level, slot) = (home / SLOTS, home % SLOTS);
+                if home < OVERFLOW {
+                    let bit = w.occupied[level] >> slot & 1;
+                    assert_eq!(bit == 1, !list.is_empty(), "level {level} slot {slot}");
+                }
+                if let Some(least) = list.iter().map(|&(deadline, _)| deadline).min() {
+                    assert_eq!(w.earliest[home], least, "level {level} slot {slot}");
+                }
+            }
+            w.lists.iter().map(Vec::len).sum::<usize>()
         };
         let keepers: Vec<u64> = (0..5).map(|l| 3u64 << (TICK_SHIFT + 6 * l)).collect();
         for (i, &d) in keepers.iter().enumerate() {

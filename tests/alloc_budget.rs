@@ -1,51 +1,79 @@
-//! The allocation budget of the steady-state data path, where tier-1 can
-//! see it: a Table-2 bulk transfer under the user-level library may touch
-//! the general allocator only a few times per frame. What is left is named
-//! in DESIGN.md ("Events are data; the allocation budget"): the frame's
-//! `Rc` header, the payload `Vec` the TCB hands out, the application's
-//! write buffers. A boxed closure per event or a fresh `Vec` per call on
-//! the per-frame path shows up here as a count several times the bound.
+//! The allocation budgets tier-1 can see, from one counting allocator.
+//!
+//! **Per frame:** a Table-2 bulk transfer under the user-level library may
+//! touch the general allocator only a few times per steady-state frame.
+//! What is left is named in DESIGN.md ("Events are data; the allocation
+//! budget"): the frame's `Rc` header, the payload `Vec` the TCB hands
+//! out, the application's write buffers. A boxed closure per event or a
+//! fresh `Vec` per call on the per-frame path shows up as a count several
+//! times the bound.
+//!
+//! **Per connection:** a connect → echo → close may request only a few
+//! kilobytes from the allocator, and a connection sitting out TIME_WAIT
+//! may keep only a few alive (DESIGN.md, "What a connection costs"). A
+//! channel that reserves its whole modelled ring up front reads 59 KB and
+//! 28 KB here.
 //!
 //! Its own test binary: the counting allocator is process-wide, so it must
-//! not share a process with tests that run concurrently.
+//! not share a process with tests that run concurrently — and the two
+//! tests here take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
+use unp::core::app::{EchoApp, PingPongApp, TransferStats};
 use unp::core::experiments::Transfer;
-use unp::core::world::{Network, OrgKind};
+use unp::core::world::{build_hosts, connect, listen, Eng, Network, OrgKind, World};
 use unp::sim::MILLIS;
+use unp::tcp::TcpConfig;
 use unp::trace::Ctr;
+use unp::wire::Ipv4Addr;
 
+/// Allocations made, bytes they asked for, and bytes currently live.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+
+/// Held by whichever test is reading the counters.
+static TURN: Mutex<()> = Mutex::new(());
+
+fn grew(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    REQUESTED.fetch_add(bytes as u64, Relaxed);
+    LIVE.fetch_add(bytes as u64, Relaxed);
+}
 
 /// `System`, with every allocation counted.
 struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's layout and
-// pointer unchanged; the counter never influences what is returned.
+// pointer unchanged; the counters never influence what is returned.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        grew(layout.size());
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        grew(layout.size());
         // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
         // SAFETY: `ptr` came from `System` through the methods above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        // One allocation of the new size; the old block is released.
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+        grew(new_size);
         // SAFETY: `ptr` came from `System`; the rest is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,6 +84,7 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_steady_state_bulk_frame_stays_within_its_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     // 1 MB at ~8 Mb/s lasts about a simulated second. The window opens
     // once the handshake, slow start and every buffer's growth are behind
     // (200 ms) and closes well before the FIN (700 ms).
@@ -78,5 +107,90 @@ fn a_steady_state_bulk_frame_stays_within_its_allocation_budget() {
     assert!(
         per_frame <= 3.5,
         "{per_frame:.2} allocations per frame in steady state (budget 3.5)"
+    );
+}
+
+/// `churn` in small: four clients, each opening one connection every
+/// `EVERY` to the echo server on host 0 — connect, one 64-byte round trip,
+/// close — so every slot ends with all its connections closed at the
+/// server and sitting out TIME_WAIT (60 s) at their clients.
+const CLIENTS: usize = 4;
+const EVERY: u64 = 100 * MILLIS;
+const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 80);
+/// About 1.5x what a connection reads: 9.8 KB requested in release and
+/// 16.6 KB in debug (whose kernel re-derives its demux caches after every
+/// channel event), 3.6 KB kept either way — mostly the records that
+/// outlive the connection (DESIGN.md, "What a connection costs").
+const REQUESTED_BUDGET: u64 = 25_000;
+const KEPT_BUDGET: u64 = 5_500;
+
+fn open_one_per_slot(
+    w: &mut World,
+    eng: &mut Eng,
+    client: usize,
+    stats: Rc<RefCell<TransferStats>>,
+) {
+    let app = PingPongApp::new(64, 1, Rc::clone(&stats));
+    connect(
+        w,
+        eng,
+        client,
+        SERVER,
+        TcpConfig::default(),
+        Box::new(app),
+        64,
+    );
+    eng.after(EVERY, move |w, eng| {
+        open_one_per_slot(w, eng, client, stats)
+    });
+}
+
+#[test]
+fn a_connection_stays_within_its_heap_budget() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    // Ten slots of warm-up (tables, pools and spares reach their size),
+    // then fifty measured; each edge falls just before its slot's opens.
+    const EDGES: [u64; 2] = [10, 60];
+    let (mut w, mut eng) = build_hosts(CLIENTS + 1, Network::Ethernet, OrgKind::UserLibrary);
+    listen(
+        &mut w,
+        0,
+        SERVER.1,
+        TcpConfig::default(),
+        Box::new(|| Box::new(EchoApp)),
+    );
+    let stats = TransferStats::new_shared();
+    stats.borrow_mut().rtts.reserve(CLIENTS * EDGES[1] as usize);
+    for client in 1..=CLIENTS {
+        let stats = Rc::clone(&stats);
+        eng.at(client as u64 * MILLIS, move |w, eng| {
+            open_one_per_slot(w, eng, client, stats)
+        });
+    }
+    let mut readings = [(0u64, 0u64); 2];
+    for (reading, slots) in readings.iter_mut().zip(EDGES) {
+        eng.run_until(&mut w, slots * EVERY);
+        let opened = CLIENTS as u64 * slots;
+        assert_eq!(
+            stats.borrow().rtts.len() as u64,
+            opened,
+            "echoes by slot {slots}"
+        );
+        assert_eq!(
+            w.metrics.get(Ctr::ConnectionsClosed),
+            opened,
+            "closed at the server"
+        );
+        *reading = (REQUESTED.load(Relaxed), LIVE.load(Relaxed));
+    }
+    let [(requested_open, live_open), (requested_close, live_close)] = readings;
+    let connections = CLIENTS as u64 * (EDGES[1] - EDGES[0]);
+    let requested = (requested_close - requested_open) / connections;
+    let kept = live_close.saturating_sub(live_open) / connections;
+    assert!(!stats.borrow().reset);
+    assert!(
+        requested <= REQUESTED_BUDGET && kept <= KEPT_BUDGET,
+        "per connection: {requested} bytes requested (budget {REQUESTED_BUDGET}), \
+         {kept} bytes kept through TIME_WAIT (budget {KEPT_BUDGET})"
     );
 }

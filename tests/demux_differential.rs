@@ -289,7 +289,7 @@ proptest! {
         // its own creation by the already-created channels (the framing
         // pin), never by later ones, and teardown does not unpin.
         let tiers = expected_tiers(&chans);
-        let check = |m: &NetIoModule| -> Result<(), TestCaseError> {
+        let check = |m: &NetIoModule, installed: &[ChannelId]| -> Result<(), TestCaseError> {
             let (ft, fi, path) = m.classify(&bytes);
             let (st, si) = m.classify_scan_reference(&bytes);
             prop_assert_eq!((ft, fi), (st, si), "diverged over {:?}", chans);
@@ -300,23 +300,30 @@ proptest! {
                 ),
                 None => prop_assert_eq!(path, DemuxPath::FilterScan, "miss must report scan"),
             }
+            // The O(1) table lengths against a walk of the model: the
+            // installed channels of each keyed tier, counted afresh.
+            let on = |tier| installed.iter().filter(|id| tiers[id.0 as usize] == tier).count();
+            prop_assert_eq!(m.flow_table_len(), on(DemuxPath::FlowTable), "over {:?}", chans);
+            prop_assert_eq!(m.listen_table_len(), on(DemuxPath::ListenTable), "over {:?}", chans);
+            prop_assert!(m.caches_match_rebuild(), "caches diverged over {:?}", chans);
             Ok(())
         };
-        let mut ids = Vec::new();
+        let mut installed = Vec::new();
         for c in &chans {
             let spec = spec_of(c);
             let (id, ..) = m.create_channel(OwnerTag(1), &spec, template_of(&spec), 8, 2048);
-            check(&m)?;
+            installed.push(id);
+            check(&m, &installed)?;
             if c.active {
                 m.activate(id);
-                check(&m)?;
+                check(&m, &installed)?;
             }
-            ids.push((id, *c));
         }
-        for &(id, c) in &ids {
+        for (id, c) in installed.clone().into_iter().zip(&chans) {
             if c.destroy {
                 m.destroy_channel(id, OwnerTag(1));
-                check(&m)?;
+                installed.retain(|&i| i != id);
+                check(&m, &installed)?;
             }
         }
     }
