@@ -50,10 +50,12 @@ cargo test -q --release --offline --test zero_copy --test demux_differential --t
 
 # The allocation budgets: a steady-state Table-2 bulk frame under the
 # user-level library may touch the general allocator at most 3.5 times (a
-# boxed closure per event or a fresh Vec per call reads ~14), and a
+# boxed closure per event or a fresh Vec per call reads ~14), a
 # connect-echo-close may request at most 25 KB and keep 5.5 KB through
-# TIME_WAIT (a ring reserved up front reads 59 KB and 28 KB). In release,
-# like the ledger whose `allocs_per_frame`, `alloc_bytes_per_frame` and
+# TIME_WAIT (a ring reserved up front reads 59 KB and 28 KB), and a
+# connection that has closed at both ends may keep 64 B (a scope and a
+# binding report per connection ever made read 445 B). In release, like
+# the ledger whose `allocs_per_frame`, `alloc_bytes_per_frame` and
 # `peak_heap_bytes` they mirror.
 echo "== allocation budgets (release) =="
 cargo test -q --release --offline --test alloc_budget
@@ -75,9 +77,12 @@ cargo test -q --release --offline --test profile
 # mid-transfer application crash per world, with the differential oracle
 # (surviving streams byte-exact, failures clean) and the zero-leak sweep.
 # Fixed seeds inside the test make this deterministic; release mode
-# matches how the long multi-host worlds are meant to run.
-echo "== fault soak (seeded, release) =="
-cargo test -q --release --offline --test fault_soak
+# matches how the long multi-host worlds are meant to run. With it, the
+# teardown suite: 5,000 connects from one client wrap the ephemeral port
+# range, and every reused 4-tuple must still count as its own connection
+# in the closed totals.
+echo "== fault soak + teardown / port wrap (seeded, release) =="
+cargo test -q --release --offline --test fault_soak --test teardown
 
 # The reproduced tables are the project's ground truth: any diff against
 # the committed golden output — including from a demux or buffering
@@ -91,21 +96,26 @@ diff -u tables_output.txt /tmp/unp_tables_output.txt \
 # workload size, so the committed artifacts are goldens too: regenerate
 # them all and fail on any difference. A reviewed change commits the new
 # files (and BENCH_summary.json, the gate table evaluated over them).
-echo "== BENCH_*.json artifacts vs. the committed ones =="
+#
+# `bench` also holds each document it has just built to its rows of the
+# gate table (crates/bench/src/summary.rs: every bound the reports are
+# held to, one row each) — the causal fault-plan oracle and the golden
+# Chrome trace (refresh with `baseline causal`), the multi-tenant
+# isolation envelope, the conformance monitor's zero-violation /
+# non-vacuity / mutation-coverage legs, the model cross-checks of the
+# traced sweep — so every report is built once.
+echo "== BENCH_*.json artifacts vs. the committed ones, and their gate rows =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables -- bench all > /dev/null
 git diff --exit-code -- 'BENCH_*.json' \
   || { echo "a BENCH_*.json artifact diverged from the committed one"; exit 1; }
 
-# The gate table (crates/bench/src/summary.rs): every bound the reports
-# are held to, one row each — the profile stage means against
-# BENCH_profile_baseline.json (±5%; refresh with `baseline profile`), the
-# causal fault-plan oracle and the golden Chrome trace (refresh with
-# `baseline causal`), the multi-tenant isolation envelope, the
-# conformance monitor's zero-violation / non-vacuity / mutation-coverage
-# legs, the model cross-checks of the traced sweep, and the one
-# wall-clock check left: a churn cycle at 4096 channels within a constant
-# factor of one at 64 (a regression to O(N) reads ~50x).
-echo "== gate table =="
-cargo run -q -p unp-bench --release --offline --bin repro-tables -- gate all > /dev/null
+# The two gated reports that have no artifact: the profile stage means
+# against BENCH_profile_baseline.json (±5%; refresh with `baseline
+# profile`), and the one wall-clock check left: a churn cycle at 4096
+# channels within a constant factor of one at 64 (a regression to O(N)
+# reads ~50x).
+echo "== gate table: profile_quick, churn =="
+cargo run -q -p unp-bench --release --offline --bin repro-tables -- gate profile_quick > /dev/null
+cargo run -q -p unp-bench --release --offline --bin repro-tables -- gate churn > /dev/null
 
 echo "CI gate passed."

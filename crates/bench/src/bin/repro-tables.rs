@@ -6,15 +6,16 @@
 //!     smaller workloads. The bare invocation's output is the committed
 //!     golden tables_output.txt.
 //! repro-tables bench <name|all>
-//!     run a report, print it, and write its BENCH_<name>.json into the
+//!     run a report, print it, write its BENCH_<name>.json into the
 //!     current directory (`all` also writes BENCH_summary.json, the gate
-//!     table evaluated over them). Every artifact is simulated time and
+//!     table evaluated over them) and hold it to its rows of the gate
+//!     table; exit 1 on any failure. Every artifact is simulated time and
 //!     exact counts at one fixed size, so CI checks them by `git diff`.
 //! repro-tables gate <name|all>
-//!     run a report and hold it to its rows of the gate table; exit 1 on
-//!     any failure. Beyond the artifacts: `profile_quick` (stage means vs
-//!     the committed BENCH_profile_baseline.json) and `churn` (the one
-//!     wall-clock check: 4096-vs-64-channel churn ratio).
+//!     `bench` without the writing, over two more reports that have no
+//!     artifact: `profile_quick` (stage means vs the committed
+//!     BENCH_profile_baseline.json) and `churn` (the one wall-clock
+//!     check: 4096-vs-64-channel churn ratio).
 //! repro-tables explain [f<id> | <port> | postmortem]
 //!     run the seeded faulty Table-2 workload and print the causal
 //!     postmortem for one frame, one connection, or the whole run;
@@ -82,26 +83,19 @@ fn print_tables(selectors: &[&str]) {
     }
 }
 
-fn bench(name: &str) {
-    let reports = select(name, |r| r.file.is_some()).unwrap_or_else(|e| usage(&e));
+/// Builds each report `name` selects once, writes the artifacts when
+/// `write` is set (which leaves out the reports that have none), and holds
+/// every document to its rows of the gate table.
+fn run_reports(name: &str, write: bool) {
+    let reports = select(name, |r| !write || r.file.is_some()).unwrap_or_else(|e| usage(&e));
     let w = Workloads::new(Sizes::DEFAULT);
     let mut built = Vec::new();
-    for r in reports {
-        let doc = (r.build)(&w);
-        write_artifact(r.file.expect("selected by file"), &doc);
-        built.push((r.name, doc));
-    }
-    if name == "all" {
-        write_artifact("BENCH_summary.json", &summary(&built, &read_document));
-    }
-}
-
-fn gate(name: &str) {
-    let reports = select(name, |_| true).unwrap_or_else(|e| usage(&e));
-    let w = Workloads::new(Sizes::DEFAULT);
     let mut failures = 0;
     for r in reports {
         let doc = (r.build)(&w);
+        if write {
+            write_artifact(r.file.expect("selected by file"), &doc);
+        }
         let rows: Vec<_> = TABLE.iter().filter(|row| row.report == r.name).collect();
         let before = failures;
         for row in &rows {
@@ -117,6 +111,10 @@ fn gate(name: &str) {
         let held = rows.len() - (failures - before);
         // Verdicts go to stderr so they survive `> /dev/null` on the reports.
         eprintln!("gate {}: {held} of {} rows hold", r.name, rows.len());
+        built.push((r.name, doc));
+    }
+    if write && name == "all" {
+        write_artifact("BENCH_summary.json", &summary(&built, &read_document));
     }
     if failures > 0 {
         eprintln!("gate FAILED: {failures} row(s)");
@@ -128,8 +126,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let words: Vec<&str> = args.iter().map(String::as_str).collect();
     match words.as_slice() {
-        ["bench", name] => bench(name),
-        ["gate", name] => gate(name),
+        ["bench", name] => run_reports(name, true),
+        ["gate", name] => run_reports(name, false),
         ["explain", "postmortem"] => monitor::print_postmortem_demo(&causal::lossy_journal()),
         ["explain", target @ ..] if target.len() <= 1 => {
             let graph = causal::causal_graph(&causal::lossy_journal());

@@ -21,7 +21,7 @@ use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_sim::{CostModel, Cpu, DemuxPath, Engine, EventFn, EventId, LinkParams, Nanos};
 use unp_tcp::{ListenTcb, Tcb, TcpAction, TcpConfig, TcpTimer};
 use unp_timers::{TimerId, TimerService, TimerWheel};
-use unp_trace::{ConnKey, Ctr, Gauge, Hist, Metrics};
+use unp_trace::{ConnKey, ConnScope, Ctr, Gauge, Hist, Metrics};
 use unp_wire::{
     An1Frame, An1Repr, ArpPacket, ArpRepr, EtherType, EthernetRepr, IpProtocol, Ipv4Addr, Ipv4Repr,
     MacAddr, TcpPacket, TcpRepr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN,
@@ -119,8 +119,10 @@ pub struct ChanInfo {
 
 /// One live connection endpoint.
 pub struct Conn {
-    /// The TCP state (the paper's "TCP state transferred to user level").
-    pub tcb: Tcb,
+    /// The TCP state (the paper's "TCP state transferred to user level"),
+    /// in the box the registry handed it over in: a table slot is a
+    /// pointer, so the table's capacity does not cost what it indexes.
+    pub tcb: Box<Tcb>,
     /// The owning application.
     pub app: Box<dyn crate::app::AppLogic>,
     /// Channel info when running under the UserLibrary organization.
@@ -129,6 +131,8 @@ pub struct Conn {
     pending_tx: VecDeque<u8>,
     /// The app requested close once `pending_tx` drains.
     close_pending: bool,
+    /// Bytes handed to the application so far ([`ConnScope::bytes_to_app`]).
+    bytes_to_app: u64,
     /// Typical application write size (the experiments' "user packet
     /// size"), used by per-organization copy-elimination rules.
     pub write_size: usize,
@@ -1037,7 +1041,7 @@ pub fn connect_as(
                 let mut actions = w.tcp_spare.take();
                 let local = (local_ip, local_port);
                 let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut actions);
-                let c = install_conn(w, host, tcb, app, None, write_size);
+                let c = install_conn(w, host, Box::new(tcb), app, None, write_size);
                 apply_tcp_actions(w, eng, host, c, None, actions);
             });
         }
@@ -1047,7 +1051,7 @@ pub fn connect_as(
 fn install_conn(
     w: &mut World,
     h: usize,
-    tcb: Tcb,
+    tcb: Box<Tcb>,
     app: Box<dyn crate::app::AppLogic>,
     chan: Option<ChanInfo>,
     write_size: usize,
@@ -1068,6 +1072,7 @@ fn install_conn(
             chan,
             pending_tx: VecDeque::new(),
             close_pending: false,
+            bytes_to_app: 0,
             write_size,
         },
     );
@@ -1717,7 +1722,7 @@ fn pcb_input(w: &mut World, eng: &mut Eng, h: usize, src: Ipv4Addr, repr: &TcpRe
         match ltcb.on_syn_into(remote, repr, iss, now, &mut actions) {
             Some(tcb) => {
                 let write_size = 4096;
-                let cid = install_conn(w, h, tcb, app, None, write_size);
+                let cid = install_conn(w, h, Box::new(tcb), app, None, write_size);
                 apply_tcp_actions(w, eng, h, cid, None, actions);
             }
             None => w.tcp_spare.give(actions),
@@ -2182,7 +2187,7 @@ fn apply_registry_actions(
                     cost += c.bqi_setup; // programming the BQI machinery
                 }
                 host_exec(w, eng, h, cost, move |w, eng| {
-                    finalize_user_conn(w, eng, h, hs, *tcb);
+                    finalize_user_conn(w, eng, h, hs, tcb);
                 });
             }
             RegistryAction::Failed { hs, .. } => {
@@ -2388,7 +2393,7 @@ fn drop_handshake(w: &mut World, h: usize, hs: u64) -> Option<Handshake> {
 
 /// The handshake completed: activate the channel, fix the template's BQI,
 /// install the connection in the application's library, and upcall it.
-fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Tcb) {
+fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Box<Tcb>) {
     let Some(rec) = w.hosts[h].handshakes.remove(&hs.0) else {
         return;
     };
@@ -2435,7 +2440,7 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Tcb
 /// already activated, so release it and its BQI, and hand the established
 /// TCB to the registry, which resets the peer on the vanished
 /// application's behalf (the §3.4 trusted-agent role).
-fn listener_vanished(w: &mut World, eng: &mut Eng, h: usize, chan: ChanInfo, tcb: Tcb) {
+fn listener_vanished(w: &mut World, eng: &mut Eng, h: usize, chan: ChanInfo, tcb: Box<Tcb>) {
     w.metrics.bump(Ctr::ListenerVanished);
     w.metrics.bump(Ctr::ResourceReclaims);
     let port = tcb.local().1;
@@ -2448,7 +2453,7 @@ fn listener_vanished(w: &mut World, eng: &mut Eng, h: usize, chan: ChanInfo, tcb
     release_channel(w, h, &chan, pair_key(&tcb));
     let now = eng.now();
     with_registry(w, eng, h, |registry, out| {
-        registry.app_exit_into(owner, vec![tcb], true, now, out)
+        registry.app_exit_into(owner, vec![*tcb], true, now, out)
     });
 }
 
@@ -2500,12 +2505,12 @@ fn apply_tcp_actions(
                 let now = eng.now();
                 let drained = with_conn(w, eng, h, cid, frame, |conn, out| {
                     let data = conn.tcb.recv_into(usize::MAX, now, out);
-                    (conn_key(h, &conn.tcb), data)
+                    conn.bytes_to_app += data.len() as u64;
+                    data
                 });
-                let (key, data) = drained.expect("checked");
+                let data = drained.expect("checked");
                 if !data.is_empty() {
                     w.metrics.sample(Hist::AppDeliverBytes, data.len() as u64);
-                    w.metrics.conn(key).bytes_to_app += data.len() as u64;
                     unp_trace::emit_at(h as u16, frame, || unp_trace::Event::AppDeliver {
                         conn: cid as u64,
                         bytes: data.len() as u32,
@@ -2707,54 +2712,49 @@ fn remove_conn(w: &mut World, h: usize, cid: u32) -> Option<Conn> {
         .chan
         .as_ref()
         .and_then(|ci| Some((ci.id, release_channel(w, h, ci, key)?)));
-    retire_conn_stats(w, h, &conn.tcb, chan_stats);
+    retire_conn_stats(w, h, &conn, chan_stats);
     Some(conn)
 }
 
-/// The metrics scope key for a live connection on host `h`.
-fn conn_key(h: usize, tcb: &Tcb) -> ConnKey {
+/// The one writer of a connection's [`ConnScope`]: built here, by value,
+/// from the dying connection's TCP counters and (when it had a channel)
+/// the kernel channel's demux/delivery counters, and handed to the
+/// metrics registry's closed totals.
+fn retire_conn_stats(
+    w: &mut World,
+    h: usize,
+    conn: &Conn,
+    chan_stats: Option<(ChannelId, ChannelStats)>,
+) {
+    let tcb = &conn.tcb;
     let (remote_ip, remote_port) = tcb.remote();
-    ConnKey {
+    let key = ConnKey {
         host: h as u16,
         local_port: tcb.local().1,
         remote_ip: remote_ip.0,
         remote_port,
-    }
-}
-
-/// Rolls a dying connection's TCP counters and (when it had a channel) the
-/// kernel channel's demux/delivery counters into the metrics scopes.
-fn retire_conn_stats(
-    w: &mut World,
-    h: usize,
-    tcb: &Tcb,
-    chan_stats: Option<(ChannelId, ChannelStats)>,
-) {
-    let key = conn_key(h, tcb);
+    };
     let ts = tcb.stats();
-    let scope = w.metrics.conn(key);
-    scope.segs_out = ts.segs_out;
-    scope.segs_in = ts.segs_in;
-    scope.bytes_rexmit = ts.bytes_rexmit;
-    scope.rto_fires = ts.rto_fires;
-    scope.fast_rexmit = ts.fast_rexmit;
-    scope.dup_acks_in = ts.dup_acks_in;
-    scope.probes = ts.probes;
-    scope.srtt = tcb.srtt();
-    if let Some((chid, cs)) = chan_stats {
-        scope.rx_delivered = cs.delivered;
-        scope.rx_batched = cs.batched;
-        scope.flow_hits = cs.flow_hits;
-        scope.listen_hits = cs.listen_hits;
-        scope.scan_fallbacks = cs.scan_fallbacks;
-        let ch = w.metrics.channel(key.host, chid.0);
-        ch.delivered = cs.delivered;
-        ch.batched = cs.batched;
-        ch.flow_hits = cs.flow_hits;
-        ch.listen_hits = cs.listen_hits;
-        ch.scan_fallbacks = cs.scan_fallbacks;
-    }
-    if let Some(srtt) = tcb.srtt() {
+    let cs = chan_stats.map(|(_, cs)| cs).unwrap_or_default();
+    let scope = ConnScope {
+        segs_out: ts.segs_out,
+        segs_in: ts.segs_in,
+        bytes_rexmit: ts.bytes_rexmit,
+        rto_fires: ts.rto_fires,
+        fast_rexmit: ts.fast_rexmit,
+        dup_acks_in: ts.dup_acks_in,
+        probes: ts.probes,
+        srtt: tcb.srtt(),
+        rx_delivered: cs.delivered,
+        rx_batched: cs.batched,
+        flow_hits: cs.flow_hits,
+        listen_hits: cs.listen_hits,
+        scan_fallbacks: cs.scan_fallbacks,
+        bytes_to_app: conn.bytes_to_app,
+    };
+    let channel = chan_stats.map(|(id, _)| id.0);
+    w.metrics.retire_conn(key, channel, scope);
+    if let Some(srtt) = scope.srtt {
         w.metrics.sample(Hist::ConnSrtt, srtt);
     }
     w.metrics.gauge_dec(Gauge::ActiveConnections);
@@ -2958,7 +2958,7 @@ pub fn app_exit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnormal: b
         let now = eng.now();
         w.metrics.bump(Ctr::ConnectionsInherited);
         with_registry(w, eng, host, |registry, out| {
-            registry.app_exit_into(owner, vec![tcb], abnormal, now, out)
+            registry.app_exit_into(owner, vec![*tcb], abnormal, now, out)
         });
     });
 }
@@ -3103,7 +3103,7 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
                 let conn = remove_conn(w, host, cid).expect("indexed by its channel");
                 w.metrics.bump(Ctr::ConnectionsClosed);
                 w.metrics.bump(Ctr::ConnectionsInherited);
-                orphan_tcbs.push(conn.tcb);
+                orphan_tcbs.push(*conn.tcb);
             }
             Some(&ChanOwner::Handshake(hs)) => {
                 drop_handshake(w, host, hs);
@@ -3175,12 +3175,8 @@ fn resched_wheel(w: &mut World, eng: &mut Eng, h: usize) {
 }
 
 fn wheel_fire(w: &mut World, eng: &mut Eng, h: usize) {
-    w.hosts[h].wheel_event = None;
-    let now = eng.now();
-    let mut fired = std::mem::take(&mut w.hosts[h].fired);
-    w.hosts[h].wheel.advance(now, &mut fired);
-    for token in fired.drain(..) {
-        w.hosts[h].timers.remove(&token);
+    fire_due(w, eng, h, |w, eng, token| {
+        let now = eng.now();
         match token {
             TimerToken::Conn(cid, t) => {
                 with_conn(w, eng, h, cid, None, |conn, out| {
@@ -3190,6 +3186,36 @@ fn wheel_fire(w: &mut World, eng: &mut Eng, h: usize) {
             TimerToken::Registry(hs, t) => with_registry(w, eng, h, |registry, out| {
                 registry.on_timer_into(HsId(hs), t, now, out)
             }),
+        }
+    });
+}
+
+/// Takes every due token off host `h`'s wheel and hands each to
+/// `dispatch` in the wheel's `(deadline, start)` order. The whole batch
+/// leaves the timer table *before* any of it is dispatched, so an entry a
+/// token finds under its own name at its turn can only be a re-arm made
+/// by an earlier token of this batch: the table keeps that handle (the
+/// timer stays cancellable, and `timers.len() == wheel.pending()` holds
+/// throughout), and the fire it supersedes is dropped — the new instance
+/// fires at its own deadline. A token an earlier one merely *cancelled*
+/// still fires, as it always has: every timer handler re-checks the state
+/// it acts on.
+fn fire_due(
+    w: &mut World,
+    eng: &mut Eng,
+    h: usize,
+    mut dispatch: impl FnMut(&mut World, &mut Eng, TimerToken),
+) {
+    let host = &mut w.hosts[h];
+    host.wheel_event = None;
+    let mut fired = std::mem::take(&mut host.fired);
+    host.wheel.advance(eng.now(), &mut fired);
+    for token in &fired {
+        host.timers.remove(token);
+    }
+    for token in fired.drain(..) {
+        if !w.hosts[h].timers.contains_key(&token) {
+            dispatch(w, eng, token);
         }
     }
     w.hosts[h].fired = fired;
@@ -3244,6 +3270,56 @@ mod tests {
         // never shrinks, so a variant that outgrows this budget is paid
         // for by every workload's peak heap: box the rare thing instead.
         assert!(std::mem::size_of::<Event>() <= 96);
+    }
+
+    #[test]
+    fn a_connection_table_slot_is_a_pointer() {
+        // `Host.conns` keeps its capacity after the connections are gone
+        // (a `churn` client's table reaches 512 buckets), so the entry
+        // holds the TCB's box, not its 600-odd bytes.
+        assert!(std::mem::size_of::<Conn>() <= 128);
+    }
+
+    #[test]
+    fn a_timer_rearmed_by_its_own_batch_keeps_its_handle() {
+        let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
+        let first = TimerToken::Conn(7, TcpTimer::Retransmit);
+        let second = TimerToken::Conn(7, TcpTimer::DelayedAck);
+        let third = TimerToken::Conn(7, TcpTimer::Persist);
+        for token in [first, second, third] {
+            arm_timer(&mut w, &mut eng, 0, token, 1_000_000);
+        }
+        // This test fires the batch itself, with a handler that does what
+        // no TCB timer does today: the first token re-arms the second
+        // and cancels the third.
+        let (_, wheel_event) = w.hosts[0].wheel_event.take().expect("armed");
+        eng.cancel(wheel_event);
+        let dispatched = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let seen = std::rc::Rc::clone(&dispatched);
+        eng.at(1_000_000, move |w, eng| {
+            fire_due(w, eng, 0, |w, eng, token| {
+                seen.borrow_mut().push(token);
+                if token == first {
+                    arm_timer(w, eng, 0, second, 5_000_000);
+                    cancel_timer(w, eng, 0, third);
+                }
+                let host = &w.hosts[0];
+                assert_eq!(host.timers.len(), host.wheel.pending(), "at {token:?}");
+            });
+        });
+        eng.run_until(&mut w, 2_000_000);
+        // The re-armed token's superseded fire is dropped; the cancelled
+        // one still fires (handlers re-check their state).
+        assert_eq!(*dispatched.borrow(), [first, third]);
+        let host = &w.hosts[0];
+        assert_eq!((host.timers.len(), host.wheel.pending()), (1, 1));
+        // The re-armed timer is still cancellable, and fires on time if
+        // it is not.
+        assert!(host.timers.contains_key(&second));
+        assert_eq!(host.wheel_event.map(|(at, _)| at), Some(5_000_000));
+        cancel_timer(&mut w, &mut eng, 0, second);
+        assert_eq!(w.hosts[0].wheel.pending(), 0);
+        assert_eq!(w.leaks(), Vec::<String>::new());
     }
 
     #[test]

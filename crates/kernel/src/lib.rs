@@ -37,6 +37,11 @@ use unp_buffers::{Frame, OwnerTag, RingId};
 use unp_filter::programs::DemuxSpec;
 use unp_filter::{CompiledDemux, Demux};
 pub use unp_sim::DemuxPath;
+/// The bound on what is kept whole of a destroyed channel's
+/// [`ChannelStats`] once it is handed on: the registry (which cannot name
+/// `unp-trace` itself while `benchmark/Cargo.lock` is frozen) and the
+/// metrics registry share the one constant.
+pub use unp_trace::{push_kept, RETIRED_KEPT};
 use unp_wire::{FlowKey, ListenKey};
 
 /// Maps the cost model's path enum onto the journal's (the trace crate
@@ -400,8 +405,8 @@ impl DemuxStats {
 /// tables, the id order, and the scan-cost accounting in place (O(log n)
 /// point updates on [`InstrFenwick`]) rather than rebuilding O(n) caches
 /// per connection event, so churn stays flat into the 10⁵–10⁶-channel
-/// range. [`NetIoModule::force_rebuild_active`] remains the from-scratch
-/// oracle the incremental structures are validated against.
+/// range. `force_rebuild_active` (`testing` feature) remains the
+/// from-scratch oracle the incremental structures are validated against.
 pub struct NetIoModule {
     channels: HashMap<u32, Channel>,
     caps: HashMap<u64, CapEntry>,
@@ -616,20 +621,17 @@ impl NetIoModule {
         (fen, total, residual)
     }
 
-    /// Replaces the incremental caches with a from-scratch rebuild.
-    fn rebuild_active(&mut self) {
-        let (fen, total, residual) = self.compute_caches();
-        self.instr_fen = fen;
-        self.total_active_instrs = total;
-        self.residual = residual;
-    }
-
     /// Oracle hook: rebuilds the demux caches from scratch, as every
     /// activation and teardown did before maintenance went incremental.
     /// Benchmarks time it to report what a churn event used to cost; tests
     /// call it to confirm the incremental state matches a fresh build.
+    /// Not part of the release API (`testing` feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn force_rebuild_active(&mut self) {
-        self.rebuild_active();
+        let (fen, total, residual) = self.compute_caches();
+        self.instr_fen = fen;
+        self.total_active_instrs = total;
+        self.residual = residual;
     }
 
     /// True when the incrementally-maintained caches equal a from-scratch
@@ -927,7 +929,9 @@ impl NetIoModule {
     /// `(target, filter_instrs)`. The property tests assert
     /// [`NetIoModule::classify`] agrees with this on both fields for
     /// arbitrary frames and channel sets; the benchmarks measure what the
-    /// flow table saves over it.
+    /// flow table saves over it. Not part of the release API (`testing`
+    /// feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn classify_scan_reference(&self, frame: &[u8]) -> (Option<ChannelId>, usize) {
         let mut instrs = 0;
         for &id in &self.scan_order {

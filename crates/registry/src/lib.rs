@@ -30,11 +30,11 @@ pub mod udp;
 pub use ports::PortAllocator;
 pub use udp::UdpRegistry;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use unp_buffers::OwnerTag;
 use unp_filter::programs::DemuxSpec;
-use unp_kernel::ChannelStats;
+use unp_kernel::{push_kept, ChannelStats};
 #[cfg(test)]
 use unp_tcp::State;
 use unp_tcp::{ListenTcb, Tcb, TcpAction, TcpConfig, TcpTimer};
@@ -208,8 +208,13 @@ pub struct RegistryServer {
     conns: HashMap<u64, Pending>,
     /// Index (local_port, remote_ip, remote_port) → hs.
     index: HashMap<(u16, Ipv4Addr, u16), u64>,
-    /// Channel stats handed back at connection teardown, in arrival order.
-    bindings: Vec<BindingReport>,
+    /// Channel stats handed back at connection teardown: how many, how
+    /// many of them [`BindingReport::missed_fast_path`], and the last
+    /// [`unp_kernel::RETIRED_KEPT`] of each, in arrival order.
+    reports: u64,
+    flagged: u64,
+    recent: VecDeque<BindingReport>,
+    recent_flagged: VecDeque<BindingReport>,
     next_hs: u64,
     next_iss: u32,
     /// Where a TCB's output waits for [`RegistryServer::route`]; empty
@@ -226,7 +231,10 @@ impl RegistryServer {
             listeners: HashMap::new(),
             conns: HashMap::new(),
             index: HashMap::new(),
-            bindings: Vec::new(),
+            reports: 0,
+            flagged: 0,
+            recent: VecDeque::new(),
+            recent_flagged: VecDeque::new(),
             next_hs: 1,
             // Seed the ISS from the host address so two hosts never share
             // sequence spaces (the 4.3BSD clock-driven scheme's role).
@@ -554,25 +562,39 @@ impl RegistryServer {
         remote: (Ipv4Addr, u16),
         stats: ChannelStats,
     ) {
-        self.bindings.push(BindingReport {
+        let report = BindingReport {
             local_port,
             remote,
             stats,
-        });
+        };
+        self.reports += 1;
+        if report.missed_fast_path() {
+            self.flagged += 1;
+            push_kept(&mut self.recent_flagged, report);
+        }
+        push_kept(&mut self.recent, report);
     }
 
-    /// All channel-stats reports received so far, in arrival order.
-    pub fn binding_reports(&self) -> &[BindingReport] {
-        &self.bindings
+    /// Channel-stats reports received so far.
+    pub fn report_count(&self) -> u64 {
+        self.reports
     }
 
-    /// The bindings that kept missing the flow-table fast path (see
+    /// How many of them kept missing the keyed fast paths (see
     /// [`BindingReport::missed_fast_path`]).
-    pub fn flagged_bindings(&self) -> Vec<&BindingReport> {
-        self.bindings
-            .iter()
-            .filter(|b| b.missed_fast_path())
-            .collect()
+    pub fn flagged_count(&self) -> u64 {
+        self.flagged
+    }
+
+    /// The last [`unp_kernel::RETIRED_KEPT`] reports, in arrival order.
+    pub fn binding_reports(&self) -> &VecDeque<BindingReport> {
+        &self.recent
+    }
+
+    /// The last [`unp_kernel::RETIRED_KEPT`] flagged reports, in arrival
+    /// order — kept apart so healthy churn cannot push them out.
+    pub fn flagged_bindings(&self) -> &VecDeque<BindingReport> {
+        &self.recent_flagged
     }
 
     /// True if `port` can be bound right now.
@@ -995,6 +1017,39 @@ mod tests {
         let flagged = r.flagged_bindings();
         assert_eq!(flagged.len(), 1);
         assert_eq!(flagged[0].local_port, 81);
+    }
+
+    #[test]
+    fn binding_reports_are_counted_and_only_the_tail_and_the_flagged_kept() {
+        let mut r = RegistryServer::new(IP_A);
+        let healthy = ChannelStats {
+            delivered: 40,
+            batched: 0,
+            flow_hits: 40,
+            listen_hits: 0,
+            scan_fallbacks: 0,
+        };
+        let scan_heavy = ChannelStats {
+            flow_hits: 3,
+            scan_fallbacks: 37,
+            ..healthy
+        };
+        // Three flagged reports, all early: 190 healthy ones follow the
+        // last and must not push any of them out.
+        for port in 0..200u16 {
+            let stats = if [2, 5, 9].contains(&port) {
+                scan_heavy
+            } else {
+                healthy
+            };
+            r.record_channel_stats(port, (IP_B, 5000), stats);
+        }
+        assert_eq!((r.report_count(), r.flagged_count()), (200, 3));
+        let flagged = r.flagged_bindings().iter().map(|b| b.local_port);
+        assert_eq!(flagged.collect::<Vec<_>>(), [2, 5, 9]);
+        let kept = r.binding_reports();
+        assert!(kept.len() <= unp_kernel::RETIRED_KEPT);
+        assert_eq!(kept.back().map(|b| b.local_port), Some(199));
     }
 
     /// An active open from `ra` to `rb`'s `port`, run to completion.

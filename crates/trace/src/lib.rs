@@ -53,8 +53,8 @@ pub mod stream;
 
 pub use causal::{Attribution, CausalGraph, Cause, Journey, JourneyFate, Loss};
 pub use metrics::{
-    ChannelScope, ConnKey, ConnScope, Ctr, Gauge, Hist, Histogram, LinkScope, Metrics, Snapshot,
-    Window,
+    push_kept, ClosedConns, ConnKey, ConnScope, Ctr, Gauge, Hist, Histogram, LinkScope, Metrics,
+    Snapshot, Window, RETIRED_KEPT,
 };
 pub use monitor::{CheckStats, Monitor, Violation, ViolationKind};
 pub use profile::{PathOutcome, PathTrace, Profile, Stage};

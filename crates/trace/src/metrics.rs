@@ -6,12 +6,15 @@
 //! bump is now an array index instead of a `BTreeMap<&str, _>` probe, a
 //! typo is a compile error instead of a silently fresh counter, and the
 //! scattered per-subsystem stats structs (`TcpStats`, the kernel's
-//! per-channel counters) are absorbed into [`ConnScope`]s at connection
-//! teardown so post-run reports see one registry.
+//! per-channel counters) are absorbed into one [`ConnScope`] at connection
+//! teardown, which [`Metrics::retire_conn`] folds into per-host
+//! [`ClosedConns`] totals and a tail of the last [`RETIRED_KEPT`] closes:
+//! the registry's size follows hosts, not connections ever made.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use crate::json::Value;
 use crate::Nanos;
 
 macro_rules! metric_enum {
@@ -312,6 +315,19 @@ impl Histogram {
         }
         Some(self.max) // unreachable: cum reaches count
     }
+
+    /// The report form: count, mean to one decimal, median, p99, extremes
+    /// (zeros when empty).
+    pub fn summary(&self) -> Value {
+        Value::obj([
+            ("count", self.count.into()),
+            ("mean", Value::fixed(self.mean().unwrap_or(0.0), 1)),
+            ("p50", self.quantile(0.5).unwrap_or(0).into()),
+            ("p99", self.quantile(0.99).unwrap_or(0).into()),
+            ("min", self.min().unwrap_or(0).into()),
+            ("max", self.max().unwrap_or(0).into()),
+        ])
+    }
 }
 
 /// Identity of a connection endpoint for scope keys and reports.
@@ -338,9 +354,25 @@ impl fmt::Display for ConnKey {
     }
 }
 
+/// How many of the most recent closes a bounded record keeps whole (the
+/// metrics registry's retired connections, the TCP registry's binding
+/// reports): enough to read the end of a run the way the flight recorder
+/// reads the end of a journal; everything older survives as totals.
+pub const RETIRED_KEPT: usize = 64;
+
+/// Pushes `v` onto a tail of the last [`RETIRED_KEPT`] values. The tail
+/// starts empty and never holds more, so it costs what was closed, up to
+/// the bound, and nothing up front.
+pub fn push_kept<T>(tail: &mut VecDeque<T>, v: T) {
+    if tail.len() == RETIRED_KEPT {
+        tail.pop_front();
+    }
+    tail.push_back(v);
+}
+
 /// Per-connection roll-up: the TCP machine's counters plus the kernel
-/// channel's delivery/demux counters, recorded into the registry when the
-/// connection (or its owning application) goes away.
+/// channel's delivery/demux counters, built once when the connection (or
+/// its owning application) goes away.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnScope {
     /// Segments sent (including retransmissions).
@@ -373,6 +405,40 @@ pub struct ConnScope {
     pub bytes_to_app: u64,
 }
 
+impl std::ops::AddAssign<&ConnScope> for ConnScope {
+    /// Field-wise sum. `srtt` is a final estimate, not a count: the sum
+    /// leaves it alone (the distribution is [`Hist::ConnSrtt`]).
+    fn add_assign(&mut self, c: &ConnScope) {
+        self.segs_out += c.segs_out;
+        self.segs_in += c.segs_in;
+        self.bytes_rexmit += c.bytes_rexmit;
+        self.rto_fires += c.rto_fires;
+        self.fast_rexmit += c.fast_rexmit;
+        self.dup_acks_in += c.dup_acks_in;
+        self.probes += c.probes;
+        self.rx_delivered += c.rx_delivered;
+        self.rx_batched += c.rx_batched;
+        self.flow_hits += c.flow_hits;
+        self.listen_hits += c.listen_hits;
+        self.scan_fallbacks += c.scan_fallbacks;
+        self.bytes_to_app += c.bytes_to_app;
+    }
+}
+
+/// One host's closed connections, rolled up: how many, and the sum of
+/// their scopes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClosedConns {
+    /// Connection endpoints retired on this host.
+    pub count: u64,
+    /// Their scopes, summed field-wise (`srtt` stays `None`).
+    pub sum: ConnScope,
+}
+
+/// A connection kept whole in the tail of recent closes, with the raw id
+/// of the kernel channel it ran over (user-library org).
+type Retired = (ConnKey, Option<u32>, ConnScope);
+
 /// Per-link fault roll-up, keyed by `(from host, to host)`: what the
 /// fault plan did to frames crossing that directed link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -387,21 +453,6 @@ pub struct LinkScope {
     pub corrupts: u64,
     /// Frames dropped inside a scheduled outage window.
     pub outage_drops: u64,
-}
-
-/// Per-channel demux/delivery roll-up, keyed by `(host, raw channel id)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelScope {
-    /// Frames placed into the ring.
-    pub delivered: u64,
-    /// Deliveries that batched behind a pending notification.
-    pub batched: u64,
-    /// Flow-table hits.
-    pub flow_hits: u64,
-    /// Listen-table hits.
-    pub listen_hits: u64,
-    /// Filter-scan fallbacks.
-    pub scan_fallbacks: u64,
 }
 
 /// Per-tenant resource roll-up, keyed by `(host, raw tenant id)`: the
@@ -442,8 +493,8 @@ pub struct Metrics {
     counters: Vec<u64>,
     gauges: Vec<u64>,
     hists: Vec<Histogram>,
-    conns: BTreeMap<ConnKey, ConnScope>,
-    channels: BTreeMap<(u16, u32), ChannelScope>,
+    closed: BTreeMap<u16, ClosedConns>,
+    retired: VecDeque<Retired>,
     links: BTreeMap<(u16, u16), LinkScope>,
     tenants: BTreeMap<(u16, u64), TenantScope>,
 }
@@ -461,8 +512,8 @@ impl Metrics {
             counters: vec![0; Ctr::ALL.len()],
             gauges: vec![0; Gauge::ALL.len()],
             hists: vec![Histogram::new(); Hist::ALL.len()],
-            conns: BTreeMap::new(),
-            channels: BTreeMap::new(),
+            closed: BTreeMap::new(),
+            retired: VecDeque::new(),
             links: BTreeMap::new(),
             tenants: BTreeMap::new(),
         }
@@ -567,24 +618,37 @@ impl Metrics {
 
     // ---- scopes ----
 
-    /// The scope for connection `key`, created empty on first touch.
-    pub fn conn(&mut self, key: ConnKey) -> &mut ConnScope {
-        self.conns.entry(key).or_default()
+    /// Records a closed connection — the one way a [`ConnScope`] enters
+    /// the registry. It is added into its host's [`ClosedConns`] and kept
+    /// whole among the last [`RETIRED_KEPT`] closes; `channel` is the raw
+    /// id of the kernel channel it ran over, if it had one. A 4-tuple that
+    /// closes twice counts twice.
+    pub fn retire_conn(&mut self, key: ConnKey, channel: Option<u32>, scope: ConnScope) {
+        let closed = self.closed.entry(key.host).or_default();
+        closed.count += 1;
+        closed.sum += &scope;
+        push_kept(&mut self.retired, (key, channel, scope));
     }
 
-    /// Iterates recorded connection scopes in key order.
+    /// Iterates the per-host totals over every connection closed so far,
+    /// in host order.
+    pub fn closed(&self) -> impl Iterator<Item = (u16, &ClosedConns)> + '_ {
+        self.closed.iter().map(|(&host, c)| (host, c))
+    }
+
+    /// Iterates the last [`RETIRED_KEPT`] closed connections, oldest
+    /// first. Earlier ones survive only in [`Metrics::closed`].
     pub fn conns(&self) -> impl Iterator<Item = (&ConnKey, &ConnScope)> + '_ {
-        self.conns.iter()
+        self.retired.iter().map(|(key, _, scope)| (key, scope))
     }
 
-    /// The scope for channel `id` on `host`, created empty on first touch.
-    pub fn channel(&mut self, host: u16, id: u32) -> &mut ChannelScope {
-        self.channels.entry((host, id)).or_default()
-    }
-
-    /// Iterates recorded channel scopes in `(host, id)` order.
-    pub fn channels(&self) -> impl Iterator<Item = (&(u16, u32), &ChannelScope)> + '_ {
-        self.channels.iter()
+    /// The kernel channels of [`Metrics::conns`], as `((host, raw channel
+    /// id), scope)`: a channel's delivery and demux counters are its
+    /// connection's `rx_*`, `*_hits` and `scan_fallbacks`.
+    pub fn channels(&self) -> impl Iterator<Item = ((u16, u32), &ConnScope)> + '_ {
+        self.retired
+            .iter()
+            .filter_map(|(key, channel, scope)| Some(((key.host, (*channel)?), scope)))
     }
 
     /// The fault scope for the directed link `from -> to`, created empty
@@ -611,99 +675,81 @@ impl Metrics {
 
     // ---- export ----
 
-    /// Serializes the registry as JSON (hand-rolled: the workspace is
-    /// dependency-free by design): non-zero counters, gauges, histogram
-    /// summaries, and the per-connection/channel/link scopes.
+    /// Serializes the registry through [`crate::json::write`]: non-zero
+    /// counters, gauges, histogram summaries, the per-host
+    /// closed-connection totals, the kept tail of closed connections, and
+    /// the per-link and per-tenant scopes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in self.counters() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{name}\": {v}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, &g) in Gauge::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {}",
-                if i > 0 { "," } else { "" },
-                g.name(),
-                self.gauge(g)
-            ));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, &h) in Hist::ALL.iter().enumerate() {
-            let hist = self.hist(h);
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}, \"min\": {}, \"max\": {}}}",
-                if i > 0 { "," } else { "" },
-                h.name(),
-                hist.count(),
-                hist.mean().unwrap_or(0.0),
-                hist.quantile(0.5).unwrap_or(0),
-                hist.quantile(0.99).unwrap_or(0),
-                hist.min().unwrap_or(0),
-                hist.max().unwrap_or(0),
-            ));
-        }
-        out.push_str("\n  },\n  \"connections\": [");
-        for (i, (k, c)) in self.conns().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"conn\": \"{k}\", \"segs_out\": {}, \"segs_in\": {}, \"bytes_to_app\": {}, \"bytes_rexmit\": {}, \"flow_hits\": {}, \"listen_hits\": {}, \"scan_fallbacks\": {}, \"srtt_ns\": {}}}",
-                if i > 0 { "," } else { "" },
-                c.segs_out,
-                c.segs_in,
-                c.bytes_to_app,
-                c.bytes_rexmit,
-                c.flow_hits,
-                c.listen_hits,
-                c.scan_fallbacks,
-                c.srtt.map_or("null".into(), |v| v.to_string()),
-            ));
-        }
-        out.push_str("\n  ],\n  \"channels\": [");
-        for (i, ((host, id), ch)) in self.channels().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"host\": {host}, \"channel\": {id}, \"delivered\": {}, \"batched\": {}, \"flow_hits\": {}, \"listen_hits\": {}, \"scan_fallbacks\": {}}}",
-                if i > 0 { "," } else { "" },
-                ch.delivered,
-                ch.batched,
-                ch.flow_hits,
-                ch.listen_hits,
-                ch.scan_fallbacks,
-            ));
-        }
-        out.push_str("\n  ],\n  \"links\": [");
-        for (i, ((from, to), l)) in self.links().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"from\": {from}, \"to\": {to}, \"drops\": {}, \"dups\": {}, \"reorders\": {}, \"corrupts\": {}, \"outage_drops\": {}}}",
-                if i > 0 { "," } else { "" },
-                l.drops,
-                l.dups,
-                l.reorders,
-                l.corrupts,
-                l.outage_drops,
-            ));
-        }
-        out.push_str("\n  ],\n  \"tenants\": [");
-        for (i, ((host, tenant), t)) in self.tenants().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"host\": {host}, \"tenant\": {tenant}, \"rx_delivered\": {}, \"tx_frames\": {}, \"quota_drops\": {}, \"tx_rejections\": {}, \"ring_slots\": {}, \"ring_quota\": {}, \"open_channels\": {}}}",
-                if i > 0 { "," } else { "" },
-                t.rx_delivered,
-                t.tx_frames,
-                t.quota_drops,
-                t.tx_rejections,
-                t.ring_slots,
-                t.ring_quota,
-                t.open_channels,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let counters = self.counters().map(|(name, v)| (name, v.into()));
+        let gauges = Gauge::ALL.iter().map(|&g| (g.name(), self.gauge(g).into()));
+        let hists = Hist::ALL
+            .iter()
+            .map(|&h| (h.name(), self.hist(h).summary()));
+        let closed = self.closed().map(|(host, c)| {
+            let head = [("host", num(host)), ("count", c.count.into())];
+            Value::obj(head.into_iter().chain(scope_members(&c.sum)))
+        });
+        let conns = self.retired.iter().map(|(key, channel, c)| {
+            let head = [
+                ("conn", Value::Str(key.to_string())),
+                ("channel", channel.map_or(Value::Null, num)),
+                ("srtt_ns", c.srtt.map_or(Value::Null, Value::from)),
+            ];
+            Value::obj(head.into_iter().chain(scope_members(c)))
+        });
+        let links = self.links().map(|(&(from, to), l)| {
+            Value::obj([
+                ("from", num(from)),
+                ("to", num(to)),
+                ("drops", l.drops.into()),
+                ("dups", l.dups.into()),
+                ("reorders", l.reorders.into()),
+                ("corrupts", l.corrupts.into()),
+                ("outage_drops", l.outage_drops.into()),
+            ])
+        });
+        let tenants = self.tenants().map(|(&(host, tenant), t)| {
+            Value::obj([
+                ("host", num(host)),
+                ("tenant", tenant.into()),
+                ("rx_delivered", t.rx_delivered.into()),
+                ("tx_frames", t.tx_frames.into()),
+                ("quota_drops", t.quota_drops.into()),
+                ("tx_rejections", t.tx_rejections.into()),
+                ("ring_slots", t.ring_slots.into()),
+                ("ring_quota", t.ring_quota.into()),
+                ("open_channels", t.open_channels.into()),
+            ])
+        });
+        crate::json::write(&Value::obj([
+            ("counters", Value::obj(counters)),
+            ("gauges", Value::obj(gauges)),
+            ("histograms", Value::obj(hists)),
+            ("closed", closed.collect()),
+            ("connections", conns.collect()),
+            ("links", links.collect()),
+            ("tenants", tenants.collect()),
+        ]))
     }
+}
+
+fn num(n: impl Into<u64>) -> Value {
+    n.into().into()
+}
+
+/// The summable members of a scope, as JSON object members.
+fn scope_members(c: &ConnScope) -> [(&'static str, Value); 9] {
+    [
+        ("segs_out", c.segs_out.into()),
+        ("segs_in", c.segs_in.into()),
+        ("bytes_to_app", c.bytes_to_app.into()),
+        ("bytes_rexmit", c.bytes_rexmit.into()),
+        ("rx_delivered", c.rx_delivered.into()),
+        ("rx_batched", c.rx_batched.into()),
+        ("flow_hits", c.flow_hits.into()),
+        ("listen_hits", c.listen_hits.into()),
+        ("scan_fallbacks", c.scan_fallbacks.into()),
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -766,51 +812,36 @@ impl Snapshot {
     /// non-zero counter, every gauge, and per-histogram running totals.
     /// Parses back with [`crate::json`] — the export tests round-trip it.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\n  \"time\": {},", self.time);
-        out.push_str(&json_levels(&self.counters, &self.gauges));
-        out.push_str(",\n  \"histograms\": {");
-        for (i, &h) in Hist::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {}, \"sum\": {}}}",
-                if i > 0 { "," } else { "" },
-                h.name(),
-                self.hist_counts[h as usize],
-                self.hist_sums[h as usize],
-            ));
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let totals = |h: Hist| (self.hist_counts[h as usize], self.hist_sums[h as usize]);
+        let head = [("time", self.time.into())];
+        let levels = json_levels(&self.counters, &self.gauges, totals);
+        crate::json::write(&Value::obj(head.into_iter().chain(levels)))
     }
 }
 
-/// Shared counter/gauge JSON body for [`Snapshot`] and [`Window`]
-/// exports: non-zero counters (zeroes are noise in a report and the
-/// reader treats a missing key as zero) and every gauge.
-fn json_levels(counters: &[u64], gauges: &[u64]) -> String {
-    let mut out = String::from("\n  \"counters\": {");
-    let mut first = true;
-    for &c in Ctr::ALL {
-        let v = counters[c as usize];
-        if v == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {v}", c.name()));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, &g) in Gauge::ALL.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\n    \"{}\": {}",
-            if i > 0 { "," } else { "" },
-            g.name(),
-            gauges[g as usize]
-        ));
-    }
-    out.push_str("\n  }");
-    out
+/// Shared members of the [`Snapshot`] and [`Window`] exports: non-zero
+/// counters (zeroes are noise in a report and the reader treats a missing
+/// key as zero), every gauge, and each histogram's `(count, sum)`.
+fn json_levels(
+    counters: &[u64],
+    gauges: &[u64],
+    totals: impl Fn(Hist) -> (u64, u128),
+) -> [(&'static str, Value); 3] {
+    let nonzero = Ctr::ALL.iter().filter(|&&c| counters[c as usize] != 0);
+    let counters = nonzero.map(|&c| (c.name(), counters[c as usize].into()));
+    let gauges = Gauge::ALL
+        .iter()
+        .map(|&g| (g.name(), gauges[g as usize].into()));
+    let hists = Hist::ALL.iter().map(|&h| {
+        let (n, sum) = totals(h);
+        let total = [("count", n.into()), ("sum", Value::Num(sum as f64))];
+        (h.name(), Value::obj(total))
+    });
+    [
+        ("counters", Value::obj(counters)),
+        ("gauges", Value::obj(gauges)),
+        ("histograms", Value::obj(hists)),
+    ]
 }
 
 /// One sim-time telemetry window: counter/histogram deltas between two
@@ -947,38 +978,28 @@ impl Window {
     /// totals, and the derived rates the dashboards print (null where a
     /// rate has no denominator). Parses back with [`crate::json`].
     pub fn to_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map_or("null".into(), |x| format!("{x:.6}"))
-        }
-        let mut out = format!(
-            "{{\n  \"start\": {},\n  \"end\": {},\n  \"duration_ns\": {},",
-            self.start,
-            self.end,
-            self.duration()
-        );
-        out.push_str(&json_levels(&self.counters, &self.gauges));
-        out.push_str(",\n  \"histograms\": {");
-        for (i, &h) in Hist::ALL.iter().enumerate() {
-            let (n, sum) = self.hist_delta(h);
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {n}, \"sum\": {sum}}}",
-                if i > 0 { "," } else { "" },
-                h.name(),
-            ));
-        }
+        let opt = |v: Option<f64>| v.map_or(Value::Null, |x| Value::fixed(x, 6));
         let (flow, listen) = self.demux_table_sizes();
-        out.push_str(&format!(
-            "\n  }},\n  \"rates\": {{\n    \"rx_pps\": {:.3},\n    \"tx_pps\": {:.3},\n    \"rexmit_per_sec\": {:.3},\n    \"rexmit_share\": {},\n    \"flow_hit_rate\": {},\n    \"listen_hit_rate\": {},\n    \"keyed_hit_rate\": {},\n    \"mean_ring_depth\": {},\n    \"flow_entries\": {flow},\n    \"listen_entries\": {listen}\n  }}\n}}\n",
-            self.rx_pps(),
-            self.tx_pps(),
-            self.rexmit_per_sec(),
-            opt(self.rexmit_share()),
-            opt(self.flow_hit_rate()),
-            opt(self.listen_hit_rate()),
-            opt(self.keyed_hit_rate()),
-            opt(self.mean_ring_depth()),
-        ));
-        out
+        let rates = Value::obj([
+            ("rx_pps", Value::fixed(self.rx_pps(), 3)),
+            ("tx_pps", Value::fixed(self.tx_pps(), 3)),
+            ("rexmit_per_sec", Value::fixed(self.rexmit_per_sec(), 3)),
+            ("rexmit_share", opt(self.rexmit_share())),
+            ("flow_hit_rate", opt(self.flow_hit_rate())),
+            ("listen_hit_rate", opt(self.listen_hit_rate())),
+            ("keyed_hit_rate", opt(self.keyed_hit_rate())),
+            ("mean_ring_depth", opt(self.mean_ring_depth())),
+            ("flow_entries", flow.into()),
+            ("listen_entries", listen.into()),
+        ]);
+        let head = [
+            ("start", self.start.into()),
+            ("end", self.end.into()),
+            ("duration_ns", self.duration().into()),
+        ];
+        let levels = json_levels(&self.counters, &self.gauges, |h| self.hist_delta(h));
+        let members = head.into_iter().chain(levels).chain([("rates", rates)]);
+        crate::json::write(&Value::obj(members))
     }
 }
 
@@ -1221,23 +1242,53 @@ mod tests {
         assert_eq!(w.per_sec(Ctr::FramesSent), 0.0);
     }
 
-    #[test]
-    fn scopes_accumulate_by_key() {
-        let mut m = Metrics::new();
-        let key = ConnKey {
-            host: 0,
-            local_port: 2000,
+    fn key(host: u16, local_port: u16) -> ConnKey {
+        ConnKey {
+            host,
+            local_port,
             remote_ip: [10, 0, 0, 2],
             remote_port: 80,
-        };
-        m.conn(key).segs_out += 3;
-        m.conn(key).segs_out += 2;
-        assert_eq!(m.conns().count(), 1);
-        assert_eq!(m.conn(key).segs_out, 5);
-        assert_eq!(key.to_string(), "h0:2000 <-> 10.0.0.2:80");
+        }
+    }
 
-        m.channel(1, 7).delivered += 9;
-        assert_eq!(m.channels().next().unwrap().1.delivered, 9);
+    #[test]
+    fn closed_connections_sum_per_host_and_stay_whole_in_the_tail() {
+        let mut m = Metrics::new();
+        assert_eq!(key(0, 2000).to_string(), "h0:2000 <-> 10.0.0.2:80");
+        // Every summable field distinct, so a dropped one shows.
+        let scope = |n: u64| ConnScope {
+            segs_out: n,
+            segs_in: 2 * n,
+            bytes_rexmit: 3 * n,
+            rto_fires: 4 * n,
+            fast_rexmit: 5 * n,
+            dup_acks_in: 6 * n,
+            probes: 7 * n,
+            srtt: Some(n),
+            rx_delivered: 8 * n,
+            rx_batched: 9 * n,
+            flow_hits: 10 * n,
+            listen_hits: 11 * n,
+            scan_fallbacks: 12 * n,
+            bytes_to_app: 13 * n,
+        };
+        let sum = |n| ConnScope {
+            srtt: None,
+            ..scope(n)
+        };
+        // A client whose ephemeral allocator wrapped closes the same
+        // 4-tuple again: two connections, not one overwritten scope.
+        m.retire_conn(key(0, 2000), Some(7), scope(1));
+        m.retire_conn(key(0, 2000), None, scope(100));
+        m.retire_conn(key(1, 80), Some(9), scope(5));
+        let closed: Vec<_> = m.closed().map(|(h, c)| (h, c.count, c.sum)).collect();
+        assert_eq!(closed, [(0, 2, sum(101)), (1, 1, sum(5))]);
+        // Both incarnations are in the tail, in close order.
+        let kept: Vec<_> = m.conns().map(|(k, c)| (k.local_port, *c)).collect();
+        assert_eq!(kept, [(2000, scope(1)), (2000, scope(100)), (80, scope(5))]);
+        // Channels are the tail's connections that ran over one.
+        let chans: Vec<_> = m.channels().map(|(id, c)| (id, c.rx_delivered)).collect();
+        assert_eq!(chans, [((0, 7), 8), ((1, 9), 40)]);
     }
 
     #[test]
@@ -1325,19 +1376,21 @@ mod tests {
         let mut m = Metrics::new();
         m.bump(Ctr::FramesSent);
         m.sample(Hist::AppDeliverBytes, 4096);
-        m.conn(ConnKey {
-            host: 0,
-            local_port: 2000,
-            remote_ip: [10, 0, 0, 2],
-            remote_port: 80,
-        })
-        .segs_out = 7;
+        let scope = ConnScope {
+            segs_out: 7,
+            ..ConnScope::default()
+        };
+        m.retire_conn(key(0, 2000), Some(3), scope);
         m.link(0, 1).drops = 2;
         let j = m.to_json();
         assert!(j.contains("\"frames_sent\": 1"));
         assert!(j.contains("\"app_deliver_bytes\""));
-        assert!(j.contains("\"segs_out\": 7"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let doc = crate::json::parse(&j).expect("parses");
+        let closed = &doc.get("closed").and_then(Value::items).unwrap()[0];
+        assert_eq!(closed.get("count").and_then(Value::as_u64), Some(1));
+        assert_eq!(closed.get("segs_out").and_then(Value::as_u64), Some(7));
+        let conn = &doc.get("connections").and_then(Value::items).unwrap()[0];
+        assert_eq!(conn.get("channel").and_then(Value::as_u64), Some(3));
+        assert_eq!(conn.get("srtt_ns"), Some(&Value::Null));
     }
 }

@@ -534,58 +534,30 @@ impl Profile {
         out
     }
 
-    /// Serializes the profile as JSON (hand-rolled; workspace is
-    /// dependency-free): outcome counts, per-stage component summaries
-    /// over delivered frames, the end-to-end distribution, and per-channel
-    /// roll-ups.
+    /// Serializes the profile through [`crate::json::write`]: outcome
+    /// counts, per-stage component summaries over delivered frames, the
+    /// end-to-end distribution, and per-channel roll-ups.
     pub fn to_json(&self) -> String {
-        fn hist_json(h: &Histogram) -> String {
-            format!(
-                "{{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}, \"min\": {}, \"max\": {}}}",
-                h.count(),
-                h.mean().unwrap_or(0.0),
-                h.quantile(0.5).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-            )
-        }
-        let mut out = String::from("{\n  \"outcomes\": {");
-        for (i, &o) in PathOutcome::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {}",
-                if i > 0 { "," } else { "" },
-                o.label(),
-                self.outcome_count(o)
-            ));
-        }
-        out.push_str("\n  },\n  \"stages\": {");
-        let mut first = true;
-        for &s in Stage::ALL.iter().skip(1) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{}\": {}",
-                s.label(),
-                hist_json(&self.stages[s as usize])
-            ));
-        }
-        out.push_str(&format!(
-            "\n  }},\n  \"end_to_end\": {},\n  \"channels\": [",
-            hist_json(&self.end_to_end)
-        ));
-        for (i, ((host, id), ch)) in self.channels.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"host\": {host}, \"channel\": {id}, \"frames\": {}, \"end_to_end\": {}}}",
-                if i > 0 { "," } else { "" },
-                ch.frames,
-                hist_json(&ch.end_to_end),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        use crate::json::Value;
+        let outcomes = PathOutcome::ALL
+            .iter()
+            .map(|&o| (o.label(), self.outcome_count(o).into()));
+        let stages = Stage::ALL.iter().skip(1);
+        let stages = stages.map(|&s| (s.label(), self.stages[s as usize].summary()));
+        let channels = self.channels.iter().map(|(&(host, id), ch)| {
+            Value::obj([
+                ("host", u64::from(host).into()),
+                ("channel", u64::from(id).into()),
+                ("frames", ch.frames.into()),
+                ("end_to_end", ch.end_to_end.summary()),
+            ])
+        });
+        crate::json::write(&Value::obj([
+            ("outcomes", Value::obj(outcomes)),
+            ("stages", Value::obj(stages)),
+            ("end_to_end", self.end_to_end.summary()),
+            ("channels", channels.collect()),
+        ]))
     }
 }
 

@@ -167,7 +167,7 @@ fn main() {
         deadline += slice;
     }
     // Let the close handshakes and 2MSL timers drain so every connection
-    // retires and its metrics scope is filled in.
+    // retires into the closed totals.
     engine.run(&mut world, u64::MAX);
     println!();
 
@@ -183,22 +183,19 @@ fn main() {
     }
     println!();
 
-    // Retired connections: the per-connection scopes.
-    println!("-- per-connection stats (filled at retirement) --");
+    // Closed connections: every one is in its host's totals; the last
+    // few are also kept whole, in the order they closed.
+    println!("-- closed connections: per-host totals, then the most recent --");
     println!(
         "{:<22} {:>8} {:>8} {:>9} {:>7} {:>9} {:>9} {:>10}",
         "conn", "segs_out", "segs_in", "to_app", "rexmit", "flow_hit", "scan_fb", "srtt"
     );
-    let mut conns: Vec<_> = world.metrics.conns().collect();
-    conns.sort_by_key(|(k, _)| (k.host, k.local_port, k.remote_port));
-    for (k, c) in conns {
-        let ip = k.remote_ip;
+    let totals = world.metrics.closed();
+    let totals = totals.map(|(host, c)| (format!("h{host}: {} closed", c.count), &c.sum));
+    let recent = world.metrics.conns().map(|(k, c)| (k.to_string(), c));
+    for (name, c) in totals.chain(recent) {
         println!(
-            "{:<22} {:>8} {:>8} {:>9} {:>7} {:>9} {:>9} {:>10}",
-            format!(
-                "h{}:{} <-> {}.{}.{}.{}:{}",
-                k.host, k.local_port, ip[0], ip[1], ip[2], ip[3], k.remote_port
-            ),
+            "{name:<22} {:>8} {:>8} {:>9} {:>7} {:>9} {:>9} {:>10}",
             c.segs_out,
             c.segs_in,
             c.bytes_to_app,
@@ -210,14 +207,13 @@ fn main() {
     }
     println!();
 
-    // The kernel's per-channel counters, keyed (host, channel id).
+    // The kernel's per-channel counters: the recent connections again,
+    // by the (host, channel id) each ran over.
     println!("-- per-channel stats --");
-    let mut chans: Vec<_> = world.metrics.channels().collect();
-    chans.sort_by_key(|(k, _)| **k);
-    for ((host, id), ch) in chans {
+    for ((host, id), ch) in world.metrics.channels() {
         println!(
             "h{host} chan {id:<3} delivered {:>6}  batched {:>6}  flow hits {:>6}  scan fallbacks {:>4}",
-            ch.delivered, ch.batched, ch.flow_hits, ch.scan_fallbacks
+            ch.rx_delivered, ch.rx_batched, ch.flow_hits, ch.scan_fallbacks
         );
     }
     println!();
@@ -291,7 +287,8 @@ fn main() {
         world.metrics.get(Ctr::FaultCorrupts),
         world.metrics.get(Ctr::FaultOutageDrops),
     );
-    let rexmit: u64 = world.metrics.conns().map(|(_, c)| c.bytes_rexmit).sum();
+    let closed = world.metrics.closed();
+    let rexmit: u64 = closed.map(|(_, c)| c.sum.bytes_rexmit).sum();
     println!(
         "recovered: {} corrupt frames discarded by checksum, {} bytes retransmitted",
         world.metrics.get(Ctr::FrameCorruptDiscards),
@@ -311,8 +308,8 @@ fn main() {
         let reg = &world.hosts[h].registry;
         println!(
             "h{h} registry: {} binding reports, {} flagged as missing the fast path",
-            reg.binding_reports().len(),
-            reg.flagged_bindings().len()
+            reg.report_count(),
+            reg.flagged_count()
         );
         for b in reg.flagged_bindings() {
             println!(

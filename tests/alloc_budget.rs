@@ -14,8 +14,13 @@
 //! channel that reserves its whole modelled ring up front reads 59 KB and
 //! 28 KB here.
 //!
+//! **Per closed connection:** once TIME_WAIT is over, nothing — a closed
+//! connection is a count and a sum (DESIGN.md, "What a closed connection
+//! costs"). A scope and a binding report kept per connection ever made
+//! read 445 B per endpoint here; it reads 18.
+//!
 //! Its own test binary: the counting allocator is process-wide, so it must
-//! not share a process with tests that run concurrently — and the two
+//! not share a process with tests that run concurrently — and the three
 //! tests here take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -128,47 +133,35 @@ fn open_one_per_slot(
     w: &mut World,
     eng: &mut Eng,
     client: usize,
+    cfg: TcpConfig,
     stats: Rc<RefCell<TransferStats>>,
 ) {
     let app = PingPongApp::new(64, 1, Rc::clone(&stats));
-    connect(
-        w,
-        eng,
-        client,
-        SERVER,
-        TcpConfig::default(),
-        Box::new(app),
-        64,
-    );
+    connect(w, eng, client, SERVER, cfg.clone(), Box::new(app), 64);
     eng.after(EVERY, move |w, eng| {
-        open_one_per_slot(w, eng, client, stats)
+        open_one_per_slot(w, eng, client, cfg, stats)
     });
 }
 
-#[test]
-fn a_connection_stays_within_its_heap_budget() {
-    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
-    // Ten slots of warm-up (tables, pools and spares reach their size),
-    // then fifty measured; each edge falls just before its slot's opens.
-    const EDGES: [u64; 2] = [10, 60];
+/// The churn-shaped world with `cfg` on every connection, run up to each
+/// of `edges` (in slots): the allocator's `(requested, live)` readings
+/// taken there, every connection of the slots before having echoed and
+/// closed at `ends_closed` of its two ends (the server; the client too
+/// once its TIME_WAIT is over).
+fn churn_readings(cfg: TcpConfig, edges: [u64; 2], ends_closed: u64) -> [(u64, u64); 2] {
     let (mut w, mut eng) = build_hosts(CLIENTS + 1, Network::Ethernet, OrgKind::UserLibrary);
-    listen(
-        &mut w,
-        0,
-        SERVER.1,
-        TcpConfig::default(),
-        Box::new(|| Box::new(EchoApp)),
-    );
+    let echo = || Box::new(EchoApp) as _;
+    listen(&mut w, 0, SERVER.1, cfg.clone(), Box::new(echo));
     let stats = TransferStats::new_shared();
-    stats.borrow_mut().rtts.reserve(CLIENTS * EDGES[1] as usize);
+    stats.borrow_mut().rtts.reserve(CLIENTS * edges[1] as usize);
     for client in 1..=CLIENTS {
-        let stats = Rc::clone(&stats);
+        let (cfg, stats) = (cfg.clone(), Rc::clone(&stats));
         eng.at(client as u64 * MILLIS, move |w, eng| {
-            open_one_per_slot(w, eng, client, stats)
+            open_one_per_slot(w, eng, client, cfg, stats)
         });
     }
     let mut readings = [(0u64, 0u64); 2];
-    for (reading, slots) in readings.iter_mut().zip(EDGES) {
+    for (reading, slots) in readings.iter_mut().zip(edges) {
         eng.run_until(&mut w, slots * EVERY);
         let opened = CLIENTS as u64 * slots;
         assert_eq!(
@@ -178,19 +171,51 @@ fn a_connection_stays_within_its_heap_budget() {
         );
         assert_eq!(
             w.metrics.get(Ctr::ConnectionsClosed),
-            opened,
-            "closed at the server"
+            ends_closed * opened,
+            "ends closed by slot {slots}"
         );
         *reading = (REQUESTED.load(Relaxed), LIVE.load(Relaxed));
     }
+    assert!(!stats.borrow().reset);
+    readings
+}
+
+#[test]
+fn a_connection_stays_within_its_heap_budget() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    // Ten slots of warm-up (tables, pools and spares reach their size),
+    // then fifty measured; each edge falls just before its slot's opens.
+    const EDGES: [u64; 2] = [10, 60];
+    let readings = churn_readings(TcpConfig::default(), EDGES, 1);
     let [(requested_open, live_open), (requested_close, live_close)] = readings;
     let connections = CLIENTS as u64 * (EDGES[1] - EDGES[0]);
     let requested = (requested_close - requested_open) / connections;
     let kept = live_close.saturating_sub(live_open) / connections;
-    assert!(!stats.borrow().reset);
     assert!(
         requested <= REQUESTED_BUDGET && kept <= KEPT_BUDGET,
         "per connection: {requested} bytes requested (budget {REQUESTED_BUDGET}), \
          {kept} bytes kept through TIME_WAIT (budget {KEPT_BUDGET})"
+    );
+}
+
+#[test]
+fn a_closed_connection_keeps_nothing_on_the_heap() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    // A 10 ms TIME_WAIT, so each slot's connections are gone from both
+    // ends before the next slot opens: what the heap still grows by is
+    // what the world keeps per connection *ever made*. The first half
+    // closes 70 connections per client — enough to fill every bounded
+    // tail (64 closes) on every host — and the second half is measured.
+    const EDGES: [u64; 2] = [70, 140];
+    let cfg = TcpConfig {
+        time_wait: 10 * MILLIS,
+        ..TcpConfig::default()
+    };
+    let [(_, live_open), (_, live_close)] = churn_readings(cfg, EDGES, 2);
+    let endpoints = 2 * CLIENTS as u64 * (EDGES[1] - EDGES[0]);
+    let kept = live_close.saturating_sub(live_open) / endpoints;
+    assert!(
+        kept <= 64,
+        "{kept} bytes of live heap per closed endpoint, {endpoints} closed (budget 64)"
     );
 }

@@ -172,14 +172,18 @@ fn global_rexmit_counters_match_connection_scopes() {
     unp::trace::journal_stop();
 
     // Loss forces retransmission; the live global counters must agree
-    // with the per-connection scopes filled at retirement.
+    // with the scopes retired into the closed totals.
     let global = w.metrics.get(Ctr::TcpRexmitBytes);
-    let scoped: u64 = w.metrics.conns().map(|(_, c)| c.bytes_rexmit).sum();
+    let closed: u64 = w.metrics.closed().map(|(_, c)| c.sum.bytes_rexmit).sum();
     assert!(global > 0, "a 2% lossy run must retransmit");
     assert_eq!(
-        global, scoped,
+        global, closed,
         "windowed rexmit counter must match retired conn scopes"
     );
+    // Two endpoints closed, and both are still whole in the tail.
+    assert_eq!(w.metrics.closed().map(|(_, c)| c.count).sum::<u64>(), 2);
+    let kept: u64 = w.metrics.conns().map(|(_, c)| c.bytes_rexmit).sum();
+    assert_eq!(kept, closed);
     assert!(w.metrics.get(Ctr::TcpRexmitSegs) > 0);
     assert!(w.metrics.get(Ctr::TcpRttSamples) > 0);
 }

@@ -69,6 +69,14 @@ fn sequential_connects_outlast_the_ephemeral_port_range() {
     assert!(!stats.borrow().reset);
     assert_eq!(w.metrics.get(Ctr::HandshakeFailures), 0);
     assert_eq!(w.leaks(), Vec::<String>::new());
+    // The range wrapped, so 4-tuples came round again: each incarnation
+    // is its own connection in the closed totals, with its own counters.
+    let closed = || w.metrics.closed().map(|(_, c)| c);
+    assert_eq!(closed().map(|c| c.count).sum::<u64>(), 2 * 5_000);
+    let echoed = closed().map(|c| c.sum.bytes_to_app).sum::<u64>();
+    assert_eq!(echoed, 2 * 5_000 * 64, "64 bytes there and 64 back");
+    let segs_out = closed().map(|c| c.sum.segs_out).sum::<u64>();
+    assert_eq!(segs_out, w.metrics.get(Ctr::FramesSent));
 }
 
 #[test]
