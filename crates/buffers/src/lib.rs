@@ -4,24 +4,25 @@
 //! the user space, the kernel and the host-network interface" (paper §2.2).
 //! This crate provides:
 //!
-//! * [`PktBuf`] — a packet buffer with headroom, so protocol layers prepend
-//!   headers without copying (the mbuf idiom). We use a contiguous buffer
-//!   rather than mbuf *chains*: chains exist to avoid copies in scattered
-//!   kernel allocators, which a simulation does not have; headroom alone
+//! * [`Frame`] — a reference-counted packet buffer with headroom, so
+//!   protocol layers prepend headers without copying (the mbuf idiom) and
+//!   receive narrows a window instead of copying out. Contiguous rather
+//!   than an mbuf *chain*: chains exist to avoid copies in scattered kernel
+//!   allocators, which a simulation does not have; headroom alone
 //!   preserves the property that matters (no per-layer copy).
-//! * [`SharedRegion`] — a pinned pool of fixed-size packet slots modelling
+//! * [`FramePool`] — the recycled backing buffers behind frames, modelling
 //!   the memory "created by the network I/O module and the registry server
 //!   for holding network packets ... kept pinned for the duration of the
-//!   connection and shared with the application".
-//! * [`DescRing`] — a bounded descriptor ring used both for NIC receive
-//!   rings and for the kernel↔library notification path.
+//!   connection and shared with the application". (The bounded rings that
+//!   hold frames for a library are the kernel crate's own.)
 //! * [`BqiTable`] — the AN1 controller's buffer-queue-index table: a
 //!   link-header index naming a ring of host buffers, with strict access
 //!   control ("access control to the index is maintained through memory
 //!   protection").
+//! * [`RingId`] and [`OwnerTag`] — the ids those tables are keyed and
+//!   access-controlled by.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 /// Counters for the zero-copy frame path, kept thread-local because the
@@ -315,7 +316,7 @@ impl Frame {
     ///
     /// # Panics
     /// Panics if headroom is insufficient — layers declare their
-    /// worst-case need up front, exactly as with [`PktBuf::prepend`].
+    /// worst-case need up front.
     pub fn prepend(&mut self, n: usize) -> &mut [u8] {
         assert!(
             n <= self.head,
@@ -435,248 +436,17 @@ impl PartialEq<&[u8]> for Frame {
     }
 }
 
-/// A packet buffer with reserved headroom for prepending headers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PktBuf {
-    data: Vec<u8>,
-    head: usize,
-}
-
-impl PktBuf {
-    /// Creates a buffer containing `payload`, with `headroom` bytes
-    /// reserved in front for headers to be prepended later.
-    pub fn with_headroom(headroom: usize, payload: &[u8]) -> PktBuf {
-        let mut data = vec![0u8; headroom + payload.len()];
-        data[headroom..].copy_from_slice(payload);
-        PktBuf {
-            data,
-            head: headroom,
-        }
-    }
-
-    /// Wraps a complete packet with no headroom.
-    pub fn from_vec(data: Vec<u8>) -> PktBuf {
-        PktBuf { data, head: 0 }
-    }
-
-    /// Remaining headroom available for prepending.
-    pub fn headroom(&self) -> usize {
-        self.head
-    }
-
-    /// Current packet length.
-    pub fn len(&self) -> usize {
-        self.data.len() - self.head
-    }
-
-    /// True if the packet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Extends the packet front by `n` bytes (a header about to be filled
-    /// in) and returns the new front region. Panics if headroom is
-    /// insufficient — layers declare their worst-case need up front.
-    pub fn prepend(&mut self, n: usize) -> &mut [u8] {
-        assert!(
-            n <= self.head,
-            "insufficient headroom: need {n}, have {}",
-            self.head
-        );
-        self.head -= n;
-        &mut self.data[self.head..self.head + n]
-    }
-
-    /// Strips `n` bytes from the front (consuming a parsed header).
-    pub fn pull(&mut self, n: usize) {
-        assert!(n <= self.len(), "pull past end");
-        self.head += n;
-    }
-
-    /// The packet contents.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.head..]
-    }
-
-    /// Mutable packet contents.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data[self.head..]
-    }
-
-    /// Consumes the buffer, returning the packet bytes (copies only if
-    /// headroom remains).
-    pub fn into_vec(self) -> Vec<u8> {
-        if self.head == 0 {
-            self.data
-        } else {
-            self.data[self.head..].to_vec()
-        }
-    }
-}
-
-impl AsRef<[u8]> for PktBuf {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-/// Identifier of a slot within a [`SharedRegion`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotId(pub u32);
-
-/// A pinned, fixed-slot packet memory region shared between the kernel's
-/// network I/O module and one protocol library.
-#[derive(Debug)]
-pub struct SharedRegion {
-    slot_size: usize,
-    slots: Vec<Vec<u8>>,
-    lens: Vec<usize>,
-    free: Vec<u32>,
-}
-
-impl SharedRegion {
-    /// Creates a region of `nslots` slots of `slot_size` bytes each.
-    pub fn new(nslots: usize, slot_size: usize) -> SharedRegion {
-        SharedRegion {
-            slot_size,
-            slots: vec![vec![0u8; slot_size]; nslots],
-            lens: vec![0; nslots],
-            free: (0..nslots as u32).rev().collect(),
-        }
-    }
-
-    /// Slot capacity in bytes.
-    pub fn slot_size(&self) -> usize {
-        self.slot_size
-    }
-
-    /// Number of currently free slots.
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Total slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Allocates a slot, or `None` if the region is exhausted (backpressure:
-    /// the NIC drops or the sender blocks, as real rings do).
-    pub fn alloc(&mut self) -> Option<SlotId> {
-        self.free.pop().map(SlotId)
-    }
-
-    /// Returns a slot to the free list.
-    ///
-    /// # Panics
-    /// Panics if the slot is out of range or already free (double free).
-    pub fn release(&mut self, slot: SlotId) {
-        assert!((slot.0 as usize) < self.slots.len(), "slot out of range");
-        assert!(!self.free.contains(&slot.0), "double free of {slot:?}");
-        self.lens[slot.0 as usize] = 0;
-        self.free.push(slot.0);
-    }
-
-    /// Writes packet bytes into a slot. Returns false (and writes nothing)
-    /// if the packet exceeds the slot size.
-    pub fn write(&mut self, slot: SlotId, data: &[u8]) -> bool {
-        if data.len() > self.slot_size {
-            return false;
-        }
-        let i = slot.0 as usize;
-        self.slots[i][..data.len()].copy_from_slice(data);
-        self.lens[i] = data.len();
-        true
-    }
-
-    /// Reads the packet bytes stored in a slot.
-    pub fn read(&self, slot: SlotId) -> &[u8] {
-        let i = slot.0 as usize;
-        &self.slots[i][..self.lens[i]]
-    }
-}
-
-/// A descriptor naming a filled slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Descriptor {
-    /// The slot holding the packet.
-    pub slot: SlotId,
-    /// Packet length within the slot.
-    pub len: usize,
-}
-
-/// A bounded FIFO of descriptors: the unit of kernel↔user and NIC↔kernel
-/// hand-off.
-#[derive(Debug)]
-pub struct DescRing {
-    cap: usize,
-    ring: VecDeque<Descriptor>,
-    drops: u64,
-}
-
-impl DescRing {
-    /// Creates a ring holding at most `cap` descriptors.
-    pub fn new(cap: usize) -> DescRing {
-        DescRing {
-            cap,
-            ring: VecDeque::with_capacity(cap),
-            drops: 0,
-        }
-    }
-
-    /// Enqueues a descriptor; on overflow the descriptor is dropped and
-    /// counted (receive livelock behaviour of real rings).
-    pub fn push(&mut self, d: Descriptor) -> bool {
-        if self.ring.len() >= self.cap {
-            self.drops += 1;
-            return false;
-        }
-        self.ring.push_back(d);
-        true
-    }
-
-    /// Dequeues the oldest descriptor.
-    pub fn pop(&mut self) -> Option<Descriptor> {
-        self.ring.pop_front()
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True if no descriptors are queued.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// True if another push would drop.
-    pub fn is_full(&self) -> bool {
-        self.ring.len() >= self.cap
-    }
-
-    /// Number of descriptors dropped due to overflow.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-}
-
 /// Identifier of a receive ring registered in a [`BqiTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RingId(pub u32);
 
 /// A tenant identity: the unit of access control *and* resource
 /// accounting. Every channel, BQI entry, and port right is owned by a
-/// tenant, and the kernel's per-tenant budgets (ring-slot quota,
-/// transmit credit, channel cap) are charged against this id.
-/// `TenantId(0)` is the kernel itself and is exempt from budgets.
+/// tenant (a process/library id), and the kernel's per-tenant budgets
+/// (ring-slot quota, transmit credit, channel cap) are charged against
+/// this id. `OwnerTag(0)` is the kernel itself and is exempt from budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TenantId(pub u64);
-
-/// The historical name for [`TenantId`]: an owner tag for access control
-/// on BQI entries (a process/library id). Kept as an alias so existing
-/// `OwnerTag(x)` constructors and type positions keep compiling.
-pub use TenantId as OwnerTag;
+pub struct OwnerTag(pub u64);
 
 /// The AN1 controller's buffer-queue-index table.
 ///
@@ -934,92 +704,6 @@ mod tests {
         drop(b);
         drop(c);
         assert_eq!(live_frames(), base, "all backings released");
-    }
-
-    #[test]
-    fn pktbuf_prepend_and_pull() {
-        let mut p = PktBuf::with_headroom(54, b"payload");
-        assert_eq!(p.len(), 7);
-        assert_eq!(p.headroom(), 54);
-        p.prepend(20).copy_from_slice(&[2u8; 20]);
-        p.prepend(14).copy_from_slice(&[1u8; 14]);
-        assert_eq!(p.len(), 41);
-        assert_eq!(&p.as_slice()[..14], &[1u8; 14]);
-        p.pull(14);
-        assert_eq!(&p.as_slice()[..20], &[2u8; 20]);
-        p.pull(20);
-        assert_eq!(p.as_slice(), b"payload");
-    }
-
-    #[test]
-    #[should_panic(expected = "insufficient headroom")]
-    fn pktbuf_overdraft_panics() {
-        let mut p = PktBuf::with_headroom(4, b"x");
-        p.prepend(5);
-    }
-
-    #[test]
-    fn pktbuf_into_vec() {
-        let mut p = PktBuf::with_headroom(2, b"abc");
-        p.prepend(1)[0] = b'Z';
-        assert_eq!(p.into_vec(), b"Zabc");
-        assert_eq!(PktBuf::from_vec(b"raw".to_vec()).into_vec(), b"raw");
-    }
-
-    #[test]
-    fn region_alloc_write_read_release() {
-        let mut r = SharedRegion::new(4, 1514);
-        assert_eq!(r.free_slots(), 4);
-        let s = r.alloc().unwrap();
-        assert!(r.write(s, b"hello"));
-        assert_eq!(r.read(s), b"hello");
-        r.release(s);
-        assert_eq!(r.free_slots(), 4);
-    }
-
-    #[test]
-    fn region_exhaustion_backpressure() {
-        let mut r = SharedRegion::new(2, 64);
-        let a = r.alloc().unwrap();
-        let _b = r.alloc().unwrap();
-        assert!(r.alloc().is_none());
-        r.release(a);
-        assert!(r.alloc().is_some());
-    }
-
-    #[test]
-    fn region_oversize_write_refused() {
-        let mut r = SharedRegion::new(1, 8);
-        let s = r.alloc().unwrap();
-        assert!(!r.write(s, &[0u8; 9]));
-        assert!(r.write(s, &[0u8; 8]));
-    }
-
-    #[test]
-    #[should_panic(expected = "double free")]
-    fn region_double_free_panics() {
-        let mut r = SharedRegion::new(2, 8);
-        let s = r.alloc().unwrap();
-        r.release(s);
-        r.release(s);
-    }
-
-    #[test]
-    fn ring_fifo_order_and_overflow() {
-        let mut ring = DescRing::new(2);
-        let d = |i: u32| Descriptor {
-            slot: SlotId(i),
-            len: i as usize,
-        };
-        assert!(ring.push(d(1)));
-        assert!(ring.push(d(2)));
-        assert!(!ring.push(d(3)));
-        assert_eq!(ring.drops(), 1);
-        assert!(ring.is_full());
-        assert_eq!(ring.pop(), Some(d(1)));
-        assert_eq!(ring.pop(), Some(d(2)));
-        assert_eq!(ring.pop(), None);
-        assert!(ring.is_empty());
     }
 
     #[test]

@@ -1,122 +1,12 @@
-//! Property tests for the buffer layer: the shared region behaves like a
-//! reference allocator, rings preserve FIFO order, and pktbuf
-//! prepend/pull compose to identity.
+//! Property tests for the buffer layer's tables.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use unp_buffers::{BqiTable, DescRing, Descriptor, OwnerTag, PktBuf, RingId, SharedRegion, SlotId};
-
-#[derive(Debug, Clone)]
-enum RegionOp {
-    Alloc(Vec<u8>),
-    ReleaseNth(usize),
-    ReadNth(usize),
-}
-
-fn arb_region_op() -> impl Strategy<Value = RegionOp> {
-    prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..64).prop_map(RegionOp::Alloc),
-        any::<usize>().prop_map(RegionOp::ReleaseNth),
-        any::<usize>().prop_map(RegionOp::ReadNth),
-    ]
-}
+use unp_buffers::{BqiTable, OwnerTag, RingId};
 
 proptest! {
-    /// The shared region matches a reference map under arbitrary
-    /// alloc/write/read/release interleavings: reads return exactly what
-    /// was written, allocation fails iff the reference says full, and no
-    /// slot is ever handed out twice.
-    #[test]
-    fn region_matches_reference(ops in proptest::collection::vec(arb_region_op(), 1..120)) {
-        const SLOTS: usize = 8;
-        let mut region = SharedRegion::new(SLOTS, 64);
-        let mut model: HashMap<u32, Vec<u8>> = HashMap::new();
-        let mut live: Vec<SlotId> = Vec::new();
-
-        for op in ops {
-            match op {
-                RegionOp::Alloc(data) => {
-                    match region.alloc() {
-                        Some(slot) => {
-                            prop_assert!(model.len() < SLOTS, "alloc beyond capacity");
-                            prop_assert!(!model.contains_key(&slot.0), "double allocation");
-                            prop_assert!(region.write(slot, &data));
-                            model.insert(slot.0, data);
-                            live.push(slot);
-                        }
-                        None => prop_assert_eq!(model.len(), SLOTS, "refused while free"),
-                    }
-                }
-                RegionOp::ReleaseNth(n) => {
-                    if live.is_empty() { continue; }
-                    let slot = live.remove(n % live.len());
-                    model.remove(&slot.0);
-                    region.release(slot);
-                }
-                RegionOp::ReadNth(n) => {
-                    if live.is_empty() { continue; }
-                    let slot = live[n % live.len()];
-                    prop_assert_eq!(region.read(slot), &model[&slot.0][..]);
-                }
-            }
-            prop_assert_eq!(region.free_slots(), SLOTS - model.len());
-        }
-    }
-
-    /// Descriptor rings are strict bounded FIFOs.
-    #[test]
-    fn ring_is_bounded_fifo(cap in 1usize..16, pushes in proptest::collection::vec(any::<u32>(), 0..64)) {
-        let mut ring = DescRing::new(cap);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        let mut drops = 0u64;
-        for (i, v) in pushes.iter().enumerate() {
-            let d = Descriptor { slot: SlotId(*v), len: i };
-            if model.len() < cap {
-                prop_assert!(ring.push(d));
-                model.push_back(*v);
-            } else {
-                prop_assert!(!ring.push(d));
-                drops += 1;
-            }
-            // Drain occasionally to exercise wraparound.
-            if i % 3 == 0 {
-                match (ring.pop(), model.pop_front()) {
-                    (Some(got), Some(want)) => prop_assert_eq!(got.slot.0, want),
-                    (None, None) => {}
-                    other => prop_assert!(false, "divergence: {other:?}"),
-                }
-            }
-        }
-        prop_assert_eq!(ring.drops(), drops);
-        while let Some(want) = model.pop_front() {
-            prop_assert_eq!(ring.pop().map(|d| d.slot.0), Some(want));
-        }
-        prop_assert!(ring.pop().is_none());
-    }
-
-    /// prepend-then-pull of arbitrary header stacks is the identity on the
-    /// payload.
-    #[test]
-    fn pktbuf_prepend_pull_identity(
-        payload in proptest::collection::vec(any::<u8>(), 0..128),
-        headers in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..32), 0..4),
-    ) {
-        let headroom: usize = headers.iter().map(Vec::len).sum();
-        let mut p = PktBuf::with_headroom(headroom, &payload);
-        for h in headers.iter().rev() {
-            p.prepend(h.len()).copy_from_slice(h);
-        }
-        prop_assert_eq!(p.len(), headroom + payload.len());
-        for h in &headers {
-            prop_assert_eq!(&p.as_slice()[..h.len()], &h[..]);
-            p.pull(h.len());
-        }
-        prop_assert_eq!(p.as_slice(), &payload[..]);
-        prop_assert_eq!(p.headroom(), headroom);
-    }
-
     /// The BQI table never resolves to a freed or foreign binding, and
     /// always falls back to the kernel ring.
     #[test]

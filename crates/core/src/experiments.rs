@@ -24,10 +24,6 @@ use crate::world::{
     listen_as, Eng, Network, OrgKind, World,
 };
 
-/// Default byte budget for throughput runs (enough for steady state to
-/// dominate the handshake).
-pub const THROUGHPUT_BYTES: u64 = 2_000_000;
-
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
 
 /// The Table-2 workload: host 0 streams `total` bytes to a verifying sink
@@ -320,9 +316,6 @@ pub fn table5_demux_us() -> (f64, f64) {
     let hw = costs.bqi_demux as f64 / 1e3;
     (sw, hw)
 }
-
-/// Convenience: the cell type experiments share with apps.
-pub type SharedStats = Rc<RefCell<TransferStats>>;
 
 // ---------------------------------------------------------------------
 // Ablations: what each design choice buys (DESIGN.md §4)

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a seeded schedule of link-level faults (drop,
 //! duplicate, corrupt, reorder), outage windows, per-host receive-ring
 //! pressure, and application crashes, threaded through the world's link
-//! delivery and host stepping by [`crate::world::install_faults`]. The
+//! delivery and host stepping by [`install_faults`]. The
 //! same seed always produces the same fault sequence, so a faulted run
 //! can be replayed exactly — the differential soak test depends on it.
 //!
@@ -13,7 +13,13 @@
 //! adds what a single loopback pipe cannot express: per-direction
 //! overrides, scheduled outages, ring pressure, and process crashes.
 
+use unp_buffers::OwnerTag;
 use unp_sim::Nanos;
+use unp_wire::{SeqNum, TcpFlags, TcpRepr, IPV4_HEADER_LEN};
+
+use crate::world::org::userlib::{note_announce, stale_cap_for};
+use crate::world::tcp::send_tcp_frame;
+use crate::world::{crash_host, Eng, World};
 
 /// Per-link fault probabilities (applied per delivered frame copy).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -377,6 +383,133 @@ impl XorShift {
 
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
+    }
+}
+
+impl ByzantineKind {
+    /// The tick period of the kinds that act on a schedule. The
+    /// window-shaped kinds (ring flood, wedged registry) are consulted in
+    /// place by the data path and have none.
+    fn period(self) -> Option<Nanos> {
+        match self {
+            ByzantineKind::TransmitFlood { period, .. }
+            | ByzantineKind::CapabilityStorm { period }
+            | ByzantineKind::StaleBqi { period } => Some(period),
+            ByzantineKind::RingFlood | ByzantineKind::WedgedRegistry => None,
+        }
+    }
+}
+
+/// Installs a fault plan: stores it on the world and schedules its
+/// application-crash events and, for each periodic byzantine-tenant
+/// behaviour, a deterministic tick train. Call once after
+/// [`crate::build_hosts`], before running the engine.
+pub fn install_faults(w: &mut World, eng: &mut Eng, plan: FaultPlan) {
+    for c in &plan.crashes {
+        let host = c.host;
+        eng.at(c.at, move |w, eng| crash_host(w, eng, host));
+    }
+    for &b in &plan.byzantine {
+        if let Some(period) = b.kind.period() {
+            assert!(period > 0, "byzantine period must be positive");
+            eng.at(b.start, move |w, eng| byzantine_tick(w, eng, b, period));
+        }
+    }
+    w.faults = plan;
+}
+
+/// One firing of a periodic byzantine behaviour; reschedules itself until
+/// the window closes. Every action is resource-bounded by the tenant's
+/// own budget — that containment is precisely what the isolation oracle
+/// measures.
+fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Nanos) {
+    let ByzantineSchedule {
+        host,
+        tenant,
+        kind,
+        end,
+        ..
+    } = b;
+    let now = eng.now();
+    if now >= end || !w.faults.enabled {
+        return;
+    }
+    // The hostile tenant abuses its own established connection — the
+    // lowest-numbered one, so the pick is deterministic across runs.
+    let target = w.hosts[host]
+        .conns
+        .iter()
+        .filter_map(|(&cid, c)| {
+            let ci = c.chan.as_ref()?;
+            (w.hosts[host].netio.channel_owner(ci.id) == Some(OwnerTag(tenant))).then(|| {
+                (
+                    cid,
+                    ci.send_cap,
+                    ci.peer_bqi.unwrap_or(0),
+                    c.tcb.local(),
+                    c.tcb.remote(),
+                )
+            })
+        })
+        .min_by_key(|&(cid, ..)| cid)
+        .map(|(_, cap, bqi, l, r)| (cap, bqi, l, r));
+    if let Some((send_cap, bqi, local, remote)) = target {
+        // What the tenant transmits raw: an empty ACK claiming `src_port`,
+        // built by no TCB (so journaled as fabricated).
+        let raw_ack = |w: &mut World, eng: &mut Eng, src_port: u16| {
+            let repr = TcpRepr {
+                src_port,
+                dst_port: remote.1,
+                seq: SeqNum(0),
+                ack_num: SeqNum(0),
+                flags: TcpFlags::ack(),
+                window: 0,
+                mss: None,
+            };
+            let cap = Some(send_cap);
+            send_tcp_frame(w, eng, host, &repr, &[], remote.0, bqi, 0, cap, true);
+        };
+        match kind {
+            ByzantineKind::TransmitFlood { burst, .. } => {
+                // A burst of template-valid empty ACKs: each passes the
+                // kernel's checks and burns wire + CPU + tx credit until
+                // the tenant's per-window allowance runs dry.
+                for _ in 0..burst {
+                    raw_ack(w, eng, local.1);
+                }
+            }
+            ByzantineKind::CapabilityStorm { .. } => {
+                // A replayed revoked capability (BadCapability) plus a
+                // template-violating transmit on the real one (spoofed
+                // source port): both die inside the kernel, charged to
+                // the tenant's credit, never reaching the wire.
+                let stale = stale_cap_for(w, host, tenant);
+                let frame_len = w.hosts[host].link_header_len() + IPV4_HEADER_LEN + 20;
+                let junk = vec![0u8; frame_len];
+                let _ = w.hosts[host].netio.transmit(stale, &junk);
+                w.hosts[host].netio.advance_tx_window(now);
+                raw_ack(w, eng, local.1.wrapping_add(1));
+                let c = w.costs.trap;
+                w.hosts[host].cpu.charge(now, c);
+            }
+            ByzantineKind::StaleBqi { .. } => {
+                // Replay a stale BQI announcement at the peer host.
+                // Announcements are only taken by a handshake in flight,
+                // so a post-establishment replay must change nothing for
+                // anyone — the oracle's baseline comparison proves it.
+                if let Some(peer) = w.hosts.iter().position(|p| p.ip == remote.0) {
+                    let local_ip = w.hosts[host].ip;
+                    note_announce(w, peer, (remote.1, local_ip, local.1), bqi);
+                }
+            }
+            // `install_faults` starts a tick train only for a kind that
+            // has a period, which these two do not.
+            ByzantineKind::RingFlood | ByzantineKind::WedgedRegistry => unreachable!(),
+        }
+    }
+    let next = now + period;
+    if next < end {
+        eng.at(next, move |w, eng| byzantine_tick(w, eng, b, period));
     }
 }
 

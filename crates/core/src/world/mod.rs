@@ -1,0 +1,550 @@
+//! The simulated world: hosts, organizations, and the full data path.
+//!
+//! See the crate docs for the organization taxonomy. The central design
+//! rule: **state machines mutate at event time, observable effects pay
+//! their way** — every trap, IPC, copy, checksum, filter run, semaphore
+//! signal, and context switch on the path of a packet is charged to the
+//! owning host's CPU, and the packet's next hop — an [`Event`] variant for
+//! the per-frame steps, a [`host_exec`] closure for the rest — happens at
+//! the charge's completion time. The protocol code itself
+//! (`unp-tcp`/`unp-proto`) is identical across organizations.
+//!
+//! The modules follow the paper's Fig. 1: what the organizations share
+//! (this module's world and hosts, `event`, `link`, `ip`, `tcp`, `app`,
+//! `timers`, `lifecycle`), what they are charged differently for (`costs`,
+//! the only place all five [`OrgKind`]s are told apart), and the two
+//! receive paths that differ in kind, `org::monolithic` and
+//! `org::userlib`, which do not import each other and whose bookkeeping
+//! on [`Host`] is private to each. DESIGN.md §7 has the map.
+
+mod app;
+mod costs;
+mod event;
+mod ip;
+mod lifecycle;
+mod link;
+pub(crate) mod org;
+pub(crate) mod tcp;
+mod timers;
+
+pub use app::{find_conn, poke_conn, AppEvent};
+pub use costs::OrgKind;
+pub use event::{host_exec, Closure, Event};
+pub use ip::{bind_udp, send_ping, send_udp};
+pub use lifecycle::{app_exit, connect, connect_as, crash_host, listen, listen_as};
+pub use link::frame_arrives;
+pub use org::userlib::handshake::crash_tenant;
+
+pub use crate::faults::install_faults;
+
+use std::collections::{HashMap, VecDeque};
+
+use unp_buffers::{Frame, FramePool, OwnerTag};
+use unp_kernel::{Capability, ChannelId, NetIoModule};
+use unp_netdev::{An1Nic, LanceNic, Link, StationId};
+use unp_proto::{ArpCache, IpEndpoint, UdpLayer};
+use unp_registry::{RegistryAction, RegistryServer};
+use unp_sim::{CostModel, Cpu, Engine, EventId, LinkParams, Nanos};
+use unp_tcp::{Tcb, TcpAction, TcpConfig, TcpTimer};
+use unp_timers::{TimerId, TimerService, TimerWheel};
+use unp_trace::{Ctr, Gauge, Metrics};
+use unp_wire::{IpProtocol, Ipv4Addr, MacAddr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN};
+
+/// The engine type for this world.
+pub type Eng = Engine<World, Event>;
+
+/// Which network the hosts share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Network {
+    /// 10 Mb/s shared Ethernet with Lance-style PIO interfaces.
+    Ethernet,
+    /// 100 Mb/s AN1 point-to-point segment with BQI DMA interfaces.
+    An1,
+}
+
+/// Host-network interface state.
+pub enum Nic {
+    /// Lance-style Ethernet interface.
+    Lance(LanceNic),
+    /// AN1 interface with BQI table.
+    An1(An1Nic),
+}
+
+/// Timer wheel token, and the key of [`Host`]'s one table of armed timers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TimerToken {
+    /// A connection timer in the library/kernel stack.
+    Conn(u32, TcpTimer),
+    /// A registry-held handshake or inherited-connection timer.
+    Registry(u64, TcpTimer),
+}
+
+/// A listening endpoint: configuration plus an application factory invoked
+/// per accepted connection.
+pub struct Listener {
+    cfg: TcpConfig,
+    factory: Box<dyn FnMut() -> Box<dyn crate::app::AppLogic>>,
+    /// The tenant that owns the port and every channel accepted through
+    /// it ([`listen_as`]; [`listen`] passes the host's single-app owner).
+    tenant: OwnerTag,
+}
+
+/// A connection's `(local port, remote ip, remote port)`: what a host
+/// tells its connections and handshakes apart by.
+type PairKey = (u16, Ipv4Addr, u16);
+
+/// Per-connection channel state (UserLibrary organization).
+pub struct ChanInfo {
+    /// Kernel channel id.
+    pub id: ChannelId,
+    /// Send capability (template-checked transmission).
+    pub send_cap: Capability,
+    /// Receive capability (ring consumption).
+    pub recv_cap: Capability,
+    /// The BQI the peer must stamp for hardware demux to reach us (AN1).
+    pub our_bqi: u16,
+    /// The BQI we stamp on outgoing data frames (announced by the peer).
+    pub peer_bqi: Option<u16>,
+}
+
+/// One live connection endpoint.
+pub struct Conn {
+    /// The TCP state (the paper's "TCP state transferred to user level"),
+    /// in the box the registry handed it over in: a table slot is a
+    /// pointer, so the table's capacity does not cost what it indexes.
+    pub tcb: Box<Tcb>,
+    /// The owning application.
+    pub app: Box<dyn crate::app::AppLogic>,
+    /// Channel info when running under the UserLibrary organization.
+    pub chan: Option<ChanInfo>,
+    /// App bytes the library holds beyond the TCB's send buffer.
+    pending_tx: VecDeque<u8>,
+    /// The app requested close once `pending_tx` drains.
+    close_pending: bool,
+    /// Bytes handed to the application so far ([`unp_trace::ConnScope::bytes_to_app`]).
+    bytes_to_app: u64,
+    /// Typical application write size (the experiments' "user packet
+    /// size"), used by per-organization copy-elimination rules.
+    pub write_size: usize,
+}
+
+/// One simulated workstation.
+pub struct Host {
+    /// Index in the world.
+    pub idx: usize,
+    /// Protocol organization this host runs.
+    pub org: OrgKind,
+    /// The single CPU.
+    pub cpu: Cpu,
+    /// Station address.
+    pub mac: MacAddr,
+    /// IP address.
+    pub ip: Ipv4Addr,
+    /// The host-network interface.
+    pub nic: Nic,
+    /// ARP state (kernel-resident in all organizations for simplicity; the
+    /// cost difference is negligible and identical across orgs).
+    pub arp: ArpCache,
+    /// IP endpoint state (routing, reassembly).
+    pub ip_ep: IpEndpoint,
+    /// UDP protocol state.
+    pub udp: UdpLayer,
+    /// The network I/O module (UserLibrary organization).
+    pub netio: NetIoModule,
+    /// The registry server (UserLibrary organization).
+    pub registry: RegistryServer,
+    /// The UDP protocol's registry server ("a dedicated registry server
+    /// for each protocol").
+    pub udp_registry: unp_registry::UdpRegistry,
+    /// The timing wheel driving all protocol timers on this host.
+    pub wheel: TimerWheel<TimerToken>,
+    wheel_event: Option<(Nanos, EventId)>,
+    /// [`wheel_fire`]'s token list, empty between fires.
+    fired: Vec<TimerToken>,
+    /// Live connections.
+    pub conns: HashMap<u32, Conn>,
+    next_conn: u32,
+    conn_index: HashMap<PairKey, u32>,
+    listeners: HashMap<u16, Listener>,
+    /// Wheel handles of every armed timer, connection and registry alike.
+    timers: HashMap<TimerToken, TimerId>,
+    /// What only the user-library organization keeps (handshakes in
+    /// flight, whose ring a channel is): private to [`org::userlib`].
+    userlib: org::userlib::UserLib,
+    /// What only the monolithic organizations keep (the kernel's port and
+    /// ISS allocation): private to [`org::monolithic`].
+    kernel: org::monolithic::Monolithic,
+    /// IP packets awaiting ARP resolution, keyed by next-hop IP. Each is
+    /// held as a refcounted frame whose headroom (when present) receives
+    /// the link header once the MAC is known.
+    arp_wait: HashMap<Ipv4Addr, Vec<(IpProtocol, Frame)>>,
+}
+
+impl Host {
+    fn owner(&self) -> OwnerTag {
+        // One application process per host in these experiments.
+        OwnerTag(self.idx as u64 + 1)
+    }
+
+    pub(crate) fn link_header_len(&self) -> usize {
+        match self.nic {
+            Nic::Lance(_) => ETHERNET_HEADER_LEN,
+            Nic::An1(_) => AN1_HEADER_LEN,
+        }
+    }
+}
+
+/// The complete simulation state.
+pub struct World {
+    /// Calibrated operation costs.
+    pub costs: CostModel,
+    /// Network type.
+    pub network: Network,
+    /// The shared link.
+    pub link: Link,
+    /// Hosts on the link.
+    pub hosts: Vec<Host>,
+    /// Typed measurement registry: counters, gauges, histograms, and the
+    /// per-connection/per-channel scopes filled at teardown.
+    pub metrics: Metrics,
+    /// Ablation: disable notification batching (post a semaphore and take
+    /// a thread switch for every delivered packet).
+    pub ablate_batching: bool,
+    /// Ablation: disable the library's copy-eliminating buffer
+    /// organization (charge user↔buffer copies like the monolithic
+    /// stacks).
+    pub ablate_zero_copy: bool,
+    /// The frame pool backing the zero-copy data path: outgoing segments
+    /// are built once in a pooled buffer (headers prepended into
+    /// headroom) and the buffer is recycled when the last refcounted
+    /// handle drops. Replace with [`FramePool::disabled`] to measure the
+    /// allocation behavior of the pre-pool path.
+    pub pool: FramePool,
+    /// Promiscuous packet taps — the Packet Filter's original use case
+    /// ("user-level network code" for monitoring): each tap's BPF program
+    /// runs over every frame on the wire and counts matches.
+    taps: Vec<Tap>,
+    /// The active fault-injection schedule. Disabled by default
+    /// ([`crate::faults::FaultPlan::none`]): no RNG draw happens and the
+    /// data path is byte-identical to a build without fault injection.
+    /// Install an enabled plan with [`install_faults`].
+    pub faults: crate::faults::FaultPlan,
+    /// Emptied action buffers. The TCB and the registry append their
+    /// actions to a buffer drawn from here; [`apply_tcp_actions`] /
+    /// [`apply_registry_actions`] drain it and put it back. A list, not
+    /// one buffer, because routing re-enters itself (`DataAvailable` →
+    /// `recv`, `SendSpace` → [`flush_conn_tx`]).
+    tcp_spare: Spare<TcpAction>,
+    reg_spare: Spare<RegistryAction>,
+}
+
+/// A free-list of emptied `Vec`s, so a buffer's capacity outlives its use.
+struct Spare<T>(Vec<Vec<T>>);
+
+impl<T> Spare<T> {
+    fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut buf: Vec<T>) {
+        buf.clear();
+        self.0.push(buf);
+    }
+}
+
+/// A promiscuous capture tap: a named BPF program applied to all traffic.
+pub struct Tap {
+    name: &'static str,
+    program: unp_filter::BpfProgram,
+    /// Matched (time, frame-length) samples.
+    pub matches: Vec<(Nanos, usize)>,
+    /// Full frames, kept only for capture taps. Each entry is a refcount
+    /// on the wire frame, not a copy.
+    pub frames: Vec<(Nanos, Frame)>,
+    capture: bool,
+}
+
+impl World {
+    /// Installs a monitoring tap. Returns its index for later inspection
+    /// via [`World::tap_matches`].
+    pub fn add_tap(&mut self, name: &'static str, program: unp_filter::BpfProgram) -> usize {
+        self.taps.push(Tap {
+            name,
+            program,
+            matches: Vec::new(),
+            frames: Vec::new(),
+            capture: false,
+        });
+        self.taps.len() - 1
+    }
+
+    /// Installs a *capturing* tap: matched frames are stored in full and
+    /// can be exported with [`crate::pcap::write_pcap`] for analysis in
+    /// standard tools.
+    pub fn add_capture_tap(
+        &mut self,
+        name: &'static str,
+        program: unp_filter::BpfProgram,
+    ) -> usize {
+        let idx = self.add_tap(name, program);
+        self.taps[idx].capture = true;
+        idx
+    }
+
+    /// The full frames captured by a capture tap.
+    pub fn tap_frames(&self, idx: usize) -> &[(Nanos, Frame)] {
+        &self.taps[idx].frames
+    }
+
+    /// The frames a tap matched so far, as (time, length) pairs.
+    pub fn tap_matches(&self, idx: usize) -> &[(Nanos, usize)] {
+        &self.taps[idx].matches
+    }
+
+    /// The zero-leak oracle: what a drained world still holds that some
+    /// teardown should have given back, one line per finding — empty when
+    /// every connection, handshake, channel, BQI slot and timer that was
+    /// ever created has been released, by whichever route ended it.
+    pub fn leaks(&self) -> Vec<String> {
+        let mut found = Vec::new();
+        for h in &self.hosts {
+            let bqi_slots = match &h.nic {
+                // Entry 0 is the kernel-default ring, bound for the
+                // host's lifetime.
+                Nic::An1(nic) => nic.bqi_table.bound_entries() - 1,
+                Nic::Lance(_) => 0,
+            };
+            let dead_conn = |t: &&TimerToken| match t {
+                TimerToken::Conn(cid, _) => !h.conns.contains_key(cid),
+                TimerToken::Registry(..) => false,
+            };
+            // Handshake records go with their parked frames and recorded
+            // announcements.
+            let [handshakes, chan_owners] = h.userlib.held();
+            let held = [
+                (h.conns.len(), "connections"),
+                (h.conn_index.len(), "connection index entries"),
+                (handshakes, "handshake records"),
+                (chan_owners, "channel owner entries"),
+                (h.netio.channel_count(), "kernel channels"),
+                (h.netio.flow_table_len(), "flow-table entries"),
+                (
+                    usize::from(!h.netio.caches_match_rebuild()),
+                    "kernel demux caches (or table counts) off a fresh rebuild",
+                ),
+                (h.registry.tracked(), "registry connections"),
+                (bqi_slots, "BQI slots"),
+                (
+                    h.timers.keys().filter(dead_conn).count(),
+                    "timers of removed connections",
+                ),
+                (
+                    h.timers.len().abs_diff(h.wheel.pending()),
+                    "timers armed outside the table",
+                ),
+            ];
+            for (n, what) in held {
+                if n != 0 {
+                    found.push(format!("host {}: {n} {what}", h.idx));
+                }
+            }
+        }
+        for g in [Gauge::OpenChannels, Gauge::ActiveConnections] {
+            if self.metrics.gauge(g) != 0 {
+                found.push(format!("gauge {g:?} reads {}", self.metrics.gauge(g)));
+            }
+        }
+        // The table-size gauges move by per-host differences; a fresh sum
+        // over every host is what they must still add up to.
+        let fresh = self
+            .hosts
+            .iter()
+            .map(|h| demux_entries(&h.netio))
+            .fold([0; 2], |sum, host| [sum[0] + host[0], sum[1] + host[1]]);
+        for (g, fresh) in DEMUX_ENTRY_GAUGES.into_iter().zip(fresh) {
+            if self.metrics.gauge(g) != fresh {
+                let reads = self.metrics.gauge(g);
+                found.push(format!(
+                    "gauge {g:?} reads {reads}, the tables hold {fresh}"
+                ));
+            }
+        }
+        found
+    }
+
+    fn run_taps(&mut self, now: Nanos, frame: &Frame) {
+        use unp_filter::Demux;
+        for tap in &mut self.taps {
+            if tap.program.matches(frame) {
+                tap.matches.push((now, frame.len()));
+                if tap.capture {
+                    tap.frames.push((now, frame.clone()));
+                }
+                let _ = tap.name;
+            }
+        }
+    }
+}
+
+/// Builds a two-host world (the paper's testbed: two DECstation 5000/200s
+/// on an otherwise idle network), both hosts running `org`, with static
+/// ARP seeded (the measurements exclude ARP traffic).
+pub fn build_two_hosts(network: Network, org: OrgKind) -> (World, Eng) {
+    build_hosts(2, network, org)
+}
+
+/// Builds an `n`-host world on one link, all hosts running `org`, with a
+/// full static ARP mesh. Host `i` is `10.0.0.(i+1)`. (AN1 is modeled as a
+/// switchless point-to-point segment and supports exactly two hosts.)
+pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
+    assert!(n >= 2);
+    assert!(n <= 254, "host i is 10.0.0.(i+1): a /24 holds 254 hosts");
+    assert!(
+        network == Network::Ethernet || n == 2,
+        "the AN1 segment is point-to-point"
+    );
+    let params = match network {
+        Network::Ethernet => LinkParams::ethernet_10mbps(),
+        Network::An1 => LinkParams::an1_100mbps(),
+    };
+    let mut link = Link::new(params);
+    let mut hosts = Vec::new();
+    for idx in 0..n {
+        let mac = MacAddr::from_host_index(idx as u32 + 1);
+        let ip = Ipv4Addr::new(10, 0, 0, idx as u8 + 1);
+        let nic = match network {
+            Network::Ethernet => Nic::Lance(LanceNic::new(mac)),
+            Network::An1 => Nic::An1(An1Nic::new(mac, 64, unp_buffers::RingId(0))),
+        };
+        link.attach(StationId(idx), mac);
+        let mut arp = ArpCache::new(mac, ip);
+        // Static entries for every peer.
+        for peer_idx in 0..n {
+            if peer_idx != idx {
+                arp.insert_static(
+                    Ipv4Addr::new(10, 0, 0, peer_idx as u8 + 1),
+                    MacAddr::from_host_index(peer_idx as u32 + 1),
+                );
+            }
+        }
+        hosts.push(Host {
+            idx,
+            org,
+            cpu: Cpu::new(),
+            mac,
+            ip,
+            nic,
+            arp,
+            ip_ep: IpEndpoint::new(ip, 24, None),
+            udp: UdpLayer::new(),
+            netio: NetIoModule::new(),
+            registry: RegistryServer::new(ip),
+            udp_registry: unp_registry::UdpRegistry::new(),
+            wheel: TimerWheel::new(0),
+            wheel_event: None,
+            fired: Vec::new(),
+            conns: HashMap::new(),
+            next_conn: 1,
+            conn_index: HashMap::new(),
+            listeners: HashMap::new(),
+            timers: HashMap::new(),
+            userlib: org::userlib::UserLib::default(),
+            kernel: org::monolithic::Monolithic::new(idx),
+            arp_wait: HashMap::new(),
+        });
+    }
+    // Pool buffers cover a maximum-sized frame (MTU plus the larger link
+    // header) with slack for TCP options; oversize allocations degrade to
+    // fresh heap buffers that are simply not recycled.
+    let buf_size = link.params().mtu + AN1_HEADER_LEN + 46;
+    let world = World {
+        costs: CostModel::calibrated_1993(),
+        network,
+        link,
+        hosts,
+        metrics: Metrics::new(),
+        ablate_batching: false,
+        ablate_zero_copy: false,
+        pool: FramePool::new(buf_size, 256),
+        taps: Vec::new(),
+        faults: crate::faults::FaultPlan::none(),
+        tcp_spare: Spare(Vec::new()),
+        reg_spare: Spare(Vec::new()),
+    };
+    (world, Engine::new())
+}
+
+/// Runs `change` — a channel creation or teardown — on host `h`'s kernel
+/// module and moves the demux table-size gauges by what it did to that
+/// host's tables, so the flow/listen entry counts in the metrics windows
+/// track channel churn exactly at a cost that knows nothing of the other
+/// hosts. By difference (not inc/dec) because a channel may live in
+/// either keyed table or in neither (residual scan tier), and the crash
+/// sweep destroys many at once. [`World::leaks`] referees the gauges
+/// against a fresh sum over every host.
+fn change_channels<R>(w: &mut World, h: usize, change: impl FnOnce(&mut NetIoModule) -> R) -> R {
+    let netio = &mut w.hosts[h].netio;
+    let before = demux_entries(netio);
+    let result = change(netio);
+    let after = demux_entries(netio);
+    for ((g, before), after) in DEMUX_ENTRY_GAUGES.into_iter().zip(before).zip(after) {
+        let moved = (w.metrics.gauge(g) + after).saturating_sub(before);
+        w.metrics.gauge_set(g, moved);
+    }
+    result
+}
+
+/// The gauges [`change_channels`] keeps, and what each mirrors of one
+/// kernel module, in the same order.
+const DEMUX_ENTRY_GAUGES: [Gauge; 2] = [Gauge::DemuxFlowEntries, Gauge::DemuxListenEntries];
+
+fn demux_entries(netio: &NetIoModule) -> [u64; 2] {
+    [
+        netio.flow_table_len() as u64,
+        netio.listen_table_len() as u64,
+    ]
+}
+
+/// Mirrors every kernel tenant account into the metrics registry's
+/// [`unp_trace::TenantScope`]s. Called when quota enforcement fires and
+/// by reporting code before it reads the scopes; cheap (a handful of
+/// tenants per host), and a no-op on worlds that never budget anyone
+/// beyond each host's default owner.
+pub fn sync_tenant_scopes(w: &mut World) {
+    for h in 0..w.hosts.len() {
+        for t in w.hosts[h].netio.tenant_ids() {
+            let Some(s) = w.hosts[h].netio.tenant_stats(t) else {
+                continue;
+            };
+            let scope = w.metrics.tenant(h as u16, t.0);
+            scope.rx_delivered = s.rx_delivered;
+            scope.tx_frames = s.tx_frames;
+            scope.quota_drops = s.quota_drops;
+            scope.tx_rejections = s.tx_rejections;
+            scope.ring_slots = s.ring_slots as u64;
+            scope.ring_quota = s.ring_quota as u64;
+            scope.open_channels = s.open_channels as u64;
+        }
+    }
+}
+
+/// Mirrors the observer pipeline's stream counters into the metrics
+/// registry: violations flagged by an attached conformance monitor and
+/// the flight recorder's current occupancy. The stream counter is
+/// monotonic per thread while `Ctr` is add-only, and this sync is the
+/// counter's sole writer, so the counter itself doubles as the
+/// last-synced watermark. Called by reporting code (dashboards,
+/// exporters) before it reads the metrics; a no-op when no observer is
+/// attached.
+pub fn sync_monitor_stats(w: &mut World) {
+    let s = unp_trace::stream_stats();
+    let seen = w.metrics.get(Ctr::MonitorViolations);
+    if s.violations > seen {
+        w.metrics.add(Ctr::MonitorViolations, s.violations - seen);
+    }
+    w.metrics
+        .gauge_set(Gauge::RecorderOccupancy, s.recorder_occupancy);
+}
+
+#[cfg(test)]
+mod tests;

@@ -14,10 +14,9 @@
 //!   filters on Ethernet, BQI rings on AN1) place incoming packets into a
 //!   bounded per-channel ring shared with exactly one library. Delivery is
 //!   zero-copy: the ring holds refcounted [`unp_buffers::Frame`] handles
-//!   whose pooled backing buffers model the pinned shared-memory slots of
-//!   the paper (`unp_buffers::SharedRegion` remains the explicit model of
-//!   that memory; the hot path passes handles to it rather than copying
-//!   through it).
+//!   whose pooled backing buffers ([`unp_buffers::FramePool`]) model the
+//!   pinned shared-memory slots of the paper; the ring's capacity and
+//!   slot size are enforced on every delivery.
 //! * **Notification batching** — "our implementation attempts, where
 //!   possible, to batch multiple network packets per semaphore notification
 //!   in order to amortize the cost of signaling."
@@ -449,7 +448,7 @@ pub struct NetIoModule {
     pressure_cap: Option<usize>,
     /// Per-tenant budgets and accounting, keyed by raw tenant id.
     /// `BTreeMap` so reports iterate deterministically. Absent tenants
-    /// are unbudgeted (the kernel, `TenantId(0)`, is never budgeted).
+    /// are unbudgeted (the kernel, `OwnerTag(0)`, is never budgeted).
     tenants: std::collections::BTreeMap<u64, TenantAccount>,
     /// Transmit-credit window length in sim nanoseconds.
     tx_window_ns: u64,
@@ -753,7 +752,7 @@ impl NetIoModule {
     }
 
     /// Installs (or replaces) `tenant`'s resource budget. Zero fields are
-    /// unlimited; the kernel tenant (`TenantId(0)`) cannot be budgeted.
+    /// unlimited; the kernel tenant (`OwnerTag(0)`) cannot be budgeted.
     pub fn set_tenant_budget(&mut self, tenant: OwnerTag, budget: TenantBudget) {
         if tenant == OwnerTag(0) {
             return;

@@ -61,11 +61,6 @@ impl UdpLayer {
         self.bound.remove(&port).is_some()
     }
 
-    /// True if `port` is bound.
-    pub fn is_bound(&self, port: u16) -> bool {
-        self.bound.contains_key(&port)
-    }
-
     /// Builds an outgoing datagram (UDP header + payload) with checksum.
     pub fn send(
         &self,

@@ -320,16 +320,21 @@ impl Tcb {
         }
     }
 
-    /// Commits a protocol-state move, journaling the edge so the online
-    /// conformance monitor can check it against the legal transition
-    /// relation. Re-entering the current state is a no-op (teardown paths
-    /// reach `enter_closed` more than once); constructor initialization
-    /// is not an edge.
+    /// Commits a protocol-state move — the only writer of `state` — and
+    /// journals the edge. The move must be in the legal transition
+    /// relation, the same table the online conformance monitor checks the
+    /// journaled edge against. Re-entering the current state is a no-op
+    /// (teardown paths reach `enter_closed` more than once); constructor
+    /// initialization is not an edge.
     fn transition(&mut self, to: State) {
         let from = self.state;
         if from == to {
             return;
         }
+        debug_assert!(
+            unp_trace::legal_transition(fsm_of(from), fsm_of(to)),
+            "illegal TCP transition {from:?} -> {to:?}"
+        );
         self.state = to;
         unp_trace::emit(None, || unp_trace::Event::TcpState {
             local_port: self.local.1,

@@ -25,17 +25,14 @@
 //! others, so analyses can run online in bounded memory instead of
 //! post-hoc over an unbounded `Vec<Record>`.
 //!
-//! # Zero-overhead disabled mode
+//! # The quiescent gate
 //!
-//! The pipeline is double-gated. The `journal` cargo feature compiles the
-//! machinery in; without it `emit` is an empty inline function and the
-//! event-construction closure is never even type-checked against a live
-//! sink. With the feature on, the runtime gate is a thread-local
-//! observer count: a quiescent emission point costs one flag read, and
-//! the closure building the event runs only while at least one observer
-//! is attached. `repro-tables` golden output is byte-identical in all
-//! three states (feature off / feature on / observers attached) because
-//! emission is observation-only.
+//! The journal is always compiled in; what an idle emission point costs
+//! is a runtime gate, a thread-local observer count: one flag read
+//! (≈ 0.4 ns, the host-time ledger's `trace.emit_quiescent_ns`), and the
+//! closure building the event runs only while at least one observer is
+//! attached. `repro-tables` golden output is byte-identical with and
+//! without observers because emission is observation-only.
 //!
 //! # Determinism
 //!
@@ -50,6 +47,8 @@ pub mod metrics;
 pub mod monitor;
 pub mod profile;
 pub mod stream;
+
+use std::cell::Cell;
 
 pub use causal::{Attribution, CausalGraph, Cause, Journey, JourneyFate, Loss};
 pub use metrics::{
@@ -196,6 +195,35 @@ pub enum TcpFsm {
 }
 
 impl TcpFsm {
+    /// The legal moves between TCP states that do not end in `Closed`:
+    /// RFC 793's diagram as `unp_tcp::Tcb` implements it. With the rule
+    /// that `Closed` is reachable from every live state (close, abort,
+    /// reset, timeout) this is the whole relation — see
+    /// [`legal_transition`], which the TCB asserts before it commits a
+    /// move and the conformance monitor checks on every journaled edge.
+    /// RFC 793's `FinWait1 → TimeWait` (the peer's FIN carrying the ACK of
+    /// ours) is not here: the TCB processes the ACK, then the FIN, and so
+    /// takes it as two moves through `FinWait2`. `unp-tcp`'s
+    /// `tests/edge_coverage.rs` holds the table to what is driven.
+    pub const EDGES: [(TcpFsm, TcpFsm); 13] = {
+        use TcpFsm::*;
+        [
+            (Closed, SynSent),
+            (Closed, SynReceived),
+            (SynSent, Established),
+            (SynSent, SynReceived),
+            (SynReceived, Established),
+            (SynReceived, FinWait1),
+            (Established, FinWait1),
+            (Established, CloseWait),
+            (FinWait1, FinWait2),
+            (FinWait1, Closing),
+            (FinWait2, TimeWait),
+            (CloseWait, LastAck),
+            (Closing, TimeWait),
+        ]
+    };
+
     /// Journal keyword for the state (`syn_sent`, `fin_wait_1`, …).
     pub fn label(self) -> &'static str {
         match self {
@@ -211,6 +239,15 @@ impl TcpFsm {
             TcpFsm::TimeWait => "time_wait",
         }
     }
+}
+
+/// The legal TCP state-transition relation: [`TcpFsm::EDGES`], plus
+/// `Closed` from every live state.
+pub fn legal_transition(from: TcpFsm, to: TcpFsm) -> bool {
+    if to == TcpFsm::Closed {
+        return from != TcpFsm::Closed;
+    }
+    TcpFsm::EDGES.contains(&(from, to))
 }
 
 /// What a fault-injection layer did to a frame (or host) in flight.
@@ -638,222 +675,142 @@ pub fn render_json(records: &[Record]) -> String {
     out
 }
 
-#[cfg(feature = "journal")]
-mod active {
-    use super::{stream, Event, Nanos, Record};
-    use std::cell::Cell;
+thread_local! {
+    static CLOCK: Cell<Nanos> = const { Cell::new(0) };
+    static HOST: Cell<Option<u16>> = const { Cell::new(None) };
+    static NEXT_FRAME: Cell<u64> = const { Cell::new(0) };
+    static JOURNAL_HANDLE: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
-    thread_local! {
-        static CLOCK: Cell<Nanos> = const { Cell::new(0) };
-        static HOST: Cell<Option<u16>> = const { Cell::new(None) };
-        static NEXT_FRAME: Cell<u64> = const { Cell::new(0) };
-        static JOURNAL_HANDLE: Cell<Option<u64>> = const { Cell::new(None) };
+/// Zeroes the frame-id mint, the clock, and the host scope without
+/// touching attached observers: arms a deterministic run for
+/// observer-only (journal-off) monitoring. [`journal_start`] calls
+/// this; monitor-only runs — the million-channel sweeps where a full
+/// journal is impossible — call it directly before building the
+/// world.
+pub fn reset_run() {
+    NEXT_FRAME.with(|c| c.set(0));
+    CLOCK.with(|c| c.set(0));
+    HOST.with(|c| c.set(None));
+}
+
+fn start_with(j: stream::Journal) {
+    if let Some(id) = JOURNAL_HANDLE.with(|c| c.take()) {
+        let _ = stream::detach(stream::ObserverHandle::from_id(id));
     }
+    reset_run();
+    stream::reset_journal_dropped();
+    let h = stream::attach(Box::new(j));
+    JOURNAL_HANDLE.with(|c| c.set(Some(h.id())));
+}
 
-    /// Zeroes the frame-id mint, the clock, and the host scope without
-    /// touching attached observers: arms a deterministic run for
-    /// observer-only (journal-off) monitoring. [`journal_start`] calls
-    /// this; monitor-only runs — the million-channel sweeps where a full
-    /// journal is impossible — call it directly before building the
-    /// world.
-    pub fn reset_run() {
-        NEXT_FRAME.with(|c| c.set(0));
-        CLOCK.with(|c| c.set(0));
-        HOST.with(|c| c.set(None));
-    }
+/// Starts recording: attaches a fresh unbounded journal observer
+/// (replacing any previous one) and zeroes the frame-id mint and the
+/// clock. Build the world *after* calling this so two identical runs
+/// mint identical frame ids. Other observers stay attached.
+pub fn journal_start() {
+    start_with(stream::Journal::unbounded());
+}
 
-    fn start_with(j: stream::Journal) {
-        if let Some(id) = JOURNAL_HANDLE.with(|c| c.take()) {
-            let _ = stream::detach(stream::ObserverHandle::from_id(id));
-        }
-        reset_run();
-        stream::reset_journal_dropped();
-        let h = stream::attach(Box::new(j));
-        JOURNAL_HANDLE.with(|c| c.set(Some(h.id())));
-    }
+/// [`journal_start`], but the journal keeps only the most recent
+/// `cap` records (drop-oldest; evictions counted by
+/// [`journal_dropped`]) — long soaks no longer carry
+/// peak-journal memory.
+pub fn journal_start_bounded(cap: usize) {
+    start_with(stream::Journal::bounded(cap));
+}
 
-    /// Starts recording: attaches a fresh unbounded journal observer
-    /// (replacing any previous one) and zeroes the frame-id mint and the
-    /// clock. Build the world *after* calling this so two identical runs
-    /// mint identical frame ids. Other observers stay attached.
-    pub fn journal_start() {
-        start_with(stream::Journal::unbounded());
-    }
-
-    /// [`journal_start`], but the journal keeps only the most recent
-    /// `cap` records (drop-oldest; evictions counted by
-    /// [`super::journal_dropped`]) — long soaks no longer carry
-    /// peak-journal memory.
-    pub fn journal_start_bounded(cap: usize) {
-        start_with(stream::Journal::bounded(cap));
-    }
-
-    /// Stops recording and drains the journal, shrunk to its length.
-    pub fn journal_stop() -> Vec<Record> {
-        let Some(id) = JOURNAL_HANDLE.with(|c| c.take()) else {
-            return Vec::new();
-        };
-        match stream::detach_as::<stream::Journal>(stream::ObserverHandle::from_id(id)) {
-            Some(j) => j.into_records(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Whether a journal observer is currently recording on this thread.
-    #[inline]
-    pub fn journal_enabled() -> bool {
-        JOURNAL_HANDLE.with(|c| c.get().is_some())
-    }
-
-    /// The shared record-push path behind [`emit`] and [`emit_at`]: gate
-    /// first, so neither the host resolver nor the event constructor runs
-    /// while quiescent (no observers attached).
-    #[inline]
-    fn push(host: impl FnOnce() -> Option<u16>, frame: Option<u64>, make: impl FnOnce() -> Event) {
-        if !stream::any_attached() {
-            return;
-        }
-        let rec = Record {
-            time: CLOCK.with(|c| c.get()),
-            host: host(),
-            frame,
-            event: make(),
-        };
-        stream::dispatch(&rec);
-    }
-
-    /// Emits an event attributed to the thread's current host scope. The
-    /// closure runs only while a journal is recording.
-    #[inline]
-    pub fn emit(frame: Option<u64>, make: impl FnOnce() -> Event) {
-        push(|| HOST.with(|c| c.get()), frame, make);
-    }
-
-    /// Emits an event with an explicit host (world-level emission sites
-    /// know their host index directly).
-    #[inline]
-    pub fn emit_at(host: u16, frame: Option<u64>, make: impl FnOnce() -> Event) {
-        push(move || Some(host), frame, make);
-    }
-
-    /// Sets the journal clock; called by the simulation engine as it
-    /// advances virtual time.
-    #[inline]
-    pub fn set_time(t: Nanos) {
-        CLOCK.with(|c| c.set(t));
-    }
-
-    /// The journal clock's current reading.
-    #[inline]
-    pub fn time() -> Nanos {
-        CLOCK.with(|c| c.get())
-    }
-
-    /// Mints a fresh frame id. Stamped on every `Frame` at creation;
-    /// clones and slices share their parent's id.
-    #[inline]
-    pub fn next_frame_id() -> u64 {
-        NEXT_FRAME.with(|c| {
-            let id = c.get();
-            c.set(id + 1);
-            id
-        })
-    }
-
-    /// Scope guard attributing emissions from layers that don't know
-    /// their host (kernel, tcp) to host `h`. Restores the previous scope
-    /// on drop.
-    pub struct HostScope {
-        prev: Option<u16>,
-    }
-
-    /// Enters a host attribution scope.
-    pub fn host_scope(h: u16) -> HostScope {
-        let prev = HOST.with(|c| c.replace(Some(h)));
-        HostScope { prev }
-    }
-
-    impl Drop for HostScope {
-        fn drop(&mut self) {
-            let prev = self.prev;
-            HOST.with(|c| c.set(prev));
-        }
+/// Stops recording and drains the journal, shrunk to its length.
+pub fn journal_stop() -> Vec<Record> {
+    let Some(id) = JOURNAL_HANDLE.with(|c| c.take()) else {
+        return Vec::new();
+    };
+    match stream::detach_as::<stream::Journal>(stream::ObserverHandle::from_id(id)) {
+        Some(j) => j.into_records(),
+        None => Vec::new(),
     }
 }
 
-#[cfg(feature = "journal")]
-pub use active::{
-    emit, emit_at, host_scope, journal_enabled, journal_start, journal_start_bounded, journal_stop,
-    next_frame_id, reset_run, set_time, time, HostScope,
-};
-
-#[cfg(not(feature = "journal"))]
-mod inert {
-    use super::{Event, Nanos, Record};
-
-    /// No-op (journal feature off).
-    #[inline(always)]
-    pub fn journal_start() {}
-
-    /// No-op (journal feature off).
-    #[inline(always)]
-    pub fn journal_start_bounded(_cap: usize) {}
-
-    /// No-op (journal feature off).
-    #[inline(always)]
-    pub fn reset_run() {}
-
-    /// No-op (journal feature off): always empty.
-    #[inline(always)]
-    pub fn journal_stop() -> Vec<Record> {
-        Vec::new()
-    }
-
-    /// Always false (journal feature off).
-    #[inline(always)]
-    pub fn journal_enabled() -> bool {
-        false
-    }
-
-    /// No-op (journal feature off): the closure is never called.
-    #[inline(always)]
-    pub fn emit(_frame: Option<u64>, _make: impl FnOnce() -> Event) {}
-
-    /// No-op (journal feature off): the closure is never called.
-    #[inline(always)]
-    pub fn emit_at(_host: u16, _frame: Option<u64>, _make: impl FnOnce() -> Event) {}
-
-    /// No-op (journal feature off).
-    #[inline(always)]
-    pub fn set_time(_t: Nanos) {}
-
-    /// Always zero (journal feature off).
-    #[inline(always)]
-    pub fn time() -> Nanos {
-        0
-    }
-
-    /// Always zero (journal feature off): frames share one inert id.
-    #[inline(always)]
-    pub fn next_frame_id() -> u64 {
-        0
-    }
-
-    /// Inert scope guard (journal feature off).
-    pub struct HostScope;
-
-    /// No-op (journal feature off).
-    #[inline(always)]
-    pub fn host_scope(_h: u16) -> HostScope {
-        HostScope
-    }
+/// Whether a journal observer is currently recording on this thread.
+#[inline]
+pub fn journal_enabled() -> bool {
+    JOURNAL_HANDLE.with(|c| c.get().is_some())
 }
 
-#[cfg(not(feature = "journal"))]
-pub use inert::{
-    emit, emit_at, host_scope, journal_enabled, journal_start, journal_start_bounded, journal_stop,
-    next_frame_id, reset_run, set_time, time, HostScope,
-};
+/// The shared record-push path behind [`emit`] and [`emit_at`]: gate
+/// first, so neither the host resolver nor the event constructor runs
+/// while quiescent (no observers attached).
+#[inline]
+fn push(host: impl FnOnce() -> Option<u16>, frame: Option<u64>, make: impl FnOnce() -> Event) {
+    if !stream::any_attached() {
+        return;
+    }
+    let rec = Record {
+        time: CLOCK.with(|c| c.get()),
+        host: host(),
+        frame,
+        event: make(),
+    };
+    stream::dispatch(&rec);
+}
+
+/// Emits an event attributed to the thread's current host scope. The
+/// closure runs only while a journal is recording.
+#[inline]
+pub fn emit(frame: Option<u64>, make: impl FnOnce() -> Event) {
+    push(|| HOST.with(|c| c.get()), frame, make);
+}
+
+/// Emits an event with an explicit host (world-level emission sites
+/// know their host index directly).
+#[inline]
+pub fn emit_at(host: u16, frame: Option<u64>, make: impl FnOnce() -> Event) {
+    push(move || Some(host), frame, make);
+}
+
+/// Sets the journal clock; called by the simulation engine as it
+/// advances virtual time.
+#[inline]
+pub fn set_time(t: Nanos) {
+    CLOCK.with(|c| c.set(t));
+}
+
+/// The journal clock's current reading.
+#[inline]
+pub fn time() -> Nanos {
+    CLOCK.with(|c| c.get())
+}
+
+/// Mints a fresh frame id. Stamped on every `Frame` at creation;
+/// clones and slices share their parent's id.
+#[inline]
+pub fn next_frame_id() -> u64 {
+    NEXT_FRAME.with(|c| {
+        let id = c.get();
+        c.set(id + 1);
+        id
+    })
+}
+
+/// Scope guard attributing emissions from layers that don't know
+/// their host (kernel, tcp) to host `h`. Restores the previous scope
+/// on drop.
+pub struct HostScope {
+    prev: Option<u16>,
+}
+
+/// Enters a host attribution scope.
+pub fn host_scope(h: u16) -> HostScope {
+    let prev = HOST.with(|c| c.replace(Some(h)));
+    HostScope { prev }
+}
+
+impl Drop for HostScope {
+    fn drop(&mut self) {
+        let prev = self.prev;
+        HOST.with(|c| c.set(prev));
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -887,7 +844,6 @@ mod tests {
         assert_eq!(r.line(), "0 h- f- wakeup_batch ch=3 frames=4");
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn journal_records_between_start_and_stop() {
         // Quiescent: emissions vanish and the closure never runs.
@@ -927,7 +883,6 @@ mod tests {
         let _ = journal_stop();
     }
 
-    #[cfg(feature = "journal")]
     #[test]
     fn host_scopes_nest() {
         journal_start();
@@ -942,22 +897,6 @@ mod tests {
         let j = journal_stop();
         assert_eq!(j[0].host, Some(2));
         assert_eq!(j[1].host, Some(1));
-    }
-
-    #[cfg(not(feature = "journal"))]
-    #[test]
-    fn inert_mode_is_inert() {
-        journal_start();
-        assert!(!journal_enabled());
-        let mut built = 0u32;
-        emit(Some(1), || {
-            built += 1;
-            Event::NicTx { len: 60 }
-        });
-        assert_eq!(built, 0, "closure must not run with the feature off");
-        assert_eq!(next_frame_id(), 0);
-        assert_eq!(next_frame_id(), 0);
-        assert!(journal_stop().is_empty());
     }
 
     #[test]

@@ -913,12 +913,6 @@ impl Window {
         self.per_sec(Ctr::TcpRexmitSegs)
     }
 
-    /// Tenant-quota receive drops per second of sim time, across all
-    /// tenants (per-tenant attribution lives in the [`TenantScope`]s).
-    pub fn quota_drops_per_sec(&self) -> f64 {
-        self.per_sec(Ctr::ChQuotaDrops)
-    }
-
     /// Retransmitted segments as a share of frames sent in the window
     /// (approximate: a frame usually carries one segment), or `None` if
     /// nothing was sent.

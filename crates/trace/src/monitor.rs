@@ -39,7 +39,10 @@
 //! first occurrence (host crashes freeze it too).
 
 use crate::stream::{self, FlightRecorder, Observer};
-use crate::{Dir, Event, FaultKind, Nanos, PathKind, ReclaimKind, Record, RexmitReason, TcpFsm};
+use crate::{
+    legal_transition, Dir, Event, FaultKind, Nanos, PathKind, ReclaimKind, Record, RexmitReason,
+    TcpFsm,
+};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -777,33 +780,6 @@ impl Observer for Monitor {
             );
         }
     }
-}
-
-/// The legal TCP state-transition relation, as implemented by
-/// `unp_tcp::Tcb` (RFC 793's diagram plus abort/reset edges: `Closed` is
-/// reachable from every live state).
-pub fn legal_transition(from: TcpFsm, to: TcpFsm) -> bool {
-    use TcpFsm::*;
-    if to == Closed {
-        return from != Closed;
-    }
-    matches!(
-        (from, to),
-        (Closed, SynSent)
-            | (Closed, SynReceived)
-            | (SynSent, Established)
-            | (SynSent, SynReceived)
-            | (SynReceived, Established)
-            | (SynReceived, FinWait1)
-            | (Established, FinWait1)
-            | (Established, CloseWait)
-            | (FinWait1, FinWait2)
-            | (FinWait1, Closing)
-            | (FinWait1, TimeWait)
-            | (FinWait2, TimeWait)
-            | (CloseWait, LastAck)
-            | (Closing, TimeWait)
-    )
 }
 
 /// Seeded single-defect journal mutations: each injects exactly one bug

@@ -15,10 +15,6 @@
 //! Observation stays observation-only — an observer cannot charge
 //! simulated cost, schedule events, or (re-entrantly) emit records; an
 //! emission made from inside an observer callback is dropped.
-//!
-//! This module compiles unconditionally (no `journal` feature gate): with
-//! the feature off no emission site ever calls [`dispatch`], so attaching
-//! an observer is harmless and examples need no `cfg` scaffolding.
 
 use crate::Record;
 use std::any::Any;
@@ -130,7 +126,6 @@ pub fn observer_count() -> usize {
 }
 
 /// The emit path's hot gate: one thread-local read while quiescent.
-#[cfg_attr(not(feature = "journal"), allow(dead_code))]
 #[inline]
 pub(crate) fn any_attached() -> bool {
     ATTACHED.with(|c| c.get() > 0)
@@ -201,7 +196,6 @@ pub fn journal_dropped() -> u64 {
     JOURNAL_DROPPED.with(|c| c.get())
 }
 
-#[cfg_attr(not(feature = "journal"), allow(dead_code))]
 pub(crate) fn reset_journal_dropped() {
     JOURNAL_DROPPED.with(|c| c.set(0));
 }

@@ -38,8 +38,7 @@ fn main() {
     let host1_addr = Ipv4Addr::new(10, 0, 0, 2);
 
     // Record the journal from the very first SYN so the profiler sees
-    // every frame's full path. (With the `trace` feature off this is a
-    // no-op and the profile section below reports an empty journal.)
+    // every frame's full path.
     unp::trace::journal_start();
 
     // Conformance monitor with a bounded flight recorder rides the same

@@ -5,9 +5,7 @@
 //! caused it, every lost data frame must be claimed by exactly one
 //! attribution (or superseded by a redundant delivery of its range),
 //! and every journey's latency split must telescope exactly to its
-//! cross-host end-to-end span. Gated on the `trace` feature: with
-//! tracing compiled out these tests vanish rather than fail.
-#![cfg(feature = "trace")]
+//! cross-host end-to-end span.
 
 use unp::core::experiments::Transfer;
 use unp::core::faults::{FaultPlan, LinkFaults, RingPressure};

@@ -15,7 +15,6 @@
 //!     hostile tenant (`Loss::QuotaExceeded { tenant }`);
 //! (d) zero resources leak after the hostile tenant is crashed and
 //!     reclaimed through the registry/kernel backstop alone.
-#![cfg(feature = "trace")]
 
 use unp::buffers::live_frames;
 use unp::buffers::OwnerTag;

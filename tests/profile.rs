@@ -1,7 +1,5 @@
 //! Critical-path profiler and windowed-telemetry integration tests
-//! (satellites of the profiling tentpole). Gated on the `trace` feature:
-//! with tracing compiled out these tests vanish rather than fail.
-#![cfg(feature = "trace")]
+//! (satellites of the profiling tentpole).
 
 use unp::core::experiments::Transfer;
 use unp::core::faults::FaultPlan;
