@@ -25,6 +25,19 @@ if grep -nE 'ChanInfo|RegistryAction|userlib' $world/org/monolithic.rs \
   echo "core::world's organizations name each other (lines above)"; exit 1
 fi
 
+# The shape `unp-tcp` was cut to (DESIGN §7's component table): no source
+# file in the crate over 650 lines, and what `CongestionControl` means
+# decided in the congestion component alone. The compiler already keeps
+# each component's fields to its own module; the grep holds what privacy
+# cannot: the TCB (or another component) branching on the algorithm.
+echo "== unp-tcp: file sizes, one congestion decision =="
+find crates/tcp/src -name '*.rs' -exec wc -l {} + \
+  | awk '$2 != "total" && $1 > 650 { print $2 " has " $1 " lines (limit 650)"; bad = 1 } END { exit bad }'
+if grep -rn 'CongestionControl::' crates/tcp/src \
+  | grep -v '^crates/tcp/src/\(congestion\|config\)\.rs:'; then
+  echo "CongestionControl is matched outside the congestion component (lines above)"; exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -71,6 +84,13 @@ cargo test -q --release --offline --test alloc_budget
 # advances that the tick-by-tick wheel could not afford to be tested on.
 echo "== timing wheel equivalence, 512 cases (release) =="
 cargo test -q --release --offline -p unp-timers
+
+# The hostile-peer property at the TCB seam: every live state under
+# mutated segments, stale timers and user calls, 512 cases (64 in the
+# debug pass above, where `ConnMgmt::transition`'s `debug_assert!` is a
+# second referee of the legal-edge oracle).
+echo "== hostile peer vs. every live TCB state, 512 cases (release) =="
+cargo test -q --release --offline -p unp-tcp --test hostile_peer
 
 # The profiler's join discipline must hold in release mode too: every
 # delivered frame's stage components sum exactly to its end-to-end span,

@@ -43,17 +43,6 @@ pub use unp_sim::DemuxPath;
 pub use unp_trace::{push_kept, RETIRED_KEPT};
 use unp_wire::{FlowKey, ListenKey};
 
-/// Maps the cost model's path enum onto the journal's (the trace crate
-/// sits below `unp-sim` and cannot import it).
-fn path_kind(path: DemuxPath) -> unp_trace::PathKind {
-    match path {
-        DemuxPath::FlowTable => unp_trace::PathKind::FlowTable,
-        DemuxPath::ListenTable => unp_trace::PathKind::ListenTable,
-        DemuxPath::FilterScan => unp_trace::PathKind::FilterScan,
-        DemuxPath::Hardware => unp_trace::PathKind::Hardware,
-    }
-}
-
 /// Which demultiplexing tier a channel's spec distilled into at
 /// installation. Each channel lives in exactly one tier, so the keyed
 /// tables and the residual scan set partition the active population —
@@ -959,7 +948,7 @@ impl NetIoModule {
             _ => self.demux_stats.scan_fallbacks += 1,
         }
         unp_trace::emit(Some(frame.id()), || unp_trace::Event::DemuxClassify {
-            path: path_kind(path),
+            path,
             filter_instrs: instrs as u32,
             matched: target.is_some(),
         });
@@ -980,7 +969,7 @@ impl NetIoModule {
     pub fn deliver_hardware(&mut self, ring: RingId, frame: &Frame) -> Delivery {
         let target = self.ring_index.get(&ring).copied();
         unp_trace::emit(Some(frame.id()), || unp_trace::Event::DemuxClassify {
-            path: unp_trace::PathKind::Hardware,
+            path: DemuxPath::Hardware,
             filter_instrs: 0,
             matched: target.is_some(),
         });

@@ -13,24 +13,10 @@
 
 use crate::{Nanos, MICROS};
 
-/// Which demultiplexing machinery classified an incoming frame. The kernel
-/// tags every delivery with the path taken so per-path costs can be
-/// charged and fast-path hit rates reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DemuxPath {
-    /// Exact-match flow-table lookup (O(1) in the number of bindings).
-    FlowTable,
-    /// Wildcard 3-tuple (protocol, local ip, local port) table lookup —
-    /// listening and unconnected-UDP bindings, also O(1).
-    ListenTable,
-    /// Linear scan interpreting each binding's filter program — the
-    /// paper-era software path, and the fallback for frames or bindings
-    /// without any keyed identity (fragments, non-IP, half-wildcard
-    /// bindings, mismatched link framing).
-    FilterScan,
-    /// The NIC classified the frame itself (AN1 BQI table).
-    Hardware,
-}
+/// Which demultiplexing machinery classified an incoming frame: the
+/// journal's [`unp_trace::PathKind`], under the name the cost model and
+/// the kernel use for it.
+pub use unp_trace::PathKind as DemuxPath;
 
 /// Structural operation costs, in nanoseconds of host CPU time.
 #[derive(Debug, Clone)]

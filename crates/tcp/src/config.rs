@@ -12,6 +12,24 @@ use crate::Nanos;
 const MILLIS: Nanos = 1_000_000;
 const SECONDS: Nanos = 1_000_000_000;
 
+// What no application, experiment or benchmark sets differently is a
+// constant, not a tunable.
+
+/// MSS assumed for the peer when no option is received (RFC 1122: 536).
+pub(crate) const MSS_DEFAULT: usize = 536;
+/// Retransmission timeout before any RTT sample.
+pub(crate) const RTO_INITIAL: Nanos = SECONDS;
+/// Minimum retransmission timeout.
+pub(crate) const RTO_MIN: Nanos = 200 * MILLIS;
+/// Maximum retransmission timeout, backoff included.
+pub(crate) const RTO_MAX: Nanos = 64 * SECONDS;
+/// Acknowledge every `ACK_EVERY` data segments even when delaying.
+pub(crate) const ACK_EVERY: u32 = 2;
+/// Delayed-ACK flush interval.
+pub(crate) const DELAYED_ACK_TIMEOUT: Nanos = 200 * MILLIS;
+
+const _: () = assert!(RTO_MIN < RTO_INITIAL && RTO_INITIAL < RTO_MAX);
+
 /// Congestion-control algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CongestionControl {
@@ -31,8 +49,6 @@ pub enum CongestionControl {
 pub struct TcpConfig {
     /// MSS we advertise (per-link: 1460 for a 1500-byte MTU).
     pub mss_local: usize,
-    /// MSS assumed for the peer when no option is received (RFC 1122: 536).
-    pub mss_default: usize,
     /// Send buffer capacity in bytes.
     pub send_buf: usize,
     /// Receive buffer capacity in bytes (advertised window ceiling).
@@ -41,16 +57,6 @@ pub struct TcpConfig {
     pub nagle: bool,
     /// Delayed acknowledgments.
     pub delayed_ack: bool,
-    /// Delayed-ACK flush interval.
-    pub delayed_ack_timeout: Nanos,
-    /// Acknowledge every `ack_every` full segments even when delaying.
-    pub ack_every: u32,
-    /// Minimum retransmission timeout.
-    pub rto_min: Nanos,
-    /// Maximum retransmission timeout.
-    pub rto_max: Nanos,
-    /// Initial retransmission timeout before any RTT sample.
-    pub rto_initial: Nanos,
     /// 2·MSL: how long `TIME_WAIT` quarantines the connection pair.
     pub time_wait: Nanos,
     /// Give up and reset after this many consecutive retransmissions.
@@ -68,16 +74,10 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             mss_local: 1460,
-            mss_default: 536,
             send_buf: 16 * 1024,
             recv_buf: 16 * 1024,
             nagle: true,
             delayed_ack: true,
-            delayed_ack_timeout: 200 * MILLIS,
-            ack_every: 2,
-            rto_min: 200 * MILLIS,
-            rto_max: 64 * SECONDS,
-            rto_initial: SECONDS,
             time_wait: 60 * SECONDS,
             max_retransmits: 12,
             congestion: CongestionControl::Off,
@@ -125,8 +125,6 @@ mod tests {
     #[test]
     fn defaults_sane() {
         let c = TcpConfig::default();
-        assert!(c.rto_min < c.rto_initial);
-        assert!(c.rto_initial < c.rto_max);
-        assert!(c.mss_local >= c.mss_default);
+        assert!(c.mss_local >= MSS_DEFAULT);
     }
 }

@@ -28,6 +28,10 @@
 //! library — mirroring the paper's "apples to apples" methodology.
 
 pub mod config;
+mod congestion;
+mod conn;
+mod delivery;
+mod flow;
 pub mod loopback;
 pub mod reasm;
 pub mod rtt;

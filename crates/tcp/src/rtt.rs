@@ -1,33 +1,24 @@
 //! Round-trip time estimation: Jacobson/Karels SRTT + RTTVAR with Karn's
 //! rule, the algorithm 4.3BSD(-Tahoe) shipped and the paper's stacks use.
 
+use crate::config::{RTO_INITIAL, RTO_MAX, RTO_MIN};
 use crate::Nanos;
 
 /// Smoothed RTT estimator producing retransmission timeouts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RttEstimator {
     /// Smoothed RTT, ns (None until the first sample).
     srtt: Option<Nanos>,
     /// Mean deviation, ns.
     rttvar: Nanos,
-    rto_min: Nanos,
-    rto_max: Nanos,
-    rto_initial: Nanos,
     /// Exponential backoff multiplier (log2), reset on new samples.
     backoff: u32,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the given RTO clamps.
-    pub fn new(rto_initial: Nanos, rto_min: Nanos, rto_max: Nanos) -> RttEstimator {
-        RttEstimator {
-            srtt: None,
-            rttvar: 0,
-            rto_min,
-            rto_max,
-            rto_initial,
-            backoff: 0,
-        }
+    /// Creates an estimator with no samples.
+    pub fn new() -> RttEstimator {
+        RttEstimator::default()
     }
 
     /// Feeds one RTT measurement (Karn's rule: callers must not sample
@@ -53,11 +44,10 @@ impl RttEstimator {
     /// Current RTO: `srtt + 4·rttvar`, clamped, with backoff applied.
     pub fn rto(&self) -> Nanos {
         let base = match self.srtt {
-            Some(srtt) => (srtt + 4 * self.rttvar).clamp(self.rto_min, self.rto_max),
-            None => self.rto_initial,
+            Some(srtt) => (srtt + 4 * self.rttvar).clamp(RTO_MIN, RTO_MAX),
+            None => RTO_INITIAL,
         };
-        base.saturating_mul(1 << self.backoff.min(16))
-            .min(self.rto_max)
+        base.saturating_mul(1 << self.backoff.min(16)).min(RTO_MAX)
     }
 
     /// Doubles the RTO after a retransmission timeout.
@@ -87,20 +77,16 @@ mod tests {
 
     const MS: Nanos = 1_000_000;
 
-    fn est() -> RttEstimator {
-        RttEstimator::new(1000 * MS, 200 * MS, 64_000 * MS)
-    }
-
     #[test]
     fn initial_rto_used_before_samples() {
-        let e = est();
+        let e = RttEstimator::new();
         assert!(!e.has_sample());
         assert_eq!(e.rto(), 1000 * MS);
     }
 
     #[test]
     fn first_sample_initializes() {
-        let mut e = est();
+        let mut e = RttEstimator::new();
         e.sample(100 * MS);
         assert_eq!(e.srtt(), Some(100 * MS));
         // rto = srtt + 4*(srtt/2) = 300ms.
@@ -109,7 +95,7 @@ mod tests {
 
     #[test]
     fn stable_rtt_converges_and_clamps_to_min() {
-        let mut e = est();
+        let mut e = RttEstimator::new();
         for _ in 0..50 {
             e.sample(10 * MS);
         }
@@ -121,8 +107,8 @@ mod tests {
 
     #[test]
     fn variance_raises_rto() {
-        let mut stable = est();
-        let mut jittery = est();
+        let mut stable = RttEstimator::new();
+        let mut jittery = RttEstimator::new();
         for i in 0..50u64 {
             stable.sample(50 * MS);
             jittery.sample(if i % 2 == 0 { 10 * MS } else { 90 * MS });
@@ -132,7 +118,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_new_sample_resets() {
-        let mut e = est();
+        let mut e = RttEstimator::new();
         e.sample(100 * MS); // rto 300ms
         e.on_retransmit();
         assert_eq!(e.rto(), 600 * MS);
@@ -145,7 +131,7 @@ mod tests {
 
     #[test]
     fn rto_capped_at_max() {
-        let mut e = est();
+        let mut e = RttEstimator::new();
         e.sample(100 * MS);
         for _ in 0..30 {
             e.on_retransmit();

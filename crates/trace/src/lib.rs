@@ -67,18 +67,24 @@ pub use stream::{
 /// sits below the engine and cannot import it).
 pub type Nanos = u64;
 
-/// Which demultiplexing tier handled a frame, as recorded in the journal.
-/// Mirrors `unp_sim::DemuxPath` (same arms; this crate is a dependency of
-/// `unp-sim`, so the kernel maps between them).
+/// Which demultiplexing machinery classified an incoming frame. The kernel
+/// tags every delivery with the path taken so per-path costs can be
+/// charged, fast-path hit rates reported and the decision journaled.
+/// `unp_sim::DemuxPath` is this type, re-exported under the cost model's
+/// name for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
-    /// Exact-match flow-table hit.
+    /// Exact-match flow-table lookup (O(1) in the number of bindings).
     FlowTable,
-    /// Wildcard 3-tuple listen-table hit.
+    /// Wildcard 3-tuple (protocol, local ip, local port) table lookup —
+    /// listening and unconnected-UDP bindings, also O(1).
     ListenTable,
-    /// Linear scan over the compiled filters.
+    /// Linear scan interpreting each binding's filter program — the
+    /// paper-era software path, and the fallback for frames or bindings
+    /// without any keyed identity (fragments, non-IP, half-wildcard
+    /// bindings, mismatched link framing).
     FilterScan,
-    /// AN1 hardware BQI classification.
+    /// The NIC classified the frame itself (AN1 BQI table).
     Hardware,
 }
 
@@ -168,29 +174,32 @@ impl SegFlags {
     }
 }
 
-/// A TCP protocol state, as journaled on [`Event::TcpState`] edges.
-/// Mirrors `unp_tcp::State` (this crate sits below the protocol library).
+/// An RFC 793 connection state, as the TCB holds it and as journaled on
+/// [`Event::TcpState`] edges. `unp_tcp::State` is this type, re-exported
+/// under the protocol library's name for it. (`LISTEN` is a `ListenTcb`
+/// there, not a state; `Closed` is both "no connection yet" and the
+/// terminal state a live block reaches.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TcpFsm {
     /// No connection.
     Closed,
-    /// Active open sent a SYN.
+    /// Active open sent a SYN, awaiting SYN|ACK.
     SynSent,
-    /// SYN received, SYN-ACK sent.
+    /// SYN received, SYN|ACK sent, awaiting ACK.
     SynReceived,
-    /// Three-way handshake complete.
+    /// Three-way handshake complete: data transfer.
     Established,
-    /// Local close sent a FIN, awaiting its ACK.
+    /// We closed first; FIN sent, awaiting its ACK.
     FinWait1,
     /// Our FIN acked, awaiting the peer's FIN.
     FinWait2,
-    /// Simultaneous close: FINs crossed.
+    /// Simultaneous close: FINs crossed, awaiting the final ACK.
     Closing,
-    /// Peer's FIN received, local close pending.
+    /// Peer closed first; we may still send.
     CloseWait,
-    /// Passive close sent its FIN.
+    /// We closed after the peer; FIN sent, awaiting its ACK.
     LastAck,
-    /// 2MSL drain after an orderly close.
+    /// Quarantine for 2·MSL before the pair may be reused.
     TimeWait,
 }
 
@@ -223,6 +232,11 @@ impl TcpFsm {
             (Closing, TimeWait),
         ]
     };
+
+    /// True once the three-way handshake has completed.
+    pub fn is_synchronized(self) -> bool {
+        !matches!(self, TcpFsm::SynSent | TcpFsm::SynReceived | TcpFsm::Closed)
+    }
 
     /// Journal keyword for the state (`syn_sent`, `fin_wait_1`, …).
     pub fn label(self) -> &'static str {

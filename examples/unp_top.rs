@@ -12,9 +12,13 @@
 //! registry and prints the *rates over the window* — packets per
 //! second, retransmit rate, flow-table hit rate, ring occupancy — the
 //! way `top` shows deltas rather than lifetime totals. When the
-//! transfers retire, the recorded packet journal is joined into
-//! per-frame path traces and the end-to-end latency decomposition is
-//! printed per stage, followed by folded flamegraph lines.
+//! transfers retire it prints what the registry kept — closed-connection
+//! totals per host and the most recent closes, per-channel and per-tenant
+//! counters, what the fault plan injected on each link, and the bindings
+//! the registry's channel-stats handoff flagged as missing the fast path
+//! — then joins the recorded packet journal into per-frame path traces
+//! and prints the end-to-end latency decomposition per stage, followed
+//! by folded flamegraph lines.
 
 use std::rc::Rc;
 
@@ -200,17 +204,66 @@ fn main() {
     }
     println!();
 
+    // Closed connections: every one is in its host's totals; the last
+    // few are also kept whole, in the order they closed.
+    println!("-- closed connections: per-host totals, then the most recent --");
+    println!(
+        "{:<22} {:>8} {:>8} {:>9} {:>7} {:>9} {:>9} {:>10}",
+        "conn", "segs_out", "segs_in", "to_app", "rexmit", "flow_hit", "scan_fb", "srtt"
+    );
+    let totals = world.metrics.closed();
+    let totals = totals.map(|(host, c)| (format!("h{host}: {} closed", c.count), &c.sum));
+    let recent = world.metrics.conns().map(|(k, c)| (k.to_string(), c));
+    for (name, c) in totals.chain(recent) {
+        println!(
+            "{name:<22} {:>8} {:>8} {:>9} {:>7} {:>9} {:>9} {:>10}",
+            c.segs_out,
+            c.segs_in,
+            c.bytes_to_app,
+            c.bytes_rexmit,
+            c.flow_hits,
+            c.scan_fallbacks,
+            c.srtt.map_or("-".into(), fmt_nanos),
+        );
+    }
+    println!();
+
+    // The kernel's per-channel counters: the recent connections again,
+    // by the (host, channel id) each ran over.
+    println!("-- per-channel stats --");
+    for ((host, id), ch) in world.metrics.channels() {
+        println!(
+            "h{host} chan {id:<3} delivered {:>6}  batched {:>6}  flow hits {:>6}  scan fallbacks {:>4}",
+            ch.rx_delivered, ch.rx_batched, ch.flow_hits, ch.scan_fallbacks
+        );
+    }
+    println!();
+
+    // Per-tenant accounting: what each tenant received, sent, and had
+    // charged against its quotas.
     sync_tenant_scopes(&mut world);
     println!("-- per-tenant stats --");
+    println!(
+        "{:<10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>6}",
+        "tenant", "rx_frames", "tx_frames", "qdrops", "tx_rej", "ring", "chans"
+    );
     for (&(host, tenant), t) in world.metrics.tenants() {
         println!(
-            "h{host} t{tenant}: rx {:>5}  tx {:>5}  quota drops {:>4}  tx rejections {:>4}  ring {}/{}",
+            "h{host} t{tenant:<6} {:>9} {:>9} {:>7} {:>7} {:>9} {:>6}",
             t.rx_delivered,
             t.tx_frames,
             t.quota_drops,
             t.tx_rejections,
-            t.ring_slots,
-            if t.ring_quota == 0 { "inf".into() } else { t.ring_quota.to_string() },
+            format!(
+                "{}/{}",
+                t.ring_slots,
+                if t.ring_quota == 0 {
+                    "inf".into()
+                } else {
+                    t.ring_quota.to_string()
+                }
+            ),
+            t.open_channels,
         );
     }
     println!();
@@ -240,6 +293,51 @@ fn main() {
     );
     for v in mon.violations().iter().take(5) {
         println!("  {}", v.line());
+    }
+    println!();
+
+    // Fault injection: what the plan did to the wire, and what the stack
+    // noticed (a corrupted frame only counts as discarded once a
+    // checksum actually catches it).
+    println!("-- fault injection --");
+    println!(
+        "injected: {} dropped, {} duplicated, {} reordered, {} corrupted, {} outage-dropped",
+        world.metrics.get(Ctr::FaultDrops),
+        world.metrics.get(Ctr::FaultDups),
+        world.metrics.get(Ctr::FaultReorders),
+        world.metrics.get(Ctr::FaultCorrupts),
+        world.metrics.get(Ctr::FaultOutageDrops),
+    );
+    let closed = world.metrics.closed();
+    let rexmit: u64 = closed.map(|(_, c)| c.sum.bytes_rexmit).sum();
+    println!(
+        "recovered: {} corrupt frames discarded by checksum, {} bytes retransmitted",
+        world.metrics.get(Ctr::FrameCorruptDiscards),
+        rexmit,
+    );
+    for ((from, to), l) in world.metrics.links() {
+        println!(
+            "link h{from}->h{to}: drops {} dups {} reorders {} corrupts {} outage {}",
+            l.drops, l.dups, l.reorders, l.corrupts, l.outage_drops
+        );
+    }
+    println!();
+
+    // The registry handoff: bindings whose deliveries kept missing the
+    // flow-table fast path would be listed here.
+    for h in [0usize, 1] {
+        let reg = &world.hosts[h].registry;
+        println!(
+            "h{h} registry: {} binding reports, {} flagged as missing the fast path",
+            reg.report_count(),
+            reg.flagged_count()
+        );
+        for b in reg.flagged_bindings() {
+            println!(
+                "  :{} <-> {:?}:{}  scan fallbacks {} > flow hits {}",
+                b.local_port, b.remote.0, b.remote.1, b.stats.scan_fallbacks, b.stats.flow_hits
+            );
+        }
     }
     println!();
 
