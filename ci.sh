@@ -118,29 +118,28 @@ diff -u tables_output.txt /tmp/unp_tables_output.txt \
   || { echo "repro-tables output diverged from golden tables_output.txt"; exit 1; }
 
 # Every BENCH_*.json is simulated time and exact counts from one fixed
-# workload size, so the committed artifacts are goldens too: regenerate
-# them all and fail on any difference. A reviewed change commits the new
-# files (and BENCH_summary.json, the gate table evaluated over them).
+# workload size, and so is the golden Chrome trace `bench causal` writes
+# beside BENCH_causal.json: regenerate them all and fail on any
+# difference. That diff is the one way a simulated number is pinned; a
+# change that moves one on purpose regenerates with `bench all`, reviews
+# the diff and commits the new files (BENCH_summary.json is the gate
+# table evaluated over them).
 #
 # `bench` also holds each document it has just built to its rows of the
 # gate table (crates/bench/src/summary.rs: every bound the reports are
-# held to, one row each) — the causal fault-plan oracle and the golden
-# Chrome trace (refresh with `baseline causal`), the multi-tenant
+# held to, one row each) — the causal fault-plan oracle, the multi-tenant
 # isolation envelope, the conformance monitor's zero-violation /
 # non-vacuity / mutation-coverage legs, the model cross-checks of the
 # traced sweep — so every report is built once.
-echo "== BENCH_*.json artifacts vs. the committed ones, and their gate rows =="
+echo "== BENCH_*.json artifacts + golden Chrome trace vs. the committed ones, and their gate rows =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables -- bench all > /dev/null
-git diff --exit-code -- 'BENCH_*.json' \
-  || { echo "a BENCH_*.json artifact diverged from the committed one"; exit 1; }
+git diff --exit-code -- 'BENCH_*.json' tests/golden/causal_trace.json \
+  || { echo "a BENCH_*.json artifact or the golden Chrome trace diverged from the committed one"; exit 1; }
 
-# The two gated reports that have no artifact: the profile stage means
-# against BENCH_profile_baseline.json (±5%; refresh with `baseline
-# profile`), and the one wall-clock check left: a churn cycle at 4096
-# channels within a constant factor of one at 64 (a regression to O(N)
-# reads ~50x).
-echo "== gate table: profile_quick, churn =="
-cargo run -q -p unp-bench --release --offline --bin repro-tables -- gate profile_quick > /dev/null
+# The one gated report that has no artifact, because it is the one
+# wall-clock check left: a churn cycle at 4096 channels within a constant
+# factor of one at 64 (a regression to O(N) reads ~50x).
+echo "== gate table: churn =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables -- gate churn > /dev/null
 
 echo "CI gate passed."

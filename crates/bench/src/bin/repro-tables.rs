@@ -7,23 +7,22 @@
 //!     golden tables_output.txt.
 //! repro-tables bench <name|all>
 //!     run a report, print it, write its BENCH_<name>.json into the
-//!     current directory (`all` also writes BENCH_summary.json, the gate
-//!     table evaluated over them) and hold it to its rows of the gate
+//!     current directory (`causal` also writes the golden Chrome trace
+//!     tests/golden/causal_trace.json, `all` also BENCH_summary.json, the
+//!     gate table evaluated over them) and hold it to its rows of the gate
 //!     table; exit 1 on any failure. Every artifact is simulated time and
-//!     exact counts at one fixed size, so CI checks them by `git diff`.
+//!     exact counts at one fixed size, so CI checks them by `git diff`:
+//!     after a change that moves one, regenerate with `bench all` and
+//!     review the diff.
 //! repro-tables gate <name|all>
-//!     `bench` without the writing, over two more reports that have no
-//!     artifact: `profile_quick` (stage means vs the committed
-//!     BENCH_profile_baseline.json) and `churn` (the one wall-clock
-//!     check: 4096-vs-64-channel churn ratio).
+//!     `bench` without the writing, over one more report that has no
+//!     artifact: `churn` (the one wall-clock check: 4096-vs-64-channel
+//!     churn ratio).
 //! repro-tables explain [f<id> | <port> | postmortem]
 //!     run the seeded faulty Table-2 workload and print the causal
 //!     postmortem for one frame, one connection, or the whole run;
 //!     `postmortem` prints the flight-recorder window a seeded protocol
 //!     violation freezes.
-//! repro-tables baseline <profile|causal>
-//!     after a reviewed change, rewrite BENCH_profile_baseline.json or
-//!     tests/golden/causal_trace.json.
 //! ```
 //! Names: zero_copy demux trace profile demux_scale causal isolation
 //! monitor.
@@ -32,26 +31,21 @@ use std::process::exit;
 
 use unp_bench::report::{select, Sizes, Workloads};
 use unp_bench::summary::{check, summary, TABLE};
-use unp_bench::{causal, monitor, profile, tables};
-use unp_trace::json::{parse, write, Value};
+use unp_bench::{causal, monitor, tables};
+use unp_trace::json;
 
 fn usage(problem: &str) -> ! {
     eprintln!("repro-tables: {problem}");
     eprintln!(
         "usage: repro-tables [tables] [quick] [table1..table5|fig1|ablations]... \
          | bench <name|all> | gate <name|all> \
-         | explain [f<id>|<port>|postmortem] | baseline <profile|causal>"
+         | explain [f<id>|<port>|postmortem]"
     );
     exit(2)
 }
 
-fn read_document(file: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
-    parse(&text).map_err(|e| format!("parse {file}: {e}"))
-}
-
-fn write_artifact(file: &str, v: &Value) {
-    std::fs::write(file, write(v)).unwrap_or_else(|e| panic!("write {file}: {e}"));
+fn write_artifact(file: &str, text: &str) {
+    std::fs::write(file, text).unwrap_or_else(|e| panic!("write {file}: {e}"));
     println!("wrote {file}");
 }
 
@@ -85,7 +79,8 @@ fn print_tables(selectors: &[&str]) {
 
 /// Builds each report `name` selects once, writes the artifacts when
 /// `write` is set (which leaves out the reports that have none), and holds
-/// every document to its rows of the gate table.
+/// every document to its rows of the gate table. The golden Chrome trace
+/// is written here, not by `causal::report`, which unit tests call.
 fn run_reports(name: &str, write: bool) {
     let reports = select(name, |r| !write || r.file.is_some()).unwrap_or_else(|e| usage(&e));
     let w = Workloads::new(Sizes::DEFAULT);
@@ -94,18 +89,18 @@ fn run_reports(name: &str, write: bool) {
     for r in reports {
         let doc = (r.build)(&w);
         if write {
-            write_artifact(r.file.expect("selected by file"), &doc);
+            write_artifact(r.file.expect("selected by file"), &json::write(&doc));
+            if r.name == "causal" {
+                let graph = causal::causal_graph(w.lossy_journal());
+                write_artifact(causal::GOLDEN_TRACE, &graph.render_chrome_trace());
+            }
         }
         let rows: Vec<_> = TABLE.iter().filter(|row| row.report == r.name).collect();
         let before = failures;
         for row in &rows {
-            match check(row, &doc, &read_document).outcome {
-                Ok(None) => {}
-                Ok(Some(warning)) => eprintln!("warning: {warning}"),
-                Err(failure) => {
-                    eprintln!("gate FAILED: {failure}");
-                    failures += 1;
-                }
+            if let Err(failure) = check(row, &doc).outcome {
+                eprintln!("gate FAILED: {failure}");
+                failures += 1;
             }
         }
         let held = rows.len() - (failures - before);
@@ -114,7 +109,7 @@ fn run_reports(name: &str, write: bool) {
         built.push((r.name, doc));
     }
     if write && name == "all" {
-        write_artifact("BENCH_summary.json", &summary(&built, &read_document));
+        write_artifact("BENCH_summary.json", &json::write(&summary(&built)));
     }
     if failures > 0 {
         eprintln!("gate FAILED: {failures} row(s)");
@@ -133,20 +128,7 @@ fn main() {
             let graph = causal::causal_graph(&causal::lossy_journal());
             causal::print_explain(&graph, target.first().copied());
         }
-        ["baseline", "profile"] => write_artifact(
-            profile::BASELINE_FILE,
-            &profile::quick_report(&Workloads::new(Sizes::DEFAULT)),
-        ),
-        ["baseline", "causal"] => match causal::baseline() {
-            Ok(()) => println!("wrote {}", causal::GOLDEN_TRACE),
-            Err(e) => {
-                eprintln!("baseline causal FAILED: {e}");
-                exit(1);
-            }
-        },
-        [cmd @ ("bench" | "gate" | "explain" | "baseline"), ..] => {
-            usage(&format!("bad arguments to {cmd}"))
-        }
+        [cmd @ ("bench" | "gate" | "explain"), ..] => usage(&format!("bad arguments to {cmd}")),
         ["tables", selectors @ ..] | selectors => print_tables(selectors),
     }
 }

@@ -14,10 +14,9 @@
 //! `repro-tables explain [f<id> | <port>]` prints the postmortem for one
 //! frame or one connection (summary when no target is given). `bench
 //! causal` writes `BENCH_causal.json`, which counts the oracle's failures
-//! and whether the Chrome trace export still matches the pinned golden
-//! `tests/golden/causal_trace.json` (regenerate with `baseline causal`
-//! after a reviewed change) — the gate table bounds both at zero. The
-//! workload is deterministic, so the golden is byte-exact.
+//! (the gate table bounds them at zero), and beside it the run's Chrome
+//! trace export, [`GOLDEN_TRACE`]. The workload is deterministic, so both
+//! are byte-exact and `ci.sh` checks them by `git diff`.
 
 use unp_core::experiments::Transfer;
 use unp_core::faults::FaultPlan;
@@ -29,8 +28,8 @@ use unp_trace::Record;
 
 use crate::report::Workloads;
 
-/// Transfer size of the seeded workload. Small on purpose: the gate's
-/// golden Chrome trace pins every journey of this exact run.
+/// Transfer size of the seeded workload. Small on purpose: the golden
+/// Chrome trace pins every journey of this exact run.
 pub const CAUSAL_TOTAL: u64 = 60_000;
 /// User packet size (one MSS per write).
 pub const CAUSAL_PACKET: usize = 1460;
@@ -40,8 +39,8 @@ pub const CAUSAL_SEED: u64 = 11;
 /// [`FaultPlan::lossy`]).
 pub const CAUSAL_LOSS: f64 = 0.05;
 
-/// Where the pinned Chrome trace golden lives (repo-root relative, like
-/// `tables_output.txt` — the gate runs from the repo root).
+/// Where `bench causal` writes the run's Chrome trace (repo-root
+/// relative, like `tables_output.txt` — `bench` runs from the repo root).
 pub const GOLDEN_TRACE: &str = "tests/golden/causal_trace.json";
 
 /// Runs the seeded faulty Table-2 workload with the journal recording
@@ -136,27 +135,23 @@ pub fn print_explain(graph: &CausalGraph, target: Option<&str>) {
     }
 }
 
-/// Joins the seeded journal, runs the oracle and the golden diff, prints
-/// the verdict and returns the report: workload parameters, journey
-/// fates, attribution coverage, per-cause/per-loss counts, and the two
-/// structural failure counts.
+/// Joins the seeded journal, runs the oracle, prints the verdict and
+/// returns the report: workload parameters, journey fates, attribution
+/// coverage, per-cause/per-loss counts, and the oracle's failure count.
 pub fn report(w: &Workloads) -> Value {
     let graph = causal_graph(w.lossy_journal());
     let failures = oracle_failures(&graph);
     for f in &failures {
         eprintln!("causal oracle: {f}");
     }
-    let golden = std::fs::read_to_string(GOLDEN_TRACE);
-    let golden_matches = golden.is_ok_and(|g| g == graph.render_chrome_trace());
     let fate = |f| graph.journeys.iter().filter(|j| j.fate == f).count();
     println!(
-        "causal: {} journeys, {} rexmits, {} losses, coverage {:.0}%, {} oracle failures, chrome trace {} {GOLDEN_TRACE}",
+        "causal: {} journeys, {} rexmits, {} losses, coverage {:.0}%, {} oracle failures",
         graph.journeys.len(),
         graph.rexmits.len(),
         graph.losses().count(),
         graph.coverage() * 100.0,
         failures.len(),
-        if golden_matches { "matches" } else { "DIVERGED from" },
     );
     let counts = |pairs: Vec<(&'static str, usize)>| {
         Value::obj(pairs.into_iter().map(|(label, n)| (label, n.into())))
@@ -187,21 +182,9 @@ pub fn report(w: &Workloads) -> Value {
         ("attribution_coverage", Value::fixed(graph.coverage(), 4)),
         ("superseded_losses", superseded_count(&graph).into()),
         ("oracle_failures", failures.len().into()),
-        ("golden_trace_mismatch", usize::from(!golden_matches).into()),
         ("causes", counts(graph.cause_counts())),
         ("losses", counts(graph.loss_counts())),
     ])
-}
-
-/// Regenerates the golden Chrome trace (`baseline causal`); refuses while
-/// the oracle fails, so a broken run can't become the pin.
-pub fn baseline() -> Result<(), String> {
-    let graph = causal_graph(&lossy_journal());
-    if let Some(f) = oracle_failures(&graph).first() {
-        return Err(format!("causal oracle: {f}"));
-    }
-    std::fs::write(GOLDEN_TRACE, graph.render_chrome_trace())
-        .map_err(|e| format!("write {GOLDEN_TRACE}: {e}"))
 }
 
 #[cfg(test)]

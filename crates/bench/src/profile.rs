@@ -1,6 +1,5 @@
 //! `bench profile`: critical-path decomposition of the traced Table-2
-//! sweep — `BENCH_profile.json` — and the stage means the CI perf gate
-//! compares against `BENCH_profile_baseline.json`.
+//! sweep — `BENCH_profile.json`.
 //!
 //! Each run's journal is joined by [`unp_trace::profile::Profile::build`]
 //! into per-frame [`PathTrace`](unp_trace::profile::PathTrace)s, and each
@@ -10,61 +9,37 @@
 //! [`crate::trace::wakeup_spans`]: exact, or strictly shorter when a
 //! running batch continuation scooped the frame; never longer.
 //!
-//! The gate runs the same sweep at [`QUICK_TOTAL`] bytes
-//! ([`quick_report`]): `baseline profile` commits its stage means, `gate
-//! profile_quick` fails on a mean more than the table's tolerance above
-//! the committed one and warns on one as far below (refresh the
-//! baseline). The simulation is deterministic, so the band absorbs
-//! cost-model edits, not noise.
+//! The report's `gate.stage_mean_ns` pins the pooled stage means; like
+//! every artifact, a change to them shows as a `git diff` to review.
 
 use unp_sim::CostModel;
 use unp_trace::json::Value;
 use unp_trace::profile::Stage;
 
 use crate::report::Workloads;
-use crate::trace::{sweep_workload, traced_sweep, wakeup_spans, TracedRun};
+use crate::trace::{sweep_workload, wakeup_spans, TracedRun};
 
-/// Bytes per transfer of the gate's sweep.
-pub const QUICK_TOTAL: u64 = 400_000;
-/// The committed stage means of the gate's sweep.
-pub const BASELINE_FILE: &str = "BENCH_profile_baseline.json";
-
-/// The CI-gated means: per-stage component means pooled over every run
+/// The pinned means: per-stage component means pooled over every run
 /// (count-weighted — deterministic sim time, so these are exactly
 /// reproducible for a fixed workload), plus the pooled end-to-end mean.
-pub fn gate_means(runs: &[TracedRun]) -> Vec<(&'static str, f64)> {
+fn gate_value(runs: &[TracedRun]) -> Value {
     let pooled = |hists: Vec<&unp_trace::Histogram>| {
         let count: u64 = hists.iter().map(|h| h.count()).sum();
         let sum: u128 = hists.iter().map(|h| h.sum()).sum();
-        if count > 0 {
+        let mean = if count > 0 {
             sum as f64 / count as f64
         } else {
             0.0
-        }
+        };
+        Value::fixed(mean, 1)
     };
-    let mut out = Vec::new();
-    for &s in Stage::ALL.iter().skip(1) {
-        out.push((
-            s.label(),
-            pooled(runs.iter().map(|r| &r.profile.stages[s as usize]).collect()),
-        ));
-    }
-    out.push((
-        "end_to_end",
-        pooled(runs.iter().map(|r| &r.profile.end_to_end).collect()),
-    ));
-    out
-}
-
-fn gate_value(runs: &[TracedRun]) -> Value {
-    let means = gate_means(runs).into_iter();
-    let means = Value::obj(means.map(|(label, mean)| (label, Value::fixed(mean, 1))));
+    let stages = Stage::ALL.iter().skip(1).map(|&s| {
+        let hists = runs.iter().map(|r| &r.profile.stages[s as usize]);
+        (s.label(), pooled(hists.collect()))
+    });
+    let e2e = pooled(runs.iter().map(|r| &r.profile.end_to_end).collect());
+    let means = Value::obj(stages.chain([("end_to_end", e2e)]));
     Value::obj([("stage_mean_ns", means)])
-}
-
-/// The gate's document: the stage means of a [`QUICK_TOTAL`] sweep.
-pub fn quick_report(_: &Workloads) -> Value {
-    Value::obj([("gate", gate_value(&traced_sweep(QUICK_TOTAL)))])
 }
 
 /// Prints the decomposition of the traced sweep and returns the report.

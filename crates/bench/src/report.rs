@@ -87,7 +87,7 @@ pub struct Report {
 }
 
 /// Every report, in `bench all` / `gate all` order.
-pub const REPORTS: [Report; 10] = [
+pub const REPORTS: [Report; 9] = [
     Report {
         name: "zero_copy",
         file: Some("BENCH_zero_copy.json"),
@@ -127,13 +127,6 @@ pub const REPORTS: [Report; 10] = [
         name: "monitor",
         file: Some("BENCH_monitor.json"),
         build: monitor::report,
-    },
-    // Gated against the committed BENCH_profile_baseline.json, which only
-    // `baseline profile` rewrites.
-    Report {
-        name: "profile_quick",
-        file: None,
-        build: profile::quick_report,
     },
     // Wall-clock, so never an artifact.
     Report {

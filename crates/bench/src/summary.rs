@@ -3,17 +3,15 @@
 //! One [`Row`] names a report, a path into its JSON value and a
 //! [`Bound`]; [`check`] evaluates a row and [`summary`] evaluates all of
 //! them into `BENCH_summary.json`. A check that is structural rather than
-//! scalar — the causal oracle walk, the Chrome-trace golden diff,
-//! `World::leaks()` — is a failure *count* in its report, bounded here at
-//! zero. A path that does not resolve to a number fails its row: a
-//! renamed field must not turn a gate into a no-op.
+//! scalar — the causal oracle walk, `World::leaks()` — is a failure
+//! *count* in its report, bounded here at zero. A path that does not
+//! resolve to a number fails its row: a renamed field must not turn a
+//! gate into a no-op.
 
 use std::fmt;
 
 use unp_trace::json::Value;
 use unp_trace::monitor::mutations::BugClass;
-
-use crate::profile::BASELINE_FILE;
 
 /// What a gated value is held to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,11 +20,6 @@ pub enum Bound {
     Eq(f64),
     AtMost(f64),
     AtLeast(f64),
-    /// No more than this fraction above the same path in the committed
-    /// baseline file; as far below passes with a refresh-the-baseline
-    /// warning. A zero baseline bounds nothing (a stage the workload
-    /// never pays for).
-    Baseline(&'static str, f64),
 }
 
 impl fmt::Display for Bound {
@@ -35,7 +28,6 @@ impl fmt::Display for Bound {
             Bound::Eq(x) => write!(f, "== {x}"),
             Bound::AtMost(x) => write!(f, "<= {x}"),
             Bound::AtLeast(x) => write!(f, ">= {x}"),
-            Bound::Baseline(file, tol) => write!(f, "within {:.0}% of {file}", tol * 100.0),
         }
     }
 }
@@ -54,9 +46,6 @@ const fn row(report: &'static str, path: &'static str, bound: Bound) -> Row {
         bound,
     }
 }
-
-/// Relative tolerance of the profile perf gate.
-const PROFILE_TOLERANCE: Bound = Bound::Baseline(BASELINE_FILE, 0.05);
 
 /// Every gate in the repo.
 pub const TABLE: &[Row] = &[
@@ -96,10 +85,9 @@ pub const TABLE: &[Row] = &[
         Bound::AtMost(128.0 * 1_000_000.0),
     ),
     // The fault plan is the oracle: attribution is total, the oracle walk
-    // and the golden diff find nothing, and the plan did inject loss.
+    // finds nothing, and the plan did inject loss.
     row("causal", "attribution_coverage", Bound::Eq(1.0)),
     row("causal", "oracle_failures", Bound::Eq(0.0)),
-    row("causal", "golden_trace_mismatch", Bound::Eq(0.0)),
     row("causal", "rexmits", Bound::AtLeast(1.0)),
     row("causal", "journeys.lost", Bound::AtLeast(1.0)),
     // The isolation envelope (see `crate::isolation`).
@@ -138,36 +126,6 @@ pub const TABLE: &[Row] = &[
         "scale.peak_observer_mem_bytes",
         Bound::AtMost(65_536.0),
     ),
-    row(
-        "profile_quick",
-        "gate.stage_mean_ns.demux_classify",
-        PROFILE_TOLERANCE,
-    ),
-    row(
-        "profile_quick",
-        "gate.stage_mean_ns.ring_enqueue",
-        PROFILE_TOLERANCE,
-    ),
-    row(
-        "profile_quick",
-        "gate.stage_mean_ns.wakeup_batch",
-        PROFILE_TOLERANCE,
-    ),
-    row(
-        "profile_quick",
-        "gate.stage_mean_ns.tcp_segment",
-        PROFILE_TOLERANCE,
-    ),
-    row(
-        "profile_quick",
-        "gate.stage_mean_ns.app_deliver",
-        PROFILE_TOLERANCE,
-    ),
-    row(
-        "profile_quick",
-        "gate.stage_mean_ns.end_to_end",
-        PROFILE_TOLERANCE,
-    ),
     // Complexity class, not speed: O(log N) churn reads 0.7–2x here, the
     // old O(N) rebuild-per-event ~50x.
     row("churn", "ratio_4096_over_64", Bound::AtMost(8.0)),
@@ -200,49 +158,25 @@ pub fn lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
 pub struct Verdict {
     /// The value found, when the path resolved to a number.
     pub value: Option<f64>,
-    /// `Ok` carries a warning worth printing, if any; `Err` the failure.
-    pub outcome: Result<Option<String>, String>,
+    /// `Err` carries the failure.
+    pub outcome: Result<(), String>,
 }
 
-/// Evaluates `row` against its report's document. `load` reads a
-/// committed baseline file as JSON.
-pub fn check(row: &Row, doc: &Value, load: &dyn Fn(&str) -> Result<Value, String>) -> Verdict {
+/// Evaluates `row` against its report's document.
+pub fn check(row: &Row, doc: &Value) -> Verdict {
     let at = format!("{} {}", row.report, row.path);
-    let number = |doc: &Value, what: &str| {
-        lookup(doc, row.path)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{at}: no number at this path in {what}"))
-    };
-    let value = match number(doc, "the report") {
-        Ok(v) => v,
-        Err(e) => {
-            return Verdict {
-                value: None,
-                outcome: Err(e),
-            }
-        }
+    let Some(value) = lookup(doc, row.path).and_then(Value::as_f64) else {
+        return Verdict {
+            value: None,
+            outcome: Err(format!("{at}: no number at this path in the report")),
+        };
     };
     let fail = |cmp: &str, want: f64| Err(format!("{at} = {value}, want {cmp} {want}"));
     let outcome = match row.bound {
         Bound::Eq(x) if value != x => fail("==", x),
         Bound::AtMost(x) if value > x => fail("<=", x),
         Bound::AtLeast(x) if value < x => fail(">=", x),
-        Bound::Baseline(file, tol) => load(file)
-            .and_then(|base| number(&base, file))
-            .and_then(|base| {
-                if base == 0.0 {
-                    Ok(None)
-                } else if value > base * (1.0 + tol) {
-                    fail(&format!("<= {:.0}% over {file}'s", tol * 100.0), base)
-                } else if value < base * (1.0 - tol) {
-                    Ok(Some(format!(
-                        "{at} = {value} improved on {file}'s {base} — refresh the committed baseline"
-                    )))
-                } else {
-                    Ok(None)
-                }
-            }),
-        _ => Ok(None),
+        _ => Ok(()),
     };
     Verdict {
         value: Some(value),
@@ -253,10 +187,10 @@ pub fn check(row: &Row, doc: &Value, load: &dyn Fn(&str) -> Result<Value, String
 /// Evaluates every table row whose report is among `reports` into the
 /// `BENCH_summary.json` document: the headline value of each artifact
 /// next to the bound it is held to.
-pub fn summary(reports: &[(&str, Value)], load: &dyn Fn(&str) -> Result<Value, String>) -> Value {
+pub fn summary(reports: &[(&str, Value)]) -> Value {
     let rows = TABLE.iter().filter_map(|row| {
         let (_, doc) = reports.iter().find(|(name, _)| *name == row.report)?;
-        let v = check(row, doc, load);
+        let v = check(row, doc);
         Some(Value::obj([
             ("report", row.report.into()),
             ("path", row.path.into()),
@@ -277,7 +211,7 @@ pub(crate) fn assert_shaped(report: &str, doc: &Value) {
     let rows: Vec<&Row> = TABLE.iter().filter(|r| r.report == report).collect();
     assert!(!rows.is_empty(), "no gate row names report {report}");
     for row in rows {
-        let v = check(row, doc, &|_| Ok(doc.clone()));
+        let v = check(row, doc);
         assert!(v.value.is_some(), "{:?}", v.outcome);
     }
 }
@@ -307,52 +241,29 @@ mod tests {
     }
 
     /// A value satisfying `bound` and the nearest one violating it.
-    fn inside_and_across(bound: Bound, baseline: f64) -> (f64, f64) {
+    fn inside_and_across(bound: Bound) -> (f64, f64) {
         match bound {
             Bound::Eq(x) => (x, x + 1.0),
             Bound::AtMost(x) => (x, x * 1.001 + 0.001),
             Bound::AtLeast(x) => (x, x * 0.999 - 0.001),
-            Bound::Baseline(_, tol) => (baseline * (1.0 + tol * 0.8), baseline * (1.0 + tol * 1.2)),
         }
     }
 
     #[test]
     fn every_row_flips_at_its_bound_and_fails_on_a_renamed_field() {
-        const BASE: f64 = 1000.0;
         for row in TABLE {
-            let load = |_: &str| Ok(doc_with(row.path, BASE));
-            let (inside, across) = inside_and_across(row.bound, BASE);
-            let pass = check(row, &doc_with(row.path, inside), &load);
-            assert_eq!(pass.outcome, Ok(None), "{} {}", row.report, row.path);
-            let fail = check(row, &doc_with(row.path, across), &load);
+            let (inside, across) = inside_and_across(row.bound);
+            let pass = check(row, &doc_with(row.path, inside));
+            assert_eq!(pass.outcome, Ok(()), "{} {}", row.report, row.path);
+            let fail = check(row, &doc_with(row.path, across));
             let msg = fail.outcome.expect_err("value across the bound must fail");
             assert!(msg.contains(row.path) && msg.contains(row.report), "{msg}");
             // A renamed field is a failure that names the path, never a pass.
             let renamed = format!("{}_renamed", row.path);
-            let gone = check(row, &doc_with(&renamed, inside), &load);
+            let gone = check(row, &doc_with(&renamed, inside));
             assert_eq!(gone.value, None);
             assert!(gone.outcome.unwrap_err().contains(row.path));
         }
-    }
-
-    #[test]
-    fn baseline_rows_warn_on_improvement_and_need_their_file() {
-        let row = row("r", "a.b", Bound::Baseline("base.json", 0.05));
-        let load = |_: &str| Ok(doc_with("a.b", 100.0));
-        let at = |v: f64| check(&row, &doc_with("a.b", v), &load).outcome;
-        assert_eq!(at(104.0), Ok(None), "+4% sits inside the band");
-        assert!(at(106.0).is_err(), "+6% fails");
-        assert!(at(94.0).unwrap().is_some(), "-6% passes with a warning");
-        // A baseline without the stage, or no baseline at all, is an
-        // error, not a silent pass.
-        let empty = |_: &str| Ok(Value::obj([("a", Value::Null)]));
-        assert!(check(&row, &doc_with("a.b", 1.0), &empty).outcome.is_err());
-        let missing = |f: &str| Err(format!("read {f}: not found"));
-        let err = check(&row, &doc_with("a.b", 1.0), &missing).outcome;
-        assert!(err.unwrap_err().contains("base.json"));
-        // A zero baseline bounds nothing.
-        let zero = |_: &str| Ok(doc_with("a.b", 0.0));
-        assert_eq!(check(&row, &doc_with("a.b", 5.0), &zero).outcome, Ok(None));
     }
 
     #[test]
@@ -363,7 +274,7 @@ mod tests {
         let empty: Vec<(&str, Value)> = (TABLE.iter())
             .map(|r| (r.report, Value::Obj(vec![])))
             .collect();
-        let v = summary(&empty, &|f| Err(format!("read {f}")));
+        let v = summary(&empty);
         let rows = v.get("rows").and_then(Value::items).unwrap();
         assert_eq!(rows.len(), TABLE.len());
         for r in rows {

@@ -4,6 +4,7 @@
 use unp_core::experiments as exp;
 use unp_core::{Network, OrgKind};
 use unp_sim::CostModel;
+use unp_tcp::CongestionControl;
 
 /// User packet sizes of Table 2.
 pub const T2_SIZES: [usize; 4] = [512, 1024, 2048, 4096];
@@ -308,12 +309,9 @@ pub fn ablations(total_bytes: u64) {
     println!("    the 1993 stacks' choice to run without congestion control was");
     println!("    right for their environment — Tahoe pays full slow-start restarts)");
     for (name, cc) in [
-        (
-            "off (1993 LAN stacks)",
-            unp_core::CongestionControlChoice::Off,
-        ),
-        ("Tahoe", unp_core::CongestionControlChoice::Tahoe),
-        ("Reno", unp_core::CongestionControlChoice::Reno),
+        ("off (1993 LAN stacks)", CongestionControl::Off),
+        ("Tahoe", CongestionControl::Tahoe),
+        ("Reno", CongestionControl::Reno),
     ] {
         let (ms, segs, rexmit) = exp::ablation_congestion(200_000, 0.05, 7, cc);
         println!("  {name:<22} {ms:>9.0} ms  {segs:>5} segments  {rexmit:>7} bytes rexmit");

@@ -399,14 +399,12 @@ pub fn ablation_congestion(
     total: usize,
     loss: f64,
     seed: u64,
-    cc: crate::CongestionControlChoice,
+    congestion: unp_tcp::CongestionControl,
 ) -> (f64, u64, u64) {
     use unp_tcp::loopback::{ChannelModel, Loopback, Side};
-    let mut cfg = TcpConfig::bulk_transfer();
-    cfg.congestion = match cc {
-        crate::CongestionControlChoice::Off => unp_tcp::CongestionControl::Off,
-        crate::CongestionControlChoice::Tahoe => unp_tcp::CongestionControl::Tahoe,
-        crate::CongestionControlChoice::Reno => unp_tcp::CongestionControl::Reno,
+    let cfg = TcpConfig {
+        congestion,
+        ..TcpConfig::bulk_transfer()
     };
     let chan = ChannelModel {
         jitter: 0,

@@ -42,14 +42,3 @@ pub use world::{
     build_hosts, build_two_hosts, crash_host, crash_tenant, install_faults, sync_tenant_scopes,
     Eng, Event, Host, Network, OrgKind, World,
 };
-
-/// Congestion-control selection for the ablation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CongestionControlChoice {
-    /// No congestion window (the 1993 stacks' LAN configuration).
-    Off,
-    /// Slow start + congestion avoidance, window collapse on loss.
-    Tahoe,
-    /// Tahoe plus fast recovery.
-    Reno,
-}

@@ -154,8 +154,9 @@ pub enum Right {
 pub enum TxError {
     /// Unknown or revoked capability.
     BadCapability,
-    /// The capability lacks the Send right.
-    NoSendRight,
+    /// The capability lacks the right the call needs: Send to transmit,
+    /// Receive to drain the ring or end a wakeup.
+    WrongRight,
     /// The packet header does not match the bound template.
     Template(TemplateViolation),
     /// The owning tenant exhausted its per-window transmit credit.
@@ -215,7 +216,7 @@ pub struct TenantBudget {
     /// channel's own ring still has room.
     pub ring_slots: usize,
     /// Frames the tenant may transmit per credit window (see
-    /// [`NetIoModule::set_tx_window`]); exhausted credit rejects with
+    /// [`TX_WINDOW_NS`]); exhausted credit rejects with
     /// [`TxError::QuotaExceeded`] until the window rolls over.
     pub tx_credit: u64,
     /// Channels the tenant may hold open at once;
@@ -268,6 +269,26 @@ struct CapEntry {
     channel: ChannelId,
     right: Right,
 }
+
+/// Resolves `cap` to its live channel, provided it carries `right`.
+fn resolve<'a>(
+    caps: &HashMap<u64, CapEntry>,
+    channels: &'a mut HashMap<u32, Channel>,
+    cap: Capability,
+    right: Right,
+) -> Result<(ChannelId, &'a mut Channel), TxError> {
+    let entry = caps.get(&cap.0).ok_or(TxError::BadCapability)?;
+    if entry.right != right {
+        return Err(TxError::WrongRight);
+    }
+    let ch = channels.get_mut(&entry.channel.0);
+    Ok((entry.channel, ch.ok_or(TxError::BadCapability)?))
+}
+
+/// Transmit-credit window length in sim nanoseconds (10 ms). Windows are
+/// epoch-aligned (`now / TX_WINDOW_NS`), so identical runs see identical
+/// refill instants regardless of call timing.
+pub const TX_WINDOW_NS: u64 = 10_000_000;
 
 struct Channel {
     owner: OwnerTag,
@@ -439,8 +460,6 @@ pub struct NetIoModule {
     /// `BTreeMap` so reports iterate deterministically. Absent tenants
     /// are unbudgeted (the kernel, `OwnerTag(0)`, is never budgeted).
     tenants: std::collections::BTreeMap<u64, TenantAccount>,
-    /// Transmit-credit window length in sim nanoseconds.
-    tx_window_ns: u64,
     /// Which credit window [`NetIoModule::advance_tx_window`] last saw.
     tx_epoch: u64,
     next_channel: u32,
@@ -478,7 +497,6 @@ impl NetIoModule {
             demux_stats: DemuxStats::default(),
             pressure_cap: None,
             tenants: std::collections::BTreeMap::new(),
-            tx_window_ns: 10_000_000, // 10 ms of sim time per credit window
             tx_epoch: 0,
             next_channel: 0,
             next_cap: 0x6100_0000_0000_0000,
@@ -749,20 +767,12 @@ impl NetIoModule {
         self.tenants.entry(tenant.0).or_default().budget = budget;
     }
 
-    /// Sets the transmit-credit window length (sim nanoseconds). Credit
-    /// windows are epoch-aligned (`now / window`), so identical runs see
-    /// identical refill instants regardless of call timing.
-    pub fn set_tx_window(&mut self, window_ns: u64) {
-        assert!(window_ns > 0, "tx window must be positive");
-        self.tx_window_ns = window_ns;
-    }
-
     /// Rolls transmit-credit windows forward to `now`: when the clock
     /// crosses into a new epoch-aligned window, every tenant's used
     /// credit resets. The world calls this before handing frames to
     /// [`NetIoModule::transmit`]; the kernel itself keeps no clock.
     pub fn advance_tx_window(&mut self, now: u64) {
-        let epoch = now / self.tx_window_ns;
+        let epoch = now / TX_WINDOW_NS;
         if epoch != self.tx_epoch {
             self.tx_epoch = epoch;
             for acct in self.tenants.values_mut() {
@@ -819,15 +829,7 @@ impl NetIoModule {
         frame: &[u8],
         frame_id: Option<u64>,
     ) -> Result<ChannelId, TxError> {
-        let entry = self.caps.get(&cap.0).ok_or(TxError::BadCapability)?;
-        if entry.right != Right::Send {
-            return Err(TxError::NoSendRight);
-        }
-        let ch = self
-            .channels
-            .get(&entry.channel.0)
-            .ok_or(TxError::BadCapability)?;
-        let channel = entry.channel;
+        let (channel, ch) = resolve(&self.caps, &mut self.channels, cap, Right::Send)?;
         // Per-window transmit credit, charged before the template runs:
         // the credit bounds how often a tenant may invoke the transmit
         // path at all, so a flood of *valid* frames and a storm of
@@ -842,7 +844,6 @@ impl NetIoModule {
                 acct.tx_used += 1;
             }
         }
-        let ch = &self.channels[&channel.0];
         match ch.template.check(frame) {
             Ok(()) => {
                 if let Some(acct) = self.tenants.get_mut(&owner.0) {
@@ -1065,14 +1066,6 @@ impl NetIoModule {
         }
     }
 
-    /// The library side: consume every queued packet for `cap` and clear
-    /// the notification flag (single-shot read).
-    pub fn consume(&mut self, cap: Capability) -> Result<Vec<Frame>, TxError> {
-        let out = self.consume_batch(cap)?.collect();
-        let _ = self.end_wakeup(cap)?;
-        Ok(out)
-    }
-
     /// Drains the ring *without* clearing the notification flag: the
     /// library thread is awake and processing, so packets arriving in the
     /// meantime must not post fresh semaphore signals — this is the
@@ -1087,15 +1080,7 @@ impl NetIoModule {
         &mut self,
         cap: Capability,
     ) -> Result<std::collections::vec_deque::Drain<'_, Frame>, TxError> {
-        let entry = self.caps.get(&cap.0).ok_or(TxError::BadCapability)?;
-        if entry.right != Right::Receive {
-            return Err(TxError::NoSendRight);
-        }
-        let channel = entry.channel;
-        let ch = self
-            .channels
-            .get_mut(&channel.0)
-            .ok_or(TxError::BadCapability)?;
+        let (channel, ch) = resolve(&self.caps, &mut self.channels, cap, Right::Receive)?;
         let frames = ch.rx_ring.len();
         // Consuming returns the slots to the tenant's ring budget.
         let owner = ch.owner;
@@ -1114,14 +1099,7 @@ impl NetIoModule {
     /// if packets arrived during processing the flag stays set and `false`
     /// tells the library to loop and consume again.
     pub fn end_wakeup(&mut self, cap: Capability) -> Result<bool, TxError> {
-        let entry = self.caps.get(&cap.0).ok_or(TxError::BadCapability)?;
-        if entry.right != Right::Receive {
-            return Err(TxError::NoSendRight);
-        }
-        let ch = self
-            .channels
-            .get_mut(&entry.channel.0)
-            .ok_or(TxError::BadCapability)?;
+        let (_, ch) = resolve(&self.caps, &mut self.channels, cap, Right::Receive)?;
         if ch.rx_ring.is_empty() {
             ch.notify_pending = false;
             Ok(true)
@@ -1319,9 +1297,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let pkts = m.consume(recv).unwrap();
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0], frame);
+        let pkts: Vec<Frame> = m.consume_batch(recv).unwrap().collect();
+        assert_eq!(pkts, [frame]);
+        assert!(m.end_wakeup(recv).unwrap());
     }
 
     #[test]
@@ -1337,8 +1315,8 @@ mod tests {
             })
             .collect();
         assert_eq!(signals, vec![true, false, false, false], "batched");
-        let pkts = m.consume(recv).unwrap();
-        assert_eq!(pkts.len(), 4);
+        assert_eq!(m.consume_batch(recv).unwrap().len(), 4);
+        assert!(m.end_wakeup(recv).unwrap());
         let stats = m.channel_stats(id).unwrap();
         assert_eq!((stats.delivered, stats.batched), (4, 3));
         assert_eq!(
@@ -1374,7 +1352,7 @@ mod tests {
         let good = tcp_frame(US, THEM, 80, 5000);
         assert!(m.transmit(send, &good).is_ok());
         // Receive capability has no send right.
-        assert_eq!(m.transmit(recv, &good).err(), Some(TxError::NoSendRight));
+        assert_eq!(m.transmit(recv, &good).err(), Some(TxError::WrongRight));
         // Forged capability.
         assert_eq!(
             m.transmit(Capability(0xdead_beef), &good).err(),
@@ -1490,17 +1468,16 @@ mod tests {
                 ..TenantBudget::default()
             },
         );
-        m.set_tx_window(1_000_000);
         let good = tcp_frame(US, THEM, 80, 5000);
         assert!(m.transmit(send, &good).is_ok());
         assert!(m.transmit(send, &good).is_ok());
         assert_eq!(m.transmit(send, &good).err(), Some(TxError::QuotaExceeded));
         assert_eq!(m.tenant_stats(OwnerTag(1)).unwrap().tx_rejections, 1);
         // Same epoch: still dry.
-        m.advance_tx_window(999_999);
+        m.advance_tx_window(TX_WINDOW_NS - 1);
         assert_eq!(m.transmit(send, &good).err(), Some(TxError::QuotaExceeded));
         // Next epoch-aligned window: credit refills.
-        m.advance_tx_window(1_000_000);
+        m.advance_tx_window(TX_WINDOW_NS);
         assert!(m.transmit(send, &good).is_ok());
         assert_eq!(m.tenant_stats(OwnerTag(1)).unwrap().tx_frames, 3);
     }
@@ -1624,9 +1601,18 @@ mod tests {
     #[test]
     fn wakeup_api_enforces_rights() {
         let mut m = NetIoModule::new();
-        let (_, send, _recv, _) = m.create_channel(OwnerTag(1), &spec(), template(), 8, 2048);
-        assert!(m.consume_batch(send).is_err());
-        assert!(m.end_wakeup(send).is_err());
+        let (id, send, recv, _) = m.create_channel(OwnerTag(1), &spec(), template(), 8, 2048);
+        m.activate(id);
+        m.deliver_software(&tcp_frame(THEM, US, 5000, 80));
+        unp_trace::journal_start();
+        assert_eq!(m.consume_batch(send).err(), Some(TxError::WrongRight));
+        assert_eq!(m.end_wakeup(send), Err(TxError::WrongRight));
+        // The ring kept its frame for the Receive capability, whose drain
+        // is the journal's only wakeup_batch.
+        assert_eq!(m.consume_batch(recv).unwrap().len(), 1);
+        let journal = unp_trace::journal_stop();
+        let batches = journal.iter().filter(|r| r.event.name() == "wakeup_batch");
+        assert_eq!(batches.count(), 1);
     }
 
     fn wildcard_spec(port: u16) -> DemuxSpec {
@@ -1807,7 +1793,7 @@ mod tests {
             m.deliver_software(&frame),
             Delivery::Channel { .. }
         ));
-        assert_eq!(m.consume(recv).unwrap().len(), 2);
+        assert_eq!(m.consume_batch(recv).unwrap().len(), 2);
     }
 
     #[test]

@@ -976,11 +976,6 @@ impl CausalGraph {
     }
 }
 
-/// Convenience wrapper: journal records straight to Chrome trace JSON.
-pub fn render_chrome_trace(records: &[Record]) -> String {
-    CausalGraph::build(records).render_chrome_trace()
-}
-
 /// Computes a journey's cross-host verdict from its fault records and
 /// receive-side outcomes.
 fn fate_of(

@@ -489,27 +489,4 @@ mod tests {
 "#;
         assert_eq!(write(&v), want);
     }
-
-    #[test]
-    fn round_trips_the_journal_exporter() {
-        let recs = vec![crate::Record {
-            time: 10,
-            host: Some(1),
-            frame: Some(4),
-            event: crate::Event::DemuxClassify {
-                path: crate::PathKind::FlowTable,
-                filter_instrs: 8,
-                matched: true,
-            },
-        }];
-        let v = parse(&crate::render_json(&recs)).unwrap();
-        let items = v.items().unwrap();
-        assert_eq!(items.len(), 1);
-        assert_eq!(
-            items[0].get("event").and_then(Value::as_str),
-            Some("demux_classify")
-        );
-        assert_eq!(items[0].get("instrs").and_then(Value::as_u64), Some(8));
-        assert_eq!(items[0].get("matched").and_then(Value::as_bool), Some(true));
-    }
 }

@@ -658,37 +658,6 @@ pub fn render(records: &[Record]) -> String {
     out
 }
 
-/// Serializes a journal as a JSON array (hand-rolled: the workspace is
-/// dependency-free by design), one object per record in emission order.
-/// Field values that parse as integers or booleans are emitted bare;
-/// everything else is quoted.
-pub fn render_json(records: &[Record]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n  " } else { "\n  " });
-        out.push_str(&format!("{{\"time\": {}", r.time));
-        if let Some(h) = r.host {
-            out.push_str(&format!(", \"host\": {h}"));
-        }
-        if let Some(f) = r.frame {
-            out.push_str(&format!(", \"frame\": {f}"));
-        }
-        out.push_str(&format!(", \"event\": \"{}\"", r.event.name()));
-        for kv in r.event.fields().split(' ') {
-            if let Some((k, v)) = kv.split_once('=') {
-                if v.parse::<u64>().is_ok() || v == "true" || v == "false" {
-                    out.push_str(&format!(", \"{k}\": {v}"));
-                } else {
-                    out.push_str(&format!(", \"{k}\": \"{v}\""));
-                }
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 thread_local! {
     static CLOCK: Cell<Nanos> = const { Cell::new(0) };
     static HOST: Cell<Option<u16>> = const { Cell::new(None) };
@@ -966,35 +935,5 @@ mod tests {
         let _ = render(&recs);
         assert_eq!(recs[0], a);
         assert_eq!(recs[1], b);
-    }
-
-    #[test]
-    fn render_json_is_shaped() {
-        let recs = vec![
-            Record {
-                time: 10,
-                host: Some(1),
-                frame: Some(4),
-                event: Event::DemuxClassify {
-                    path: PathKind::FlowTable,
-                    filter_instrs: 8,
-                    matched: true,
-                },
-            },
-            Record {
-                time: 11,
-                host: None,
-                frame: None,
-                event: Event::NicTx { len: 60 },
-            },
-        ];
-        let j = render_json(&recs);
-        assert!(j.contains("\"event\": \"demux_classify\""));
-        assert!(j.contains("\"path\": \"flow\""), "labels stay quoted");
-        assert!(j.contains("\"instrs\": 8"), "numbers go bare");
-        assert!(j.contains("\"matched\": true"), "bools go bare");
-        assert_eq!(j.matches('{').count(), 2);
-        assert_eq!(j.matches('}').count(), 2);
-        assert!(j.trim_end().ends_with(']'));
     }
 }

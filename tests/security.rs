@@ -150,8 +150,13 @@ fn receive_capability_cannot_transmit_and_vice_versa() {
     let (id, send, recv, _) = m.create_channel(OwnerTag(1), &spec, template, 8, 2048);
     m.activate(id);
     let legit = tcp_frame(VICTIM_IP, PEER_IP, 80, 5000, b"x");
-    assert_eq!(m.transmit(recv, &legit).err(), Some(TxError::NoSendRight));
-    assert!(m.consume(send).is_err(), "send capability cannot consume");
+    assert_eq!(m.transmit(recv, &legit).err(), Some(TxError::WrongRight));
+    assert_eq!(
+        m.consume_batch(send).err(),
+        Some(TxError::WrongRight),
+        "send capability cannot consume"
+    );
+    assert_eq!(m.end_wakeup(send), Err(TxError::WrongRight));
 }
 
 #[test]
@@ -253,7 +258,8 @@ fn revoked_capabilities_cannot_be_replayed() {
     // The channel is torn down: every outstanding capability is revoked.
     assert!(m.destroy_channel(id, OwnerTag(1)));
     assert_eq!(m.transmit(send, &legit).err(), Some(TxError::BadCapability));
-    assert_eq!(m.consume(recv).err(), Some(TxError::BadCapability));
+    assert_eq!(m.consume_batch(recv).err(), Some(TxError::BadCapability));
+    assert_eq!(m.end_wakeup(recv), Err(TxError::BadCapability));
 
     // Re-creating the same binding mints *fresh* capabilities — the
     // replayed ones stay dead (no capability-value reuse across
@@ -289,7 +295,11 @@ fn cross_tenant_capabilities_do_not_reach_victim_traffic() {
     // The attacker holds a perfectly valid capability — for its OWN
     // channel. It cannot consume the victim's frame with it: the
     // capability names the attacker's ring, which is empty.
-    assert!(m.consume(att_recv).expect("own ring readable").is_empty());
+    assert_eq!(
+        m.consume_batch(att_recv).expect("own ring readable").len(),
+        0
+    );
+    assert_eq!(m.end_wakeup(att_recv), Ok(true));
     // The victim's frame is still exactly where it was delivered.
     assert_eq!(m.channel_stats(victim_id).map(|s| s.delivered), Some(1));
 
