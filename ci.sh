@@ -38,6 +38,18 @@ if grep -rn 'CongestionControl::' crates/tcp/src \
   echo "CongestionControl is matched outside the congestion component (lines above)"; exit 1
 fi
 
+# The observability crate stays smaller than the stack it watches: fewer
+# lines under crates/trace/src than under the TCP, network I/O module and
+# registry sources combined (tests included, as `wc -l` counts them).
+echo "== unp-trace: smaller than tcp + kernel + registry =="
+lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
+trace_lines=$(lines crates/trace/src)
+stack_lines=$(lines crates/tcp/src crates/kernel/src crates/registry/src)
+echo "crates/trace/src: $trace_lines lines; crates/{tcp,kernel,registry}/src: $stack_lines lines"
+if [ "$trace_lines" -ge "$stack_lines" ]; then
+  echo "unp-trace is not smaller than the stack it watches"; exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -92,11 +104,13 @@ cargo test -q --release --offline -p unp-timers
 echo "== hostile peer vs. every live TCB state, 512 cases (release) =="
 cargo test -q --release --offline -p unp-tcp --test hostile_peer
 
-# The profiler's join discipline must hold in release mode too: every
-# delivered frame's stage components sum exactly to its end-to-end span,
-# with fault-duplicated ids and checksum discards in the journal.
+# The causal graph's join discipline must hold in release mode too: every
+# retransmit traced to its injected cause, every delivered receive copy's
+# stage components summing exactly to its end-to-end span with
+# fault-duplicated ids and checksum discards in the journal, and windowed
+# telemetry doing exact delta arithmetic.
 echo "== profiler joins + windowed telemetry (release) =="
-cargo test -q --release --offline --test profile
+cargo test -q --release --offline --test causal --test telemetry
 
 # The fault soak: seeded drop/dup/reorder/corrupt/outage schedules plus a
 # mid-transfer application crash per world, with the differential oracle

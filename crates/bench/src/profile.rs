@@ -1,10 +1,10 @@
 //! `bench profile`: critical-path decomposition of the traced Table-2
 //! sweep — `BENCH_profile.json`.
 //!
-//! Each run's journal is joined by [`unp_trace::profile::Profile::build`]
-//! into per-frame [`PathTrace`](unp_trace::profile::PathTrace)s, and each
-//! delivered frame's end-to-end latency is decomposed into per-stage
-//! components that sum exactly (no tolerance — sim time doesn't jitter).
+//! Each run's journal is joined by [`unp_trace::CausalGraph::build`], and
+//! each delivered receive copy's end-to-end latency is decomposed into
+//! per-stage components that sum exactly (no tolerance — sim time doesn't
+//! jitter).
 //! Signaled wakeup spans are cross-checked against the cost model by
 //! [`crate::trace::wakeup_spans`]: exact, or strictly shorter when a
 //! running batch continuation scooped the frame; never longer.
@@ -15,6 +15,7 @@
 use unp_sim::CostModel;
 use unp_trace::json::Value;
 use unp_trace::profile::Stage;
+use unp_trace::Histogram;
 
 use crate::report::Workloads;
 use crate::trace::{sweep_workload, wakeup_spans, TracedRun};
@@ -23,7 +24,7 @@ use crate::trace::{sweep_workload, wakeup_spans, TracedRun};
 /// (count-weighted — deterministic sim time, so these are exactly
 /// reproducible for a fixed workload), plus the pooled end-to-end mean.
 fn gate_value(runs: &[TracedRun]) -> Value {
-    let pooled = |hists: Vec<&unp_trace::Histogram>| {
+    let pooled = |hists: Vec<&Histogram>| {
         let count: u64 = hists.iter().map(|h| h.count()).sum();
         let sum: u128 = hists.iter().map(|h| h.sum()).sum();
         let mean = if count > 0 {
@@ -33,11 +34,14 @@ fn gate_value(runs: &[TracedRun]) -> Value {
         };
         Value::fixed(mean, 1)
     };
+    let per_run: Vec<_> = (runs.iter())
+        .map(|r| (r.graph.stage_latency(), r.graph.rx_end_to_end()))
+        .collect();
     let stages = Stage::ALL.iter().skip(1).map(|&s| {
-        let hists = runs.iter().map(|r| &r.profile.stages[s as usize]);
+        let hists = per_run.iter().map(|(stages, _)| &stages[s as usize]);
         (s.label(), pooled(hists.collect()))
     });
-    let e2e = pooled(runs.iter().map(|r| &r.profile.end_to_end).collect());
+    let e2e = pooled(per_run.iter().map(|(_, e2e)| e2e).collect());
     let means = Value::obj(stages.chain([("end_to_end", e2e)]));
     Value::obj([("stage_mean_ns", means)])
 }
@@ -63,14 +67,14 @@ pub fn report(w: &Workloads) -> Value {
     let rows: Value = runs
         .iter()
         .map(|run| {
-            let p = &run.profile;
-            let mean = |s: Stage| p.stages[s as usize].mean().unwrap_or(0.0);
-            let e2e = p.end_to_end.mean().unwrap_or(0.0);
-            let wk = wakeup_spans(p, &costs);
+            let (stages, e2e) = (run.graph.stage_latency(), run.graph.rx_end_to_end());
+            let mean = |s: Stage| stages[s as usize].mean().unwrap_or(0.0);
+            let (delivered, e2e) = (e2e.count(), e2e.mean().unwrap_or(0.0));
+            let wk = wakeup_spans(&run.graph, &costs);
             println!(
                 "{:<8} {:>9} {:>10.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>5}/{}/{}",
                 run.user_packet,
-                p.delivered(),
+                delivered,
                 e2e,
                 mean(Stage::Demux),
                 mean(Stage::Ring),
@@ -84,7 +88,7 @@ pub fn report(w: &Workloads) -> Value {
             let stages = Stage::ALL.iter().skip(1);
             Value::obj([
                 ("user_packet", run.user_packet.into()),
-                ("delivered", p.delivered().into()),
+                ("delivered", delivered.into()),
                 ("wakeup_exact", wk.exact.into()),
                 ("wakeup_scooped", wk.scooped.into()),
                 ("wakeup_over", wk.over.into()),
@@ -116,19 +120,20 @@ mod tests {
     fn profiled_run_is_self_consistent() {
         let costs = CostModel::calibrated_1993();
         let run = traced_bulk(4096, 200_000);
-        let p = &run.profile;
-        assert!(p.delivered() > 30, "bulk run must deliver many frames");
-        let wk = wakeup_spans(p, &costs);
+        let g = &run.graph;
+        let delivered = g.outcome_count(unp_trace::PathOutcome::Delivered);
+        assert!(delivered > 30, "bulk run must deliver many frames");
+        let wk = wakeup_spans(g, &costs);
         assert_eq!(wk.over, 0);
         assert!(wk.exact > 0, "signaled path exercised");
-        p.check_consistency().unwrap();
+        g.check_consistency().unwrap();
         // Every delivered frame decomposes exactly.
-        for tr in p.traces.iter().filter(|t| t.is_complete()) {
+        for tr in g.rx().filter(|t| t.is_complete()) {
             let sum: u64 = tr.components().iter().map(|&(_, dt)| dt).sum();
             assert_eq!(Some(sum), tr.end_to_end());
         }
         // The folded output names the stages with their qualifiers.
-        let folded = p.folded();
+        let folded = g.folded();
         assert!(folded.contains("rx;tcp_segment "));
         assert!(folded.contains("rx;wakeup_batch;"));
     }

@@ -4,10 +4,10 @@
 //! The reproduced tables are built from *modeled* costs: every hop of a
 //! received frame (demux, ring placement, semaphore wakeup, protocol
 //! processing) charges a constant from [`CostModel`]. The journal records
-//! the same hops as timestamped events, so the per-frame
+//! the same hops as timestamped events, so the per-copy
 //! [`PathTrace`](unp_trace::profile::PathTrace)s that
-//! [`Profile::build`] joins out of it reconstruct the latency the model
-//! actually produced — and the two must agree. Concretely:
+//! [`CausalGraph::build`] joins out of it reconstruct the latency the
+//! model actually produced — and the two must agree. Concretely:
 //!
 //! * A **signaled** delivery schedules the library wakeup at interrupt
 //!   priority, which preempts rather than queues, so the span from
@@ -32,8 +32,8 @@ use unp_core::experiments::Transfer;
 use unp_core::{Network, OrgKind};
 use unp_sim::{CostModel, DemuxPath, Nanos};
 use unp_trace::json::Value;
-use unp_trace::profile::{Profile, Stage};
-use unp_trace::Event;
+use unp_trace::profile::Stage;
+use unp_trace::{CausalGraph, Event, Histogram};
 
 use crate::report::Workloads;
 use crate::tables::T2_SIZES;
@@ -42,8 +42,8 @@ use crate::tables::T2_SIZES;
 pub struct TracedRun {
     /// Application write size (the table column).
     pub user_packet: usize,
-    /// The receive-side join of the run's journal.
-    pub profile: Profile,
+    /// The run's journal, joined.
+    pub graph: CausalGraph,
     /// Bytes the journal saw cross into the application.
     pub app_bytes: u64,
 }
@@ -54,8 +54,8 @@ pub fn traced_bulk(user_packet: usize, total: u64) -> TracedRun {
     unp_trace::journal_start();
     Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, user_packet, total).run(|_, _| {});
     let records = unp_trace::journal_stop();
-    let profile = Profile::build(&records);
-    profile
+    let graph = CausalGraph::build(&records);
+    graph
         .check_consistency()
         .expect("stage decomposition must be self-consistent");
     let app_bytes = records
@@ -67,7 +67,7 @@ pub fn traced_bulk(user_packet: usize, total: u64) -> TracedRun {
         .sum();
     TracedRun {
         user_packet,
-        profile,
+        graph,
         app_bytes,
     }
 }
@@ -88,35 +88,6 @@ pub fn sweep_workload(total: u64) -> Value {
         ("network", "ethernet".into()),
         ("total_bytes", total.into()),
     ])
-}
-
-/// Summary of one span population (simulated nanoseconds).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpanStats {
-    pub count: u64,
-    pub min: Nanos,
-    pub max: Nanos,
-    sum: u128,
-}
-
-impl SpanStats {
-    fn push(&mut self, v: Nanos) {
-        if self.count == 0 || v < self.min {
-            self.min = v;
-        }
-        self.max = self.max.max(v);
-        self.sum += v as u128;
-        self.count += 1;
-    }
-
-    /// Arithmetic mean, or 0 for an empty population.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// Modeled signaled-wakeup latency for a software delivery whose filter
@@ -144,7 +115,7 @@ fn proc_model(c: &CostModel, wire: usize) -> Nanos {
 /// run, sorted against the model.
 #[derive(Default)]
 pub struct WakeupSpans {
-    pub spans: SpanStats,
+    pub spans: Histogram,
     /// Spans exactly equal to the modeled cost.
     pub exact: u64,
     /// Frames a running library thread consumed before their own
@@ -155,10 +126,10 @@ pub struct WakeupSpans {
     pub over: u64,
 }
 
-/// Projects the signaled traces' ring → wakeup spans.
-pub fn wakeup_spans(profile: &Profile, costs: &CostModel) -> WakeupSpans {
+/// Projects the signaled copies' ring → wakeup spans.
+pub fn wakeup_spans(graph: &CausalGraph, costs: &CostModel) -> WakeupSpans {
     let mut out = WakeupSpans::default();
-    for tr in &profile.traces {
+    for tr in graph.rx() {
         if tr.signaled != Some(true) {
             continue;
         }
@@ -167,7 +138,7 @@ pub fn wakeup_spans(profile: &Profile, costs: &CostModel) -> WakeupSpans {
             continue;
         };
         let span = wake - ring;
-        out.spans.push(span);
+        out.spans.record(span);
         match span.cmp(&wakeup_model(costs, tr.filter_instrs as usize)) {
             std::cmp::Ordering::Equal => out.exact += 1,
             std::cmp::Ordering::Less => out.scooped += 1,
@@ -182,18 +153,18 @@ pub fn wakeup_spans(profile: &Profile, costs: &CostModel) -> WakeupSpans {
 /// `tcp_segment(rx)` on the same `(host, channel)` — to its own. Returns
 /// the population and how many spans sit at or above their frame's
 /// modeled cost.
-pub fn proc_spans(profile: &Profile, costs: &CostModel) -> (SpanStats, u64) {
-    let mut processed: Vec<_> = (profile.traces.iter())
+pub fn proc_spans(graph: &CausalGraph, costs: &CostModel) -> (Histogram, u64) {
+    let mut processed: Vec<_> = (graph.rx())
         .filter_map(|tr| Some((tr.stage_time(Stage::Tcp)?, (tr.host?, tr.channel?), tr)))
         .collect();
     processed.sort_by_key(|&(tcp, ..)| tcp);
     // Channel ids are only unique within one host's net I/O module.
     let mut free_at: BTreeMap<(u16, u32), Nanos> = BTreeMap::new();
-    let (mut spans, mut ge_model) = (SpanStats::default(), 0);
+    let (mut spans, mut ge_model) = (Histogram::new(), 0);
     for (tcp, chan, tr) in processed {
         let prev = free_at.insert(chan, tcp);
         if let Some(t0) = prev.max(tr.stage_time(Stage::Wakeup)) {
-            spans.push(tcp - t0);
+            spans.record(tcp - t0);
             ge_model += u64::from(tcp - t0 >= proc_model(costs, tr.wire as usize));
         }
     }
@@ -220,12 +191,15 @@ pub fn report(w: &Workloads) -> Value {
         .iter()
         .map(|run| {
             let placed = |signal| {
-                let traces = run.profile.traces.iter();
-                traces.filter(|t| t.signaled == Some(signal)).count()
+                run.graph
+                    .rx()
+                    .filter(|t| t.signaled == Some(signal))
+                    .count()
             };
             let (signaled, batched) = (placed(true), placed(false));
-            let wakeup = wakeup_spans(&run.profile, &costs);
-            let (proc, ge_model) = proc_spans(&run.profile, &costs);
+            let wakeup = wakeup_spans(&run.graph, &costs);
+            let (proc, ge_model) = proc_spans(&run.graph, &costs);
+            let mean = |h: &Histogram| h.mean().unwrap_or(0.0);
             // The dominant population of a bulk transfer: full frames.
             let proc_full = proc_model(&costs, 40 + run.user_packet.min(1460));
             println!(
@@ -234,16 +208,16 @@ pub fn report(w: &Workloads) -> Value {
                 signaled + batched,
                 signaled,
                 batched,
-                wakeup.spans.mean().round() as u64,
+                mean(&wakeup.spans).round() as u64,
                 wakeup.exact,
                 wakeup.scooped,
-                wakeup.spans.count,
+                wakeup.spans.count(),
                 proc_full,
-                proc.min,
-                proc.mean(),
+                proc.min().unwrap_or(0),
+                mean(&proc),
             );
             over_model += wakeup.over;
-            under_model += proc.count - ge_model;
+            under_model += proc.count() - ge_model;
             Value::obj([
                 ("user_packet", run.user_packet.into()),
                 ("ring_enqueues", (signaled + batched).into()),
@@ -252,23 +226,23 @@ pub fn report(w: &Workloads) -> Value {
                 (
                     "wakeup",
                     Value::obj([
-                        ("count", wakeup.spans.count.into()),
+                        ("count", wakeup.spans.count().into()),
                         ("model_matches", wakeup.exact.into()),
                         ("scooped", wakeup.scooped.into()),
-                        ("min_ns", wakeup.spans.min.into()),
-                        ("mean_ns", Value::fixed(wakeup.spans.mean(), 1)),
-                        ("max_ns", wakeup.spans.max.into()),
+                        ("min_ns", wakeup.spans.min().unwrap_or(0).into()),
+                        ("mean_ns", Value::fixed(mean(&wakeup.spans), 1)),
+                        ("max_ns", wakeup.spans.max().unwrap_or(0).into()),
                     ]),
                 ),
                 (
                     "proc",
                     Value::obj([
-                        ("count", proc.count.into()),
+                        ("count", proc.count().into()),
                         ("model_full_ns", proc_full.into()),
                         ("ge_model", ge_model.into()),
-                        ("min_ns", proc.min.into()),
-                        ("mean_ns", Value::fixed(proc.mean(), 1)),
-                        ("max_ns", proc.max.into()),
+                        ("min_ns", proc.min().unwrap_or(0).into()),
+                        ("mean_ns", Value::fixed(mean(&proc), 1)),
+                        ("max_ns", proc.max().unwrap_or(0).into()),
                     ]),
                 ),
                 ("app_bytes", run.app_bytes.into()),
@@ -298,27 +272,29 @@ mod tests {
         let run = traced_bulk(4096, 200_000);
         assert_eq!(run.app_bytes, 200_000, "journal missed app deliveries");
         let placed = |signal| {
-            let traces = run.profile.traces.iter();
-            traces.filter(|t| t.signaled == Some(signal)).count()
+            run.graph
+                .rx()
+                .filter(|t| t.signaled == Some(signal))
+                .count()
         };
         assert!(
             placed(true) > 0 && placed(false) > 0,
             "both paths exercised"
         );
-        let wakeup = wakeup_spans(&run.profile, &costs);
+        let wakeup = wakeup_spans(&run.graph, &costs);
         assert_eq!(wakeup.over, 0, "span exceeded the model");
-        assert_eq!(wakeup.exact + wakeup.scooped, wakeup.spans.count);
+        assert_eq!(wakeup.exact + wakeup.scooped, wakeup.spans.count());
         assert!(
-            wakeup.exact * 10 >= wakeup.spans.count * 9,
+            wakeup.exact * 10 >= wakeup.spans.count() * 9,
             "exact matches must dominate: {} exact of {}",
             wakeup.exact,
-            wakeup.spans.count
+            wakeup.spans.count()
         );
-        let (proc, ge_model) = proc_spans(&run.profile, &costs);
-        assert_eq!(ge_model, proc.count);
+        let (proc, ge_model) = proc_spans(&run.graph, &costs);
+        assert_eq!(ge_model, proc.count());
         // The smallest span in the population is a pure ACK (40-byte
         // segment) on the sender side; it still pays that frame's model.
-        assert!(proc.min >= proc_model(&costs, 40), "min span sane");
+        assert!(proc.min() >= Some(proc_model(&costs, 40)), "min span sane");
     }
 
     #[test]

@@ -13,7 +13,6 @@ use unp_kernel::TenantBudget;
 use unp_sim::{CostModel, Engine, LinkParams, Nanos, MILLIS};
 use unp_tcp::TcpConfig;
 use unp_trace::causal::{CausalGraph, Loss};
-use unp_trace::profile::Profile;
 use unp_trace::Ctr;
 use unp_wire::Ipv4Addr;
 
@@ -453,7 +452,7 @@ pub struct IsolationRun {
     /// Per-innocent (throughput bps, completion instant ns), server side.
     pub innocents: Vec<(f64, u64)>,
     /// p99 of the innocent streams' end-to-end app-deliver latency (ns),
-    /// from the receive-path profile scoped to their server-side channels.
+    /// from the causal graph's receive copies on their server-side channels.
     pub p99_ns: u64,
     /// Kernel-counted quota drops / transmit-credit rejections.
     pub quota_drops: u64,
@@ -616,9 +615,8 @@ pub fn isolation_scenario(hostile: bool) -> (World, IsolationRun) {
         assert!(s.peer_closed && !s.reset, "innocent {i} stream failed");
     }
 
-    let mut lat: Vec<u64> = Profile::build(&records)
-        .traces
-        .iter()
+    let graph = CausalGraph::build(&records);
+    let mut lat: Vec<u64> = (graph.rx())
         .filter(|t| {
             t.is_complete()
                 && t.host == Some(1)
@@ -630,7 +628,7 @@ pub fn isolation_scenario(hostile: bool) -> (World, IsolationRun) {
     assert!(!lat.is_empty(), "no innocent deliveries profiled");
     let p99_ns = lat[((lat.len() - 1) as f64 * 0.99).round() as usize];
 
-    let quota_loss_tenants = CausalGraph::build(&records)
+    let quota_loss_tenants = graph
         .losses()
         .filter_map(|(_, l)| match l {
             Loss::QuotaExceeded { tenant, .. } => Some(tenant),

@@ -2,14 +2,16 @@
 //! **journeys**, plus root-cause attribution for every retransmit and
 //! loss.
 //!
-//! The PR 5 profiler ([`crate::profile`]) reconstructs what happened to
-//! a frame *inside the receiving host*. This module stitches the other
-//! two thirds on: the transmit side (`tcp_segment tx` → template check →
-//! `nic_tx`) and the wire hop (`link_tx` queue/serialization split plus
-//! any `fault_inject` verdicts), all joined on the world-unique frame
-//! id. A [`Journey`] therefore spans hosts: it starts when the sender's
-//! TCP builds the segment and ends when the receiver's application takes
-//! delivery — or earlier, with a [`Loss`] naming the proximate cause.
+//! [`CausalGraph::build`] is the one post-hoc join of a journal. It joins
+//! three thirds of a frame's life on the world-unique frame id: the
+//! transmit side (`tcp_segment tx` → template check → `nic_tx`), the wire
+//! hop (`link_tx` queue/serialization split plus any `fault_inject`
+//! verdicts), and what happened *inside the receiving host* — one
+//! [`PathTrace`] per received copy over [`crate::profile`]'s stage
+//! taxonomy. A [`Journey`] therefore spans hosts: it starts when the
+//! sender's TCP builds the segment and ends when the receiver's
+//! application takes delivery — or earlier, with a [`Loss`] naming the
+//! proximate cause.
 //!
 //! On top of the journeys sits the attribution layer: every
 //! `tcp_rexmit` record is traced back to the latest prior transmission
@@ -32,13 +34,16 @@
 //!
 //! Known limits: the cause taxonomy tracks the user-library receive
 //! path; frames the monolithic organization routes to the kernel
-//! default close at `Arrived` without per-stage decomposition, and a
+//! default close at `Arrived` (their copy at
+//! [`KernelDefault`](PathOutcome::KernelDefault)) without per-stage
+//! decomposition; a wire-dropped frame that never reached the receiver's
+//! NIC has no receive copy (the stage taxonomy starts at `nic_rx`); and a
 //! corrupted frame that dies of ring overflow before its checksum runs
 //! is attributed to the overflow (the *proximate* cause, by design).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use crate::profile::{PathOutcome, PathTrace, Profile, Stage};
+use crate::profile::{PathOutcome, PathTrace, Stage};
 use crate::{Dir, Event, FaultKind, Nanos, Record, RexmitReason};
 
 /// The transmit-side TCP segment record of a journey.
@@ -437,7 +442,9 @@ fn seq_contains(lo: u32, len: u32, x: u32) -> bool {
 }
 
 /// The cross-host causal trace graph: every journey, every retransmit
-/// attribution, and the crash schedule observed in one journal.
+/// attribution, and the crash schedule observed in one journal. The
+/// receive-side views (`rx`, `stage_latency`, `folded`, …) are in
+/// [`crate::profile`].
 #[derive(Debug, Clone)]
 pub struct CausalGraph {
     /// Every journey, in frame-creation (emission) order.
@@ -455,9 +462,10 @@ type RawRexmit = (Nanos, Option<u16>, u16, u16, u32, u32, RexmitReason);
 
 impl CausalGraph {
     /// Joins a journal (emission order) into journeys and attributes
-    /// every retransmit. Receive-side traces come from
-    /// [`Profile::build`], so the join discipline (FIFO duplicate ids,
-    /// ring-order wakeups) is shared with the PR 5 profiler.
+    /// every retransmit. Never panics on incomplete lifecycles: faulted,
+    /// dropped, and duplicated frames close with their own outcomes.
+    /// Journeys are ordered by a frame's first tx-side record; frames no
+    /// tx-side record names follow, in `nic_rx` order.
     pub fn build(records: &[Record]) -> CausalGraph {
         let mut journeys: Vec<Journey> = Vec::new();
         let mut by_frame: HashMap<u64, usize> = HashMap::new();
@@ -552,8 +560,9 @@ impl CausalGraph {
             }
         }
 
-        // Fold the receive side in via the shared profiler join.
-        for tr in Profile::build(records).traces {
+        // The receive copies come in `nic_rx` order, so a frame no
+        // tx-side record named journeys after every one that was.
+        for tr in join_rx(records) {
             entry(&mut journeys, &mut by_frame, tr.frame).rx.push(tr);
         }
 
@@ -651,11 +660,16 @@ impl CausalGraph {
         })
     }
 
-    /// Asserts the latency-split invariant over every arrived journey:
-    /// the labeled components sum **exactly** to the cross-host
-    /// end-to-end latency, and tx-side timestamps are monotone.
+    /// The graph's one checker. Every receive copy's stage timestamps are
+    /// nondecreasing and its components telescope exactly to its own
+    /// end-to-end latency; over every arrived journey, the labeled
+    /// cross-host components sum **exactly** to the cross-host end-to-end
+    /// latency; and tx-side timestamps are monotone.
     pub fn check_consistency(&self) -> Result<(), String> {
         for j in &self.journeys {
+            for tr in &j.rx {
+                tr.check()?;
+            }
             if let (Some(s), Some(tx)) = (&j.seg, j.nic_tx) {
                 if tx < s.t {
                     return Err(format!("f{}: nic_tx before segment build", j.frame));
@@ -973,6 +987,169 @@ impl CausalGraph {
         out.push_str(&ev.join(",\n  "));
         out.push_str("\n]}\n");
         out
+    }
+}
+
+/// The receive step of [`CausalGraph::build`]: one [`PathTrace`] per
+/// received copy, in `nic_rx` order.
+///
+/// It consumes the records in **emission order** (not
+/// [`render`](crate::render)'s sorted display order). A per-frame queue
+/// of open traces lets a fault-duplicated frame id yield two copies that
+/// claim their own events in arrival order; a per-`(host, channel)` FIFO
+/// of ring-resident traces attributes `wakeup_batch` (which carries no
+/// frame id) in ring order, exactly as the library drains the ring. A
+/// copy that leaves the path early closes with its own
+/// [`PathOutcome`]; one whose events simply stop (still in a ring at
+/// `journal_stop`, or wire-dropped mid-path) is
+/// [`Truncated`](PathOutcome::Truncated).
+fn join_rx(records: &[Record]) -> Vec<PathTrace> {
+    let mut traces: Vec<PathTrace> = Vec::new();
+    // Open traces per frame id, in arrival order — duplicates queue.
+    let mut open: HashMap<u64, VecDeque<usize>> = HashMap::new();
+    // Ring-resident traces per (host, channel): wakeup_batch carries
+    // no frame id, so consumption is attributed FIFO, like the ring.
+    let mut ring: HashMap<(u16, u32), VecDeque<usize>> = HashMap::new();
+
+    for rec in records {
+        match &rec.event {
+            Event::NicRx { accepted, .. } => {
+                let Some(f) = rec.frame else { continue };
+                let mut tr = PathTrace::new(f, rec.host);
+                tr.t[Stage::NicRx as usize] = Some(rec.time);
+                let idx = traces.len();
+                if *accepted {
+                    traces.push(tr);
+                    open.entry(f).or_default().push_back(idx);
+                } else {
+                    tr.outcome = PathOutcome::NicDropped;
+                    traces.push(tr);
+                }
+            }
+            Event::DemuxClassify {
+                path,
+                filter_instrs,
+                matched,
+            } => {
+                let Some(f) = rec.frame else { continue };
+                let Some(idx) = find_open(&open, &traces, f, Stage::Demux) else {
+                    continue;
+                };
+                let tr = &mut traces[idx];
+                tr.t[Stage::Demux as usize] = Some(rec.time);
+                tr.path = Some(*path);
+                tr.filter_instrs = *filter_instrs;
+                if !*matched {
+                    tr.outcome = PathOutcome::KernelDefault;
+                    close(&mut open, f, idx);
+                }
+            }
+            Event::RingEnqueue {
+                channel, signal, ..
+            } => {
+                let Some(f) = rec.frame else { continue };
+                let Some(idx) = find_open(&open, &traces, f, Stage::Ring) else {
+                    continue;
+                };
+                let tr = &mut traces[idx];
+                tr.t[Stage::Ring as usize] = Some(rec.time);
+                tr.channel = Some(*channel);
+                tr.signaled = Some(*signal);
+                if let Some(h) = rec.host.or(tr.host) {
+                    ring.entry((h, *channel)).or_default().push_back(idx);
+                }
+            }
+            // A tenant-quota drop dies at the same stage as a ring
+            // overflow; `fate_of` tells them apart by the quota record's
+            // tenant id, so the stage taxonomy stays at seven outcomes.
+            Event::RingDrop { .. } | Event::QuotaDrop { .. } => {
+                let Some(f) = rec.frame else { continue };
+                let Some(idx) = find_open(&open, &traces, f, Stage::Ring) else {
+                    continue;
+                };
+                traces[idx].outcome = PathOutcome::RingDropped;
+                close(&mut open, f, idx);
+            }
+            Event::WakeupBatch { channel, frames } => {
+                let Some(h) = rec.host else { continue };
+                let Some(q) = ring.get_mut(&(h, *channel)) else {
+                    continue;
+                };
+                for _ in 0..*frames {
+                    let Some(idx) = q.pop_front() else { break };
+                    let slot = &mut traces[idx].t[Stage::Wakeup as usize];
+                    if slot.is_none() {
+                        *slot = Some(rec.time);
+                    }
+                }
+            }
+            Event::TcpSegment {
+                dir: Dir::Rx, wire, ..
+            } => {
+                let Some(f) = rec.frame else { continue };
+                let Some(idx) = find_open(&open, &traces, f, Stage::Tcp) else {
+                    continue;
+                };
+                traces[idx].t[Stage::Tcp as usize] = Some(rec.time);
+                traces[idx].wire = *wire;
+            }
+            Event::FrameCorruptDiscard { .. } => {
+                let Some(f) = rec.frame else { continue };
+                let Some(&idx) = open.get(&f).and_then(VecDeque::front) else {
+                    continue;
+                };
+                traces[idx].outcome = PathOutcome::CorruptDiscarded;
+                close(&mut open, f, idx);
+            }
+            Event::AppDeliver { .. } => {
+                let Some(f) = rec.frame else { continue };
+                let Some(idx) = find_open(&open, &traces, f, Stage::Deliver) else {
+                    continue;
+                };
+                let tr = &mut traces[idx];
+                tr.t[Stage::Deliver as usize] = Some(rec.time);
+                tr.outcome = PathOutcome::Delivered;
+                close(&mut open, f, idx);
+            }
+            _ => {}
+        }
+    }
+
+    // Whatever is still open ran off the end of the journal: fully
+    // protocol-processed frames (pure ACKs and the like) are Processed,
+    // the rest are Truncated.
+    for q in open.into_values() {
+        for idx in q {
+            let tr = &mut traces[idx];
+            tr.outcome = if tr.t[Stage::Tcp as usize].is_some() {
+                PathOutcome::Processed
+            } else {
+                PathOutcome::Truncated
+            };
+        }
+    }
+    traces
+}
+
+/// Index of the first trace in `open[frame]` that hasn't reached `stage`.
+fn find_open(
+    open: &HashMap<u64, VecDeque<usize>>,
+    traces: &[PathTrace],
+    frame: u64,
+    stage: Stage,
+) -> Option<usize> {
+    open.get(&frame)?
+        .iter()
+        .copied()
+        .find(|&i| traces[i].t[stage as usize].is_none())
+}
+
+fn close(open: &mut HashMap<u64, VecDeque<usize>>, frame: u64, idx: usize) {
+    if let Some(q) = open.get_mut(&frame) {
+        q.retain(|&i| i != idx);
+        if q.is_empty() {
+            open.remove(&frame);
+        }
     }
 }
 

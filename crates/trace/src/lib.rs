@@ -56,7 +56,7 @@ pub use metrics::{
     Snapshot, Window, RETIRED_KEPT,
 };
 pub use monitor::{CheckStats, Monitor, Violation, ViolationKind};
-pub use profile::{PathOutcome, PathTrace, Profile, Stage};
+pub use profile::{PathOutcome, PathTrace, Stage};
 pub use stream::stats as stream_stats;
 pub use stream::{
     attach, detach, detach_as, journal_dropped, reset_stats as reset_stream_stats, FlightRecorder,

@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::json::Value;
 use crate::Nanos;
 
 macro_rules! metric_enum {
@@ -314,19 +313,6 @@ impl Histogram {
             }
         }
         Some(self.max) // unreachable: cum reaches count
-    }
-
-    /// The report form: count, mean to one decimal, median, p99, extremes
-    /// (zeros when empty).
-    pub fn summary(&self) -> Value {
-        Value::obj([
-            ("count", self.count.into()),
-            ("mean", Value::fixed(self.mean().unwrap_or(0.0), 1)),
-            ("p50", self.quantile(0.5).unwrap_or(0).into()),
-            ("p99", self.quantile(0.99).unwrap_or(0).into()),
-            ("min", self.min().unwrap_or(0).into()),
-            ("max", self.max().unwrap_or(0).into()),
-        ])
     }
 }
 
@@ -672,84 +658,6 @@ impl Metrics {
     pub fn tenants(&self) -> impl Iterator<Item = (&(u16, u64), &TenantScope)> + '_ {
         self.tenants.iter()
     }
-
-    // ---- export ----
-
-    /// Serializes the registry through [`crate::json::write`]: non-zero
-    /// counters, gauges, histogram summaries, the per-host
-    /// closed-connection totals, the kept tail of closed connections, and
-    /// the per-link and per-tenant scopes.
-    pub fn to_json(&self) -> String {
-        let counters = self.counters().map(|(name, v)| (name, v.into()));
-        let gauges = Gauge::ALL.iter().map(|&g| (g.name(), self.gauge(g).into()));
-        let hists = Hist::ALL
-            .iter()
-            .map(|&h| (h.name(), self.hist(h).summary()));
-        let closed = self.closed().map(|(host, c)| {
-            let head = [("host", num(host)), ("count", c.count.into())];
-            Value::obj(head.into_iter().chain(scope_members(&c.sum)))
-        });
-        let conns = self.retired.iter().map(|(key, channel, c)| {
-            let head = [
-                ("conn", Value::Str(key.to_string())),
-                ("channel", channel.map_or(Value::Null, num)),
-                ("srtt_ns", c.srtt.map_or(Value::Null, Value::from)),
-            ];
-            Value::obj(head.into_iter().chain(scope_members(c)))
-        });
-        let links = self.links().map(|(&(from, to), l)| {
-            Value::obj([
-                ("from", num(from)),
-                ("to", num(to)),
-                ("drops", l.drops.into()),
-                ("dups", l.dups.into()),
-                ("reorders", l.reorders.into()),
-                ("corrupts", l.corrupts.into()),
-                ("outage_drops", l.outage_drops.into()),
-            ])
-        });
-        let tenants = self.tenants().map(|(&(host, tenant), t)| {
-            Value::obj([
-                ("host", num(host)),
-                ("tenant", tenant.into()),
-                ("rx_delivered", t.rx_delivered.into()),
-                ("tx_frames", t.tx_frames.into()),
-                ("quota_drops", t.quota_drops.into()),
-                ("tx_rejections", t.tx_rejections.into()),
-                ("ring_slots", t.ring_slots.into()),
-                ("ring_quota", t.ring_quota.into()),
-                ("open_channels", t.open_channels.into()),
-            ])
-        });
-        crate::json::write(&Value::obj([
-            ("counters", Value::obj(counters)),
-            ("gauges", Value::obj(gauges)),
-            ("histograms", Value::obj(hists)),
-            ("closed", closed.collect()),
-            ("connections", conns.collect()),
-            ("links", links.collect()),
-            ("tenants", tenants.collect()),
-        ]))
-    }
-}
-
-fn num(n: impl Into<u64>) -> Value {
-    n.into().into()
-}
-
-/// The summable members of a scope, as JSON object members.
-fn scope_members(c: &ConnScope) -> [(&'static str, Value); 9] {
-    [
-        ("segs_out", c.segs_out.into()),
-        ("segs_in", c.segs_in.into()),
-        ("bytes_to_app", c.bytes_to_app.into()),
-        ("bytes_rexmit", c.bytes_rexmit.into()),
-        ("rx_delivered", c.rx_delivered.into()),
-        ("rx_batched", c.rx_batched.into()),
-        ("flow_hits", c.flow_hits.into()),
-        ("listen_hits", c.listen_hits.into()),
-        ("scan_fallbacks", c.scan_fallbacks.into()),
-    ]
 }
 
 // ---------------------------------------------------------------------
@@ -807,41 +715,6 @@ impl Snapshot {
                 .collect(),
         }
     }
-
-    /// Serializes the snapshot as JSON: the stamp time plus every
-    /// non-zero counter, every gauge, and per-histogram running totals.
-    /// Parses back with [`crate::json`] — the export tests round-trip it.
-    pub fn to_json(&self) -> String {
-        let totals = |h: Hist| (self.hist_counts[h as usize], self.hist_sums[h as usize]);
-        let head = [("time", self.time.into())];
-        let levels = json_levels(&self.counters, &self.gauges, totals);
-        crate::json::write(&Value::obj(head.into_iter().chain(levels)))
-    }
-}
-
-/// Shared members of the [`Snapshot`] and [`Window`] exports: non-zero
-/// counters (zeroes are noise in a report and the reader treats a missing
-/// key as zero), every gauge, and each histogram's `(count, sum)`.
-fn json_levels(
-    counters: &[u64],
-    gauges: &[u64],
-    totals: impl Fn(Hist) -> (u64, u128),
-) -> [(&'static str, Value); 3] {
-    let nonzero = Ctr::ALL.iter().filter(|&&c| counters[c as usize] != 0);
-    let counters = nonzero.map(|&c| (c.name(), counters[c as usize].into()));
-    let gauges = Gauge::ALL
-        .iter()
-        .map(|&g| (g.name(), gauges[g as usize].into()));
-    let hists = Hist::ALL.iter().map(|&h| {
-        let (n, sum) = totals(h);
-        let total = [("count", n.into()), ("sum", Value::Num(sum as f64))];
-        (h.name(), Value::obj(total))
-    });
-    [
-        ("counters", Value::obj(counters)),
-        ("gauges", Value::obj(gauges)),
-        ("histograms", Value::obj(hists)),
-    ]
 }
 
 /// One sim-time telemetry window: counter/histogram deltas between two
@@ -935,13 +808,6 @@ impl Window {
         (all > 0).then(|| self.delta(Ctr::ChFlowHits) as f64 / all as f64)
     }
 
-    /// Share of channel deliveries the wildcard listen table decided this
-    /// window, or `None` if no software delivery was classified.
-    pub fn listen_hit_rate(&self) -> Option<f64> {
-        let all = self.demux_decisions();
-        (all > 0).then(|| self.delta(Ctr::ChListenHits) as f64 / all as f64)
-    }
-
     /// Share of channel deliveries decided by either keyed table this
     /// window — the frames that skipped filter interpretation — or `None`
     /// if no software delivery was classified.
@@ -965,35 +831,6 @@ impl Window {
     /// `None` if nothing was enqueued.
     pub fn mean_ring_depth(&self) -> Option<f64> {
         self.hist_mean(Hist::RingDepth)
-    }
-
-    /// Serializes the window as JSON: the bounds, every non-zero counter
-    /// delta, the gauge levels at the window's end, per-histogram slice
-    /// totals, and the derived rates the dashboards print (null where a
-    /// rate has no denominator). Parses back with [`crate::json`].
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| v.map_or(Value::Null, |x| Value::fixed(x, 6));
-        let (flow, listen) = self.demux_table_sizes();
-        let rates = Value::obj([
-            ("rx_pps", Value::fixed(self.rx_pps(), 3)),
-            ("tx_pps", Value::fixed(self.tx_pps(), 3)),
-            ("rexmit_per_sec", Value::fixed(self.rexmit_per_sec(), 3)),
-            ("rexmit_share", opt(self.rexmit_share())),
-            ("flow_hit_rate", opt(self.flow_hit_rate())),
-            ("listen_hit_rate", opt(self.listen_hit_rate())),
-            ("keyed_hit_rate", opt(self.keyed_hit_rate())),
-            ("mean_ring_depth", opt(self.mean_ring_depth())),
-            ("flow_entries", flow.into()),
-            ("listen_entries", listen.into()),
-        ]);
-        let head = [
-            ("start", self.start.into()),
-            ("end", self.end.into()),
-            ("duration_ns", self.duration().into()),
-        ];
-        let levels = json_levels(&self.counters, &self.gauges, |h| self.hist_delta(h));
-        let members = head.into_iter().chain(levels).chain([("rates", rates)]);
-        crate::json::write(&Value::obj(members))
     }
 }
 
@@ -1283,108 +1120,5 @@ mod tests {
         // Channels are the tail's connections that ran over one.
         let chans: Vec<_> = m.channels().map(|(id, c)| (id, c.rx_delivered)).collect();
         assert_eq!(chans, [((0, 7), 8), ((1, 9), 40)]);
-    }
-
-    #[test]
-    fn snapshot_and_window_json_round_trip() {
-        use crate::json::{parse, Value};
-
-        let mut m = Metrics::new();
-        m.add(Ctr::FramesReceived, 120);
-        m.add(Ctr::FramesSent, 60);
-        m.add(Ctr::TcpRexmitSegs, 6);
-        m.add(Ctr::ChFlowHits, 80);
-        m.add(Ctr::ChListenHits, 10);
-        m.add(Ctr::ChScanFallbacks, 10);
-        m.gauge_set(Gauge::DemuxFlowEntries, 42);
-        m.sample(Hist::RingDepth, 3);
-        m.sample(Hist::RingDepth, 5);
-        let s0 = Metrics::new().snapshot(0);
-        let s1 = m.snapshot(2_000_000_000);
-
-        // Snapshot: every exported value parses back to its accessor.
-        let sj = parse(&s1.to_json()).expect("snapshot JSON parses");
-        assert_eq!(sj.get("time").and_then(Value::as_u64), Some(2_000_000_000));
-        let ctrs = sj.get("counters").unwrap();
-        assert_eq!(
-            ctrs.get("frames_received").and_then(Value::as_u64),
-            Some(s1.get(Ctr::FramesReceived))
-        );
-        assert_eq!(ctrs.get("app_crashes"), None, "zero counters are omitted");
-        assert_eq!(
-            sj.get("gauges")
-                .unwrap()
-                .get("demux_flow_entries")
-                .and_then(Value::as_u64),
-            Some(s1.gauge(Gauge::DemuxFlowEntries))
-        );
-        let rd = sj.get("histograms").unwrap().get("ring_depth").unwrap();
-        assert_eq!(rd.get("count").and_then(Value::as_u64), Some(2));
-        assert_eq!(rd.get("sum").and_then(Value::as_u64), Some(8));
-
-        // Window: deltas, slice totals, and every derived rate agree with
-        // the accessors they were rendered from.
-        let w = s1.window_since(&s0);
-        let wj = parse(&w.to_json()).expect("window JSON parses");
-        assert_eq!(
-            wj.get("duration_ns").and_then(Value::as_u64),
-            Some(w.duration())
-        );
-        assert_eq!(
-            wj.get("counters")
-                .unwrap()
-                .get("tcp_rexmit_segs")
-                .and_then(Value::as_u64),
-            Some(w.delta(Ctr::TcpRexmitSegs))
-        );
-        let rates = wj.get("rates").unwrap();
-        assert_eq!(rates.get("rx_pps").and_then(Value::as_f64), Some(60.0));
-        assert_eq!(rates.get("tx_pps").and_then(Value::as_f64), Some(30.0));
-        let keyed = rates.get("keyed_hit_rate").and_then(Value::as_f64).unwrap();
-        assert!((keyed - w.keyed_hit_rate().unwrap()).abs() < 1e-6);
-        assert_eq!(
-            rates.get("flow_entries").and_then(Value::as_u64),
-            Some(w.demux_table_sizes().0)
-        );
-        assert_eq!(
-            rates.get("mean_ring_depth").and_then(Value::as_f64),
-            Some(4.0)
-        );
-
-        // A window with no traffic renders its denominator-less rates as
-        // null, and still parses.
-        let empty = s0.window_since(&s0);
-        let ej = parse(&empty.to_json()).expect("empty window JSON parses");
-        assert_eq!(
-            ej.get("rates").unwrap().get("rexmit_share"),
-            Some(&Value::Null)
-        );
-        assert_eq!(
-            ej.get("counters").and_then(Value::entries).map(<[_]>::len),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn metrics_json_is_shaped() {
-        let mut m = Metrics::new();
-        m.bump(Ctr::FramesSent);
-        m.sample(Hist::AppDeliverBytes, 4096);
-        let scope = ConnScope {
-            segs_out: 7,
-            ..ConnScope::default()
-        };
-        m.retire_conn(key(0, 2000), Some(3), scope);
-        m.link(0, 1).drops = 2;
-        let j = m.to_json();
-        assert!(j.contains("\"frames_sent\": 1"));
-        assert!(j.contains("\"app_deliver_bytes\""));
-        let doc = crate::json::parse(&j).expect("parses");
-        let closed = &doc.get("closed").and_then(Value::items).unwrap()[0];
-        assert_eq!(closed.get("count").and_then(Value::as_u64), Some(1));
-        assert_eq!(closed.get("segs_out").and_then(Value::as_u64), Some(7));
-        let conn = &doc.get("connections").and_then(Value::items).unwrap()[0];
-        assert_eq!(conn.get("channel").and_then(Value::as_u64), Some(3));
-        assert_eq!(conn.get("srtt_ns"), Some(&Value::Null));
     }
 }

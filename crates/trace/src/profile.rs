@@ -1,41 +1,20 @@
-//! The critical-path latency profiler: joins a journal by frame id into
-//! per-frame [`PathTrace`]s over the receive-path stage taxonomy
+//! The receive half of the causal graph: the receive-path stage taxonomy
 //! (`nic_rx → demux_classify → ring_enqueue → wakeup_batch → tcp_segment
-//! → app_deliver`), decomposes each delivered frame's end-to-end latency
-//! into per-stage components, and aggregates per-stage and per-channel
-//! histograms plus a folded flamegraph-style text output.
+//! → app_deliver`), the per-copy [`PathTrace`] that
+//! [`CausalGraph::build`] stamps for every frame a host received, and the
+//! receive-side views over the graph: per-stage and end-to-end latency
+//! roll-ups, outcome counts and a folded flamegraph-style text output.
 //!
-//! This is the layer that turns the raw journal into the paper's Table
-//! 2/3-style accounting: *where* does a received packet's time go —
-//! demultiplexing, buffering in the ring, waiting for the wakeup, or
-//! protocol processing?
-//!
-//! # Join discipline
-//!
-//! The join consumes the record slice in **emission order** (not
-//! [`render`](crate::render)'s sorted display order). Two structures
-//! drive it: a per-frame queue of open traces (so a fault-duplicated
-//! frame id yields two traces that claim their own events in arrival
-//! order), and a per-`(host, channel)` FIFO of ring-resident traces —
-//! `wakeup_batch` events carry no frame id, so batch consumption is
-//! attributed in ring order, exactly as the library drains the ring.
-//!
-//! Frames that leave the path early close their trace with a non-
-//! [`Delivered`](PathOutcome::Delivered) outcome instead of panicking or
-//! mis-joining: NIC staging overflow, an unmatched (kernel-default)
-//! classify, a ring drop, or a checksum-caught corruption. A frame whose
-//! events simply stop (still in a ring at `journal_stop`, or wire-dropped
-//! mid-path) is [`Truncated`](PathOutcome::Truncated). Known limits: a
-//! wire-dropped frame that never reached the receiver's NIC produces no
-//! trace at all (the taxonomy starts at `nic_rx`), and frames the
-//! monolithic-organization demux routes to the kernel default close at
-//! [`KernelDefault`](PathOutcome::KernelDefault) — their later in-kernel
-//! protocol events are not attributed.
+//! This is the paper's Table 2/3-style accounting: *where* does a
+//! received packet's time go — demultiplexing, buffering in the ring,
+//! waiting for the wakeup, or protocol processing? The traces are built by
+//! the receive step of [`CausalGraph::build`], the one join of a journal.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
+use crate::causal::CausalGraph;
 use crate::metrics::Histogram;
-use crate::{Dir, Event, Nanos, PathKind, Record};
+use crate::{Nanos, PathKind};
 
 /// The receive-path stage taxonomy, in path order. Each stage's component
 /// is the time from the previous *present* stage's timestamp to its own,
@@ -138,7 +117,7 @@ impl PathOutcome {
     }
 }
 
-/// One frame's reconstructed journey through the receive-path stages.
+/// One received copy of a frame, traced through the receive-path stages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathTrace {
     /// The frame id joined on.
@@ -167,7 +146,7 @@ pub struct PathTrace {
 }
 
 impl PathTrace {
-    fn new(frame: u64, host: Option<u16>) -> PathTrace {
+    pub(crate) fn new(frame: u64, host: Option<u16>) -> PathTrace {
         PathTrace {
             frame,
             host,
@@ -221,291 +200,97 @@ impl PathTrace {
     pub fn is_complete(&self) -> bool {
         self.outcome == PathOutcome::Delivered
     }
-}
 
-/// Per-channel profile roll-up, keyed by `(host, channel id)`.
-#[derive(Debug, Clone, Default)]
-pub struct ChannelProfile {
-    /// Delivered frames attributed to the channel.
-    pub frames: u64,
-    /// End-to-end latency distribution of those frames.
-    pub end_to_end: Histogram,
-    /// Summed per-stage component nanoseconds, indexed by `Stage as usize`.
-    pub stage_ns: [u128; N_STAGES],
-}
-
-/// The aggregated profile: every reconstructed [`PathTrace`] plus stage,
-/// channel, and outcome roll-ups over the delivered frames.
-#[derive(Debug, Clone)]
-pub struct Profile {
-    /// Every reconstructed trace, in `nic_rx` arrival order.
-    pub traces: Vec<PathTrace>,
-    /// Per-stage component distributions over delivered frames. The
-    /// `NicRx` slot stays empty (the anchor carries no component).
-    pub stages: [Histogram; N_STAGES],
-    /// End-to-end latency distribution over delivered frames.
-    pub end_to_end: Histogram,
-    /// Per-`(host, channel)` roll-ups over delivered frames.
-    pub channels: BTreeMap<(u16, u32), ChannelProfile>,
-    outcomes: [u64; N_OUTCOMES],
-}
-
-/// Index of the first trace in `open[frame]` that hasn't reached `stage`.
-fn find_open(
-    open: &HashMap<u64, VecDeque<usize>>,
-    traces: &[PathTrace],
-    frame: u64,
-    stage: Stage,
-) -> Option<usize> {
-    open.get(&frame)?
-        .iter()
-        .copied()
-        .find(|&i| traces[i].t[stage as usize].is_none())
-}
-
-fn close(open: &mut HashMap<u64, VecDeque<usize>>, frame: u64, idx: usize) {
-    if let Some(q) = open.get_mut(&frame) {
-        q.retain(|&i| i != idx);
-        if q.is_empty() {
-            open.remove(&frame);
-        }
-    }
-}
-
-impl Profile {
-    /// Joins a journal (in emission order) into per-frame traces and
-    /// aggregates them. Never panics on incomplete lifecycles: faulted,
-    /// dropped, and duplicated frames close with their own outcomes.
-    pub fn build(records: &[Record]) -> Profile {
-        let mut traces: Vec<PathTrace> = Vec::new();
-        // Open traces per frame id, in arrival order — duplicates queue.
-        let mut open: HashMap<u64, VecDeque<usize>> = HashMap::new();
-        // Ring-resident traces per (host, channel): wakeup_batch carries
-        // no frame id, so consumption is attributed FIFO, like the ring.
-        let mut ring: HashMap<(u16, u32), VecDeque<usize>> = HashMap::new();
-
-        for rec in records {
-            match &rec.event {
-                Event::NicRx { accepted, .. } => {
-                    let Some(f) = rec.frame else { continue };
-                    let mut tr = PathTrace::new(f, rec.host);
-                    tr.t[Stage::NicRx as usize] = Some(rec.time);
-                    let idx = traces.len();
-                    if *accepted {
-                        traces.push(tr);
-                        open.entry(f).or_default().push_back(idx);
-                    } else {
-                        tr.outcome = PathOutcome::NicDropped;
-                        traces.push(tr);
-                    }
-                }
-                Event::DemuxClassify {
-                    path,
-                    filter_instrs,
-                    matched,
-                } => {
-                    let Some(f) = rec.frame else { continue };
-                    let Some(idx) = find_open(&open, &traces, f, Stage::Demux) else {
-                        continue;
-                    };
-                    let tr = &mut traces[idx];
-                    tr.t[Stage::Demux as usize] = Some(rec.time);
-                    tr.path = Some(*path);
-                    tr.filter_instrs = *filter_instrs;
-                    if !*matched {
-                        tr.outcome = PathOutcome::KernelDefault;
-                        close(&mut open, f, idx);
-                    }
-                }
-                Event::RingEnqueue {
-                    channel, signal, ..
-                } => {
-                    let Some(f) = rec.frame else { continue };
-                    let Some(idx) = find_open(&open, &traces, f, Stage::Ring) else {
-                        continue;
-                    };
-                    let tr = &mut traces[idx];
-                    tr.t[Stage::Ring as usize] = Some(rec.time);
-                    tr.channel = Some(*channel);
-                    tr.signaled = Some(*signal);
-                    if let Some(h) = rec.host.or(tr.host) {
-                        ring.entry((h, *channel)).or_default().push_back(idx);
-                    }
-                }
-                // A tenant-quota drop dies at the same stage as a ring
-                // overflow; the causal layer tells them apart by the
-                // quota record's tenant id, so the profiler's stage
-                // taxonomy stays at seven outcomes.
-                Event::RingDrop { .. } | Event::QuotaDrop { .. } => {
-                    let Some(f) = rec.frame else { continue };
-                    let Some(idx) = find_open(&open, &traces, f, Stage::Ring) else {
-                        continue;
-                    };
-                    traces[idx].outcome = PathOutcome::RingDropped;
-                    close(&mut open, f, idx);
-                }
-                Event::WakeupBatch { channel, frames } => {
-                    let Some(h) = rec.host else { continue };
-                    let Some(q) = ring.get_mut(&(h, *channel)) else {
-                        continue;
-                    };
-                    for _ in 0..*frames {
-                        let Some(idx) = q.pop_front() else { break };
-                        let slot = &mut traces[idx].t[Stage::Wakeup as usize];
-                        if slot.is_none() {
-                            *slot = Some(rec.time);
-                        }
-                    }
-                }
-                Event::TcpSegment {
-                    dir: Dir::Rx, wire, ..
-                } => {
-                    let Some(f) = rec.frame else { continue };
-                    let Some(idx) = find_open(&open, &traces, f, Stage::Tcp) else {
-                        continue;
-                    };
-                    traces[idx].t[Stage::Tcp as usize] = Some(rec.time);
-                    traces[idx].wire = *wire;
-                }
-                Event::FrameCorruptDiscard { .. } => {
-                    let Some(f) = rec.frame else { continue };
-                    let Some(&idx) = open.get(&f).and_then(VecDeque::front) else {
-                        continue;
-                    };
-                    traces[idx].outcome = PathOutcome::CorruptDiscarded;
-                    close(&mut open, f, idx);
-                }
-                Event::AppDeliver { .. } => {
-                    let Some(f) = rec.frame else { continue };
-                    let Some(idx) = find_open(&open, &traces, f, Stage::Deliver) else {
-                        continue;
-                    };
-                    let tr = &mut traces[idx];
-                    tr.t[Stage::Deliver as usize] = Some(rec.time);
-                    tr.outcome = PathOutcome::Delivered;
-                    close(&mut open, f, idx);
-                }
-                _ => {}
-            }
-        }
-
-        // Whatever is still open ran off the end of the journal: fully
-        // protocol-processed frames (pure ACKs and the like) are
-        // Processed, the rest are Truncated.
-        for q in open.into_values() {
-            for idx in q {
-                let tr = &mut traces[idx];
-                tr.outcome = if tr.t[Stage::Tcp as usize].is_some() {
-                    PathOutcome::Processed
-                } else {
-                    PathOutcome::Truncated
-                };
-            }
-        }
-
-        // Aggregate the delivered traces.
-        let mut stages: [Histogram; N_STAGES] = Default::default();
-        let mut end_to_end = Histogram::new();
-        let mut channels: BTreeMap<(u16, u32), ChannelProfile> = BTreeMap::new();
-        let mut outcomes = [0u64; N_OUTCOMES];
-        for tr in &traces {
-            outcomes[tr.outcome as usize] += 1;
-            if !tr.is_complete() {
-                continue;
-            }
-            let e2e = tr.end_to_end().unwrap_or(0);
-            end_to_end.record(e2e);
-            let ch = tr
-                .host
-                .zip(tr.channel)
-                .map(|key| channels.entry(key).or_default());
-            if let Some(ch) = ch {
-                ch.frames += 1;
-                ch.end_to_end.record(e2e);
-            }
-            for (s, dt) in tr.components() {
-                stages[s as usize].record(dt);
-                if let Some(key) = tr.host.zip(tr.channel) {
-                    channels.get_mut(&key).unwrap().stage_ns[s as usize] += dt as u128;
-                }
-            }
-        }
-
-        Profile {
-            traces,
-            stages,
-            end_to_end,
-            channels,
-            outcomes,
-        }
-    }
-
-    /// How many traces ended with `outcome`.
-    pub fn outcome_count(&self, outcome: PathOutcome) -> u64 {
-        self.outcomes[outcome as usize]
-    }
-
-    /// Delivered-trace count (the population behind the stage roll-ups).
-    pub fn delivered(&self) -> u64 {
-        self.outcome_count(PathOutcome::Delivered)
-    }
-
-    /// Verifies the profile's internal invariants and returns an error
-    /// describing the first violation: per-trace stage timestamps must be
-    /// nondecreasing in path order, and each trace's components must sum
-    /// exactly to its end-to-end latency (deterministic sim time — no
-    /// tolerance).
-    pub fn check_consistency(&self) -> Result<(), String> {
-        for tr in &self.traces {
-            let mut prev: Option<(Stage, Nanos)> = None;
-            for (s, t) in tr.present() {
-                if let Some((ps, pt)) = prev {
-                    if t < pt {
-                        return Err(format!(
-                            "frame {}: stage {} at {} precedes {} at {}",
-                            tr.frame,
-                            s.label(),
-                            t,
-                            ps.label(),
-                            pt
-                        ));
-                    }
-                }
-                prev = Some((s, t));
-            }
-            if let Some(e2e) = tr.end_to_end() {
-                let sum: Nanos = tr.components().iter().map(|&(_, dt)| dt).sum();
-                if sum != e2e {
+    /// The per-copy invariants [`CausalGraph::check_consistency`] holds:
+    /// stage timestamps nondecreasing in path order, components summing
+    /// exactly to the end-to-end latency (deterministic sim time — no
+    /// tolerance), and a delivered copy stamped at both ends.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let mut prev: Option<(Stage, Nanos)> = None;
+        for (s, t) in self.present() {
+            if let Some((ps, pt)) = prev {
+                if t < pt {
                     return Err(format!(
-                        "frame {}: components sum {} != end-to-end {}",
-                        tr.frame, sum, e2e
+                        "frame {}: stage {} at {} precedes {} at {}",
+                        self.frame,
+                        s.label(),
+                        t,
+                        ps.label(),
+                        pt
                     ));
                 }
             }
-            if tr.is_complete()
-                && (tr.t[Stage::NicRx as usize].is_none()
-                    || tr.t[Stage::Deliver as usize].is_none())
-            {
+            prev = Some((s, t));
+        }
+        if let Some(e2e) = self.end_to_end() {
+            let sum: Nanos = self.components().iter().map(|&(_, dt)| dt).sum();
+            if sum != e2e {
                 return Err(format!(
-                    "frame {}: delivered without nic_rx/app_deliver stamps",
-                    tr.frame
+                    "frame {}: components sum {} != end-to-end {}",
+                    self.frame, sum, e2e
                 ));
             }
         }
+        if self.is_complete()
+            && (self.t[Stage::NicRx as usize].is_none()
+                || self.t[Stage::Deliver as usize].is_none())
+        {
+            return Err(format!(
+                "frame {}: delivered without nic_rx/app_deliver stamps",
+                self.frame
+            ));
+        }
         Ok(())
+    }
+}
+
+/// The receive-side views: every roll-up is over the graph's receive
+/// copies, the stage and end-to-end ones over the delivered copies only.
+impl CausalGraph {
+    /// Every receive-side copy, journey by journey, each journey's copies
+    /// in arrival order.
+    pub fn rx(&self) -> impl Iterator<Item = &PathTrace> + '_ {
+        self.journeys.iter().flat_map(|j| &j.rx)
+    }
+
+    fn delivered_rx(&self) -> impl Iterator<Item = &PathTrace> + '_ {
+        self.rx().filter(|tr| tr.is_complete())
+    }
+
+    /// How many receive copies ended with `outcome`.
+    pub fn outcome_count(&self, outcome: PathOutcome) -> u64 {
+        self.rx().filter(|tr| tr.outcome == outcome).count() as u64
+    }
+
+    /// Per-stage component distributions over the delivered copies,
+    /// indexed by `Stage as usize`. The `NicRx` slot stays empty (the
+    /// anchor carries no component).
+    pub fn stage_latency(&self) -> [Histogram; N_STAGES] {
+        let mut stages: [Histogram; N_STAGES] = Default::default();
+        for (s, dt) in self.delivered_rx().flat_map(PathTrace::components) {
+            stages[s as usize].record(dt);
+        }
+        stages
+    }
+
+    /// Receive-side end-to-end latency distribution over the delivered
+    /// copies: `nic_rx` to `app_deliver`.
+    pub fn rx_end_to_end(&self) -> Histogram {
+        let mut e2e = Histogram::new();
+        for tr in self.delivered_rx() {
+            e2e.record(tr.end_to_end().unwrap_or(0));
+        }
+        e2e
     }
 
     /// Folded flamegraph-style text: one `rx;<stage>[;<qualifier>] <ns>`
-    /// line per distinct stack over the delivered frames, weights in
+    /// line per distinct stack over the delivered copies, weights in
     /// summed component nanoseconds, sorted by stack. The demux stage is
     /// split by tier (`flow`/`scan`/`hw`) and the wakeup stage by
     /// `signaled`/`batched` — collapse with any flamegraph tool.
     pub fn folded(&self) -> String {
         let mut stacks: BTreeMap<String, u128> = BTreeMap::new();
-        for tr in &self.traces {
-            if !tr.is_complete() {
-                continue;
-            }
+        for tr in self.delivered_rx() {
             for (s, dt) in tr.components() {
                 let stack = match s {
                     Stage::Demux => format!(
@@ -533,37 +318,12 @@ impl Profile {
         }
         out
     }
-
-    /// Serializes the profile through [`crate::json::write`]: outcome
-    /// counts, per-stage component summaries over delivered frames, the
-    /// end-to-end distribution, and per-channel roll-ups.
-    pub fn to_json(&self) -> String {
-        use crate::json::Value;
-        let outcomes = PathOutcome::ALL
-            .iter()
-            .map(|&o| (o.label(), self.outcome_count(o).into()));
-        let stages = Stage::ALL.iter().skip(1);
-        let stages = stages.map(|&s| (s.label(), self.stages[s as usize].summary()));
-        let channels = self.channels.iter().map(|(&(host, id), ch)| {
-            Value::obj([
-                ("host", u64::from(host).into()),
-                ("channel", u64::from(id).into()),
-                ("frames", ch.frames.into()),
-                ("end_to_end", ch.end_to_end.summary()),
-            ])
-        });
-        crate::json::write(&Value::obj([
-            ("outcomes", Value::obj(outcomes)),
-            ("stages", Value::obj(stages)),
-            ("end_to_end", self.end_to_end.summary()),
-            ("channels", channels.collect()),
-        ]))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dir, Event, Record};
 
     fn rec(time: Nanos, host: u16, frame: Option<u64>, event: Event) -> Record {
         Record {
@@ -616,13 +376,13 @@ mod tests {
         rec(t, 1, None, Event::WakeupBatch { channel: 3, frames })
     }
 
-    fn tcp_rx(t: Nanos, f: u64) -> Record {
+    fn tcp(t: Nanos, host: u16, f: u64, dir: Dir) -> Record {
         rec(
             t,
-            1,
+            host,
             Some(f),
             Event::TcpSegment {
-                dir: Dir::Rx,
+                dir,
                 local_port: 80,
                 remote_port: 2000,
                 remote_ip: [10, 0, 0, 9],
@@ -636,8 +396,19 @@ mod tests {
         )
     }
 
+    fn tcp_rx(t: Nanos, f: u64) -> Record {
+        tcp(t, 1, f, Dir::Rx)
+    }
+
     fn deliver(t: Nanos, f: u64) -> Record {
         rec(t, 1, Some(f), Event::AppDeliver { conn: 9, bytes: 10 })
+    }
+
+    /// Builds the graph and holds it to its one checker.
+    fn build(recs: &[Record]) -> CausalGraph {
+        let g = CausalGraph::build(recs);
+        g.check_consistency().unwrap();
+        g
     }
 
     #[test]
@@ -650,9 +421,10 @@ mod tests {
             tcp_rx(240, 0),
             deliver(300, 0),
         ];
-        let p = Profile::build(&recs);
-        assert_eq!(p.traces.len(), 1);
-        let tr = &p.traces[0];
+        let g = build(&recs);
+        let traces: Vec<_> = g.rx().collect();
+        assert_eq!(traces.len(), 1);
+        let tr = traces[0];
         assert!(tr.is_complete());
         assert_eq!(tr.end_to_end(), Some(200));
         assert_eq!(
@@ -667,12 +439,10 @@ mod tests {
         );
         assert_eq!(tr.channel, Some(3));
         assert_eq!(tr.signaled, Some(true));
-        assert_eq!(p.delivered(), 1);
-        p.check_consistency().unwrap();
-        assert_eq!(p.end_to_end.mean(), Some(200.0));
-        assert_eq!(p.channels[&(1, 3)].frames, 1);
-        assert_eq!(p.channels[&(1, 3)].stage_ns[Stage::Tcp as usize], 50);
-        let folded = p.folded();
+        assert_eq!(g.outcome_count(PathOutcome::Delivered), 1);
+        assert_eq!(g.rx_end_to_end().mean(), Some(200.0));
+        assert_eq!(g.stage_latency()[Stage::Tcp as usize].sum(), 50);
+        let folded = g.folded();
         assert!(folded.contains("rx;demux_classify;flow 30"));
         assert!(folded.contains("rx;wakeup_batch;signaled 40"));
         assert!(folded.contains("rx;app_deliver 60"));
@@ -695,17 +465,19 @@ mod tests {
             deliver(230, 5),
             deliver(240, 5),
         ];
-        let p = Profile::build(&recs);
-        assert_eq!(p.traces.len(), 2);
-        assert!(p.traces.iter().all(|t| t.is_complete()));
+        let g = build(&recs);
+        // One journey, both copies on it, in arrival order.
+        assert_eq!(g.journeys.len(), 1);
+        let traces = &g.journey(5).unwrap().rx;
+        assert_eq!(traces.len(), 2);
+        assert!(traces.iter().all(|t| t.is_complete()));
         // First arrival claims the first classify/enqueue/tcp/deliver.
-        assert_eq!(p.traces[0].stage_time(Stage::Ring), Some(120));
-        assert_eq!(p.traces[1].stage_time(Stage::Ring), Some(150));
-        assert_eq!(p.traces[0].stage_time(Stage::Deliver), Some(230));
-        assert_eq!(p.traces[1].stage_time(Stage::Deliver), Some(240));
-        assert_eq!(p.traces[0].signaled, Some(true));
-        assert_eq!(p.traces[1].signaled, Some(false));
-        p.check_consistency().unwrap();
+        assert_eq!(traces[0].stage_time(Stage::Ring), Some(120));
+        assert_eq!(traces[1].stage_time(Stage::Ring), Some(150));
+        assert_eq!(traces[0].stage_time(Stage::Deliver), Some(230));
+        assert_eq!(traces[1].stage_time(Stage::Deliver), Some(240));
+        assert_eq!(traces[0].signaled, Some(true));
+        assert_eq!(traces[1].signaled, Some(false));
     }
 
     #[test]
@@ -756,23 +528,21 @@ mod tests {
             classify(95, 4),
             enqueue(99, 4, true),
         ];
-        let p = Profile::build(&recs);
-        assert_eq!(p.traces.len(), 5);
-        assert_eq!(p.outcome_count(PathOutcome::NicDropped), 1);
-        assert_eq!(p.outcome_count(PathOutcome::KernelDefault), 1);
-        assert_eq!(p.outcome_count(PathOutcome::RingDropped), 1);
-        assert_eq!(p.outcome_count(PathOutcome::CorruptDiscarded), 1);
-        assert_eq!(p.outcome_count(PathOutcome::Truncated), 1);
-        assert_eq!(p.delivered(), 0);
+        let g = build(&recs);
+        assert_eq!(g.rx().count(), 5);
+        assert_eq!(g.outcome_count(PathOutcome::NicDropped), 1);
+        assert_eq!(g.outcome_count(PathOutcome::KernelDefault), 1);
+        assert_eq!(g.outcome_count(PathOutcome::RingDropped), 1);
+        assert_eq!(g.outcome_count(PathOutcome::CorruptDiscarded), 1);
+        assert_eq!(g.outcome_count(PathOutcome::Truncated), 1);
+        assert_eq!(g.outcome_count(PathOutcome::Delivered), 0);
         // The corrupt-discarded trace still carries its partial path.
-        let corrupt = p
-            .traces
-            .iter()
+        let corrupt = g
+            .rx()
             .find(|t| t.outcome == PathOutcome::CorruptDiscarded)
             .unwrap();
         assert_eq!(corrupt.stage_time(Stage::Wakeup), Some(70));
         assert_eq!(corrupt.stage_time(Stage::Tcp), None);
-        p.check_consistency().unwrap();
     }
 
     #[test]
@@ -785,29 +555,34 @@ mod tests {
             wakeup(40, 1),
             tcp_rx(50, 0),
         ];
-        let p = Profile::build(&recs);
-        assert_eq!(p.outcome_count(PathOutcome::Processed), 1);
-        assert_eq!(p.delivered(), 0);
-        assert_eq!(p.traces[0].end_to_end(), Some(40));
-        p.check_consistency().unwrap();
+        let g = build(&recs);
+        assert_eq!(g.outcome_count(PathOutcome::Processed), 1);
+        assert_eq!(g.outcome_count(PathOutcome::Delivered), 0);
+        assert_eq!(g.rx().next().unwrap().end_to_end(), Some(40));
     }
 
     #[test]
-    fn profile_json_is_shaped() {
+    fn receive_only_frames_journey_after_every_tx_sighted_one() {
+        // Frames 9 and 8 reach host 1 with no tx-side record (their
+        // sender journaled nothing); frame 7 is built and sent by host 0
+        // after both arrived. Journeys keep first tx-side sight first,
+        // then the receive-only frames in `nic_rx` order, not id order.
         let recs = vec![
-            nic_rx(100, 0),
-            classify(130, 0),
-            enqueue(150, 0, true),
-            wakeup(190, 1),
-            tcp_rx(240, 0),
-            deliver(300, 0),
+            nic_rx(100, 9),
+            classify(110, 9),
+            nic_rx(120, 8),
+            tcp(200, 0, 7, Dir::Tx),
+            rec(210, 0, Some(7), Event::NicTx { len: 64 }),
+            nic_rx(300, 7),
         ];
-        let p = Profile::build(&recs);
-        let j = p.to_json();
-        assert!(j.contains("\"delivered\": 1"));
-        assert!(j.contains("\"demux_classify\""));
-        assert!(j.contains("\"end_to_end\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let g = build(&recs);
+        let order: Vec<u64> = g.journeys.iter().map(|j| j.frame).collect();
+        assert_eq!(order, [7, 9, 8]);
+        let j = g.journey(9).unwrap();
+        assert_eq!((j.tx_host, j.seg.as_ref(), j.nic_tx), (None, None, None));
+        assert_eq!(j.start(), Some(100), "anchored at its nic_rx");
+        assert_eq!(j.rx.len(), 1);
+        assert_eq!(g.journey(8).unwrap().start(), Some(120));
+        assert_eq!(g.journey(7).unwrap().start(), Some(200));
     }
 }

@@ -120,11 +120,6 @@ pub fn detach_as<T: Observer + 'static>(handle: ObserverHandle) -> Option<Box<T>
     )
 }
 
-/// How many observers are attached to this thread's emit path.
-pub fn observer_count() -> usize {
-    ATTACHED.with(|c| c.get())
-}
-
 /// The emit path's hot gate: one thread-local read while quiescent.
 #[inline]
 pub(crate) fn any_attached() -> bool {
@@ -367,18 +362,18 @@ mod tests {
 
     #[test]
     fn attach_dispatch_detach_roundtrip() {
-        assert_eq!(observer_count(), 0);
+        assert!(!any_attached());
         let h = attach(Box::new(Counter {
             seen: 0,
             finished: false,
         }));
-        assert_eq!(observer_count(), 1);
+        assert!(any_attached());
         dispatch(&rec(1, None, 5));
         dispatch(&rec(2, None, 6));
         let c = detach_as::<Counter>(h).expect("live handle");
         assert_eq!(c.seen, 2);
         assert!(c.finished, "detach fires on_finish");
-        assert_eq!(observer_count(), 0);
+        assert!(!any_attached());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! totals per host and the most recent closes, per-channel and per-tenant
 //! counters, what the fault plan injected on each link, and the bindings
 //! the registry's channel-stats handoff flagged as missing the fast path
-//! — then joins the recorded packet journal into per-frame path traces
-//! and prints the end-to-end latency decomposition per stage, followed
-//! by folded flamegraph lines.
+//! — then joins the recorded packet journal into the causal graph and
+//! prints its receive copies' end-to-end latency decomposition per stage,
+//! followed by folded flamegraph lines.
 
 use std::rc::Rc;
 
@@ -32,7 +32,7 @@ use unp::core::world::{
 use unp::kernel::TenantBudget;
 use unp::sim::fmt_nanos;
 use unp::tcp::TcpConfig;
-use unp::trace::{Ctr, Gauge, Hist, Monitor, PathOutcome, Profile, Stage};
+use unp::trace::{CausalGraph, Ctr, Gauge, Hist, Monitor, PathOutcome, Stage};
 use unp::wire::Ipv4Addr;
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     let (mut world, mut engine) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
     let host1_addr = Ipv4Addr::new(10, 0, 0, 2);
 
-    // Record the journal from the very first SYN so the profiler sees
+    // Record the journal from the very first SYN so the causal graph sees
     // every frame's full path.
     unp::trace::journal_start();
 
@@ -341,41 +341,38 @@ fn main() {
     }
     println!();
 
-    // Join the journal into per-frame path traces and decompose the
-    // delivered frames' end-to-end latency by pipeline stage.
+    // Join the journal into the causal graph and decompose its delivered
+    // receive copies' end-to-end latency by pipeline stage.
     let records = unp::trace::journal_stop();
     if records.is_empty() {
-        println!("(journal empty — build with the default `trace` feature for the profile)");
+        println!("(journal empty — nothing to profile)");
         return;
     }
-    let profile = Profile::build(&records);
-    profile
+    let graph = CausalGraph::build(&records);
+    graph
         .check_consistency()
-        .expect("profiler invariants hold");
+        .expect("causal graph invariants hold");
 
-    println!(
-        "-- path outcomes ({} frames traced) --",
-        profile.traces.len()
-    );
+    println!("-- path outcomes ({} frames traced) --", graph.rx().count());
     for o in PathOutcome::ALL {
-        let n = profile.outcome_count(o);
+        let n = graph.outcome_count(o);
         if n > 0 {
             println!("  {:<17} {n:>7}", o.label());
         }
     }
     println!();
 
+    let (stages, e2e) = (graph.stage_latency(), graph.rx_end_to_end());
     println!(
         "-- receive-path latency decomposition ({} delivered frames) --",
-        profile.delivered()
+        e2e.count()
     );
     println!(
         "{:<15} {:>7} {:>12} {:>12} {:>12} {:>7}",
         "stage", "frames", "mean", "p50", "p99", "share"
     );
-    let total_ns: u128 = profile.stages.iter().map(|h| h.sum()).sum();
-    for (i, stage) in Stage::ALL.iter().enumerate() {
-        let h = &profile.stages[i];
+    let total_ns: u128 = stages.iter().map(|h| h.sum()).sum();
+    for (h, stage) in stages.iter().zip(Stage::ALL) {
         if h.count() == 0 {
             continue;
         }
@@ -392,22 +389,13 @@ fn main() {
     println!(
         "{:<15} {:>7} {:>12} {:>12} {:>12}",
         "end-to-end",
-        profile.end_to_end.count(),
-        profile
-            .end_to_end
-            .mean()
-            .map_or("-".into(), |m| fmt_nanos(m as u64)),
-        profile
-            .end_to_end
-            .quantile(0.5)
-            .map_or("-".into(), fmt_nanos),
-        profile
-            .end_to_end
-            .quantile(0.99)
-            .map_or("-".into(), fmt_nanos),
+        e2e.count(),
+        e2e.mean().map_or("-".into(), |m| fmt_nanos(m as u64)),
+        e2e.quantile(0.5).map_or("-".into(), fmt_nanos),
+        e2e.quantile(0.99).map_or("-".into(), fmt_nanos),
     );
     println!();
 
     println!("-- folded stacks (flamegraph input) --");
-    print!("{}", profile.folded());
+    print!("{}", graph.folded());
 }

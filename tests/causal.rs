@@ -5,12 +5,14 @@
 //! caused it, every lost data frame must be claimed by exactly one
 //! attribution (or superseded by a redundant delivery of its range),
 //! and every journey's latency split must telescope exactly to its
-//! cross-host end-to-end span.
+//! cross-host end-to-end span. The receive half of the same join must
+//! decompose every delivered copy exactly, with fault-duplicated ids and
+//! checksum discards in the journal.
 
 use unp::core::experiments::Transfer;
 use unp::core::faults::{FaultPlan, LinkFaults, RingPressure};
 use unp::core::world::{install_faults, Network, OrgKind};
-use unp::trace::{CausalGraph, Cause, JourneyFate, Loss, Record};
+use unp::trace::{CausalGraph, Cause, JourneyFate, Loss, PathOutcome, Record, Stage};
 
 const TOTAL: u64 = 150_000;
 
@@ -231,4 +233,85 @@ fn chrome_trace_is_valid_and_complete() {
     );
     assert!(ph("i") > 0, "fault/rexmit instants present");
     assert!(ph("M") >= 6, "process/thread metadata for both hosts");
+}
+
+#[test]
+fn clean_run_decomposes_every_delivered_frame_exactly() {
+    let recs = bulk_run(TOTAL, 4096, None);
+    let graph = CausalGraph::build(&recs);
+    graph.check_consistency().expect("graph invariants");
+
+    let delivered = graph.outcome_count(PathOutcome::Delivered);
+    assert!(
+        delivered > 30,
+        "expected many delivered frames, got {delivered}"
+    );
+    // Outcome counts tile the receive copies: every copy ends somewhere.
+    let tiled: u64 = (PathOutcome::ALL.iter())
+        .map(|&o| graph.outcome_count(o))
+        .sum();
+    assert_eq!(tiled, graph.rx().count() as u64);
+
+    // The decomposition telescopes: per-stage components sum exactly to
+    // the end-to-end span, frame by frame — no rounding, no residue.
+    for t in graph.rx().filter(|t| t.outcome == PathOutcome::Delivered) {
+        let e2e = t.end_to_end().expect("delivered frame has both endpoints");
+        let sum: u64 = t.components().iter().map(|&(_, ns)| ns).sum();
+        assert_eq!(
+            sum, e2e,
+            "frame {}: components must sum to end-to-end",
+            t.frame
+        );
+    }
+    // And the roll-ups agree with the per-frame view.
+    let (stages, e2e) = (graph.stage_latency(), graph.rx_end_to_end());
+    let stage_total: u128 = stages.iter().map(|h| h.sum()).sum();
+    assert_eq!(stage_total, e2e.sum());
+    assert_eq!(e2e.count(), delivered);
+}
+
+#[test]
+fn profiler_joins_across_fault_duplicated_and_corrupt_frames() {
+    // 3% loss with half-rate duplication/corruption/reordering: the
+    // journal now holds repeated frame ids (wire duplicates) and frames
+    // that die at the checksum. The join must keep the FIFO discipline
+    // and still account for every receive copy.
+    let recs = bulk_run(TOTAL, 2048, Some(FaultPlan::lossy(7, 0.03)));
+    let graph = CausalGraph::build(&recs);
+    graph
+        .check_consistency()
+        .expect("graph invariants under faults");
+
+    // Reordering makes the receiver deliver in bursts: a queued-up run of
+    // segments is handed to the app when the hole fills, and the
+    // AppDeliver record carries the *triggering* frame's id — so most
+    // data frames close as `processed` here and only the burst triggers
+    // count as `delivered`. Both must appear.
+    assert!(
+        graph.outcome_count(PathOutcome::Delivered) > 0,
+        "faulty run still delivers the transfer"
+    );
+    assert!(
+        graph.outcome_count(PathOutcome::Processed) > 30,
+        "reordered segments close as processed"
+    );
+    let tiled: u64 = (PathOutcome::ALL.iter())
+        .map(|&o| graph.outcome_count(o))
+        .sum();
+    assert_eq!(tiled, graph.rx().count() as u64);
+    // The seeded plan corrupts frames; the checksum catches them and the
+    // join closes those paths as corrupt-discarded rather than leaving
+    // them open or cross-wiring them into a duplicate's path.
+    assert!(
+        graph.outcome_count(PathOutcome::CorruptDiscarded) > 0,
+        "expected checksum discards under the seeded corruption plan"
+    );
+    // Delivered copies stay exact even with duplicates in flight.
+    for t in graph.rx().filter(|t| t.outcome == PathOutcome::Delivered) {
+        let e2e = t.end_to_end().unwrap();
+        let sum: u64 = t.components().iter().map(|&(_, ns)| ns).sum();
+        assert_eq!(sum, e2e);
+        assert!(t.stage_time(Stage::NicRx).is_some());
+        assert!(t.stage_time(Stage::Deliver).is_some());
+    }
 }
