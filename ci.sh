@@ -38,6 +38,25 @@ if grep -rn 'CongestionControl::' crates/tcp/src \
   echo "CongestionControl is matched outside the congestion component (lines above)"; exit 1
 fi
 
+# The shape the network I/O module was cut to (DESIGN §7's kernel map):
+# no source file in the crate over 650 lines, tests included, and every
+# receive discard journaled from one place — the ring's admission check
+# in `channel.rs`. The compiler keeps each mechanism's fields to its own
+# module; the grep holds what privacy cannot: a second site building a
+# `RingDrop` or `QuotaDrop` record (the closure an `emit` is handed) in
+# the non-test part of any crate's sources.
+echo "== unp-kernel: file sizes, one receive discard site =="
+find crates/kernel/src -name '*.rs' -exec wc -l {} + \
+  | awk '$2 != "total" && $1 > 650 { print $2 " has " $1 " lines (limit 650)"; bad = 1 } END { exit bad }'
+for event in RingDrop QuotaDrop; do
+  sites=$(find crates -path '*/src/*' -name '*.rs' -exec awk -v ev="$event" '
+    FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+    live && $0 ~ ("[|][|] *(unp_trace::)?Event::" ev " [{]") { print FILENAME ":" FNR ":" $0 }' {} +)
+  if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
+    printf '%s\n' "$sites"; echo "Event::$event is journaled from other than exactly one site (lines above)"; exit 1
+  fi
+done
+
 # The observability crate stays smaller than the stack it watches: fewer
 # lines under crates/trace/src than under the TCP, network I/O module and
 # registry sources combined (tests included, as `wc -l` counts them).
@@ -103,6 +122,13 @@ cargo test -q --release --offline -p unp-timers
 # second referee of the legal-edge oracle).
 echo "== hostile peer vs. every live TCB state, 512 cases (release) =="
 cargo test -q --release --offline -p unp-tcp --test hostile_peer
+
+# The same at the transmit trust boundary: frames whose headers lie, on
+# both framings, must never leave under a header their template does not
+# allow, and lies only in bytes the template leaves free must never turn
+# an accept into a reject. 512 cases (64 in the debug pass above).
+echo "== hostile transmit vs. the header templates, 512 cases (release) =="
+cargo test -q --release --offline -p unp-kernel --test hostile_transmit
 
 # The causal graph's join discipline must hold in release mode too: every
 # retransmit traced to its injected cause, every delivered receive copy's

@@ -521,7 +521,8 @@ pub fn isolation_scenario(hostile: bool) -> (World, IsolationRun) {
         90,
         TcpConfig::default(),
         unverified_sink(),
-    );
+    )
+    .expect("a fresh world's port 90 is free");
     listen(&mut w, 1, 80, TcpConfig::default(), unverified_sink());
     eng.at(31_000_000, move |w, eng| {
         connect_as(

@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 
 use unp_buffers::OwnerTag;
 use unp_kernel::{ChannelId, ChannelStats};
+use unp_registry::RegistryError;
 use unp_sim::Nanos;
 use unp_tcp::{Tcb, TcpConfig, TcpTimer};
 use unp_timers::TimerService;
@@ -23,7 +24,8 @@ use super::{ChanInfo, Conn, Eng, Listener, PairKey, TimerToken, World};
 use crate::app::{AppLogic, AppView};
 
 /// Registers a listener on `host`:`port`. `factory` builds the per-
-/// connection application.
+/// connection application. A port that is not free is the caller's error:
+/// [`listen_as`] reports it, and this frozen form panics on it.
 pub fn listen(
     w: &mut World,
     host: usize,
@@ -32,13 +34,16 @@ pub fn listen(
     factory: Box<dyn FnMut() -> Box<dyn AppLogic>>,
 ) {
     let owner = w.hosts[host].owner();
-    listen_as(w, host, owner, port, cfg, factory);
+    listen_as(w, host, owner, port, cfg, factory).expect("listen port free");
 }
 
 /// [`listen`] for an explicit tenant: the listening port, its registry
 /// binding, and every channel accepted through it are owned by `tenant`
 /// instead of the host's default single-app owner, so multiple tenants
 /// can share one host's network I/O module under separate budgets.
+/// Refuses, in every organization, a port that already has a listener
+/// (or, under the user library, that the registry holds for anything
+/// else); the listener already there keeps accepting.
 pub fn listen_as(
     w: &mut World,
     host: usize,
@@ -46,22 +51,21 @@ pub fn listen_as(
     port: u16,
     cfg: TcpConfig,
     factory: Box<dyn FnMut() -> Box<dyn AppLogic>>,
-) {
-    if w.hosts[host].org.is_user_library() {
-        // A second `listen` on a bound port is the caller's error, not a
-        // peer's; it becomes a `Result` (ROADMAP 1(c)) when the frozen
-        // benchmark's `listen` signature may change.
-        w.hosts[host]
-            .registry
-            .listen(tenant, port, cfg.clone())
-            .expect("listen port free");
+) -> Result<(), RegistryError> {
+    let h = &mut w.hosts[host];
+    if h.listeners.contains_key(&port) {
+        return Err(RegistryError::PortUnavailable);
+    }
+    if h.org.is_user_library() {
+        h.registry.listen(tenant, port, cfg.clone())?;
     }
     let listener = Listener {
         cfg,
         factory,
         tenant,
     };
-    w.hosts[host].listeners.insert(port, listener);
+    h.listeners.insert(port, listener);
+    Ok(())
 }
 
 /// Opens a connection from `host` to `remote`, running `app` over it.

@@ -10,7 +10,7 @@ pub(crate) mod handshake;
 use std::collections::{HashMap, VecDeque};
 
 use unp_buffers::{Frame, OwnerTag, RingId};
-use unp_kernel::{Capability, ChannelId, Delivery};
+use unp_kernel::{Capability, ChannelId, Delivery, Discard};
 use unp_sim::{DemuxPath, Nanos};
 use unp_trace::{Ctr, Hist};
 use unp_wire::{An1Frame, IpProtocol, Ipv4Addr};
@@ -204,11 +204,11 @@ pub(crate) fn ip_input(
                 registry_tcp_input(w, eng, h, frame);
             });
         }
-        Delivery::Dropped => w.metrics.bump(Ctr::ChRingDrops),
         // The channel had room but its tenant's aggregate ring budget was
         // exhausted — charged to the tenant, recovered by TCP like any
         // other ring drop.
-        Delivery::QuotaDropped { .. } => w.metrics.bump(Ctr::ChQuotaDrops),
+        Delivery::Dropped(Discard::TenantQuota { .. }) => w.metrics.bump(Ctr::ChQuotaDrops),
+        Delivery::Dropped(_) => w.metrics.bump(Ctr::ChRingDrops),
     }
 }
 

@@ -444,7 +444,7 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     // from the (wedged) library.
     let swept = change_channels(w, host, |netio| netio.reclaim_owner(tenant));
     let mut orphan_tcbs: Vec<Tcb> = Vec::new();
-    for (id, _ring) in swept {
+    for id in swept {
         match w.hosts[host].userlib.chan_owner.get(&id) {
             Some(&ChanOwner::Conn(cid)) => {
                 if let Some(conn) = remove_conn(w, host, cid) {

@@ -4,6 +4,7 @@
 //! module, `world::tests`: the names the test floor pins.
 
 use unp_buffers::Frame;
+use unp_registry::RegistryError;
 use unp_sim::Nanos;
 use unp_tcp::{TcpConfig, TcpTimer};
 use unp_trace::Ctr;
@@ -161,7 +162,7 @@ fn user_library_actually_uses_its_mechanisms() {
     // Frames flowed through channels, and batching happened.
     assert!(w.metrics.get(Ctr::ChDeliveries) > 50);
     assert!(
-        w.hosts[1].netio.default_deliveries > 0,
+        w.hosts[1].netio.default_deliveries() > 0,
         "handshake via registry"
     );
     assert_eq!(w.metrics.get(Ctr::TxTemplateRejections), 0);
@@ -282,11 +283,42 @@ fn listen_sink(w: &mut World, tenant: Option<OwnerTag>) {
         let st = TransferStats::new_shared();
         Box::new(SinkApp::new(st)) as Box<dyn crate::app::AppLogic>
     };
-    listen_as(w, 1, tenant, 80, TcpConfig::default(), Box::new(sink));
+    listen_as(w, 1, tenant, 80, TcpConfig::default(), Box::new(sink)).expect("port 80 free");
 }
 
 fn connect_app(w: &mut World, eng: &mut Eng, app: Box<dyn crate::app::AppLogic>) {
     connect(w, eng, 0, SERVER, TcpConfig::default(), app, 4096);
+}
+
+#[test]
+fn a_second_listener_is_refused_and_the_first_keeps_its_port() {
+    for org in [OrgKind::InKernel, OrgKind::UserLibrary] {
+        let (mut w, mut eng) = build_two_hosts(Network::Ethernet, org);
+        let owner = w.hosts[1].owner();
+        let [first, second] = [(); 2].map(|_| TransferStats::new_shared());
+        for (stats, verdict) in [
+            (&first, Ok(())),
+            (&second, Err(RegistryError::PortUnavailable)),
+        ] {
+            let st = std::rc::Rc::clone(stats);
+            let factory = move || {
+                Box::new(SinkApp::new(std::rc::Rc::clone(&st))) as Box<dyn crate::app::AppLogic>
+            };
+            let got = listen_as(
+                &mut w,
+                1,
+                owner,
+                80,
+                TcpConfig::default(),
+                Box::new(factory),
+            );
+            assert_eq!(got, verdict, "{org:?}");
+        }
+        connect_app(&mut w, &mut eng, Box::new(BulkSender::new(10_000, 4096)));
+        assert!(eng.run(&mut w, 2_000_000), "{org:?} did not drain");
+        let received = [&first, &second].map(|s| s.borrow().bytes_received);
+        assert_eq!(received, [10_000, 0], "{org:?}");
+    }
 }
 
 /// A 200 kB transfer into [`listen_sink`], stepped until both ends

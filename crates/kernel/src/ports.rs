@@ -86,11 +86,9 @@ impl<T> PortSpace<T> {
 
     /// Destroys the port, returning the payload; only the holder may.
     pub fn destroy(&mut self, id: PortId, requester: OwnerTag) -> Result<T, PortError> {
-        let e = self.entries.get(&id.0).ok_or(PortError::NoSuchPort)?;
-        if e.holder != requester {
-            return Err(PortError::NotHolder);
-        }
-        Ok(self.entries.remove(&id.0).expect("checked").payload)
+        self.get(id, requester)?;
+        let e = self.entries.remove(&id.0).ok_or(PortError::NoSuchPort)?;
+        Ok(e.payload)
     }
 
     /// The current holder of a port (the kernel can see this).

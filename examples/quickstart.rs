@@ -101,6 +101,7 @@ fn main() {
     println!("registry served only the handshake (kernel-default deliveries:");
     println!(
         "  host0: {}, host1: {})",
-        world.hosts[0].netio.default_deliveries, world.hosts[1].netio.default_deliveries
+        world.hosts[0].netio.default_deliveries(),
+        world.hosts[1].netio.default_deliveries()
     );
 }

@@ -69,7 +69,8 @@ fn main() {
             port,
             TcpConfig::bulk_transfer(),
             Box::new(move || Box::new(SinkApp::new(Rc::clone(&st2)))),
-        );
+        )
+        .expect("each transfer listens on its own port");
         connect(
             &mut world,
             &mut engine,

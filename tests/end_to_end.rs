@@ -290,8 +290,8 @@ fn template_checks_never_fire_for_legitimate_traffic() {
     );
     assert!(eng.run(&mut w, 20_000_000));
     assert_eq!(stats.borrow().bytes_received, 200_000);
-    assert_eq!(w.hosts[0].netio.tx_rejections, 0);
-    assert_eq!(w.hosts[1].netio.tx_rejections, 0);
+    assert_eq!(w.hosts[0].netio.tx_rejections(), 0);
+    assert_eq!(w.hosts[1].netio.tx_rejections(), 0);
     assert_eq!(w.metrics.get(Ctr::TxTemplateRejections), 0);
 }
 

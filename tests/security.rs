@@ -85,7 +85,7 @@ fn source_spoofing_is_rejected_at_transmit() {
         m.transmit(send, &redirect),
         Err(TxError::Template(_))
     ));
-    assert_eq!(m.tx_rejections, 3);
+    assert_eq!(m.tx_rejections(), 3);
     // The legitimate frame still passes.
     let legit = tcp_frame(VICTIM_IP, PEER_IP, 80, 5000, b"fine");
     assert!(m.transmit(send, &legit).is_ok());
