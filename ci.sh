@@ -69,6 +69,28 @@ if [ "$trace_lines" -ge "$stack_lines" ]; then
   echo "unp-trace is not smaller than the stack it watches"; exit 1
 fi
 
+# Thread-local state only shrinks: at most 12 `static` items inside
+# `thread_local!` blocks in the non-test part (above a file's first
+# `#[cfg(test)]`, test-module files aside) of any crate's sources — the
+# trace context (`CLOCK`, `HOST`, `NEXT_FRAME`, `JOURNAL_HANDLE`), the
+# observer pipeline's five cells, the engine's event count and the frame
+# pool's two counters, until a `Tracer` value replaces them.
+echo "== thread-locals: at most 12 non-test statics =="
+statics=$(find crates -path '*/src/*' -name '*.rs' ! -name tests.rs -exec awk '
+  FNR == 1 { live = 1; inside = 0; depth = 0 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && !inside && /thread_local!/ { inside = 1 }
+  live && inside {
+    n = gsub(/static [A-Z_][A-Z0-9_]*:/, "&")
+    for (i = 0; i < n; i++) print FILENAME ":" FNR ":" $0
+    depth += gsub(/[{(]/, "&") - gsub(/[})]/, "&")
+    if (depth <= 0) { inside = 0; depth = 0 }
+  }' {} +)
+count=$(printf '%s\n' "$statics" | grep -c . || true)
+echo "$count non-test thread-local statics"
+if [ "$count" -gt 12 ]; then
+  printf '%s\n' "$statics"; echo "more than 12 thread-local statics (lines above)"; exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -156,6 +178,15 @@ echo "== repro-tables output vs. golden tables_output.txt =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables > /tmp/unp_tables_output.txt
 diff -u tables_output.txt /tmp/unp_tables_output.txt \
   || { echo "repro-tables output diverged from golden tables_output.txt"; exit 1; }
+
+# The live dashboard is deterministic too (sim time, seeded faults): its
+# whole output — windowed rates, levels read from their owners, the
+# closed-connection and per-tenant tables, the causal decomposition — is
+# a golden, so a change to any number it reads shows as a diff.
+echo "== unp_top output vs. golden tests/golden/unp_top.txt =="
+cargo run -q --release --offline --example unp_top > /tmp/unp_top_output.txt
+diff -u tests/golden/unp_top.txt /tmp/unp_top_output.txt \
+  || { echo "unp_top output diverged from golden tests/golden/unp_top.txt"; exit 1; }
 
 # Every BENCH_*.json is simulated time and exact counts from one fixed
 # workload size, and so is the golden Chrome trace `bench causal` writes

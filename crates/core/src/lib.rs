@@ -39,6 +39,6 @@ pub use faults::{
     ByzantineKind, ByzantineSchedule, Crash, FaultPlan, LinkFaults, Outage, RingPressure,
 };
 pub use world::{
-    build_hosts, build_two_hosts, crash_host, crash_tenant, install_faults, sync_tenant_scopes,
-    Eng, Event, Host, Network, OrgKind, World,
+    build_hosts, build_two_hosts, crash_host, crash_tenant, install_faults, Eng, Event, Host,
+    Network, OrgKind, World,
 };

@@ -14,7 +14,7 @@ use unp_registry::RegistryError;
 use unp_sim::Nanos;
 use unp_tcp::{Tcb, TcpConfig, TcpTimer};
 use unp_timers::TimerService;
-use unp_trace::{ConnKey, ConnScope, Ctr, Gauge, Hist, ReclaimKind};
+use unp_trace::{ConnKey, ConnScope, Ctr, Hist, ReclaimKind};
 use unp_wire::Ipv4Addr;
 
 use super::org::monolithic;
@@ -115,7 +115,6 @@ pub(super) fn install_conn(
     chan: Option<ChanInfo>,
     write_size: usize,
 ) -> u32 {
-    w.metrics.gauge_inc(Gauge::ActiveConnections);
     let host = &mut w.hosts[h];
     let id = host.next_conn;
     host.next_conn += 1;
@@ -224,7 +223,6 @@ fn retire_conn_stats(
     if let Some(srtt) = scope.srtt {
         w.metrics.sample(Hist::ConnSrtt, srtt);
     }
-    w.metrics.gauge_dec(Gauge::ActiveConnections);
 }
 
 /// A terminated application: ignores every event.

@@ -47,7 +47,7 @@ use unp_registry::{RegistryAction, RegistryServer};
 use unp_sim::{CostModel, Cpu, Engine, EventId, LinkParams, Nanos};
 use unp_tcp::{Tcb, TcpAction, TcpConfig, TcpTimer};
 use unp_timers::{TimerId, TimerService, TimerWheel};
-use unp_trace::{Ctr, Gauge, Metrics};
+use unp_trace::Metrics;
 use unp_wire::{IpProtocol, Ipv4Addr, MacAddr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN};
 
 /// The engine type for this world.
@@ -204,8 +204,8 @@ pub struct World {
     pub link: Link,
     /// Hosts on the link.
     pub hosts: Vec<Host>,
-    /// Typed measurement registry: counters, gauges, histograms, and the
-    /// per-connection/per-channel scopes filled at teardown.
+    /// Typed measurement registry: event counters, histograms, and the
+    /// per-connection/per-link scopes filled at teardown.
     pub metrics: Metrics,
     /// Ablation: disable notification batching (post a semaphore and take
     /// a thread switch for every delivered packet).
@@ -349,26 +349,6 @@ impl World {
                 }
             }
         }
-        for g in [Gauge::OpenChannels, Gauge::ActiveConnections] {
-            if self.metrics.gauge(g) != 0 {
-                found.push(format!("gauge {g:?} reads {}", self.metrics.gauge(g)));
-            }
-        }
-        // The table-size gauges move by per-host differences; a fresh sum
-        // over every host is what they must still add up to.
-        let fresh = self
-            .hosts
-            .iter()
-            .map(|h| demux_entries(&h.netio))
-            .fold([0; 2], |sum, host| [sum[0] + host[0], sum[1] + host[1]]);
-        for (g, fresh) in DEMUX_ENTRY_GAUGES.into_iter().zip(fresh) {
-            if self.metrics.gauge(g) != fresh {
-                let reads = self.metrics.gauge(g);
-                found.push(format!(
-                    "gauge {g:?} reads {reads}, the tables hold {fresh}"
-                ));
-            }
-        }
         found
     }
 
@@ -472,78 +452,6 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
         reg_spare: Spare(Vec::new()),
     };
     (world, Engine::new())
-}
-
-/// Runs `change` — a channel creation or teardown — on host `h`'s kernel
-/// module and moves the demux table-size gauges by what it did to that
-/// host's tables, so the flow/listen entry counts in the metrics windows
-/// track channel churn exactly at a cost that knows nothing of the other
-/// hosts. By difference (not inc/dec) because a channel may live in
-/// either keyed table or in neither (residual scan tier), and the crash
-/// sweep destroys many at once. [`World::leaks`] referees the gauges
-/// against a fresh sum over every host.
-fn change_channels<R>(w: &mut World, h: usize, change: impl FnOnce(&mut NetIoModule) -> R) -> R {
-    let netio = &mut w.hosts[h].netio;
-    let before = demux_entries(netio);
-    let result = change(netio);
-    let after = demux_entries(netio);
-    for ((g, before), after) in DEMUX_ENTRY_GAUGES.into_iter().zip(before).zip(after) {
-        let moved = (w.metrics.gauge(g) + after).saturating_sub(before);
-        w.metrics.gauge_set(g, moved);
-    }
-    result
-}
-
-/// The gauges [`change_channels`] keeps, and what each mirrors of one
-/// kernel module, in the same order.
-const DEMUX_ENTRY_GAUGES: [Gauge; 2] = [Gauge::DemuxFlowEntries, Gauge::DemuxListenEntries];
-
-fn demux_entries(netio: &NetIoModule) -> [u64; 2] {
-    [
-        netio.flow_table_len() as u64,
-        netio.listen_table_len() as u64,
-    ]
-}
-
-/// Mirrors every kernel tenant account into the metrics registry's
-/// [`unp_trace::TenantScope`]s. Called when quota enforcement fires and
-/// by reporting code before it reads the scopes; cheap (a handful of
-/// tenants per host), and a no-op on worlds that never budget anyone
-/// beyond each host's default owner.
-pub fn sync_tenant_scopes(w: &mut World) {
-    for h in 0..w.hosts.len() {
-        for t in w.hosts[h].netio.tenant_ids() {
-            let Some(s) = w.hosts[h].netio.tenant_stats(t) else {
-                continue;
-            };
-            let scope = w.metrics.tenant(h as u16, t.0);
-            scope.rx_delivered = s.rx_delivered;
-            scope.tx_frames = s.tx_frames;
-            scope.quota_drops = s.quota_drops;
-            scope.tx_rejections = s.tx_rejections;
-            scope.ring_slots = s.ring_slots as u64;
-            scope.ring_quota = s.ring_quota as u64;
-            scope.open_channels = s.open_channels as u64;
-        }
-    }
-}
-
-/// Mirrors the observer pipeline's stream counters into the metrics
-/// registry: violations flagged by an attached conformance monitor and
-/// the flight recorder's current occupancy. The stream counter is
-/// monotonic per thread while `Ctr` is add-only, and this sync is the
-/// counter's sole writer, so the counter itself doubles as the
-/// last-synced watermark. Called by reporting code (dashboards,
-/// exporters) before it reads the metrics; a no-op when no observer is
-/// attached.
-pub fn sync_monitor_stats(w: &mut World) {
-    let s = unp_trace::stream_stats();
-    let seen = w.metrics.get(Ctr::MonitorViolations);
-    if s.violations > seen {
-        w.metrics.add(Ctr::MonitorViolations, s.violations - seen);
-    }
-    w.metrics
-        .gauge_set(Gauge::RecorderOccupancy, s.recorder_occupancy);
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use unp_buffers::OwnerTag;
 use unp_kernel::{ChannelStats, HeaderTemplate};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_tcp::{Tcb, TcpConfig};
-use unp_trace::{Ctr, Gauge, ReclaimKind};
+use unp_trace::{Ctr, ReclaimKind};
 use unp_wire::{EtherType, IpProtocol, Ipv4Addr, TcpRepr};
 
 use super::{ChanOwner, Handshake, HsSetup};
@@ -24,7 +24,7 @@ use crate::world::lifecycle::{
 };
 use crate::world::tcp::{conn_segment, parse_tcp_frame};
 use crate::world::timers::{arm_timer, cancel_timer, resched_wheel};
-use crate::world::{change_channels, ChanInfo, Eng, Host, Nic, PairKey, TimerToken, World};
+use crate::world::{ChanInfo, Eng, Host, Nic, PairKey, TimerToken, World};
 
 /// An active open: app → registry RPC, then non-overlapped outbound
 /// processing. `tenant` owns the registry binding and the channel; `None`
@@ -199,16 +199,16 @@ fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ip
     // connection"). The window is byte-based (≤64 kB) but the ring is
     // slot-based, so size it for the worst case of small segments: a
     // 64 kB window of ~100-byte no-Nagle dribble segments.
-    let Some((chan_id, send_cap, recv_cap, ring)) = change_channels(w, h, |netio| {
-        netio.try_create_channel(owner, &spec, template, 768, mtu + lhl + 8)
-    }) else {
+    let host = &mut w.hosts[h];
+    let Some((chan_id, send_cap, recv_cap, ring)) =
+        host.netio
+            .try_create_channel(owner, &spec, template, 768, mtu + lhl + 8)
+    else {
         // The tenant is at its channel cap: no channel. The handshake can
         // never finalize at the library level; the peer's retransmits run
         // out and the connection fails — contained to the over-cap tenant.
         return;
     };
-    w.metrics.gauge_inc(Gauge::OpenChannels);
-    let host = &mut w.hosts[h];
     let our_bqi = match &mut host.nic {
         Nic::An1(nic) => nic.bqi_table.allocate(owner, ring).unwrap_or(0),
         Nic::Lance(_) => 0,
@@ -231,27 +231,26 @@ fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ip
 }
 
 /// The one channel release: the kernel's counters for the channel go to
-/// the registry (the §9 hand-off), the channel is destroyed, its BQI slot
-/// freed and the gauges follow. `None` when the kernel backstop already
-/// swept the channel (a wedged tenant's crash) — that sweep did the
-/// accounting, and leaves the BQI slot to its own owner sweep.
+/// the registry (the §9 hand-off), the channel is destroyed and its BQI
+/// slot freed. `None` when the kernel backstop already swept the channel
+/// (a wedged tenant's crash) — that sweep did the accounting, and leaves
+/// the BQI slot to its own owner sweep.
 pub(crate) fn release_channel(
     w: &mut World,
     h: usize,
     chan: &ChanInfo,
     key: PairKey,
 ) -> Option<ChannelStats> {
-    w.hosts[h].userlib.chan_owner.remove(&chan.id);
-    let stats = w.hosts[h].netio.channel_stats(chan.id)?;
-    change_channels(w, h, |netio| netio.destroy_channel(chan.id, OwnerTag(0)));
     let host = &mut w.hosts[h];
+    host.userlib.chan_owner.remove(&chan.id);
+    let stats = host.netio.channel_stats(chan.id)?;
+    host.netio.destroy_channel(chan.id, OwnerTag(0));
     if let Nic::An1(nic) = &mut host.nic {
         nic.bqi_table
             .free(chan.our_bqi, unp_buffers::BqiTable::KERNEL_OWNER);
     }
     host.registry
         .record_channel_stats(key.0, (key.1, key.2), stats);
-    w.metrics.gauge_dec(Gauge::OpenChannels);
     Some(stats)
 }
 
@@ -442,7 +441,7 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     // their TCBs are handed to the registry, which resets each peer on
     // the dead tenant's behalf — inheritance from the kernel sweep, not
     // from the (wedged) library.
-    let swept = change_channels(w, host, |netio| netio.reclaim_owner(tenant));
+    let swept = w.hosts[host].netio.reclaim_owner(tenant);
     let mut orphan_tcbs: Vec<Tcb> = Vec::new();
     for id in swept {
         match w.hosts[host].userlib.chan_owner.get(&id) {
@@ -458,9 +457,6 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
             }
             None => {}
         }
-        // The kernel already destroyed the channel, so `release_channel`
-        // found nothing to account for: the gauge follows here.
-        w.metrics.gauge_dec(Gauge::OpenChannels);
         reclaimed(w, host, tenant, ReclaimKind::Channel, id.0);
     }
     if !orphan_tcbs.is_empty() {

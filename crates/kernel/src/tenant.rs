@@ -28,8 +28,8 @@ pub struct TenantBudget {
     pub max_channels: usize,
 }
 
-/// Snapshot of one tenant's budget accounting, for dashboards, the
-/// metrics registry's `TenantScope` sync, and the isolation oracle.
+/// Snapshot of one tenant's budget accounting, for dashboards and the
+/// isolation oracle: the one copy, read where it is kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Frames delivered into the tenant's rings.
@@ -46,6 +46,14 @@ pub struct TenantStats {
     pub ring_quota: usize,
     /// Channels the tenant currently holds open.
     pub open_channels: usize,
+}
+
+impl TenantStats {
+    /// The tenant's share of its own ring quota, 0.0..=1.0, or `None`
+    /// when the tenant is unbudgeted.
+    pub fn ring_share(&self) -> Option<f64> {
+        (self.ring_quota > 0).then(|| self.ring_slots as f64 / self.ring_quota as f64)
+    }
 }
 
 /// A tenant's account: the [`TenantStats`] it reports, kept whole (its

@@ -12,7 +12,8 @@
 //! Semantics differ from the real crate in two deliberate ways:
 //! inputs are drawn from a deterministic per-test SplitMix64 stream (no
 //! OS entropy, so failures reproduce exactly), and there is **no
-//! shrinking** — a failing case reports the case number and message only.
+//! shrinking** — a failing case, whether a `prop_assert!` failed or the
+//! body panicked, reports its case number, seed and message only.
 
 pub mod test_runner {
     /// Runner configuration. Only `cases` is honoured.
@@ -88,6 +89,18 @@ pub mod test_runner {
         /// Uniform f64 in `[0, 1)` with 53 bits of precision.
         pub fn unit_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The message a panic was raised with (`panic!`'s `&str` or
+    /// formatted `String`), for reporting a panicking case.
+    pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        match payload.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
         }
     }
 
@@ -495,22 +508,62 @@ macro_rules! __proptest_impl {
                     SEED ^ (case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 );
                 $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
-                let result: ::core::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (move || {
+                // A panic in the body fails the case like a `prop_assert!`
+                // does, so it names the case and seed too.
+                let result = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    move || -> ::core::result::Result<(), $crate::test_runner::TestCaseError> {
                         $body
                         ::core::result::Result::Ok(())
-                    })();
-                if let ::core::result::Result::Err(e) = result {
-                    panic!(
-                        "proptest {} failed at case {}/{} (seed {:#x}): {}",
-                        stringify!($name),
-                        case + 1,
-                        cfg.cases,
-                        SEED,
-                        e
-                    );
-                }
+                    },
+                ));
+                let failure = match result {
+                    ::core::result::Result::Ok(::core::result::Result::Ok(())) => continue,
+                    ::core::result::Result::Ok(::core::result::Result::Err(e)) => e.to_string(),
+                    ::core::result::Result::Err(payload) => $crate::test_runner::panic_message(&*payload),
+                };
+                panic!(
+                    "proptest {} failed at case {}/{} (seed {:#x}): {}",
+                    stringify!($name),
+                    case + 1,
+                    cfg.cases,
+                    SEED,
+                    failure
+                );
             }
         }
     )*};
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A body that panics (here, dividing by a drawn zero) on some
+        /// case must still report which case and seed, with the panic's
+        /// own message after them.
+        #[test]
+        #[should_panic(expected = "failed at case")]
+        fn a_panicking_body_reports_its_case(d in 0u32..4) {
+            let _ = 12 / d;
+        }
+    }
+
+    #[test]
+    fn panic_messages_survive_the_unwind() {
+        let caught = std::panic::catch_unwind(|| {
+            proptest! {
+                fn divides(d in 0u32..4) {
+                    let _ = 12 / d;
+                }
+            }
+            divides();
+        });
+        let msg = crate::test_runner::panic_message(&*caught.unwrap_err());
+        assert!(msg.starts_with("proptest divides failed at case "), "{msg}");
+        assert!(msg.contains("(seed 0x"), "{msg}");
+        assert!(msg.ends_with("attempt to divide by zero"), "{msg}");
+    }
 }

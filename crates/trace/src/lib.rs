@@ -10,10 +10,11 @@
 //!   joining on its id. Emission points live in every layer (`netdev`,
 //!   `kernel`, `tcp`, `core`); none of them charges simulated cost or
 //!   schedules events, so journaling can never perturb reproduced results.
-//! * **The typed metrics registry** ([`Metrics`]): counters, gauges, and
+//! * **The typed metrics registry** ([`Metrics`]): event counters and
 //!   nearest-rank histograms behind enum keys instead of strings, plus
 //!   per-connection and per-channel scopes that absorb the stack's
-//!   scattered stats structs at teardown.
+//!   scattered stats structs at teardown. Levels (open channels, table
+//!   sizes, tenant accounts) stay with the layer that keeps them.
 //!
 //! # The streaming-observer pipeline
 //!
@@ -52,15 +53,14 @@ use std::cell::Cell;
 
 pub use causal::{Attribution, CausalGraph, Cause, Journey, JourneyFate, Loss};
 pub use metrics::{
-    push_kept, ClosedConns, ConnKey, ConnScope, Ctr, Gauge, Hist, Histogram, LinkScope, Metrics,
-    Snapshot, Window, RETIRED_KEPT,
+    push_kept, ClosedConns, ConnKey, ConnScope, Ctr, Hist, Histogram, LinkScope, Metrics, Snapshot,
+    Window, RETIRED_KEPT,
 };
 pub use monitor::{CheckStats, Monitor, Violation, ViolationKind};
 pub use profile::{PathOutcome, PathTrace, Stage};
-pub use stream::stats as stream_stats;
 pub use stream::{
-    attach, detach, detach_as, journal_dropped, reset_stats as reset_stream_stats, FlightRecorder,
-    Journal, Observer, ObserverHandle, StreamStats,
+    attach, detach, detach_as, journal_dropped, observe, FlightRecorder, Journal, Observer,
+    ObserverHandle,
 };
 
 /// Simulated time in nanoseconds (mirrors `unp_sim::Nanos`; this crate

@@ -1,6 +1,9 @@
-//! The typed metrics registry: counters, gauges, and bounded log-linear
-//! histograms keyed by enums, plus per-connection and per-channel scopes
-//! and point-in-time [`Snapshot`]s for windowed rate telemetry.
+//! The typed metrics registry: event counters and bounded log-linear
+//! histograms keyed by enums, plus per-connection and per-link scopes and
+//! point-in-time [`Snapshot`]s for windowed rate telemetry. It records
+//! only what it alone sees happen; a level some layer already keeps (open
+//! channels, table sizes, tenant accounts, live connections) is read from
+//! that layer, never copied here.
 //!
 //! Replaces the stringly `Trace` that `core::world` carried: a counter
 //! bump is now an array index instead of a `BTreeMap<&str, _>` probe, a
@@ -110,9 +113,6 @@ metric_enum! {
         /// Handshake completions whose listener had already vanished;
         /// the channel is reclaimed and the peer reset.
         ListenerVanished => "listener_vanished",
-        /// Violations flagged by the attached conformance monitor
-        /// (mirrored from [`crate::stream_stats`] by the world's sync).
-        MonitorViolations => "monitor_violations",
         /// Frames dropped at NIC staging overflow.
         NicDrops => "nic_drops",
         /// Resources (channels, ports, BQIs, handshakes) reclaimed by a
@@ -142,23 +142,6 @@ metric_enum! {
         UdpUnreachable => "udp_unreachable",
         /// Frames with an ethertype nobody handles.
         UnknownEthertype => "unknown_ethertype",
-    }
-}
-
-metric_enum! {
-    /// Instantaneous levels.
-    Gauge {
-        /// Established connections currently alive.
-        ActiveConnections => "active_connections",
-        /// Live exact-match flow-table entries across all hosts.
-        DemuxFlowEntries => "demux_flow_entries",
-        /// Live wildcard listen-table entries across all hosts.
-        DemuxListenEntries => "demux_listen_entries",
-        /// Kernel channels currently created (handshake + established).
-        OpenChannels => "open_channels",
-        /// Records currently held across the attached flight recorder's
-        /// per-host rings (mirrored from [`crate::stream_stats`]).
-        RecorderOccupancy => "recorder_occupancy",
     }
 }
 
@@ -441,48 +424,16 @@ pub struct LinkScope {
     pub outage_drops: u64,
 }
 
-/// Per-tenant resource roll-up, keyed by `(host, raw tenant id)`: the
-/// kernel's per-tenant budget accounting mirrored into the registry so
-/// dashboards and the isolation oracle see one report. Cumulative
-/// counters plus the instantaneous budget levels at the last sync.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantScope {
-    /// Frames delivered into this tenant's rings.
-    pub rx_delivered: u64,
-    /// Frames this tenant transmitted (accepted by the kernel).
-    pub tx_frames: u64,
-    /// Receive drops charged to this tenant's exhausted ring quota.
-    pub quota_drops: u64,
-    /// Transmits rejected for exhausted per-window credit.
-    pub tx_rejections: u64,
-    /// Ring slots the tenant currently occupies across all its channels.
-    pub ring_slots: u64,
-    /// The tenant's aggregate ring-slot quota (0 = unlimited).
-    pub ring_quota: u64,
-    /// Channels the tenant currently holds open.
-    pub open_channels: u64,
-}
-
-impl TenantScope {
-    /// The tenant's share of its own ring quota, 0.0..=1.0, or `None`
-    /// when the tenant is unbudgeted.
-    pub fn ring_share(&self) -> Option<f64> {
-        (self.ring_quota > 0).then(|| self.ring_slots as f64 / self.ring_quota as f64)
-    }
-}
-
-/// The registry: typed counters/gauges/histograms plus scopes. Owned by
+/// The registry: typed counters and histograms plus scopes. Owned by
 /// the world (one per simulation), not global — parallel test worlds
 /// can't bleed into each other.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     counters: Vec<u64>,
-    gauges: Vec<u64>,
     hists: Vec<Histogram>,
     closed: BTreeMap<u16, ClosedConns>,
     retired: VecDeque<Retired>,
     links: BTreeMap<(u16, u16), LinkScope>,
-    tenants: BTreeMap<(u16, u64), TenantScope>,
 }
 
 impl Default for Metrics {
@@ -496,12 +447,10 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             counters: vec![0; Ctr::ALL.len()],
-            gauges: vec![0; Gauge::ALL.len()],
             hists: vec![Histogram::new(); Hist::ALL.len()],
             closed: BTreeMap::new(),
             retired: VecDeque::new(),
             links: BTreeMap::new(),
-            tenants: BTreeMap::new(),
         }
     }
 
@@ -534,35 +483,6 @@ impl Metrics {
             .filter(|&(_, v)| v != 0)
     }
 
-    // ---- gauges ----
-
-    /// Raises a gauge.
-    #[inline]
-    pub fn gauge_inc(&mut self, g: Gauge) {
-        self.gauges[g as usize] += 1;
-    }
-
-    /// Lowers a gauge (saturating at zero).
-    #[inline]
-    pub fn gauge_dec(&mut self, g: Gauge) {
-        let v = &mut self.gauges[g as usize];
-        *v = v.saturating_sub(1);
-    }
-
-    /// Sets a gauge to an absolute level — for gauges that mirror an
-    /// externally-maintained size (table populations) rather than count
-    /// inc/dec events.
-    #[inline]
-    pub fn gauge_set(&mut self, g: Gauge, v: u64) {
-        self.gauges[g as usize] = v;
-    }
-
-    /// Reads a gauge.
-    #[inline]
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g as usize]
-    }
-
     // ---- histograms ----
 
     /// Records a sample.
@@ -571,32 +491,19 @@ impl Metrics {
         self.hists[h as usize].record(v);
     }
 
-    /// The full histogram recorded under `h`.
-    pub fn hist(&self, h: Hist) -> &Histogram {
-        &self.hists[h as usize]
-    }
-
     /// Exact mean of the samples under `h`, or `None` if there are none.
     pub fn mean(&self, h: Hist) -> Option<f64> {
         self.hists[h as usize].mean()
     }
 
-    /// The `p`-quantile (0.0..=1.0) of samples under `h` by nearest rank,
-    /// or `None` if there are none. See [`Histogram::quantile`] for the
-    /// documented error bound.
-    pub fn quantile(&self, h: Hist, p: f64) -> Option<u64> {
-        self.hists[h as usize].quantile(p)
-    }
-
     // ---- snapshots ----
 
-    /// A point-in-time copy of the counters, gauges, and histogram totals,
+    /// A point-in-time copy of the counters and histogram totals,
     /// stamped with the sim clock. Two snapshots delimit a [`Window`].
     pub fn snapshot(&self, now: Nanos) -> Snapshot {
         Snapshot {
             time: now,
             counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
             hist_counts: self.hists.iter().map(Histogram::count).collect(),
             hist_sums: self.hists.iter().map(Histogram::sum).collect(),
         }
@@ -647,32 +554,20 @@ impl Metrics {
     pub fn links(&self) -> impl Iterator<Item = (&(u16, u16), &LinkScope)> + '_ {
         self.links.iter()
     }
-
-    /// The scope for tenant `tenant` on `host`, created empty on first
-    /// touch.
-    pub fn tenant(&mut self, host: u16, tenant: u64) -> &mut TenantScope {
-        self.tenants.entry((host, tenant)).or_default()
-    }
-
-    /// Iterates recorded tenant scopes in `(host, tenant)` order.
-    pub fn tenants(&self) -> impl Iterator<Item = (&(u16, u64), &TenantScope)> + '_ {
-        self.tenants.iter()
-    }
 }
 
 // ---------------------------------------------------------------------
 // Windowed telemetry
 // ---------------------------------------------------------------------
 
-/// A point-in-time copy of the registry's counters, gauges, and histogram
-/// totals (counts and sums — the full bucket arrays are not copied).
+/// A point-in-time copy of the registry's counters and histogram totals
+/// (counts and sums — the full bucket arrays are not copied).
 /// Taken with [`Metrics::snapshot`]; two snapshots bound a [`Window`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Sim time the snapshot was taken (caller-supplied engine clock).
     pub time: Nanos,
     counters: Vec<u64>,
-    gauges: Vec<u64>,
     hist_counts: Vec<u64>,
     hist_sums: Vec<u128>,
 }
@@ -681,11 +576,6 @@ impl Snapshot {
     /// Reads a counter as of this snapshot.
     pub fn get(&self, c: Ctr) -> u64 {
         self.counters[c as usize]
-    }
-
-    /// Reads a gauge as of this snapshot.
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g as usize]
     }
 
     /// The delta window from `earlier` to `self`. Counters are monotonic,
@@ -700,7 +590,6 @@ impl Snapshot {
                 .zip(&earlier.counters)
                 .map(|(a, b)| a.saturating_sub(*b))
                 .collect(),
-            gauges: self.gauges.clone(),
             hist_counts: self
                 .hist_counts
                 .iter()
@@ -718,8 +607,8 @@ impl Snapshot {
 }
 
 /// One sim-time telemetry window: counter/histogram deltas between two
-/// [`Snapshot`]s plus the gauge levels at the window's end, with derived
-/// rates (pps, retransmit rate, flow-hit rate, ring occupancy).
+/// [`Snapshot`]s, with derived rates (pps, retransmit rate, flow-hit
+/// rate, ring occupancy).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Window {
     /// Window start (earlier snapshot's sim time).
@@ -727,7 +616,6 @@ pub struct Window {
     /// Window end (later snapshot's sim time).
     pub end: Nanos,
     counters: Vec<u64>,
-    gauges: Vec<u64>,
     hist_counts: Vec<u64>,
     hist_sums: Vec<u128>,
 }
@@ -752,11 +640,6 @@ impl Window {
         } else {
             self.delta(c) as f64 * 1e9 / d as f64
         }
-    }
-
-    /// Gauge level at the window's end.
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g as usize]
     }
 
     /// Samples recorded under `h` during the window, and their sum.
@@ -817,16 +700,6 @@ impl Window {
         (all > 0).then(|| keyed as f64 / all as f64)
     }
 
-    /// Live keyed-table populations (flow entries, listen entries) at the
-    /// window's end, summed across hosts — the dashboard's table-size
-    /// columns.
-    pub fn demux_table_sizes(&self) -> (u64, u64) {
-        (
-            self.gauge(Gauge::DemuxFlowEntries),
-            self.gauge(Gauge::DemuxListenEntries),
-        )
-    }
-
     /// Mean ring occupancy observed at enqueue during the window, or
     /// `None` if nothing was enqueued.
     pub fn mean_ring_depth(&self) -> Option<f64> {
@@ -870,17 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_saturate() {
-        let mut m = Metrics::new();
-        m.gauge_dec(Gauge::ActiveConnections);
-        assert_eq!(m.gauge(Gauge::ActiveConnections), 0);
-        m.gauge_inc(Gauge::ActiveConnections);
-        m.gauge_inc(Gauge::ActiveConnections);
-        m.gauge_dec(Gauge::ActiveConnections);
-        assert_eq!(m.gauge(Gauge::ActiveConnections), 1);
-    }
-
-    #[test]
     fn nearest_rank_quantiles() {
         // Values below 256 are binned exactly, so the pre-rework answers
         // still hold to the digit.
@@ -889,11 +751,15 @@ mod tests {
             m.sample(Hist::ConnSrtt, v);
         }
         assert_eq!(m.mean(Hist::ConnSrtt), Some(25.0));
-        assert_eq!(m.quantile(Hist::ConnSrtt, 0.5), Some(20));
-        assert_eq!(m.quantile(Hist::ConnSrtt, 1.0), Some(40));
-        assert_eq!(m.quantile(Hist::ConnSrtt, 0.0), Some(10));
+        let srtt = &m.hists[Hist::ConnSrtt as usize];
+        assert_eq!(srtt.quantile(0.5), Some(20));
+        assert_eq!(srtt.quantile(1.0), Some(40));
+        assert_eq!(srtt.quantile(0.0), Some(10));
         assert_eq!(m.mean(Hist::WakeupBatchFrames), None);
-        assert_eq!(m.quantile(Hist::WakeupBatchFrames, 0.5), None);
+        assert_eq!(
+            m.hists[Hist::WakeupBatchFrames as usize].quantile(0.5),
+            None
+        );
     }
 
     #[test]
@@ -1026,7 +892,6 @@ mod tests {
         m.add(Ctr::TcpRexmitSegs, 5);
         m.add(Ctr::ChFlowHits, 90);
         m.add(Ctr::ChScanFallbacks, 10);
-        m.gauge_inc(Gauge::ActiveConnections);
         m.sample(Hist::RingDepth, 2);
         m.sample(Hist::RingDepth, 4);
         let s1 = m.snapshot(1_000_000_000); // 1 s of sim time
@@ -1039,7 +904,6 @@ mod tests {
         assert_eq!(w.rexmit_share(), Some(0.1));
         assert_eq!(w.flow_hit_rate(), Some(0.9));
         assert_eq!(w.mean_ring_depth(), Some(3.0));
-        assert_eq!(w.gauge(Gauge::ActiveConnections), 1);
 
         // The second window sees only the second slice's activity.
         m.add(Ctr::FramesReceived, 20);

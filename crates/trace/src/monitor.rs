@@ -38,7 +38,7 @@
 //! freeze the attached [`FlightRecorder`]'s window into a postmortem on
 //! first occurrence (host crashes freeze it too).
 
-use crate::stream::{self, FlightRecorder, Observer};
+use crate::stream::{FlightRecorder, Observer};
 use crate::{
     legal_transition, Dir, Event, FaultKind, Nanos, PathKind, ReclaimKind, Record, RexmitReason,
     TcpFsm,
@@ -389,7 +389,6 @@ impl Monitor {
                 detail,
             });
         }
-        stream::note_violation();
         self.freeze();
     }
 

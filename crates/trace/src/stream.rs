@@ -22,16 +22,23 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Object-safe downcast support for boxed observers. Blanket-implemented
-/// for every `'static` type so [`detach_as`] can recover the concrete
-/// observer (e.g. a `Monitor` full of violation state) without relying on
-/// `dyn` trait upcasting.
+/// for every `'static` type so [`detach_as`] and [`observe`] can recover
+/// the concrete observer (e.g. a `Monitor` full of violation state)
+/// without relying on `dyn` trait upcasting.
 pub trait AsAny {
     /// Converts the boxed observer into a boxed [`Any`] for downcasting.
     fn as_any_box(self: Box<Self>) -> Box<dyn Any>;
+
+    /// Borrows the observer as an [`Any`] for downcasting.
+    fn as_any(&self) -> &dyn Any;
 }
 
 impl<T: Any> AsAny for T {
     fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+
+    fn as_any(&self) -> &dyn Any {
         self
     }
 }
@@ -49,21 +56,24 @@ pub trait Observer: AsAny {
     fn on_finish(&mut self) {}
 }
 
-/// Handle returned by [`attach`]; redeem it at [`detach`] / [`detach_as`].
-/// Deliberately neither `Copy` nor `Clone`: one attach, one detach.
+/// Handle returned by [`attach`]; read through it with [`observe`] and
+/// redeem it at [`detach`] / [`detach_as`]. Deliberately neither `Copy`
+/// nor `Clone`, and not constructible outside this crate: one attach, one
+/// detach, and only by whoever attached.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ObserverHandle(u64);
 
 impl ObserverHandle {
     /// The raw handle id (stable for the lifetime of the attachment).
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.0
     }
 
-    /// Rebuilds a handle from [`ObserverHandle::id`]. The emit path keeps
-    /// no registry of outstanding ids; redeeming a stale one at [`detach`]
-    /// just returns `None`.
-    pub fn from_id(id: u64) -> ObserverHandle {
+    /// Rebuilds a handle from [`ObserverHandle::id`] — the journal's own
+    /// start/stop pair, which keeps its handle in a thread-local. The emit
+    /// path keeps no registry of outstanding ids; redeeming a stale one at
+    /// [`detach`] just returns `None`.
+    pub(crate) fn from_id(id: u64) -> ObserverHandle {
         ObserverHandle(id)
     }
 }
@@ -73,9 +83,6 @@ thread_local! {
     static NEXT_HANDLE: Cell<u64> = const { Cell::new(1) };
     static ATTACHED: Cell<usize> = const { Cell::new(0) };
     static DISPATCHING: Cell<bool> = const { Cell::new(false) };
-    static VIOLATIONS: Cell<u64> = const { Cell::new(0) };
-    static RECORDER_OCC: Cell<u64> = const { Cell::new(0) };
-    static RECORDER_CAP: Cell<u64> = const { Cell::new(0) };
     static JOURNAL_DROPPED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -120,6 +127,26 @@ pub fn detach_as<T: Observer + 'static>(handle: ObserverHandle) -> Option<Box<T>
     )
 }
 
+/// Reads an attached observer in place: `read` borrows the concrete
+/// observer behind `handle`, which stays attached. `None` if the handle
+/// was stale; panics if it resolves to a different type, like
+/// [`detach_as`]. Must not be called from inside an observer callback.
+pub fn observe<T: Observer + 'static, R>(
+    handle: &ObserverHandle,
+    read: impl FnOnce(&T) -> R,
+) -> Option<R> {
+    OBSERVERS.with(|o| {
+        let obs = o.borrow();
+        let (_, obs) = obs.iter().find(|(id, _)| *id == handle.0)?;
+        // The observer, not its box: `Box<dyn Observer>` is `Any` too.
+        let obs = (**obs)
+            .as_any()
+            .downcast_ref::<T>()
+            .expect("observer handle read at a mismatched type");
+        Some(read(obs))
+    })
+}
+
 /// The emit path's hot gate: one thread-local read while quiescent.
 #[inline]
 pub(crate) fn any_attached() -> bool {
@@ -140,49 +167,6 @@ pub fn dispatch(rec: &Record) {
         }
     });
     DISPATCHING.with(|c| c.set(false));
-}
-
-/// Cross-observer stream counters, mirrored into `Metrics` by
-/// `core::world::sync_monitor_stats` for the live dashboards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamStats {
-    /// Total conformance violations flagged on this thread (all monitors,
-    /// all runs since [`reset_stats`]).
-    pub violations: u64,
-    /// Records currently held by the most recently active flight
-    /// recorder.
-    pub recorder_occupancy: u64,
-    /// That recorder's total capacity (per-host ring capacity × hosts
-    /// seen).
-    pub recorder_capacity: u64,
-}
-
-/// Reads the thread's stream counters.
-pub fn stats() -> StreamStats {
-    StreamStats {
-        violations: VIOLATIONS.with(|c| c.get()),
-        recorder_occupancy: RECORDER_OCC.with(|c| c.get()),
-        recorder_capacity: RECORDER_CAP.with(|c| c.get()),
-    }
-}
-
-/// Zeroes the thread's stream counters (start of a dashboard run).
-pub fn reset_stats() {
-    VIOLATIONS.with(|c| c.set(0));
-    RECORDER_OCC.with(|c| c.set(0));
-    RECORDER_CAP.with(|c| c.set(0));
-}
-
-/// Bumps the global violation counter (called by the monitor's checkers).
-pub(crate) fn note_violation() {
-    VIOLATIONS.with(|c| c.set(c.get() + 1));
-}
-
-/// Publishes a flight recorder's occupancy/capacity (last writer wins —
-/// dashboards attach exactly one recorder).
-pub(crate) fn set_recorder_level(occupancy: u64, capacity: u64) {
-    RECORDER_OCC.with(|c| c.set(occupancy));
-    RECORDER_CAP.with(|c| c.set(capacity));
 }
 
 /// Records dropped by the current (or most recent) bounded [`Journal`]
@@ -327,8 +311,6 @@ impl Observer for FlightRecorder {
         ring.push_back((self.seq, rec.clone()));
         self.seq += 1;
         self.held += 1;
-        let cap_total = (self.cap * self.rings.len()) as u64;
-        set_recorder_level(self.held as u64, cap_total);
     }
 }
 
@@ -385,6 +367,32 @@ mod tests {
         let id = h.id();
         assert!(detach(h).is_some());
         assert!(detach(ObserverHandle::from_id(id)).is_none());
+    }
+
+    #[test]
+    fn observe_reads_an_attached_observer_in_place() {
+        let h = attach(Box::new(Counter {
+            seen: 0,
+            finished: false,
+        }));
+        dispatch(&rec(1, None, 5));
+        let read = |c: &Counter| (c.seen, c.finished);
+        assert_eq!(observe(&h, read), Some((1, false)), "still attached");
+        dispatch(&rec(2, None, 6));
+        assert_eq!(observe(&h, read), Some((2, false)));
+        let id = h.id();
+        assert!(detach(h).is_some());
+        assert_eq!(observe(&ObserverHandle::from_id(id), read), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "observer handle read at a mismatched type")]
+    fn observe_at_a_mismatched_type_panics() {
+        let h = attach(Box::new(Counter {
+            seen: 0,
+            finished: false,
+        }));
+        observe(&h, |j: &Journal| j.len());
     }
 
     #[test]

@@ -26,14 +26,22 @@ use unp::buffers::OwnerTag;
 use unp::core::app::{BulkSender, SinkApp, TransferStats};
 use unp::core::faults::FaultPlan;
 use unp::core::world::{
-    build_two_hosts, connect, install_faults, listen_as, sync_monitor_stats, sync_tenant_scopes,
-    Network, OrgKind,
+    build_two_hosts, connect, install_faults, listen_as, Network, OrgKind, World,
 };
-use unp::kernel::TenantBudget;
+use unp::kernel::{TenantBudget, TenantStats};
 use unp::sim::fmt_nanos;
 use unp::tcp::TcpConfig;
-use unp::trace::{CausalGraph, Ctr, Gauge, Hist, Monitor, PathOutcome, Stage};
+use unp::trace::{observe, CausalGraph, Ctr, Hist, Monitor, PathOutcome, Stage};
 use unp::wire::Ipv4Addr;
+
+/// Every tenant account of every host's network I/O module, in `(host,
+/// tenant)` order — read from the kernel, which keeps them.
+fn tenants(w: &World) -> impl Iterator<Item = (usize, u64, TenantStats)> + '_ {
+    w.hosts.iter().enumerate().flat_map(|(host, h)| {
+        let ids = h.netio.tenant_ids().into_iter();
+        ids.filter_map(move |t| Some((host, t.0, h.netio.tenant_stats(t)?)))
+    })
+}
 
 fn main() {
     let redraw = std::env::args().any(|a| a == "--redraw");
@@ -46,9 +54,8 @@ fn main() {
     unp::trace::journal_start();
 
     // Conformance monitor with a bounded flight recorder rides the same
-    // observer pipeline: the `viol`/`rec` columns below come from its
-    // stream counters, mirrored into the metrics each slice.
-    unp::trace::reset_stream_stats();
+    // observer pipeline: the `viol`/`rec` columns below read it in place
+    // each slice.
     let monitor = unp::trace::attach(Box::new(Monitor::with_recorder(256)));
 
     let transfers = [
@@ -123,14 +130,22 @@ fn main() {
     let slice = 100_000_000; // 100 ms of simulated time per window
     let mut deadline = slice;
     let mut prev = world.metrics.snapshot(engine.now());
-    let mut prev_qdrops: std::collections::BTreeMap<(u16, u64), u64> = Default::default();
+    let mut prev_qdrops: std::collections::BTreeMap<(usize, u64), u64> = Default::default();
     let mut rows: Vec<String> = Vec::new();
     loop {
         engine.run_until(&mut world, deadline);
-        sync_monitor_stats(&mut world);
         let snap = world.metrics.snapshot(engine.now());
         let w = snap.window_since(&prev);
-        let (flow_tbl, listen_tbl) = w.demux_table_sizes();
+        // Levels are read where they are kept: the kernel's demux tables,
+        // the library's connections, the attached monitor.
+        let hosts = &world.hosts;
+        let flow_tbl: usize = hosts.iter().map(|h| h.netio.flow_table_len()).sum();
+        let listen_tbl: usize = hosts.iter().map(|h| h.netio.listen_table_len()).sum();
+        let conns: usize = hosts.iter().map(|h| h.conns.len()).sum();
+        let (viol, rec_occ) = observe(&monitor, |m: &Monitor| {
+            (m.total_violations(), m.recorder_occupancy())
+        })
+        .expect("monitor still attached");
         let mut row = format!(
             "{:<9} {:>9.0} {:>9.0} {:>9.1} {:>7} {:>7} {:>7} {:>7} {:>8} {:>9} {:>5} {:>5} {:>7}",
             fmt_nanos(snap.time),
@@ -148,16 +163,15 @@ fn main() {
                 .map_or("-".into(), |d| format!("{d:.2}")),
             w.hist_mean(Hist::WakeupBatchFrames)
                 .map_or("-".into(), |b| format!("{b:.2}")),
-            snap.gauge(Gauge::ActiveConnections),
-            snap.get(Ctr::MonitorViolations),
-            snap.gauge(Gauge::RecorderOccupancy),
+            conns,
+            viol,
+            rec_occ,
         );
         // Per-tenant sub-line: windowed quota-drop rate and current
         // share of each budgeted tenant's ring quota.
-        sync_tenant_scopes(&mut world);
         let secs = slice as f64 / 1e9;
         let mut cells = Vec::new();
-        for (&(host, tenant), t) in world.metrics.tenants() {
+        for (host, tenant, t) in tenants(&world) {
             let before = prev_qdrops
                 .insert((host, tenant), t.quota_drops)
                 .unwrap_or(0);
@@ -242,13 +256,12 @@ fn main() {
 
     // Per-tenant accounting: what each tenant received, sent, and had
     // charged against its quotas.
-    sync_tenant_scopes(&mut world);
     println!("-- per-tenant stats --");
     println!(
         "{:<10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>6}",
         "tenant", "rx_frames", "tx_frames", "qdrops", "tx_rej", "ring", "chans"
     );
-    for (&(host, tenant), t) in world.metrics.tenants() {
+    for (host, tenant, t) in tenants(&world) {
         println!(
             "h{host} t{tenant:<6} {:>9} {:>9} {:>7} {:>7} {:>9} {:>6}",
             t.rx_delivered,
@@ -272,14 +285,12 @@ fn main() {
     // Pull the monitor back off the pipeline and report what it checked.
     // A conformant run ends at zero violations; anything else prints its
     // typed line so the postmortem has a starting point.
-    sync_monitor_stats(&mut world);
     let mon = unp::trace::detach_as::<Monitor>(monitor).expect("monitor still attached");
     let c = mon.checked();
     println!("-- conformance monitor --");
     println!(
-        "violations {} (metrics mirror {})  recorder {} records held",
+        "violations {}  recorder {} records held",
         mon.total_violations(),
-        world.metrics.get(Ctr::MonitorViolations),
         mon.recorder_occupancy(),
     );
     println!(

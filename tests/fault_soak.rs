@@ -5,7 +5,7 @@
 //! stream *exactly* — `SinkApp` verifies the position-dependent pattern,
 //! so any divergence from the fault-free run panics — or fail cleanly
 //! with a reset. Afterwards nothing may leak: no channel, template,
-//! flow-table entry, BQI binding, tracked registry connection, gauge, or
+//! flow-table entry, BQI binding, tracked registry connection, timer, or
 //! pooled frame buffer survives the run.
 
 use std::cell::RefCell;

@@ -19,7 +19,6 @@
 use unp::buffers::live_frames;
 use unp::buffers::OwnerTag;
 use unp::core::experiments::{isolation_scenario, IsolationRun, ISOLATION_HOSTILE};
-use unp::core::world::sync_tenant_scopes;
 use unp::trace::Monitor;
 
 /// One seeded scenario run ([`isolation_scenario`]) with the conformance
@@ -33,7 +32,7 @@ fn run_scenario(hostile: bool) -> (IsolationRun, u64) {
     // replay capabilities into clean rejections) is protocol-conformant
     // behavior — only the *stack* lying about what happened would violate.
     let monitor = unp::trace::attach(Box::new(Monitor::new()));
-    let (mut w, run) = isolation_scenario(hostile);
+    let (w, run) = isolation_scenario(hostile);
     let mon = unp::trace::detach_as::<Monitor>(monitor).expect("monitor still attached");
     assert_eq!(
         mon.total_violations(),
@@ -46,7 +45,6 @@ fn run_scenario(hostile: bool) -> (IsolationRun, u64) {
 
     // (d) zero leaked resources after the crash: the hostile tenant holds
     // no channels, ring slots, registry state, or BQI slots.
-    sync_tenant_scopes(&mut w);
     let ts = w.hosts[0]
         .netio
         .tenant_stats(OwnerTag(ISOLATION_HOSTILE))
