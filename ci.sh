@@ -152,6 +152,14 @@ cargo test -q --release --offline -p unp-tcp --test hostile_peer
 echo "== hostile transmit vs. the header templates, 512 cases (release) =="
 cargo test -q --release --offline -p unp-kernel --test hostile_transmit
 
+# And where a remote peer reaches the stack first: handshake segments,
+# replayed and mutated, handed to `frame_arrives` in each phase of the
+# library↔registry hand-off on both networks, must not panic, trip the
+# conformance monitor, or leave anything behind once the world drains.
+# 512 cases (64 in the debug pass above).
+echo "== hostile handshake vs. the hand-off, 512 cases (release) =="
+cargo test -q --release --offline --test hostile_handshake
+
 # The causal graph's join discipline must hold in release mode too: every
 # retransmit traced to its injected cause, every delivered receive copy's
 # stage components summing exactly to its end-to-end span with

@@ -43,7 +43,7 @@ use unp_buffers::{Frame, FramePool, OwnerTag};
 use unp_kernel::{Capability, ChannelId, NetIoModule};
 use unp_netdev::{An1Nic, LanceNic, Link, StationId};
 use unp_proto::{ArpCache, IpEndpoint, UdpLayer};
-use unp_registry::{RegistryAction, RegistryServer};
+use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_sim::{CostModel, Cpu, Engine, EventId, LinkParams, Nanos};
 use unp_tcp::{Tcb, TcpAction, TcpConfig, TcpTimer};
 use unp_timers::{TimerId, TimerService, TimerWheel};
@@ -76,7 +76,7 @@ pub enum TimerToken {
     /// A connection timer in the library/kernel stack.
     Conn(u32, TcpTimer),
     /// A registry-held handshake or inherited-connection timer.
-    Registry(u64, TcpTimer),
+    Registry(HsId, TcpTimer),
 }
 
 /// A listening endpoint: configuration plus an application factory invoked

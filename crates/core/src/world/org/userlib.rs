@@ -11,7 +11,9 @@ use std::collections::{HashMap, VecDeque};
 
 use unp_buffers::{Frame, OwnerTag, RingId};
 use unp_kernel::{Capability, ChannelId, Delivery, Discard};
+use unp_registry::HsId;
 use unp_sim::{DemuxPath, Nanos};
+use unp_tcp::Tcb;
 use unp_trace::{Ctr, Hist};
 use unp_wire::{An1Frame, IpProtocol, Ipv4Addr};
 
@@ -21,14 +23,14 @@ use crate::world::event::{host_exec, host_step, host_step_intr, Event};
 use crate::world::ip::{ip_ingress, kernel_ip_input};
 use crate::world::tcp::{conn_segment, parse_tcp, parse_tcp_frame, seg_flags};
 use crate::world::{ChanInfo, Eng, Nic, PairKey, World};
-use handshake::{channel_binding, with_registry};
+use handshake::{apply_registry_actions, channel_binding, open};
 
 /// What only a user-library host keeps, beside the connections every
 /// organization has.
 #[derive(Default)]
 pub(crate) struct UserLib {
-    /// In-flight handshakes, keyed by raw hs id.
-    handshakes: HashMap<u64, Handshake>,
+    /// In-flight handshakes, by registry id.
+    handshakes: HashMap<HsId, Handshake>,
     chan_owner: HashMap<ChannelId, ChanOwner>,
     /// Emptied wakeup batches: a batch travels by value in its
     /// [`Event::LibraryChain`] and comes back here when it ends, so the
@@ -46,18 +48,17 @@ impl UserLib {
     pub(crate) fn held(&self) -> [usize; 2] {
         [self.handshakes.len(), self.chan_owner.len()]
     }
+
+    /// The handshake in flight on `key`, in either phase.
+    fn in_flight(&mut self, key: PairKey) -> Option<&mut Handshake> {
+        self.handshakes.values_mut().find(|r| r.key == key)
+    }
 }
 
-/// An in-flight handshake's pre-created channel (UserLibrary org). The
-/// peer's BQI announcement (AN1) is kept in `chan.peer_bqi` as it arrives.
-struct HsSetup {
-    chan: ChanInfo,
-    key: PairKey,
-}
-
-/// Everything the world holds for one registry handshake, from
-/// [`handshake::connect`] (active open) or the first SYN-ACK (passive open) until
-/// the registry reports `Complete` or `Failed`.
+/// Everything the world holds for one registry handshake, from the
+/// channel [`handshake::open`] binds for it before its SYN (active open)
+/// or SYN-ACK (passive open) leaves, until the registry reports `Complete`
+/// or `Failed`: a record exists only with its channel.
 struct Handshake {
     /// The tenant the connection and its channel belong to.
     owner: OwnerTag,
@@ -65,35 +66,22 @@ struct Handshake {
     /// write granularity. Passive opens get theirs from the listener.
     app: Option<Box<dyn AppLogic>>,
     write_size: usize,
-    /// `None` until the registry's first SYN goes out, and for good when
-    /// the tenant is at its channel cap.
-    setup: Option<HsSetup>,
-    /// True once the registry emitted `Complete` and finalization is in
-    /// flight: frames arriving in this window are parked, not fed back to
-    /// the registry (which no longer tracks the connection).
-    completing: bool,
-    /// Frames that arrived on the kernel path in that window (the
-    /// activation race the paper's overlap of setup with transmission
-    /// creates); delivered to the library when the channel activates.
-    parked: Vec<Frame>,
+    /// The pre-created channel. The peer's BQI announcement (AN1) is kept
+    /// in `chan.peer_bqi` as it arrives.
+    chan: ChanInfo,
+    key: PairKey,
+    phase: Phase,
 }
 
-impl Handshake {
-    /// A handshake the registry has just begun: no channel yet.
-    fn new(owner: OwnerTag, app: Option<Box<dyn AppLogic>>, write_size: usize) -> Self {
-        Handshake {
-            owner,
-            app,
-            write_size,
-            setup: None,
-            completing: false,
-            parked: Vec::new(),
-        }
-    }
-
-    fn key(&self) -> Option<PairKey> {
-        self.setup.as_ref().map(|s| s.key)
-    }
+/// Where a handshake is in its hand-off to the library.
+enum Phase {
+    /// The registry runs it: frames for it go to the registry.
+    Bound,
+    /// The registry handed over the established TCB and finalization is in
+    /// flight: the TCB waits here, where a crash finds it, with the frames
+    /// that arrive on the kernel path meanwhile (the activation race the
+    /// paper's overlap of setup with transmission creates).
+    Completing(Box<Tcb>, Vec<Frame>),
 }
 
 /// Whose deliveries a channel's ring holds.
@@ -102,7 +90,7 @@ enum ChanOwner {
     /// An established connection's library.
     Conn(u32),
     /// A handshake the registry is still running.
-    Handshake(u64),
+    Handshake(HsId),
 }
 
 /// IP input: TCP is demultiplexed to a connection's channel (or the
@@ -221,11 +209,8 @@ pub(crate) fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: Chann
         // Pre-establishment hardware deliveries land here with no conn
         // yet: feed them back through the registry.
         Some(&ChanOwner::Handshake(hs)) => {
-            let rec = w.hosts[h].userlib.handshakes.get(&hs);
-            let Some(setup) = rec.and_then(|r| r.setup.as_ref()) else {
-                return;
-            };
-            let recv_cap = setup.chan.recv_cap;
+            // A handshake's channel-owner entry goes with its record.
+            let recv_cap = w.hosts[h].userlib.handshakes[&hs].chan.recv_cap;
             let Ok(ring) = w.hosts[h].netio.consume_batch(recv_cap) else {
                 return;
             };
@@ -371,9 +356,13 @@ fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
         }
         // A connection mid-Complete: the kernel holds the frame until the
         // library's channel activates.
-        let mut in_flight = w.hosts[h].userlib.handshakes.values_mut();
-        if let Some(rec) = in_flight.find(|r| r.completing && r.key() == Some(key)) {
-            rec.parked.push(frame);
+        let rec = w.hosts[h].userlib.in_flight(key);
+        if let Some(Handshake {
+            phase: Phase::Completing(_, parked),
+            ..
+        }) = rec
+        {
+            parked.push(frame);
             w.metrics.bump(Ctr::FramesParked);
             return;
         }
@@ -381,9 +370,12 @@ fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
         // registry's device access is by Mach IPC, not shared memory.
         let now = eng.now();
         w.hosts[h].cpu.charge(now, w.costs.registry_pkt_op);
-        with_registry(w, eng, h, |registry, out| {
-            registry.on_segment_into(src, &repr, &data, now, out)
-        });
+        let mut actions = w.reg_spare.take();
+        let registry = &mut w.hosts[h].registry;
+        match registry.on_segment_into(src, &repr, &data, now, &mut actions) {
+            Some(hs) => open(w, eng, h, hs, key, None, actions),
+            None => apply_registry_actions(w, eng, h, actions),
+        }
         if announce != 0 {
             note_announce(w, h, key, announce);
         }
@@ -394,10 +386,8 @@ fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
 /// that matches no handshake in flight — a stray's, or a replay after
 /// establishment — announces to nobody.
 pub(crate) fn note_announce(w: &mut World, h: usize, key: PairKey, bqi: u16) {
-    let in_flight = w.hosts[h].userlib.handshakes.values_mut();
-    let mut setups = in_flight.filter_map(|r| r.setup.as_mut());
-    if let Some(setup) = setups.find(|s| s.key == key) {
-        setup.chan.peer_bqi = Some(bqi);
+    if let Some(rec) = w.hosts[h].userlib.in_flight(key) {
+        rec.chan.peer_bqi = Some(bqi);
     }
 }
 

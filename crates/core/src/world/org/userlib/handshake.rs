@@ -1,26 +1,27 @@
 //! The user library's side of the connection life cycle: what the
 //! registry server's actions do to the world. A connection is handed
 //! registry → library → registry, with its kernel channel and BQI slot
-//! following it (DESIGN.md §7, "who owns what"): [`connect`] or a SYN
-//! begins a handshake, [`ensure_hs_setup`] creates its channel,
-//! [`finalize_user_conn`] hands both to the library, [`release_channel`]
-//! is the one way a channel ends, and [`inherit`] / [`crash_tenant`] give
-//! the TCP state back to the registry.
+//! following it (DESIGN.md §7, "who owns what"): [`connect`] or a SYN a
+//! listener takes opens a handshake, [`open`] binds its channel before
+//! anything is sent, [`finalize_user_conn`] hands both to the library,
+//! [`release_channel`] is the one way a channel ends, and [`inherit`],
+//! [`crash_tenant`] and [`unclaimed`] give the TCP state back to the
+//! registry.
 
 use unp_buffers::OwnerTag;
 use unp_kernel::{ChannelStats, HeaderTemplate};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_tcp::{Tcb, TcpConfig};
 use unp_trace::{Ctr, ReclaimKind};
-use unp_wire::{EtherType, IpProtocol, Ipv4Addr, TcpRepr};
+use unp_wire::{EtherType, IpProtocol, Ipv4Addr};
 
-use super::{ChanOwner, Handshake, HsSetup};
+use super::{ChanOwner, Handshake, Phase};
 use crate::app::AppLogic;
 use crate::world::app::{app_upcall, AppEvent};
 use crate::world::costs::{app_boundary_cost, tcp_seg_cost};
 use crate::world::event::{host_exec, host_step, Event};
 use crate::world::lifecycle::{
-    crash_begins, install_conn, pair_key, reclaimed, remove_conn, reset_unconnected,
+    crash_begins, install_conn, reclaimed, remove_conn, reset_unconnected,
 };
 use crate::world::tcp::{conn_segment, parse_tcp_frame};
 use crate::world::timers::{arm_timer, cancel_timer, resched_wheel};
@@ -47,10 +48,9 @@ pub(crate) fn connect(
         let mut actions = w.reg_spare.take();
         let registry = &mut w.hosts[host].registry;
         match registry.connect_into(owner, remote, cfg, now, &mut actions) {
-            Ok(hs) => {
-                let rec = Handshake::new(owner, Some(app), write_size);
-                w.hosts[host].userlib.handshakes.insert(hs.0, rec);
-                apply_registry_actions(w, eng, host, actions);
+            Ok((hs, port)) => {
+                let (key, active) = ((port, remote.0, remote.1), Some((owner, app, write_size)));
+                open(w, eng, host, hs, key, active, actions);
             }
             // Every ephemeral port is bound: the connect is
             // refused like a handshake that failed.
@@ -76,9 +76,59 @@ pub(crate) fn with_registry(
     apply_registry_actions(w, eng, h, actions);
 }
 
+/// Binds the channel of handshake `hs`, which the registry has just opened
+/// with `actions`, before any of them is routed: "before initiating
+/// connection the server requests the network I/O module for a BQI that
+/// the remote node can use". `active` is an active open's tenant,
+/// application and write granularity; a passive open's channel is the
+/// listening port's tenant's (the host's single-app owner's, once the
+/// listener is gone). At the tenant's channel cap there is no channel, so
+/// no handshake: the registry aborts it before its SYN or SYN-ACK leaves
+/// (a passive open's peer gets a RST instead), and an active open is
+/// refused like one whose ports ran out — contained to the tenant.
+pub(super) fn open(
+    w: &mut World,
+    eng: &mut Eng,
+    h: usize,
+    hs: HsId,
+    key: PairKey,
+    active: Option<(OwnerTag, Box<dyn AppLogic>, usize)>,
+    mut actions: Vec<RegistryAction>,
+) {
+    let tenant = active.as_ref().map(|a| a.0);
+    let listener = || w.hosts[h].listeners.get(&key.0).map(|l| l.tenant);
+    let owner = tenant.or_else(listener).unwrap_or(w.hosts[h].owner());
+    let refused = match bind_channel(w, h, owner, key) {
+        Some(chan) => {
+            let (app, write_size) = active.map_or((None, 4096), |(_, app, n)| (Some(app), n));
+            let lib = &mut w.hosts[h].userlib;
+            lib.chan_owner.insert(chan.id, ChanOwner::Handshake(hs));
+            let rec = Handshake {
+                owner,
+                app,
+                write_size,
+                chan,
+                key,
+                phase: Phase::Bound,
+            };
+            lib.handshakes.insert(hs, rec);
+            None
+        }
+        None => {
+            actions.clear();
+            w.hosts[h].registry.abort_into(hs, &mut actions);
+            active
+        }
+    };
+    apply_registry_actions(w, eng, h, actions);
+    if let Some((_, app, _)) = refused {
+        reset_unconnected(app, eng.now());
+    }
+}
+
 /// Routes one batch of registry actions; the emptied buffer returns to
 /// the world's spares.
-fn apply_registry_actions(
+pub(super) fn apply_registry_actions(
     w: &mut World,
     eng: &mut Eng,
     h: usize,
@@ -92,11 +142,9 @@ fn apply_registry_actions(
                 payload,
                 remote,
             } => {
-                ensure_hs_setup(w, h, hs, &repr, remote);
                 // Announce our BQI on AN1 handshake segments.
-                let rec = w.hosts[h].userlib.handshakes.get(&hs.0);
-                let setup = rec.and_then(|r| r.setup.as_ref());
-                let announce = setup.map_or(0, |s| s.chan.our_bqi);
+                let rec = hs.and_then(|hs| w.hosts[h].userlib.handshakes.get(&hs));
+                let announce = rec.map_or(0, |r| r.chan.our_bqi);
                 let c = &w.costs;
                 let cost = c.registry_pkt_op + tcp_seg_cost(w, repr.header_len() + payload.len());
                 let send = Event::SendSegment {
@@ -110,15 +158,18 @@ fn apply_registry_actions(
                 host_step(w, eng, h, cost, send);
             }
             RegistryAction::SetTimer(hs, t, deadline) => {
-                arm_timer(w, eng, h, TimerToken::Registry(hs.0, t), deadline);
+                arm_timer(w, eng, h, TimerToken::Registry(hs, t), deadline);
             }
             RegistryAction::CancelTimer(hs, t) => {
-                cancel_timer(w, eng, h, TimerToken::Registry(hs.0, t));
+                cancel_timer(w, eng, h, TimerToken::Registry(hs, t));
             }
-            RegistryAction::Complete { hs, tcb, .. } => {
-                if let Some(rec) = w.hosts[h].userlib.handshakes.get_mut(&hs.0) {
-                    rec.completing = true;
-                }
+            RegistryAction::Complete { hs, owner, tcb } => {
+                // Every handshake the registry runs has its record (`open`).
+                let Some(rec) = w.hosts[h].userlib.handshakes.get_mut(&hs) else {
+                    unclaimed(w, eng, h, owner, tcb);
+                    continue;
+                };
+                rec.phase = Phase::Completing(tcb, Vec::new());
                 // Channel finalization + TCP state transfer + reply RPC.
                 let c = &w.costs;
                 let mut cost = c.channel_setup + c.state_transfer + c.registry_rpc;
@@ -126,12 +177,12 @@ fn apply_registry_actions(
                     cost += c.bqi_setup; // programming the BQI machinery
                 }
                 host_exec(w, eng, h, cost, move |w, eng| {
-                    finalize_user_conn(w, eng, h, hs, tcb);
+                    finalize_user_conn(w, eng, h, hs);
                 });
             }
             RegistryAction::Failed { hs, .. } => {
                 w.metrics.bump(Ctr::HandshakeFailures);
-                if let Some(app) = drop_handshake(w, h, hs.0).and_then(|rec| rec.app) {
+                if let Some(app) = drop_handshake(w, eng, h, hs).and_then(|rec| rec.app) {
                     reset_unconnected(app, eng.now());
                 }
             }
@@ -166,33 +217,13 @@ pub(super) fn channel_binding(
     (spec, template)
 }
 
-/// Creates the channel, template, and (on AN1) BQI for a handshake the
-/// first time the registry sends a segment for it. "Before initiating
-/// connection the server requests the network I/O module for a BQI that
-/// the remote node can use."
-fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ipv4Addr) {
-    let rec = w.hosts[h].userlib.handshakes.get(&hs.0);
-    if hs.0 == 0 || rec.is_some_and(|r| r.setup.is_some()) {
-        return; // hs 0 is the registry's stray-RST pseudo-connection
-    }
-    // Channels exist only for connections headed to an application; the
-    // registry's inherited closers (FIN/RST/ACK traffic, never SYN) stay
-    // on the kernel path.
-    if !repr.flags.syn {
-        return;
-    }
-    let local_port = repr.src_port;
-    let remote_port = repr.dst_port;
+/// Creates `owner`'s channel for connection `key` — its demux binding,
+/// its template and, on AN1, the BQI slot the peer is told to stamp — or
+/// `None` when the tenant is at its channel cap.
+fn bind_channel(w: &mut World, h: usize, owner: OwnerTag, key: PairKey) -> Option<ChanInfo> {
+    let (local_port, remote, remote_port) = key;
     let lhl = w.hosts[h].link_header_len();
     let (spec, template) = channel_binding(&w.hosts[h], local_port, (remote, remote_port));
-    // Channel ownership: an active open's tenant was pinned at connect
-    // time; a passive open inherits the listening port's tenant, or the
-    // host's single-app owner when the listener is already gone.
-    let listener = w.hosts[h].listeners.get(&local_port);
-    let owner = rec
-        .map(|r| r.owner)
-        .or(listener.map(|l| l.tenant))
-        .unwrap_or_else(|| w.hosts[h].owner());
     let mtu = w.link.params().mtu;
     // The pinned region must cover a full advertised window of segments
     // (paper: "this memory is kept pinned for the duration of the
@@ -200,34 +231,20 @@ fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ip
     // slot-based, so size it for the worst case of small segments: a
     // 64 kB window of ~100-byte no-Nagle dribble segments.
     let host = &mut w.hosts[h];
-    let Some((chan_id, send_cap, recv_cap, ring)) =
+    let (id, send_cap, recv_cap, ring) =
         host.netio
-            .try_create_channel(owner, &spec, template, 768, mtu + lhl + 8)
-    else {
-        // The tenant is at its channel cap: no channel. The handshake can
-        // never finalize at the library level; the peer's retransmits run
-        // out and the connection fails — contained to the over-cap tenant.
-        return;
-    };
+            .try_create_channel(owner, &spec, template, 768, mtu + lhl + 8)?;
     let our_bqi = match &mut host.nic {
         Nic::An1(nic) => nic.bqi_table.allocate(owner, ring).unwrap_or(0),
         Nic::Lance(_) => 0,
     };
-    host.userlib
-        .chan_owner
-        .insert(chan_id, ChanOwner::Handshake(hs.0));
-    let passive = || Handshake::new(owner, None, 4096);
-    let rec = host.userlib.handshakes.entry(hs.0).or_insert_with(passive);
-    rec.setup = Some(HsSetup {
-        chan: ChanInfo {
-            id: chan_id,
-            send_cap,
-            recv_cap,
-            our_bqi,
-            peer_bqi: None,
-        },
-        key: (local_port, remote, remote_port),
-    });
+    Some(ChanInfo {
+        id,
+        send_cap,
+        recv_cap,
+        our_bqi,
+        peer_bqi: None,
+    })
 }
 
 /// The one channel release: the kernel's counters for the channel go to
@@ -255,24 +272,35 @@ pub(crate) fn release_channel(
 }
 
 /// Takes handshake `hs` out of the world and releases the channel it
-/// held; frames parked on it are dropped with it. The returned record's
-/// `setup` names a channel that no longer exists.
-fn drop_handshake(w: &mut World, h: usize, hs: u64) -> Option<Handshake> {
-    let rec = w.hosts[h].userlib.handshakes.remove(&hs)?;
-    if let Some(setup) = &rec.setup {
-        release_channel(w, h, &setup.chan, setup.key);
+/// held; frames parked on it are dropped with it, and a completing one's
+/// TCB goes to [`unclaimed`]. The returned record's `chan` names a channel
+/// that no longer exists.
+fn drop_handshake(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) -> Option<Handshake> {
+    let mut rec = w.hosts[h].userlib.handshakes.remove(&hs)?;
+    release_channel(w, h, &rec.chan, rec.key);
+    if let Phase::Completing(tcb, _) = std::mem::replace(&mut rec.phase, Phase::Bound) {
+        unclaimed(w, eng, h, rec.owner, tcb);
     }
     Some(rec)
 }
 
 /// The handshake completed: activate the channel, fix the template's BQI,
-/// install the connection in the application's library, and upcall it.
-fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Box<Tcb>) {
-    let Some(rec) = w.hosts[h].userlib.handshakes.remove(&hs.0) else {
+/// install the connection in the application's library, and upcall it —
+/// or, with no library left to take it, hand it to [`unclaimed`].
+fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
+    // The `Complete` that scheduled this made the record `Completing`; it
+    // is gone only if a crash took it, TCB and all, first.
+    let rec = w.hosts[h].userlib.handshakes.remove(&hs);
+    let Some(Handshake {
+        owner,
+        app,
+        write_size,
+        chan,
+        key,
+        phase: Phase::Completing(tcb, parked),
+    }) = rec
+    else {
         return;
-    };
-    let Some(HsSetup { chan, .. }) = rec.setup else {
-        return; // at its channel cap: nothing to hand the library
     };
     // Peer's announced BQI (AN1): required on our outgoing data frames.
     if let Some(bqi) = chan.peer_bqi {
@@ -283,16 +311,15 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Box
     // factory.
     let port = tcb.local().1;
     let listener = w.hosts[h].listeners.get_mut(&port);
-    let Some(app) = rec.app.or_else(|| listener.map(|l| (l.factory)())) else {
-        // The listener was torn down while the handshake was completing.
-        // The channel is already activated and the peer believes it is
-        // connected, so this cannot just drop on the floor: release the
-        // channel and reset the peer.
-        listener_vanished(w, eng, h, chan, tcb);
-        return;
+    let Some(app) = app.or_else(|| listener.map(|l| (l.factory)())) else {
+        // The listener was torn down while the handshake was completing,
+        // and the channel is already activated: release it first.
+        w.metrics.bump(Ctr::ListenerVanished);
+        release_channel(w, h, &chan, key);
+        return unclaimed(w, eng, h, owner, tcb);
     };
     let chan_id = chan.id;
-    let cid = install_conn(w, h, tcb, app, Some(chan), rec.write_size);
+    let cid = install_conn(w, h, tcb, app, Some(chan), write_size);
     // The channel's ring is the connection's from here on.
     w.hosts[h]
         .userlib
@@ -302,7 +329,7 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Box
     // Frames the kernel parked while the channel was being finalized
     // (costs charged here, then the shared ingress).
     let lhl = w.hosts[h].link_header_len();
-    for f in rec.parked {
+    for f in parked {
         let cost = tcp_seg_cost(w, f.len().saturating_sub(lhl));
         host_exec(w, eng, h, cost, move |w, eng| {
             if let Some((_, repr, data)) = parse_tcp_frame(w, h, &f) {
@@ -315,22 +342,14 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId, tcb: Box
     app_upcall(w, eng, h, cost, cid, AppEvent::Connected);
 }
 
-/// A handshake completed for a listener that no longer exists (the
-/// accepting process unlistened or died mid-completion). The channel was
-/// already activated, so release it and its BQI, and hand the established
-/// TCB to the registry, which resets the peer on the vanished
-/// application's behalf (the §3.4 trusted-agent role).
-fn listener_vanished(w: &mut World, eng: &mut Eng, h: usize, chan: ChanInfo, tcb: Box<Tcb>) {
-    w.metrics.bump(Ctr::ListenerVanished);
-    w.metrics.bump(Ctr::ResourceReclaims);
-    let port = tcb.local().1;
-    let owner = w.hosts[h].owner();
-    unp_trace::emit_at(h as u16, None, || unp_trace::Event::ResourceReclaim {
-        kind: ReclaimKind::Connection,
-        owner: owner.0 as u32,
-        id: port as u32,
-    });
-    release_channel(w, h, &chan, pair_key(&tcb));
+/// A handshake completed with no library left to take it: the accepting
+/// process unlistened, or the tenant crashed, mid-completion. The peer
+/// believes it is connected, so the established TCB goes to the registry,
+/// which resets the peer on the vanished application's behalf (the §3.4
+/// trusted-agent role).
+fn unclaimed(w: &mut World, eng: &mut Eng, h: usize, owner: OwnerTag, tcb: Box<Tcb>) {
+    let port = u32::from(tcb.local().1);
+    reclaimed(w, h, owner, ReclaimKind::Connection, port);
     let now = eng.now();
     with_registry(w, eng, h, |registry, out| {
         registry.app_exit_into(owner, vec![*tcb], true, now, out)
@@ -373,9 +392,10 @@ pub(crate) fn inherit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnor
 ///
 /// 1. **Library state** — in-flight handshakes are dropped first (their
 ///    upcall targets, parked frames and channels: none can reach an
-///    application now), so the registry's later `Failed` actions and a
-///    `Complete` already in flight find no record; then each established
-///    connection takes the normal abnormal-exit inheritance path.
+///    application now; a completing one's TCB goes to [`unclaimed`]), so
+///    the registry's later `Failed` actions and a finalization already
+///    scheduled find no record; then each established connection takes
+///    the normal abnormal-exit inheritance path.
 /// 2. **Registry (the trusted agent)** — inherited connections are reset
 ///    (RST to each peer, §3.4), pending handshakes are aborted, and the
 ///    process's listening-port reservations released.
@@ -393,17 +413,14 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     crash_begins(w, host, tenant);
     if !w.faults.tenant_wedged(host, tenant.0) {
         let in_flight = w.hosts[host].userlib.handshakes.iter();
-        let mut hss: Vec<u64> = in_flight
+        let mut hss: Vec<HsId> = in_flight
             .filter(|(_, r)| r.owner == tenant)
             .map(|(&hs, _)| hs)
             .collect();
         hss.sort_unstable();
         for hs in hss {
-            let Some(rec) = drop_handshake(w, host, hs) else {
-                continue;
-            };
-            if let Some(setup) = rec.setup {
-                reclaimed(w, host, tenant, ReclaimKind::Channel, setup.chan.id.0);
+            if let Some(rec) = drop_handshake(w, eng, host, hs) {
+                reclaimed(w, host, tenant, ReclaimKind::Channel, rec.chan.id.0);
             }
         }
         let mut cids: Vec<u32> = w.hosts[host]
@@ -453,7 +470,7 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
                 }
             }
             Some(&ChanOwner::Handshake(hs)) => {
-                drop_handshake(w, host, hs);
+                drop_handshake(w, eng, host, hs);
             }
             None => {}
         }

@@ -257,11 +257,12 @@ const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
 /// An application that answers each event from a closure.
 struct Scripted<F>(F);
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Ev {
     Connected,
     Data,
     PeerClosed,
+    Reset,
 }
 
 impl<F: FnMut(Ev) -> Vec<AppOp>> crate::app::AppLogic for Scripted<F> {
@@ -274,6 +275,14 @@ impl<F: FnMut(Ev) -> Vec<AppOp>> crate::app::AppLogic for Scripted<F> {
     fn on_peer_closed(&mut self, _: &crate::app::AppView) -> Vec<AppOp> {
         (self.0)(Ev::PeerClosed)
     }
+    fn on_reset(&mut self, _: &crate::app::AppView) {
+        (self.0)(Ev::Reset);
+    }
+}
+
+/// An application that does nothing on any event.
+fn idle() -> Box<dyn crate::app::AppLogic> {
+    Box::new(Scripted(|_| Vec::new()))
 }
 
 /// A sink on the server that closes when its peer does.
@@ -336,25 +345,86 @@ fn mid_transfer(w: &mut World, eng: &mut Eng, tenant: Option<OwnerTag>) -> (u32,
 
 const HOSTILE: OwnerTag = OwnerTag(66);
 
-/// Steps until the server's handshake enters completion — its registry
-/// has taken the SYN and then, on `Complete`, stopped tracking the
-/// connection — and tears the listener down in the window before
-/// `finalize_user_conn` runs.
-fn listener_vanishes(w: &mut World, eng: &mut Eng) {
-    listen_sink(w, None);
-    connect_app(w, eng, Box::new(BulkSender::new(10_000, 4096)));
+/// Steps until host `h`'s handshake enters completion — its registry has
+/// taken the connection and then, on `Complete`, stopped tracking it — so
+/// that what the caller does next happens before `finalize_user_conn`.
+fn step_to_mid_complete(w: &mut World, eng: &mut Eng, h: usize) {
     for tracked in [0, 1] {
-        while w.hosts[1].registry.tracked() == tracked {
+        while w.hosts[h].registry.tracked() == tracked {
             assert!(eng.step(w), "handshake never reached completion");
         }
     }
+}
+
+/// Tears the server's listener down while its handshake completes.
+fn listener_vanishes(w: &mut World, eng: &mut Eng) {
+    listen_sink(w, None);
+    connect_app(w, eng, Box::new(BulkSender::new(10_000, 4096)));
+    step_to_mid_complete(w, eng, 1);
     w.hosts[1].listeners.clear();
+}
+
+/// [`HOSTILE`] on host 0 never runs its library's part of a crash.
+fn wedge_hostile(w: &mut World, eng: &mut Eng) {
+    let mut plan = crate::faults::FaultPlan::clean(1);
+    plan.byzantine.push(crate::faults::ByzantineSchedule {
+        host: 0,
+        tenant: HOSTILE.0,
+        kind: crate::faults::ByzantineKind::WedgedRegistry,
+        start: 0,
+        end: Nanos::MAX,
+    });
+    install_faults(w, eng, plan);
+}
+
+/// Crashes [`HOSTILE`] on host 0 while its connect completes: the
+/// registry has handed the established TCB over, and no library is left
+/// to take it.
+fn crash_mid_complete(w: &mut World, eng: &mut Eng) {
+    listen_sink(w, None);
+    let (app, cfg) = (
+        Box::new(BulkSender::new(10_000, 4096)),
+        TcpConfig::default(),
+    );
+    connect_as(w, eng, 0, Some(HOSTILE), SERVER, cfg, app, 4096);
+    step_to_mid_complete(w, eng, 0);
+    crash_tenant(w, eng, 0, HOSTILE);
+}
+
+/// Lets [`HOSTILE`] hold one channel on host `h`.
+fn cap_hostile(w: &mut World, h: usize) {
+    let budget = unp_kernel::TenantBudget {
+        max_channels: 1,
+        ..Default::default()
+    };
+    w.hosts[h].netio.set_tenant_budget(HOSTILE, budget);
+}
+
+/// [`mid_transfer`]'s connection holds [`HOSTILE`]'s one channel on host
+/// 0 when `app` connects as the same tenant.
+fn connect_at_cap(w: &mut World, eng: &mut Eng, app: Box<dyn crate::app::AppLogic>) {
+    cap_hostile(w, 0);
+    mid_transfer(w, eng, Some(HOSTILE));
+    let cfg = TcpConfig::default();
+    connect_as(w, eng, 0, Some(HOSTILE), SERVER, cfg, app, 4096);
+}
+
+/// The server's listener is [`HOSTILE`]'s, and an accepted connection
+/// holds its one channel on host 1 when `app` connects.
+fn accept_at_cap(w: &mut World, eng: &mut Eng, app: Box<dyn crate::app::AppLogic>) {
+    cap_hostile(w, 1);
+    listen_sink(w, Some(HOSTILE));
+    connect_app(w, eng, Box::new(BulkSender::new(200_000, 4096)));
+    while w.hosts[1].conns.is_empty() {
+        assert!(eng.step(w), "never accepted");
+    }
+    connect_app(w, eng, app);
 }
 
 /// Every way a connection or a handshake can end, by name. Each
 /// route leaves the engine to be drained by the matrix below.
 type Route = fn(&mut World, &mut Eng);
-const TEARDOWN_ROUTES: [(&str, Route); 11] = [
+const TEARDOWN_ROUTES: [(&str, Route); 15] = [
     ("close, client first", |w, eng| {
         listen_sink(w, None);
         connect_app(w, eng, Box::new(BulkSender::new(10_000, 4096)));
@@ -411,17 +481,20 @@ const TEARDOWN_ROUTES: [(&str, Route); 11] = [
         crash_tenant(w, eng, 0, HOSTILE);
     }),
     ("crash_tenant, wedged", |w, eng| {
-        let mut plan = crate::faults::FaultPlan::clean(1);
-        plan.byzantine.push(crate::faults::ByzantineSchedule {
-            host: 0,
-            tenant: HOSTILE.0,
-            kind: crate::faults::ByzantineKind::WedgedRegistry,
-            start: 0,
-            end: Nanos::MAX,
-        });
-        install_faults(w, eng, plan);
+        wedge_hostile(w, eng);
         mid_transfer(w, eng, Some(HOSTILE));
         crash_tenant(w, eng, 0, HOSTILE);
+    }),
+    ("crash_tenant mid-Complete", crash_mid_complete),
+    ("crash_tenant, wedged, mid-Complete", |w, eng| {
+        wedge_hostile(w, eng);
+        crash_mid_complete(w, eng);
+    }),
+    ("connect at the tenant's channel cap", |w, eng| {
+        connect_at_cap(w, eng, idle());
+    }),
+    ("accept at the tenant's channel cap", |w, eng| {
+        accept_at_cap(w, eng, idle());
     }),
 ];
 
@@ -434,6 +507,38 @@ fn every_teardown_route_leaves_nothing_behind() {
             assert!(eng.run(&mut w, 5_000_000), "{route} on {network:?} hangs");
             let none: Vec<String> = Vec::new();
             assert_eq!(w.leaks(), none, "{route} on {network:?}");
+        }
+    }
+}
+
+#[test]
+fn a_handshake_at_the_tenants_channel_cap_is_refused_before_it_is_sent() {
+    type Open = fn(&mut World, &mut Eng, Box<dyn crate::app::AppLogic>);
+    // (side, route, handshake failures, SYNs the server sees)
+    let cases: [(&str, Open, u64, usize); 2] = [
+        // Refused at once: one failure, and no second SYN leaves.
+        ("connect", connect_at_cap, 1, 1),
+        // The peer's SYN is answered by a RST instead of a SYN-ACK: the
+        // server's refusal and the client's failed handshake.
+        ("accept", accept_at_cap, 2, 2),
+    ];
+    for network in [Network::Ethernet, Network::An1] {
+        for (side, open, failures, syns) in cases {
+            let case = format!("{side} on {network:?}");
+            let (mut w, mut eng) = build_two_hosts(network, OrgKind::UserLibrary);
+            let to_server = tap_to(&mut w, SERVER.0, SERVER.1);
+            let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let log = std::rc::Rc::clone(&seen);
+            let app = Scripted(move |ev| {
+                log.borrow_mut().push(ev);
+                Vec::new()
+            });
+            open(&mut w, &mut eng, Box::new(app));
+            assert!(eng.run(&mut w, 5_000_000), "{case} hangs");
+            assert_eq!(*seen.borrow(), [Ev::Reset], "{case}");
+            assert_eq!(w.metrics.get(Ctr::HandshakeFailures), failures, "{case}");
+            let syns_seen = tapped(&w, to_server).filter(|t| t.flags.syn).count();
+            assert_eq!(syns_seen, syns, "{case}");
         }
     }
 }
@@ -464,10 +569,16 @@ fn tap_to(w: &mut World, ip: Ipv4Addr, port: u16) -> usize {
     w.add_capture_tap("padding", unp_filter::programs::bpf_demux(&spec))
 }
 
+fn tapped(w: &World, tap: usize) -> impl Iterator<Item = TcpRepr> + '_ {
+    let lhl = w.hosts[0].link_header_len();
+    w.tap_frames(tap).iter().map(move |(_, frame)| {
+        let tcp = &frame[lhl + IPV4_HEADER_LEN..];
+        TcpRepr::parse(&TcpPacket::new_checked(tcp).expect("tapped segment parses"))
+    })
+}
+
 fn last_tapped(w: &World, tap: usize) -> TcpRepr {
-    let (_, frame) = w.tap_frames(tap).last().expect("tap saw a segment");
-    let tcp = &frame[w.hosts[0].link_header_len() + IPV4_HEADER_LEN..];
-    TcpRepr::parse(&TcpPacket::new_checked(tcp).expect("tapped segment parses"))
+    tapped(w, tap).last().expect("tap saw a segment")
 }
 
 /// Ten bytes continuing the stream the last segment tapped on its

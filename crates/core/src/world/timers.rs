@@ -2,7 +2,6 @@
 //! host beside its wheel, one scheduled [`Event::WheelFire`] at the wheel's
 //! earliest deadline, and the dispatch of what fires.
 
-use unp_registry::HsId;
 use unp_sim::Nanos;
 use unp_timers::TimerService;
 
@@ -66,7 +65,7 @@ pub(super) fn wheel_fire(w: &mut World, eng: &mut Eng, h: usize) {
                 });
             }
             TimerToken::Registry(hs, t) => with_registry(w, eng, h, |registry, out| {
-                registry.on_timer_into(HsId(hs), t, now, out)
+                registry.on_timer_into(hs, t, now, out)
             }),
         }
     });

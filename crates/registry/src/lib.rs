@@ -31,6 +31,7 @@ pub use ports::PortAllocator;
 pub use udp::UdpRegistry;
 
 use std::collections::{HashMap, VecDeque};
+use std::num::NonZeroU64;
 
 use unp_buffers::OwnerTag;
 use unp_filter::programs::DemuxSpec;
@@ -44,9 +45,9 @@ use unp_wire::{IpProtocol, Ipv4Addr, TcpRepr};
 pub type Nanos = u64;
 
 /// Identifier of an in-progress handshake or inherited connection within
-/// the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HsId(pub u64);
+/// the registry (never zero: no id stands for "no connection").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct HsId(pub NonZeroU64);
 
 /// Outputs of the registry state machine, routed by the hosting
 /// organization (which charges the paper's costs for each). Like the TCB
@@ -60,8 +61,8 @@ pub enum RegistryAction {
     /// the network device using shared memory, but instead uses standard
     /// Mach IPCs").
     Send {
-        /// Connection this belongs to.
-        hs: HsId,
+        /// Connection this belongs to; `None` for a RST answering a stray.
+        hs: Option<HsId>,
         /// Segment header.
         repr: TcpRepr,
         /// Segment payload (handshakes carry none, but inherited
@@ -106,8 +107,6 @@ struct Pending {
     tcb: Tcb,
     owner: OwnerTag,
     remote_ip: Ipv4Addr,
-    /// True once Complete has been emitted (awaiting removal).
-    done: bool,
     /// True for connections inherited from exited applications.
     inherited: bool,
 }
@@ -205,9 +204,9 @@ pub struct RegistryServer {
     local_ip: Ipv4Addr,
     ports: PortAllocator,
     listeners: HashMap<u16, (OwnerTag, TcpConfig)>,
-    conns: HashMap<u64, Pending>,
+    conns: HashMap<HsId, Pending>,
     /// Index (local_port, remote_ip, remote_port) → hs.
-    index: HashMap<(u16, Ipv4Addr, u16), u64>,
+    index: HashMap<(u16, Ipv4Addr, u16), HsId>,
     /// Channel stats handed back at connection teardown: how many, how
     /// many of them [`BindingReport::missed_fast_path`], and the last
     /// [`unp_kernel::RETIRED_KEPT`] of each, in arrival order.
@@ -215,7 +214,7 @@ pub struct RegistryServer {
     flagged: u64,
     recent: VecDeque<BindingReport>,
     recent_flagged: VecDeque<BindingReport>,
-    next_hs: u64,
+    next_hs: NonZeroU64,
     next_iss: u32,
     /// Where a TCB's output waits for [`RegistryServer::route`]; empty
     /// between calls, kept for its capacity.
@@ -235,7 +234,7 @@ impl RegistryServer {
             flagged: 0,
             recent: VecDeque::new(),
             recent_flagged: VecDeque::new(),
-            next_hs: 1,
+            next_hs: NonZeroU64::MIN,
             // Seed the ISS from the host address so two hosts never share
             // sequence spaces (the 4.3BSD clock-driven scheme's role).
             next_iss: 0x1000_u32.wrapping_add(local_ip.to_u32().wrapping_mul(2654435761)),
@@ -253,6 +252,12 @@ impl RegistryServer {
         // is uniqueness, which spacing provides in simulation).
         self.next_iss = self.next_iss.wrapping_add(64_000);
         self.next_iss
+    }
+
+    fn next_id(&mut self) -> HsId {
+        let hs = HsId(self.next_hs);
+        self.next_hs = self.next_hs.saturating_add(1);
+        hs
     }
 
     /// Registers a listening endpoint for `owner` with per-connection
@@ -292,11 +297,13 @@ impl RegistryServer {
         now: Nanos,
     ) -> Result<(HsId, Vec<RegistryAction>), RegistryError> {
         let mut out = Vec::new();
-        let hs = self.connect_into(owner, remote, cfg, now, &mut out)?;
+        let (hs, _) = self.connect_into(owner, remote, cfg, now, &mut out)?;
         Ok((hs, out))
     }
 
-    /// [`RegistryServer::connect`], appending the actions to `out`.
+    /// [`RegistryServer::connect`], appending the actions to `out`, with
+    /// the handshake's port: the hosting world binds its channel before it
+    /// routes `out`, or aborts it ([`RegistryServer::abort_into`]).
     pub fn connect_into(
         &mut self,
         owner: OwnerTag,
@@ -304,7 +311,7 @@ impl RegistryServer {
         cfg: TcpConfig,
         now: Nanos,
         out: &mut Vec<RegistryAction>,
-    ) -> Result<HsId, RegistryError> {
+    ) -> Result<(HsId, u16), RegistryError> {
         let port = self
             .ports
             .alloc_ephemeral(remote, now)
@@ -312,8 +319,7 @@ impl RegistryServer {
         let iss = self.iss();
         let local = (self.local_ip, port);
         let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut self.tcp_actions);
-        let hs = self.next_hs;
-        self.next_hs += 1;
+        let hs = self.next_id();
         self.index.insert((port, remote.0, remote.1), hs);
         self.conns.insert(
             hs,
@@ -321,12 +327,11 @@ impl RegistryServer {
                 tcb,
                 owner,
                 remote_ip: remote.0,
-                done: false,
                 inherited: false,
             },
         );
         self.route(hs, out);
-        Ok(HsId(hs))
+        Ok((hs, port))
     }
 
     /// Processes a TCP segment that arrived on the kernel default path
@@ -346,6 +351,8 @@ impl RegistryServer {
     }
 
     /// [`RegistryServer::on_segment`], appending the actions to `out`.
+    /// Returns the handshake a SYN to a listener opened, to be bound or
+    /// aborted as after [`RegistryServer::connect_into`].
     pub fn on_segment_into(
         &mut self,
         src: Ipv4Addr,
@@ -353,13 +360,14 @@ impl RegistryServer {
         payload: &[u8],
         now: Nanos,
         out: &mut Vec<RegistryAction>,
-    ) {
+    ) -> Option<HsId> {
         let key = (repr.dst_port, src, repr.src_port);
         if let Some(&hs) = self.index.get(&key) {
             let p = self.conns.get_mut(&hs).expect("indexed");
             p.tcb
                 .on_segment_into(repr, payload, now, &mut self.tcp_actions);
-            return self.route(hs, out);
+            self.route(hs, out);
+            return None;
         }
         // New connection to a listener?
         if let Some((owner, cfg)) = self.listeners.get(&repr.dst_port).cloned() {
@@ -368,8 +376,7 @@ impl RegistryServer {
             let remote = (src, repr.src_port);
             let on_syn = listener.on_syn_into(remote, repr, iss, now, &mut self.tcp_actions);
             if let Some(tcb) = on_syn {
-                let hs = self.next_hs;
-                self.next_hs += 1;
+                let hs = self.next_id();
                 self.index.insert(key, hs);
                 // The connection holds its listener's port from here to
                 // its own end, whatever becomes of the listener.
@@ -380,26 +387,25 @@ impl RegistryServer {
                         tcb,
                         owner,
                         remote_ip: src,
-                        done: false,
                         inherited: false,
                     },
                 );
-                return self.route(hs, out);
+                self.route(hs, out);
+                return Some(hs);
             }
         }
         // A non-SYN segment to a listening port, or a stray to a dead
         // endpoint: no connection; answer with RST unless it is itself a
         // RST.
-        if repr.flags.rst {
-            return;
+        if !repr.flags.rst {
+            out.push(RegistryAction::Send {
+                hs: None,
+                repr: Tcb::rst_for((self.local_ip, repr.dst_port), repr, payload.len()),
+                payload: Vec::new(),
+                remote: src,
+            });
         }
-        let rst = Tcb::rst_for((self.local_ip, repr.dst_port), repr, payload.len());
-        out.push(RegistryAction::Send {
-            hs: HsId(0),
-            repr: rst,
-            payload: Vec::new(),
-            remote: src,
-        });
+        None
     }
 
     /// Handles a timer the host armed for connection `hs`.
@@ -417,11 +423,11 @@ impl RegistryServer {
         now: Nanos,
         out: &mut Vec<RegistryAction>,
     ) {
-        let Some(p) = self.conns.get_mut(&hs.0) else {
+        let Some(p) = self.conns.get_mut(&hs) else {
             return;
         };
         p.tcb.on_timer_into(timer, now, &mut self.tcp_actions);
-        self.route(hs.0, out);
+        self.route(hs, out);
     }
 
     /// The owning application exited. Established connections it still
@@ -466,11 +472,12 @@ impl RegistryServer {
     /// Full death cleanup for `owner`, beyond the established connections
     /// [`RegistryServer::app_exit`] inherits: listening sockets are
     /// removed (their ports released for re-binding), and in-flight
-    /// handshakes are aborted — the peer of a synchronized handshake gets
-    /// a RST on the dead application's behalf, the ephemeral port returns
-    /// to the allocator, and a `Failed` action lets the hosting world tear
-    /// down the handshake's channel. Inherited connections the registry is
-    /// already closing for this owner are left to finish their protocol.
+    /// handshakes are aborted ([`RegistryServer::abort_into`]): a peer
+    /// that has our SYN-ACK gets a RST on the dead application's behalf,
+    /// the port returns to the allocator, and a `Failed` action lets the
+    /// hosting world tear down the handshake's channel. Inherited
+    /// connections the registry is already closing for this owner are
+    /// left to finish their protocol.
     /// Returns the actions to route plus a report of what was reclaimed.
     pub fn owner_died(&mut self, owner: OwnerTag) -> (Vec<RegistryAction>, DeathReport) {
         let mut out = Vec::new();
@@ -497,7 +504,7 @@ impl RegistryServer {
             self.ports.release(port);
             report.listeners.push(port);
         }
-        let mut dead_hs: Vec<u64> = self
+        let mut dead_hs: Vec<HsId> = self
             .conns
             .iter()
             .filter(|(_, p)| p.owner == owner && !p.inherited)
@@ -505,12 +512,21 @@ impl RegistryServer {
             .collect();
         dead_hs.sort_unstable();
         for hs in dead_hs {
-            let p = self.conns.get_mut(&hs).expect("collected above");
-            p.tcb.abort_into(&mut self.tcp_actions);
-            report.handshakes.push((hs, p.tcb.local().1));
-            self.route(hs, out);
+            let port = self.conns[&hs].tcb.local().1;
+            report.handshakes.push((hs.0.get(), port));
+            self.abort_into(hs, out);
         }
         report
+    }
+
+    /// Aborts handshake `hs` on its owner's behalf: a peer that has our
+    /// SYN-ACK gets a RST, the port goes back, and `Failed` tells the
+    /// hosting world. Nothing if the registry no longer tracks `hs`.
+    pub fn abort_into(&mut self, hs: HsId, out: &mut Vec<RegistryAction>) {
+        if let Some(p) = self.conns.get_mut(&hs) {
+            p.tcb.abort_into(&mut self.tcp_actions);
+            self.route(hs, out);
+        }
     }
 
     fn adopt(
@@ -519,9 +535,8 @@ impl RegistryServer {
         owner: OwnerTag,
         remote_ip: Ipv4Addr,
         key: (u16, Ipv4Addr, u16),
-    ) -> u64 {
-        let hs = self.next_hs;
-        self.next_hs += 1;
+    ) -> HsId {
+        let hs = self.next_id();
         self.index.insert(key, hs);
         self.conns.insert(
             hs,
@@ -529,7 +544,6 @@ impl RegistryServer {
                 tcb,
                 owner,
                 remote_ip,
-                done: true, // never hand an inherited connection to an app
                 inherited: true,
             },
         );
@@ -603,75 +617,54 @@ impl RegistryServer {
     }
 
     /// Converts the TCB actions waiting in `tcp_actions` into registry
-    /// actions appended to `out`, extracting completion.
-    fn route(&mut self, hs: u64, out: &mut Vec<RegistryAction>) {
-        let mut completed = false;
-        let mut closed = false;
-        let mut reset = false;
-        {
-            let p = self.conns.get_mut(&hs).expect("routing live conn");
-            for a in self.tcp_actions.drain(..) {
-                match a {
-                    TcpAction::Send(repr, payload) => out.push(RegistryAction::Send {
-                        hs: HsId(hs),
-                        repr,
-                        payload,
-                        remote: p.remote_ip,
-                    }),
-                    TcpAction::SetTimer(t, d) => out.push(RegistryAction::SetTimer(HsId(hs), t, d)),
-                    TcpAction::CancelTimer(t) => out.push(RegistryAction::CancelTimer(HsId(hs), t)),
-                    TcpAction::Connected => completed = true,
-                    TcpAction::ConnClosed => closed = true,
-                    TcpAction::Reset => reset = true,
-                    // Data/space notifications are meaningless during a
-                    // handshake and ignored on inherited closers.
-                    TcpAction::DataAvailable | TcpAction::PeerClosed | TcpAction::SendSpace => {}
-                }
+    /// actions appended to `out`. A connection that completes (to the
+    /// application's library, whose channel bypasses the registry from
+    /// here on) or ends leaves the registry in the same call.
+    fn route(&mut self, hs: HsId, out: &mut Vec<RegistryAction>) {
+        let (mut completed, mut ended) = (false, false);
+        let p = self.conns.get_mut(&hs).expect("routing live conn");
+        for a in self.tcp_actions.drain(..) {
+            match a {
+                TcpAction::Send(repr, payload) => out.push(RegistryAction::Send {
+                    hs: Some(hs),
+                    repr,
+                    payload,
+                    remote: p.remote_ip,
+                }),
+                TcpAction::SetTimer(t, d) => out.push(RegistryAction::SetTimer(hs, t, d)),
+                TcpAction::CancelTimer(t) => out.push(RegistryAction::CancelTimer(hs, t)),
+                // Only a handshake connects: an inherited TCB is past it.
+                TcpAction::Connected => completed = true,
+                TcpAction::ConnClosed | TcpAction::Reset => ended = true,
+                // Data/space notifications are meaningless during a
+                // handshake and ignored on inherited closers.
+                TcpAction::DataAvailable | TcpAction::PeerClosed | TcpAction::SendSpace => {}
             }
         }
+        if !(completed || ended) {
+            return;
+        }
+        let p = self.conns.remove(&hs).expect("live");
+        let (local, remote) = (p.tcb.local(), p.tcb.remote());
+        self.index.remove(&(local.1, remote.0, remote.1));
         if completed {
-            let p = self.conns.get_mut(&hs).expect("live");
-            if !p.done {
-                p.done = true;
-                let owner = p.owner;
-                let local = p.tcb.local();
-                let remote = p.tcb.remote();
-                // Replace the TCB with a tombstone-free removal: take it out
-                // for transfer and drop the index entry (the channel now
-                // bypasses the registry).
-                let p = self.conns.remove(&hs).expect("live");
-                self.index.remove(&(local.1, remote.0, remote.1));
-                out.push(RegistryAction::Complete {
-                    hs: HsId(hs),
-                    owner,
-                    tcb: Box::new(p.tcb),
-                });
-            }
-        } else if closed || reset {
-            if let Some(p) = self.conns.remove(&hs) {
-                let local = p.tcb.local();
-                let remote = p.tcb.remote();
-                self.index.remove(&(local.1, remote.0, remote.1));
-                // Quarantine the pair for 2MSL from now if this was an
-                // inherited close; release the port for handshake failures.
-                if p.inherited {
-                    self.ports.quarantine(local.1, remote, Nanos::MAX);
-                    // The actual 2MSL wait already happened inside the
-                    // TCB's TIME_WAIT state for orderly closes; for aborts
-                    // the pair is quarantined permanently-in-simulation
-                    // (hosts are short-lived); ports release below.
-                    self.ports.release(local.1);
-                } else {
-                    self.ports.release(local.1);
-                    if !p.done {
-                        out.push(RegistryAction::Failed {
-                            hs: HsId(hs),
-                            owner: p.owner,
-                        });
-                    }
-                }
-            }
+            out.push(RegistryAction::Complete {
+                hs,
+                owner: p.owner,
+                tcb: Box::new(p.tcb),
+            });
+            return;
         }
+        if p.inherited {
+            // The actual 2MSL wait already happened inside the TCB's
+            // TIME_WAIT state for orderly closes; for aborts the pair is
+            // quarantined permanently-in-simulation (hosts are
+            // short-lived).
+            self.ports.quarantine(local.1, remote, Nanos::MAX);
+        } else {
+            out.push(RegistryAction::Failed { hs, owner: p.owner });
+        }
+        self.ports.release(local.1);
     }
 }
 
@@ -801,7 +794,8 @@ mod tests {
         };
         let actions = r.on_segment(IP_B, &stray, &[], 0);
         assert_eq!(actions.len(), 1);
-        let RegistryAction::Send { repr, .. } = &actions[0] else {
+        // A RST on behalf of no connection.
+        let RegistryAction::Send { hs: None, repr, .. } = &actions[0] else {
             panic!("expected RST send");
         };
         assert!(repr.flags.rst);
@@ -856,7 +850,7 @@ mod tests {
         let (actions, report) = r.owner_died(OwnerTag(5));
         assert_eq!(report.listeners, vec![80]);
         assert_eq!(report.handshakes.len(), 1);
-        assert_eq!(report.handshakes[0].0, hs.0);
+        assert_eq!(report.handshakes[0].0, hs.0.get());
         // The aborted handshake surfaces as Failed so the hosting world
         // can tear down its channel (SYN_SENT aborts emit no RST).
         assert!(actions
@@ -874,6 +868,70 @@ mod tests {
         let (actions, report) = r.owner_died(OwnerTag(5));
         assert!(actions.is_empty());
         assert_eq!(report, DeathReport::default());
+    }
+
+    #[test]
+    fn abort_in_syn_sent_fails_without_a_segment_and_returns_the_port() {
+        let mut r = RegistryServer::new(IP_A);
+        let mut out = Vec::new();
+        let cfg = TcpConfig::default();
+        let (hs, port) = r
+            .connect_into(OwnerTag(3), (IP_B, 80), cfg, 0, &mut out)
+            .unwrap();
+        assert!(!r.port_free(port, 0));
+        out.clear();
+        r.abort_into(hs, &mut out);
+        let sends = out
+            .iter()
+            .filter(|a| matches!(a, RegistryAction::Send { .. }));
+        assert_eq!(sends.count(), 0, "the peer never saw our SYN: {out:?}");
+        assert!(
+            matches!(out.last(), Some(RegistryAction::Failed { hs: f, owner: OwnerTag(3) }) if *f == hs),
+            "{out:?}"
+        );
+        assert_eq!(r.tracked(), 0);
+        assert!(r.port_free(port, 0), "the ephemeral port went back");
+    }
+
+    #[test]
+    fn abort_in_syn_rcvd_resets_the_peer_then_fails() {
+        let mut rb = RegistryServer::new(IP_B);
+        rb.listen(OwnerTag(20), 80, TcpConfig::default()).unwrap();
+        let mut ra = RegistryServer::new(IP_A);
+        let (_hs, actions) = ra
+            .connect(OwnerTag(10), (IP_B, 80), TcpConfig::default(), 0)
+            .unwrap();
+        let RegistryAction::Send { repr: syn, .. } = &actions[0] else {
+            panic!("expected SYN");
+        };
+        let mut out = Vec::new();
+        let hs = rb.on_segment_into(IP_A, syn, &[], 1_000, &mut out);
+        let hs = hs.expect("a SYN the listener takes opens a handshake");
+        out.clear();
+        rb.abort_into(hs, &mut out);
+        let [RegistryAction::Send {
+            hs: Some(sent),
+            repr: rst,
+            ..
+        }, .., RegistryAction::Failed { hs: failed, .. }] = &out[..]
+        else {
+            panic!("expected a RST, then Failed: {out:?}");
+        };
+        assert!(rst.flags.rst && (*sent, *failed) == (hs, hs), "{out:?}");
+        assert_eq!(rb.tracked(), 0);
+        assert!(!rb.port_free(80, 1_000), "the listener still holds port 80");
+        // The peer, still in SYN_SENT, takes the RST: it acknowledges the SYN.
+        let reset = ra.on_segment(IP_B, rst, &[], 2_000);
+        assert!(
+            reset
+                .iter()
+                .any(|a| matches!(a, RegistryAction::Failed { .. })),
+            "{reset:?}"
+        );
+        // An abort of what the registry no longer tracks adds nothing.
+        out.clear();
+        rb.abort_into(hs, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

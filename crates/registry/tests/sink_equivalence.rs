@@ -18,7 +18,7 @@ const APP_B: OwnerTag = OwnerTag(20);
 const MS: u64 = 1_000_000;
 
 fn sentinel() -> RegistryAction {
-    RegistryAction::CancelTimer(HsId(u64::MAX), TcpTimer::Keepalive)
+    RegistryAction::CancelTimer(HsId(std::num::NonZeroU64::MAX), TcpTimer::Keepalive)
 }
 
 fn printed(actions: &[RegistryAction]) -> String {
@@ -114,7 +114,7 @@ impl Twin {
             .connect_into(owner, remote, cfg, now, &mut sink);
         self.agree();
         match (returned, hs) {
-            (Ok((hs_vec, by_vec)), Ok(hs_sink)) => {
+            (Ok((hs_vec, by_vec)), Ok((hs_sink, _))) => {
                 assert_eq!(hs_vec, hs_sink);
                 // The sink form has run: hand its buffer over as it is.
                 Some((hs_vec, Both::same(by_vec, |out| *out = sink)))
@@ -131,7 +131,7 @@ impl Twin {
     fn on_segment(&mut self, src: Ipv4Addr, repr: &TcpRepr, payload: &[u8], now: u64) -> Both {
         let returned = self.by_vec.on_segment(src, repr, payload, now);
         let both = Both::same(returned, |out| {
-            self.by_sink.on_segment_into(src, repr, payload, now, out)
+            self.by_sink.on_segment_into(src, repr, payload, now, out);
         });
         self.agree();
         both

@@ -455,10 +455,11 @@ impl Tcb {
         Ok(())
     }
 
-    /// Aborts the connection: sends RST (in synchronized states) and closes
-    /// immediately. Used by the registry when an application terminates
-    /// abnormally ("the protocol server issues a reset message to the
-    /// remote peer").
+    /// Aborts the connection: sends RST (in synchronized states and, as
+    /// RFC 793's ABORT does, in SYN-RECEIVED, whose peer may already hold
+    /// our SYN-ACK) and closes immediately. Used by the registry when an
+    /// application terminates abnormally ("the protocol server issues a
+    /// reset message to the remote peer").
     pub fn abort(&mut self) -> Vec<TcpAction> {
         let mut out = Vec::new();
         self.abort_into(&mut out);
@@ -467,7 +468,7 @@ impl Tcb {
 
     /// [`Tcb::abort`], appending the RST and the teardown to `out`.
     pub fn abort_into(&mut self, out: &mut Vec<TcpAction>) {
-        if self.conn.is_live() {
+        if self.conn.is_live() || self.conn.state() == State::SynReceived {
             let flags = TcpFlags {
                 rst: true,
                 ack: true,

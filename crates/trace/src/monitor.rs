@@ -210,12 +210,14 @@ struct ConnState {
     tx_ack: Option<u32>,
     /// Tracked FSM state (adopted from the first edge seen).
     fsm: Option<TcpFsm>,
-    /// Highest cumulative ACK received from the peer.
+    /// Highest cumulative ACK received from the peer on a segment the TCB
+    /// reads: not an old duplicate, and of no more than `snd_max`.
     rx_acked: Option<u32>,
     /// Duplicate-ACK streak at the current `rx_acked` (a permissive
     /// superset of the TCB's RFC 5681 count).
     dup_acks: u32,
-    /// Highest sequence bound of transmitted payload (`seq + len`).
+    /// Highest sequence bound transmitted (`seq + len`, a SYN or FIN
+    /// counting one).
     snd_max: Option<u32>,
 }
 
@@ -443,9 +445,9 @@ impl Monitor {
                 let st = self.conns.entry(key).or_default();
                 if flags.syn {
                     // New incarnation: adopt the handshake's ack (if any)
-                    // and forget the old send horizon.
+                    // and restart the send horizon at the SYN's.
                     st.tx_ack = if flags.ack { Some(ack) } else { None };
-                    st.snd_max = None;
+                    st.snd_max = Some(seq.wrapping_add(1));
                 } else if flags.rst {
                     // RSTs for stray segments echo offender state; exempt.
                 } else {
@@ -460,8 +462,9 @@ impl Monitor {
                             _ => ack,
                         });
                     }
-                    if payload > 0 {
-                        let end = seq.wrapping_add(payload);
+                    let len = payload + u32::from(flags.fin);
+                    if len > 0 {
+                        let end = seq.wrapping_add(len);
                         st.snd_max = Some(match st.snd_max {
                             Some(m) if seq_ge(m, end) => m,
                             _ => end,
@@ -485,15 +488,18 @@ impl Monitor {
             }
             Dir::Rx => {
                 let st = self.conns.entry(key).or_default();
-                if flags.syn || flags.rst {
+                // What the TCB drops unread (RFC 793), this view skips too:
+                // an old duplicate, wholly behind what this host has
+                // acknowledged, and the ACK field of an ACK of more than
+                // this host sent.
+                let last = seq.wrapping_add((payload + u32::from(flags.fin)).max(1) - 1);
+                let stale = !flags.syn && st.tx_ack.is_some_and(|r| seq_gt(r, last));
+                let unsent = flags.ack && st.snd_max.is_some_and(|m| seq_gt(ack, m));
+                if flags.syn || (flags.rst && !stale) {
                     // Handshake or reset: restart the receive-side view.
-                    st.rx_acked = if flags.syn && flags.ack {
-                        Some(ack)
-                    } else {
-                        None
-                    };
+                    st.rx_acked = (flags.syn && flags.ack && !unsent).then_some(ack);
                     st.dup_acks = 0;
-                } else if flags.ack {
+                } else if flags.ack && !stale && !unsent {
                     match st.rx_acked {
                         None => st.rx_acked = Some(ack),
                         Some(a) if seq_gt(ack, a) => {
@@ -1173,6 +1179,54 @@ mod tests {
         // Only one repeat: unjustified.
         let recs = vec![data(1), dup(2), dup(3), rex(4)];
         let m = Monitor::new().run_over(&recs);
+        assert_eq!(m.count(ViolationKind::RexmitUnjustified), 1);
+    }
+
+    #[test]
+    fn an_ack_of_what_was_never_sent_acknowledges_nothing() {
+        let data = seg(Seg {
+            time: 1,
+            dir: Dir::Tx,
+            seq: 100,
+            ack: 1,
+            payload: 500,
+        });
+        let acked_at = |seq, ack| {
+            seg(Seg {
+                time: 2,
+                dir: Dir::Rx,
+                seq,
+                ack,
+                payload: 0,
+            })
+        };
+        let acked = |ack| acked_at(1, ack);
+        let rto = Record {
+            time: 3,
+            host: Some(0),
+            frame: None,
+            event: Event::TcpRexmit {
+                local_port: 80,
+                remote_port: 9000,
+                remote_ip: [10, 0, 0, 9],
+                seq: 100,
+                bytes: 500,
+                reason: RexmitReason::Rto,
+            },
+        };
+        // A forged ACK of bytes never sent: the TCB drops it, so the 500
+        // bytes are still outstanding and their RTO retransmit is due.
+        let recs = vec![data.clone(), acked(5000), rto.clone()];
+        let m = Monitor::new().run_over(&recs);
+        assert_eq!(m.total_violations(), 0, "{:?}", m.violations());
+        // Nor does an ACK on an old duplicate, wholly behind what this
+        // host has acknowledged (its data sent with ACK 1): RFC 793 drops
+        // the segment unread.
+        let recs = vec![data.clone(), acked_at(0, 600), rto.clone()];
+        let m = Monitor::new().run_over(&recs);
+        assert_eq!(m.total_violations(), 0, "{:?}", m.violations());
+        // Acknowledged for real, the same retransmit is unjustified.
+        let m = Monitor::new().run_over(&[data, acked(600), rto]);
         assert_eq!(m.count(ViolationKind::RexmitUnjustified), 1);
     }
 
