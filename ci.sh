@@ -120,9 +120,11 @@ echo "== tier-1: zero-copy golden pcap + demux differential + journal (release) 
 cargo test -q --release --offline --test zero_copy --test demux_differential --test journal
 
 # The allocation budgets: a steady-state Table-2 bulk frame under the
-# user-level library may touch the general allocator at most 3.5 times (a
-# boxed closure per event or a fresh Vec per call reads ~14), a
-# connect-echo-close may request at most 25 KB and keep 5.5 KB through
+# user-level library may touch the general allocator at most 2.0 times
+# (reads 1.57; a frame's `Rc` header and a fresh receive Vec per frame read
+# 3.04, a boxed closure per event or a fresh Vec per call ~14), a warm
+# frame pool may not touch it at all over 1,000 alloc/clone/slice/COW/drop
+# cycles, a connect-echo-close may request at most 25 KB and keep 5.5 KB through
 # TIME_WAIT (a ring reserved up front reads 59 KB and 28 KB), and a
 # connection that has closed at both ends may keep 64 B (a scope and a
 # binding report per connection ever made read 445 B). In release, like
@@ -130,6 +132,7 @@ cargo test -q --release --offline --test zero_copy --test demux_differential --t
 # `peak_heap_bytes` they mirror.
 echo "== allocation budgets (release) =="
 cargo test -q --release --offline --test alloc_budget
+cargo test -q --release --offline -p unp-buffers --test pool_allocations
 
 # The timing wheel against its sorted-list oracle after every operation:
 # the release build runs the property at 512 cases (64 in the debug pass

@@ -80,47 +80,42 @@ pub fn live_frames() -> u64 {
     LIVE_FRAMES.with(|c| c.get())
 }
 
+/// A frame's buffer and the pool it returns to. It is allocated once, as
+/// an `Rc`, and the whole `Rc` is what a pool's freelist keeps: a recycled
+/// frame makes no allocator trip, header included.
 struct Backing {
     data: Vec<u8>,
     pool: Weak<RefCell<PoolInner>>,
 }
 
-impl Backing {
-    fn new(data: Vec<u8>, pool: Weak<RefCell<PoolInner>>) -> Backing {
-        let live = LIVE_FRAMES.with(|c| {
-            let live = c.get() + 1;
-            c.set(live);
-            live
-        });
-        // No frame id: ids are minted after the backing exists (and a COW
-        // divergence keeps its parent's id), so the pool-accounting
-        // checker chains the live counts instead of joining frames.
-        unp_trace::emit(None, || unp_trace::Event::FrameAlloc { live });
-        Backing { data, pool }
-    }
+/// Counts `backing` live as it is handed to a new frame and journals it.
+/// No frame id: ids are minted after the backing exists (and a COW
+/// divergence keeps its parent's id), so the pool-accounting checker
+/// chains the live counts instead of joining frames.
+fn went_live(backing: Rc<Backing>) -> Rc<Backing> {
+    let live = LIVE_FRAMES.with(|c| {
+        let live = c.get() + 1;
+        c.set(live);
+        live
+    });
+    unp_trace::emit(None, || unp_trace::Event::FrameAlloc { live });
+    backing
 }
 
-impl Drop for Backing {
-    fn drop(&mut self) {
-        let live = LIVE_FRAMES.with(|c| {
-            let live = c.get().saturating_sub(1);
-            c.set(live);
-            live
-        });
-        unp_trace::emit(None, || unp_trace::Event::FrameFree { live });
-        if let Some(pool) = self.pool.upgrade() {
-            let mut p = pool.borrow_mut();
-            if p.free.len() < p.max_free && self.data.len() == p.buf_size {
-                p.free.push(std::mem::take(&mut self.data));
-            }
-        }
-    }
+/// A fresh backing no pool takes back.
+fn unpooled(data: Vec<u8>) -> Rc<Backing> {
+    bump_stats(|s| s.frames_fresh += 1);
+    went_live(Rc::new(Backing {
+        data,
+        pool: Weak::new(),
+    }))
 }
 
 struct PoolInner {
     buf_size: usize,
     max_free: usize,
-    free: Vec<Vec<u8>>,
+    /// Backings no frame holds, each the only handle to its `Rc`.
+    free: Vec<Rc<Backing>>,
 }
 
 /// A freelist of fixed-size backing buffers for [`Frame`]s.
@@ -174,43 +169,59 @@ impl FramePool {
         self.inner.borrow().buf_size
     }
 
-    fn take_buf(&self, min_len: usize) -> Vec<u8> {
+    /// A live backing of at least `min_len` bytes, recycled when it fits
+    /// and the freelist has one. Its first `headroom` bytes read zero;
+    /// the caller overwrites the window after them, and nothing past the
+    /// window is ever visible, so a recycled buffer shows no earlier
+    /// frame's bytes without being cleared whole.
+    fn take_buf(&self, min_len: usize, headroom: usize) -> Rc<Backing> {
         let mut p = self.inner.borrow_mut();
-        if min_len <= p.buf_size {
-            if let Some(mut buf) = p.free.pop() {
+        let recycled = if min_len <= p.buf_size {
+            p.free.pop()
+        } else {
+            None
+        };
+        let backing = match recycled {
+            Some(mut backing) => {
                 bump_stats(|s| s.frames_recycled += 1);
-                // Zero only the window the caller asked for, so recycled
-                // frames are indistinguishable from fresh zeroed ones.
-                buf[..min_len].fill(0);
-                return buf;
+                Rc::get_mut(&mut backing)
+                    .expect("a freelisted backing is unique")
+                    .data[..headroom]
+                    .fill(0);
+                backing
             }
-        }
-        let size = p.buf_size.max(min_len);
-        drop(p);
-        bump_stats(|s| s.frames_fresh += 1);
-        vec![0u8; size]
+            None => {
+                let size = p.buf_size.max(min_len);
+                drop(p);
+                bump_stats(|s| s.frames_fresh += 1);
+                Rc::new(Backing {
+                    data: vec![0u8; size],
+                    pool: Rc::downgrade(&self.inner),
+                })
+            }
+        };
+        went_live(backing)
     }
 
     /// Allocates a frame containing `payload` with `headroom` bytes
     /// reserved in front for headers. The one memcpy here (payload into
     /// the buffer) is the send path's single data copy.
     pub fn alloc(&self, headroom: usize, payload: &[u8]) -> Frame {
-        let need = headroom + payload.len();
-        let data = self.take_buf(need);
-        let mut frame = Frame {
-            backing: Rc::new(Backing::new(data, Rc::downgrade(&self.inner))),
+        let window = headroom..headroom + payload.len();
+        let mut backing = self.take_buf(window.end, headroom);
+        if !payload.is_empty() {
+            bump_stats(|s| s.bytes_copied += payload.len() as u64);
+            Rc::get_mut(&mut backing)
+                .expect("fresh backing is unique")
+                .data[window]
+                .copy_from_slice(payload);
+        }
+        Frame {
+            backing,
             head: headroom,
             len: payload.len(),
             id: unp_trace::next_frame_id(),
-        };
-        if !payload.is_empty() {
-            bump_stats(|s| s.bytes_copied += payload.len() as u64);
-            Rc::get_mut(&mut frame.backing)
-                .expect("fresh backing is unique")
-                .data[headroom..headroom + payload.len()]
-                .copy_from_slice(payload);
         }
-        frame
     }
 }
 
@@ -237,9 +248,8 @@ impl Frame {
     /// Wraps a complete packet in an unpooled frame with no headroom.
     pub fn from_vec(data: Vec<u8>) -> Frame {
         let len = data.len();
-        bump_stats(|s| s.frames_fresh += 1);
         Frame {
-            backing: Rc::new(Backing::new(data, Weak::new())),
+            backing: unpooled(data),
             head: 0,
             len,
             id: unp_trace::next_frame_id(),
@@ -295,20 +305,17 @@ impl Frame {
             s.cow_copies += 1;
             s.bytes_copied += self.len as u64;
         });
-        let pool = self.backing.pool.clone();
-        let mut data = match pool.upgrade() {
-            Some(inner) => FramePool { inner }.take_buf(self.backing.data.len()),
-            None => {
-                bump_stats(|s| s.frames_fresh += 1);
-                vec![0u8; self.backing.data.len()]
-            }
+        let size = self.backing.data.len();
+        let mut backing = match self.backing.pool.upgrade() {
+            Some(inner) => FramePool { inner }.take_buf(size, self.head),
+            None => unpooled(vec![0u8; size]),
         };
-        if data.len() < self.backing.data.len() {
-            data.resize(self.backing.data.len(), 0);
-        }
-        data[self.head..self.head + self.len]
-            .copy_from_slice(&self.backing.data[self.head..self.head + self.len]);
-        self.backing = Rc::new(Backing::new(data, pool));
+        let window = self.head..self.head + self.len;
+        let fresh = &mut Rc::get_mut(&mut backing)
+            .expect("fresh backing is unique")
+            .data;
+        fresh[window.clone()].copy_from_slice(&self.backing.data[window]);
+        self.backing = backing;
     }
 
     /// Extends the window front by `n` bytes (a header about to be filled
@@ -377,6 +384,29 @@ impl Clone for Frame {
             head: self.head,
             len: self.len,
             id: self.id,
+        }
+    }
+}
+
+impl Drop for Frame {
+    /// The last handle out releases the backing: it stops counting as live
+    /// and, if it is a full-size buffer of a pool with room, its whole `Rc`
+    /// goes on the freelist (the clone pushed there outlives this handle).
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.backing) != 1 {
+            return;
+        }
+        let live = LIVE_FRAMES.with(|c| {
+            let live = c.get().saturating_sub(1);
+            c.set(live);
+            live
+        });
+        unp_trace::emit(None, || unp_trace::Event::FrameFree { live });
+        if let Some(pool) = self.backing.pool.upgrade() {
+            let mut p = pool.borrow_mut();
+            if p.free.len() < p.max_free && self.backing.data.len() == p.buf_size {
+                p.free.push(Rc::clone(&self.backing));
+            }
         }
     }
 }
@@ -688,6 +718,53 @@ mod tests {
         }
         let mut g = pool.alloc(8, b"");
         assert_eq!(g.prepend(8), &[0u8; 8], "headroom must come back clean");
+    }
+
+    /// A pool whose freelist holds `n` buffers written 0xff end to end.
+    fn dirty_pool(n: usize) -> FramePool {
+        let pool = FramePool::new(64, 4);
+        let dirty: Vec<Frame> = (0..n).map(|_| pool.alloc(0, &[0xff; 64])).collect();
+        drop(dirty);
+        assert_eq!(pool.free_buffers(), n);
+        pool
+    }
+
+    /// Only the headroom of a recycled buffer is cleared (the payload copy
+    /// overwrites the window), and that is enough: no byte of an earlier
+    /// frame — another tenant's, on a shared pool — is readable.
+    #[test]
+    fn a_recycled_buffer_shows_no_earlier_frame_bytes() {
+        let pool = dirty_pool(1);
+        reset_frame_stats();
+        let mut f = pool.alloc(40, b"short");
+        assert_eq!(
+            frame_stats().frames_recycled,
+            1,
+            "the dirty buffer came back"
+        );
+        assert_eq!(f.as_slice(), b"short");
+        assert_eq!(f.prepend(40), &[0u8; 40], "headroom must read zeros");
+        assert_eq!(&f[40..], b"short");
+        assert_eq!(f.len(), 45);
+    }
+
+    #[test]
+    fn a_copy_on_write_into_a_recycled_buffer_shows_no_earlier_bytes() {
+        let pool = dirty_pool(2);
+        let mut a = pool.alloc(40, b"short");
+        let b = a.clone();
+        reset_frame_stats();
+        a.as_mut_slice()[0] = b'S';
+        let st = frame_stats();
+        assert_eq!(
+            (st.cow_copies, st.frames_recycled),
+            (1, 1),
+            "the writer diverged into the second dirty buffer"
+        );
+        assert_eq!(a.as_slice(), b"Short");
+        assert_eq!(a.prepend(40), &[0u8; 40], "headroom must read zeros");
+        assert_eq!(&a[40..], b"Short");
+        assert_eq!(b.as_slice(), b"short", "reader must be unaffected");
     }
 
     #[test]

@@ -40,23 +40,28 @@ pub(super) fn app_upcall(
 }
 
 pub(super) fn app_event(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ev: AppEvent) {
-    let ops = {
-        let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
-            return;
-        };
-        let view = AppView {
-            now: eng.now(),
-            send_space: conn.tcb.send_space(),
-            pending_tx: conn.pending_tx.len(),
-            local: Some(conn.tcb.local()),
-            remote: Some(conn.tcb.remote()),
-        };
-        match ev {
-            AppEvent::Connected => conn.app.on_connected(&view),
-            AppEvent::Data(d) => conn.app.on_data(&d, &view),
-            AppEvent::SendSpace => conn.app.on_send_space(&view),
-            AppEvent::PeerClosed => conn.app.on_peer_closed(&view),
+    let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
+        return;
+    };
+    let view = AppView {
+        now: eng.now(),
+        send_space: conn.tcb.send_space(),
+        pending_tx: conn.pending_tx.len(),
+        local: Some(conn.tcb.local()),
+        remote: Some(conn.tcb.remote()),
+    };
+    let ops = match ev {
+        AppEvent::Connected => conn.app.on_connected(&view),
+        AppEvent::Data(d) => {
+            let ops = conn.app.on_data(&d, &view);
+            // Back to `byte_spare`, under its keep rule.
+            if d.capacity() <= w.pool.buf_size() {
+                w.byte_spare.give(d);
+            }
+            ops
         }
+        AppEvent::SendSpace => conn.app.on_send_space(&view),
+        AppEvent::PeerClosed => conn.app.on_peer_closed(&view),
     };
     apply_app_ops(w, eng, h, cid, ops);
 }

@@ -236,6 +236,12 @@ pub struct World {
     /// `recv`, `SendSpace` → [`flush_conn_tx`]).
     tcp_spare: Spare<TcpAction>,
     reg_spare: Spare<RegistryAction>,
+    /// Emptied receive buffers: `DataAvailable` drains a TCB into one and
+    /// `app_event` gives it back after the application's `on_data`. Only
+    /// buffers no larger than one pool buffer come back: a lossy
+    /// transfer's reassembly drains many segments into one read, and
+    /// keeping those buffers would hold the burst's peak for good.
+    byte_spare: Spare<u8>,
 }
 
 /// A free-list of emptied `Vec`s, so a buffer's capacity outlives its use.
@@ -450,6 +456,7 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
         faults: crate::faults::FaultPlan::none(),
         tcp_spare: Spare(Vec::new()),
         reg_spare: Spare(Vec::new()),
+        byte_spare: Spare(Vec::new()),
     };
     (world, Engine::new())
 }

@@ -145,17 +145,18 @@ pub(super) fn apply_tcp_actions(
                 app_upcall(w, eng, h, cost, cid, AppEvent::Connected);
             }
             TcpAction::DataAvailable => {
-                // Drain the receive buffer and upcall the application.
+                // Drain the receive buffer into a spare and upcall the
+                // application; `app_event` gives the buffer back.
                 let now = eng.now();
-                let drained = with_conn(w, eng, h, cid, frame, |conn, out| {
-                    let data = conn.tcb.recv_into(usize::MAX, now, out);
-                    conn.bytes_to_app += data.len() as u64;
-                    data
-                });
-                let Some(data) = drained else {
-                    break;
-                };
-                if !data.is_empty() {
+                let mut data = w.byte_spare.take();
+                let gone = with_conn(w, eng, h, cid, frame, |conn, out| {
+                    let n = conn.tcb.recv_into(usize::MAX, now, &mut data, out);
+                    conn.bytes_to_app += n as u64;
+                })
+                .is_none();
+                if data.is_empty() {
+                    w.byte_spare.give(data);
+                } else {
                     w.metrics.sample(Hist::AppDeliverBytes, data.len() as u64);
                     unp_trace::emit_at(h as u16, frame, || unp_trace::Event::AppDeliver {
                         conn: cid as u64,
@@ -163,6 +164,9 @@ pub(super) fn apply_tcp_actions(
                     });
                     let cost = app_boundary_cost(w, h) + rx_copy_cost(w, h, data.len());
                     app_upcall(w, eng, h, cost, cid, AppEvent::Data(data));
+                }
+                if gone {
+                    break;
                 }
             }
             TcpAction::SendSpace => {

@@ -15,7 +15,7 @@ use unp_wire::SeqNum;
 use crate::config::MSS_DEFAULT;
 use crate::reasm::OooBuffer;
 use crate::rtt::RttEstimator;
-use crate::{copy_range, Nanos};
+use crate::{append_range, copy_range, Nanos};
 
 /// What [`Delivery::retransmit_head`] resends.
 pub(crate) enum Rexmit {
@@ -228,12 +228,13 @@ impl Delivery {
         self.fin_queued = true;
     }
 
-    /// Removes up to `max` bytes from the front of the receive buffer.
-    pub(crate) fn read(&mut self, max: usize) -> Vec<u8> {
+    /// Moves up to `max` bytes from the front of the receive buffer to the
+    /// end of `out`; how many.
+    pub(crate) fn read(&mut self, max: usize, out: &mut Vec<u8>) -> usize {
         let take = max.min(self.recv_buf.len());
-        let data = copy_range(&self.recv_buf, 0, take);
+        append_range(&self.recv_buf, 0, take, out);
         self.recv_buf.drain(..take);
-        data
+        take
     }
 
     // --- output ---

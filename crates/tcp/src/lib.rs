@@ -53,9 +53,26 @@ pub type Nanos = u64;
 /// Unless `start + len <= buf.len()` — an empty range past the end
 /// included.
 pub fn copy_range(buf: &std::collections::VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    append_range(buf, start, len, &mut out);
+    out
+}
+
+/// [`copy_range`], appended to `out` (never cleared): a buffer the caller
+/// reuses grows only when `len` outruns its spare capacity, and then to
+/// exactly what it holds.
+///
+/// # Panics
+/// As [`copy_range`].
+pub(crate) fn append_range(
+    buf: &std::collections::VecDeque<u8>,
+    start: usize,
+    len: usize,
+    out: &mut Vec<u8>,
+) {
     debug_assert!(start + len <= buf.len(), "range past the stream's end");
     let (front, back) = buf.as_slices();
-    let mut out = Vec::with_capacity(len);
+    out.reserve_exact(len);
     if start < front.len() {
         let n = len.min(front.len() - start);
         out.extend_from_slice(&front[start..start + n]);
@@ -64,7 +81,6 @@ pub fn copy_range(buf: &std::collections::VecDeque<u8>, start: usize, len: usize
         let start = start - front.len();
         out.extend_from_slice(&back[start..start + len]);
     }
-    out
 }
 
 /// Errors surfaced to the socket layer.

@@ -408,22 +408,29 @@ impl Tcb {
     /// ACK when the read opens the advertised window significantly
     /// (receiver-side silly-window avoidance).
     pub fn recv(&mut self, max: usize, now: Nanos) -> (Vec<u8>, Vec<TcpAction>) {
-        let mut out = Vec::new();
-        let data = self.recv_into(max, now, &mut out);
+        let (mut data, mut out) = (Vec::new(), Vec::new());
+        self.recv_into(max, now, &mut data, &mut out);
         (data, out)
     }
 
-    /// [`Tcb::recv`], appending any window update to `out`.
-    pub fn recv_into(&mut self, max: usize, _now: Nanos, out: &mut Vec<TcpAction>) -> Vec<u8> {
-        let data = self.rod.read(max);
-        if !data.is_empty() && self.conn.is_live() {
+    /// [`Tcb::recv`], appending the bytes read to `data` and any window
+    /// update to `out`; how many bytes.
+    pub fn recv_into(
+        &mut self,
+        max: usize,
+        _now: Nanos,
+        data: &mut Vec<u8>,
+        out: &mut Vec<TcpAction>,
+    ) -> usize {
+        let n = self.rod.read(max, data);
+        if n > 0 && self.conn.is_live() {
             let cap = self.cfg.recv_buf;
             let edge = self.rod.rcv_nxt() + self.rod.recv_window(cap);
             if self.flow.window_update_due(edge, self.rod.mss(), cap) {
                 self.emit_ack(out);
             }
         }
-        data
+        n
     }
 
     /// Closes the send direction (queues a FIN after any buffered data).

@@ -3,7 +3,8 @@
 //! they must be the same function. Two identical TCBs are driven in
 //! lockstep, one through each form, the sink pre-loaded with a sentinel:
 //! after every call the sink's suffix equals the returned `Vec` and the
-//! sentinel is still in front. The scripts are `direct_tcb.rs`'s
+//! sentinel is still in front. `recv_into` appends its bytes too, so its
+//! data buffer is pre-loaded the same way. The scripts are `direct_tcb.rs`'s
 //! hand-driven exchanges and `lossy_properties.rs`'s impaired transfers.
 
 use std::collections::{HashMap, VecDeque};
@@ -19,6 +20,10 @@ const MS: u64 = 1_000_000;
 
 /// An action no script produces: what the sink holds before each call.
 const SENTINEL: TcpAction = TcpAction::SetTimer(TcpTimer::Keepalive, u64::MAX);
+
+/// What `recv_into`'s data buffer holds before each call: no script's
+/// stream starts with it.
+const BYTE_SENTINEL: &[u8] = b"\xa5 not stream bytes";
 
 /// Runs the sink form into a pre-loaded buffer and checks it against what
 /// the `Vec` form returned.
@@ -125,11 +130,17 @@ impl Twin {
 
     fn recv(&mut self, max: usize, now: u64) -> (Vec<u8>, Vec<TcpAction>) {
         let (data, returned) = self.by_vec.recv(max, now);
-        let mut sunk = None;
+        let mut sunk = BYTE_SENTINEL.to_vec();
         let actions = same(returned, |out| {
-            sunk = Some(self.by_sink.recv_into(max, now, out))
+            let n = self.by_sink.recv_into(max, now, &mut sunk, out);
+            assert_eq!(n, data.len(), "recv_into counted other bytes than it read");
         });
-        assert_eq!(sunk.as_ref(), Some(&data));
+        let (kept, appended) = sunk.split_at(BYTE_SENTINEL.len());
+        assert_eq!(
+            kept, BYTE_SENTINEL,
+            "recv_into cleared its caller's data buffer"
+        );
+        assert_eq!(appended, &data[..], "recv_into read other bytes than recv");
         self.agree();
         (data, actions)
     }
