@@ -10,44 +10,45 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-# The shape `core::world` was cut to (DESIGN §7's module map): no source
-# file in the crate over 1,000 lines, and the two organizations' receive
-# paths apart. The compiler already keeps each one's bookkeeping on `Host`
-# to its own module (private fields); the greps hold what privacy cannot:
-# the monolithic path naming the user library's public types, the user
-# library naming the monolithic stack's event, either naming the other.
-echo "== core::world: file sizes, organizations apart =="
+# The crates cut along their write scopes (DESIGN §7's maps) stay cut: no
+# source file under each directory over its limit, tests included.
+echo "== file sizes: core 1,000 lines; tcp, kernel, trace 650 =="
+for cap in crates/core/src:1000 crates/tcp/src:650 crates/kernel/src:650 crates/trace/src:650; do
+  find "${cap%:*}" -name '*.rs' -exec wc -l {} + \
+    | awk -v limit="${cap#*:}" '$2 != "total" && $1 > limit { print $2 " has " $1 " lines (limit " limit ")"; bad = 1 } END { exit bad }'
+done
+
+# The shape `core::world` was cut to (DESIGN §7's module map): the two
+# organizations' receive paths apart. The compiler already keeps each
+# one's bookkeeping on `Host` to its own module (private fields); the
+# greps hold what privacy cannot: the monolithic path naming the user
+# library's public types, the user library naming the monolithic stack's
+# event, either naming the other.
+echo "== core::world: organizations apart =="
 world=crates/core/src/world
-find crates/core/src -name '*.rs' -exec wc -l {} + \
-  | awk '$2 != "total" && $1 > 1000 { print $2 " has " $1 " lines (limit 1,000)"; bad = 1 } END { exit bad }'
 if grep -nE 'ChanInfo|RegistryAction|userlib' $world/org/monolithic.rs \
   || grep -rnE 'PcbInput|monolithic' $world/org/userlib.rs $world/org/userlib/; then
   echo "core::world's organizations name each other (lines above)"; exit 1
 fi
 
-# The shape `unp-tcp` was cut to (DESIGN §7's component table): no source
-# file in the crate over 650 lines, and what `CongestionControl` means
-# decided in the congestion component alone. The compiler already keeps
-# each component's fields to its own module; the grep holds what privacy
-# cannot: the TCB (or another component) branching on the algorithm.
-echo "== unp-tcp: file sizes, one congestion decision =="
-find crates/tcp/src -name '*.rs' -exec wc -l {} + \
-  | awk '$2 != "total" && $1 > 650 { print $2 " has " $1 " lines (limit 650)"; bad = 1 } END { exit bad }'
+# The shape `unp-tcp` was cut to (DESIGN §7's component table): what
+# `CongestionControl` means decided in the congestion component alone. The
+# compiler already keeps each component's fields to its own module; the
+# grep holds what privacy cannot: the TCB (or another component) branching
+# on the algorithm.
+echo "== unp-tcp: one congestion decision =="
 if grep -rn 'CongestionControl::' crates/tcp/src \
   | grep -v '^crates/tcp/src/\(congestion\|config\)\.rs:'; then
   echo "CongestionControl is matched outside the congestion component (lines above)"; exit 1
 fi
 
 # The shape the network I/O module was cut to (DESIGN §7's kernel map):
-# no source file in the crate over 650 lines, tests included, and every
-# receive discard journaled from one place — the ring's admission check
-# in `channel.rs`. The compiler keeps each mechanism's fields to its own
-# module; the grep holds what privacy cannot: a second site building a
+# every receive discard journaled from one place — the ring's admission
+# check in `channel.rs`. The compiler keeps each mechanism's fields to its
+# own module; the grep holds what privacy cannot: a second site building a
 # `RingDrop` or `QuotaDrop` record (the closure an `emit` is handed) in
 # the non-test part of any crate's sources.
-echo "== unp-kernel: file sizes, one receive discard site =="
-find crates/kernel/src -name '*.rs' -exec wc -l {} + \
-  | awk '$2 != "total" && $1 > 650 { print $2 " has " $1 " lines (limit 650)"; bad = 1 } END { exit bad }'
+echo "== unp-kernel: one receive discard site =="
 for event in RingDrop QuotaDrop; do
   sites=$(find crates -path '*/src/*' -name '*.rs' -exec awk -v ev="$event" '
     FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }

@@ -14,8 +14,8 @@
 
 use unp_sim::CostModel;
 use unp_trace::json::Value;
-use unp_trace::profile::Stage;
 use unp_trace::Histogram;
+use unp_trace::Stage;
 
 use crate::report::Workloads;
 use crate::trace::{sweep_workload, wakeup_spans, TracedRun};

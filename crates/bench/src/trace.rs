@@ -5,7 +5,7 @@
 //! received frame (demux, ring placement, semaphore wakeup, protocol
 //! processing) charges a constant from [`CostModel`]. The journal records
 //! the same hops as timestamped events, so the per-copy
-//! [`PathTrace`](unp_trace::profile::PathTrace)s that
+//! [`PathTrace`](unp_trace::PathTrace)s that
 //! [`CausalGraph::build`] joins out of it reconstruct the latency the
 //! model actually produced — and the two must agree. Concretely:
 //!
@@ -32,7 +32,7 @@ use unp_core::experiments::Transfer;
 use unp_core::{Network, OrgKind};
 use unp_sim::{CostModel, DemuxPath, Nanos};
 use unp_trace::json::Value;
-use unp_trace::profile::Stage;
+use unp_trace::Stage;
 use unp_trace::{CausalGraph, Event, Histogram};
 
 use crate::report::Workloads;

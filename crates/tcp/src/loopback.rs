@@ -313,8 +313,6 @@ impl Loopback {
 
     /// Aborts from `side` (RST).
     pub fn abort(&mut self, side: Side) {
-        let now = self.now;
-        let _ = now;
         if let Some(tcb) = self.ep_mut(side).tcb.as_mut() {
             let actions = tcb.abort();
             self.apply(side, actions);

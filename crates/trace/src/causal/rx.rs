@@ -1,20 +1,19 @@
 //! The receive half of the causal graph: the receive-path stage taxonomy
 //! (`nic_rx → demux_classify → ring_enqueue → wakeup_batch → tcp_segment
-//! → app_deliver`), the per-copy [`PathTrace`] that
-//! [`CausalGraph::build`] stamps for every frame a host received, and the
-//! receive-side views over the graph: per-stage and end-to-end latency
-//! roll-ups, outcome counts and a folded flamegraph-style text output.
+//! → app_deliver`), the per-copy [`PathTrace`], the receive step of
+//! [`CausalGraph::build`] that stamps one for every frame a host received
+//! (the only code that stamps a stage), and the receive-side views over
+//! the graph: per-stage and end-to-end latency roll-ups, outcome counts
+//! and a folded flamegraph-style text output.
 //!
 //! This is the paper's Table 2/3-style accounting: *where* does a
 //! received packet's time go — demultiplexing, buffering in the ring,
-//! waiting for the wakeup, or protocol processing? The traces are built by
-//! the receive step of [`CausalGraph::build`], the one join of a journal.
+//! waiting for the wakeup, or protocol processing?
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::causal::CausalGraph;
-use crate::metrics::Histogram;
-use crate::{Nanos, PathKind};
+use super::CausalGraph;
+use crate::{Dir, Event, Histogram, Nanos, PathKind, Record};
 
 /// The receive-path stage taxonomy, in path order. Each stage's component
 /// is the time from the previous *present* stage's timestamp to its own,
@@ -142,11 +141,11 @@ pub struct PathTrace {
     /// Per-stage timestamps, indexed by `Stage as usize`; `None` where
     /// the frame never reached (or an event wasn't attributable to) that
     /// stage.
-    pub t: [Option<Nanos>; N_STAGES],
+    t: [Option<Nanos>; N_STAGES],
 }
 
 impl PathTrace {
-    pub(crate) fn new(frame: u64, host: Option<u16>) -> PathTrace {
+    fn new(frame: u64, host: Option<u16>) -> PathTrace {
         PathTrace {
             frame,
             host,
@@ -166,7 +165,7 @@ impl PathTrace {
     }
 
     /// The present stages with their timestamps, in path order.
-    fn present(&self) -> impl Iterator<Item = (Stage, Nanos)> + '_ {
+    pub fn present(&self) -> impl Iterator<Item = (Stage, Nanos)> + '_ {
         Stage::ALL
             .iter()
             .filter_map(|&s| self.t[s as usize].map(|t| (s, t)))
@@ -205,7 +204,7 @@ impl PathTrace {
     /// stage timestamps nondecreasing in path order, components summing
     /// exactly to the end-to-end latency (deterministic sim time — no
     /// tolerance), and a delivered copy stamped at both ends.
-    pub(crate) fn check(&self) -> Result<(), String> {
+    pub fn check(&self) -> Result<(), String> {
         let mut prev: Option<(Stage, Nanos)> = None;
         for (s, t) in self.present() {
             if let Some((ps, pt)) = prev {
@@ -320,269 +319,155 @@ impl CausalGraph {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Dir, Event, Record};
+/// The receive step of [`CausalGraph::build`]: one [`PathTrace`] per
+/// received copy, in `nic_rx` order.
+///
+/// It consumes the records in **emission order** (not
+/// [`render`](crate::render)'s sorted display order). A per-frame queue
+/// of open traces lets a fault-duplicated frame id yield two copies that
+/// claim their own events in arrival order; a per-`(host, channel)` FIFO
+/// of ring-resident traces attributes `wakeup_batch` (which carries no
+/// frame id) in ring order, exactly as the library drains the ring. A
+/// copy that leaves the path early closes with its own
+/// [`PathOutcome`]; one whose events simply stop (still in a ring at
+/// `journal_stop`, or wire-dropped mid-path) is
+/// [`Truncated`](PathOutcome::Truncated).
+pub(super) fn join_rx(records: &[Record]) -> Vec<PathTrace> {
+    let mut traces: Vec<PathTrace> = Vec::new();
+    // Open traces per frame id, in arrival order — duplicates queue.
+    let mut open: HashMap<u64, VecDeque<usize>> = HashMap::new();
+    // Ring-resident traces per (host, channel): wakeup_batch carries
+    // no frame id, so consumption is attributed FIFO, like the ring.
+    let mut ring: HashMap<(u16, u32), VecDeque<usize>> = HashMap::new();
 
-    fn rec(time: Nanos, host: u16, frame: Option<u64>, event: Event) -> Record {
-        Record {
-            time,
-            host: Some(host),
-            frame,
-            event,
+    for rec in records {
+        if let Event::WakeupBatch { channel, frames } = rec.event {
+            let Some(q) = rec.host.and_then(|h| ring.get_mut(&(h, channel))) else {
+                continue;
+            };
+            for idx in q.drain(..q.len().min(frames as usize)) {
+                traces[idx].t[Stage::Wakeup as usize].get_or_insert(rec.time);
+            }
+            continue;
+        }
+        let Some(f) = rec.frame else { continue };
+        match &rec.event {
+            Event::NicRx { accepted, .. } => {
+                let mut tr = PathTrace::new(f, rec.host);
+                tr.t[Stage::NicRx as usize] = Some(rec.time);
+                let idx = traces.len();
+                if *accepted {
+                    traces.push(tr);
+                    open.entry(f).or_default().push_back(idx);
+                } else {
+                    tr.outcome = PathOutcome::NicDropped;
+                    traces.push(tr);
+                }
+            }
+            Event::DemuxClassify {
+                path,
+                filter_instrs,
+                matched,
+            } => {
+                let Some(idx) = find_open(&open, &traces, f, Stage::Demux) else {
+                    continue;
+                };
+                let tr = &mut traces[idx];
+                tr.t[Stage::Demux as usize] = Some(rec.time);
+                tr.path = Some(*path);
+                tr.filter_instrs = *filter_instrs;
+                if !*matched {
+                    tr.outcome = PathOutcome::KernelDefault;
+                    close(&mut open, f, idx);
+                }
+            }
+            Event::RingEnqueue {
+                channel, signal, ..
+            } => {
+                let Some(idx) = find_open(&open, &traces, f, Stage::Ring) else {
+                    continue;
+                };
+                let tr = &mut traces[idx];
+                tr.t[Stage::Ring as usize] = Some(rec.time);
+                tr.channel = Some(*channel);
+                tr.signaled = Some(*signal);
+                if let Some(h) = rec.host.or(tr.host) {
+                    ring.entry((h, *channel)).or_default().push_back(idx);
+                }
+            }
+            // A tenant-quota drop dies at the same stage as a ring
+            // overflow; `fate_of` tells them apart by the quota record's
+            // tenant id, so the stage taxonomy stays at seven outcomes.
+            Event::RingDrop { .. } | Event::QuotaDrop { .. } => {
+                let Some(idx) = find_open(&open, &traces, f, Stage::Ring) else {
+                    continue;
+                };
+                traces[idx].outcome = PathOutcome::RingDropped;
+                close(&mut open, f, idx);
+            }
+            Event::TcpSegment {
+                dir: Dir::Rx, wire, ..
+            } => {
+                let Some(idx) = find_open(&open, &traces, f, Stage::Tcp) else {
+                    continue;
+                };
+                traces[idx].t[Stage::Tcp as usize] = Some(rec.time);
+                traces[idx].wire = *wire;
+            }
+            Event::FrameCorruptDiscard { .. } => {
+                let Some(&idx) = open.get(&f).and_then(VecDeque::front) else {
+                    continue;
+                };
+                traces[idx].outcome = PathOutcome::CorruptDiscarded;
+                close(&mut open, f, idx);
+            }
+            Event::AppDeliver { .. } => {
+                let Some(idx) = find_open(&open, &traces, f, Stage::Deliver) else {
+                    continue;
+                };
+                let tr = &mut traces[idx];
+                tr.t[Stage::Deliver as usize] = Some(rec.time);
+                tr.outcome = PathOutcome::Delivered;
+                close(&mut open, f, idx);
+            }
+            _ => {}
         }
     }
 
-    fn nic_rx(t: Nanos, f: u64) -> Record {
-        rec(
-            t,
-            1,
-            Some(f),
-            Event::NicRx {
-                len: 64,
-                accepted: true,
-            },
-        )
+    // Whatever is still open ran off the end of the journal: fully
+    // protocol-processed frames (pure ACKs and the like) are Processed,
+    // the rest are Truncated.
+    for q in open.into_values() {
+        for idx in q {
+            let tr = &mut traces[idx];
+            tr.outcome = if tr.t[Stage::Tcp as usize].is_some() {
+                PathOutcome::Processed
+            } else {
+                PathOutcome::Truncated
+            };
+        }
     }
+    traces
+}
 
-    fn classify(t: Nanos, f: u64) -> Record {
-        rec(
-            t,
-            1,
-            Some(f),
-            Event::DemuxClassify {
-                path: PathKind::FlowTable,
-                filter_instrs: 8,
-                matched: true,
-            },
-        )
-    }
+/// Index of the first trace in `open[frame]` that hasn't reached `stage`.
+fn find_open(
+    open: &HashMap<u64, VecDeque<usize>>,
+    traces: &[PathTrace],
+    frame: u64,
+    stage: Stage,
+) -> Option<usize> {
+    open.get(&frame)?
+        .iter()
+        .copied()
+        .find(|&i| traces[i].t[stage as usize].is_none())
+}
 
-    fn enqueue(t: Nanos, f: u64, signal: bool) -> Record {
-        rec(
-            t,
-            1,
-            Some(f),
-            Event::RingEnqueue {
-                channel: 3,
-                depth: 1,
-                signal,
-            },
-        )
-    }
-
-    fn wakeup(t: Nanos, frames: u32) -> Record {
-        rec(t, 1, None, Event::WakeupBatch { channel: 3, frames })
-    }
-
-    fn tcp(t: Nanos, host: u16, f: u64, dir: Dir) -> Record {
-        rec(
-            t,
-            host,
-            Some(f),
-            Event::TcpSegment {
-                dir,
-                local_port: 80,
-                remote_port: 2000,
-                remote_ip: [10, 0, 0, 9],
-                seq: 0,
-                ack: 0,
-                wnd: 8192,
-                flags: crate::SegFlags::default(),
-                payload: 10,
-                wire: 50,
-            },
-        )
-    }
-
-    fn tcp_rx(t: Nanos, f: u64) -> Record {
-        tcp(t, 1, f, Dir::Rx)
-    }
-
-    fn deliver(t: Nanos, f: u64) -> Record {
-        rec(t, 1, Some(f), Event::AppDeliver { conn: 9, bytes: 10 })
-    }
-
-    /// Builds the graph and holds it to its one checker.
-    fn build(recs: &[Record]) -> CausalGraph {
-        let g = CausalGraph::build(recs);
-        g.check_consistency().unwrap();
-        g
-    }
-
-    #[test]
-    fn full_path_decomposes_exactly() {
-        let recs = vec![
-            nic_rx(100, 0),
-            classify(130, 0),
-            enqueue(150, 0, true),
-            wakeup(190, 1),
-            tcp_rx(240, 0),
-            deliver(300, 0),
-        ];
-        let g = build(&recs);
-        let traces: Vec<_> = g.rx().collect();
-        assert_eq!(traces.len(), 1);
-        let tr = traces[0];
-        assert!(tr.is_complete());
-        assert_eq!(tr.end_to_end(), Some(200));
-        assert_eq!(
-            tr.components(),
-            vec![
-                (Stage::Demux, 30),
-                (Stage::Ring, 20),
-                (Stage::Wakeup, 40),
-                (Stage::Tcp, 50),
-                (Stage::Deliver, 60),
-            ]
-        );
-        assert_eq!(tr.channel, Some(3));
-        assert_eq!(tr.signaled, Some(true));
-        assert_eq!(g.outcome_count(PathOutcome::Delivered), 1);
-        assert_eq!(g.rx_end_to_end().mean(), Some(200.0));
-        assert_eq!(g.stage_latency()[Stage::Tcp as usize].sum(), 50);
-        let folded = g.folded();
-        assert!(folded.contains("rx;demux_classify;flow 30"));
-        assert!(folded.contains("rx;wakeup_batch;signaled 40"));
-        assert!(folded.contains("rx;app_deliver 60"));
-    }
-
-    #[test]
-    fn duplicated_frame_ids_join_fifo_without_cross_talk() {
-        // The fault plan delivered frame 5 twice: two traces, and the
-        // batch of two wakeups pairs with them in ring order.
-        let recs = vec![
-            nic_rx(100, 5),
-            classify(110, 5),
-            enqueue(120, 5, true),
-            nic_rx(130, 5),
-            classify(140, 5),
-            enqueue(150, 5, false),
-            wakeup(200, 2),
-            tcp_rx(210, 5),
-            tcp_rx(220, 5),
-            deliver(230, 5),
-            deliver(240, 5),
-        ];
-        let g = build(&recs);
-        // One journey, both copies on it, in arrival order.
-        assert_eq!(g.journeys.len(), 1);
-        let traces = &g.journey(5).unwrap().rx;
-        assert_eq!(traces.len(), 2);
-        assert!(traces.iter().all(|t| t.is_complete()));
-        // First arrival claims the first classify/enqueue/tcp/deliver.
-        assert_eq!(traces[0].stage_time(Stage::Ring), Some(120));
-        assert_eq!(traces[1].stage_time(Stage::Ring), Some(150));
-        assert_eq!(traces[0].stage_time(Stage::Deliver), Some(230));
-        assert_eq!(traces[1].stage_time(Stage::Deliver), Some(240));
-        assert_eq!(traces[0].signaled, Some(true));
-        assert_eq!(traces[1].signaled, Some(false));
-    }
-
-    #[test]
-    fn early_exits_close_with_their_outcomes() {
-        let recs = vec![
-            // NIC staging overflow.
-            rec(
-                10,
-                1,
-                Some(0),
-                Event::NicRx {
-                    len: 64,
-                    accepted: false,
-                },
-            ),
-            // Kernel-default classify.
-            nic_rx(20, 1),
-            rec(
-                25,
-                1,
-                Some(1),
-                Event::DemuxClassify {
-                    path: PathKind::FilterScan,
-                    filter_instrs: 90,
-                    matched: false,
-                },
-            ),
-            // Ring drop.
-            nic_rx(30, 2),
-            classify(35, 2),
-            rec(
-                40,
-                1,
-                Some(2),
-                Event::RingDrop {
-                    channel: 3,
-                    pressure: false,
-                },
-            ),
-            // Corrupt discard after wakeup.
-            nic_rx(50, 3),
-            classify(55, 3),
-            enqueue(60, 3, true),
-            wakeup(70, 1),
-            rec(80, 1, Some(3), Event::FrameCorruptDiscard { len: 64 }),
-            // Truncated: journal stops while in the ring.
-            nic_rx(90, 4),
-            classify(95, 4),
-            enqueue(99, 4, true),
-        ];
-        let g = build(&recs);
-        assert_eq!(g.rx().count(), 5);
-        assert_eq!(g.outcome_count(PathOutcome::NicDropped), 1);
-        assert_eq!(g.outcome_count(PathOutcome::KernelDefault), 1);
-        assert_eq!(g.outcome_count(PathOutcome::RingDropped), 1);
-        assert_eq!(g.outcome_count(PathOutcome::CorruptDiscarded), 1);
-        assert_eq!(g.outcome_count(PathOutcome::Truncated), 1);
-        assert_eq!(g.outcome_count(PathOutcome::Delivered), 0);
-        // The corrupt-discarded trace still carries its partial path.
-        let corrupt = g
-            .rx()
-            .find(|t| t.outcome == PathOutcome::CorruptDiscarded)
-            .unwrap();
-        assert_eq!(corrupt.stage_time(Stage::Wakeup), Some(70));
-        assert_eq!(corrupt.stage_time(Stage::Tcp), None);
-    }
-
-    #[test]
-    fn processed_frames_without_delivery_are_not_truncated() {
-        // A pure ACK: full protocol processing, nothing for the app.
-        let recs = vec![
-            nic_rx(10, 0),
-            classify(20, 0),
-            enqueue(30, 0, true),
-            wakeup(40, 1),
-            tcp_rx(50, 0),
-        ];
-        let g = build(&recs);
-        assert_eq!(g.outcome_count(PathOutcome::Processed), 1);
-        assert_eq!(g.outcome_count(PathOutcome::Delivered), 0);
-        assert_eq!(g.rx().next().unwrap().end_to_end(), Some(40));
-    }
-
-    #[test]
-    fn receive_only_frames_journey_after_every_tx_sighted_one() {
-        // Frames 9 and 8 reach host 1 with no tx-side record (their
-        // sender journaled nothing); frame 7 is built and sent by host 0
-        // after both arrived. Journeys keep first tx-side sight first,
-        // then the receive-only frames in `nic_rx` order, not id order.
-        let recs = vec![
-            nic_rx(100, 9),
-            classify(110, 9),
-            nic_rx(120, 8),
-            tcp(200, 0, 7, Dir::Tx),
-            rec(210, 0, Some(7), Event::NicTx { len: 64 }),
-            nic_rx(300, 7),
-        ];
-        let g = build(&recs);
-        let order: Vec<u64> = g.journeys.iter().map(|j| j.frame).collect();
-        assert_eq!(order, [7, 9, 8]);
-        let j = g.journey(9).unwrap();
-        assert_eq!((j.tx_host, j.seg.as_ref(), j.nic_tx), (None, None, None));
-        assert_eq!(j.start(), Some(100), "anchored at its nic_rx");
-        assert_eq!(j.rx.len(), 1);
-        assert_eq!(g.journey(8).unwrap().start(), Some(120));
-        assert_eq!(g.journey(7).unwrap().start(), Some(200));
+fn close(open: &mut HashMap<u64, VecDeque<usize>>, frame: u64, idx: usize) {
+    if let Some(q) = open.get_mut(&frame) {
+        q.retain(|&i| i != idx);
+        if q.is_empty() {
+            open.remove(&frame);
+        }
     }
 }

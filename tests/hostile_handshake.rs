@@ -11,7 +11,9 @@
 //! forged SYN-ACK), replayed or mutated. The mutations are flag
 //! combinations (a RST or FIN mid-completion, a replayed SYN), lying
 //! sequence and acknowledgment numbers, data nobody sent, a stale or
-//! foreign BQI or announcement on AN1, and truncation. The oracle: no
+//! foreign BQI or announcement on AN1, an IPv4 header whose total length,
+//! IHL or fragment fields lie (its checksum recomputed in half the cases,
+//! so the lie reaches the parser), and truncation. The oracle: no
 //! panic, zero monitor violations, and `World::leaks()` empty after the
 //! world drains. Tier-1 runs 64 cases; `ci.sh` runs 512 in release.
 
@@ -28,8 +30,8 @@ use unp::filter::programs::{bpf_demux, DemuxSpec};
 use unp::tcp::TcpConfig;
 use unp::trace::{Ctr, Monitor};
 use unp::wire::{
-    An1Frame, An1Repr, EtherType, EthernetRepr, IpProtocol, Ipv4Packet, Ipv4Repr, SeqNum, TcpFlags,
-    TcpPacket, TcpRepr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN,
+    checksum, An1Frame, An1Repr, EtherType, EthernetRepr, IpProtocol, Ipv4Packet, Ipv4Repr, SeqNum,
+    TcpFlags, TcpPacket, TcpRepr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN,
 };
 
 const CLIENT: usize = 0;
@@ -93,6 +95,49 @@ fn arb_shift() -> impl Strategy<Value = Shift> {
     ]
 }
 
+/// A lie in an IPv4 header, told after the header is built.
+#[derive(Debug, Clone, Copy)]
+enum IpLie {
+    /// A total length other than the datagram's: too short or too long.
+    TotalLen(u16),
+    /// An IHL of 0–15 words.
+    Ihl(u8),
+    /// The more-fragments flag and a fragment offset, not both clear.
+    Fragment(bool, u16),
+}
+
+fn arb_ip_lie() -> impl Strategy<Value = IpLie> {
+    prop_oneof![
+        (0u16..100).prop_map(IpLie::TotalLen),
+        any::<u16>().prop_map(IpLie::TotalLen),
+        (0u8..16).prop_map(IpLie::Ihl),
+        Just(IpLie::Fragment(true, 0)),
+        (any::<bool>(), 1u16..0x2000).prop_map(|(more, offset)| IpLie::Fragment(more, offset)),
+    ]
+}
+
+impl IpLie {
+    /// Tells the lie in `ip`'s header, and recomputes the header checksum
+    /// if `reseal`, so that the lie reaches the parser instead of dying at
+    /// the checksum.
+    fn tell(self, ip: &mut [u8], reseal: bool) {
+        match self {
+            IpLie::TotalLen(len) => ip[2..4].copy_from_slice(&len.to_be_bytes()),
+            IpLie::Ihl(words) => ip[0] = (ip[0] & 0xf0) | words,
+            IpLie::Fragment(more, offset) => {
+                let dont_frag = u16::from_be_bytes([ip[6], ip[7]]) & 0x4000;
+                let field = dont_frag | if more { 0x2000 } else { 0 } | offset;
+                ip[6..8].copy_from_slice(&field.to_be_bytes());
+            }
+        }
+        if reseal {
+            ip[10..12].fill(0);
+            let sum = checksum(&ip[..IPV4_HEADER_LEN]);
+            ip[10..12].copy_from_slice(&sum.to_be_bytes());
+        }
+    }
+}
+
 /// One hostile segment: which real segment it starts from, what it lies
 /// about, and how many of the world's own events run after it.
 #[derive(Debug, Clone)]
@@ -106,6 +151,8 @@ struct Lie {
     /// A rewritten BQI and announcement (AN1 only), and where the frame
     /// is cut short.
     link: (Option<u16>, Option<u16>, Option<Index>),
+    /// A lie in the IPv4 header, and whether its checksum is recomputed.
+    ip: Option<(IpLie, bool)>,
     steps: u8,
 }
 
@@ -118,14 +165,15 @@ fn arb_lie() -> impl Strategy<Value = Lie> {
         (arb_shift(), arb_shift()),
         proptest::option::of(1u8..40),
         (bqi(), bqi(), truncate),
-        0u8..4,
+        (proptest::option::of((arb_ip_lie(), any::<bool>())), 0u8..4),
     )
-        .prop_map(|(base, flags, seq_ack, data, link, steps)| Lie {
+        .prop_map(|(base, flags, seq_ack, data, link, (ip, steps))| Lie {
             base,
             flags,
             seq_ack,
             data,
             link,
+            ip,
             steps,
         })
 }
@@ -204,7 +252,10 @@ fn tell(w: &World, network: Network, base: &Seg, lie: &Lie) -> Frame {
         .map_or(base.payload.clone(), |n| vec![0x5a; n.into()]);
     let (from, to) = (&w.hosts[1 - base.to], &w.hosts[base.to]);
     let seg = repr.build_segment(from.ip, to.ip, &payload);
-    let ip = Ipv4Repr::simple(from.ip, to.ip, IpProtocol::Tcp, seg.len()).build_packet(&seg);
+    let mut ip = Ipv4Repr::simple(from.ip, to.ip, IpProtocol::Tcp, seg.len()).build_packet(&seg);
+    if let Some((ip_lie, reseal)) = lie.ip {
+        ip_lie.tell(&mut ip, reseal);
+    }
     let (dst, src, ethertype) = (to.mac, from.mac, EtherType::Ipv4);
     let mut bytes = match network {
         Network::Ethernet => EthernetRepr {
