@@ -12,8 +12,9 @@ cargo fmt --check
 
 # The crates cut along their write scopes (DESIGN §7's maps) stay cut: no
 # source file under each directory over its limit, tests included.
-echo "== file sizes: core 1,000 lines; tcp, kernel, trace 650 =="
-for cap in crates/core/src:1000 crates/tcp/src:650 crates/kernel/src:650 crates/trace/src:650; do
+echo "== file sizes: core 1,000 lines; tcp, kernel, trace, registry, buffers 650 =="
+for cap in crates/core/src:1000 crates/tcp/src:650 crates/kernel/src:650 crates/trace/src:650 \
+  crates/registry/src:650 crates/buffers/src:650; do
   find "${cap%:*}" -name '*.rs' -exec wc -l {} + \
     | awk -v limit="${cap#*:}" '$2 != "total" && $1 > limit { print $2 " has " $1 " lines (limit " limit ")"; bad = 1 } END { exit bad }'
 done
@@ -57,6 +58,16 @@ for event in RingDrop QuotaDrop; do
     printf '%s\n' "$sites"; echo "Event::$event is journaled from other than exactly one site (lines above)"; exit 1
   fi
 done
+
+# The registry server holds only what its three duties need (port
+# namespace, handshakes, inheritance): no copy of the kernel's channel
+# counters, which the metrics registry retires with each connection. The
+# `unp-kernel` line stays in its Cargo.toml only because the frozen
+# `benchmark/Cargo.lock` pins that edge; the grep holds that nothing uses it.
+echo "== unp-registry: names nothing of unp-kernel =="
+if grep -rn unp_kernel crates/registry/src; then
+  echo "unp-registry names unp_kernel (lines above)"; exit 1
+fi
 
 # The observability crate stays smaller than the stack it watches: fewer
 # lines under crates/trace/src than under the TCP, network I/O module and
@@ -156,12 +167,14 @@ cargo test -q --release --offline -p unp-tcp --test hostile_peer
 echo "== hostile transmit vs. the header templates, 512 cases (release) =="
 cargo test -q --release --offline -p unp-kernel --test hostile_transmit
 
-# And where a remote peer reaches the stack first: handshake segments,
-# replayed and mutated, handed to `frame_arrives` in each phase of the
-# library↔registry hand-off on both networks, must not panic, trip the
-# conformance monitor, or leave anything behind once the world drains.
-# 512 cases (64 in the debug pass above).
-echo "== hostile handshake vs. the hand-off, 512 cases (release) =="
+# And where a remote peer reaches the stack first: a connection's own
+# segments, handshake and data, replayed and mutated, handed to
+# `frame_arrives` in each phase of a connection under every organization
+# (and, under the user library, of the library↔registry hand-off) on both
+# networks, must not panic, trip the conformance monitor, or leave
+# anything behind once the world drains. 512 cases (64 in the debug pass
+# above).
+echo "== hostile segments vs. every organization and the hand-off, 512 cases (release) =="
 cargo test -q --release --offline --test hostile_handshake
 
 # The causal graph's join discipline must hold in release mode too: every

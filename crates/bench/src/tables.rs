@@ -2,6 +2,7 @@
 //! published values alongside the reproduction's measurements.
 
 use unp_core::experiments as exp;
+use unp_core::world::Ablation::{Batching, ZeroCopy};
 use unp_core::{Network, OrgKind};
 use unp_sim::CostModel;
 use unp_tcp::CongestionControl;
@@ -281,8 +282,8 @@ pub fn ablations(total_bytes: u64) {
     println!("== Ablations: contribution of each mechanism (user-level library) ==");
     println!();
     println!("-- Notification batching (Ethernet, 4 kB writes) --");
-    let with = exp::ablation_throughput(Network::Ethernet, 4096, total_bytes, "none");
-    let without = exp::ablation_throughput(Network::Ethernet, 4096, total_bytes, "batching");
+    let with = exp::ablation_throughput(Network::Ethernet, 4096, total_bytes, None);
+    let without = exp::ablation_throughput(Network::Ethernet, 4096, total_bytes, Some(Batching));
     println!("  batching on            {with:>8.2} Mb/s");
     println!(
         "  signal every packet    {without:>8.2} Mb/s   ({:+.0}%)",
@@ -290,8 +291,8 @@ pub fn ablations(total_bytes: u64) {
     );
     println!();
     println!("-- Copy-eliminating buffer organization (AN1, 512 B writes) --");
-    let with = exp::ablation_throughput(Network::An1, 512, total_bytes, "none");
-    let without = exp::ablation_throughput(Network::An1, 512, total_bytes, "zero_copy");
+    let with = exp::ablation_throughput(Network::An1, 512, total_bytes, None);
+    let without = exp::ablation_throughput(Network::An1, 512, total_bytes, Some(ZeroCopy));
     println!("  zero-copy region       {with:>8.2} Mb/s");
     println!(
         "  with copies            {without:>8.2} Mb/s   ({:+.0}%)",

@@ -20,7 +20,7 @@ use crate::app::{BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};
 use crate::faults::{ByzantineKind, ByzantineSchedule, FaultPlan};
 use crate::world::{
     build_hosts, build_two_hosts, connect, connect_as, crash_tenant, install_faults, listen,
-    listen_as, Eng, Network, OrgKind, World,
+    listen_as, Ablation, Eng, Network, OrgKind, World,
 };
 
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
@@ -320,16 +320,16 @@ pub fn table5_demux_us() -> (f64, f64) {
 // Ablations: what each design choice buys (DESIGN.md §4)
 // ---------------------------------------------------------------------
 
-/// Throughput of the user-level library with an ablation applied.
-/// `ablate`: "none" | "batching" | "zero_copy".
-pub fn ablation_throughput(network: Network, user_packet: usize, total: u64, ablate: &str) -> f64 {
+/// Throughput of the user-level library with `ablation` applied (`None`:
+/// the design as built).
+pub fn ablation_throughput(
+    network: Network,
+    user_packet: usize,
+    total: u64,
+    ablation: Option<Ablation>,
+) -> f64 {
     let transfer = Transfer::table2(network, OrgKind::UserLibrary, user_packet, total);
-    let (_, stats) = transfer.run(|w, _| match ablate {
-        "none" => {}
-        "batching" => w.ablate_batching = true,
-        "zero_copy" => w.ablate_zero_copy = true,
-        other => panic!("unknown ablation {other}"),
-    });
+    let (_, stats) = transfer.run(|w, _| w.ablation = ablation);
     mbps(&stats)
 }
 
@@ -649,8 +649,8 @@ pub fn isolation_scenario(hostile: bool) -> (World, IsolationRun) {
             })
             .collect(),
         p99_ns,
-        quota_drops: w.metrics.get(Ctr::ChQuotaDrops),
-        tx_rejections: w.metrics.get(Ctr::TxQuotaRejections),
+        quota_drops: w.tenants().map(|(_, _, t)| t.quota_drops).sum(),
+        tx_rejections: w.tenants().map(|(_, _, t)| t.tx_rejections).sum(),
         quota_loss_tenants,
         leaks: w.leaks(),
     };

@@ -6,7 +6,7 @@
 
 use unp_sim::Nanos;
 
-use super::{Nic, World};
+use super::{Ablation, Nic, World};
 
 /// The protocol organizations of the paper's Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub(super) fn tx_copy_cost(w: &World, h: usize, len: usize) -> Nanos {
         // "Our implementation uses a buffer organization that eliminates
         // byte copying" — writes land in the pinned shared region.
         OrgKind::UserLibrary => {
-            if w.ablate_zero_copy {
+            if w.ablation == Some(Ablation::ZeroCopy) {
                 c.copy(len)
             } else {
                 0
@@ -97,7 +97,7 @@ pub(super) fn rx_copy_cost(w: &World, h: usize, len: usize) -> Nanos {
             c.copy(len) + c.ux_data_per_byte * len as Nanos + c.socket_layer
         }
         OrgKind::UserLibrary => {
-            if w.ablate_zero_copy {
+            if w.ablation == Some(Ablation::ZeroCopy) {
                 c.copy(len)
             } else {
                 0

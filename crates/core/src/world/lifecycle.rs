@@ -177,7 +177,7 @@ pub(super) fn remove_conn(w: &mut World, h: usize, cid: u32) -> Option<Conn> {
     let chan_stats = conn
         .chan
         .as_ref()
-        .and_then(|ci| Some((ci.id, release_channel(w, h, ci, key)?)));
+        .and_then(|ci| Some((ci.id, release_channel(w, h, ci)?)));
     retire_conn_stats(w, h, &conn, chan_stats);
     Some(conn)
 }

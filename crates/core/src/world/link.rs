@@ -25,8 +25,8 @@ pub fn frame_arrives(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
     let cost = rx_device_cost(w, h, frame.len());
     match &mut w.hosts[h].nic {
         Nic::Lance(nic) => {
+            // A staging overflow is the NIC's to count (`rx_drops`).
             if !nic.frame_arrived(frame, eng.now()) {
-                w.metrics.bump(Ctr::NicDrops);
                 return;
             }
             host_step_intr(w, eng, h, cost, Event::LanceIntr { host: h });
@@ -126,9 +126,9 @@ fn emit_link_header(
     }
 }
 
-/// Prepends the link header onto an IP-packet frame: in place when the
-/// frame carries link headroom (the zero-copy tx path), by copy into a
-/// fresh buffer otherwise.
+/// Prepends the link header onto an IP-packet frame, in place: every
+/// caller's frame was allocated with link headroom (the zero-copy tx
+/// path), which `prepend` asserts.
 pub(super) fn encap_link(
     w: &World,
     h: usize,
@@ -137,31 +137,9 @@ pub(super) fn encap_link(
     bqi: u16,
     announce: u16,
 ) -> Frame {
-    let lhl = w.hosts[h].link_header_len();
-    if ip_packet.headroom() < lhl {
-        return build_link_frame(w, h, dst_mac, EtherType::Ipv4, &ip_packet, bqi, announce);
-    }
-    let header = ip_packet.prepend(lhl);
+    let header = ip_packet.prepend(w.hosts[h].link_header_len());
     emit_link_header(w, h, dst_mac, EtherType::Ipv4, bqi, announce, header);
     ip_packet
-}
-
-/// Wraps `payload` in the link header for `h`'s network, copying into a
-/// fresh buffer ([`encap_link`]'s slow path, and ARP).
-pub(super) fn build_link_frame(
-    w: &World,
-    h: usize,
-    dst_mac: MacAddr,
-    ethertype: EtherType,
-    payload: &[u8],
-    bqi: u16,
-    announce: u16,
-) -> Frame {
-    let lhl = w.hosts[h].link_header_len();
-    let mut buf = vec![0u8; lhl + payload.len()];
-    emit_link_header(w, h, dst_mac, ethertype, bqi, announce, &mut buf[..lhl]);
-    buf[lhl..].copy_from_slice(payload);
-    Frame::from_vec(buf)
 }
 
 /// Resolves the next hop MAC, queueing behind ARP if needed. Returns
@@ -197,13 +175,20 @@ pub(super) fn resolve_mac(
     }
 }
 
+/// Wraps an ARP packet in the link header for `h`'s network, in a fresh
+/// buffer.
 fn build_arp_frame(w: &World, h: usize, arp: &ArpRepr) -> Frame {
     let dst = if arp.target_mac == MacAddr::ZERO {
         MacAddr::BROADCAST
     } else {
         arp.target_mac
     };
-    build_link_frame(w, h, dst, EtherType::Arp, &arp.build(), 0, 0)
+    let payload = arp.build();
+    let lhl = w.hosts[h].link_header_len();
+    let mut buf = vec![0u8; lhl + payload.len()];
+    emit_link_header(w, h, dst, EtherType::Arp, 0, 0, &mut buf[..lhl]);
+    buf[lhl..].copy_from_slice(&payload);
+    Frame::from_vec(buf)
 }
 
 /// Puts a frame on the wire: reserves the link and schedules arrival at
@@ -265,13 +250,11 @@ fn inject_and_deliver(
         });
     };
     if fate.outage {
-        w.metrics.bump(Ctr::FaultOutageDrops);
         w.metrics.link(f16, t16).outage_drops += 1;
         emit_fault(FaultKind::Outage);
         return;
     }
     if fate.drop {
-        w.metrics.bump(Ctr::FaultDrops);
         w.metrics.link(f16, t16).drops += 1;
         emit_fault(FaultKind::Drop);
         return;
@@ -288,19 +271,16 @@ fn inject_and_deliver(
         if bytes.len() > lhl {
             let idx = lhl + w.faults.pick(bytes.len() - lhl);
             bytes.as_mut_slice()[idx] ^= 0x20;
-            w.metrics.bump(Ctr::FaultCorrupts);
             w.metrics.link(f16, t16).corrupts += 1;
             emit_fault(FaultKind::Corrupt);
         }
     }
     if fate.delays().len() > 1 {
-        w.metrics.bump(Ctr::FaultDups);
         w.metrics.link(f16, t16).dups += 1;
         emit_fault(FaultKind::Duplicate);
     }
     for &extra in fate.delays() {
         if extra > 0 {
-            w.metrics.bump(Ctr::FaultReorders);
             w.metrics.link(f16, t16).reorders += 1;
             emit_fault(FaultKind::Reorder);
         }

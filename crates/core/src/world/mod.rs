@@ -40,7 +40,7 @@ pub use crate::faults::install_faults;
 use std::collections::{HashMap, VecDeque};
 
 use unp_buffers::{Frame, FramePool, OwnerTag};
-use unp_kernel::{Capability, ChannelId, NetIoModule};
+use unp_kernel::{Capability, ChannelId, NetIoModule, TenantStats};
 use unp_netdev::{An1Nic, LanceNic, Link, StationId};
 use unp_proto::{ArpCache, IpEndpoint, UdpLayer};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
@@ -194,6 +194,18 @@ impl Host {
     }
 }
 
+/// A mechanism of the user-level library's design switched off, to
+/// measure what it buys (DESIGN.md §4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// Notification batching: post a semaphore and take a thread switch
+    /// for every delivered packet.
+    Batching,
+    /// The copy-eliminating buffer organization: charge user↔buffer
+    /// copies like the monolithic stacks.
+    ZeroCopy,
+}
+
 /// The complete simulation state.
 pub struct World {
     /// Calibrated operation costs.
@@ -207,13 +219,8 @@ pub struct World {
     /// Typed measurement registry: event counters, histograms, and the
     /// per-connection/per-link scopes filled at teardown.
     pub metrics: Metrics,
-    /// Ablation: disable notification batching (post a semaphore and take
-    /// a thread switch for every delivered packet).
-    pub ablate_batching: bool,
-    /// Ablation: disable the library's copy-eliminating buffer
-    /// organization (charge user↔buffer copies like the monolithic
-    /// stacks).
-    pub ablate_zero_copy: bool,
+    /// The mechanism switched off for an ablation study, if any.
+    pub ablation: Option<Ablation>,
     /// The frame pool backing the zero-copy data path: outgoing segments
     /// are built once in a pooled buffer (headers prepended into
     /// headroom) and the buffer is recycled when the last refcounted
@@ -305,6 +312,16 @@ impl World {
     /// The frames a tap matched so far, as (time, length) pairs.
     pub fn tap_matches(&self, idx: usize) -> &[(Nanos, usize)] {
         &self.taps[idx].matches
+    }
+
+    /// Every tenant account of every host's network I/O module, as
+    /// `(host, tenant, stats)` in host, then tenant, order — read from the
+    /// kernel, which keeps them.
+    pub fn tenants(&self) -> impl Iterator<Item = (usize, u64, TenantStats)> + '_ {
+        self.hosts.iter().enumerate().flat_map(|(host, h)| {
+            let ids = h.netio.tenant_ids().into_iter();
+            ids.filter_map(move |t| Some((host, t.0, h.netio.tenant_stats(t)?)))
+        })
     }
 
     /// The zero-leak oracle: what a drained world still holds that some
@@ -449,8 +466,7 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
         link,
         hosts,
         metrics: Metrics::new(),
-        ablate_batching: false,
-        ablate_zero_copy: false,
+        ablation: None,
         pool: FramePool::new(buf_size, 256),
         taps: Vec::new(),
         faults: crate::faults::FaultPlan::none(),

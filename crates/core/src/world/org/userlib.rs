@@ -22,7 +22,7 @@ use crate::world::costs::tcp_seg_cost;
 use crate::world::event::{host_exec, host_step, host_step_intr, Event};
 use crate::world::ip::{ip_ingress, kernel_ip_input};
 use crate::world::tcp::{conn_segment, parse_tcp, parse_tcp_frame, seg_flags};
-use crate::world::{ChanInfo, Eng, Nic, PairKey, World};
+use crate::world::{Ablation, ChanInfo, Eng, Nic, PairKey, World};
 use handshake::{apply_registry_actions, channel_binding, open};
 
 /// What only a user-library host keeps, beside the connections every
@@ -167,7 +167,7 @@ pub(crate) fn ip_input(
                     return;
                 }
             }
-            let signal = signal || w.ablate_batching;
+            let signal = signal || w.ablation == Some(Ablation::Batching);
             if signal {
                 let cost = demux_cost
                     + c.ring_op
@@ -193,9 +193,9 @@ pub(crate) fn ip_input(
             });
         }
         // The channel had room but its tenant's aggregate ring budget was
-        // exhausted — charged to the tenant, recovered by TCP like any
-        // other ring drop.
-        Delivery::Dropped(Discard::TenantQuota { .. }) => w.metrics.bump(Ctr::ChQuotaDrops),
+        // exhausted — charged to the tenant's account (`quota_drops`),
+        // recovered by TCP like any other ring drop.
+        Delivery::Dropped(Discard::TenantQuota { .. }) => {}
         Delivery::Dropped(_) => w.metrics.bump(Ctr::ChRingDrops),
     }
 }

@@ -247,17 +247,12 @@ fn bind_channel(w: &mut World, h: usize, owner: OwnerTag, key: PairKey) -> Optio
     })
 }
 
-/// The one channel release: the kernel's counters for the channel go to
-/// the registry (the §9 hand-off), the channel is destroyed and its BQI
-/// slot freed. `None` when the kernel backstop already swept the channel
-/// (a wedged tenant's crash) — that sweep did the accounting, and leaves
-/// the BQI slot to its own owner sweep.
-pub(crate) fn release_channel(
-    w: &mut World,
-    h: usize,
-    chan: &ChanInfo,
-    key: PairKey,
-) -> Option<ChannelStats> {
+/// The one channel release: the channel is destroyed and its BQI slot
+/// freed, and the kernel's counters for it are returned for the
+/// connection's scope. `None` when the kernel backstop already swept the
+/// channel (a wedged tenant's crash) — that sweep did the accounting, and
+/// leaves the BQI slot to its own owner sweep.
+pub(crate) fn release_channel(w: &mut World, h: usize, chan: &ChanInfo) -> Option<ChannelStats> {
     let host = &mut w.hosts[h];
     host.userlib.chan_owner.remove(&chan.id);
     let stats = host.netio.channel_stats(chan.id)?;
@@ -266,8 +261,6 @@ pub(crate) fn release_channel(
         nic.bqi_table
             .free(chan.our_bqi, unp_buffers::BqiTable::KERNEL_OWNER);
     }
-    host.registry
-        .record_channel_stats(key.0, (key.1, key.2), stats);
     Some(stats)
 }
 
@@ -277,7 +270,7 @@ pub(crate) fn release_channel(
 /// that no longer exists.
 fn drop_handshake(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) -> Option<Handshake> {
     let mut rec = w.hosts[h].userlib.handshakes.remove(&hs)?;
-    release_channel(w, h, &rec.chan, rec.key);
+    release_channel(w, h, &rec.chan);
     if let Phase::Completing(tcb, _) = std::mem::replace(&mut rec.phase, Phase::Bound) {
         unclaimed(w, eng, h, rec.owner, tcb);
     }
@@ -296,8 +289,8 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
         app,
         write_size,
         chan,
-        key,
         phase: Phase::Completing(tcb, parked),
+        ..
     }) = rec
     else {
         return;
@@ -315,7 +308,7 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
         // The listener was torn down while the handshake was completing,
         // and the channel is already activated: release it first.
         w.metrics.bump(Ctr::ListenerVanished);
-        release_channel(w, h, &chan, key);
+        release_channel(w, h, &chan);
         return unclaimed(w, eng, h, owner, tcb);
     };
     let chan_id = chan.id;

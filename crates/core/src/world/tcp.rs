@@ -37,7 +37,6 @@ pub(super) fn parse_tcp(
         return None;
     };
     if !pkt.verify_checksum(src, dst) {
-        w.metrics.bump(Ctr::TcpBadChecksum);
         w.metrics.bump(Ctr::FrameCorruptDiscards);
         unp_trace::emit_at(h as u16, Some(payload.id()), || {
             unp_trace::Event::FrameCorruptDiscard {
@@ -282,10 +281,8 @@ pub(crate) fn send_tcp_frame(
             w.hosts[h].netio.advance_tx_window(now);
             match w.hosts[h].netio.transmit_frame(cap, &frame) {
                 Ok(_) => {}
-                Err(unp_kernel::TxError::QuotaExceeded) => {
-                    w.metrics.bump(Ctr::TxQuotaRejections);
-                    return;
-                }
+                // The tenant's account counts it (`tx_rejections`).
+                Err(unp_kernel::TxError::QuotaExceeded) => return,
                 Err(_) => {
                     w.metrics.bump(Ctr::TxTemplateRejections);
                     return;

@@ -8,9 +8,9 @@ use unp_registry::RegistryError;
 use unp_sim::Nanos;
 use unp_tcp::{TcpConfig, TcpTimer};
 use unp_trace::Ctr;
-use unp_wire::{EtherType, IpProtocol, Ipv4Addr, TcpPacket, TcpRepr, IPV4_HEADER_LEN};
+use unp_wire::{IpProtocol, Ipv4Addr, TcpPacket, TcpRepr, IPV4_HEADER_LEN};
 
-use super::link::build_link_frame;
+use super::link::encap_link;
 use super::timers::{arm_timer, cancel_timer, fire_due};
 use super::*;
 use crate::app::{AppOp, BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};
@@ -550,8 +550,9 @@ fn padded_frame(w: &mut World, repr: &TcpRepr, payload: &[u8], pad: usize) -> Fr
     let seg = repr.build_segment(src, dst, payload);
     let mtu = w.link.params().mtu;
     let pkt = w.hosts[0].ip_ep.send(IpProtocol::Tcp, dst, &seg, mtu);
-    let mac = w.hosts[1].mac;
-    let mut bytes = build_link_frame(w, 0, mac, EtherType::Ipv4, &pkt[0], 0, 0).to_vec();
+    let (mac, lhl) = (w.hosts[1].mac, w.hosts[0].link_header_len());
+    let ipf = w.pool.alloc(lhl, &pkt[0]);
+    let mut bytes = encap_link(w, 0, mac, ipf, 0, 0).to_vec();
     bytes.resize(bytes.len() + pad, 0xEE);
     Frame::from_vec(bytes)
 }

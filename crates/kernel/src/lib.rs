@@ -43,11 +43,6 @@ pub use template::{HeaderTemplate, TemplateViolation};
 pub use tenant::{TenantBudget, TenantStats};
 pub use transmit::{Capability, Right, TxError, TX_WINDOW_NS};
 pub use unp_sim::DemuxPath;
-/// The bound on what is kept whole of a destroyed channel's
-/// [`ChannelStats`] once it is handed on: the registry (which cannot name
-/// `unp-trace` itself while `benchmark/Cargo.lock` is frozen) and the
-/// metrics registry share the one constant.
-pub use unp_trace::{push_kept, RETIRED_KEPT};
 
 use std::collections::HashMap;
 

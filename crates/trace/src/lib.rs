@@ -55,8 +55,8 @@ pub use causal::{
     Attribution, CausalGraph, Cause, Journey, JourneyFate, Loss, PathOutcome, PathTrace, Stage,
 };
 pub use metrics::{
-    push_kept, ClosedConns, ConnKey, ConnScope, Ctr, Hist, Histogram, LinkScope, Metrics, Snapshot,
-    Window, RETIRED_KEPT,
+    ClosedConns, ConnKey, ConnScope, Ctr, Hist, Histogram, LinkScope, Metrics, Snapshot, Window,
+    RETIRED_KEPT,
 };
 pub use monitor::{CheckStats, Monitor, Violation, ViolationKind};
 pub use record::{

@@ -58,10 +58,8 @@ metric_enum! {
         ChFlowHits => "ch_flow_hits",
         /// Channel deliveries decided by the wildcard 3-tuple listen table.
         ChListenHits => "ch_listen_hits",
-        /// Frames dropped because the owning tenant's aggregate ring-slot
-        /// quota was exhausted (the channel itself still had room).
-        ChQuotaDrops => "ch_quota_drops",
-        /// Frames dropped because a channel ring was full or slots too small.
+        /// Frames dropped because a channel ring was full or slots too small
+        /// (a tenant quota's drops are its kernel account's).
         ChRingDrops => "ch_ring_drops",
         /// Channel deliveries decided by the linear filter scan.
         ChScanFallbacks => "ch_scan_fallbacks",
@@ -73,16 +71,6 @@ metric_enum! {
         ConnectionsInherited => "connections_inherited",
         /// Connections torn down by RST.
         ConnectionsReset => "connections_reset",
-        /// Frames whose bytes the fault plan flipped in flight.
-        FaultCorrupts => "fault_corrupts",
-        /// Frames the fault plan silently dropped.
-        FaultDrops => "fault_drops",
-        /// Frames the fault plan delivered twice.
-        FaultDups => "fault_dups",
-        /// Frames dropped inside a scheduled link outage window.
-        FaultOutageDrops => "fault_outage_drops",
-        /// Frames the fault plan delayed past later traffic.
-        FaultReorders => "fault_reorders",
         /// Corrupted frames caught by a checksum and discarded.
         FrameCorruptDiscards => "frame_corrupt_discards",
         /// Frames parked while a channel finalization was in flight.
@@ -116,13 +104,9 @@ metric_enum! {
         /// Handshake completions whose listener had already vanished;
         /// the channel is reclaimed and the peer reset.
         ListenerVanished => "listener_vanished",
-        /// Frames dropped at NIC staging overflow.
-        NicDrops => "nic_drops",
         /// Resources (channels, ports, BQIs, handshakes) reclaimed by a
         /// trusted layer on behalf of a dead application.
         ResourceReclaims => "resource_reclaims",
-        /// TCP segments discarded for bad checksums.
-        TcpBadChecksum => "tcp_bad_checksum",
         /// TCP segments too short to parse.
         TcpMalformed => "tcp_malformed",
         /// Data bytes TCP retransmitted (RTO fires and fast retransmits),
@@ -132,9 +116,6 @@ metric_enum! {
         TcpRexmitSegs => "tcp_rexmit_segs",
         /// RTT estimator samples taken across all connections.
         TcpRttSamples => "tcp_rtt_samples",
-        /// Transmissions rejected because the tenant's per-window transmit
-        /// credit was exhausted.
-        TxQuotaRejections => "tx_quota_rejections",
         /// Transmissions rejected by the template check.
         TxTemplateRejections => "tx_template_rejections",
         /// UDP datagrams that failed validation.
@@ -188,16 +169,15 @@ impl fmt::Display for ConnKey {
     }
 }
 
-/// How many of the most recent closes a bounded record keeps whole (the
-/// metrics registry's retired connections, the TCP registry's binding
-/// reports): enough to read the end of a run the way the flight recorder
-/// reads the end of a journal; everything older survives as totals.
+/// How many of the most recent closes the registry keeps whole: enough
+/// to read the end of a run the way the flight recorder reads the end of
+/// a journal; everything older survives as totals.
 pub const RETIRED_KEPT: usize = 64;
 
 /// Pushes `v` onto a tail of the last [`RETIRED_KEPT`] values. The tail
 /// starts empty and never holds more, so it costs what was closed, up to
 /// the bound, and nothing up front.
-pub fn push_kept<T>(tail: &mut VecDeque<T>, v: T) {
+fn push_kept<T>(tail: &mut VecDeque<T>, v: T) {
     if tail.len() == RETIRED_KEPT {
         tail.pop_front();
     }
@@ -287,6 +267,17 @@ pub struct LinkScope {
     pub corrupts: u64,
     /// Frames dropped inside a scheduled outage window.
     pub outage_drops: u64,
+}
+
+impl std::ops::AddAssign<&LinkScope> for LinkScope {
+    /// Field-wise sum.
+    fn add_assign(&mut self, l: &LinkScope) {
+        self.drops += l.drops;
+        self.dups += l.dups;
+        self.reorders += l.reorders;
+        self.corrupts += l.corrupts;
+        self.outage_drops += l.outage_drops;
+    }
 }
 
 /// The registry: typed counters and histograms plus scopes. Owned by
@@ -418,6 +409,16 @@ impl Metrics {
     /// Iterates recorded per-link fault scopes in `(from, to)` order.
     pub fn links(&self) -> impl Iterator<Item = (&(u16, u16), &LinkScope)> + '_ {
         self.links.iter()
+    }
+
+    /// Every link's fault scope summed: what the fault plan did to the
+    /// whole wire.
+    pub fn link_totals(&self) -> LinkScope {
+        let mut sum = LinkScope::default();
+        for l in self.links.values() {
+            sum += l;
+        }
+        sum
     }
 }
 

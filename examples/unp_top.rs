@@ -14,34 +14,22 @@
 //! way `top` shows deltas rather than lifetime totals. When the
 //! transfers retire it prints what the registry kept — closed-connection
 //! totals per host and the most recent closes, per-channel and per-tenant
-//! counters, what the fault plan injected on each link, and the bindings
-//! the registry's channel-stats handoff flagged as missing the fast path
-//! — then joins the recorded packet journal into the causal graph and
-//! prints its receive copies' end-to-end latency decomposition per stage,
-//! followed by folded flamegraph lines.
+//! counters, and what the fault plan injected on each link — then joins
+//! the recorded packet journal into the causal graph and prints its
+//! receive copies' end-to-end latency decomposition per stage, followed
+//! by folded flamegraph lines.
 
 use std::rc::Rc;
 
 use unp::buffers::OwnerTag;
 use unp::core::app::{BulkSender, SinkApp, TransferStats};
 use unp::core::faults::FaultPlan;
-use unp::core::world::{
-    build_two_hosts, connect, install_faults, listen_as, Network, OrgKind, World,
-};
-use unp::kernel::{TenantBudget, TenantStats};
+use unp::core::world::{build_two_hosts, connect, install_faults, listen_as, Network, OrgKind};
+use unp::kernel::TenantBudget;
 use unp::sim::fmt_nanos;
 use unp::tcp::TcpConfig;
 use unp::trace::{observe, CausalGraph, Ctr, Hist, Monitor, PathOutcome, Stage};
 use unp::wire::Ipv4Addr;
-
-/// Every tenant account of every host's network I/O module, in `(host,
-/// tenant)` order — read from the kernel, which keeps them.
-fn tenants(w: &World) -> impl Iterator<Item = (usize, u64, TenantStats)> + '_ {
-    w.hosts.iter().enumerate().flat_map(|(host, h)| {
-        let ids = h.netio.tenant_ids().into_iter();
-        ids.filter_map(move |t| Some((host, t.0, h.netio.tenant_stats(t)?)))
-    })
-}
 
 fn main() {
     let redraw = std::env::args().any(|a| a == "--redraw");
@@ -171,7 +159,7 @@ fn main() {
         // share of each budgeted tenant's ring quota.
         let secs = slice as f64 / 1e9;
         let mut cells = Vec::new();
-        for (host, tenant, t) in tenants(&world) {
+        for (host, tenant, t) in world.tenants() {
             let before = prev_qdrops
                 .insert((host, tenant), t.quota_drops)
                 .unwrap_or(0);
@@ -261,7 +249,7 @@ fn main() {
         "{:<10} {:>9} {:>9} {:>7} {:>7} {:>9} {:>6}",
         "tenant", "rx_frames", "tx_frames", "qdrops", "tx_rej", "ring", "chans"
     );
-    for (host, tenant, t) in tenants(&world) {
+    for (host, tenant, t) in world.tenants() {
         println!(
             "h{host} t{tenant:<6} {:>9} {:>9} {:>7} {:>7} {:>9} {:>6}",
             t.rx_delivered,
@@ -312,13 +300,10 @@ fn main() {
     // noticed (a corrupted frame only counts as discarded once a
     // checksum actually catches it).
     println!("-- fault injection --");
+    let injected = world.metrics.link_totals();
     println!(
         "injected: {} dropped, {} duplicated, {} reordered, {} corrupted, {} outage-dropped",
-        world.metrics.get(Ctr::FaultDrops),
-        world.metrics.get(Ctr::FaultDups),
-        world.metrics.get(Ctr::FaultReorders),
-        world.metrics.get(Ctr::FaultCorrupts),
-        world.metrics.get(Ctr::FaultOutageDrops),
+        injected.drops, injected.dups, injected.reorders, injected.corrupts, injected.outage_drops,
     );
     let closed = world.metrics.closed();
     let rexmit: u64 = closed.map(|(_, c)| c.sum.bytes_rexmit).sum();
@@ -332,24 +317,6 @@ fn main() {
             "link h{from}->h{to}: drops {} dups {} reorders {} corrupts {} outage {}",
             l.drops, l.dups, l.reorders, l.corrupts, l.outage_drops
         );
-    }
-    println!();
-
-    // The registry handoff: bindings whose deliveries kept missing the
-    // flow-table fast path would be listed here.
-    for h in [0usize, 1] {
-        let reg = &world.hosts[h].registry;
-        println!(
-            "h{h} registry: {} binding reports, {} flagged as missing the fast path",
-            reg.report_count(),
-            reg.flagged_count()
-        );
-        for b in reg.flagged_bindings() {
-            println!(
-                "  :{} <-> {:?}:{}  scan fallbacks {} > flow hits {}",
-                b.local_port, b.remote.0, b.remote.1, b.stats.scan_fallbacks, b.stats.flow_hits
-            );
-        }
     }
     println!();
 

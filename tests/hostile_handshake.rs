@@ -1,33 +1,38 @@
-//! Nothing a peer sends into a handshake may panic a user-library host,
-//! trip the conformance monitor, or leave anything behind.
+//! Nothing a peer sends into a connection's opening or its data phase may
+//! panic a host of any organization, trip the conformance monitor, or
+//! leave anything behind.
 //!
 //! Each case opens one connection from host 0 to a listener on host 1,
-//! both running the user-level library, on Ethernet or AN1. It steps the
-//! world to one phase of the library↔registry hand-off — the client's SYN
-//! out and no SYN-ACK back, one host's registry having handed the
-//! connection over while its library has not installed it yet, or both
-//! libraries holding it — and there hands `frame_arrives` segments a
-//! hostile peer could put on the wire: the handshake's own segments (and a
-//! forged SYN-ACK), replayed or mutated. The mutations are flag
-//! combinations (a RST or FIN mid-completion, a replayed SYN), lying
-//! sequence and acknowledgment numbers, data nobody sent, a stale or
-//! foreign BQI or announcement on AN1, an IPv4 header whose total length,
-//! IHL or fragment fields lie (its checksum recomputed in half the cases,
-//! so the lie reaches the parser), and truncation. The oracle: no
-//! panic, zero monitor violations, and `World::leaks()` empty after the
-//! world drains. Tier-1 runs 64 cases; `ci.sh` runs 512 in release.
+//! both running the same organization (any of the five), on Ethernet or
+//! AN1. It steps the world to one phase of the connection — the client's
+//! SYN out and no SYN-ACK back, the segment that completes one host's
+//! handshake waiting for its CPU, both ends holding the connection, or
+//! the sink holding part of the transfer — and, under the user-level
+//! library, also to the one phase only the library↔registry hand-off has:
+//! one host's registry having handed the connection over while its
+//! library has not installed it yet. There it hands `frame_arrives`
+//! segments a hostile peer could put on the wire: the connection's own
+//! segments so far, handshake and data alike (and a forged SYN-ACK),
+//! replayed or mutated. The mutations are flag combinations (a RST or FIN
+//! mid-completion, a replayed SYN), lying sequence and acknowledgment
+//! numbers, data nobody sent, a stale or foreign BQI or announcement on
+//! AN1, an IPv4 header whose total length, IHL or fragment fields lie (its
+//! checksum recomputed in half the cases, so the lie reaches the parser),
+//! and truncation. The oracle: no panic, zero monitor violations, and
+//! `World::leaks()` empty after the world drains. Tier-1 runs 64 cases;
+//! `ci.sh` runs 512 in release.
 
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use proptest::sample::Index;
 use unp::buffers::Frame;
-use unp::core::world::{app_exit, connect, frame_arrives, listen};
+use unp::core::world::{app_exit, connect, frame_arrives, listen, Conn, Host};
 use unp::core::{
     build_two_hosts, AppLogic, BulkSender, Eng, Network, OrgKind, SinkApp, TransferStats, World,
 };
 use unp::filter::programs::{bpf_demux, DemuxSpec};
-use unp::tcp::TcpConfig;
+use unp::tcp::{State, TcpConfig};
 use unp::trace::{Ctr, Monitor};
 use unp::wire::{
     checksum, An1Frame, An1Repr, EtherType, EthernetRepr, IpProtocol, Ipv4Packet, Ipv4Repr, SeqNum,
@@ -37,10 +42,21 @@ use unp::wire::{
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
 const PORT: u16 = 80;
-/// Events a case may take to drain; a clean connection takes a few hundred.
+/// Bytes the client sends: enough that the data phase has a middle.
+const TRANSFER: u64 = 16_384;
+/// Events a case may take to drain; a clean connection takes about a
+/// thousand.
 const BUDGET: u64 = 20_000;
+/// The organizations without a registry hand-off: the kernel or one
+/// protocol server holds a connection from its first SYN to its end.
+const MONOLITHIC: [OrgKind; 4] = [
+    OrgKind::InKernel,
+    OrgKind::SingleServer,
+    OrgKind::SingleServerMsg,
+    OrgKind::DedicatedServer,
+];
 
-/// Where in the hand-off the hostile segments arrive.
+/// Where in the connection the hostile segments arrive.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     /// The client's SYN is on the wire; no SYN-ACK has been sent.
@@ -52,18 +68,33 @@ enum Phase {
     /// Host `.0`'s registry has emitted `Complete` and its library has not
     /// installed the connection yet.
     Completing(usize),
-    /// Both libraries hold the connection.
+    /// Both ends hold the connection past its handshake (a monolithic
+    /// host holds it from the first SYN).
     Installed,
+    /// The sink holds part of the transfer, so the data segments and
+    /// their acknowledgments are lie bases too.
+    MidStream,
 }
 
-fn arb_phase() -> impl Strategy<Value = Phase> {
+/// The phases every organization has.
+const SHARED: [Phase; 5] = [
+    Phase::BeforeSynAck,
+    Phase::Racing(CLIENT),
+    Phase::Racing(SERVER),
+    Phase::Installed,
+    Phase::MidStream,
+];
+
+/// The organization and the phase: half the cases a monolithic
+/// organization in any shared phase, half the user library in those or
+/// `Completing`, the registry's hand-off.
+fn arb_case() -> impl Strategy<Value = (OrgKind, Phase)> {
+    let completing = [Phase::Completing(CLIENT), Phase::Completing(SERVER)];
+    let library: Vec<Phase> = SHARED.iter().chain(&completing).copied().collect();
+    let monolithic = (0..MONOLITHIC.len(), 0..SHARED.len());
     prop_oneof![
-        Just(Phase::BeforeSynAck),
-        Just(Phase::Racing(CLIENT)),
-        Just(Phase::Racing(SERVER)),
-        Just(Phase::Completing(CLIENT)),
-        Just(Phase::Completing(SERVER)),
-        Just(Phase::Installed),
+        monolithic.prop_map(|(org, phase)| (MONOLITHIC[org], SHARED[phase])),
+        (0..library.len()).prop_map(move |i| (OrgKind::UserLibrary, library[i])),
     ]
 }
 
@@ -287,18 +318,23 @@ fn step_until(w: &mut World, eng: &mut Eng, what: &str, done: impl Fn(&World) ->
     }
 }
 
-/// One case: a connection stepped to `phase`, `lies` told there, drained.
-fn run(network: Network, phase: Phase, lies: &[Lie]) -> Result<(), TestCaseError> {
+/// One case: an `org` connection stepped to `phase`, `lies` told there,
+/// drained.
+fn run(network: Network, org: OrgKind, phase: Phase, lies: &[Lie]) -> Result<(), TestCaseError> {
     let monitor = unp::trace::attach(Box::new(Monitor::new()));
-    let (mut w, mut eng) = build_two_hosts(network, OrgKind::UserLibrary);
+    let (mut w, mut eng) = build_two_hosts(network, org);
     let stats = TransferStats::new_shared();
+    let st = Rc::clone(&stats);
     let sink = move || {
-        let sink = SinkApp::new(Rc::clone(&stats)).without_verify();
+        let sink = SinkApp::new(Rc::clone(&st)).without_verify();
         Box::new(sink) as Box<dyn AppLogic>
     };
     listen(&mut w, SERVER, PORT, TcpConfig::default(), Box::new(sink));
     let server = (w.hosts[SERVER].ip, PORT);
-    let (app, cfg) = (Box::new(BulkSender::new(4096, 1024)), TcpConfig::default());
+    let (app, cfg) = (
+        Box::new(BulkSender::new(TRANSFER, 1024)),
+        TcpConfig::default(),
+    );
     connect(&mut w, &mut eng, CLIENT, server, cfg, app, 1024);
 
     // The client's SYN names the connection; from then on both
@@ -323,8 +359,14 @@ fn run(network: Network, phase: Phase, lies: &[Lie]) -> Result<(), TestCaseError
             step_until(&mut w, &mut eng, "completion", |w| tracked(w) == 0);
         }
         Phase::Installed => step_until(&mut w, &mut eng, "installation", |w| {
-            w.hosts.iter().all(|h| !h.conns.is_empty())
+            let opening = |c: &Conn| matches!(c.tcb.state(), State::SynSent | State::SynReceived);
+            let past = |h: &Host| !h.conns.is_empty() && !h.conns.values().any(opening);
+            w.hosts.iter().all(past)
         }),
+        Phase::MidStream => {
+            let part = |_: &World| stats.borrow().bytes_received >= TRANSFER / 4;
+            step_until(&mut w, &mut eng, "the data phase", part);
+        }
     }
 
     // The real segments so far, and a SYN-ACK the server never sent.
@@ -372,15 +414,16 @@ fn run(network: Network, phase: Phase, lies: &[Lie]) -> Result<(), TestCaseError
             }
         }
         let drained = eng.run(&mut w, BUDGET);
-        prop_assert!(drained, "{:?}: not drained once aborted", phase);
+        prop_assert!(drained, "{:?} {:?}: not drained once aborted", org, phase);
     }
     let leaks = w.leaks();
     let mon = unp::trace::detach_as::<Monitor>(monitor).expect("monitor still attached");
-    prop_assert_eq!(leaks, Vec::<String>::new(), "{:?}", phase);
+    prop_assert_eq!(leaks, Vec::<String>::new(), "{:?} {:?}", org, phase);
     prop_assert_eq!(
         mon.total_violations(),
         0,
-        "{:?}: {:?}",
+        "{:?} {:?}: {:?}",
+        org,
         phase,
         mon.violations().first()
     );
@@ -393,10 +436,10 @@ proptest! {
     #[test]
     fn hostile_handshake_segments_leave_nothing_behind(
         an1 in any::<bool>(),
-        phase in arb_phase(),
+        (org, phase) in arb_case(),
         lies in proptest::collection::vec(arb_lie(), 1..6),
     ) {
         let network = if an1 { Network::An1 } else { Network::Ethernet };
-        run(network, phase, &lies)?;
+        run(network, org, phase, &lies)?;
     }
 }
