@@ -69,6 +69,17 @@ if grep -rn unp_kernel crates/registry/src; then
   echo "unp-registry names unp_kernel (lines above)"; exit 1
 fi
 
+# One lossy wire outside `unp-tcp`'s own tests: every impaired run of the
+# stack — the experiments, the reports, the benches, the examples — goes
+# through `core::faults::FaultPlan` and the one delivery path in
+# `world::link`. The two-stack loopback harness is the TCP crate's test
+# rig, with no link rate and no host cost; the grep holds that nothing
+# else names it.
+echo "== one lossy wire: the loopback harness named only inside unp-tcp =="
+if grep -rn 'loopback::' crates/*/src crates/*/benches src examples | grep -v '^crates/tcp/'; then
+  echo "unp-tcp's loopback harness is named outside crates/tcp (lines above)"; exit 1
+fi
+
 # The observability crate stays smaller than the stack it watches: fewer
 # lines under crates/trace/src than under the TCP, network I/O module and
 # registry sources combined (tests included, as `wc -l` counts them).

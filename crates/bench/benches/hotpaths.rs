@@ -7,15 +7,13 @@
 //!   VM, compiled match) — the modern-hardware analogue of Table 5;
 //! * hierarchical timing wheel vs. the sorted-list baseline — the
 //!   Varghese & Lauck ablation;
-//! * TCP segment build/parse and full loopback transfer throughput.
+//! * TCP segment build/parse.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use unp_buffers::FramePool;
 use unp_filter::programs::{bpf_demux, cspf_demux, DemuxSpec};
 use unp_filter::{CompiledDemux, Demux};
-use unp_tcp::loopback::{ChannelModel, Loopback, Side};
-use unp_tcp::TcpConfig;
 use unp_timers::{SortedTimerList, TimerService, TimerWheel};
 use unp_wire::{
     checksum, EtherType, EthernetRepr, IpProtocol, Ipv4Addr, Ipv4Repr, MacAddr, SeqNum, TcpFlags,
@@ -307,30 +305,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_loopback_transfer(c: &mut Criterion) {
-    // End-to-end protocol work for a 256 kB transfer over the clean
-    // loopback harness: measures the real state-machine throughput of the
-    // whole stack on modern hardware.
-    let mut g = c.benchmark_group("stack");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(256 * 1024));
-    g.bench_function("loopback_256k_transfer", |b| {
-        b.iter(|| {
-            let mut lb = Loopback::new(
-                TcpConfig::bulk_transfer(),
-                TcpConfig::bulk_transfer(),
-                ChannelModel::clean(),
-            );
-            let data = vec![7u8; 256 * 1024];
-            lb.send(Side::A, &data);
-            lb.close(Side::A);
-            assert!(lb.run_until(10_000_000, |lb| lb.received(Side::B).len() == data.len()));
-            black_box(lb.received(Side::B).len())
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_checksum,
@@ -339,7 +313,6 @@ criterion_group!(
     bench_timers,
     bench_tcp_wire,
     bench_frame_path,
-    bench_trace_overhead,
-    bench_loopback_transfer
+    bench_trace_overhead
 );
 criterion_main!(benches);

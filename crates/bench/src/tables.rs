@@ -305,17 +305,17 @@ pub fn ablations(total_bytes: u64) {
     println!("  nagle on               {t_on:>8.2} Mb/s  ({f_on} frames)");
     println!("  nagle off              {t_off:>8.2} Mb/s  ({f_off} frames)");
     println!();
-    println!("-- Congestion control under 5% loss (loopback, 200 kB, real loss) --");
-    println!("   (on a fast low-RTT LAN, loss recovery needs no window collapse:");
-    println!("    the 1993 stacks' choice to run without congestion control was");
-    println!("    right for their environment — Tahoe pays full slow-start restarts)");
+    println!("-- Congestion control under 5% loss (Ethernet, 200 kB, data frames dropped) --");
+    println!("   (one flow on a 10 Mb/s LAN: loss recovery needs no window collapse,");
+    println!("    so the 1993 stacks' uncontrolled sender keeps pace with the faster of");
+    println!("    Tahoe and Reno — which of those two wins depends on the loss pattern)");
     for (name, cc) in [
         ("off (1993 LAN stacks)", CongestionControl::Off),
         ("Tahoe", CongestionControl::Tahoe),
         ("Reno", CongestionControl::Reno),
     ] {
-        let (ms, segs, rexmit) = exp::ablation_congestion(200_000, 0.05, 7, cc);
-        println!("  {name:<22} {ms:>9.0} ms  {segs:>5} segments  {rexmit:>7} bytes rexmit");
+        let (ms, frames, rexmit) = exp::ablation_congestion(200_000, 0.05, 7, cc);
+        println!("  {name:<22} {ms:>9.0} ms  {frames:>5} frames    {rexmit:>7} bytes rexmit");
     }
     println!();
     println!("-- Protocol specialization: rrp (request/response) vs TCP --");

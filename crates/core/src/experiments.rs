@@ -17,7 +17,7 @@ use unp_trace::Ctr;
 use unp_wire::Ipv4Addr;
 
 use crate::app::{BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};
-use crate::faults::{ByzantineKind, ByzantineSchedule, FaultPlan};
+use crate::faults::{ByzantineKind, ByzantineSchedule, FaultPlan, LinkFaults};
 use crate::world::{
     build_hosts, build_two_hosts, connect, connect_as, crash_tenant, install_faults, listen,
     listen_as, Ablation, Eng, Network, OrgKind, World,
@@ -387,43 +387,43 @@ pub fn ablation_rrp_vs_tcp(size: usize) -> (f64, f64, f64, f64) {
     (rrp_lat_ms, tcp_lat, rrp_tput, tcp_tput)
 }
 
-/// Congestion-control ablation on the byte-accurate loopback harness with
-/// real loss: transfers `total` bytes at `loss` rate under the given
-/// algorithm and reports `(virtual_completion_ms, segments_carried,
-/// bytes_retransmitted)`. Run by the `ablations` report; shows what
-/// Tahoe/Reno buy over the paper-era uncontrolled stack once links lose
-/// packets (on the paper's clean LANs they buy nothing, which is why the
-/// default is off).
+/// Congestion-control ablation on the paper's Ethernet with real loss:
+/// the user-level library streams `total` bytes in 4096 B writes while
+/// the fault plan drops each data-direction frame (host 0 → host 1) with
+/// probability `loss`; ACKs travel clean. Reports
+/// `(last_byte_ms, frames_sent, bytes_retransmitted)` under the given
+/// algorithm. Run by the `ablations` report; shows what Tahoe/Reno buy
+/// over the paper-era uncontrolled stack once the link loses packets.
 pub fn ablation_congestion(
-    total: usize,
+    total: u64,
     loss: f64,
     seed: u64,
     congestion: unp_tcp::CongestionControl,
 ) -> (f64, u64, u64) {
-    use unp_tcp::loopback::{ChannelModel, Loopback, Side};
-    let cfg = TcpConfig {
-        congestion,
-        ..TcpConfig::bulk_transfer()
+    let transfer = Transfer {
+        network: Network::Ethernet,
+        org: OrgKind::UserLibrary,
+        cfg: TcpConfig {
+            congestion,
+            ..TcpConfig::bulk_transfer()
+        },
+        write_size: 4096,
+        total,
     };
-    let chan = ChannelModel {
-        jitter: 0,
-        duplicate: 0.0,
-        corrupt: 0.0,
-        ..ChannelModel::lossy(seed, loss)
-    };
-    let mut lb = Loopback::new(cfg.clone(), cfg, chan);
-    let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
-    lb.send(Side::A, &data);
-    assert!(
-        lb.run_until(5_000_000, |lb| lb.received(Side::B).len() == total),
-        "transfer must complete under loss"
-    );
-    assert_eq!(lb.received(Side::B), &data[..], "stream integrity");
-    let stats = lb.tcb(Side::A).expect("conn live").stats();
+    let (w, stats) = transfer.run(|w, eng| {
+        let mut plan = FaultPlan::clean(seed);
+        let drop_only = LinkFaults {
+            drop: loss,
+            ..LinkFaults::clean()
+        };
+        plan.set_link(0, 1, drop_only);
+        install_faults(w, eng, plan);
+    });
+    let last = stats.last_byte_at.expect("bytes moved");
     (
-        lb.now() as f64 / 1e6,
-        lb.segments_carried,
-        stats.bytes_rexmit,
+        last as f64 / 1e6,
+        w.metrics.get(Ctr::FramesSent),
+        w.metrics.get(Ctr::TcpRexmitBytes),
     )
 }
 
@@ -733,5 +733,18 @@ mod tests {
         let parts = setup_breakdown(&costs);
         let sum: f64 = parts.iter().map(|(_, v)| v).sum();
         assert!((8.0..16.0).contains(&sum), "breakdown sum {sum:.2}");
+    }
+
+    #[test]
+    fn congestion_ablation_respects_the_wire_rate() {
+        use unp_tcp::CongestionControl::{Off, Reno, Tahoe};
+        // 200 kB cannot cross a 10 Mb/s Ethernet in under 160 ms, whatever
+        // the algorithm; the verifying sink checks every byte on the way.
+        let floor_ms = 200_000.0 * 8.0 / 10e6 * 1e3;
+        for cc in [Off, Tahoe, Reno] {
+            let (ms, _, rexmit) = ablation_congestion(200_000, 0.05, 7, cc);
+            assert!(ms >= floor_ms, "{cc:?}: {ms:.0} ms beats the wire");
+            assert!(rexmit > 0, "{cc:?}: 5% loss forced no retransmission");
+        }
     }
 }

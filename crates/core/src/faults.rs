@@ -7,11 +7,11 @@
 //! same seed always produces the same fault sequence, so a faulted run
 //! can be replayed exactly — the differential soak test depends on it.
 //!
-//! The per-link vocabulary mirrors the `ChannelModel` used by the TCP
-//! crate's two-stack loopback harness (tier-2 property tests), so both
-//! tiers describe impairments in the same terms; the world-level plan
-//! adds what a single loopback pipe cannot express: per-direction
-//! overrides, scheduled outages, ring pressure, and process crashes.
+//! Every impaired run outside `unp-tcp`'s own tests goes through this
+//! one model and the one delivery path in `world::link`: the fault soak,
+//! the causal and isolation reports, and the congestion ablation on the
+//! paper's Ethernet. An empty plan makes no RNG draw, so a world without
+//! faults replays exactly as one with no fault model at all.
 
 use unp_buffers::OwnerTag;
 use unp_sim::Nanos;
@@ -48,9 +48,9 @@ impl LinkFaults {
         }
     }
 
-    /// The lossy preset shared with the loopback `ChannelModel`: loss at
-    /// `loss`, duplication and corruption at half that, plus reordering
-    /// within a 300 µs window.
+    /// The lossy preset: loss at `loss`; duplication, corruption and
+    /// reordering each at half that, a reordered copy delayed by up to
+    /// 300 µs.
     pub fn lossy(loss: f64) -> Self {
         LinkFaults {
             drop: loss,
@@ -174,13 +174,11 @@ impl FrameFate {
     }
 }
 
-/// A seeded full-stack fault schedule. Default construction
-/// ([`FaultPlan::none`]) is fully disabled: the world behaves
-/// byte-identically to a build without fault injection.
+/// A seeded full-stack fault schedule. An empty plan ([`FaultPlan::none`],
+/// the world default) never faults and never draws: every probability is
+/// zero, and a zero-probability check returns before touching the RNG.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Master switch; when false no RNG draw ever happens.
-    pub enabled: bool,
     /// Fault probabilities applied to links without an override.
     pub default_link: LinkFaults,
     /// Per-(sender, receiver) overrides — asymmetric schedules.
@@ -197,31 +195,26 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A disabled plan (the world default).
+    /// An empty plan (the world default).
     pub fn none() -> Self {
+        FaultPlan::clean(0)
+    }
+
+    /// A plan with no impairment configured — the base for building
+    /// custom schedules.
+    pub fn clean(seed: u64) -> Self {
         FaultPlan {
-            enabled: false,
             default_link: LinkFaults::clean(),
             links: Vec::new(),
             outages: Vec::new(),
             pressure: Vec::new(),
             crashes: Vec::new(),
             byzantine: Vec::new(),
-            rng: XorShift::new(0),
-        }
-    }
-
-    /// An enabled plan with no impairment configured — the base for
-    /// building custom schedules.
-    pub fn clean(seed: u64) -> Self {
-        FaultPlan {
-            enabled: true,
             rng: XorShift::new(seed),
-            ..FaultPlan::none()
         }
     }
 
-    /// An enabled plan applying [`LinkFaults::lossy`] to every link.
+    /// A plan applying [`LinkFaults::lossy`] to every link.
     pub fn lossy(seed: u64, loss: f64) -> Self {
         FaultPlan {
             default_link: LinkFaults::lossy(loss),
@@ -256,14 +249,10 @@ impl FaultPlan {
     }
 
     /// Decides the fate of one frame sent `from` → `to` at `now`. Draw
-    /// order matches the loopback model: loss, corrupt, duplicate, then
-    /// per-copy reorder delay.
+    /// order: loss, corrupt, duplicate, then per copy a reorder draw and,
+    /// only if it fires, the delay. A zero probability draws nothing.
     pub fn fate(&mut self, from: usize, to: usize, now: Nanos) -> FrameFate {
         let mut fate = FrameFate::default();
-        if !self.enabled {
-            fate.push_delay(0);
-            return fate;
-        }
         if self.in_outage(from, to, now) {
             fate.outage = true;
             return fate;
@@ -298,9 +287,6 @@ impl FaultPlan {
     /// The clamped ring capacity for `host` at `now`, if a pressure
     /// window is active.
     pub fn ring_cap(&self, host: usize, now: Nanos) -> Option<usize> {
-        if !self.enabled {
-            return None;
-        }
         self.pressure
             .iter()
             .find(|p| p.host == host && now >= p.start && now < p.end)
@@ -316,11 +302,9 @@ impl FaultPlan {
         kind: ByzantineKind,
         now: Nanos,
     ) -> bool {
-        self.enabled
-            && self
-                .byzantine
-                .iter()
-                .any(|b| b.host == host && b.tenant == tenant && b.kind == kind && b.active(now))
+        self.byzantine
+            .iter()
+            .any(|b| b.host == host && b.tenant == tenant && b.kind == kind && b.active(now))
     }
 
     /// Whether `tenant` on `host` is ring-flooding at `now` (its library
@@ -334,29 +318,13 @@ impl FaultPlan {
     /// backstops. Window-independent by design — wedging is a property
     /// of the process, not of a time slice.
     pub fn tenant_wedged(&self, host: usize, tenant: u64) -> bool {
-        self.enabled
-            && self.byzantine.iter().any(|b| {
-                b.host == host && b.tenant == tenant && b.kind == ByzantineKind::WedgedRegistry
-            })
-    }
-
-    /// All byzantine schedules on `host` whose kind carries a period —
-    /// the world turns each into a deterministic tick train.
-    pub fn byzantine_on(&self, host: usize) -> Vec<ByzantineSchedule> {
-        if !self.enabled {
-            return Vec::new();
-        }
-        self.byzantine
-            .iter()
-            .filter(|b| b.host == host)
-            .copied()
-            .collect()
+        self.byzantine.iter().any(|b| {
+            b.host == host && b.tenant == tenant && b.kind == ByzantineKind::WedgedRegistry
+        })
     }
 }
 
-/// xorshift64* — the same tiny deterministic PRNG the loopback
-/// `ChannelModel` uses, so identical seeds behave comparably across
-/// tiers.
+/// xorshift64*: a tiny deterministic PRNG, so a seed replays exactly.
 #[derive(Debug, Clone)]
 struct XorShift(u64);
 
@@ -431,7 +399,7 @@ fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Na
         ..
     } = b;
     let now = eng.now();
-    if now >= end || !w.faults.enabled {
+    if now >= end {
         return;
     }
     // The hostile tenant abuses its own established connection — the
@@ -520,12 +488,15 @@ mod tests {
     #[test]
     fn disabled_plan_never_faults() {
         let mut p = FaultPlan::none();
+        let rng_before = format!("{:?}", p.rng);
         for t in 0..1000 {
             let f = p.fate(0, 1, t * 1000);
             assert!(!f.outage && !f.drop && !f.corrupt);
             assert_eq!(f.delays(), [0]);
         }
         assert_eq!(p.ring_cap(0, 0), None);
+        // An empty plan replays exactly: it never advanced the RNG.
+        assert_eq!(format!("{:?}", p.rng), rng_before);
     }
 
     #[test]
@@ -606,25 +577,8 @@ mod tests {
         // Wedging ignores the window entirely.
         assert!(p.tenant_wedged(0, 7));
         assert!(!p.tenant_wedged(0, 8));
-        assert_eq!(p.byzantine_on(0).len(), 2);
-        assert!(p.byzantine_on(1).is_empty());
         // None of the queries advanced the RNG.
         assert_eq!(format!("{:?}", p.rng), rng_before);
-    }
-
-    #[test]
-    fn disabled_plan_suppresses_byzantine_schedules() {
-        let mut p = FaultPlan::none();
-        p.byzantine.push(ByzantineSchedule {
-            host: 0,
-            tenant: 7,
-            kind: ByzantineKind::RingFlood,
-            start: 0,
-            end: u64::MAX,
-        });
-        assert!(!p.ring_flood_active(0, 7, 100));
-        assert!(!p.tenant_wedged(0, 7));
-        assert!(p.byzantine_on(0).is_empty());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 use unp_buffers::{Frame, RingId};
 use unp_netdev::StationId;
 use unp_proto::arp::ArpResult;
-use unp_sim::Nanos;
-use unp_trace::Ctr;
+use unp_trace::{Ctr, FaultKind};
 use unp_wire::{
     An1Repr, ArpPacket, ArpRepr, EtherType, EthernetRepr, IpProtocol, Ipv4Addr, MacAddr,
 };
@@ -191,9 +190,10 @@ fn build_arp_frame(w: &World, h: usize, arp: &ArpRepr) -> Frame {
     Frame::from_vec(buf)
 }
 
-/// Puts a frame on the wire: reserves the link and schedules arrival at
-/// each recipient. Taps and recipients share the one frame by refcount —
-/// no per-recipient copy.
+/// Puts a frame on the wire: reserves the link, applies the fault plan's
+/// verdict to each recipient's copy and schedules the surviving arrivals.
+/// Taps and recipients share the one frame by refcount — no per-recipient
+/// copy unless a fault corrupts one.
 pub(super) fn transmit_frame(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
     let now = eng.now();
     let (start, arrival) = w.link.reserve(StationId(h), now, frame.len());
@@ -211,80 +211,63 @@ pub(super) fn transmit_frame(w: &mut World, eng: &mut Eng, h: usize, frame: Fram
         wire: arrival - start,
     });
     w.run_taps(now, &frame);
-    if !w.faults.enabled {
-        for StationId(host) in w.link.recipients(StationId(h), dst) {
-            let frame = frame.clone();
-            eng.schedule(arrival, Event::FrameArrives { host, frame });
-        }
-        return;
-    }
-    // Each verdict needs the whole world, so the recipients are walked by
-    // position instead of held as a borrow of the link.
-    for nth in 0.. {
-        let Some(StationId(to)) = w.link.recipients(StationId(h), dst).nth(nth) else {
-            break;
+    // The recipient walk borrows the link while each copy's verdict takes
+    // the fault plan, the metrics and the receiver's link header length.
+    let World {
+        link,
+        hosts,
+        metrics,
+        faults,
+        ..
+    } = w;
+    let f16 = h as u16;
+    for StationId(to) in link.recipients(StationId(h), dst) {
+        let fate = faults.fate(h, to, now);
+        let t16 = to as u16;
+        let emit_fault = |kind: FaultKind| {
+            unp_trace::emit_at(f16, Some(frame.id()), || unp_trace::Event::FaultInject {
+                kind,
+                from: f16,
+                to: t16,
+            });
         };
-        inject_and_deliver(w, eng, h, to, arrival, now, &frame);
-    }
-}
-
-/// Applies the fault plan's verdict to one recipient's copy of a frame
-/// and schedules the surviving arrivals.
-fn inject_and_deliver(
-    w: &mut World,
-    eng: &mut Eng,
-    from: usize,
-    to: usize,
-    arrival: Nanos,
-    now: Nanos,
-    frame: &Frame,
-) {
-    use unp_trace::FaultKind;
-    let fate = w.faults.fate(from, to, now);
-    let (f16, t16) = (from as u16, to as u16);
-    let emit_fault = |kind: FaultKind| {
-        unp_trace::emit_at(f16, Some(frame.id()), || unp_trace::Event::FaultInject {
-            kind,
-            from: f16,
-            to: t16,
-        });
-    };
-    if fate.outage {
-        w.metrics.link(f16, t16).outage_drops += 1;
-        emit_fault(FaultKind::Outage);
-        return;
-    }
-    if fate.drop {
-        w.metrics.link(f16, t16).drops += 1;
-        emit_fault(FaultKind::Drop);
-        return;
-    }
-    let mut bytes = frame.clone();
-    if fate.corrupt {
-        // Flip one byte past the link header: the TCP checksum catches it
-        // at the receiver. Link-header corruption on AN1 could flip the
-        // BQI field and *misdeliver* a checksum-valid segment — a
-        // different fault class than in-flight payload damage, so it is
-        // deliberately out of range. The clone diverges copy-on-write, so
-        // taps and other recipients keep the pristine frame.
-        let lhl = w.hosts[to].link_header_len();
-        if bytes.len() > lhl {
-            let idx = lhl + w.faults.pick(bytes.len() - lhl);
-            bytes.as_mut_slice()[idx] ^= 0x20;
-            w.metrics.link(f16, t16).corrupts += 1;
-            emit_fault(FaultKind::Corrupt);
+        if fate.outage {
+            metrics.link(f16, t16).outage_drops += 1;
+            emit_fault(FaultKind::Outage);
+            continue;
         }
-    }
-    if fate.delays().len() > 1 {
-        w.metrics.link(f16, t16).dups += 1;
-        emit_fault(FaultKind::Duplicate);
-    }
-    for &extra in fate.delays() {
-        if extra > 0 {
-            w.metrics.link(f16, t16).reorders += 1;
-            emit_fault(FaultKind::Reorder);
+        if fate.drop {
+            metrics.link(f16, t16).drops += 1;
+            emit_fault(FaultKind::Drop);
+            continue;
         }
-        let frame = bytes.clone();
-        eng.schedule(arrival + extra, Event::FrameArrives { host: to, frame });
+        let mut bytes = frame.clone();
+        if fate.corrupt {
+            // Flip one byte past the link header: the TCP checksum catches
+            // it at the receiver. Link-header corruption on AN1 could flip
+            // the BQI field and *misdeliver* a checksum-valid segment — a
+            // different fault class than in-flight payload damage, so it is
+            // deliberately out of range. The clone diverges copy-on-write,
+            // so taps and other recipients keep the pristine frame.
+            let lhl = hosts[to].link_header_len();
+            if bytes.len() > lhl {
+                let idx = lhl + faults.pick(bytes.len() - lhl);
+                bytes.as_mut_slice()[idx] ^= 0x20;
+                metrics.link(f16, t16).corrupts += 1;
+                emit_fault(FaultKind::Corrupt);
+            }
+        }
+        if fate.delays().len() > 1 {
+            metrics.link(f16, t16).dups += 1;
+            emit_fault(FaultKind::Duplicate);
+        }
+        for &extra in fate.delays() {
+            if extra > 0 {
+                metrics.link(f16, t16).reorders += 1;
+                emit_fault(FaultKind::Reorder);
+            }
+            let frame = bytes.clone();
+            eng.schedule(arrival + extra, Event::FrameArrives { host: to, frame });
+        }
     }
 }

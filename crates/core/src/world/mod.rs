@@ -231,10 +231,9 @@ pub struct World {
     /// ("user-level network code" for monitoring): each tap's BPF program
     /// runs over every frame on the wire and counts matches.
     taps: Vec<Tap>,
-    /// The active fault-injection schedule. Disabled by default
-    /// ([`crate::faults::FaultPlan::none`]): no RNG draw happens and the
-    /// data path is byte-identical to a build without fault injection.
-    /// Install an enabled plan with [`install_faults`].
+    /// The active fault-injection schedule. Empty by default
+    /// ([`crate::faults::FaultPlan::none`]): it never faults and makes no
+    /// RNG draw. Install a schedule with [`install_faults`].
     pub faults: crate::faults::FaultPlan,
     /// Emptied action buffers. The TCB and the registry append their
     /// actions to a buffer drawn from here; [`apply_tcp_actions`] /

@@ -113,8 +113,8 @@ pub(crate) fn ip_input(
     }
     // Slow-consumer windows from the fault plan clamp the effective ring
     // capacity for the delivery below (None clears any previous clamp; a
-    // disabled plan always yields None). Overflow drops recover through
-    // normal TCP retransmission.
+    // plan without pressure windows always yields None). Overflow drops
+    // recover through normal TCP retransmission.
     let cap = w.faults.ring_cap(h, eng.now());
     w.hosts[h].netio.set_pressure_cap(cap);
     let delivery = match hw_ring {

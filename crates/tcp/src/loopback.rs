@@ -5,8 +5,8 @@
 //! Segments travel as *wire bytes* — built and re-parsed through
 //! `unp-wire`, checksums verified on receipt — so the harness exercises the
 //! full serialize/deserialize path. Used by this crate's integration and
-//! property tests and by the benchmark suite; it plays the role smoltcp's
-//! loopback tests play for that stack.
+//! property tests only; it plays the role smoltcp's loopback tests play
+//! for that stack.
 
 use std::collections::VecDeque;
 
