@@ -114,6 +114,22 @@ if [ "$count" -gt 12 ]; then
   printf '%s\n' "$statics"; echo "more than 12 thread-local statics (lines above)"; exit 1
 fi
 
+# Events are data (DESIGN §16): every step the user library's connection
+# life cycle schedules is an `Event` variant, so a boxed `host_exec`
+# closure is left only where nothing per frame or per hand-off step runs —
+# at most 8 call sites in the non-test part of `core`'s sources: the
+# connect RPC, exit inheritance, the monolithic accept and the five ICMP
+# and UDP steps.
+echo "== core: at most 8 non-test host_exec call sites =="
+sites=$(find crates/core/src -name '*.rs' ! -name tests.rs -exec awk '
+  FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && /host_exec\(/ { print FILENAME ":" FNR ":" $0 }' {} +)
+count=$(printf '%s\n' "$sites" | grep -c . || true)
+echo "$count non-test host_exec call sites"
+if [ "$count" -gt 8 ]; then
+  printf '%s\n' "$sites"; echo "more than 8 host_exec call sites (lines above)"; exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -147,7 +163,9 @@ cargo test -q --release --offline --test zero_copy --test demux_differential --t
 # (reads 1.57; a frame's `Rc` header and a fresh receive Vec per frame read
 # 3.04, a boxed closure per event or a fresh Vec per call ~14), a warm
 # frame pool may not touch it at all over 1,000 alloc/clone/slice/COW/drop
-# cycles, a connect-echo-close may request at most 25 KB and keep 5.5 KB through
+# cycles, a connect-echo-close may make at most 24 allocations (reads 20.7;
+# a closure per hand-off step and a fresh ring and flow-table bucket per
+# channel read 34.2), request at most 25 KB and keep 5.5 KB through
 # TIME_WAIT (a ring reserved up front reads 59 KB and 28 KB), and a
 # connection that has closed at both ends may keep 64 B (a scope and a
 # binding report per connection ever made read 445 B). In release, like

@@ -7,23 +7,26 @@ use std::fmt;
 
 use unp_buffers::{Frame, RingId};
 use unp_kernel::ChannelId;
+use unp_registry::HsId;
 use unp_sim::{EventFn, Nanos};
 use unp_wire::{Ipv4Addr, TcpRepr};
 
 use super::app::{app_event, AppEvent};
 use super::link::{frame_arrives, kernel_input, transmit_frame};
-use super::org::{monolithic, userlib};
+use super::org::monolithic;
+use super::org::userlib::{self, handshake};
 use super::tcp::send_tcp_frame;
 use super::timers::wheel_fire;
 use super::{Eng, Nic, World};
 
 /// One scheduled step of the world. A step the data path schedules per
-/// frame, segment, wakeup or timer restart is a variant, kept by value in
-/// the engine's slab; anything per connection or rarer is a boxed closure
-/// in [`Event::Call`] — what [`host_exec`] and `eng.at` schedule. Every
-/// variant fires under its host's attribution scope, as [`host_exec`]'s
-/// closures do: deep protocol paths (TCB transitions, registry setup)
-/// have no other way to know whose CPU they run on.
+/// frame, segment, wakeup or timer restart, and every step the user
+/// library's connection life cycle schedules, is a variant, kept by value
+/// in the engine's slab; the rest is a boxed closure in [`Event::Call`] —
+/// what [`host_exec`] and `eng.at` schedule. Every variant fires under its
+/// host's attribution scope, as [`host_exec`]'s closures do: deep protocol
+/// paths (TCB transitions, registry setup) have no other way to know whose
+/// CPU they run on.
 #[derive(Debug)]
 pub enum Event {
     /// `frame` reaches `host`'s interface: [`frame_arrives`].
@@ -46,6 +49,23 @@ pub enum Event {
         repr: TcpRepr,
         data: Frame,
     },
+    /// The kernel has demultiplexed `frame` to its default path: hand it
+    /// to the registry's TCP input.
+    RegistryInput { host: usize, frame: Frame },
+    /// The registry has paid for the TCP segment in `frame`, already
+    /// parsed and accepted once: route it by the state at this time.
+    /// `announce` is the BQI its AN1 link header announced.
+    RegistrySegment {
+        host: usize,
+        frame: Frame,
+        announce: u16,
+    },
+    /// Handshake `hs`'s `Complete` is paid for: hand the connection to
+    /// the library.
+    Finalize { host: usize, hs: HsId },
+    /// A frame parked across `cid`'s activation is paid for: its segment
+    /// goes to the connection.
+    Parked { host: usize, cid: u32, frame: Frame },
     /// The library thread behind channel `chan` wakes up.
     LibraryWakeup { host: usize, chan: ChannelId },
     /// The library has paid for the frame at the front of `batch`: run
@@ -77,7 +97,7 @@ pub enum Event {
     },
     /// `host`'s timing wheel reaches its earliest deadline.
     WheelFire { host: usize },
-    /// A closure: everything that is not a per-frame step.
+    /// A closure: what `eng.at` and the rare wide captures schedule.
     Call(Closure),
 }
 
@@ -98,6 +118,10 @@ impl Event {
             | Event::LanceIntr { host }
             | Event::An1Intr { host, .. }
             | Event::PcbInput { host, .. }
+            | Event::RegistryInput { host, .. }
+            | Event::RegistrySegment { host, .. }
+            | Event::Finalize { host, .. }
+            | Event::Parked { host, .. }
             | Event::LibraryWakeup { host, .. }
             | Event::LibraryChain { host, .. }
             | Event::SendSegment { host, .. }
@@ -128,6 +152,18 @@ impl unp_sim::Event<World> for Event {
                 repr,
                 data,
             } => monolithic::pcb_input(w, eng, host, src, &repr, &data),
+            Event::RegistryInput { host, frame } => {
+                userlib::registry_tcp_input(w, eng, host, frame)
+            }
+            Event::RegistrySegment {
+                host,
+                frame,
+                announce,
+            } => userlib::registry_segment(w, eng, host, frame, announce),
+            Event::Finalize { host, hs } => handshake::finalize_user_conn(w, eng, host, hs),
+            Event::Parked { host, cid, frame } => {
+                handshake::parked_segment(w, eng, host, cid, frame)
+            }
             Event::LibraryWakeup { host, chan } => userlib::library_wakeup(w, eng, host, chan),
             Event::LibraryChain { host, cid, batch } => {
                 userlib::library_chain(w, eng, host, cid, batch)

@@ -19,10 +19,10 @@ use unp_wire::{An1Frame, IpProtocol, Ipv4Addr};
 
 use crate::app::AppLogic;
 use crate::world::costs::tcp_seg_cost;
-use crate::world::event::{host_exec, host_step, host_step_intr, Event};
+use crate::world::event::{host_step, host_step_intr, Event};
 use crate::world::ip::{ip_ingress, kernel_ip_input};
 use crate::world::tcp::{conn_segment, parse_tcp, parse_tcp_frame, seg_flags};
-use crate::world::{Ablation, ChanInfo, Eng, Nic, PairKey, World};
+use crate::world::{Ablation, ChanInfo, Eng, Host, Nic, PairKey, World};
 use handshake::{apply_registry_actions, channel_binding, open};
 
 /// What only a user-library host keeps, beside the connections every
@@ -81,7 +81,7 @@ enum Phase {
     /// flight: the TCB waits here, where a crash finds it, with the frames
     /// that arrive on the kernel path meanwhile (the activation race the
     /// paper's overlap of setup with transmission creates).
-    Completing(Box<Tcb>, Vec<Frame>),
+    Completing(Box<Tcb>, VecDeque<Frame>),
 }
 
 /// Whose deliveries a channel's ring holds.
@@ -188,9 +188,8 @@ pub(crate) fn ip_input(
         }
         Delivery::KernelDefault { filter_instrs, .. } => {
             let demux_cost = c.demux_cost(model_path, filter_instrs);
-            host_exec(w, eng, h, demux_cost, move |w, eng| {
-                registry_tcp_input(w, eng, h, frame);
-            });
+            let input = Event::RegistryInput { host: h, frame };
+            host_step(w, eng, h, demux_cost, input);
         }
         // The channel had room but its tenant's aggregate ring budget was
         // exhausted — charged to the tenant's account (`quota_drops`),
@@ -211,14 +210,14 @@ pub(crate) fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: Chann
         Some(&ChanOwner::Handshake(hs)) => {
             // A handshake's channel-owner entry goes with its record.
             let recv_cap = w.hosts[h].userlib.handshakes[&hs].chan.recv_cap;
-            let Ok(ring) = w.hosts[h].netio.consume_batch(recv_cap) else {
+            let Some(mut batch) = drain_ring(&mut w.hosts[h], recv_cap) else {
                 return;
             };
-            let frames: Vec<Frame> = ring.collect();
             let _ = w.hosts[h].netio.end_wakeup(recv_cap);
-            for f in frames {
+            for f in batch.drain(..) {
                 registry_tcp_input(w, eng, h, f);
             }
+            w.hosts[h].userlib.batch_spare.push(batch);
             return;
         }
         None => return,
@@ -231,19 +230,14 @@ pub(crate) fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: Chann
     // the library thread is processing are picked up by the same wakeup
     // (the paper's signal batching).
     let host = &mut w.hosts[h];
-    let Ok(ring) = host.netio.consume_batch(recv_cap) else {
+    let Some(batch) = drain_ring(host, recv_cap) else {
         return;
     };
-    if ring.len() == 0 {
-        drop(ring);
+    if batch.is_empty() {
+        host.userlib.batch_spare.push(batch);
         let _ = host.netio.end_wakeup(recv_cap);
         return;
     }
-    // Sized to the ring's backlog, not the next power of two: the queue
-    // settles at the largest batch seen, as the `Vec` it replaces did.
-    let mut batch = host.userlib.batch_spare.pop().unwrap_or_default();
-    batch.reserve_exact(ring.len());
-    batch.extend(ring);
     w.metrics
         .sample(Hist::WakeupBatchFrames, batch.len() as u64);
     // Process the consumed batch one frame at a time, each charged
@@ -252,6 +246,17 @@ pub(crate) fn library_wakeup(w: &mut World, eng: &mut Eng, h: usize, chan: Chann
     // protocol work — processing a batch "atomically" would stall the
     // sender's ACK clock).
     library_process_chain(w, eng, h, cid, batch);
+}
+
+/// Consumes the ring behind `recv_cap` into a queue from the spares, sized
+/// to the backlog, not the next power of two: a queue settles at the
+/// largest batch it has held. `None` when the capability opens no ring.
+fn drain_ring(host: &mut Host, recv_cap: Capability) -> Option<VecDeque<Frame>> {
+    let ring = host.netio.consume_batch(recv_cap).ok()?;
+    let mut batch = host.userlib.batch_spare.pop().unwrap_or_default();
+    batch.reserve_exact(ring.len());
+    batch.extend(ring);
+    Some(batch)
 }
 
 /// Charges the library for the frame at the front of `batch` and schedules
@@ -331,12 +336,13 @@ fn library_input(w: &mut World, eng: &mut Eng, h: usize, cid: u32, frame: Frame)
     conn_segment(w, eng, h, cid, &repr, &data, frame.id());
 }
 
-/// Kernel-default TCP traffic: handshakes and strays, handled by the
-/// registry server (one address-space crossing away).
-fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
-    let Some((src, repr, data)) = parse_tcp_frame(w, h, &frame) else {
+/// [`Event::RegistryInput`]: kernel-default TCP traffic — handshakes and
+/// strays, handled by the registry server (one address-space crossing
+/// away). A frame that does not parse is discarded here, uncharged.
+pub(crate) fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
+    if parse_tcp_frame(w, h, &frame).is_none() {
         return;
-    };
+    }
     // Any BQI announcement riding the AN1 link header.
     let announce = match w.hosts[h].nic {
         Nic::An1(_) => An1Frame::new_checked(&frame[..]).map_or(0, |f| f.announce()),
@@ -347,39 +353,59 @@ fn registry_tcp_input(w: &mut World, eng: &mut Eng, h: usize, frame: Frame) {
     // the segment is actually examined (the arrival-time state may change
     // while the segment waits its turn on the CPU).
     let cost = tcp_seg_cost(w, frame.len() - w.hosts[h].link_header_len());
-    host_exec(w, eng, h, cost, move |w, eng| {
-        let key = (repr.dst_port, src, repr.src_port);
-        // An established connection whose binding the frame missed (e.g. a
-        // handshake retransmission racing activation): to the library.
-        if let Some(&cid) = w.hosts[h].conn_index.get(&key) {
-            return conn_segment(w, eng, h, cid, &repr, &data, data.id());
-        }
-        // A connection mid-Complete: the kernel holds the frame until the
-        // library's channel activates.
-        let rec = w.hosts[h].userlib.in_flight(key);
-        if let Some(Handshake {
-            phase: Phase::Completing(_, parked),
-            ..
-        }) = rec
-        {
-            parked.push(frame);
-            w.metrics.bump(Ctr::FramesParked);
-            return;
-        }
-        // Registry path (handshakes, inherited connections, strays): the
-        // registry's device access is by Mach IPC, not shared memory.
-        let now = eng.now();
-        w.hosts[h].cpu.charge(now, w.costs.registry_pkt_op);
-        let mut actions = w.reg_spare.take();
-        let registry = &mut w.hosts[h].registry;
-        match registry.on_segment_into(src, &repr, &data, now, &mut actions) {
-            Some(hs) => open(w, eng, h, hs, key, None, actions),
-            None => apply_registry_actions(w, eng, h, actions),
-        }
-        if announce != 0 {
-            note_announce(w, h, key, announce);
-        }
-    });
+    let segment = Event::RegistrySegment {
+        host: h,
+        frame,
+        announce,
+    };
+    host_step(w, eng, h, cost, segment);
+}
+
+/// [`Event::RegistrySegment`]: the segment in `frame` is paid for — to the
+/// library, parked, or to the registry, by the state now.
+pub(crate) fn registry_segment(
+    w: &mut World,
+    eng: &mut Eng,
+    h: usize,
+    frame: Frame,
+    announce: u16,
+) {
+    // `registry_tcp_input` parsed these bytes and accepted them, so the
+    // parse succeeds again, with nothing to count or journal.
+    let Some((src, repr, data)) = parse_tcp_frame(w, h, &frame) else {
+        return;
+    };
+    let key = (repr.dst_port, src, repr.src_port);
+    // An established connection whose binding the frame missed (e.g. a
+    // handshake retransmission racing activation): to the library.
+    if let Some(&cid) = w.hosts[h].conn_index.get(&key) {
+        return conn_segment(w, eng, h, cid, &repr, &data, data.id());
+    }
+    // A connection mid-Complete: the kernel holds the frame until the
+    // library's channel activates.
+    let rec = w.hosts[h].userlib.in_flight(key);
+    if let Some(Handshake {
+        phase: Phase::Completing(_, parked),
+        ..
+    }) = rec
+    {
+        parked.push_back(frame);
+        w.metrics.bump(Ctr::FramesParked);
+        return;
+    }
+    // Registry path (handshakes, inherited connections, strays): the
+    // registry's device access is by Mach IPC, not shared memory.
+    let now = eng.now();
+    w.hosts[h].cpu.charge(now, w.costs.registry_pkt_op);
+    let mut actions = w.reg_spare.take();
+    let registry = &mut w.hosts[h].registry;
+    match registry.on_segment_into(src, &repr, &data, now, &mut actions) {
+        Some(hs) => open(w, eng, h, hs, key, None, actions),
+        None => apply_registry_actions(w, eng, h, actions),
+    }
+    if announce != 0 {
+        note_announce(w, h, key, announce);
+    }
 }
 
 /// Records a peer's BQI announcement on the handshake it belongs to. One

@@ -8,7 +8,7 @@
 //! [`crash_tenant`] and [`unclaimed`] give the TCP state back to the
 //! registry.
 
-use unp_buffers::OwnerTag;
+use unp_buffers::{Frame, OwnerTag};
 use unp_kernel::{ChannelStats, HeaderTemplate};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_tcp::{Tcb, TcpConfig};
@@ -165,20 +165,20 @@ pub(super) fn apply_registry_actions(
             }
             RegistryAction::Complete { hs, owner, tcb } => {
                 // Every handshake the registry runs has its record (`open`).
-                let Some(rec) = w.hosts[h].userlib.handshakes.get_mut(&hs) else {
+                let lib = &mut w.hosts[h].userlib;
+                let Some(rec) = lib.handshakes.get_mut(&hs) else {
                     unclaimed(w, eng, h, owner, tcb);
                     continue;
                 };
-                rec.phase = Phase::Completing(tcb, Vec::new());
+                let parked = lib.batch_spare.pop().unwrap_or_default();
+                rec.phase = Phase::Completing(tcb, parked);
                 // Channel finalization + TCP state transfer + reply RPC.
                 let c = &w.costs;
                 let mut cost = c.channel_setup + c.state_transfer + c.registry_rpc;
                 if matches!(w.hosts[h].nic, Nic::An1(_)) {
                     cost += c.bqi_setup; // programming the BQI machinery
                 }
-                host_exec(w, eng, h, cost, move |w, eng| {
-                    finalize_user_conn(w, eng, h, hs);
-                });
+                host_step(w, eng, h, cost, Event::Finalize { host: h, hs });
             }
             RegistryAction::Failed { hs, .. } => {
                 w.metrics.bump(Ctr::HandshakeFailures);
@@ -277,10 +277,11 @@ fn drop_handshake(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) -> Option<Ha
     Some(rec)
 }
 
-/// The handshake completed: activate the channel, fix the template's BQI,
-/// install the connection in the application's library, and upcall it —
-/// or, with no library left to take it, hand it to [`unclaimed`].
-fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
+/// [`Event::Finalize`]: the handshake completed — activate the channel,
+/// fix the template's BQI, install the connection in the application's
+/// library, and upcall it — or, with no library left to take it, hand it
+/// to [`unclaimed`].
+pub(crate) fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
     // The `Complete` that scheduled this made the record `Completing`; it
     // is gone only if a crash took it, TCB and all, first.
     let rec = w.hosts[h].userlib.handshakes.remove(&hs);
@@ -289,7 +290,7 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
         app,
         write_size,
         chan,
-        phase: Phase::Completing(tcb, parked),
+        phase: Phase::Completing(tcb, mut parked),
         ..
     }) = rec
     else {
@@ -320,19 +321,35 @@ fn finalize_user_conn(w: &mut World, eng: &mut Eng, h: usize, hs: HsId) {
         .insert(chan_id, ChanOwner::Conn(cid));
     w.metrics.bump(Ctr::ConnectionsEstablished);
     // Frames the kernel parked while the channel was being finalized
-    // (costs charged here, then the shared ingress).
+    // (costs charged here, then the shared ingress); the emptied queue
+    // goes back to the spares it came from.
     let lhl = w.hosts[h].link_header_len();
-    for f in parked {
-        let cost = tcp_seg_cost(w, f.len().saturating_sub(lhl));
-        host_exec(w, eng, h, cost, move |w, eng| {
-            if let Some((_, repr, data)) = parse_tcp_frame(w, h, &f) {
-                conn_segment(w, eng, h, cid, &repr, &data, f.id());
-            }
-        });
+    for frame in parked.drain(..) {
+        let cost = tcp_seg_cost(w, frame.len().saturating_sub(lhl));
+        host_step(
+            w,
+            eng,
+            h,
+            cost,
+            Event::Parked {
+                host: h,
+                cid,
+                frame,
+            },
+        );
     }
+    w.hosts[h].userlib.batch_spare.push(parked);
     // Deliver the Connected upcall.
     let cost = app_boundary_cost(w, h);
     app_upcall(w, eng, h, cost, cid, AppEvent::Connected);
+}
+
+/// [`Event::Parked`]: a frame parked across connection `cid`'s activation
+/// is paid for — its segment goes to the connection.
+pub(crate) fn parked_segment(w: &mut World, eng: &mut Eng, h: usize, cid: u32, frame: Frame) {
+    if let Some((_, repr, data)) = parse_tcp_frame(w, h, &frame) {
+        conn_segment(w, eng, h, cid, &repr, &data, frame.id());
+    }
 }
 
 /// A handshake completed with no library left to take it: the accepting

@@ -84,6 +84,17 @@ pub struct ChannelStats {
     pub scan_fallbacks: u64,
 }
 
+/// The largest ring storage, in frames, kept when its channel is
+/// destroyed: what a ring's first delivery allocates, which is all a
+/// short connection's ring ever holds. A longer flow's backlog is freed,
+/// not hoarded.
+const SPARE_RING_FRAMES: usize = 4;
+
+/// The emptied ring storage of destroyed channels, for the next ones
+/// created.
+#[derive(Default)]
+pub(crate) struct RingSpare(Vec<VecDeque<Frame>>);
+
 /// A channel's ring part.
 pub(crate) struct Ring {
     /// Pinned-memory model: at most `capacity` frames of at most
@@ -91,9 +102,10 @@ pub(crate) struct Ring {
     /// a slot of the channel's shared region.
     capacity: usize,
     slot_size: usize,
-    /// Starts empty and grows to what is actually queued: the region
-    /// above is a limit the checks enforce, not host memory to reserve
-    /// (768 slots up front made an idle TIME_WAIT channel cost 24 KB).
+    /// Starts empty, in a destroyed channel's storage when one is spare,
+    /// and grows to what is actually queued: the region above is a limit
+    /// the checks enforce, not host memory to reserve (768 slots up front
+    /// made an idle TIME_WAIT channel cost 24 KB).
     rx_ring: VecDeque<Frame>,
     /// True while a semaphore notification is posted but not yet consumed.
     notify_pending: bool,
@@ -101,13 +113,23 @@ pub(crate) struct Ring {
 }
 
 impl Ring {
-    pub(crate) fn new(capacity: usize, slot_size: usize) -> Ring {
+    pub(crate) fn new(capacity: usize, slot_size: usize, spare: &mut RingSpare) -> Ring {
         Ring {
             capacity,
             slot_size,
-            rx_ring: VecDeque::new(),
+            rx_ring: spare.0.pop().unwrap_or_default(),
             notify_pending: false,
             stats: ChannelStats::default(),
+        }
+    }
+
+    /// Ends a destroyed channel's ring: the frames still queued are
+    /// dropped, front first, and small storage is kept in `spare`.
+    pub(crate) fn retire(self, spare: &mut RingSpare) {
+        let mut storage = self.rx_ring;
+        storage.clear();
+        if (1..=SPARE_RING_FRAMES).contains(&storage.capacity()) {
+            spare.0.push(storage);
         }
     }
 

@@ -102,17 +102,36 @@ impl InstrFenwick {
 }
 
 /// Takes `id` out of `table[key]` — entries hold ascending ids, so a
-/// binary-search remove — and drops the entry with its last binding.
+/// binary-search remove — and removes the entry with its last binding,
+/// keeping its emptied bucket in `spare` for the next key installed.
 /// Returns how many bindings went (1, or 0 if `id` was not there).
-fn unbind<K: Eq + std::hash::Hash>(table: &mut HashMap<K, Vec<u32>>, key: &K, id: u32) -> usize {
+fn unbind<K: Eq + std::hash::Hash>(
+    table: &mut HashMap<K, Vec<u32>>,
+    spare: &mut Vec<Vec<u32>>,
+    key: &K,
+    id: u32,
+) -> usize {
     let Some(ids) = table.get_mut(key) else {
         return 0;
     };
     let found = ids.binary_search(&id).map(|pos| ids.remove(pos));
     if ids.is_empty() {
-        table.remove(key);
+        spare.extend(table.remove(key));
     }
     usize::from(found.is_ok())
+}
+
+/// Appends `id` to `table[key]`, a new entry starting from a spare bucket.
+fn bind<K: Eq + std::hash::Hash>(
+    table: &mut HashMap<K, Vec<u32>>,
+    spare: &mut Vec<Vec<u32>>,
+    key: K,
+    id: u32,
+) {
+    let ids = table
+        .entry(key)
+        .or_insert_with(|| spare.pop().unwrap_or_default());
+    ids.push(id);
 }
 
 /// A channel's demux part: its compiled filter, the tier it distilled
@@ -196,6 +215,9 @@ pub(crate) struct Demux {
     /// a table.
     flow_entries: usize,
     listen_entries: usize,
+    /// Emptied buckets of removed keys, in either table: a channel's
+    /// teardown leaves one for the next connection's key.
+    bucket_spare: Vec<Vec<u32>>,
     /// Link-header length the keyed tables extract keys with, fixed by the
     /// first distillable channel (one module serves one device, so all its
     /// channels share framing; a mismatched spec stays on the scan tier).
@@ -227,12 +249,12 @@ impl Demux {
         let lhl = spec.link_header_len;
         let slot = match (spec.distill(), spec.distill_listen()) {
             (Some(key), _) if *self.flow_lhl.get_or_insert(lhl) == lhl => {
-                self.flow_table.entry(key).or_default().push(id.0);
+                bind(&mut self.flow_table, &mut self.bucket_spare, key, id.0);
                 self.flow_entries += 1;
                 FlowSlot::Exact(key)
             }
             (None, Some(key)) if *self.flow_lhl.get_or_insert(lhl) == lhl => {
-                self.listen_table.entry(key).or_default().push(id.0);
+                bind(&mut self.listen_table, &mut self.bucket_spare, key, id.0);
                 self.listen_entries += 1;
                 FlowSlot::Listen(key)
             }
@@ -267,10 +289,12 @@ impl Demux {
         self.ring_index.remove(&ring_of(id));
         match b.slot {
             FlowSlot::Exact(key) => {
-                self.flow_entries -= unbind(&mut self.flow_table, &key, id.0);
+                let spare = &mut self.bucket_spare;
+                self.flow_entries -= unbind(&mut self.flow_table, spare, &key, id.0);
             }
             FlowSlot::Listen(key) => {
-                self.listen_entries -= unbind(&mut self.listen_table, &key, id.0);
+                let spare = &mut self.bucket_spare;
+                self.listen_entries -= unbind(&mut self.listen_table, spare, &key, id.0);
             }
             FlowSlot::Scan => {}
         }
@@ -467,10 +491,14 @@ impl Demux {
 
     pub(crate) fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
-        fn table<K>(t: &HashMap<K, Vec<u32>>) -> usize {
-            let ids: usize = t.values().map(|v| v.capacity() * size_of::<u32>()).sum();
-            t.capacity() * (size_of::<K>() + size_of::<Vec<u32>>()) + ids
+        fn ids<'a>(buckets: impl Iterator<Item = &'a Vec<u32>>) -> usize {
+            buckets.map(|v| v.capacity() * size_of::<u32>()).sum()
         }
+        fn table<K>(t: &HashMap<K, Vec<u32>>) -> usize {
+            t.capacity() * (size_of::<K>() + size_of::<Vec<u32>>()) + ids(t.values())
+        }
+        let spare =
+            self.bucket_spare.capacity() * size_of::<Vec<u32>>() + ids(self.bucket_spare.iter());
         // BTreeSet nodes carry roughly two words of overhead per element
         // at our sizes; close enough for a footprint column.
         let residual = self.residual.len() * (size_of::<u32>() + 2 * size_of::<usize>());
@@ -479,5 +507,6 @@ impl Demux {
             + self.scan_order.capacity() * size_of::<u32>()
             + self.instr_fen.tree.capacity() * size_of::<usize>()
             + residual
+            + spare
     }
 }

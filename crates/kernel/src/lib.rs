@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use unp_buffers::{Frame, OwnerTag, RingId};
 use unp_filter::programs::DemuxSpec;
 
-use channel::Ring;
+use channel::{Ring, RingSpare};
 use demux::{Binding, Demux};
 use tenant::Tenants;
 use transmit::{Sender, Transmit};
@@ -79,6 +79,7 @@ pub struct NetIoModule {
     demux: Demux,
     tx: Transmit,
     tenants: Tenants,
+    ring_spare: RingSpare,
     /// Slow-consumer fault model: when set, every ring behaves as if it
     /// had at most this many slots.
     pressure_cap: Option<usize>,
@@ -132,7 +133,7 @@ impl NetIoModule {
         self.next_channel += 1;
         let binding = self.demux.install(id, spec);
         let (sender, send, recv) = self.tx.issue(id, template);
-        let ring = Ring::new(region_slots, slot_size);
+        let ring = Ring::new(region_slots, slot_size, &mut self.ring_spare);
         let ch = Channel {
             owner,
             binding,
@@ -172,6 +173,7 @@ impl NetIoModule {
         self.tenants.release_channel(ch.owner, ch.ring.queued());
         self.tx.revoke(&ch.sender);
         self.demux.debug_validate(bindings(&self.channels));
+        ch.ring.retire(&mut self.ring_spare);
         true
     }
 
