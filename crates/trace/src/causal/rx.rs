@@ -15,104 +15,50 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use super::CausalGraph;
 use crate::{Dir, Event, Histogram, Nanos, PathKind, Record};
 
-/// The receive-path stage taxonomy, in path order. Each stage's component
-/// is the time from the previous *present* stage's timestamp to its own,
-/// so the components of one trace telescope exactly to its end-to-end
-/// latency. `NicRx` anchors the path and never carries a component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum Stage {
-    /// Frame accepted into NIC receive staging (the path anchor).
-    NicRx,
-    /// Software demultiplex classified the frame to a channel.
-    Demux,
-    /// Frame placed into the channel's receive ring.
-    Ring,
-    /// A library wakeup consumed the frame from the ring (attributed in
-    /// ring FIFO order — the event itself carries no frame id).
-    Wakeup,
-    /// The protocol library processed the frame's TCP segment.
-    Tcp,
-    /// Received bytes crossed the final boundary into the application.
-    Deliver,
-}
-
-/// Number of stages in [`Stage`].
-pub const N_STAGES: usize = 6;
-
-impl Stage {
-    /// Every stage, in path order.
-    pub const ALL: [Stage; N_STAGES] = [
-        Stage::NicRx,
-        Stage::Demux,
-        Stage::Ring,
-        Stage::Wakeup,
-        Stage::Tcp,
-        Stage::Deliver,
-    ];
-
-    /// The stage's journal keyword.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::NicRx => "nic_rx",
-            Stage::Demux => "demux_classify",
-            Stage::Ring => "ring_enqueue",
-            Stage::Wakeup => "wakeup_batch",
-            Stage::Tcp => "tcp_segment",
-            Stage::Deliver => "app_deliver",
-        }
+keywords! {
+    /// The receive-path stage taxonomy, in path order; each stage's
+    /// keyword is the journal event that stamps it. Each stage's component
+    /// is the time from the previous *present* stage's timestamp to its
+    /// own, so the components of one trace telescope exactly to its
+    /// end-to-end latency. `NicRx` anchors the path and never carries a
+    /// component.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Stage {
+        /// Frame accepted into NIC receive staging (the path anchor).
+        NicRx => "nic_rx",
+        /// Software demultiplex classified the frame to a channel.
+        Demux => "demux_classify",
+        /// Frame placed into the channel's receive ring.
+        Ring => "ring_enqueue",
+        /// A library wakeup consumed the frame from the ring (attributed in
+        /// ring FIFO order — the event itself carries no frame id).
+        Wakeup => "wakeup_batch",
+        /// The protocol library processed the frame's TCP segment.
+        Tcp => "tcp_segment",
+        /// Received bytes crossed the final boundary into the application.
+        Deliver => "app_deliver",
     }
-}
 
-/// How a frame's path through the receive stages ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum PathOutcome {
-    /// The full path: bytes reached the application.
-    Delivered,
-    /// Protocol-processed to completion but nothing crossed into the
-    /// application (pure ACK, window update, retransmitted duplicate).
-    Processed,
-    /// The demux matched no channel binding; the frame took the
-    /// kernel-default path and left the profiled taxonomy.
-    KernelDefault,
-    /// Dropped at NIC staging overflow.
-    NicDropped,
-    /// Dropped at ring placement (ring full or slot too small).
-    RingDropped,
-    /// A checksum caught in-flight corruption; the frame was discarded.
-    CorruptDiscarded,
-    /// The frame's events stop mid-path (still in a ring at journal
-    /// stop, or lost where no discard event marks it).
-    Truncated,
-}
-
-/// Number of variants in [`PathOutcome`].
-pub const N_OUTCOMES: usize = 7;
-
-impl PathOutcome {
-    /// Every outcome, in declaration order.
-    pub const ALL: [PathOutcome; N_OUTCOMES] = [
-        PathOutcome::Delivered,
-        PathOutcome::Processed,
-        PathOutcome::KernelDefault,
-        PathOutcome::NicDropped,
-        PathOutcome::RingDropped,
-        PathOutcome::CorruptDiscarded,
-        PathOutcome::Truncated,
-    ];
-
-    /// The outcome's report name.
-    pub fn label(self) -> &'static str {
-        match self {
-            PathOutcome::Delivered => "delivered",
-            PathOutcome::Processed => "processed",
-            PathOutcome::KernelDefault => "kernel_default",
-            PathOutcome::NicDropped => "nic_dropped",
-            PathOutcome::RingDropped => "ring_dropped",
-            PathOutcome::CorruptDiscarded => "corrupt_discarded",
-            PathOutcome::Truncated => "truncated",
-        }
+    /// How a frame's path through the receive stages ended.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum PathOutcome {
+        /// The full path: bytes reached the application.
+        Delivered => "delivered",
+        /// Protocol-processed to completion but nothing crossed into the
+        /// application (pure ACK, window update, retransmitted duplicate).
+        Processed => "processed",
+        /// The demux matched no channel binding; the frame took the
+        /// kernel-default path and left the profiled taxonomy.
+        KernelDefault => "kernel_default",
+        /// Dropped at NIC staging overflow.
+        NicDropped => "nic_dropped",
+        /// Dropped at ring placement (ring full or slot too small).
+        RingDropped => "ring_dropped",
+        /// A checksum caught in-flight corruption; the frame was discarded.
+        CorruptDiscarded => "corrupt_discarded",
+        /// The frame's events stop mid-path (still in a ring at journal
+        /// stop, or lost where no discard event marks it).
+        Truncated => "truncated",
     }
 }
 
@@ -141,7 +87,7 @@ pub struct PathTrace {
     /// Per-stage timestamps, indexed by `Stage as usize`; `None` where
     /// the frame never reached (or an event wasn't attributable to) that
     /// stage.
-    t: [Option<Nanos>; N_STAGES],
+    t: [Option<Nanos>; Stage::ALL.len()],
 }
 
 impl PathTrace {
@@ -155,7 +101,7 @@ impl PathTrace {
             filter_instrs: 0,
             wire: 0,
             outcome: PathOutcome::Truncated,
-            t: [None; N_STAGES],
+            t: [None; Stage::ALL.len()],
         }
     }
 
@@ -264,8 +210,8 @@ impl CausalGraph {
     /// Per-stage component distributions over the delivered copies,
     /// indexed by `Stage as usize`. The `NicRx` slot stays empty (the
     /// anchor carries no component).
-    pub fn stage_latency(&self) -> [Histogram; N_STAGES] {
-        let mut stages: [Histogram; N_STAGES] = Default::default();
+    pub fn stage_latency(&self) -> [Histogram; Stage::ALL.len()] {
+        let mut stages: [Histogram; Stage::ALL.len()] = Default::default();
         for (s, dt) in self.delivered_rx().flat_map(PathTrace::components) {
             stages[s as usize].record(dt);
         }

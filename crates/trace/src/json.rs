@@ -259,14 +259,24 @@ fn lit(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String>
     }
 }
 
+/// Reads one number, held to JSON's grammar
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: `f64::from_str` alone
+/// would also take `+1`, `.5`, `5.` and `01`.
 fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
+    let text = std::str::from_utf8(&b[start..*pos]).unwrap_or("");
+    let unsigned = text.strip_prefix('-').unwrap_or(text);
+    let (mantissa, exp) = unsigned.split_once(['e', 'E']).unwrap_or((unsigned, "0"));
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, "0"));
+    let exp = exp.strip_prefix(['+', '-']).unwrap_or(exp);
+    let digits = |d: &str| !d.is_empty() && d.bytes().all(|c| c.is_ascii_digit());
+    let valid = digits(int) && digits(frac) && digits(exp) && (int == "0" || !int.starts_with('0'));
+    text.parse()
         .ok()
-        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|_| valid)
         .map(Value::Num)
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
@@ -292,8 +302,11 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign.
                         let hex = b
                             .get(*pos + 1..*pos + 5)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
@@ -395,6 +408,11 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("\"unterminated").is_err());
+        // What `f64::from_str` and `u32::from_str_radix` take but JSON
+        // does not.
+        for text in ["+1", ".5", "5.", "01", r#""\u+041""#] {
+            assert!(parse(text).is_err(), "{text} parsed");
+        }
     }
 
     #[test]

@@ -42,6 +42,35 @@
 //! two identical runs produce byte-identical journals (asserted by the
 //! workspace's `tests/journal.rs`).
 
+/// Declares fieldless enums whose variants each carry one keyword, and
+/// generates each one's `ALL` (every variant, in declaration order) and
+/// `label()` (the variant's keyword) from that one list. Every journal,
+/// report and metric vocabulary in this crate is declared through it.
+/// No `repr` is forced: `as usize` already indexes by declaration order,
+/// and a wider enum would widen every journal [`Record`] carrying one.
+macro_rules! keywords {
+    ($($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident => $label:literal,)*
+    })*) => {$(
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant,)*];
+
+            /// The variant's keyword.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)*
+                }
+            }
+        }
+    )*};
+}
+
 pub mod causal;
 pub mod json;
 pub mod metrics;
@@ -212,6 +241,29 @@ impl Drop for HostScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use monitor::mutations::BugClass;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn every_vocabulary_says_each_keyword_once() {
+        // `metrics::tests` checks `Ctr` and `Hist`, label order included.
+        fn check<T: Copy>(all: &[T], label: fn(T) -> &'static str) {
+            let name = std::any::type_name::<T>();
+            let labels: Vec<_> = all.iter().map(|&v| label(v)).collect();
+            let distinct: BTreeSet<_> = labels.iter().collect();
+            assert_eq!(distinct.len(), labels.len(), "{name} repeats a keyword");
+        }
+        check(PathKind::ALL, PathKind::label);
+        check(Dir::ALL, Dir::label);
+        check(RexmitReason::ALL, RexmitReason::label);
+        check(TcpFsm::ALL, TcpFsm::label);
+        check(FaultKind::ALL, FaultKind::label);
+        check(ReclaimKind::ALL, ReclaimKind::label);
+        check(Stage::ALL, Stage::label);
+        check(PathOutcome::ALL, PathOutcome::label);
+        check(ViolationKind::ALL, ViolationKind::label);
+        check(BugClass::ALL, BugClass::label);
+    }
 
     #[test]
     fn record_line_is_canonical() {

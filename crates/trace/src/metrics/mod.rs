@@ -22,32 +22,11 @@ use std::fmt;
 use crate::Nanos;
 pub use histogram::Histogram;
 
-macro_rules! metric_enum {
-    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident => $label:literal,)* }) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        #[repr(usize)]
-        pub enum $name {
-            $($(#[$vmeta])* $variant,)*
-        }
-
-        impl $name {
-            /// Every variant, in declaration order (the storage order).
-            pub const ALL: &'static [$name] = &[$($name::$variant,)*];
-
-            /// The metric's stable report name.
-            pub fn name(self) -> &'static str {
-                match self {
-                    $($name::$variant => $label,)*
-                }
-            }
-        }
-    };
-}
-
-metric_enum! {
-    /// Whole-world event counters (the former string keys, verbatim).
-    Ctr {
+keywords! {
+    /// Whole-world event counters (the former string keys, verbatim), in
+    /// label order (the storage order).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Ctr {
         /// Application processes killed by the fault plan (or by tests).
         AppCrashes => "app_crashes",
         /// Deliveries batched behind a pending channel notification.
@@ -127,11 +106,11 @@ metric_enum! {
         /// Frames with an ethertype nobody handles.
         UnknownEthertype => "unknown_ethertype",
     }
-}
 
-metric_enum! {
-    /// Sample distributions (values in the unit each variant documents).
-    Hist {
+    /// Sample distributions (values in the unit each variant documents),
+    /// in label order (the storage order).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Hist {
         /// Bytes handed to an application per delivery upcall.
         AppDeliverBytes => "app_deliver_bytes",
         /// A connection's final smoothed RTT at teardown, nanoseconds.
@@ -335,7 +314,7 @@ impl Metrics {
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         Ctr::ALL
             .iter()
-            .map(|&c| (c.name(), self.get(c)))
+            .map(|&c| (c.label(), self.get(c)))
             .filter(|&(_, v)| v != 0)
     }
 
@@ -467,8 +446,8 @@ fn deltas<T: Copy + Ord + std::ops::Sub<Output = T>>(later: &[T], earlier: &[T])
 }
 
 /// One sim-time telemetry window: counter/histogram deltas between two
-/// [`Snapshot`]s, with derived rates (pps, retransmit rate, flow-hit
-/// rate, ring occupancy).
+/// [`Snapshot`]s, read as rates ([`Window::per_sec`]), sample means
+/// ([`Window::hist_mean`]) and shares (retransmits, demux hits).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Window {
     /// Window start (earlier snapshot's sim time).
@@ -502,31 +481,11 @@ impl Window {
         }
     }
 
-    /// Samples recorded under `h` during the window, and their sum.
-    pub fn hist_delta(&self, h: Hist) -> (u64, u128) {
-        (self.hist_counts[h as usize], self.hist_sums[h as usize])
-    }
-
     /// Mean of the samples recorded under `h` during the window, or
     /// `None` if the window recorded none.
     pub fn hist_mean(&self, h: Hist) -> Option<f64> {
-        let (n, sum) = self.hist_delta(h);
+        let (n, sum) = (self.hist_counts[h as usize], self.hist_sums[h as usize]);
         (n > 0).then(|| sum as f64 / n as f64)
-    }
-
-    /// Frames received per second of sim time.
-    pub fn rx_pps(&self) -> f64 {
-        self.per_sec(Ctr::FramesReceived)
-    }
-
-    /// Frames sent per second of sim time.
-    pub fn tx_pps(&self) -> f64 {
-        self.per_sec(Ctr::FramesSent)
-    }
-
-    /// Retransmitted segments per second of sim time.
-    pub fn rexmit_per_sec(&self) -> f64 {
-        self.per_sec(Ctr::TcpRexmitSegs)
     }
 
     /// Retransmitted segments as a share of frames sent in the window
@@ -558,12 +517,6 @@ impl Window {
         let all = self.demux_decisions();
         let keyed = self.delta(Ctr::ChFlowHits) + self.delta(Ctr::ChListenHits);
         (all > 0).then(|| keyed as f64 / all as f64)
-    }
-
-    /// Mean ring occupancy observed at enqueue during the window, or
-    /// `None` if nothing was enqueued.
-    pub fn mean_ring_depth(&self) -> Option<f64> {
-        self.hist_mean(Hist::RingDepth)
     }
 }
 

@@ -16,7 +16,7 @@ fn counters_are_typed_and_cheap() {
 fn counter_labels_are_sorted_and_unique() {
     // `counters()` reports in declaration order; keep that order
     // alphabetical so reports read like the old BTreeMap output.
-    let names: Vec<_> = Ctr::ALL.iter().map(|c| c.name()).collect();
+    let names: Vec<_> = Ctr::ALL.iter().map(|c| c.label()).collect();
     let mut sorted = names.clone();
     sorted.sort_unstable();
     sorted.dedup();
@@ -25,7 +25,7 @@ fn counter_labels_are_sorted_and_unique() {
 
 #[test]
 fn hist_labels_are_sorted_and_unique() {
-    let names: Vec<_> = Hist::ALL.iter().map(|h| h.name()).collect();
+    let names: Vec<_> = Hist::ALL.iter().map(|h| h.label()).collect();
     let mut sorted = names.clone();
     sorted.sort_unstable();
     sorted.dedup();
@@ -188,12 +188,12 @@ fn snapshot_windows_do_delta_arithmetic() {
     let w = s1.window_since(&s0);
     assert_eq!(w.duration(), 1_000_000_000);
     assert_eq!(w.delta(Ctr::FramesReceived), 100);
-    assert_eq!(w.rx_pps(), 100.0);
-    assert_eq!(w.tx_pps(), 50.0);
-    assert_eq!(w.rexmit_per_sec(), 5.0);
+    assert_eq!(w.per_sec(Ctr::FramesReceived), 100.0);
+    assert_eq!(w.per_sec(Ctr::FramesSent), 50.0);
+    assert_eq!(w.per_sec(Ctr::TcpRexmitSegs), 5.0);
     assert_eq!(w.rexmit_share(), Some(0.1));
     assert_eq!(w.flow_hit_rate(), Some(0.9));
-    assert_eq!(w.mean_ring_depth(), Some(3.0));
+    assert_eq!(w.hist_mean(Hist::RingDepth), Some(3.0));
 
     // The second window sees only the second slice's activity.
     m.add(Ctr::FramesReceived, 20);
@@ -201,10 +201,10 @@ fn snapshot_windows_do_delta_arithmetic() {
     let w2 = s2.window_since(&s1);
     assert_eq!(w2.duration(), 2_000_000_000);
     assert_eq!(w2.delta(Ctr::FramesReceived), 20);
-    assert_eq!(w2.rx_pps(), 10.0);
+    assert_eq!(w2.per_sec(Ctr::FramesReceived), 10.0);
     assert_eq!(w2.rexmit_share(), None, "nothing sent this window");
     assert_eq!(w2.flow_hit_rate(), None);
-    assert_eq!(w2.mean_ring_depth(), None);
+    assert_eq!(w2.hist_mean(Hist::RingDepth), None);
     // Windows compose: (s0 -> s2) equals the sum of the two slices.
     let total = s2.window_since(&s0);
     assert_eq!(
@@ -223,7 +223,7 @@ fn zero_length_window_has_zero_rates() {
     let s = m.snapshot(500);
     let w = s.window_since(&s);
     assert_eq!(w.duration(), 0);
-    assert_eq!(w.rx_pps(), 0.0);
+    assert_eq!(w.per_sec(Ctr::FramesReceived), 0.0);
     assert_eq!(w.per_sec(Ctr::FramesSent), 0.0);
 }
 

@@ -98,50 +98,26 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Which invariant a [`Violation`] breached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ViolationKind {
-    /// A transmitted cumulative ACK moved backwards.
-    TcpAckRegression,
-    /// A TCP state edge outside the legal relation, or discontinuous
-    /// with the connection's tracked state.
-    TcpFsmIllegal,
-    /// A retransmit without its RFC 5681 / RTO precondition.
-    RexmitUnjustified,
-    /// A ring enqueue/wakeup inconsistent with tracked residency.
-    RingConservation,
-    /// A frame-pool live count off its event chain (leak / double free).
-    PoolAccounting,
-    /// A demux classify whose tier, match flag, and ring placement
-    /// disagree.
-    DemuxAttribution,
-    /// A tenant quota drop that was not earned by recorded occupancy.
-    QuotaConservation,
-}
-
-impl ViolationKind {
-    /// All kinds, in severity-agnostic declaration order.
-    pub const ALL: [ViolationKind; 7] = [
-        ViolationKind::TcpAckRegression,
-        ViolationKind::TcpFsmIllegal,
-        ViolationKind::RexmitUnjustified,
-        ViolationKind::RingConservation,
-        ViolationKind::PoolAccounting,
-        ViolationKind::DemuxAttribution,
-        ViolationKind::QuotaConservation,
-    ];
-
-    /// Stable keyword for reports (`tcp_ack_regression`, …).
-    pub fn label(self) -> &'static str {
-        match self {
-            ViolationKind::TcpAckRegression => "tcp_ack_regression",
-            ViolationKind::TcpFsmIllegal => "tcp_fsm_illegal",
-            ViolationKind::RexmitUnjustified => "rexmit_unjustified",
-            ViolationKind::RingConservation => "ring_conservation",
-            ViolationKind::PoolAccounting => "pool_accounting",
-            ViolationKind::DemuxAttribution => "demux_attribution",
-            ViolationKind::QuotaConservation => "quota_conservation",
-        }
+keywords! {
+    /// Which invariant a [`Violation`] breached.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ViolationKind {
+        /// A transmitted cumulative ACK moved backwards.
+        TcpAckRegression => "tcp_ack_regression",
+        /// A TCP state edge outside the legal relation, or discontinuous
+        /// with the connection's tracked state.
+        TcpFsmIllegal => "tcp_fsm_illegal",
+        /// A retransmit without its RFC 5681 / RTO precondition.
+        RexmitUnjustified => "rexmit_unjustified",
+        /// A ring enqueue/wakeup inconsistent with tracked residency.
+        RingConservation => "ring_conservation",
+        /// A frame-pool live count off its event chain (leak / double free).
+        PoolAccounting => "pool_accounting",
+        /// A demux classify whose tier, match flag, and ring placement
+        /// disagree.
+        DemuxAttribution => "demux_attribution",
+        /// A tenant quota drop that was not earned by recorded occupancy.
+        QuotaConservation => "quota_conservation",
     }
 }
 
@@ -210,7 +186,7 @@ pub struct Monitor {
     pool: pool::Pool,
     demux: demux::Demux,
     checked: CheckStats,
-    kind_counts: [u64; 7],
+    kind_counts: [u64; ViolationKind::ALL.len()],
     violations: Vec<Violation>,
     total: u64,
     recorder: Option<FlightRecorder>,

@@ -8,54 +8,30 @@ use std::collections::HashSet;
 use super::ViolationKind;
 use crate::{Dir, Event, PathKind, Record, RexmitReason, SegFlags};
 
-/// One injectable bug class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BugClass {
-    /// Rewind a transmitted cumulative ACK (a skipped ACK update).
-    AckRegression,
-    /// Turn a state edge into a self-loop outside the relation.
-    IllegalTransition,
-    /// Fast retransmit with zero duplicate ACKs observed.
-    UnjustifiedDupAck,
-    /// RTO retransmit after everything was acknowledged.
-    UnjustifiedRto,
-    /// A wakeup claiming one more frame than the ring held.
-    RingLeak,
-    /// Drop a frame-free record (a leaked backing).
-    PoolLeak,
-    /// A keyed-tier classify stripped of its match.
-    DemuxMisattribution,
-    /// A quota drop fabricated below the tenant's budget.
-    QuotaFabrication,
+keywords! {
+    /// One injectable bug class; `ALL` is every class the harness injects.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BugClass {
+        /// Rewind a transmitted cumulative ACK (a skipped ACK update).
+        AckRegression => "ack_regression",
+        /// Turn a state edge into a self-loop outside the relation.
+        IllegalTransition => "illegal_transition",
+        /// Fast retransmit with zero duplicate ACKs observed.
+        UnjustifiedDupAck => "unjustified_dup_ack",
+        /// RTO retransmit after everything was acknowledged.
+        UnjustifiedRto => "unjustified_rto",
+        /// A wakeup claiming one more frame than the ring held.
+        RingLeak => "ring_leak",
+        /// Drop a frame-free record (a leaked backing).
+        PoolLeak => "pool_leak",
+        /// A keyed-tier classify stripped of its match.
+        DemuxMisattribution => "demux_misattribution",
+        /// A quota drop fabricated below the tenant's budget.
+        QuotaFabrication => "quota_fabrication",
+    }
 }
 
 impl BugClass {
-    /// Every class the harness injects.
-    pub const ALL: [BugClass; 8] = [
-        BugClass::AckRegression,
-        BugClass::IllegalTransition,
-        BugClass::UnjustifiedDupAck,
-        BugClass::UnjustifiedRto,
-        BugClass::RingLeak,
-        BugClass::PoolLeak,
-        BugClass::DemuxMisattribution,
-        BugClass::QuotaFabrication,
-    ];
-
-    /// Stable keyword for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            BugClass::AckRegression => "ack_regression",
-            BugClass::IllegalTransition => "illegal_transition",
-            BugClass::UnjustifiedDupAck => "unjustified_dup_ack",
-            BugClass::UnjustifiedRto => "unjustified_rto",
-            BugClass::RingLeak => "ring_leak",
-            BugClass::PoolLeak => "pool_leak",
-            BugClass::DemuxMisattribution => "demux_misattribution",
-            BugClass::QuotaFabrication => "quota_fabrication",
-        }
-    }
-
     /// The violation kind the injected bug must surface as.
     pub fn expected_kind(self) -> ViolationKind {
         match self {

@@ -550,7 +550,7 @@ fn mutation_harness_catches_every_class_and_only_on_mutants() {
     let clean = Monitor::new().run_over(&recs);
     assert_eq!(clean.total_violations(), 0, "{:?}", clean.violations());
 
-    for class in BugClass::ALL {
+    for &class in BugClass::ALL {
         let mutated = mutations::mutate(&recs, class, 42)
             .unwrap_or_else(|| panic!("no mutation site for {}", class.label()));
         let m = Monitor::new().run_over(&mutated);

@@ -4,73 +4,110 @@
 
 use crate::Nanos;
 
-/// Which demultiplexing machinery classified an incoming frame. The kernel
-/// tags every delivery with the path taken so per-path costs can be
-/// charged, fast-path hit rates reported and the decision journaled.
-/// `unp_sim::DemuxPath` is this type, re-exported under the cost model's
-/// name for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathKind {
-    /// Exact-match flow-table lookup (O(1) in the number of bindings).
-    FlowTable,
-    /// Wildcard 3-tuple (protocol, local ip, local port) table lookup —
-    /// listening and unconnected-UDP bindings, also O(1).
-    ListenTable,
-    /// Linear scan interpreting each binding's filter program — the
-    /// paper-era software path, and the fallback for frames or bindings
-    /// without any keyed identity (fragments, non-IP, half-wildcard
-    /// bindings, mismatched link framing).
-    FilterScan,
-    /// The NIC classified the frame itself (AN1 BQI table).
-    Hardware,
-}
-
-impl PathKind {
-    /// Journal keyword for the tier (`flow`, `listen`, `scan`, `hw`).
-    pub fn label(self) -> &'static str {
-        match self {
-            PathKind::FlowTable => "flow",
-            PathKind::ListenTable => "listen",
-            PathKind::FilterScan => "scan",
-            PathKind::Hardware => "hw",
-        }
+keywords! {
+    /// Which demultiplexing machinery classified an incoming frame. The kernel
+    /// tags every delivery with the path taken so per-path costs can be
+    /// charged, fast-path hit rates reported and the decision journaled.
+    /// `unp_sim::DemuxPath` is this type, re-exported under the cost model's
+    /// name for it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum PathKind {
+        /// Exact-match flow-table lookup (O(1) in the number of bindings).
+        FlowTable => "flow",
+        /// Wildcard 3-tuple (protocol, local ip, local port) table lookup —
+        /// listening and unconnected-UDP bindings, also O(1).
+        ListenTable => "listen",
+        /// Linear scan interpreting each binding's filter program — the
+        /// paper-era software path, and the fallback for frames or bindings
+        /// without any keyed identity (fragments, non-IP, half-wildcard
+        /// bindings, mismatched link framing).
+        FilterScan => "scan",
+        /// The NIC classified the frame itself (AN1 BQI table).
+        Hardware => "hw",
     }
-}
 
-/// Direction of a TCP segment relative to the emitting host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
-    /// Segment received from the wire.
-    Rx,
-    /// Segment built for transmission.
-    Tx,
-}
-
-impl Dir {
-    fn label(self) -> &'static str {
-        match self {
-            Dir::Rx => "rx",
-            Dir::Tx => "tx",
-        }
+    /// Direction of a TCP segment relative to the emitting host.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Dir {
+        /// Segment received from the wire.
+        Rx => "rx",
+        /// Segment built for transmission.
+        Tx => "tx",
     }
-}
 
-/// Why TCP retransmitted: which detection mechanism fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RexmitReason {
-    /// The retransmission timer expired.
-    Rto,
-    /// Three duplicate ACKs triggered a fast retransmit.
-    DupAck,
-}
+    /// Why TCP retransmitted: which detection mechanism fired.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RexmitReason {
+        /// The retransmission timer expired.
+        Rto => "rto",
+        /// Three duplicate ACKs triggered a fast retransmit.
+        DupAck => "dup_ack",
+    }
 
-impl RexmitReason {
-    /// Journal keyword for the reason (`rto` / `dup_ack`).
-    pub fn label(self) -> &'static str {
-        match self {
-            RexmitReason::Rto => "rto",
-            RexmitReason::DupAck => "dup_ack",
-        }
+    /// An RFC 793 connection state, as the TCB holds it and as journaled on
+    /// [`Event::TcpState`] edges. `unp_tcp::State` is this type, re-exported
+    /// under the protocol library's name for it. (`LISTEN` is a `ListenTcb`
+    /// there, not a state; `Closed` is both "no connection yet" and the
+    /// terminal state a live block reaches.)
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TcpFsm {
+        /// No connection.
+        Closed => "closed",
+        /// Active open sent a SYN, awaiting SYN|ACK.
+        SynSent => "syn_sent",
+        /// SYN received, SYN|ACK sent, awaiting ACK.
+        SynReceived => "syn_received",
+        /// Three-way handshake complete: data transfer.
+        Established => "established",
+        /// We closed first; FIN sent, awaiting its ACK.
+        FinWait1 => "fin_wait_1",
+        /// Our FIN acked, awaiting the peer's FIN.
+        FinWait2 => "fin_wait_2",
+        /// Simultaneous close: FINs crossed, awaiting the final ACK.
+        Closing => "closing",
+        /// Peer closed first; we may still send.
+        CloseWait => "close_wait",
+        /// We closed after the peer; FIN sent, awaiting its ACK.
+        LastAck => "last_ack",
+        /// Quarantine for 2·MSL before the pair may be reused.
+        TimeWait => "time_wait",
+    }
+
+    /// What a fault-injection layer did to a frame (or host) in flight.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FaultKind {
+        /// The frame was silently dropped.
+        Drop => "drop",
+        /// The frame was delivered twice.
+        Duplicate => "dup",
+        /// The frame's arrival was delayed past later traffic.
+        Reorder => "reorder",
+        /// A frame byte was flipped in flight.
+        Corrupt => "corrupt",
+        /// The frame fell inside a scheduled link outage window.
+        Outage => "outage",
+        /// A host's channel rings were capped to model a slow consumer.
+        RingPressure => "pressure",
+        /// An application process was killed at a scheduled sim time.
+        Crash => "crash",
+    }
+
+    /// A trusted-layer resource released on behalf of a dead (or vanished)
+    /// application.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ReclaimKind {
+        /// A kernel channel (ring + template + flow-table entry) destroyed.
+        Channel => "channel",
+        /// An AN1 BQI slot freed.
+        Bqi => "bqi",
+        /// A TCP port reservation released by the registry.
+        Port => "port",
+        /// A listening socket removed by the registry.
+        Listener => "listener",
+        /// An in-flight handshake aborted by the registry.
+        Handshake => "handshake",
+        /// An established connection aborted and inherited by the registry.
+        Connection => "connection",
     }
 }
 
@@ -112,35 +149,6 @@ impl SegFlags {
     }
 }
 
-/// An RFC 793 connection state, as the TCB holds it and as journaled on
-/// [`Event::TcpState`] edges. `unp_tcp::State` is this type, re-exported
-/// under the protocol library's name for it. (`LISTEN` is a `ListenTcb`
-/// there, not a state; `Closed` is both "no connection yet" and the
-/// terminal state a live block reaches.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TcpFsm {
-    /// No connection.
-    Closed,
-    /// Active open sent a SYN, awaiting SYN|ACK.
-    SynSent,
-    /// SYN received, SYN|ACK sent, awaiting ACK.
-    SynReceived,
-    /// Three-way handshake complete: data transfer.
-    Established,
-    /// We closed first; FIN sent, awaiting its ACK.
-    FinWait1,
-    /// Our FIN acked, awaiting the peer's FIN.
-    FinWait2,
-    /// Simultaneous close: FINs crossed, awaiting the final ACK.
-    Closing,
-    /// Peer closed first; we may still send.
-    CloseWait,
-    /// We closed after the peer; FIN sent, awaiting its ACK.
-    LastAck,
-    /// Quarantine for 2·MSL before the pair may be reused.
-    TimeWait,
-}
-
 impl TcpFsm {
     /// The legal moves between TCP states that do not end in `Closed`:
     /// RFC 793's diagram as `unp_tcp::Tcb` implements it. With the rule
@@ -175,22 +183,6 @@ impl TcpFsm {
     pub fn is_synchronized(self) -> bool {
         !matches!(self, TcpFsm::SynSent | TcpFsm::SynReceived | TcpFsm::Closed)
     }
-
-    /// Journal keyword for the state (`syn_sent`, `fin_wait_1`, …).
-    pub fn label(self) -> &'static str {
-        match self {
-            TcpFsm::Closed => "closed",
-            TcpFsm::SynSent => "syn_sent",
-            TcpFsm::SynReceived => "syn_received",
-            TcpFsm::Established => "established",
-            TcpFsm::FinWait1 => "fin_wait_1",
-            TcpFsm::FinWait2 => "fin_wait_2",
-            TcpFsm::Closing => "closing",
-            TcpFsm::CloseWait => "close_wait",
-            TcpFsm::LastAck => "last_ack",
-            TcpFsm::TimeWait => "time_wait",
-        }
-    }
 }
 
 /// The legal TCP state-transition relation: [`TcpFsm::EDGES`], plus
@@ -200,71 +192,6 @@ pub fn legal_transition(from: TcpFsm, to: TcpFsm) -> bool {
         return from != TcpFsm::Closed;
     }
     TcpFsm::EDGES.contains(&(from, to))
-}
-
-/// What a fault-injection layer did to a frame (or host) in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The frame was silently dropped.
-    Drop,
-    /// The frame was delivered twice.
-    Duplicate,
-    /// The frame's arrival was delayed past later traffic.
-    Reorder,
-    /// A frame byte was flipped in flight.
-    Corrupt,
-    /// The frame fell inside a scheduled link outage window.
-    Outage,
-    /// A host's channel rings were capped to model a slow consumer.
-    RingPressure,
-    /// An application process was killed at a scheduled sim time.
-    Crash,
-}
-
-impl FaultKind {
-    /// Journal keyword for the fault (`drop`, `dup`, `reorder`, …).
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "dup",
-            FaultKind::Reorder => "reorder",
-            FaultKind::Corrupt => "corrupt",
-            FaultKind::Outage => "outage",
-            FaultKind::RingPressure => "pressure",
-            FaultKind::Crash => "crash",
-        }
-    }
-}
-
-/// A trusted-layer resource released on behalf of a dead (or vanished)
-/// application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReclaimKind {
-    /// A kernel channel (ring + template + flow-table entry) destroyed.
-    Channel,
-    /// An AN1 BQI slot freed.
-    Bqi,
-    /// A TCP port reservation released by the registry.
-    Port,
-    /// A listening socket removed by the registry.
-    Listener,
-    /// An in-flight handshake aborted by the registry.
-    Handshake,
-    /// An established connection aborted and inherited by the registry.
-    Connection,
-}
-
-impl ReclaimKind {
-    fn label(self) -> &'static str {
-        match self {
-            ReclaimKind::Channel => "channel",
-            ReclaimKind::Bqi => "bqi",
-            ReclaimKind::Port => "port",
-            ReclaimKind::Listener => "listener",
-            ReclaimKind::Handshake => "handshake",
-            ReclaimKind::Connection => "connection",
-        }
-    }
 }
 
 /// One packet-lifecycle event. Every variant is observation-only: emitting

@@ -21,32 +21,12 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Object-safe downcast support for boxed observers. Blanket-implemented
-/// for every `'static` type so [`detach_as`] and [`observe`] can recover
-/// the concrete observer (e.g. a `Monitor` full of violation state)
-/// without relying on `dyn` trait upcasting.
-pub trait AsAny {
-    /// Converts the boxed observer into a boxed [`Any`] for downcasting.
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any>;
-
-    /// Borrows the observer as an [`Any`] for downcasting.
-    fn as_any(&self) -> &dyn Any;
-}
-
-impl<T: Any> AsAny for T {
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 /// A streaming consumer of journal records, attached at [`attach`] and fed
 /// synchronously from the emit path. Implementations must be cheap: they
-/// run inline on every emission while attached.
-pub trait Observer: AsAny {
+/// run inline on every emission while attached. The `Any` supertrait lets
+/// [`detach_as`] and [`observe`] recover the concrete observer (e.g. a
+/// `Monitor` full of violation state) by upcasting to `dyn Any`.
+pub trait Observer: Any {
     /// Called for every record emitted while this observer is attached.
     fn on_record(&mut self, rec: &Record);
 
@@ -82,7 +62,6 @@ thread_local! {
     static OBSERVERS: RefCell<Vec<(u64, Box<dyn Observer>)>> = const { RefCell::new(Vec::new()) };
     static NEXT_HANDLE: Cell<u64> = const { Cell::new(1) };
     static ATTACHED: Cell<usize> = const { Cell::new(0) };
-    static DISPATCHING: Cell<bool> = const { Cell::new(false) };
     static JOURNAL_DROPPED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -118,11 +97,10 @@ pub fn detach(handle: ObserverHandle) -> Option<Box<dyn Observer>> {
 /// [`detach`], then downcast to the concrete observer type. `None` if the
 /// handle was stale; panics if the handle resolves to a different type
 /// (that's a caller bug, not a runtime condition).
-pub fn detach_as<T: Observer + 'static>(handle: ObserverHandle) -> Option<Box<T>> {
-    let obs = detach(handle)?;
+pub fn detach_as<T: Observer>(handle: ObserverHandle) -> Option<Box<T>> {
+    let obs: Box<dyn Any> = detach(handle)?;
     Some(
-        obs.as_any_box()
-            .downcast::<T>()
+        obs.downcast::<T>()
             .expect("observer handle redeemed at a mismatched type"),
     )
 }
@@ -131,16 +109,13 @@ pub fn detach_as<T: Observer + 'static>(handle: ObserverHandle) -> Option<Box<T>
 /// observer behind `handle`, which stays attached. `None` if the handle
 /// was stale; panics if it resolves to a different type, like
 /// [`detach_as`]. Must not be called from inside an observer callback.
-pub fn observe<T: Observer + 'static, R>(
-    handle: &ObserverHandle,
-    read: impl FnOnce(&T) -> R,
-) -> Option<R> {
+pub fn observe<T: Observer, R>(handle: &ObserverHandle, read: impl FnOnce(&T) -> R) -> Option<R> {
     OBSERVERS.with(|o| {
         let obs = o.borrow();
         let (_, obs) = obs.iter().find(|(id, _)| *id == handle.0)?;
         // The observer, not its box: `Box<dyn Observer>` is `Any` too.
-        let obs = (**obs)
-            .as_any()
+        let obs: &dyn Any = &**obs;
+        let obs = obs
             .downcast_ref::<T>()
             .expect("observer handle read at a mismatched type");
         Some(read(obs))
@@ -153,20 +128,20 @@ pub(crate) fn any_attached() -> bool {
     ATTACHED.with(|c| c.get() > 0)
 }
 
-/// Fans a record out to every attached observer, in attach order.
-/// Re-entrant dispatch (an observer emitting during its callback) is
+/// Fans a record out to every attached observer, in attach order, under
+/// one mutable borrow of the observer list. Re-entrant dispatch (an
+/// observer emitting during its callback) finds the list borrowed and is
 /// dropped: observation must stay observation-only.
 #[doc(hidden)]
 pub fn dispatch(rec: &Record) {
-    if DISPATCHING.with(|c| c.replace(true)) {
-        return;
-    }
     OBSERVERS.with(|o| {
-        for (_, obs) in o.borrow_mut().iter_mut() {
+        let Ok(mut obs) = o.try_borrow_mut() else {
+            return;
+        };
+        for (_, obs) in obs.iter_mut() {
             obs.on_record(rec);
         }
     });
-    DISPATCHING.with(|c| c.set(false));
 }
 
 /// Records dropped by the current (or most recent) bounded [`Journal`]
@@ -383,6 +358,16 @@ mod tests {
         let id = h.id();
         assert!(detach(h).is_some());
         assert_eq!(observe(&ObserverHandle::from_id(id), read), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "observer handle redeemed at a mismatched type")]
+    fn detach_as_a_mismatched_type_panics() {
+        let h = attach(Box::new(Counter {
+            seen: 0,
+            finished: false,
+        }));
+        let _ = detach_as::<Journal>(h);
     }
 
     #[test]

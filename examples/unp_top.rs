@@ -137,9 +137,9 @@ fn main() {
         let mut row = format!(
             "{:<9} {:>9.0} {:>9.0} {:>9.1} {:>7} {:>7} {:>7} {:>7} {:>8} {:>9} {:>5} {:>5} {:>7}",
             fmt_nanos(snap.time),
-            w.rx_pps(),
-            w.tx_pps(),
-            w.rexmit_per_sec(),
+            w.per_sec(Ctr::FramesReceived),
+            w.per_sec(Ctr::FramesSent),
+            w.per_sec(Ctr::TcpRexmitSegs),
             w.rexmit_share()
                 .map_or("-".into(), |r| format!("{:.1}", r * 100.0)),
             w.flow_hit_rate()
@@ -147,7 +147,7 @@ fn main() {
             w.keyed_hit_rate()
                 .map_or("-".into(), |r| format!("{:.1}", r * 100.0)),
             format!("{flow_tbl}/{listen_tbl}"),
-            w.mean_ring_depth()
+            w.hist_mean(Hist::RingDepth)
                 .map_or("-".into(), |d| format!("{d:.2}")),
             w.hist_mean(Hist::WakeupBatchFrames)
                 .map_or("-".into(), |b| format!("{b:.2}")),
@@ -333,7 +333,7 @@ fn main() {
         .expect("causal graph invariants hold");
 
     println!("-- path outcomes ({} frames traced) --", graph.rx().count());
-    for o in PathOutcome::ALL {
+    for &o in PathOutcome::ALL {
         let n = graph.outcome_count(o);
         if n > 0 {
             println!("  {:<17} {n:>7}", o.label());

@@ -5,7 +5,7 @@
 use unp::core::experiments::Transfer;
 use unp::core::faults::FaultPlan;
 use unp::core::world::{install_faults, Eng, Network, OrgKind, World};
-use unp::trace::Ctr;
+use unp::trace::{Ctr, Hist};
 
 const TOTAL: u64 = 150_000;
 
@@ -51,22 +51,25 @@ fn windowed_checks(w: &mut World, eng: &mut Eng) {
     // Rates are delta / window-duration in seconds.
     assert!(w01.duration() > 0);
     let expect_pps = w01.delta(Ctr::FramesReceived) as f64 / (w01.duration() as f64 / 1e9);
-    assert!((w01.rx_pps() - expect_pps).abs() < 1e-9);
-    assert!(w01.rx_pps() > 0.0, "the transfer moves frames in slice one");
+    assert!((w01.per_sec(Ctr::FramesReceived) - expect_pps).abs() < 1e-9);
+    assert!(
+        w01.per_sec(Ctr::FramesReceived) > 0.0,
+        "the transfer moves frames in slice one"
+    );
 
     // Derived ratios stay in range and the ring histogram windows.
     if let Some(r) = w01.flow_hit_rate() {
         assert!((0.0..=1.0).contains(&r));
     }
     assert!(
-        w01.mean_ring_depth().is_some(),
+        w01.hist_mean(Hist::RingDepth).is_some(),
         "channel deliveries must sample ring occupancy"
     );
 
     // A zero-length window divides nothing by zero.
     let wz = s2.window_since(&s2);
     assert_eq!(wz.duration(), 0);
-    assert_eq!(wz.rx_pps(), 0.0);
+    assert_eq!(wz.per_sec(Ctr::FramesReceived), 0.0);
 }
 
 #[test]
