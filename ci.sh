@@ -140,6 +140,21 @@ if [ "$count" -gt 8 ]; then
   printf '%s\n' "$sites"; echo "more than 8 host_exec call sites (lines above)"; exit 1
 fi
 
+# Each workload in `unp-bench` runs once and is reported once: the
+# million-channel population is built by the demux scale sweep (its
+# footprint and the monitor's memory bound read the same modules) and by
+# the churn gate, nowhere else — at most 2 `scale_module(` call sites in
+# the non-test part of `crates/bench/src`, the definition aside.
+echo "== unp-bench: at most 2 non-test scale_module call sites =="
+sites=$(find crates/bench/src -name '*.rs' -exec awk '
+  FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && /scale_module\(/ && !/fn scale_module\(/ { print FILENAME ":" FNR ":" $0 }' {} +)
+count=$(printf '%s\n' "$sites" | grep -c . || true)
+echo "$count non-test scale_module call sites"
+if [ "$count" -gt 2 ]; then
+  printf '%s\n' "$sites"; echo "more than 2 scale_module call sites (lines above)"; exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

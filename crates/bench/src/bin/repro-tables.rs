@@ -24,8 +24,7 @@
 //!     `postmortem` prints the flight-recorder window a seeded protocol
 //!     violation freezes.
 //! ```
-//! Names: zero_copy demux trace profile demux_scale causal isolation
-//! monitor.
+//! Names: zero_copy trace demux_scale causal isolation monitor.
 
 use std::process::exit;
 

@@ -11,10 +11,8 @@
 //! * Host time end to end and per layer is `benchmark/`'s job.
 
 pub mod causal;
-pub mod demux;
 pub mod isolation;
 pub mod monitor;
-pub mod profile;
 pub mod report;
 pub mod scale;
 pub mod summary;

@@ -1,7 +1,7 @@
 //! `bench monitor`: the streaming conformance monitor exercised as a
 //! benchmark artifact — `BENCH_monitor.json`.
 //!
-//! Three measurements, each a leg of the checker-soundness argument:
+//! Two measurements, each a leg of the checker-soundness argument:
 //!
 //! * **golden** — the seeded lossy Table-2 journal (the causal report's
 //!   workload), a clean variant, and a *live* attached bulk run must all
@@ -11,51 +11,29 @@
 //!   lossy journal must surface as its expected
 //!   [`unp_trace::ViolationKind`]: zero violations on conformant runs
 //!   means nothing unless each checker still catches its bug class.
-//! * **scale** — the 8→10^6-channel mixed population from
-//!   [`crate::scale`], monitor attached and journal off, delivering a
-//!   fixed [`SCALE_SAMPLE`] of probe frames per point: observer memory
-//!   ([`unp_trace::Monitor::memory_bytes`]) must track the *touched*
-//!   state (rings seen, connections seen), not the population.
+//!
+//! The third leg, observer memory tracking the touched state rather than
+//! the channel population, runs on the demux scale sweep's own modules
+//! ([`crate::scale::scale_point`]) and is reported in
+//! `BENCH_demux_scale.json`.
 //!
 //! What attaching the monitor costs in host time is the difference
 //! between `benchmark/`'s `bulk_observed` and `bulk` workloads, refereed
 //! there on every PR; nothing here reads a clock.
 
-use unp_buffers::Frame;
 use unp_core::experiments::Transfer;
 use unp_core::{Network, OrgKind};
-use unp_kernel::Delivery;
 use unp_trace::json::Value;
 use unp_trace::monitor::mutations::{self, BugClass};
 use unp_trace::{Monitor, Record};
-use unp_wire::Ipv4Addr;
 
 use crate::causal::{CAUSAL_LOSS, CAUSAL_PACKET, CAUSAL_SEED, CAUSAL_TOTAL};
 use crate::report::Workloads;
-use crate::scale::{frame_to, mixed_spec, scale_module};
 
 /// Bytes of the live-attached bulk transfer.
 const LIVE_TOTAL: u64 = 1_000_000;
-/// Probe frames delivered per scale-sweep point — fixed, so observer
-/// memory growing with the population (rather than with this sample)
-/// would be visible immediately.
-pub const SCALE_SAMPLE: usize = 256;
 /// Flight-recorder per-host window used for the postmortem demo.
 pub const DEMO_RECORDER_CAP: usize = 64;
-
-/// One scale-sweep point: population vs what the monitor held.
-pub struct ScaleMonPoint {
-    /// Channels installed in the module.
-    pub channels: usize,
-    /// Probe frames actually delivered (≤ [`SCALE_SAMPLE`]).
-    pub sampled: usize,
-    /// [`unp_trace::Monitor::memory_bytes`] at detach.
-    pub monitor_mem_bytes: u64,
-    /// Ring events the residency checker folded.
-    pub ring_events: u64,
-    /// Violations flagged (must be zero).
-    pub violations: u64,
-}
 
 /// The Table-2 transfer at the causal workload's write size, no faults.
 fn clean_bulk(total: u64) {
@@ -106,40 +84,6 @@ fn mutation_coverage(records: &[Record]) -> Vec<(BugClass, u64)> {
         .collect()
 }
 
-/// One monitor-attached scale point: build the mixed population, attach
-/// a fresh monitor (journal off), deliver the sampled probe frames, and
-/// harvest what the observer held.
-fn scale_point(n: usize) -> ScaleMonPoint {
-    unp_trace::reset_run();
-    let (mut m, ..) = scale_module(n);
-    let handle = unp_trace::attach(Box::new(Monitor::new()));
-    let sample = SCALE_SAMPLE.min(n);
-    let step = (n / sample).max(1);
-    for k in 0..sample {
-        let i = k * step;
-        let spec = mixed_spec(i);
-        // Listen/residual bindings leave the remote (partly) wild; any
-        // remote in the probe space the sweep already reserves works.
-        let remote = (
-            spec.remote_ip.unwrap_or(Ipv4Addr::new(10, 8, 0, 1)),
-            spec.remote_port.unwrap_or(9999),
-        );
-        let frame = Frame::from_vec(frame_to((spec.local_ip, spec.local_port), remote));
-        match m.deliver_software(&frame) {
-            Delivery::Channel { .. } => {}
-            other => panic!("scale probe fell through at n={n} i={i}: {other:?}"),
-        }
-    }
-    let mon = unp_trace::detach_as::<Monitor>(handle).expect("scale monitor");
-    ScaleMonPoint {
-        channels: n,
-        sampled: sample,
-        monitor_mem_bytes: mon.memory_bytes(),
-        ring_events: mon.checked().ring_events,
-        violations: mon.total_violations(),
-    }
-}
-
 /// The recorder demo: ack-regression mutant replayed through
 /// [`Monitor::with_recorder`] — a recorder-fed monitor freezes a window
 /// around the first violation. Used by the report and by `explain
@@ -151,8 +95,7 @@ pub fn demo_monitor(lossy: &[Record]) -> Monitor {
 }
 
 /// Runs every measurement, prints the human report and returns the
-/// machine one. Long phases announce themselves (the 10^6 scale point
-/// takes a few seconds to build).
+/// machine one. Long phases announce themselves.
 pub fn report(w: &Workloads) -> Value {
     let lossy = w.lossy_journal();
     let lossy_mon = Monitor::new().run_over(lossy);
@@ -168,17 +111,7 @@ pub fn report(w: &Workloads) -> Value {
     let live_violations = live_violations();
     let demo = demo_monitor(lossy);
     let postmortem_records = demo.postmortem().map(<[Record]>::len).unwrap_or(0);
-    let scale: Vec<ScaleMonPoint> = (w.sizes.scale_counts.iter())
-        .map(|&n| {
-            println!("monitor: scale point {n}");
-            scale_point(n)
-        })
-        .collect();
-    let golden_violations = lossy_mon.total_violations()
-        + clean_violations
-        + live_violations
-        + scale.iter().map(|p| p.violations).sum::<u64>();
-    let peak_mem = scale.iter().map(|p| p.monitor_mem_bytes).max().unwrap_or(0);
+    let golden_violations = lossy_mon.total_violations() + clean_violations + live_violations;
     let c = lossy_mon.checked();
 
     println!("== Streaming conformance monitor ==");
@@ -208,17 +141,6 @@ pub fn report(w: &Workloads) -> Value {
         "  recorder demo: postmortem froze {postmortem_records} records (occupancy {} of {DEMO_RECORDER_CAP}/host)",
         demo.recorder_occupancy()
     );
-    println!("  scale sweep (monitor on, journal off, {SCALE_SAMPLE} probe frames/point):");
-    println!(
-        "    {:>9} {:>8} {:>10} {:>11} {:>10}",
-        "channels", "sampled", "ring evts", "mon mem (B)", "violations"
-    );
-    for p in &scale {
-        println!(
-            "    {:>9} {:>8} {:>10} {:>11} {:>10}",
-            p.channels, p.sampled, p.ring_events, p.monitor_mem_bytes, p.violations
-        );
-    }
     println!();
 
     Value::obj([
@@ -271,28 +193,6 @@ pub fn report(w: &Workloads) -> Value {
                 ("capacity_per_host", DEMO_RECORDER_CAP.into()),
                 ("postmortem_records", postmortem_records.into()),
                 ("occupancy", demo.recorder_occupancy().into()),
-            ]),
-        ),
-        (
-            "scale",
-            Value::obj([
-                ("sample_frames", SCALE_SAMPLE.into()),
-                ("peak_observer_mem_bytes", peak_mem.into()),
-                (
-                    "points",
-                    scale
-                        .iter()
-                        .map(|p| {
-                            Value::obj([
-                                ("channels", p.channels.into()),
-                                ("sampled", p.sampled.into()),
-                                ("ring_events", p.ring_events.into()),
-                                ("monitor_mem_bytes", p.monitor_mem_bytes.into()),
-                                ("violations", p.violations.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
             ]),
         ),
     ])
@@ -351,6 +251,7 @@ mod tests {
 
     #[test]
     fn scale_point_memory_tracks_sample_not_population() {
+        use crate::scale::{scale_point, SCALE_SAMPLE};
         let small = scale_point(64);
         let big = scale_point(4096);
         assert_eq!(small.violations + big.violations, 0);

@@ -12,20 +12,19 @@ use std::cell::OnceCell;
 use unp_trace::json::Value;
 use unp_trace::Record;
 
-use crate::trace::TracedRun;
-use crate::{causal, demux, isolation, monitor, profile, scale, timings, trace};
+use crate::{causal, isolation, monitor, scale, timings, trace};
 
 /// The workload sizes behind the artifacts. The committed files come from
 /// [`Sizes::DEFAULT`]; tests shrink them.
 #[derive(Clone, Copy)]
 pub struct Sizes {
-    /// Bytes per transfer in the timed tables and the pool/demux workloads.
+    /// Bytes per transfer in the timed tables and the pool ablation.
     pub total: u64,
     /// Ping-pong rounds per Table-3 cell.
     pub rounds: usize,
     /// Bytes per transfer of the traced Table-2 sweep.
     pub traced_total: u64,
-    /// Channel populations the scale sweeps visit.
+    /// Channel populations the scale sweep visits.
     pub scale_counts: &'static [usize],
 }
 
@@ -47,12 +46,12 @@ impl Sizes {
     };
 }
 
-/// The journaled workloads more than one report reads, run at most once
-/// per invocation: the traced Table-2 sweep feeds `trace` and `profile`,
-/// the seeded lossy journal feeds `causal` and `monitor`.
+/// The sizes every report reads, and the one journaled workload more than
+/// one report reads, run at most once per invocation: the seeded lossy
+/// journal feeds `causal` and `monitor`. Every other workload belongs to
+/// one report, which runs it once.
 pub struct Workloads {
     pub sizes: Sizes,
-    traced: OnceCell<Vec<TracedRun>>,
     lossy: OnceCell<Vec<Record>>,
 }
 
@@ -60,15 +59,8 @@ impl Workloads {
     pub fn new(sizes: Sizes) -> Workloads {
         Workloads {
             sizes,
-            traced: OnceCell::new(),
             lossy: OnceCell::new(),
         }
-    }
-
-    /// The Table-2 sweep with the journal recording, joined per size.
-    pub fn traced_sweep(&self) -> &[TracedRun] {
-        self.traced
-            .get_or_init(|| trace::traced_sweep(self.sizes.traced_total))
     }
 
     /// The seeded faulty Table-2 journal ([`causal::lossy_journal`]).
@@ -87,26 +79,16 @@ pub struct Report {
 }
 
 /// Every report, in `bench all` / `gate all` order.
-pub const REPORTS: [Report; 9] = [
+pub const REPORTS: [Report; 7] = [
     Report {
         name: "zero_copy",
         file: Some("BENCH_zero_copy.json"),
         build: timings::report,
     },
     Report {
-        name: "demux",
-        file: Some("BENCH_demux.json"),
-        build: demux::report,
-    },
-    Report {
         name: "trace",
         file: Some("BENCH_trace.json"),
         build: trace::report,
-    },
-    Report {
-        name: "profile",
-        file: Some("BENCH_profile.json"),
-        build: profile::report,
     },
     Report {
         name: "demux_scale",
@@ -186,5 +168,27 @@ mod tests {
         assert!(select("churn", |r| r.file.is_some()).is_err());
         let err = select("nonsense", |_| true).err().expect("no such report");
         assert!(err.contains("zero_copy"), "{err}");
+    }
+
+    #[test]
+    fn every_artifact_has_one_report() {
+        // `git diff` cannot see a committed artifact that nothing writes
+        // any more: the repository root holds exactly the reports' files
+        // and the summary `bench all` evaluates over them.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut found: Vec<String> = std::fs::read_dir(root)
+            .expect("repository root")
+            .map(|e| e.expect("directory entry").file_name())
+            .filter_map(|name| name.into_string().ok())
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        found.sort();
+        let mut written: Vec<String> = (REPORTS.iter())
+            .filter_map(|r| r.file)
+            .chain(["BENCH_summary.json"])
+            .map(String::from)
+            .collect();
+        written.sort();
+        assert_eq!(found, written);
     }
 }

@@ -3,13 +3,17 @@
 //!
 //! At each N the module holds a mixed population (exact connection
 //! bindings, fully-wildcard listen bindings, and half-specified residual
-//! bindings, in the ratios a busy server would see), and the report
-//! records what is exact about it: the table populations and
+//! bindings, in the ratios a busy server would see), built once, and the
+//! report records what is exact about it: the table populations and
 //! [`NetIoModule::demux_mem_bytes`], the demux-structure footprint
-//! excluding ring payload memory. What classify and churn *cost* at each
-//! N on the host is `cargo bench -p unp-bench demux_scale` (and, on the
-//! live stack, `benchmark/`'s `kernel.classify_ns` /
-//! `kernel.channel_cycle_ns`).
+//! excluding ring payload memory. Then a fresh conformance monitor is
+//! attached (journal off) while a fixed [`SCALE_SAMPLE`] of probe frames
+//! is delivered into the same module: observer memory
+//! ([`unp_trace::Monitor::memory_bytes`]) must track the *touched* state
+//! (rings seen, connections seen), not the population. What classify and
+//! churn *cost* at each N on the host is `cargo bench -p unp-bench
+//! demux_scale` (and, on the live stack, `benchmark/`'s
+//! `kernel.classify_ns` / `kernel.channel_cycle_ns`).
 //!
 //! The one wall-clock check left in this crate lives here:
 //! [`churn_report`] times a create→activate→destroy cycle at 64 and at
@@ -18,11 +22,12 @@
 
 use std::time::Instant;
 
-use unp_buffers::OwnerTag;
+use unp_buffers::{Frame, OwnerTag};
 use unp_filter::programs::DemuxSpec;
 use unp_kernel::template::HeaderTemplate;
-use unp_kernel::{DemuxPath, NetIoModule};
+use unp_kernel::{Delivery, DemuxPath, NetIoModule};
 use unp_trace::json::Value;
+use unp_trace::Monitor;
 use unp_wire::Ipv4Repr;
 use unp_wire::{EtherType, EthernetRepr, IpProtocol, Ipv4Addr, MacAddr, SeqNum, TcpFlags, TcpRepr};
 
@@ -30,6 +35,11 @@ use crate::report::Workloads;
 
 /// The channel counts the scale sweep visits (8 → 10^6).
 pub const SCALE_COUNTS: [usize; 7] = [8, 64, 512, 4096, 65_536, 262_144, 1_000_000];
+
+/// Probe frames delivered per sweep point with the monitor attached —
+/// fixed, so observer memory growing with the population (rather than
+/// with this sample) would be visible immediately.
+pub const SCALE_SAMPLE: usize = 256;
 
 /// Out of every [`MIX_PERIOD`] channels, one is a listen binding and one a
 /// residual (half-specified) binding; the rest are exact connections.
@@ -175,48 +185,109 @@ fn template_for(spec: &DemuxSpec) -> HeaderTemplate {
     }
 }
 
-/// Builds the population at each of the sweep's sizes, checks that every
-/// tier resolves, prints the footprint table and returns the report.
+/// One sweep point: the population's demux footprint, and what a
+/// monitor held after the sampled probes.
+pub struct ScalePoint {
+    pub channels: usize,
+    pub flow_table_len: usize,
+    pub listen_table_len: usize,
+    pub demux_mem_bytes: usize,
+    /// Probe frames delivered (≤ [`SCALE_SAMPLE`]).
+    pub sampled: usize,
+    /// Ring events the monitor's residency checker folded.
+    pub ring_events: u64,
+    /// [`Monitor::memory_bytes`] at detach.
+    pub monitor_mem_bytes: u64,
+    /// Violations the monitor flagged (must be zero).
+    pub violations: u64,
+}
+
+/// Builds the mixed population of `n` channels once, checks that each
+/// tier's probe frame resolves there and agrees with the linear-scan
+/// oracle, reads the footprint, then attaches a fresh monitor (journal
+/// off), delivers the sampled probe frames and harvests what it held.
+pub fn scale_point(n: usize) -> ScalePoint {
+    let (mut m, flow_frame, listen_frame, scan_frame) = scale_module(n);
+    for (frame, want) in [
+        (&flow_frame, DemuxPath::FlowTable),
+        (&listen_frame, DemuxPath::ListenTable),
+        (&scan_frame, DemuxPath::FilterScan),
+    ] {
+        let (t, i, path) = m.classify(frame);
+        assert_eq!(path, want, "probe frame must hit its tier at n={n}");
+        assert!(t.is_some(), "probe frame must match at n={n}");
+        assert_eq!((t, i), m.classify_scan_reference(frame));
+    }
+    let (flow_table_len, listen_table_len) = (m.flow_table_len(), m.listen_table_len());
+    let demux_mem_bytes = m.demux_mem_bytes();
+
+    unp_trace::reset_run();
+    let handle = unp_trace::attach(Box::new(Monitor::new()));
+    let sampled = SCALE_SAMPLE.min(n);
+    let step = (n / sampled).max(1);
+    for i in (0..sampled).map(|k| k * step) {
+        let spec = mixed_spec(i);
+        // Listen/residual bindings leave the remote (partly) wild; any
+        // remote in the probe space the sweep already reserves works.
+        let remote = (
+            spec.remote_ip.unwrap_or(Ipv4Addr::new(10, 8, 0, 1)),
+            spec.remote_port.unwrap_or(9999),
+        );
+        let frame = Frame::from_vec(frame_to((spec.local_ip, spec.local_port), remote));
+        match m.deliver_software(&frame) {
+            Delivery::Channel { .. } => {}
+            other => panic!("scale probe fell through at n={n} i={i}: {other:?}"),
+        }
+    }
+    let mon = unp_trace::detach_as::<Monitor>(handle).expect("scale monitor");
+    ScalePoint {
+        channels: n,
+        flow_table_len,
+        listen_table_len,
+        demux_mem_bytes,
+        sampled,
+        ring_events: mon.checked().ring_events,
+        monitor_mem_bytes: mon.memory_bytes(),
+        violations: mon.total_violations(),
+    }
+}
+
+/// Runs [`scale_point`] at each of the sweep's sizes, printing each as it
+/// lands (the 10^6 point takes seconds to build), and returns the report.
 pub fn report(w: &Workloads) -> Value {
     println!("== Demux at scale: mixed population, table sizes and footprint ==");
-    println!("   (mem = demux structures, not ring payloads)");
+    println!("   (mem = demux structures, not ring payloads; monitor on, journal off,");
+    println!("   {SCALE_SAMPLE} probe frames/point)");
     println!(
-        "  {:>9} {:>10} {:>9} {:>10}",
-        "channels", "flow tbl", "lstn tbl", "mem (MB)"
+        "  {:>9} {:>10} {:>9} {:>10} {:>8} {:>10} {:>11} {:>10}",
+        "channels",
+        "flow tbl",
+        "lstn tbl",
+        "mem (MB)",
+        "sampled",
+        "ring evts",
+        "mon mem (B)",
+        "violations"
     );
-    let points: Value = w
-        .sizes
-        .scale_counts
-        .iter()
+    let points: Vec<ScalePoint> = (w.sizes.scale_counts.iter())
         .map(|&n| {
-            let (m, flow_frame, listen_frame, scan_frame) = scale_module(n);
-            // Each probe frame resolves on its intended tier and agrees
-            // with the linear-scan oracle.
-            for (frame, want) in [
-                (&flow_frame, DemuxPath::FlowTable),
-                (&listen_frame, DemuxPath::ListenTable),
-                (&scan_frame, DemuxPath::FilterScan),
-            ] {
-                let (t, i, path) = m.classify(frame);
-                assert_eq!(path, want, "probe frame must hit its tier at n={n}");
-                assert!(t.is_some(), "probe frame must match at n={n}");
-                assert_eq!((t, i), m.classify_scan_reference(frame));
-            }
+            let p = scale_point(n);
             println!(
-                "  {n:>9} {:>10} {:>9} {:>10.2}",
-                m.flow_table_len(),
-                m.listen_table_len(),
-                m.demux_mem_bytes() as f64 / 1e6
+                "  {n:>9} {:>10} {:>9} {:>10.2} {:>8} {:>10} {:>11} {:>10}",
+                p.flow_table_len,
+                p.listen_table_len,
+                p.demux_mem_bytes as f64 / 1e6,
+                p.sampled,
+                p.ring_events,
+                p.monitor_mem_bytes,
+                p.violations
             );
-            Value::obj([
-                ("channels", n.into()),
-                ("flow_table_len", m.flow_table_len().into()),
-                ("listen_table_len", m.listen_table_len().into()),
-                ("demux_mem_bytes", m.demux_mem_bytes().into()),
-            ])
+            p
         })
         .collect();
     println!();
+    let peak_mem = points.iter().map(|p| p.monitor_mem_bytes).max();
+    let violations: u64 = points.iter().map(|p| p.violations).sum();
     Value::obj([
         ("benchmark", "demux_scale".into()),
         (
@@ -227,7 +298,26 @@ pub fn report(w: &Workloads) -> Value {
                 ("residual_per_period", 1usize.into()),
             ]),
         ),
-        ("points", points),
+        ("sample_frames", SCALE_SAMPLE.into()),
+        ("peak_observer_mem_bytes", peak_mem.unwrap_or(0).into()),
+        ("monitor_violations", violations.into()),
+        (
+            "points",
+            (points.iter())
+                .map(|p| {
+                    Value::obj([
+                        ("channels", p.channels.into()),
+                        ("flow_table_len", p.flow_table_len.into()),
+                        ("listen_table_len", p.listen_table_len.into()),
+                        ("demux_mem_bytes", p.demux_mem_bytes.into()),
+                        ("sampled", p.sampled.into()),
+                        ("ring_events", p.ring_events.into()),
+                        ("monitor_mem_bytes", p.monitor_mem_bytes.into()),
+                        ("violations", p.violations.into()),
+                    ])
+                })
+                .collect(),
+        ),
     ])
 }
 
@@ -320,6 +410,16 @@ mod tests {
         churn_cycle(&mut m, 8);
         assert_eq!(m.flow_table_len(), before);
         assert!(m.caches_match_rebuild());
+    }
+
+    #[test]
+    fn monitor_memory_is_flat_at_equal_samples() {
+        // Both populations deliver the full sample, so any difference in
+        // what the monitor holds would be growth with the population.
+        let (small, big) = (scale_point(512), scale_point(4096));
+        assert_eq!((small.sampled, big.sampled), (SCALE_SAMPLE, SCALE_SAMPLE));
+        assert_eq!(small.violations + big.violations, 0);
+        assert_eq!(small.monitor_mem_bytes, big.monitor_mem_bytes);
     }
 
     #[test]

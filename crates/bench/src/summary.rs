@@ -61,7 +61,11 @@ pub const TABLE: &[Row] = &[
         Bound::AtMost(0.5),
     ),
     // A bulk transfer's data packets all carry an installed 5-tuple.
-    row("demux", "workload.flow_hit_rate", Bound::AtLeast(0.5)),
+    row(
+        "zero_copy",
+        "pool_comparison.demux.flow_hit_rate",
+        Bound::AtLeast(0.5),
+    ),
     // A signaled wakeup can never take longer than the model charges, a
     // frame can never be processed faster.
     row("trace", "wakeup_over_model", Bound::Eq(0.0)),
@@ -69,12 +73,12 @@ pub const TABLE: &[Row] = &[
     row("trace", "rows[0].wakeup.mean_ns", Bound::AtLeast(1.0)),
     row("trace", "rows[0].proc.mean_ns", Bound::AtLeast(1.0)),
     row(
-        "profile",
+        "trace",
         "gate.stage_mean_ns.end_to_end",
         Bound::AtLeast(1.0),
     ),
     row(
-        "profile",
+        "trace",
         "gate.stage_mean_ns.demux_classify",
         Bound::AtLeast(1.0),
     ),
@@ -84,6 +88,14 @@ pub const TABLE: &[Row] = &[
         "points[-1].demux_mem_bytes",
         Bound::AtMost(128.0 * 1_000_000.0),
     ),
+    // Observer memory tracks the 256-frame sample, not 10^6 channels, and
+    // the monitor watching the sweep flags nothing.
+    row(
+        "demux_scale",
+        "peak_observer_mem_bytes",
+        Bound::AtMost(65_536.0),
+    ),
+    row("demux_scale", "monitor_violations", Bound::Eq(0.0)),
     // The fault plan is the oracle: attribution is total, the oracle walk
     // finds nothing, and the plan did inject loss.
     row("causal", "attribution_coverage", Bound::Eq(1.0)),
@@ -119,12 +131,6 @@ pub const TABLE: &[Row] = &[
         "monitor",
         "recorder.postmortem_records",
         Bound::AtLeast(1.0),
-    ),
-    // Observer memory tracks the 256-frame sample, not 10^6 channels.
-    row(
-        "monitor",
-        "scale.peak_observer_mem_bytes",
-        Bound::AtMost(65_536.0),
     ),
     // Complexity class, not speed: O(log N) churn reads 0.7–2x here, the
     // old O(N) rebuild-per-event ~50x.

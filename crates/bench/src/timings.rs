@@ -6,12 +6,19 @@
 //! frame path's allocation behaviour (fresh heap buffers vs. pool-recycled
 //! ones, bytes memcpy'd). It also runs the Table-2 bulk workload twice,
 //! with the frame pool enabled and disabled, to measure what the freelist
-//! saves. How long any of it takes on the host is `benchmark/`'s
-//! `host_ns_per_event`, not a field here.
+//! saves; the pooled run's demux counters say what the flow-table fast
+//! path decided on that traffic (exact flow table, listen table, filter
+//! scan) and the average modeled filter instructions per packet — what
+//! the cost model charged, unchanged by the fast path by design (see
+//! `unp_kernel` docs). How long any of it takes on the host is
+//! `benchmark/`'s `host_ns_per_event`, not a field here; how classify
+//! scales with the channel population is `cargo bench -p unp-bench
+//! demux_scale`.
 
 use unp_buffers::{frame_stats, reset_frame_stats, FramePool, FrameStats};
 use unp_core::experiments::{mbps, Transfer};
 use unp_core::{Network, OrgKind};
+use unp_kernel::DemuxStats;
 use unp_trace::json::Value;
 
 use crate::report::Workloads;
@@ -33,6 +40,8 @@ pub fn counted(f: impl FnOnce()) -> (u64, FrameStats) {
 pub struct PoolRun {
     pub throughput_mbps: f64,
     pub stats: FrameStats,
+    /// The demux counters, summed over both hosts.
+    pub demux: DemuxStats,
 }
 
 impl PoolRun {
@@ -48,18 +57,28 @@ impl PoolRun {
 
 /// Runs the Table-2 bulk transfer (user-library organization, Ethernet)
 /// once with the given pool policy, and returns throughput plus the frame
-/// counters for the steady-state run (world construction excluded).
+/// counters for the steady-state run (world construction excluded) and
+/// the demux counters.
 pub fn pool_run(total: u64, pooled: bool) -> PoolRun {
     let transfer = Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, POOL_PACKET, total);
-    let (_world, stats) = transfer.run(|w, _| {
+    let (world, stats) = transfer.run(|w, _| {
         if !pooled {
             w.pool = FramePool::disabled(w.pool.buf_size());
         }
         reset_frame_stats();
     });
+    let mut demux = DemuxStats::default();
+    for s in world.hosts.iter().map(|h| h.netio.demux_stats()) {
+        demux.flow_hits += s.flow_hits;
+        demux.listen_hits += s.listen_hits;
+        demux.scan_fallbacks += s.scan_fallbacks;
+        demux.packets += s.packets;
+        demux.filter_instrs += s.filter_instrs;
+    }
     PoolRun {
         throughput_mbps: mbps(&stats),
         stats: frame_stats(),
+        demux,
     }
 }
 
@@ -108,6 +127,16 @@ pub fn report(w: &Workloads) -> Value {
         );
     }
     println!("  pool cuts heap allocations {reduction:.1}x per delivered frame");
+    let d = &pooled.demux;
+    println!(
+        "  pooled run's demux: {} packets: {} flow-table hits, {} listen-table hits, {} scan fallbacks ({:.1}% keyed fast path), {:.1} modeled filter instructions/packet",
+        d.packets,
+        d.flow_hits,
+        d.listen_hits,
+        d.scan_fallbacks,
+        d.keyed_hit_rate() * 100.0,
+        d.avg_filter_instrs()
+    );
     println!();
 
     let side = |run: &PoolRun| {
@@ -153,6 +182,18 @@ pub fn report(w: &Workloads) -> Value {
                     Value::fixed(unpooled.allocs_per_frame(), 4),
                 ),
                 ("alloc_reduction_factor", Value::fixed(reduction, 2)),
+                (
+                    "demux",
+                    Value::obj([
+                        ("packets", d.packets.into()),
+                        ("flow_hits", d.flow_hits.into()),
+                        ("listen_hits", d.listen_hits.into()),
+                        ("scan_fallbacks", d.scan_fallbacks.into()),
+                        ("flow_hit_rate", Value::fixed(d.flow_hit_rate(), 4)),
+                        ("keyed_hit_rate", Value::fixed(d.keyed_hit_rate(), 4)),
+                        ("avg_filter_instrs", Value::fixed(d.avg_filter_instrs(), 2)),
+                    ]),
+                ),
             ]),
         ),
     ])
@@ -176,6 +217,21 @@ mod tests {
         assert!(
             (pooled.throughput_mbps - unpooled.throughput_mbps).abs() < 1e-9,
             "pooling must not change simulation results"
+        );
+    }
+
+    #[test]
+    fn workload_mostly_flow_hits() {
+        // The bulk transfer's data packets all carry a fully-specified
+        // 5-tuple for an installed connection binding: the flow table must
+        // decide the overwhelming majority of them.
+        let d = pool_run(100_000, true).demux;
+        assert!(d.packets > 0, "workload moved no packets");
+        assert!(
+            d.flow_hit_rate() > 0.5,
+            "fast path decided only {:.1}% of {} packets",
+            d.flow_hit_rate() * 100.0,
+            d.packets
         );
     }
 

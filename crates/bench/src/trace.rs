@@ -23,8 +23,10 @@
 //!   record is bounded below by the modeled per-frame cost; the minimum
 //!   observed span approaches the model on an otherwise idle CPU.
 //!
-//! The traced Table-2 sweep here runs once per invocation
-//! ([`Workloads::traced_sweep`]) and also feeds [`crate::profile`].
+//! The same joins decompose each delivered receive copy's end-to-end
+//! latency into per-stage components that sum exactly (no tolerance —
+//! sim time doesn't jitter): each row carries its stage means, and the
+//! report's `gate.stage_mean_ns` pins the means pooled over the sweep.
 
 use std::collections::BTreeMap;
 
@@ -171,9 +173,33 @@ pub fn proc_spans(graph: &CausalGraph, costs: &CostModel) -> (Histogram, u64) {
     (spans, ge_model)
 }
 
+/// A run's critical-path decomposition over its delivered copies: per
+/// stage (indexed `Stage as usize`, the `nic_rx` anchor empty) and end to
+/// end ([`E2E`]), the sample count and exact latency sum in sim ns.
+type Decomposition = [(u64, u128); Stage::ALL.len() + 1];
+const E2E: usize = Stage::ALL.len();
+
+fn decomposition(graph: &CausalGraph) -> Decomposition {
+    let (stages, e2e) = (graph.stage_latency(), graph.rx_end_to_end());
+    let slot = |h: &Histogram| (h.count(), h.sum());
+    std::array::from_fn(|i| slot(stages.get(i).unwrap_or(&e2e)))
+}
+
+/// The count-weighted mean of one slot (0 when empty: its sum is 0 too).
+fn slot_mean(&(count, sum): &(u64, u128)) -> f64 {
+    sum as f64 / count.max(1) as f64
+}
+
+/// Each stage's mean component, for a `stage_mean_ns` object.
+fn stage_means(d: &Decomposition) -> impl Iterator<Item = (&'static str, Value)> + '_ {
+    let stages = Stage::ALL.iter().skip(1);
+    stages.map(|&s| (s.label(), Value::fixed(slot_mean(&d[s as usize]), 1)))
+}
+
 /// Prints the breakdown of the traced sweep and returns the report.
 pub fn report(w: &Workloads) -> Value {
     let costs = CostModel::calibrated_1993();
+    let runs = traced_sweep(w.sizes.traced_total);
     println!("== Trace: journaled receive-path latency vs the cost model ==");
     println!("   (Table-2 bulk workload, user-library org, Ethernet)");
     println!(
@@ -186,10 +212,10 @@ pub fn report(w: &Workloads) -> Value {
         "proc ns (model/min/mean)"
     );
     let (mut over_model, mut under_model) = (0, 0);
-    let rows: Value = w
-        .traced_sweep()
-        .iter()
-        .map(|run| {
+    let decompositions: Vec<Decomposition> =
+        runs.iter().map(|run| decomposition(&run.graph)).collect();
+    let rows: Value = (runs.iter().zip(&decompositions))
+        .map(|(run, d)| {
             let placed = |signal| {
                 run.graph
                     .rx()
@@ -223,6 +249,7 @@ pub fn report(w: &Workloads) -> Value {
                 ("ring_enqueues", (signaled + batched).into()),
                 ("signaled", signaled.into()),
                 ("batched", batched.into()),
+                ("delivered", d[E2E].0.into()),
                 (
                     "wakeup",
                     Value::obj([
@@ -245,6 +272,8 @@ pub fn report(w: &Workloads) -> Value {
                         ("max_ns", proc.max().unwrap_or(0).into()),
                     ]),
                 ),
+                ("stage_mean_ns", Value::obj(stage_means(d))),
+                ("end_to_end_mean_ns", Value::fixed(slot_mean(&d[E2E]), 1)),
                 ("app_bytes", run.app_bytes.into()),
             ])
         })
@@ -253,12 +282,38 @@ pub fn report(w: &Workloads) -> Value {
     println!("  except frames a running batch continuation consumed early (scooped)");
     println!("  every per-frame processing span >= modeled tcp+ip+checksum+upcall cost");
     println!();
+    println!("== Critical-path decomposition of the delivered copies (sim ns means) ==");
+    let labels: String = Stage::ALL[1..]
+        .iter()
+        .map(|s| format!("{:>15}", s.label()))
+        .collect();
+    println!(
+        "{:<8} {:>9} {:>11}{labels}",
+        "pkt (B)", "delivered", "end_to_end"
+    );
+    let mut pooled: Decomposition = [(0, 0); E2E + 1];
+    for (run, d) in runs.iter().zip(&decompositions) {
+        let means: String = d[1..E2E]
+            .iter()
+            .map(|s| format!("{:>15.0}", slot_mean(s)))
+            .collect();
+        let (delivered, e2e) = (d[E2E].0, slot_mean(&d[E2E]));
+        println!("{:<8} {delivered:>9} {e2e:>11.0}{means}", run.user_packet);
+        for (total, slot) in pooled.iter_mut().zip(d) {
+            *total = (total.0 + slot.0, total.1 + slot.1);
+        }
+    }
+    println!("  per-frame stage components sum exactly to the journal end-to-end latency");
+    println!();
+    let e2e = ("end_to_end", Value::fixed(slot_mean(&pooled[E2E]), 1));
+    let pooled_means = Value::obj(stage_means(&pooled).chain([e2e]));
     Value::obj([
         ("benchmark", "packet_lifecycle_trace".into()),
         ("workload", sweep_workload(w.sizes.traced_total)),
         ("wakeup_over_model", over_model.into()),
         ("proc_under_model", under_model.into()),
         ("rows", rows),
+        ("gate", Value::obj([("stage_mean_ns", pooled_means)])),
     ])
 }
 
@@ -295,6 +350,28 @@ mod tests {
         // The smallest span in the population is a pure ACK (40-byte
         // segment) on the sender side; it still pays that frame's model.
         assert!(proc.min() >= Some(proc_model(&costs, 40)), "min span sane");
+    }
+
+    #[test]
+    fn profiled_run_is_self_consistent() {
+        let costs = CostModel::calibrated_1993();
+        let run = traced_bulk(4096, 200_000);
+        let g = &run.graph;
+        let delivered = g.outcome_count(unp_trace::PathOutcome::Delivered);
+        assert!(delivered > 30, "bulk run must deliver many frames");
+        let wk = wakeup_spans(g, &costs);
+        assert_eq!(wk.over, 0);
+        assert!(wk.exact > 0, "signaled path exercised");
+        g.check_consistency().unwrap();
+        // Every delivered frame decomposes exactly.
+        for tr in g.rx().filter(|t| t.is_complete()) {
+            let sum: u64 = tr.components().iter().map(|&(_, dt)| dt).sum();
+            assert_eq!(Some(sum), tr.end_to_end());
+        }
+        // The folded output names the stages with their qualifiers.
+        let folded = g.folded();
+        assert!(folded.contains("rx;tcp_segment "));
+        assert!(folded.contains("rx;wakeup_batch;"));
     }
 
     #[test]

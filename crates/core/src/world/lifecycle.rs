@@ -284,7 +284,8 @@ pub(super) fn reclaimed(w: &mut World, host: usize, owner: OwnerTag, kind: Recla
 }
 
 /// What every crash starts with, in every organization: the crash is
-/// journaled and the dead tenant's listener factories die with it.
+/// journaled and the dead tenant's listener factories and UDP ports die
+/// with it.
 pub(super) fn crash_begins(w: &mut World, host: usize, tenant: OwnerTag) {
     let h16 = host as u16;
     w.metrics.bump(Ctr::AppCrashes);
@@ -302,5 +303,8 @@ pub(super) fn crash_begins(w: &mut World, host: usize, tenant: OwnerTag) {
     for port in ports {
         w.hosts[host].listeners.remove(&port);
         reclaimed(w, host, tenant, ReclaimKind::Listener, port as u32);
+    }
+    for port in w.hosts[host].udp_registry.app_exit(tenant) {
+        w.hosts[host].udp.unbind(port);
     }
 }

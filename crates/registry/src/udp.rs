@@ -92,13 +92,19 @@ impl UdpRegistry {
         self.owners.get(&port).copied()
     }
 
-    /// Releases every port owned by an exiting application; returns how
-    /// many were reclaimed (the UDP analogue of connection inheritance —
-    /// datagram state needs no quarantine).
-    pub fn app_exit(&mut self, owner: OwnerTag) -> usize {
-        let before = self.owners.len();
-        self.owners.retain(|_, &mut o| o != owner);
-        before - self.owners.len()
+    /// Releases every port owned by an exiting application and returns
+    /// them in ascending order, for the caller to unbind (the UDP analogue
+    /// of connection inheritance — datagram state needs no quarantine).
+    pub fn app_exit(&mut self, owner: OwnerTag) -> Vec<u16> {
+        let mut freed = Vec::new();
+        self.owners.retain(|&port, &mut o| {
+            if o == owner {
+                freed.push(port);
+            }
+            o != owner
+        });
+        freed.sort_unstable();
+        freed
     }
 }
 
@@ -145,7 +151,7 @@ mod tests {
         r.bind(APP1, 53).unwrap();
         r.bind(APP1, 514).unwrap();
         r.bind(APP2, 69).unwrap();
-        assert_eq!(r.app_exit(APP1), 2);
+        assert_eq!(r.app_exit(APP1), vec![53, 514]);
         assert_eq!(r.owner(53), None);
         assert_eq!(r.owner(69), Some(APP2), "others untouched");
     }

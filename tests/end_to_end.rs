@@ -11,7 +11,8 @@ use unp::core::app::{
     AppLogic, AppOp, AppView, BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats,
 };
 use unp::core::world::{
-    bind_udp, build_two_hosts, connect, listen, send_ping, send_udp, Network, OrgKind, World,
+    bind_udp, build_two_hosts, connect, crash_host, listen, send_ping, send_udp, Network, OrgKind,
+    World,
 };
 use unp::tcp::TcpConfig;
 use unp::trace::Ctr;
@@ -209,6 +210,22 @@ fn udp_to_unbound_port_counts_unreachable() {
     );
     assert!(eng.run(&mut w, 1_000_000));
     assert_eq!(w.metrics.get(Ctr::UdpUnreachable), 1);
+}
+
+#[test]
+fn crashed_application_releases_its_udp_ports() {
+    // A dead process reads no datagrams: its ports close with it, a
+    // datagram to one is unreachable, and the port can be bound again.
+    for org in [OrgKind::InKernel, OrgKind::UserLibrary] {
+        let (mut w, mut eng) = build_two_hosts(Network::Ethernet, org);
+        assert!(bind_udp(&mut w, 1, 53), "{org:?}");
+        crash_host(&mut w, &mut eng, 1);
+        send_udp(&mut w, &mut eng, 0, 4000, (SERVER.0, 53), b"q".to_vec());
+        assert!(eng.run(&mut w, 1_000_000));
+        assert_eq!(w.metrics.get(Ctr::UdpDelivered), 0, "{org:?}");
+        assert_eq!(w.metrics.get(Ctr::UdpUnreachable), 1, "{org:?}");
+        assert!(bind_udp(&mut w, 1, 53), "{org:?}: port still held");
+    }
 }
 
 /// An app that writes a burst and aborts mid-stream.
