@@ -140,6 +140,23 @@ if [ "$count" -gt 8 ]; then
   printf '%s\n' "$sites"; echo "more than 8 host_exec call sites (lines above)"; exit 1
 fi
 
+# A sent segment's payload is copied once (DESIGN §7, "Stream-path copy
+# budget"): the TCB hands its bytes to the world's sink as slices of its
+# send buffer, and the sink stages them straight into the pooled frame the
+# NIC sends. The greps hold what the types cannot: a scheduled step of the
+# world carrying an owned byte vector again (`Vec<u8>` in `event.rs`), or
+# the non-test part of `core`'s sources copying a ring range into one
+# (`copy_range(`).
+echo "== core: one payload copy per sent segment =="
+fields=$(grep -n 'Vec<u8>' crates/core/src/world/event.rs | sed 's|^|crates/core/src/world/event.rs:|' || true)
+sites=$(find crates/core/src -name '*.rs' ! -name tests.rs -exec awk '
+  FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && /copy_range\(/ { print FILENAME ":" FNR ":" $0 }' {} +)
+if [ -n "$fields$sites" ]; then
+  printf '%s\n' "$fields" "$sites" | grep .
+  echo "a world step carries a Vec<u8>, or core copies a ring range into one (lines above)"; exit 1
+fi
+
 # Each workload in `unp-bench` runs once and is reported once: the
 # million-channel population is built by the demux scale sweep (its
 # footprint and the monitor's memory bound read the same modules) and by

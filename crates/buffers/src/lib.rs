@@ -10,6 +10,9 @@
 //!   than an mbuf *chain*: chains exist to avoid copies in scattered kernel
 //!   allocators, which a simulation does not have; headroom alone
 //!   preserves the property that matters (no per-layer copy).
+//! * [`Staged`] — a payload copied into a pooled buffer behind headroom
+//!   for its headers, before it is a packet: what a sender holds between
+//!   producing a segment and transmitting it. Sealing it mints the frame.
 //! * [`FramePool`] — the recycled backing buffers behind frames, modelling
 //!   the memory "created by the network I/O module and the registry server
 //!   for holding network packets ... kept pinned for the duration of the
@@ -22,8 +25,12 @@
 //! * [`RingId`] and [`OwnerTag`] — the ids those tables are keyed and
 //!   access-controlled by.
 
+mod bqi;
+
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
+
+pub use bqi::{BqiTable, OwnerTag, RingId};
 
 /// Counters for the zero-copy frame path, kept thread-local because the
 /// simulator is single-threaded. `repro-tables --timings` reports the
@@ -86,13 +93,18 @@ pub fn live_frames() -> u64 {
 struct Backing {
     data: Vec<u8>,
     pool: Weak<RefCell<PoolInner>>,
+    /// Counted in [`live_frames`] and journaled: from when a frame first
+    /// holds it until its last handle drops. A staged payload's backing
+    /// is not a frame's yet.
+    live: Cell<bool>,
 }
 
 /// Counts `backing` live as it is handed to a new frame and journals it.
 /// No frame id: ids are minted after the backing exists (and a COW
 /// divergence keeps its parent's id), so the pool-accounting checker
 /// chains the live counts instead of joining frames.
-fn went_live(backing: Rc<Backing>) -> Rc<Backing> {
+fn went_live(backing: Handle) -> Handle {
+    backing.0.live.set(true);
     let live = LIVE_FRAMES.with(|c| {
         let live = c.get() + 1;
         c.set(live);
@@ -103,12 +115,42 @@ fn went_live(backing: Rc<Backing>) -> Rc<Backing> {
 }
 
 /// A fresh backing no pool takes back.
-fn unpooled(data: Vec<u8>) -> Rc<Backing> {
+fn unpooled(data: Vec<u8>) -> Handle {
     bump_stats(|s| s.frames_fresh += 1);
-    went_live(Rc::new(Backing {
+    went_live(Handle(Rc::new(Backing {
         data,
         pool: Weak::new(),
-    }))
+        live: Cell::new(false),
+    })))
+}
+
+/// One handle on a backing, shared by every [`Frame`] and [`Staged`]
+/// viewing it.
+struct Handle(Rc<Backing>);
+
+impl Drop for Handle {
+    /// The last handle out releases the backing: it stops counting as live
+    /// and, if it is a full-size buffer of a pool with room, its whole `Rc`
+    /// goes on the freelist (the clone pushed there outlives this handle).
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.0) != 1 {
+            return;
+        }
+        if self.0.live.replace(false) {
+            let live = LIVE_FRAMES.with(|c| {
+                let live = c.get().saturating_sub(1);
+                c.set(live);
+                live
+            });
+            unp_trace::emit(None, || unp_trace::Event::FrameFree { live });
+        }
+        if let Some(pool) = self.0.pool.upgrade() {
+            let mut p = pool.borrow_mut();
+            if p.free.len() < p.max_free && self.0.data.len() == p.buf_size {
+                p.free.push(Rc::clone(&self.0));
+            }
+        }
+    }
 }
 
 struct PoolInner {
@@ -169,12 +211,13 @@ impl FramePool {
         self.inner.borrow().buf_size
     }
 
-    /// A live backing of at least `min_len` bytes, recycled when it fits
-    /// and the freelist has one. Its first `headroom` bytes read zero;
-    /// the caller overwrites the window after them, and nothing past the
-    /// window is ever visible, so a recycled buffer shows no earlier
-    /// frame's bytes without being cleared whole.
-    fn take_buf(&self, min_len: usize, headroom: usize) -> Rc<Backing> {
+    /// A backing of at least `min_len` bytes, recycled when it fits and
+    /// the freelist has one; [`went_live`] once a frame holds it. Its
+    /// first `headroom` bytes read zero; the caller overwrites the window
+    /// after them, and nothing past the window is ever visible, so a
+    /// recycled buffer shows no earlier frame's bytes without being
+    /// cleared whole.
+    fn take_buf(&self, min_len: usize, headroom: usize) -> Handle {
         let mut p = self.inner.borrow_mut();
         let recycled = if min_len <= p.buf_size {
             p.free.pop()
@@ -197,31 +240,118 @@ impl FramePool {
                 Rc::new(Backing {
                     data: vec![0u8; size],
                     pool: Rc::downgrade(&self.inner),
+                    live: Cell::new(false),
                 })
             }
         };
-        went_live(backing)
+        Handle(backing)
     }
 
     /// Allocates a frame containing `payload` with `headroom` bytes
-    /// reserved in front for headers. The one memcpy here (payload into
-    /// the buffer) is the send path's single data copy.
+    /// reserved in front for headers: [`FramePool::stage`], sealed at once.
     pub fn alloc(&self, headroom: usize, payload: &[u8]) -> Frame {
-        let window = headroom..headroom + payload.len();
-        let mut backing = self.take_buf(window.end, headroom);
-        if !payload.is_empty() {
-            bump_stats(|s| s.bytes_copied += payload.len() as u64);
-            Rc::get_mut(&mut backing)
+        self.stage(headroom, [payload, &[]]).seal()
+    }
+
+    /// Copies `parts`, in order, into one pooled buffer behind `headroom`
+    /// bytes reserved for headers. This memcpy is the send path's single
+    /// data copy, counted once in `bytes_copied`. The buffer is not a
+    /// frame yet: it has no id, and it counts in [`live_frames`] and the
+    /// journal only from [`Staged::seal`], where the frame comes to be.
+    /// With nothing to copy, the buffer is taken when the frame is sealed:
+    /// a header-only segment holds none while it waits to be built.
+    pub fn stage(&self, headroom: usize, parts: [&[u8]; 2]) -> Staged {
+        let [front, back] = parts;
+        let len = front.len() + back.len();
+        let body = if len == 0 {
+            Body::Deferred(self.clone())
+        } else {
+            let mut backing = self.take_buf(headroom + len, headroom);
+            bump_stats(|s| s.bytes_copied += len as u64);
+            let data = &mut Rc::get_mut(&mut backing.0)
                 .expect("fresh backing is unique")
-                .data[window]
-                .copy_from_slice(payload);
+                .data;
+            data[headroom..headroom + front.len()].copy_from_slice(front);
+            data[headroom + front.len()..headroom + len].copy_from_slice(back);
+            Body::Copied(backing)
+        };
+        // A segment's headers and payload are far below 4 GiB.
+        Staged {
+            body,
+            head: headroom as u32,
+            len: len as u32,
         }
+    }
+}
+
+/// A payload in a pooled buffer behind headroom for its headers, not yet
+/// a packet: [`FramePool::stage`] filled it, and [`Staged::seal`] turns it
+/// into a [`Frame`] with a journal id. A sender stages when it produces a
+/// segment and seals when the segment is built, so frame ids and the
+/// journal's pool records follow transmission order, not production
+/// order. Dropped unsealed, the buffer returns to its pool unjournaled.
+/// 24 bytes, like the `Vec` it stands in for.
+pub struct Staged {
+    body: Body,
+    head: u32,
+    len: u32,
+}
+
+/// Where a [`Staged`] payload is.
+enum Body {
+    /// In this backing, behind the headroom.
+    Copied(Handle),
+    /// Nowhere: it is empty, and the backing comes from this pool when
+    /// the frame is sealed.
+    Deferred(FramePool),
+}
+
+impl Staged {
+    /// Payload bytes staged.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True if nothing was staged.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Headroom reserved in front of the payload.
+    fn headroom(&self) -> usize {
+        self.head as usize
+    }
+
+    /// The staged payload.
+    pub fn as_slice(&self) -> &[u8] {
+        match &self.body {
+            Body::Copied(backing) => &backing.0.data[self.headroom()..][..self.len()],
+            Body::Deferred(_) => &[],
+        }
+    }
+
+    /// The staged payload as a frame, minting its journal id now.
+    pub fn seal(self) -> Frame {
+        let (head, len) = (self.headroom(), self.len());
+        let backing = match self.body {
+            Body::Copied(backing) => backing,
+            Body::Deferred(pool) => pool.take_buf(head, head),
+        };
         Frame {
-            backing,
-            head: headroom,
-            len: payload.len(),
+            backing: went_live(backing),
+            head,
+            len,
             id: unp_trace::next_frame_id(),
         }
+    }
+}
+
+impl std::fmt::Debug for Staged {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Staged")
+            .field("len", &self.len)
+            .field("headroom", &self.head)
+            .finish()
     }
 }
 
@@ -235,7 +365,7 @@ impl FramePool {
 /// observe each other's writes. When the last handle drops, a pooled
 /// backing buffer returns to its [`FramePool`] freelist.
 pub struct Frame {
-    backing: Rc<Backing>,
+    backing: Handle,
     head: usize,
     len: usize,
     /// Journal identity: stamped once at creation, shared by every clone
@@ -281,40 +411,40 @@ impl Frame {
 
     /// The window contents.
     pub fn as_slice(&self) -> &[u8] {
-        &self.backing.data[self.head..self.head + self.len]
+        &self.backing.0.data[self.head..self.head + self.len]
     }
 
     /// Number of live handles sharing this frame's backing buffer.
     pub fn ref_count(&self) -> usize {
-        Rc::strong_count(&self.backing)
+        Rc::strong_count(&self.backing.0)
     }
 
     /// True if both handles view the same backing buffer (no copy between
     /// them has occurred).
     pub fn ptr_eq(&self, other: &Frame) -> bool {
-        Rc::ptr_eq(&self.backing, &other.backing)
+        Rc::ptr_eq(&self.backing.0, &other.backing.0)
     }
 
     /// Ensures this handle is the sole owner of its backing, copying the
     /// current window (copy-on-write) if it is shared.
     fn make_unique(&mut self) {
-        if Rc::strong_count(&self.backing) == 1 {
+        if Rc::strong_count(&self.backing.0) == 1 {
             return;
         }
         bump_stats(|s| {
             s.cow_copies += 1;
             s.bytes_copied += self.len as u64;
         });
-        let size = self.backing.data.len();
-        let mut backing = match self.backing.pool.upgrade() {
-            Some(inner) => FramePool { inner }.take_buf(size, self.head),
+        let size = self.backing.0.data.len();
+        let mut backing = match self.backing.0.pool.upgrade() {
+            Some(inner) => went_live(FramePool { inner }.take_buf(size, self.head)),
             None => unpooled(vec![0u8; size]),
         };
         let window = self.head..self.head + self.len;
-        let fresh = &mut Rc::get_mut(&mut backing)
+        let fresh = &mut Rc::get_mut(&mut backing.0)
             .expect("fresh backing is unique")
             .data;
-        fresh[window.clone()].copy_from_slice(&self.backing.data[window]);
+        fresh[window.clone()].copy_from_slice(&self.backing.0.data[window]);
         self.backing = backing;
     }
 
@@ -334,7 +464,7 @@ impl Frame {
         self.head -= n;
         self.len += n;
         let head = self.head;
-        &mut Rc::get_mut(&mut self.backing)
+        &mut Rc::get_mut(&mut self.backing.0)
             .expect("unique after make_unique")
             .data[head..head + n]
     }
@@ -352,7 +482,7 @@ impl Frame {
     pub fn slice(&self, start: usize, end: usize) -> Frame {
         assert!(start <= end && end <= self.len, "slice out of range");
         Frame {
-            backing: Rc::clone(&self.backing),
+            backing: Handle(Rc::clone(&self.backing.0)),
             head: self.head + start,
             len: end - start,
             id: self.id,
@@ -363,7 +493,7 @@ impl Frame {
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         self.make_unique();
         let (head, len) = (self.head, self.len);
-        &mut Rc::get_mut(&mut self.backing)
+        &mut Rc::get_mut(&mut self.backing.0)
             .expect("unique after make_unique")
             .data[head..head + len]
     }
@@ -380,33 +510,10 @@ impl Clone for Frame {
     /// Refcount bump; never copies frame bytes.
     fn clone(&self) -> Frame {
         Frame {
-            backing: Rc::clone(&self.backing),
+            backing: Handle(Rc::clone(&self.backing.0)),
             head: self.head,
             len: self.len,
             id: self.id,
-        }
-    }
-}
-
-impl Drop for Frame {
-    /// The last handle out releases the backing: it stops counting as live
-    /// and, if it is a full-size buffer of a pool with room, its whole `Rc`
-    /// goes on the freelist (the clone pushed there outlives this handle).
-    fn drop(&mut self) {
-        if Rc::strong_count(&self.backing) != 1 {
-            return;
-        }
-        let live = LIVE_FRAMES.with(|c| {
-            let live = c.get().saturating_sub(1);
-            c.set(live);
-            live
-        });
-        unp_trace::emit(None, || unp_trace::Event::FrameFree { live });
-        if let Some(pool) = self.backing.pool.upgrade() {
-            let mut p = pool.borrow_mut();
-            if p.free.len() < p.max_free && self.backing.data.len() == p.buf_size {
-                p.free.push(Rc::clone(&self.backing));
-            }
         }
     }
 }
@@ -463,104 +570,6 @@ impl PartialEq<[u8]> for Frame {
 impl PartialEq<&[u8]> for Frame {
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
-    }
-}
-
-/// Identifier of a receive ring registered in a [`BqiTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RingId(pub u32);
-
-/// A tenant identity: the unit of access control *and* resource
-/// accounting. Every channel, BQI entry, and port right is owned by a
-/// tenant (a process/library id), and the kernel's per-tenant budgets
-/// (ring-slot quota, transmit credit, channel cap) are charged against
-/// this id. `OwnerTag(0)` is the kernel itself and is exempt from budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OwnerTag(pub u64);
-
-/// The AN1 controller's buffer-queue-index table.
-///
-/// "A single field (called the buffer queue index, BQI) in the link-level
-/// packet header provides a level of indirection into a table kept in the
-/// controller... Strict access control to the index is maintained through
-/// memory protection." BQI 0 is reserved and "refers to protected memory
-/// within the kernel."
-#[derive(Debug)]
-pub struct BqiTable {
-    entries: Vec<Option<(OwnerTag, RingId)>>,
-}
-
-impl BqiTable {
-    /// Owner tag representing the kernel itself.
-    pub const KERNEL_OWNER: OwnerTag = OwnerTag(0);
-
-    /// Creates a table with `size` entries; entry 0 is pre-bound to the
-    /// kernel's default ring (`kernel_ring`).
-    pub fn new(size: usize, kernel_ring: RingId) -> BqiTable {
-        assert!(size >= 1);
-        let mut entries = vec![None; size];
-        entries[0] = Some((Self::KERNEL_OWNER, kernel_ring));
-        BqiTable { entries }
-    }
-
-    /// Allocates a fresh non-zero BQI bound to `ring` on behalf of `owner`.
-    /// Returns `None` when the table is full.
-    pub fn allocate(&mut self, owner: OwnerTag, ring: RingId) -> Option<u16> {
-        let idx = self.entries.iter().skip(1).position(Option::is_none)? + 1;
-        self.entries[idx] = Some((owner, ring));
-        Some(idx as u16)
-    }
-
-    /// Resolves a BQI from an incoming packet to its ring. Unknown indexes
-    /// fall back to BQI 0's kernel ring, as the hardware would deliver
-    /// unmatched traffic to protected kernel memory.
-    pub fn resolve(&self, bqi: u16) -> RingId {
-        match self.entries.get(bqi as usize).copied().flatten() {
-            Some((_, ring)) => ring,
-            None => self.entries[0].expect("entry 0 always bound").1,
-        }
-    }
-
-    /// Frees a BQI. Only the owner (or the kernel) may free it; returns
-    /// false otherwise, enforcing the protection model.
-    pub fn free(&mut self, bqi: u16, owner: OwnerTag) -> bool {
-        if bqi == 0 {
-            return false; // the kernel entry is permanent
-        }
-        match self.entries.get(bqi as usize).copied().flatten() {
-            Some((o, _)) if o == owner || owner == Self::KERNEL_OWNER => {
-                self.entries[bqi as usize] = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Frees every entry bound to `owner` (the kernel's sweep after a
-    /// process death). Returns the freed indexes, ascending.
-    pub fn reclaim_owner(&mut self, owner: OwnerTag) -> Vec<u16> {
-        let mut freed = Vec::new();
-        for (i, e) in self.entries.iter_mut().enumerate().skip(1) {
-            if matches!(e, Some((o, _)) if *o == owner) {
-                *e = None;
-                freed.push(i as u16);
-            }
-        }
-        freed
-    }
-
-    /// Number of bound entries (including the permanent kernel entry 0).
-    pub fn bound_entries(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
-
-    /// The owner of a BQI, if bound.
-    pub fn owner(&self, bqi: u16) -> Option<OwnerTag> {
-        self.entries
-            .get(bqi as usize)
-            .copied()
-            .flatten()
-            .map(|(o, _)| o)
     }
 }
 

@@ -218,6 +218,61 @@ fn live_frames_tracks_backings() {
 }
 
 #[test]
+fn staged_frames_take_their_ids_when_sealed() {
+    let pool = FramePool::new(256, 8);
+    let a = pool.stage(54, [b"first", b""]);
+    let b = pool.stage(54, [b"sec", b"ond"]);
+    let (b, a) = (b.seal(), a.seal());
+    assert!(b.id() < a.id(), "ids follow sealing, not staging");
+    assert_eq!(
+        (a.as_slice(), b.as_slice()),
+        (&b"first"[..], &b"second"[..])
+    );
+    assert_eq!((a.headroom(), b.headroom()), (54, 54));
+    // What an event carrying it pays: no more than the `Vec` it replaces.
+    assert!(std::mem::size_of::<Staged>() <= std::mem::size_of::<Vec<u8>>());
+}
+
+#[test]
+fn a_staged_payload_is_copied_once() {
+    let pool = FramePool::new(256, 8);
+    reset_frame_stats();
+    let staged = pool.stage(54, [b"two ", b"parts"]);
+    assert_eq!(staged.as_slice(), b"two parts");
+    assert_eq!(frame_stats().bytes_copied, 9);
+    let mut f = staged.seal();
+    f.prepend(20);
+    assert_eq!(&f[20..], b"two parts");
+    assert_eq!(
+        frame_stats().bytes_copied,
+        9,
+        "sealing and prepending copy nothing"
+    );
+}
+
+#[test]
+fn a_staged_backing_is_a_live_frame_only_once_sealed() {
+    let pool = FramePool::new(64, 4);
+    let base = live_frames();
+    // An empty payload holds no backing until sealed.
+    let staged = pool.stage(40, [&[], &[]]);
+    assert_eq!((staged.len(), staged.headroom()), (0, 40));
+    let f = staged.seal();
+    assert_eq!((live_frames(), f.headroom(), f.len()), (base + 1, 40, 0));
+    drop(f);
+    assert_eq!((live_frames(), pool.free_buffers()), (base, 1));
+    // A payload holds its backing, counted live from the seal on.
+    let staged = pool.stage(40, [b"x", &[]]);
+    assert_eq!((live_frames(), pool.free_buffers()), (base, 0));
+    let f = staged.seal();
+    assert_eq!(live_frames(), base + 1);
+    drop(f);
+    // Dropped unsealed, it goes back to the pool uncounted.
+    drop(pool.stage(40, [b"x", &[]]));
+    assert_eq!((live_frames(), pool.free_buffers()), (base, 1));
+}
+
+#[test]
 fn bqi_zero_is_kernel_default() {
     let t = BqiTable::new(8, RingId(0));
     assert_eq!(t.resolve(0), RingId(0));

@@ -1,9 +1,9 @@
 //! A warm frame pool makes no heap allocation. A frame's buffer and its
-//! refcount header come back from the freelist as one `Rc`, so allocating,
-//! cloning, slicing, writing through a shared handle (copy-on-write) and
-//! dropping cycle without the allocator. And what the pool must never do:
-//! recycle an oversize frame or a disabled pool's, or leak a frame that
-//! outlives its pool.
+//! refcount header come back from the freelist as one `Rc`, so allocating
+//! (or staging and sealing), cloning, slicing, writing through a shared
+//! handle (copy-on-write) and dropping cycle without the allocator. And
+//! what the pool must never do: recycle an oversize frame or a disabled
+//! pool's, or leak a frame that outlives its pool.
 //!
 //! Its own test binary, for the counting allocator below. It counts per
 //! thread, so each test reads only what its own thread allocated while the
@@ -130,6 +130,44 @@ fn a_warm_pool_cycles_frames_without_a_heap_allocation() {
             bytes_copied: 1_000 * 2 * PAYLOAD.len() as u64,
         },
         "every backing came off the freelist, one per alloc and one per copy-on-write"
+    );
+}
+
+#[test]
+fn a_warm_pool_stages_and_seals_without_a_heap_allocation() {
+    let pool = FramePool::new(BUF, 8);
+    let (front, back) = PAYLOAD.split_at(30);
+    // A data segment staged from both sides of a ring's seam and a
+    // header-only one, each sealed, given headers and dropped.
+    let cycle = |pool: &FramePool| {
+        let mut f = pool.stage(HEADROOM, [front, back]).seal();
+        f.prepend(HEADROOM);
+        drop(f);
+        drop(pool.stage(HEADROOM, [&[], &[]]).seal());
+    };
+    warm();
+    cycle(&pool);
+    let base = live_frames();
+    reset_frame_stats();
+    let (allocs, live) = heap();
+    for _ in 0..1_000 {
+        cycle(&pool);
+    }
+    assert_eq!(
+        heap(),
+        (allocs, live),
+        "a warm stage and seal touched the heap"
+    );
+    assert_eq!(live_frames(), base, "a cycle left a backing live");
+    assert_eq!(
+        frame_stats(),
+        FrameStats {
+            frames_fresh: 0,
+            frames_recycled: 2_000,
+            cow_copies: 0,
+            bytes_copied: 1_000 * PAYLOAD.len() as u64,
+        },
+        "every backing came off the freelist, and each payload was copied once"
     );
 }
 

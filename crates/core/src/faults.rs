@@ -18,7 +18,7 @@ use unp_sim::Nanos;
 use unp_wire::{SeqNum, TcpFlags, TcpRepr, IPV4_HEADER_LEN};
 
 use crate::world::org::userlib::{note_announce, stale_cap_for};
-use crate::world::tcp::send_tcp_frame;
+use crate::world::tcp::{send_tcp_frame, stage_segment};
 use crate::world::{crash_host, Eng, World};
 
 /// Per-link fault probabilities (applied per delivered frame copy).
@@ -434,8 +434,8 @@ fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Na
                 window: 0,
                 mss: None,
             };
-            let cap = Some(send_cap);
-            send_tcp_frame(w, eng, host, &repr, &[], remote.0, bqi, 0, cap, true);
+            let (cap, payload) = (Some(send_cap), stage_segment(w, host, &repr, &[]));
+            send_tcp_frame(w, eng, host, &repr, payload, remote.0, bqi, 0, cap, true);
         };
         match kind {
             ByzantineKind::TransmitFlood { burst, .. } => {

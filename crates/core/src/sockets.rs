@@ -117,7 +117,7 @@ impl Socket {
     pub fn read(&self, max: usize) -> Vec<u8> {
         let mut c = self.core.borrow_mut();
         let n = max.min(c.rx.len());
-        let data = unp_tcp::copy_range(&c.rx, 0, n);
+        let data = unp_tcp::ring_slices(&c.rx, 0, n).concat();
         c.rx.drain(..n);
         data
     }

@@ -3,12 +3,12 @@
 //! TCB), close, abort.
 
 use unp_sim::Nanos;
-use unp_tcp::{Tcb, TcpAction};
+use unp_tcp::{Tcb, TcpSink};
 use unp_wire::Ipv4Addr;
 
 use super::costs::{app_boundary_cost, tx_copy_cost};
 use super::event::{host_step, Event};
-use super::tcp::{apply_tcp_actions, with_conn};
+use super::tcp::{apply_tcp_actions, with_conn, Staging};
 use super::{Eng, World};
 use crate::app::{AppOp, AppView};
 
@@ -76,7 +76,7 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
                 // Charge the write boundary + any copy the org performs.
                 let cost = app_boundary_cost(w, h) + tx_copy_cost(w, h, data.len());
                 w.hosts[h].cpu.charge(eng.now(), cost);
-                let mut actions = w.tcp_spare.take();
+                let (mut actions, lhl) = (w.tcp_spare.take(), w.hosts[h].link_header_len());
                 let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
                     return w.tcp_spare.give(actions);
                 };
@@ -84,7 +84,8 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
                 // that finds it empty goes to the TCB straight from the
                 // app's buffer, and only the tail that did not fit queues.
                 let offered = if conn.pending_tx.is_empty() {
-                    offer_tx(&mut conn.tcb, &data, eng.now(), &mut actions)
+                    let out = &mut Staging::new(&w.pool, lhl, &mut actions);
+                    offer_tx(&mut conn.tcb, &data, eng.now(), out)
                 } else {
                     None
                 };
@@ -113,7 +114,7 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
 /// avoidance) depend on how many bytes one `send` sees. `None` when
 /// nothing fits or the connection no longer takes data; otherwise the
 /// count taken, with what the write triggered appended to `out`.
-fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos, out: &mut Vec<TcpAction>) -> Option<usize> {
+fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos, out: &mut dyn TcpSink) -> Option<usize> {
     let n = bytes.len().min(tcb.send_space());
     if n == 0 {
         return None;
@@ -123,14 +124,15 @@ fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos, out: &mut Vec<TcpAction>) -
 
 /// Moves pending app bytes into the TCB and issues a deferred close.
 pub(super) fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
-    let now = eng.now();
+    let (now, lhl) = (eng.now(), w.hosts[h].link_header_len());
     loop {
         let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
             return;
         };
         let mut actions = w.tcp_spare.take();
         let queued = conn.pending_tx.make_contiguous();
-        let Some(n) = offer_tx(&mut conn.tcb, queued, now, &mut actions) else {
+        let out = &mut Staging::new(&w.pool, lhl, &mut actions);
+        let Some(n) = offer_tx(&mut conn.tcb, queued, now, out) else {
             w.tcp_spare.give(actions);
             break;
         };

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use unp_buffers::{Frame, RingId};
+use unp_buffers::{Frame, RingId, Staged};
 use unp_kernel::ChannelId;
 use unp_registry::HsId;
 use unp_sim::{EventFn, Nanos};
@@ -75,15 +75,16 @@ pub enum Event {
         cid: u32,
         batch: VecDeque<Frame>,
     },
-    /// A segment's output processing is paid for: build its frame(s).
-    /// `cid` names the connection whose channel it leaves through (`None`
-    /// for the kernel's and the registry's own segments); `announce` is
-    /// the BQI a registry handshake segment advertises on AN1.
+    /// A segment's output processing is paid for: build its frame(s)
+    /// around `payload`, staged when the segment was produced. `cid`
+    /// names the connection whose channel it leaves through (`None` for
+    /// the kernel's and the registry's own segments); `announce` is the
+    /// BQI a registry handshake segment advertises on AN1.
     SendSegment {
         host: usize,
         cid: Option<u32>,
         repr: TcpRepr,
-        payload: Vec<u8>,
+        payload: Staged,
         remote: Ipv4Addr,
         announce: u16,
     },
@@ -185,7 +186,7 @@ impl unp_sim::Event<World> for Event {
                 let bqi = chan.and_then(|ci| ci.peer_bqi).unwrap_or(0);
                 let cap = chan.map(|ci| ci.send_cap);
                 send_tcp_frame(
-                    w, eng, host, &repr, &payload, remote, bqi, announce, cap, false,
+                    w, eng, host, &repr, payload, remote, bqi, announce, cap, false,
                 );
             }
             Event::Transmit { host, frame } => transmit_frame(w, eng, host, frame),

@@ -45,7 +45,7 @@ use unp_netdev::{An1Nic, LanceNic, Link, StationId};
 use unp_proto::{ArpCache, IpEndpoint, UdpLayer};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_sim::{CostModel, Cpu, Engine, EventId, LinkParams, Nanos};
-use unp_tcp::{Tcb, TcpAction, TcpConfig, TcpTimer};
+use unp_tcp::{Tcb, TcpConfig, TcpTimer};
 use unp_timers::{TimerId, TimerService, TimerWheel};
 use unp_trace::Metrics;
 use unp_wire::{IpProtocol, Ipv4Addr, MacAddr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN};
@@ -240,7 +240,7 @@ pub struct World {
     /// [`apply_registry_actions`] drain it and put it back. A list, not
     /// one buffer, because routing re-enters itself (`DataAvailable` →
     /// `recv`, `SendSpace` → [`flush_conn_tx`]).
-    tcp_spare: Spare<TcpAction>,
+    tcp_spare: Spare<tcp::TcpOut>,
     reg_spare: Spare<RegistryAction>,
     /// Emptied receive buffers: `DataAvailable` drains a TCB into one and
     /// `app_event` gives it back after the application's `on_data`. Only

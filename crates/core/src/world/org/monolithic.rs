@@ -13,7 +13,9 @@ use crate::world::costs::{app_boundary_cost, tcp_input_cost};
 use crate::world::event::{host_exec, host_step, Event};
 use crate::world::ip::kernel_ip_input;
 use crate::world::lifecycle::install_conn;
-use crate::world::tcp::{apply_tcp_actions, conn_segment, parse_tcp, send_tcp_segment};
+use crate::world::tcp::{
+    apply_tcp_actions, conn_segment, parse_tcp, send_tcp_segment, stage_segment, Staging,
+};
 use crate::world::{Eng, World};
 
 /// The kernel's allocation state, read by no other organization.
@@ -61,9 +63,10 @@ pub(crate) fn connect(
         let iss = w.hosts[host].kernel.alloc_iss();
         let local_ip = w.hosts[host].ip;
         let now = eng.now();
-        let mut actions = w.tcp_spare.take();
+        let (mut actions, lhl) = (w.tcp_spare.take(), w.hosts[host].link_header_len());
         let local = (local_ip, local_port);
-        let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut actions);
+        let out = &mut Staging::new(&w.pool, lhl, &mut actions);
+        let tcb = Tcb::connect_into(local, remote, cfg, iss, now, out);
         let c = install_conn(w, host, Box::new(tcb), app, None, write_size);
         apply_tcp_actions(w, eng, host, c, None, actions);
     });
@@ -119,9 +122,10 @@ pub(crate) fn pcb_input(
         let iss = host.kernel.alloc_iss();
         let ltcb = ListenTcb::new((host.ip, repr.dst_port), listener.cfg.clone());
         let app = (listener.factory)();
-        let mut actions = w.tcp_spare.take();
+        let (mut actions, lhl) = (w.tcp_spare.take(), host.link_header_len());
         let remote = (src, repr.src_port);
-        match ltcb.on_syn_into(remote, repr, iss, now, &mut actions) {
+        let out = &mut Staging::new(&w.pool, lhl, &mut actions);
+        match ltcb.on_syn_into(remote, repr, iss, now, out) {
             Some(tcb) => {
                 let write_size = 4096;
                 let cid = install_conn(w, h, Box::new(tcb), app, None, write_size);
@@ -134,6 +138,7 @@ pub(crate) fn pcb_input(
     // Stray: RST.
     if !repr.flags.rst {
         let rst = Tcb::rst_for((w.hosts[h].ip, repr.dst_port), repr, data.len());
-        send_tcp_segment(w, eng, h, None, rst, Vec::new(), src);
+        let payload = stage_segment(w, h, &rst, &[]);
+        send_tcp_segment(w, eng, h, None, rst, payload, src);
     }
 }

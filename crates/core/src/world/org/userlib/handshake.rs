@@ -23,7 +23,7 @@ use crate::world::event::{host_exec, host_step, Event};
 use crate::world::lifecycle::{
     crash_begins, install_conn, reclaimed, remove_conn, reset_unconnected,
 };
-use crate::world::tcp::{conn_segment, parse_tcp_frame};
+use crate::world::tcp::{conn_segment, parse_tcp_frame, stage_segment};
 use crate::world::timers::{arm_timer, cancel_timer, resched_wheel};
 use crate::world::{ChanInfo, Eng, Host, Nic, PairKey, TimerToken, World};
 
@@ -151,7 +151,7 @@ pub(super) fn apply_registry_actions(
                     host: h,
                     cid: None,
                     repr,
-                    payload,
+                    payload: stage_segment(w, h, &repr, &payload),
                     remote,
                     announce,
                 };

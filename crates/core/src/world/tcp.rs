@@ -1,11 +1,11 @@
 //! TCP between the wire and a connection's TCB, the same for every
 //! organization: the one parse of a received segment, the one way a
-//! segment reaches a TCB, the routing of the actions a TCB answers with,
-//! and segment output down to the link.
+//! segment reaches a TCB, the sink a TCB answers into and the routing of
+//! what it answered, and segment output down to the link.
 
-use unp_buffers::Frame;
+use unp_buffers::{Frame, FramePool, Staged};
 use unp_kernel::Capability;
-use unp_tcp::TcpAction;
+use unp_tcp::{TcpAction, TcpSink};
 use unp_trace::{Ctr, Hist};
 use unp_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpPacket, TcpRepr, IPV4_HEADER_LEN};
 
@@ -86,20 +86,73 @@ pub(super) fn conn_segment(
     });
 }
 
-/// Runs `call` on connection `cid` with an action buffer from the spares,
-/// then routes what the TCB appended to it. `None` when the connection is
-/// gone (nothing runs).
+/// What a TCB answered, in order, as the world holds it: each segment
+/// with its payload already in the pooled frame it will leave in.
+#[derive(Debug)]
+pub(super) enum TcpOut {
+    /// A segment the TCB emitted, its payload staged.
+    Segment(TcpRepr, Staged),
+    /// Any other action.
+    Act(TcpAction),
+}
+
+/// The world's [`TcpSink`]: it copies a segment's payload out of the
+/// TCB's send buffer once, as the TCB emits it, straight into a pooled
+/// frame with room for the link, IP and TCP headers
+/// ([`FramePool::stage`]), and appends everything to `out` in order.
+pub(super) struct Staging<'a> {
+    pool: &'a FramePool,
+    /// The link and IP headers' room on this host.
+    headroom: usize,
+    out: &'a mut Vec<TcpOut>,
+}
+
+impl<'a> Staging<'a> {
+    /// The sink for the TCBs of a host whose link header is `lhl` bytes,
+    /// over `out`, a buffer from the spares.
+    pub(super) fn new(pool: &'a FramePool, lhl: usize, out: &'a mut Vec<TcpOut>) -> Staging<'a> {
+        Staging {
+            pool,
+            headroom: lhl + IPV4_HEADER_LEN,
+            out,
+        }
+    }
+}
+
+impl TcpSink for Staging<'_> {
+    fn push(&mut self, action: TcpAction) {
+        self.out.push(TcpOut::Act(action));
+    }
+
+    fn segment(&mut self, repr: TcpRepr, payload: [&[u8]; 2]) {
+        let staged = self.pool.stage(self.headroom + repr.header_len(), payload);
+        self.out.push(TcpOut::Segment(repr, staged));
+    }
+}
+
+/// `payload` staged for a segment of `repr` leaving host `h`: what
+/// [`Staging`] does for a TCB's segments, for the registry's, the
+/// kernel's, a fabricated one and one a sink was handed already built.
+pub(crate) fn stage_segment(w: &World, h: usize, repr: &TcpRepr, payload: &[u8]) -> Staged {
+    let headroom = w.hosts[h].link_header_len() + IPV4_HEADER_LEN + repr.header_len();
+    w.pool.stage(headroom, [payload, &[]])
+}
+
+/// Runs `call` on connection `cid` with the staging sink over an action
+/// buffer from the spares, then routes what the TCB answered. `None` when
+/// the connection is gone (nothing runs).
 pub(super) fn with_conn<R>(
     w: &mut World,
     eng: &mut Eng,
     h: usize,
     cid: u32,
     frame: Option<u64>,
-    call: impl FnOnce(&mut Conn, &mut Vec<TcpAction>) -> R,
+    call: impl FnOnce(&mut Conn, &mut dyn TcpSink) -> R,
 ) -> Option<R> {
+    let lhl = w.hosts[h].link_header_len();
     let conn = w.hosts[h].conns.get_mut(&cid)?;
     let mut actions = w.tcp_spare.take();
-    let ret = call(conn, &mut actions);
+    let ret = call(conn, &mut Staging::new(&w.pool, lhl, &mut actions));
     apply_tcp_actions(w, eng, h, cid, frame, actions);
     Some(ret)
 }
@@ -115,7 +168,7 @@ pub(super) fn apply_tcp_actions(
     h: usize,
     cid: u32,
     frame: Option<u64>,
-    mut actions: Vec<TcpAction>,
+    mut actions: Vec<TcpOut>,
 ) {
     // Harvest the connection's counter increments into the live registry
     // so windowed samplers see retransmit/RTT activity as it happens, not
@@ -126,13 +179,21 @@ pub(super) fn apply_tcp_actions(
         w.metrics.add(Ctr::TcpRexmitSegs, d.rexmits);
         w.metrics.add(Ctr::TcpRttSamples, d.rtt_samples);
     }
-    for action in actions.drain(..) {
-        if !w.hosts[h].conns.contains_key(&cid) {
+    for out in actions.drain(..) {
+        let Some(conn) = w.hosts[h].conns.get(&cid) else {
             break; // connection reaped mid-sequence
-        }
+        };
+        let remote = conn.tcb.remote().0;
+        let action = match out {
+            TcpOut::Segment(repr, payload) => {
+                send_tcp_segment(w, eng, h, Some(cid), repr, payload, remote);
+                continue;
+            }
+            TcpOut::Act(action) => action,
+        };
         match action {
             TcpAction::Send(repr, payload) => {
-                let remote = w.hosts[h].conns[&cid].tcb.remote().0;
+                let payload = stage_segment(w, h, &repr, &payload);
                 send_tcp_segment(w, eng, h, Some(cid), repr, payload, remote);
             }
             TcpAction::SetTimer(t, deadline) => {
@@ -222,10 +283,13 @@ pub(super) fn seg_flags(repr: &TcpRepr) -> unp_trace::SegFlags {
 
 /// Builds one TCP segment's IP packet(s) and hands them to the link
 /// layer. Unfragmented segments — the entire measured workload — take
-/// the zero-copy path: the payload is staged once into a pooled frame
-/// and the TCP, IP, and (after ARP) link headers are prepended into its
-/// headroom, so no intermediate segment/packet vectors exist. Oversize
-/// segments fall back to [`IpEndpoint::send`] fragmentation.
+/// the zero-copy path: the payload, staged once into a pooled frame when
+/// the segment was produced ([`Staging`], [`stage_segment`]), is sealed
+/// into a frame here — its id minted in transmission order — and the
+/// TCP, IP, and (after ARP) link headers are prepended into its headroom,
+/// so no intermediate segment/packet vectors exist. Oversize segments
+/// fall back to [`IpEndpoint::send`] fragmentation, reading their bytes
+/// from the staged window.
 ///
 /// `fabricated` marks a byzantine tenant's raw transmit: it parses as TCP
 /// on the wire but was built by no TCB, so it must not be journaled as a
@@ -240,7 +304,7 @@ pub(crate) fn send_tcp_frame(
     eng: &mut Eng,
     h: usize,
     repr: &TcpRepr,
-    payload: &[u8],
+    payload: Staged,
     remote: Ipv4Addr,
     bqi: u16,
     announce: u16,
@@ -251,6 +315,7 @@ pub(crate) fn send_tcp_frame(
     let local_ip = w.hosts[h].ip;
     let mtu = w.link.params().mtu;
     let hlen = repr.header_len();
+    let plen = payload.len();
     let lhl = w.hosts[h].link_header_len();
     // One IP packet of the segment: resolve the next hop, prepend the link
     // header, pass the channel's template check, pay for the device.
@@ -269,7 +334,7 @@ pub(crate) fn send_tcp_frame(
                 ack: repr.ack_num.0,
                 wnd: u32::from(repr.window),
                 flags: seg_flags(repr),
-                payload: payload.len() as u32,
+                payload: plen as u32,
                 wire: (frame.len() - lhl) as u32,
             });
         }
@@ -292,25 +357,26 @@ pub(crate) fn send_tcp_frame(
         let cost = tx_device_cost(w, h, frame.len());
         host_step(w, eng, h, cost, Event::Transmit { host: h, frame });
     };
-    if IPV4_HEADER_LEN + hlen + payload.len() <= mtu {
-        let mut f = w.pool.alloc(lhl + IPV4_HEADER_LEN + hlen, payload);
+    if IPV4_HEADER_LEN + hlen + plen <= mtu {
+        let mut f = payload.seal();
         f.prepend(hlen);
-        // Neither emit can fail: the frame was allocated just above with
-        // headroom for the link, IP and TCP headers, and `prepend` has
-        // opened exactly `hlen`, then `IPV4_HEADER_LEN`, bytes of it.
+        // Neither emit can fail: the payload was staged with headroom for
+        // the link, IP and TCP headers, and `prepend` has opened exactly
+        // `hlen`, then `IPV4_HEADER_LEN`, bytes of it.
         repr.emit_into(f.as_mut_slice(), local_ip, remote)
             .expect("segment sized for its headroom");
         let ident = w.hosts[h].ip_ep.alloc_ident();
         let ip_repr = Ipv4Repr {
             ident,
-            ..Ipv4Repr::simple(local_ip, remote, IpProtocol::Tcp, hlen + payload.len())
+            ..Ipv4Repr::simple(local_ip, remote, IpProtocol::Tcp, hlen + plen)
         };
         ip_repr
             .emit(f.prepend(IPV4_HEADER_LEN))
             .expect("headroom covers the IP header");
         emit(w, eng, f);
     } else {
-        let seg = repr.build_segment(local_ip, remote, payload);
+        let seg = repr.build_segment(local_ip, remote, payload.as_slice());
+        drop(payload); // back to the pool before the fragments take theirs
         let pkts = w.hosts[h].ip_ep.send(IpProtocol::Tcp, remote, &seg, mtu);
         // Every fragment is staged before the first leaves, as their
         // frame ids record.
@@ -322,15 +388,15 @@ pub(crate) fn send_tcp_frame(
 }
 
 /// Charges one TCP segment's output processing and schedules its
-/// [`Event::SendSegment`]. `cid` is `None` for connectionless RSTs from
-/// the kernel.
+/// [`Event::SendSegment`], whose `payload` is already staged. `cid` is
+/// `None` for connectionless RSTs from the kernel.
 pub(super) fn send_tcp_segment(
     w: &mut World,
     eng: &mut Eng,
     h: usize,
     cid: Option<u32>,
     repr: TcpRepr,
-    payload: Vec<u8>,
+    payload: Staged,
     remote: Ipv4Addr,
 ) {
     let cost = tcp_seg_cost(w, repr.header_len() + payload.len());

@@ -7,7 +7,7 @@
 
 use unp_wire::Ipv4Addr;
 
-use crate::tcb::TcpAction;
+use crate::tcb::{TcpAction, TcpSink};
 use crate::{Nanos, State};
 
 /// The timers a connection uses. Each kind has at most one pending
@@ -95,14 +95,14 @@ impl ConnMgmt {
         });
     }
 
-    pub(crate) fn arm_timer(&mut self, t: TcpTimer, deadline: Nanos, out: &mut Vec<TcpAction>) {
+    pub(crate) fn arm_timer(&mut self, t: TcpTimer, deadline: Nanos, out: &mut dyn TcpSink) {
         if std::mem::replace(&mut self.armed[t as usize], true) {
             out.push(TcpAction::CancelTimer(t));
         }
         out.push(TcpAction::SetTimer(t, deadline));
     }
 
-    pub(crate) fn cancel_timer(&mut self, t: TcpTimer, out: &mut Vec<TcpAction>) {
+    pub(crate) fn cancel_timer(&mut self, t: TcpTimer, out: &mut dyn TcpSink) {
         if std::mem::take(&mut self.armed[t as usize]) {
             out.push(TcpAction::CancelTimer(t));
         }

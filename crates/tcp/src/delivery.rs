@@ -9,20 +9,22 @@
 //! state) is the TCB's orchestration, through the other components.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use unp_wire::SeqNum;
 
 use crate::config::MSS_DEFAULT;
 use crate::reasm::OooBuffer;
 use crate::rtt::RttEstimator;
-use crate::{append_range, copy_range, Nanos};
+use crate::{append_range, ring_slices, Nanos};
 
 /// What [`Delivery::retransmit_head`] resends.
 pub(crate) enum Rexmit {
-    /// The first segment's worth of the send buffer, from `snd_una`.
+    /// The first segment's worth of the send buffer, from `snd_una`:
+    /// `payload` is its range in [`Delivery::send_slices`]' terms.
     Data {
         seq: SeqNum,
-        payload: Vec<u8>,
+        payload: Range<usize>,
         push: bool,
     },
     /// Our unacknowledged FIN.
@@ -239,6 +241,13 @@ impl Delivery {
 
     // --- output ---
 
+    /// The send-buffer bytes in `range`, counted from `snd_una` (the
+    /// ranges the cutting methods below return), as the two slices on
+    /// either side of the ring's seam.
+    pub(crate) fn send_slices(&self, range: Range<usize>) -> [&[u8]; 2] {
+        ring_slices(&self.send_buf, range.start, range.len())
+    }
+
     /// Length of the next fresh data segment under a send window of `wnd`
     /// bytes: `Some(0)` when data waits on a window with no room, `None`
     /// when nothing waits or Nagle / silly-window avoidance holds it.
@@ -269,11 +278,12 @@ impl Delivery {
     }
 
     /// Cuts the next `len` unsent bytes into a segment leaving at `now`:
-    /// its sequence number, payload, and whether it empties the buffer.
-    pub(crate) fn take_segment(&mut self, len: usize, now: Nanos) -> (SeqNum, Vec<u8>, bool) {
+    /// its sequence number, payload range, and whether it empties the
+    /// buffer.
+    pub(crate) fn take_segment(&mut self, len: usize, now: Nanos) -> (SeqNum, Range<usize>, bool) {
         let in_flight = self.in_flight();
         let seq = self.snd_nxt;
-        let payload = copy_range(&self.send_buf, in_flight, len);
+        let payload = in_flight..in_flight + len;
         self.snd_nxt += len as u32;
         // Time one segment per RTT for the estimator (Karn-safe: only
         // fresh transmissions are timed).
@@ -296,14 +306,14 @@ impl Delivery {
     }
 
     /// Cuts one unsent byte to probe a closed window with, if any waits.
-    pub(crate) fn take_probe(&mut self) -> Option<(SeqNum, Vec<u8>)> {
+    pub(crate) fn take_probe(&mut self) -> Option<(SeqNum, Range<usize>)> {
         if self.unsent() == 0 {
             return None;
         }
         let seq = self.snd_nxt;
-        let payload = copy_range(&self.send_buf, self.in_flight(), 1);
+        let in_flight = self.in_flight();
         self.snd_nxt += 1;
-        Some((seq, payload))
+        Some((seq, in_flight..in_flight + 1))
     }
 
     /// Rebuilds the segment at `snd_una` (synchronized states only: the
@@ -327,7 +337,7 @@ impl Delivery {
         }
         Some(Rexmit::Data {
             seq,
-            payload: copy_range(&self.send_buf, 0, len),
+            payload: 0..len,
             push: len == self.send_buf.len(),
         })
     }

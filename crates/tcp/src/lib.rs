@@ -40,18 +40,36 @@ pub mod tcb;
 pub use config::{CongestionControl, TcpConfig};
 pub use reasm::OooBuffer;
 pub use rtt::RttEstimator;
-pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpTimer};
+pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpSink, TcpTimer};
 
 /// Time in nanoseconds (shared convention with `unp-sim`).
 pub type Nanos = u64;
 
-/// Copies bytes `[start, start + len)` out of a stream ring buffer as at
-/// most two slice copies (the range may straddle the ring's seam). Every
-/// stream-byte move out of a `VecDeque<u8>` in the stack goes through here.
+/// Bytes `[start, start + len)` of a stream ring buffer, borrowed as the
+/// two slices on either side of the ring's seam (the second is empty when
+/// the range does not straddle it). Every stream-byte move out of a
+/// `VecDeque<u8>` in the stack starts here.
 ///
 /// # Panics
 /// Unless `start + len <= buf.len()` — an empty range past the end
 /// included.
+pub fn ring_slices(buf: &std::collections::VecDeque<u8>, start: usize, len: usize) -> [&[u8]; 2] {
+    debug_assert!(start + len <= buf.len(), "range past the stream's end");
+    let (front, back) = buf.as_slices();
+    if start < front.len() {
+        let n = len.min(front.len() - start);
+        [&front[start..start + n], &back[..len - n]]
+    } else {
+        let start = start - front.len();
+        [&back[start..start + len], &[]]
+    }
+}
+
+/// Copies bytes `[start, start + len)` out of a stream ring buffer: the
+/// [`ring_slices`] range as one owned `Vec`, in one allocation.
+///
+/// # Panics
+/// As [`ring_slices`].
 pub fn copy_range(buf: &std::collections::VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
     let mut out = Vec::new();
     append_range(buf, start, len, &mut out);
@@ -63,24 +81,17 @@ pub fn copy_range(buf: &std::collections::VecDeque<u8>, start: usize, len: usize
 /// exactly what it holds.
 ///
 /// # Panics
-/// As [`copy_range`].
+/// As [`ring_slices`].
 pub(crate) fn append_range(
     buf: &std::collections::VecDeque<u8>,
     start: usize,
     len: usize,
     out: &mut Vec<u8>,
 ) {
-    debug_assert!(start + len <= buf.len(), "range past the stream's end");
-    let (front, back) = buf.as_slices();
+    let [front, back] = ring_slices(buf, start, len);
     out.reserve_exact(len);
-    if start < front.len() {
-        let n = len.min(front.len() - start);
-        out.extend_from_slice(&front[start..start + n]);
-        out.extend_from_slice(&back[..len - n]);
-    } else {
-        let start = start - front.len();
-        out.extend_from_slice(&back[start..start + len]);
-    }
+    out.extend_from_slice(front);
+    out.extend_from_slice(back);
 }
 
 /// Errors surfaced to the socket layer.

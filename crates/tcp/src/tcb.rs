@@ -4,12 +4,14 @@
 //! take `now` and produce [`TcpAction`]s for the hosting organization to
 //! route (segments to transmit via IP, timers to arm on the timing wheel,
 //! notifications to deliver to the application). Every entry point has a
-//! sink form (`*_into`) that appends to a buffer the caller owns and
-//! reuses — the callee never clears it — and a form returning a fresh
-//! `Vec`, a one-line wrapper over the sink form. The same `Tcb` code runs
-//! in every simulated protocol organization, and the registry server uses
-//! it to execute the three-way handshake before transferring the block to
-//! the application's library (paper §3.4).
+//! sink form (`*_into`) that hands what it produces to a [`TcpSink`] the
+//! caller owns — a segment's payload as borrowed slices of the send
+//! buffer, which the sink copies once into whatever it transmits from —
+//! and a form returning a fresh `Vec`, a one-line wrapper over the sink
+//! form through `Vec<TcpAction>`'s sink, which appends and never clears.
+//! The same `Tcb` code runs in every simulated protocol organization, and
+//! the registry server uses it to execute the three-way handshake before
+//! transferring the block to the application's library (paper §3.4).
 //!
 //! The block's state lives in four components with non-overlapping write
 //! scopes — connection management, reliable ordered delivery, flow control
@@ -23,6 +25,8 @@
 mod input;
 mod output;
 mod timer;
+
+use std::ops::Range;
 
 use unp_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
 
@@ -64,6 +68,38 @@ pub enum TcpAction {
     /// The block reached `Closed` and can be reaped.
     ConnClosed,
 }
+
+/// Where a [`Tcb`]'s sink forms put what the block produces, in order.
+///
+/// The forms take `&mut dyn TcpSink`: one compiled state machine serves
+/// every sink, a sink is called a handful of times per segment, and a
+/// `&mut Vec<TcpAction>` coerces to it at the call site.
+pub trait TcpSink {
+    /// Appends one action. The block emits no [`TcpAction::Send`] through
+    /// here: its segments come through [`TcpSink::segment`].
+    fn push(&mut self, action: TcpAction);
+
+    /// Appends a segment to transmit: its header and its payload, borrowed
+    /// from the block's send buffer as the two slices on either side of
+    /// the ring's seam (either or both may be empty). The sink copies what
+    /// it keeps; the slices do not outlive the call.
+    fn segment(&mut self, repr: TcpRepr, payload: [&[u8]; 2]);
+}
+
+/// The `Vec` forms' sink: a segment becomes a [`TcpAction::Send`] owning
+/// its payload, concatenated in one allocation.
+impl TcpSink for Vec<TcpAction> {
+    fn push(&mut self, action: TcpAction) {
+        Vec::push(self, action);
+    }
+
+    fn segment(&mut self, repr: TcpRepr, payload: [&[u8]; 2]) {
+        Vec::push(self, TcpAction::Send(repr, payload.concat()));
+    }
+}
+
+/// A segment that carries no data.
+const NO_DATA: Range<usize> = 0..0;
 
 /// Running counters for one connection.
 #[derive(Debug, Clone, Copy, Default)]
@@ -130,7 +166,7 @@ impl ListenTcb {
         repr: &TcpRepr,
         iss: u32,
         now: Nanos,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) -> Option<Tcb> {
         if !repr.flags.syn || repr.flags.ack || repr.flags.rst {
             return None;
@@ -195,7 +231,7 @@ impl Tcb {
         cfg: TcpConfig,
         iss: u32,
         now: Nanos,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) -> Tcb {
         let mut tcb = Tcb::new(local, remote, cfg, SeqNum(iss));
         tcb.conn.transition(State::SynSent);
@@ -285,13 +321,16 @@ impl Tcb {
     // Segment construction
     // ------------------------------------------------------------------
 
+    /// Emits a segment at `seq` whose payload is `payload`, a range of
+    /// the send buffer counted from `snd_una`, handed to `out` as borrowed
+    /// slices.
     fn emit_segment(
         &mut self,
         flags: TcpFlags,
         seq: SeqNum,
-        payload: Vec<u8>,
+        payload: Range<usize>,
         mss: Option<u16>,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) {
         let window = self.rod.recv_window(self.cfg.recv_buf) as u16;
         self.flow.advertised(self.rod.rcv_nxt() + u32::from(window));
@@ -309,28 +348,28 @@ impl Tcb {
             mss,
         };
         self.stats.segs_out += 1;
-        out.push(TcpAction::Send(repr, payload));
+        out.segment(repr, self.rod.send_slices(payload));
     }
 
     /// Our SYN (or SYN|ACK), first time or again: at `iss`, announcing
     /// our MSS.
-    fn emit_syn(&mut self, flags: TcpFlags, out: &mut Vec<TcpAction>) {
+    fn emit_syn(&mut self, flags: TcpFlags, out: &mut dyn TcpSink) {
         let mss = Some(self.cfg.mss_local as u16);
-        self.emit_segment(flags, self.rod.iss(), Vec::new(), mss, out);
+        self.emit_segment(flags, self.rod.iss(), NO_DATA, mss, out);
     }
 
-    fn emit_ack(&mut self, out: &mut Vec<TcpAction>) {
+    fn emit_ack(&mut self, out: &mut dyn TcpSink) {
         self.flow.ack_sent();
         self.conn.cancel_timer(TcpTimer::DelayedAck, out);
-        self.emit_segment(TcpFlags::ack(), self.rod.snd_nxt(), Vec::new(), None, out);
+        self.emit_segment(TcpFlags::ack(), self.rod.snd_nxt(), NO_DATA, None, out);
     }
 
     /// Answers `offending` with the RST [`Tcb::rst_for`] builds, leaving
     /// the block as it is.
-    fn emit_rst_for(&mut self, offending: &TcpRepr, payload_len: usize, out: &mut Vec<TcpAction>) {
+    fn emit_rst_for(&mut self, offending: &TcpRepr, payload_len: usize, out: &mut dyn TcpSink) {
         let rst = Self::rst_for(self.conn.local(), offending, payload_len);
         self.stats.segs_out += 1;
-        out.push(TcpAction::Send(rst, Vec::new()));
+        out.segment(rst, [&[], &[]]);
     }
 
     /// Builds an RST in response to a segment that arrived for a dead or
@@ -389,7 +428,7 @@ impl Tcb {
         &mut self,
         data: &[u8],
         now: Nanos,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) -> Result<usize, TcpError> {
         match self.conn.state() {
             State::Established | State::CloseWait | State::SynSent | State::SynReceived => {}
@@ -420,7 +459,7 @@ impl Tcb {
         max: usize,
         _now: Nanos,
         data: &mut Vec<u8>,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) -> usize {
         let n = self.rod.read(max, data);
         if n > 0 && self.conn.is_live() {
@@ -441,7 +480,7 @@ impl Tcb {
     }
 
     /// [`Tcb::close`], appending the FIN (or the teardown) to `out`.
-    pub fn close_into(&mut self, now: Nanos, out: &mut Vec<TcpAction>) -> Result<(), TcpError> {
+    pub fn close_into(&mut self, now: Nanos, out: &mut dyn TcpSink) -> Result<(), TcpError> {
         let next = match self.conn.state() {
             State::SynSent => {
                 self.enter_closed(out);
@@ -474,19 +513,19 @@ impl Tcb {
     }
 
     /// [`Tcb::abort`], appending the RST and the teardown to `out`.
-    pub fn abort_into(&mut self, out: &mut Vec<TcpAction>) {
+    pub fn abort_into(&mut self, out: &mut dyn TcpSink) {
         if self.conn.is_live() || self.conn.state() == State::SynReceived {
             let flags = TcpFlags {
                 rst: true,
                 ack: true,
                 ..TcpFlags::default()
             };
-            self.emit_segment(flags, self.rod.snd_nxt(), Vec::new(), None, out);
+            self.emit_segment(flags, self.rod.snd_nxt(), NO_DATA, None, out);
         }
         self.enter_closed(out);
     }
 
-    fn enter_closed(&mut self, out: &mut Vec<TcpAction>) {
+    fn enter_closed(&mut self, out: &mut dyn TcpSink) {
         for t in [
             TcpTimer::Retransmit,
             TcpTimer::Persist,

@@ -3,7 +3,7 @@
 
 use unp_wire::{SeqNum, TcpFlags, TcpRepr};
 
-use super::{State, Tcb, TcpAction, TcpTimer};
+use super::{State, Tcb, TcpAction, TcpSink, TcpTimer};
 use crate::config::DELAYED_ACK_TIMEOUT;
 use crate::delivery::{FinSeen, Payload};
 use crate::Nanos;
@@ -23,7 +23,7 @@ impl Tcb {
         repr: &TcpRepr,
         payload: &[u8],
         now: Nanos,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) {
         self.stats.segs_in += 1;
         match self.conn.state() {
@@ -38,7 +38,7 @@ impl Tcb {
         repr: &TcpRepr,
         payload: &[u8],
         now: Nanos,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) {
         // RFC 793 SYN-SENT processing.
         if repr.flags.ack {
@@ -84,7 +84,7 @@ impl Tcb {
         repr: &TcpRepr,
         payload: &[u8],
         now: Nanos,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
     ) {
         // Any traffic from the peer proves liveness: restart the
         // keepalive clock.
@@ -188,12 +188,12 @@ impl Tcb {
         self.output(now, out);
     }
 
-    fn restart_time_wait(&mut self, now: Nanos, out: &mut Vec<TcpAction>) {
+    fn restart_time_wait(&mut self, now: Nanos, out: &mut dyn TcpSink) {
         self.conn
             .arm_timer(TcpTimer::TimeWait, now + self.cfg.time_wait, out);
     }
 
-    fn process_new_ack(&mut self, ack: SeqNum, now: Nanos, out: &mut Vec<TcpAction>) {
+    fn process_new_ack(&mut self, ack: SeqNum, now: Nanos, out: &mut dyn TcpSink) {
         let acked = self.rod.on_ack(ack, now);
         if let Some(rtt) = acked.rtt {
             self.stats.rtt_samples += 1;
@@ -228,7 +228,7 @@ impl Tcb {
         }
     }
 
-    fn process_dup_ack(&mut self, now: Nanos, out: &mut Vec<TcpAction>) {
+    fn process_dup_ack(&mut self, now: Nanos, out: &mut dyn TcpSink) {
         self.stats.dup_acks_in += 1;
         if self.cc.on_dup_ack(self.rod.in_flight(), self.rod.mss()) {
             self.stats.fast_rexmit += 1;
@@ -239,7 +239,7 @@ impl Tcb {
         }
     }
 
-    fn process_payload(&mut self, seq: SeqNum, payload: &[u8], out: &mut Vec<TcpAction>) {
+    fn process_payload(&mut self, seq: SeqNum, payload: &[u8], out: &mut dyn TcpSink) {
         match self.rod.accept_payload(seq, payload, self.cfg.recv_buf) {
             Payload::PastFin | Payload::InOrder(0) => {}
             Payload::Held(held) => {
@@ -263,7 +263,7 @@ impl Tcb {
         }
     }
 
-    fn process_fin(&mut self, fin_seq: SeqNum, now: Nanos, out: &mut Vec<TcpAction>) {
+    fn process_fin(&mut self, fin_seq: SeqNum, now: Nanos, out: &mut dyn TcpSink) {
         match self.rod.accept_fin(fin_seq) {
             FinSeen::Consumed => {
                 out.push(TcpAction::PeerClosed);

@@ -3,7 +3,7 @@
 
 use unp_wire::{SeqNum, TcpFlags};
 
-use super::{State, Tcb, TcpAction, TcpTimer};
+use super::{State, Tcb, TcpSink, TcpTimer, NO_DATA};
 use crate::delivery::Rexmit;
 use crate::Nanos;
 
@@ -11,7 +11,7 @@ impl Tcb {
     /// Transmits whatever the windows and Nagle permit, then the FIN if
     /// queued and fully drained, then manages the retransmit/persist
     /// timers.
-    pub(super) fn output(&mut self, now: Nanos, out: &mut Vec<TcpAction>) {
+    pub(super) fn output(&mut self, now: Nanos, out: &mut dyn TcpSink) {
         if !matches!(
             self.conn.state(),
             State::Established
@@ -61,13 +61,13 @@ impl Tcb {
         }
     }
 
-    fn emit_fin(&mut self, seq: SeqNum, out: &mut Vec<TcpAction>) {
+    fn emit_fin(&mut self, seq: SeqNum, out: &mut dyn TcpSink) {
         let flags = TcpFlags {
             fin: true,
             ack: true,
             ..TcpFlags::default()
         };
-        self.emit_segment(flags, seq, Vec::new(), None, out);
+        self.emit_segment(flags, seq, NO_DATA, None, out);
     }
 
     /// Rebuilds and resends the segment at `snd_una`. `reason` names the
@@ -75,7 +75,7 @@ impl Tcb {
     /// and rides into the journal for root-cause attribution.
     pub(super) fn retransmit_head(
         &mut self,
-        out: &mut Vec<TcpAction>,
+        out: &mut dyn TcpSink,
         reason: unp_trace::RexmitReason,
     ) {
         match self.conn.state() {

@@ -3,7 +3,7 @@
 
 use unp_wire::TcpFlags;
 
-use super::{Tcb, TcpAction, TcpTimer};
+use super::{Tcb, TcpAction, TcpSink, TcpTimer, NO_DATA};
 use crate::Nanos;
 
 impl Tcb {
@@ -16,7 +16,7 @@ impl Tcb {
     }
 
     /// [`Tcb::on_timer`], appending what the expiry triggers to `out`.
-    pub fn on_timer_into(&mut self, t: TcpTimer, now: Nanos, out: &mut Vec<TcpAction>) {
+    pub fn on_timer_into(&mut self, t: TcpTimer, now: Nanos, out: &mut dyn TcpSink) {
         self.conn.timer_fired(t);
         match t {
             TcpTimer::Keepalive => {
@@ -36,7 +36,7 @@ impl Tcb {
                 // (provokes a window/ack reply, per 4.3BSD).
                 self.stats.probes += 1;
                 let seq = self.rod.snd_nxt() + u32::MAX; // snd_nxt - 1
-                self.emit_segment(TcpFlags::ack(), seq, Vec::new(), None, out);
+                self.emit_segment(TcpFlags::ack(), seq, NO_DATA, None, out);
                 self.conn
                     .arm_timer(TcpTimer::Keepalive, now + interval, out);
             }

@@ -1,13 +1,13 @@
 //! `copy_range` against the byte-iterator expression it replaced
-//! (`buf.iter().skip(s).take(n).copied().collect()`), on rings that have
-//! wrapped: the range may lie in the front slice, in the back slice, or
-//! straddle the seam between them.
+//! (`buf.iter().skip(s).take(n).copied().collect()`), and `ring_slices`
+//! against `copy_range`, on rings that have wrapped: the range may lie in
+//! the front slice, in the back slice, or straddle the seam between them.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use unp_tcp::copy_range;
+use unp_tcp::{copy_range, ring_slices};
 
 fn by_iterator(buf: &VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
     buf.iter().skip(start).take(len).copied().collect()
@@ -22,8 +22,8 @@ fn push(buf: &mut VecDeque<u8>, next: &mut u8, n: usize) {
     }
 }
 
-#[test]
-fn every_range_of_a_wrapped_ring() {
+/// A 13-byte ring whose head sits three bytes before its end.
+fn wrapped() -> VecDeque<u8> {
     let mut buf = VecDeque::with_capacity(16);
     let mut next = 0u8;
     push(&mut buf, &mut next, 12);
@@ -34,6 +34,12 @@ fn every_range_of_a_wrapped_ring() {
         !front.is_empty() && !back.is_empty(),
         "the ring must be wrapped for the seam to be tested"
     );
+    buf
+}
+
+#[test]
+fn every_range_of_a_wrapped_ring() {
+    let buf = wrapped();
     // All starts and lengths: covers `n = 0` at every offset, ranges wholly
     // in the back slice, and ranges straddling the seam.
     for start in 0..=buf.len() {
@@ -43,6 +49,31 @@ fn every_range_of_a_wrapped_ring() {
                 by_iterator(&buf, start, len),
                 "start {start} len {len}"
             );
+        }
+    }
+}
+
+#[test]
+fn ring_slices_split_a_range_at_the_seam_only() {
+    let buf = wrapped();
+    let seam = buf.as_slices().0.len();
+    for start in 0..=buf.len() {
+        for len in 0..=buf.len() - start {
+            let [front, back] = ring_slices(&buf, start, len);
+            assert_eq!(
+                [front, back].concat(),
+                copy_range(&buf, start, len),
+                "start {start} len {len}"
+            );
+            let straddles = start < seam && start + len > seam;
+            assert_eq!(
+                !front.is_empty() && !back.is_empty(),
+                straddles,
+                "start {start} len {len}: two halves only across the seam"
+            );
+            if straddles {
+                assert_eq!(front.len(), seam - start, "the first half ends at the seam");
+            }
         }
     }
 }
@@ -83,6 +114,7 @@ proptest! {
             ];
             for (s, n) in ranges {
                 prop_assert_eq!(copy_range(&buf, s, n), by_iterator(&buf, s, n), "start {} len {}", s, n);
+                prop_assert_eq!(ring_slices(&buf, s, n).concat(), copy_range(&buf, s, n), "start {} len {}", s, n);
             }
         }
     }

@@ -1,18 +1,24 @@
-//! Sink ≡ `Vec`: every TCB entry point exists in two forms — one appends
-//! to a buffer the caller owns (`*_into`), one returns a fresh `Vec` — and
-//! they must be the same function. Two identical TCBs are driven in
-//! lockstep, one through each form, the sink pre-loaded with a sentinel:
-//! after every call the sink's suffix equals the returned `Vec` and the
-//! sentinel is still in front. `recv_into` appends its bytes too, so its
-//! data buffer is pre-loaded the same way. The scripts are `direct_tcb.rs`'s
-//! hand-driven exchanges and `lossy_properties.rs`'s impaired transfers.
+//! Sink ≡ `Vec`: every TCB entry point exists in two forms — one hands
+//! what it produces to a sink the caller owns (`*_into`), one returns a
+//! fresh `Vec` — and they must be the same function. Three identical TCBs
+//! are driven in lockstep: one through the `Vec` forms, one through the
+//! sink forms into a `Vec<TcpAction>` pre-loaded with a sentinel, and one
+//! through the sink forms into a [`Windowed`] sink, which sees a segment's
+//! payload only as the two slices of the send buffer that `segment` hands
+//! it and copies them into a fixed-capacity window, as the world's pooled
+//! frame does. After every call the `Vec` sink's suffix and what the
+//! windowed sink read both equal the returned `Vec`, and the sentinel is
+//! still in front. `recv_into` appends its bytes too, so its data buffer
+//! is pre-loaded the same way. The scripts are `direct_tcb.rs`'s
+//! hand-driven exchanges, one whose send buffer wraps its ring's seam, and
+//! `lossy_properties.rs`'s impaired transfers.
 
 use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
 
-use unp_tcp::{ListenTcb, State, Tcb, TcpAction, TcpConfig, TcpError, TcpTimer};
-use unp_wire::{Ipv4Addr, TcpRepr};
+use unp_tcp::{ListenTcb, State, Tcb, TcpAction, TcpConfig, TcpError, TcpSink, TcpTimer};
+use unp_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
 
 const A: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 100);
 const B: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 200);
@@ -25,25 +31,48 @@ const SENTINEL: TcpAction = TcpAction::SetTimer(TcpTimer::Keepalive, u64::MAX);
 /// stream starts with it.
 const BYTE_SENTINEL: &[u8] = b"\xa5 not stream bytes";
 
-/// Runs the sink form into a pre-loaded buffer and checks it against what
-/// the `Vec` form returned.
-fn same(returned: Vec<TcpAction>, sink_form: impl FnOnce(&mut Vec<TcpAction>)) -> Vec<TcpAction> {
-    let mut sink = vec![SENTINEL];
-    sink_form(&mut sink);
-    assert_eq!(sink[0], SENTINEL, "the callee cleared its caller's buffer");
-    assert_eq!(
-        &sink[1..],
-        &returned[..],
-        "sink form diverged from Vec form"
-    );
-    returned
+/// A pooled frame's payload window: room for one full-sized segment.
+const WINDOW: usize = 1_600;
+
+/// A sink shaped like the world's: a payload reaches it only through
+/// `segment`, as borrowed slices it copies into a fixed-capacity window.
+/// What it records reads as the `Vec` forms' actions.
+#[derive(Default)]
+struct Windowed {
+    actions: Vec<TcpAction>,
+    /// Segments whose payload straddled the send buffer's seam.
+    seams: usize,
 }
 
-/// One connection endpoint, twice: `by_vec` only ever sees the
-/// `Vec`-returning forms, `by_sink` only the sink forms.
+impl TcpSink for Windowed {
+    fn push(&mut self, action: TcpAction) {
+        assert!(
+            !matches!(action, TcpAction::Send(..)),
+            "a segment bypassed `segment`"
+        );
+        self.actions.push(action);
+    }
+
+    fn segment(&mut self, repr: TcpRepr, [front, back]: [&[u8]; 2]) {
+        let mut window = [0u8; WINDOW];
+        let len = front.len() + back.len();
+        window[..front.len()].copy_from_slice(front);
+        window[front.len()..len].copy_from_slice(back);
+        self.seams += usize::from(!front.is_empty() && !back.is_empty());
+        self.actions
+            .push(TcpAction::Send(repr, window[..len].to_vec()));
+    }
+}
+
+/// One connection endpoint, three times: `by_vec` only ever sees the
+/// `Vec`-returning forms, `by_sink` only the sink forms into a `Vec`, and
+/// `by_window` only the sink forms into a [`Windowed`].
 struct Twin {
     by_vec: Tcb,
     by_sink: Tcb,
+    by_window: Tcb,
+    /// Segments `by_window` emitted across its send buffer's seam.
+    seams: usize,
 }
 
 impl Twin {
@@ -53,12 +82,19 @@ impl Twin {
         cfg: TcpConfig,
     ) -> (Twin, Vec<TcpAction>) {
         let (by_vec, returned) = Tcb::connect(local, remote, cfg.clone(), 1000, 0);
-        let mut by_sink = None;
-        let actions = same(returned, |out| {
-            by_sink = Some(Tcb::connect_into(local, remote, cfg, 1000, 0, out));
-        });
-        let by_sink = by_sink.expect("the sink form ran");
-        (Twin { by_vec, by_sink }, actions)
+        let mut sink = vec![SENTINEL];
+        let by_sink = Tcb::connect_into(local, remote, cfg.clone(), 1000, 0, &mut sink);
+        let mut window = Windowed::default();
+        let by_window = Tcb::connect_into(local, remote, cfg, 1000, 0, &mut window);
+        assert_eq!(sink, [&[SENTINEL][..], &returned].concat());
+        assert_eq!(window.actions, returned);
+        let twin = Twin {
+            by_vec,
+            by_sink,
+            by_window,
+            seams: 0,
+        };
+        (twin, returned)
     }
 
     fn on_syn(
@@ -69,60 +105,89 @@ impl Twin {
     ) -> Option<(Twin, Vec<TcpAction>)> {
         let mut sink = vec![SENTINEL];
         let by_sink = listener.on_syn_into(remote, syn, 9000, now, &mut sink);
+        let mut window = Windowed::default();
+        let by_window = listener.on_syn_into(remote, syn, 9000, now, &mut window);
         let by_vec = listener.on_syn(remote, syn, 9000, now);
         assert_eq!(sink[0], SENTINEL);
-        match (by_vec, by_sink) {
-            (Some((by_vec, returned)), Some(by_sink)) => {
+        match (by_vec, by_sink, by_window) {
+            (Some((by_vec, returned)), Some(by_sink), Some(by_window)) => {
                 assert_eq!(&sink[1..], &returned[..]);
-                Some((Twin { by_vec, by_sink }, returned))
+                assert_eq!(window.actions, returned);
+                let twin = Twin {
+                    by_vec,
+                    by_sink,
+                    by_window,
+                    seams: 0,
+                };
+                Some((twin, returned))
             }
-            (None, None) => {
+            (None, None, None) => {
                 assert_eq!(sink.len(), 1, "a refused SYN appends nothing");
+                assert!(window.actions.is_empty(), "a refused SYN appends nothing");
                 None
             }
-            _ => panic!("one form accepted what the other refused"),
+            _ => panic!("one form accepted what another refused"),
         }
     }
 
-    /// The twins agree on everything observable from outside.
+    /// Runs the sink form `form` on `by_sink` into a pre-loaded `Vec` and
+    /// on `by_window` into a [`Windowed`], and checks both against what
+    /// the `Vec` form returned.
+    fn same<R>(
+        &mut self,
+        returned: &[TcpAction],
+        mut form: impl FnMut(&mut Tcb, &mut dyn TcpSink) -> R,
+    ) -> [R; 2] {
+        let mut sink = vec![SENTINEL];
+        let by_sink = form(&mut self.by_sink, &mut sink);
+        assert_eq!(sink[0], SENTINEL, "the callee cleared its caller's buffer");
+        assert_eq!(&sink[1..], returned, "sink form diverged from Vec form");
+        let mut window = Windowed::default();
+        let by_window = form(&mut self.by_window, &mut window);
+        assert_eq!(
+            window.actions, returned,
+            "windowed sink diverged from Vec form"
+        );
+        self.seams += window.seams;
+        [by_sink, by_window]
+    }
+
+    /// The triplets agree on everything observable from outside.
     fn agree(&self) {
-        assert_eq!(self.by_vec.state(), self.by_sink.state());
-        assert_eq!(self.by_vec.send_space(), self.by_sink.send_space());
-        assert_eq!(self.by_vec.recv_available(), self.by_sink.recv_available());
-        assert_eq!(self.by_vec.stats().segs_out, self.by_sink.stats().segs_out);
+        for other in [&self.by_sink, &self.by_window] {
+            assert_eq!(self.by_vec.state(), other.state());
+            assert_eq!(self.by_vec.send_space(), other.send_space());
+            assert_eq!(self.by_vec.recv_available(), other.recv_available());
+            assert_eq!(self.by_vec.stats().segs_out, other.stats().segs_out);
+        }
     }
 
     fn on_segment(&mut self, repr: &TcpRepr, payload: &[u8], now: u64) -> Vec<TcpAction> {
         let returned = self.by_vec.on_segment(repr, payload, now);
-        let actions = same(returned, |out| {
-            self.by_sink.on_segment_into(repr, payload, now, out)
+        self.same(&returned, |tcb, out| {
+            tcb.on_segment_into(repr, payload, now, out)
         });
         self.agree();
-        actions
+        returned
     }
 
     fn on_timer(&mut self, t: TcpTimer, now: u64) -> Vec<TcpAction> {
         let returned = self.by_vec.on_timer(t, now);
-        let actions = same(returned, |out| self.by_sink.on_timer_into(t, now, out));
+        self.same(&returned, |tcb, out| tcb.on_timer_into(t, now, out));
         self.agree();
-        actions
+        returned
     }
 
     fn send(&mut self, data: &[u8], now: u64) -> Result<(usize, Vec<TcpAction>), TcpError> {
         let returned = self.by_vec.send(data, now);
-        let mut sink = vec![SENTINEL];
-        let taken = self.by_sink.send_into(data, now, &mut sink);
-        assert_eq!(sink[0], SENTINEL);
-        match (&returned, taken) {
-            (Ok((n, actions)), Ok(m)) => {
-                assert_eq!(*n, m);
-                assert_eq!(&sink[1..], &actions[..]);
+        let actions = returned.as_ref().map_or(&[][..], |(_, a)| &a[..]);
+        let taken = self.same(actions, |tcb, out| tcb.send_into(data, now, out));
+        for taken in taken {
+            match (&returned, taken) {
+                (Ok((n, _)), Ok(m)) => assert_eq!(*n, m),
+                (Err(e), Err(f)) => assert_eq!(*e, f),
+                _ => panic!("send: {returned:?} vs {taken:?}"),
             }
-            (Err(e), Err(f)) => {
-                assert_eq!(*e, f);
-                assert_eq!(sink.len(), 1, "a refused write appends nothing");
-            }
-            _ => panic!("send: {returned:?} vs {taken:?}"),
         }
         self.agree();
         returned
@@ -130,33 +195,35 @@ impl Twin {
 
     fn recv(&mut self, max: usize, now: u64) -> (Vec<u8>, Vec<TcpAction>) {
         let (data, returned) = self.by_vec.recv(max, now);
-        let mut sunk = BYTE_SENTINEL.to_vec();
-        let actions = same(returned, |out| {
-            let n = self.by_sink.recv_into(max, now, &mut sunk, out);
-            assert_eq!(n, data.len(), "recv_into counted other bytes than it read");
+        let mut sunk = [BYTE_SENTINEL.to_vec(), BYTE_SENTINEL.to_vec()];
+        let mut buffers = sunk.iter_mut();
+        let counts = self.same(&returned, |tcb, out| {
+            let into = buffers.next().expect("one buffer per sink form");
+            tcb.recv_into(max, now, into, out)
         });
-        let (kept, appended) = sunk.split_at(BYTE_SENTINEL.len());
-        assert_eq!(
-            kept, BYTE_SENTINEL,
-            "recv_into cleared its caller's data buffer"
-        );
-        assert_eq!(appended, &data[..], "recv_into read other bytes than recv");
+        for (n, sunk) in counts.into_iter().zip(&sunk) {
+            assert_eq!(n, data.len(), "recv_into counted other bytes than it read");
+            let (kept, appended) = sunk.split_at(BYTE_SENTINEL.len());
+            assert_eq!(
+                kept, BYTE_SENTINEL,
+                "recv_into cleared its caller's data buffer"
+            );
+            assert_eq!(appended, &data[..], "recv_into read other bytes than recv");
+        }
         self.agree();
-        (data, actions)
+        (data, returned)
     }
 
     fn close(&mut self, now: u64) -> Result<Vec<TcpAction>, TcpError> {
         let returned = self.by_vec.close(now);
-        let mut sink = vec![SENTINEL];
-        let closed = self.by_sink.close_into(now, &mut sink);
-        assert_eq!(sink[0], SENTINEL);
-        match (&returned, closed) {
-            (Ok(actions), Ok(())) => assert_eq!(&sink[1..], &actions[..]),
-            (Err(e), Err(f)) => {
-                assert_eq!(*e, f);
-                assert_eq!(sink.len(), 1, "a refused close appends nothing");
+        let actions = returned.as_deref().unwrap_or(&[]);
+        let closed = self.same(actions, |tcb, out| tcb.close_into(now, out));
+        for closed in closed {
+            match (&returned, closed) {
+                (Ok(_), Ok(())) => {}
+                (Err(e), Err(f)) => assert_eq!(*e, f),
+                _ => panic!("close: {returned:?} vs {closed:?}"),
             }
-            _ => panic!("close: {returned:?} vs {closed:?}"),
         }
         self.agree();
         returned
@@ -164,9 +231,9 @@ impl Twin {
 
     fn abort(&mut self) -> Vec<TcpAction> {
         let returned = self.by_vec.abort();
-        let actions = same(returned, |out| self.by_sink.abort_into(out));
+        self.same(&returned, |tcb, out| tcb.abort_into(out));
         self.agree();
-        actions
+        returned
     }
 
     fn state(&self) -> State {
@@ -273,6 +340,47 @@ fn persist_probe_data_close_and_abort_are_the_same_through_both_forms() {
     let rst = c.abort();
     deliver(&mut d, &rst, 30 * MS);
     assert_eq!((c.state(), d.state()), (State::Closed, State::Closed));
+}
+
+#[test]
+fn a_send_buffer_wrapped_across_its_seam_is_the_same_through_both_forms() {
+    let cfg = TcpConfig {
+        send_buf: 1_500,
+        ..TcpConfig::default()
+    };
+    let (mut a, mut b) = established_with(cfg);
+    // B's acknowledgments, forged so that A's ring holds exactly what
+    // the script says.
+    let ack = |acked: u32, window: u16| TcpRepr {
+        src_port: B.1,
+        dst_port: A.1,
+        seq: SeqNum(9001),
+        ack_num: SeqNum(1001 + acked),
+        flags: TcpFlags::ack(),
+        window,
+        mss: None,
+    };
+    let stream: Vec<u8> = (0..2_500u32).map(|i| (i * 7 + i / 256) as u8).collect();
+    // One full-sized segment leaves; Nagle holds the 40-byte tail.
+    let (n, first) = a.send(&stream[..1_500], MS).expect("established");
+    assert_eq!((n, sends(&first).len()), (1_500, 1));
+    deliver(&mut b, &first, 2 * MS);
+    // B takes the segment and closes its window: the tail stays unsent
+    // at the end of A's ring, and the next write wraps to its start.
+    a.on_segment(&ack(1_460, 0), &[], 3 * MS);
+    let (n, held) = a.send(&stream[1_500..], 4 * MS).expect("room freed");
+    assert_eq!((n, sends(&held).len()), (1_000, 0));
+    // The window opens: tail and write leave as one segment across the
+    // seam, and the retransmission timeout resends it the same way.
+    let resumed = a.on_segment(&ack(1_460, 8_192), &[], 5 * MS);
+    assert_eq!(a.seams, 1, "the segment did not straddle the seam");
+    let rexmit = a.on_timer(TcpTimer::Retransmit, 500 * MS);
+    assert_eq!(a.seams, 2, "the retransmission did not straddle the seam");
+    assert_eq!(sends(&rexmit), sends(&resumed), "the resend differs");
+    deliver(&mut b, &resumed, 6 * MS);
+    deliver(&mut b, &rexmit, 501 * MS);
+    let (data, _) = b.recv(usize::MAX, 502 * MS);
+    assert_eq!(data, stream);
 }
 
 /// `lossy_properties.rs`'s transfer over twins: a seeded channel drops,
