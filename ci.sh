@@ -102,6 +102,16 @@ if grep -rn 'const ALL: \[' crates/trace/src; then
   echo "a hand-written ALL table in unp-trace (lines above); declare the enum with keywords!"; exit 1
 fi
 
+# The journal's event list is declared once too, through `events!` in
+# `record.rs`: each variant with its keyword and each field with its
+# journal key, from which the macro writes the enum, `name()` and the
+# `key=value` text. A hand-written `Event::X { .. } =>` arm there is a
+# second copy of the variant list.
+echo "== unp-trace: the journal's events from events! =="
+if grep -nE 'Event::[A-Za-z]+ \{ \.\. \} =>' crates/trace/src/record.rs; then
+  echo "a hand-written Event arm in record.rs (lines above); declare it in events!"; exit 1
+fi
+
 # Thread-local state only shrinks: at most 11 `static` items inside
 # `thread_local!` blocks in the non-test part (above a file's first
 # `#[cfg(test)]`, test-module files aside) of any crate's sources — the
@@ -201,9 +211,10 @@ echo "== tier-1: zero-copy golden pcap + demux differential + journal (release) 
 cargo test -q --release --offline --test zero_copy --test demux_differential --test journal
 
 # The allocation budgets: a steady-state Table-2 bulk frame under the
-# user-level library may touch the general allocator at most 2.0 times
-# (reads 1.57; a frame's `Rc` header and a fresh receive Vec per frame read
-# 3.04, a boxed closure per event or a fresh Vec per call ~14), a warm
+# user-level library may touch the general allocator at most 1.25 times
+# (reads 1.04; a payload Vec per sent segment reads 1.54, a boxed closure
+# per event or a fresh Vec per call ~14), a one-byte exchange on AN1 at
+# most 2.25 times (reads 2.04; the payload Vec reads 3.05), a warm
 # frame pool may not touch it at all over 1,000 alloc/clone/slice/COW/drop
 # cycles, a connect-echo-close may make at most 24 allocations (reads 20.7;
 # a closure per hand-off step and a fresh ring and flow-table bucket per

@@ -33,8 +33,6 @@ pub struct AppView {
     pub send_space: usize,
     /// Bytes the library still holds queued on the app's behalf.
     pub pending_tx: usize,
-    /// Local (address, port) of the connection, when known.
-    pub local: Option<(unp_wire::Ipv4Addr, u16)>,
     /// Remote (address, port) of the connection, when known.
     pub remote: Option<(unp_wire::Ipv4Addr, u16)>,
 }
@@ -314,7 +312,6 @@ mod tests {
             now,
             send_space: 16384,
             pending_tx: 0,
-            local: None,
             remote: None,
         }
     }

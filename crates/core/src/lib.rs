@@ -31,7 +31,6 @@ pub mod experiments;
 pub mod faults;
 pub mod pcap;
 pub mod rrp;
-pub mod sockets;
 pub mod world;
 
 pub use app::{AppLogic, AppOp, AppView, BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};

@@ -4,7 +4,6 @@
 
 use unp_sim::Nanos;
 use unp_tcp::{Tcb, TcpSink};
-use unp_wire::Ipv4Addr;
 
 use super::costs::{app_boundary_cost, tx_copy_cost};
 use super::event::{host_step, Event};
@@ -47,7 +46,6 @@ pub(super) fn app_event(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ev: Ap
         now: eng.now(),
         send_space: conn.tcb.send_space(),
         pending_tx: conn.pending_tx.len(),
-        local: Some(conn.tcb.local()),
         remote: Some(conn.tcb.remote()),
     };
     let ops = match ev {
@@ -155,22 +153,14 @@ pub(super) fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
     }
 }
 
-/// Re-delivers a send-space upcall to a connection's application — used by
-/// the socket facade to kick a connection whose application has queued new
-/// data outside an upcall (e.g. `Socket::send` between engine steps).
+/// Re-delivers a send-space upcall to a connection's application, so an
+/// application installed or changed outside an upcall (an inetd-style
+/// daemon taking over a live connection) gets a turn to answer with
+/// operations.
 pub fn poke_conn(w: &mut World, eng: &mut Eng, host: usize, cid: u32) {
     if !w.hosts[host].conns.contains_key(&cid) {
         return;
     }
     let cost = app_boundary_cost(w, host);
     app_upcall(w, eng, host, cost, cid, AppEvent::SendSpace);
-}
-
-/// Looks up a live connection id by its (local port, remote) key — the
-/// socket facade's bridge from handles to connections.
-pub fn find_conn(w: &World, host: usize, local_port: u16, remote: (Ipv4Addr, u16)) -> Option<u32> {
-    w.hosts[host]
-        .conn_index
-        .get(&(local_port, remote.0, remote.1))
-        .copied()
 }

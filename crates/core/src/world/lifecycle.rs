@@ -141,7 +141,6 @@ pub(super) fn reset_unconnected(mut app: Box<dyn AppLogic>, now: Nanos) {
         now,
         send_space: 0,
         pending_tx: 0,
-        local: None,
         remote: None,
     });
 }

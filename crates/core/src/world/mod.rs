@@ -27,7 +27,7 @@ pub(crate) mod org;
 pub(crate) mod tcp;
 mod timers;
 
-pub use app::{find_conn, poke_conn, AppEvent};
+pub use app::{poke_conn, AppEvent};
 pub use costs::OrgKind;
 pub use event::{host_exec, Closure, Event};
 pub use ip::{bind_udp, send_ping, send_udp};
@@ -229,7 +229,7 @@ pub struct World {
     pub pool: FramePool,
     /// Promiscuous packet taps — the Packet Filter's original use case
     /// ("user-level network code" for monitoring): each tap's BPF program
-    /// runs over every frame on the wire and counts matches.
+    /// runs over every frame on the wire and keeps the frames it matches.
     taps: Vec<Tap>,
     /// The active fault-injection schedule. Empty by default
     /// ([`crate::faults::FaultPlan::none`]): it never faults and makes no
@@ -264,53 +264,34 @@ impl<T> Spare<T> {
     }
 }
 
-/// A promiscuous capture tap: a named BPF program applied to all traffic.
-pub struct Tap {
-    name: &'static str,
+/// A promiscuous capture tap: a BPF program applied to all traffic, and
+/// the frames it matched. Each entry is a refcount on the wire frame, not
+/// a copy.
+struct Tap {
     program: unp_filter::BpfProgram,
-    /// Matched (time, frame-length) samples.
-    pub matches: Vec<(Nanos, usize)>,
-    /// Full frames, kept only for capture taps. Each entry is a refcount
-    /// on the wire frame, not a copy.
-    pub frames: Vec<(Nanos, Frame)>,
-    capture: bool,
+    frames: Vec<(Nanos, Frame)>,
 }
 
 impl World {
-    /// Installs a monitoring tap. Returns its index for later inspection
-    /// via [`World::tap_matches`].
-    pub fn add_tap(&mut self, name: &'static str, program: unp_filter::BpfProgram) -> usize {
-        self.taps.push(Tap {
-            name,
-            program,
-            matches: Vec::new(),
-            frames: Vec::new(),
-            capture: false,
-        });
-        self.taps.len() - 1
-    }
-
-    /// Installs a *capturing* tap: matched frames are stored in full and
-    /// can be exported with [`crate::pcap::write_pcap`] for analysis in
-    /// standard tools.
+    /// Installs a capture tap: matched frames are stored in full and can
+    /// be exported with [`crate::pcap::write_pcap`] for analysis in
+    /// standard tools. `name` labels the tap at the call site only.
+    /// Returns the tap's index for [`World::tap_frames`].
     pub fn add_capture_tap(
         &mut self,
-        name: &'static str,
+        _name: &'static str,
         program: unp_filter::BpfProgram,
     ) -> usize {
-        let idx = self.add_tap(name, program);
-        self.taps[idx].capture = true;
-        idx
+        self.taps.push(Tap {
+            program,
+            frames: Vec::new(),
+        });
+        self.taps.len() - 1
     }
 
     /// The full frames captured by a capture tap.
     pub fn tap_frames(&self, idx: usize) -> &[(Nanos, Frame)] {
         &self.taps[idx].frames
-    }
-
-    /// The frames a tap matched so far, as (time, length) pairs.
-    pub fn tap_matches(&self, idx: usize) -> &[(Nanos, usize)] {
-        &self.taps[idx].matches
     }
 
     /// Every tenant account of every host's network I/O module, as
@@ -378,11 +359,7 @@ impl World {
         use unp_filter::Demux;
         for tap in &mut self.taps {
             if tap.program.matches(frame) {
-                tap.matches.push((now, frame.len()));
-                if tap.capture {
-                    tap.frames.push((now, frame.clone()));
-                }
-                let _ = tap.name;
+                tap.frames.push((now, frame.clone()));
             }
         }
     }

@@ -247,7 +247,6 @@ pub(super) fn apply_tcp_actions(
                         now: eng.now(),
                         send_space: 0,
                         pending_tx: 0,
-                        local: Some(conn.tcb.local()),
                         remote: Some(conn.tcb.remote()),
                     };
                     conn.app.on_reset(&view);

@@ -41,7 +41,7 @@ thread_local! {
 /// Events executed by every engine on this thread since the last
 /// [`reset_events_executed`]. The per-engine [`Engine::executed`] counter
 /// dies with its engine; experiment runners build engines internally, so
-/// `repro-tables --timings` reads this aggregate instead.
+/// `unp-bench`'s `bench zero_copy` report reads this aggregate instead.
 pub fn events_executed() -> u64 {
     EVENTS_EXECUTED.with(|c| c.get())
 }

@@ -2,39 +2,21 @@
 //! loopback harness doesn't isolate — simultaneous open, zero-window
 //! persist probing, window-update gating, and congestion-window dynamics.
 
+mod scripts;
+
+use scripts::{deliver, established, sends, A, B, ISS_A, ISS_B};
 use unp_tcp::{CongestionControl, State, Tcb, TcpAction, TcpConfig, TcpTimer};
-use unp_wire::{Ipv4Addr, SeqNum, TcpRepr};
+use unp_wire::{SeqNum, TcpRepr};
 
-const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const MS: u64 = 1_000_000;
-
-fn sends(actions: &[TcpAction]) -> Vec<(TcpRepr, Vec<u8>)> {
-    actions
-        .iter()
-        .filter_map(|a| match a {
-            TcpAction::Send(r, p) => Some((*r, p.clone())),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Feeds every Send from `actions` into `dst`, returning its responses.
-fn deliver(dst: &mut Tcb, actions: &[TcpAction], now: u64) -> Vec<TcpAction> {
-    let mut out = Vec::new();
-    for (repr, payload) in sends(actions) {
-        out.extend(dst.on_segment(&repr, &payload, now));
-    }
-    out
-}
 
 #[test]
 fn simultaneous_open_establishes_both_sides() {
     // Both endpoints actively connect to each other at once (RFC 793 §3.4
     // figure 8). The SYNs cross; both go SYN_SENT → SYN_RECEIVED →
     // ESTABLISHED.
-    let (mut a, syn_a) = Tcb::connect((A, 100), (B, 200), TcpConfig::default(), 1000, 0);
-    let (mut b, syn_b) = Tcb::connect((B, 200), (A, 100), TcpConfig::default(), 9000, 0);
+    let (mut a, syn_a) = Tcb::connect(A, B, TcpConfig::default(), ISS_A, 0);
+    let (mut b, syn_b) = Tcb::connect(B, A, TcpConfig::default(), ISS_B, 0);
     assert_eq!(a.state(), State::SynSent);
     assert_eq!(b.state(), State::SynSent);
 
@@ -65,28 +47,10 @@ fn simultaneous_open_establishes_both_sides() {
     assert!(done_b.iter().any(|x| matches!(x, TcpAction::Connected)));
 }
 
-/// Builds an established pair by running the three-way handshake.
-fn established() -> (Tcb, Tcb) {
-    established_with(TcpConfig::default())
-}
-
-/// Same, with a custom configuration on both ends.
-fn established_with(cfg: TcpConfig) -> (Tcb, Tcb) {
-    let (mut a, syn) = Tcb::connect((A, 100), (B, 200), cfg.clone(), 1000, 0);
-    let listener = unp_tcp::ListenTcb::new((B, 200), cfg);
-    let (syn_repr, _) = sends(&syn)[0].clone();
-    let (mut b, synack) = listener.on_syn((A, 100), &syn_repr, 9000, 0).unwrap();
-    let ack = deliver(&mut a, &synack, MS);
-    deliver(&mut b, &ack, MS);
-    assert_eq!(a.state(), State::Established);
-    assert_eq!(b.state(), State::Established);
-    (a, b)
-}
-
 #[test]
 fn zero_window_triggers_persist_probe_and_recovers() {
     // Immediate ACKs so the probe's acknowledgment isn't delayed.
-    let (mut a, mut b) = established_with(TcpConfig::low_latency());
+    let (mut a, mut b) = established(&TcpConfig::low_latency(), MS);
     // B slams its window shut (simulate by delivering a window update of 0).
     let (hdr, _) = sends(&b.on_timer(TcpTimer::DelayedAck, 2 * MS))
         .first()
@@ -136,7 +100,7 @@ fn zero_window_triggers_persist_probe_and_recovers() {
 
 #[test]
 fn window_update_gating_ignores_stale_segments() {
-    let (mut a, b) = established();
+    let (mut a, b) = established(&TcpConfig::default(), MS);
     drop(b);
     // A current ACK advertising a large window.
     let fresh = TcpRepr {
@@ -171,12 +135,7 @@ fn window_update_gating_ignores_stale_segments() {
 fn slow_start_grows_cwnd_per_ack() {
     let mut cfg = TcpConfig::low_latency(); // immediate ACKs clock the window
     cfg.congestion = CongestionControl::Tahoe;
-    let (mut a, syn) = Tcb::connect((A, 100), (B, 200), cfg.clone(), 1000, 0);
-    let listener = unp_tcp::ListenTcb::new((B, 200), cfg);
-    let (syn_repr, _) = sends(&syn)[0].clone();
-    let (mut b, synack) = listener.on_syn((A, 100), &syn_repr, 9000, 0).unwrap();
-    let ack = deliver(&mut a, &synack, MS);
-    deliver(&mut b, &ack, MS);
+    let (mut a, mut b) = established(&cfg, MS);
 
     // With cwnd = 1 MSS, a large write emits exactly one segment.
     let (_, actions) = a.send(&vec![1u8; 8 * 1460], 2 * MS).unwrap();
@@ -196,7 +155,7 @@ fn slow_start_grows_cwnd_per_ack() {
 
 #[test]
 fn fin_retransmitted_after_loss() {
-    let (mut a, mut b) = established();
+    let (mut a, mut b) = established(&TcpConfig::default(), MS);
     let close_actions = a.close(2 * MS).unwrap();
     let fins = sends(&close_actions);
     assert_eq!(fins.len(), 1);
@@ -219,7 +178,7 @@ fn fin_retransmitted_after_loss() {
 
 #[test]
 fn time_wait_reacks_retransmitted_fin_and_restarts_2msl() {
-    let (mut a, mut b) = established();
+    let (mut a, mut b) = established(&TcpConfig::default(), MS);
     // A closes; B acks and closes too; A lands in TIME_WAIT.
     let a_fin = a.close(2 * MS).unwrap();
     let b_resp = deliver(&mut b, &a_fin, 3 * MS);
@@ -251,7 +210,7 @@ fn time_wait_reacks_retransmitted_fin_and_restarts_2msl() {
 
 #[test]
 fn data_received_in_close_wait_still_delivered() {
-    let (mut a, mut b) = established();
+    let (mut a, mut b) = established(&TcpConfig::default(), MS);
     // A sends data + FIN together.
     let (_, data_actions) = a.send(b"last words", 2 * MS).unwrap();
     let fin_actions = a.close(2 * MS).unwrap();
@@ -324,7 +283,7 @@ mod segmentation {
 
     use super::*;
 
-    /// A's initial sequence number in `established_with`, plus the SYN.
+    /// A's initial sequence number (`scripts::ISS_A`), plus the SYN.
     const FIRST_SEQ: u32 = 1001;
 
     fn pattern(i: usize) -> u8 {
@@ -349,7 +308,7 @@ mod segmentation {
             recv_buf,
             ..TcpConfig::low_latency()
         };
-        let (mut a, mut b) = established_with(cfg);
+        let (mut a, mut b) = established(&cfg, MS);
         let stream: Vec<u8> = (0..writes.iter().sum()).map(pattern).collect();
         let mut model = CutModel {
             mss: a.mss(),

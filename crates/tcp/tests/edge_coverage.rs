@@ -81,7 +81,7 @@ fn keepalive_gives_up_on_a_dead_peer() {
         max_keepalive_probes: 3,
         ..TcpConfig::default()
     };
-    let (mut a, _gone) = established(&cfg);
+    let (mut a, _gone) = established(&cfg, 1);
     for probe in 1..=10 {
         a.on_timer(TcpTimer::Keepalive, probe * 11 * SEC);
     }

@@ -1,12 +1,15 @@
 //! Direct-TCB scripts shared by the tests that need a block in a given
 //! state: two endpoints `A` (the active opener, ISS 1000) and `B` (the
-//! listener, ISS 9000) handing each other's segments over by hand.
+//! listener, ISS 9000) handing each other's segments over by hand. Each
+//! test binary that includes them uses a different part.
+
+#![allow(dead_code)]
 
 use std::collections::HashSet;
 
 use unp_tcp::{ListenTcb, State, Tcb, TcpAction, TcpConfig};
 use unp_trace::{Event, Observer, Record};
-use unp_wire::Ipv4Addr;
+use unp_wire::{Ipv4Addr, TcpRepr};
 
 pub const A: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 100);
 pub const B: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 200);
@@ -49,6 +52,17 @@ pub fn edges_taken<R>(script: impl FnOnce() -> R) -> (R, HashSet<Edge>) {
     (result, taken)
 }
 
+/// The segments in `actions`, in order, each with its payload.
+pub fn sends(actions: &[TcpAction]) -> Vec<(TcpRepr, Vec<u8>)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            TcpAction::Send(r, p) => Some((*r, p.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Feeds every segment in `actions` to `dst`; what `dst` answers.
 pub fn deliver(dst: &mut Tcb, actions: &[TcpAction], now: u64) -> Vec<TcpAction> {
     let mut out = Vec::new();
@@ -73,10 +87,12 @@ pub fn half_open(cfg: &TcpConfig) -> (Tcb, Tcb, Vec<TcpAction>) {
     (a, b, synack)
 }
 
-pub fn established(cfg: &TcpConfig) -> (Tcb, Tcb) {
+/// A pair through the three-way handshake, the SYN sent at 0 and the
+/// SYN-ACK and the ACK each landing at `now`.
+pub fn established(cfg: &TcpConfig, now: u64) -> (Tcb, Tcb) {
     let (mut a, mut b, synack) = half_open(cfg);
-    let ack = deliver(&mut a, &synack, 1);
-    deliver(&mut b, &ack, 2);
+    let ack = deliver(&mut a, &synack, now);
+    deliver(&mut b, &ack, now);
     assert_eq!(
         (a.state(), b.state()),
         (State::Established, State::Established)
@@ -87,7 +103,7 @@ pub fn established(cfg: &TcpConfig) -> (Tcb, Tcb) {
 /// `a` has closed and `b` has seen the FIN — `FinWait1` and `CloseWait` —
 /// with `b`'s ACK of it still in flight.
 pub fn half_closed(cfg: &TcpConfig) -> (Tcb, Tcb, Vec<TcpAction>) {
-    let (mut a, mut b) = established(cfg);
+    let (mut a, mut b) = established(cfg, 1);
     let fin = a.close(10).expect("Established takes a close");
     let ack = deliver(&mut b, &fin, 11);
     assert_eq!((a.state(), b.state()), (State::FinWait1, State::CloseWait));
@@ -99,7 +115,7 @@ pub fn walk_to(state: State, cfg: &TcpConfig) -> Tcb {
     let tcb = match state {
         State::SynSent => half_open(cfg).0,
         State::SynReceived => half_open(cfg).1,
-        State::Established => established(cfg).0,
+        State::Established => established(cfg, 1).0,
         State::FinWait1 => half_closed(cfg).0,
         State::CloseWait => half_closed(cfg).1,
         State::FinWait2 => {
@@ -114,7 +130,7 @@ pub fn walk_to(state: State, cfg: &TcpConfig) -> Tcb {
         }
         State::Closing => {
             // Both close before either FIN lands.
-            let (mut a, mut b) = established(cfg);
+            let (mut a, mut b) = established(cfg, 1);
             let fin = a.close(10).expect("Established takes a close");
             b.close(10).expect("Established takes a close");
             deliver(&mut b, &fin, 11);

@@ -194,268 +194,231 @@ pub fn legal_transition(from: TcpFsm, to: TcpFsm) -> bool {
     TcpFsm::EDGES.contains(&(from, to))
 }
 
-/// One packet-lifecycle event. Every variant is observation-only: emitting
-/// it charges no simulated cost and schedules nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A frame entered NIC receive staging (Lance) or was classified by
-    /// the controller (AN1). `accepted == false` means staging overflowed
-    /// and the frame was dropped on the floor.
-    NicRx { len: u32, accepted: bool },
-    /// A frame was put on the wire.
-    NicTx { len: u32 },
-    /// The wire hop of a transmitted frame, split into its two latency
-    /// components: `queue` is the wait for link access (CSMA backoff /
-    /// FDDI token rotation), `wire` is serialization plus propagation.
-    /// Emitted at the sender; a fault-injected reorder delay is *not*
-    /// included (it shows up as the gap to the receiver's `nic_rx`).
-    LinkTx { queue: Nanos, wire: Nanos },
-    /// The network I/O module classified a frame. `matched == false`
-    /// means no channel binding claimed it (kernel-default path).
-    /// `filter_instrs` is the scan-equivalent instruction count the cost
-    /// model charges.
-    DemuxClassify {
-        path: PathKind,
-        filter_instrs: u32,
-        matched: bool,
-    },
-    /// A frame was placed into a channel's receive ring. `depth` is the
-    /// ring occupancy after the push; `signal` is true when a semaphore
-    /// was posted (false = batched behind a pending notification).
-    RingEnqueue {
-        channel: u32,
-        depth: u32,
-        signal: bool,
-    },
-    /// A frame was dropped at ring placement (oversize or ring full).
-    /// `pressure == true` means the drop only happened because a fault
-    /// plan's slow-consumer window clamped the ring below its real
-    /// capacity — the proximate cause is injected pressure, not load.
-    RingDrop { channel: u32, pressure: bool },
-    /// A frame was dropped at ring placement because the owning tenant's
-    /// aggregate ring-slot quota was exhausted (the channel itself still
-    /// had room). Distinct from [`Event::RingDrop`] so quota enforcement
-    /// is attributable to the tenant that overran its budget, and so
-    /// clean runs — where no tenant ever exceeds its share — emit a
-    /// byte-identical journal to the pre-quota stack. `in_use`/`quota`
-    /// are the tenant's aggregate ring occupancy and budget at the drop,
-    /// so the quota-conservation checker can verify the drop was earned.
-    QuotaDrop {
-        channel: u32,
-        tenant: u64,
-        in_use: u64,
-        quota: u64,
-    },
-    /// A library wakeup consumed a batch of frames from a channel ring.
-    WakeupBatch { channel: u32, frames: u32 },
-    /// The protocol library processed (rx) or built (tx) one TCP segment.
-    TcpSegment {
-        dir: Dir,
-        local_port: u16,
-        remote_port: u16,
-        /// Remote IPv4 address: ports alone are ambiguous once clients on
-        /// different hosts pick the same ephemeral port, and the monitor
-        /// must key each connection's streaming state unambiguously.
-        remote_ip: [u8; 4],
-        seq: u32,
-        /// Acknowledgment number carried (meaningful when `flags` has
-        /// `a`; the ack-monotonicity and dup-ACK checkers key on it).
-        ack: u32,
-        /// Advertised receive window.
-        wnd: u32,
-        /// Control flags ([`SegFlags::label`] in the journal line).
-        flags: SegFlags,
-        payload: u32,
-        /// Bytes the segment occupies past the link header (IP + TCP +
-        /// payload) — what the modeled per-segment cost is keyed on.
-        wire: u32,
-    },
-    /// A TCP connection block moved between protocol states — the edges
-    /// the conformance monitor checks against the legal transition
-    /// relation. Constructor initialization is not an edge; `Closed` as a
-    /// target covers aborts and resets from any state.
-    TcpState {
-        local_port: u16,
-        remote_port: u16,
-        /// See [`Event::TcpSegment::remote_ip`].
-        remote_ip: [u8; 4],
-        from: TcpFsm,
-        to: TcpFsm,
-    },
-    /// The TCP RTT estimator took a sample.
-    RttSample {
-        local_port: u16,
-        remote_port: u16,
-        rtt: Nanos,
-    },
-    /// TCP retransmitted bytes (RTO fire or fast retransmit). `seq` is
-    /// the first sequence number being resent (`snd_una` at the firing
-    /// site); `reason` says which loss-detection mechanism fired.
-    TcpRexmit {
-        local_port: u16,
-        remote_port: u16,
-        /// See [`Event::TcpSegment::remote_ip`].
-        remote_ip: [u8; 4],
-        seq: u32,
-        bytes: u32,
-        reason: RexmitReason,
-    },
-    /// An out-of-order segment was held in the reassembly buffer.
-    TcpOooHold {
-        local_port: u16,
-        remote_port: u16,
-        seq: u32,
-        len: u32,
-    },
-    /// Received bytes crossed the final boundary into the application.
-    AppDeliver { conn: u64, bytes: u32 },
-    /// The kernel ran the capability/template check on a transmit.
-    TxTemplateCheck { channel: u32, ok: bool },
-    /// The fault plan perturbed a frame (or host). `from`/`to` identify
-    /// the link direction for frame faults; for `Crash`/`RingPressure`
-    /// both carry the afflicted host.
-    FaultInject { kind: FaultKind, from: u16, to: u16 },
-    /// A corrupted frame was caught by a checksum and discarded instead
-    /// of panicking or misdelivering.
-    FrameCorruptDiscard { len: u32 },
-    /// A frame backing buffer came alive in the thread's pool; `live` is
-    /// the live-buffer count *after* the allocation. Emitted without a
-    /// frame id (ids are minted after the backing exists), so the
-    /// frame-join analyses ignore it; the pool-accounting checker chains
-    /// consecutive `live` values to catch leaked or double-freed buffers.
-    FrameAlloc { live: u64 },
-    /// A frame backing buffer was released; `live` is the count after.
-    FrameFree { live: u64 },
-    /// A trusted layer (kernel or registry) reclaimed a resource on
-    /// behalf of a dead application. `id` is the channel id, port number,
-    /// BQI index, or handshake id, per `kind`.
-    ResourceReclaim {
-        kind: ReclaimKind,
-        owner: u32,
-        id: u32,
-    },
+/// Declares the journal's event enum once: each variant with its keyword
+/// and each field with its journal key. Writes the enum, `name()` (the
+/// keyword) and `fields()` (the ` key=value` text of [`Record::line`]).
+macro_rules! events {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident => $label:literal {
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty => $key:literal,)*
+        })*
+    }) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty,)* },)*
+        }
+
+        impl $name {
+            /// The event's journal keyword (first token of [`Record::line`]).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $label,)*
+                }
+            }
+
+            /// The event's fields as ` key=value` pairs, in declaration order.
+            fn fields(&self) -> String {
+                let mut s = String::new();
+                match self {
+                    $($name::$variant { $($field,)* } => {
+                        $(s.push_str(concat!(" ", $key, "="));
+                        $field.put(&mut s);)*
+                    })*
+                }
+                s
+            }
+        }
+    };
 }
 
-impl Event {
-    /// The event's journal keyword (first token of [`Record::line`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::NicRx { .. } => "nic_rx",
-            Event::NicTx { .. } => "nic_tx",
-            Event::LinkTx { .. } => "link_tx",
-            Event::DemuxClassify { .. } => "demux_classify",
-            Event::RingEnqueue { .. } => "ring_enqueue",
-            Event::RingDrop { .. } => "ring_drop",
-            Event::QuotaDrop { .. } => "quota_drop",
-            Event::WakeupBatch { .. } => "wakeup_batch",
-            Event::TcpSegment { .. } => "tcp_segment",
-            Event::TcpState { .. } => "tcp_state",
-            Event::RttSample { .. } => "rtt_sample",
-            Event::TcpRexmit { .. } => "tcp_rexmit",
-            Event::TcpOooHold { .. } => "tcp_ooo_hold",
-            Event::AppDeliver { .. } => "app_deliver",
-            Event::TxTemplateCheck { .. } => "tx_template_check",
-            Event::FaultInject { .. } => "fault_inject",
-            Event::FrameCorruptDiscard { .. } => "frame_corrupt_discard",
-            Event::FrameAlloc { .. } => "frame_alloc",
-            Event::FrameFree { .. } => "frame_free",
-            Event::ResourceReclaim { .. } => "resource_reclaim",
-        }
-    }
+/// How a field's value is written in a journal line.
+trait Value {
+    fn put(&self, s: &mut String);
+}
 
-    fn fields(&self) -> String {
-        fn fmt_ip(ip: &[u8; 4]) -> String {
-            format!("{}.{}.{}.{}", ip[0], ip[1], ip[2], ip[3])
+macro_rules! value_by_display {
+    ($($ty:ty),*) => {$(
+        impl Value for $ty {
+            fn put(&self, s: &mut String) {
+                use std::fmt::Write;
+                let _ = write!(s, "{self}");
+            }
         }
-        match self {
-            Event::NicRx { len, accepted } => format!("len={len} accepted={accepted}"),
-            Event::NicTx { len } => format!("len={len}"),
-            Event::LinkTx { queue, wire } => format!("queue={queue} wire={wire}"),
-            Event::DemuxClassify {
-                path,
-                filter_instrs,
-                matched,
-            } => format!(
-                "path={} instrs={filter_instrs} matched={matched}",
-                path.label()
-            ),
-            Event::RingEnqueue {
-                channel,
-                depth,
-                signal,
-            } => format!("ch={channel} depth={depth} signal={signal}"),
-            Event::RingDrop { channel, pressure } => format!("ch={channel} pressure={pressure}"),
-            Event::QuotaDrop {
-                channel,
-                tenant,
-                in_use,
-                quota,
-            } => format!("ch={channel} tenant={tenant} in_use={in_use} quota={quota}"),
-            Event::WakeupBatch { channel, frames } => format!("ch={channel} frames={frames}"),
-            Event::TcpSegment {
-                dir,
-                local_port,
-                remote_port,
-                remote_ip,
-                seq,
-                ack,
-                wnd,
-                flags,
-                payload,
-                wire,
-            } => format!(
-                "dir={} lp={local_port} rp={remote_port} rip={} seq={seq} ack={ack} wnd={wnd} \
-                 flags={} payload={payload} wire={wire}",
-                dir.label(),
-                fmt_ip(remote_ip),
-                flags.label()
-            ),
-            Event::TcpState {
-                local_port,
-                remote_port,
-                remote_ip,
-                from,
-                to,
-            } => format!(
-                "lp={local_port} rp={remote_port} rip={} from={} to={}",
-                fmt_ip(remote_ip),
-                from.label(),
-                to.label()
-            ),
-            Event::RttSample {
-                local_port,
-                remote_port,
-                rtt,
-            } => format!("lp={local_port} rp={remote_port} rtt={rtt}"),
-            Event::TcpRexmit {
-                local_port,
-                remote_port,
-                remote_ip,
-                seq,
-                bytes,
-                reason,
-            } => format!(
-                "lp={local_port} rp={remote_port} rip={} seq={seq} bytes={bytes} reason={}",
-                fmt_ip(remote_ip),
-                reason.label()
-            ),
-            Event::TcpOooHold {
-                local_port,
-                remote_port,
-                seq,
-                len,
-            } => format!("lp={local_port} rp={remote_port} seq={seq} len={len}"),
-            Event::AppDeliver { conn, bytes } => format!("conn={conn} bytes={bytes}"),
-            Event::TxTemplateCheck { channel, ok } => format!("ch={channel} ok={ok}"),
-            Event::FaultInject { kind, from, to } => {
-                format!("kind={} from={from} to={to}", kind.label())
+    )*};
+}
+value_by_display!(u16, u32, u64, bool);
+
+macro_rules! value_by_label {
+    ($($ty:ty),*) => {$(
+        impl Value for $ty {
+            fn put(&self, s: &mut String) {
+                s.push_str(&self.label());
             }
-            Event::FrameCorruptDiscard { len } => format!("len={len}"),
-            Event::FrameAlloc { live } => format!("live={live}"),
-            Event::FrameFree { live } => format!("live={live}"),
-            Event::ResourceReclaim { kind, owner, id } => {
-                format!("kind={} owner={owner} id={id}", kind.label())
-            }
+        }
+    )*};
+}
+value_by_label!(
+    PathKind,
+    Dir,
+    RexmitReason,
+    TcpFsm,
+    FaultKind,
+    ReclaimKind,
+    SegFlags
+);
+
+/// An IPv4 address, dotted.
+impl Value for [u8; 4] {
+    fn put(&self, s: &mut String) {
+        use std::fmt::Write;
+        let _ = write!(s, "{}.{}.{}.{}", self[0], self[1], self[2], self[3]);
+    }
+}
+
+events! {
+    /// One packet-lifecycle event. Every variant is observation-only: emitting
+    /// it charges no simulated cost and schedules nothing.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Event {
+        /// A frame entered NIC receive staging (Lance) or was classified by
+        /// the controller (AN1). `accepted == false` means staging overflowed
+        /// and the frame was dropped on the floor.
+        NicRx => "nic_rx" { len: u32 => "len", accepted: bool => "accepted", }
+        /// A frame was put on the wire.
+        NicTx => "nic_tx" { len: u32 => "len", }
+        /// The wire hop of a transmitted frame, split into its two latency
+        /// components: `queue` is the wait for link access (CSMA backoff /
+        /// FDDI token rotation), `wire` is serialization plus propagation.
+        /// Emitted at the sender; a fault-injected reorder delay is *not*
+        /// included (it shows up as the gap to the receiver's `nic_rx`).
+        LinkTx => "link_tx" { queue: Nanos => "queue", wire: Nanos => "wire", }
+        /// The network I/O module classified a frame. `matched == false`
+        /// means no channel binding claimed it (kernel-default path).
+        /// `filter_instrs` is the scan-equivalent instruction count the cost
+        /// model charges.
+        DemuxClassify => "demux_classify" {
+            path: PathKind => "path",
+            filter_instrs: u32 => "instrs",
+            matched: bool => "matched",
+        }
+        /// A frame was placed into a channel's receive ring. `depth` is the
+        /// ring occupancy after the push; `signal` is true when a semaphore
+        /// was posted (false = batched behind a pending notification).
+        RingEnqueue => "ring_enqueue" {
+            channel: u32 => "ch",
+            depth: u32 => "depth",
+            signal: bool => "signal",
+        }
+        /// A frame was dropped at ring placement (oversize or ring full).
+        /// `pressure == true` means the drop only happened because a fault
+        /// plan's slow-consumer window clamped the ring below its real
+        /// capacity — the proximate cause is injected pressure, not load.
+        RingDrop => "ring_drop" { channel: u32 => "ch", pressure: bool => "pressure", }
+        /// A frame was dropped at ring placement because the owning tenant's
+        /// aggregate ring-slot quota was exhausted (the channel itself still
+        /// had room). Distinct from [`Event::RingDrop`] so quota enforcement
+        /// is attributable to the tenant that overran its budget, and so
+        /// clean runs — where no tenant ever exceeds its share — emit a
+        /// byte-identical journal to the pre-quota stack. `in_use`/`quota`
+        /// are the tenant's aggregate ring occupancy and budget at the drop,
+        /// so the quota-conservation checker can verify the drop was earned.
+        QuotaDrop => "quota_drop" {
+            channel: u32 => "ch",
+            tenant: u64 => "tenant",
+            in_use: u64 => "in_use",
+            quota: u64 => "quota",
+        }
+        /// A library wakeup consumed a batch of frames from a channel ring.
+        WakeupBatch => "wakeup_batch" { channel: u32 => "ch", frames: u32 => "frames", }
+        /// The protocol library processed (rx) or built (tx) one TCP segment.
+        TcpSegment => "tcp_segment" {
+            dir: Dir => "dir",
+            local_port: u16 => "lp",
+            remote_port: u16 => "rp",
+            /// Remote IPv4 address: ports alone are ambiguous once clients on
+            /// different hosts pick the same ephemeral port, and the monitor
+            /// must key each connection's streaming state unambiguously.
+            remote_ip: [u8; 4] => "rip",
+            seq: u32 => "seq",
+            /// Acknowledgment number carried (meaningful when `flags` has
+            /// `a`; the ack-monotonicity and dup-ACK checkers key on it).
+            ack: u32 => "ack",
+            /// Advertised receive window.
+            wnd: u32 => "wnd",
+            /// Control flags ([`SegFlags::label`] in the journal line).
+            flags: SegFlags => "flags",
+            payload: u32 => "payload",
+            /// Bytes the segment occupies past the link header (IP + TCP +
+            /// payload) — what the modeled per-segment cost is keyed on.
+            wire: u32 => "wire",
+        }
+        /// A TCP connection block moved between protocol states — the edges
+        /// the conformance monitor checks against the legal transition
+        /// relation. Constructor initialization is not an edge; `Closed` as a
+        /// target covers aborts and resets from any state.
+        TcpState => "tcp_state" {
+            local_port: u16 => "lp",
+            remote_port: u16 => "rp",
+            /// See [`Event::TcpSegment::remote_ip`].
+            remote_ip: [u8; 4] => "rip",
+            from: TcpFsm => "from",
+            to: TcpFsm => "to",
+        }
+        /// The TCP RTT estimator took a sample.
+        RttSample => "rtt_sample" {
+            local_port: u16 => "lp",
+            remote_port: u16 => "rp",
+            rtt: Nanos => "rtt",
+        }
+        /// TCP retransmitted bytes (RTO fire or fast retransmit). `seq` is
+        /// the first sequence number being resent (`snd_una` at the firing
+        /// site); `reason` says which loss-detection mechanism fired.
+        TcpRexmit => "tcp_rexmit" {
+            local_port: u16 => "lp",
+            remote_port: u16 => "rp",
+            /// See [`Event::TcpSegment::remote_ip`].
+            remote_ip: [u8; 4] => "rip",
+            seq: u32 => "seq",
+            bytes: u32 => "bytes",
+            reason: RexmitReason => "reason",
+        }
+        /// An out-of-order segment was held in the reassembly buffer.
+        TcpOooHold => "tcp_ooo_hold" {
+            local_port: u16 => "lp",
+            remote_port: u16 => "rp",
+            seq: u32 => "seq",
+            len: u32 => "len",
+        }
+        /// Received bytes crossed the final boundary into the application.
+        AppDeliver => "app_deliver" { conn: u64 => "conn", bytes: u32 => "bytes", }
+        /// The kernel ran the capability/template check on a transmit.
+        TxTemplateCheck => "tx_template_check" { channel: u32 => "ch", ok: bool => "ok", }
+        /// The fault plan perturbed a frame (or host). `from`/`to` identify
+        /// the link direction for frame faults; for `Crash`/`RingPressure`
+        /// both carry the afflicted host.
+        FaultInject => "fault_inject" {
+            kind: FaultKind => "kind",
+            from: u16 => "from",
+            to: u16 => "to",
+        }
+        /// A corrupted frame was caught by a checksum and discarded instead
+        /// of panicking or misdelivering.
+        FrameCorruptDiscard => "frame_corrupt_discard" { len: u32 => "len", }
+        /// A frame backing buffer came alive in the thread's pool; `live` is
+        /// the live-buffer count *after* the allocation. Emitted without a
+        /// frame id (ids are minted after the backing exists), so the
+        /// frame-join analyses ignore it; the pool-accounting checker chains
+        /// consecutive `live` values to catch leaked or double-freed buffers.
+        FrameAlloc => "frame_alloc" { live: u64 => "live", }
+        /// A frame backing buffer was released; `live` is the count after.
+        FrameFree => "frame_free" { live: u64 => "live", }
+        /// A trusted layer (kernel or registry) reclaimed a resource on
+        /// behalf of a dead application. `id` is the channel id, port number,
+        /// BQI index, or handshake id, per `kind`.
+        ResourceReclaim => "resource_reclaim" {
+            kind: ReclaimKind => "kind",
+            owner: u32 => "owner",
+            id: u32 => "id",
         }
     }
 }
@@ -493,7 +456,6 @@ impl Record {
         }
         s.push(' ');
         s.push_str(self.event.name());
-        s.push(' ');
         s.push_str(&self.event.fields());
         s
     }

@@ -452,7 +452,7 @@ fn promiscuous_bpf_tap_observes_connection_traffic() {
         remote_ip: None,
         remote_port: None,
     };
-    let tap = w.add_tap("to-server-80", unp::filter::programs::bpf_demux(&spec));
+    let tap = w.add_capture_tap("to-server-80", unp::filter::programs::bpf_demux(&spec));
     let stats = TransferStats::new_shared();
     sink_listener(&mut w, &stats, TcpConfig::default());
     connect(
@@ -466,9 +466,9 @@ fn promiscuous_bpf_tap_observes_connection_traffic() {
     );
     assert!(eng.run(&mut w, 20_000_000));
     assert_eq!(stats.borrow().bytes_received, 50_000);
-    let captured = w.tap_matches(tap);
+    let captured = w.tap_frames(tap);
     // Every data segment (plus handshake pieces) headed to :80 was seen.
-    let data_frames = captured.iter().filter(|(_, len)| *len > 60).count();
+    let data_frames = captured.iter().filter(|(_, f)| f.len() > 60).count();
     assert!(
         data_frames >= 50_000 / 1460,
         "tap must capture the data stream: {data_frames} frames"

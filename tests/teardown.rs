@@ -3,26 +3,56 @@
 //! open the next one. (`World::leaks` over every teardown route is
 //! checked beside the world itself, in `core::world`'s own tests.)
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use unp::buffers::OwnerTag;
-use unp::core::app::{BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats};
-use unp::core::world::{build_two_hosts, connect, listen, Network, Nic, OrgKind};
+use unp::core::app::{
+    AppLogic, AppOp, AppView, BulkSender, EchoApp, PingPongApp, SinkApp, TransferStats,
+};
+use unp::core::world::{build_two_hosts, connect, listen, Eng, Network, Nic, OrgKind, World};
 use unp::tcp::TcpConfig;
 use unp::trace::Ctr;
 use unp::wire::Ipv4Addr;
 
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
 
-#[test]
-fn refused_connects_on_an1_give_their_bqi_slots_back() {
-    let (mut w, mut eng) = build_two_hosts(Network::An1, OrgKind::UserLibrary);
+/// Counts the resets its connection reports.
+struct ResetCounter(Rc<Cell<u32>>);
+
+impl AppLogic for ResetCounter {
+    fn on_connected(&mut self, _view: &AppView) -> Vec<AppOp> {
+        panic!("nobody listens on {SERVER:?}")
+    }
+    fn on_reset(&mut self, _view: &AppView) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// Opens 100 connections, one at a time, to a port nobody listens on:
+/// each handshake fails and ends in its application's `on_reset`.
+fn refuse_100_connects(network: Network) -> (World, Eng) {
+    let (mut w, mut eng) = build_two_hosts(network, OrgKind::UserLibrary);
+    let resets = Rc::new(Cell::new(0));
     for _ in 0..100 {
-        let app = Box::new(BulkSender::new(1000, 512));
+        let app = Box::new(ResetCounter(Rc::clone(&resets)));
         connect(&mut w, &mut eng, 0, SERVER, TcpConfig::default(), app, 512);
         assert!(eng.run(&mut w, 1_000_000));
     }
     assert_eq!(w.metrics.get(Ctr::HandshakeFailures), 100);
+    assert_eq!(resets.get(), 100, "each refusal resets its application");
+    (w, eng)
+}
+
+#[test]
+fn refused_connects_on_ethernet_reset_their_applications() {
+    let (w, _) = refuse_100_connects(Network::Ethernet);
+    assert_eq!(w.leaks(), Vec::<String>::new());
+}
+
+#[test]
+fn refused_connects_on_an1_give_their_bqi_slots_back() {
+    let (mut w, mut eng) = refuse_100_connects(Network::An1);
     for h in &w.hosts {
         let Nic::An1(nic) = &h.nic else {
             panic!("AN1 world")
