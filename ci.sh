@@ -43,6 +43,16 @@ if grep -rn 'CongestionControl::' crates/tcp/src \
   echo "CongestionControl is matched outside the congestion component (lines above)"; exit 1
 fi
 
+# Out-of-order bytes are written once, into the receive ring at their
+# offset (DESIGN §7, "the receive ring"): the reassembly queue is a list
+# of held sequence ranges and owns no payload of its own. The grep holds
+# that it keeps no byte buffer, copies no segment, and keys no map by
+# offset.
+echo "== unp-tcp: reassembly holds no bytes of its own =="
+if grep -nE 'Vec<u8>|to_vec|BTreeMap' crates/tcp/src/reasm.rs; then
+  echo "crates/tcp/src/reasm.rs keeps payload bytes (lines above); hold them in the receive ring"; exit 1
+fi
+
 # The shape the network I/O module was cut to (DESIGN §7's kernel map):
 # every receive discard journaled from one place — the ring's admission
 # check in `channel.rs`. The compiler keeps each mechanism's fields to its
@@ -241,6 +251,13 @@ cargo test -q --release --offline -p unp-timers
 # second referee of the legal-edge oracle).
 echo "== hostile peer vs. every live TCB state, 512 cases (release) =="
 cargo test -q --release --offline -p unp-tcp --test hostile_peer
+
+# Reassembly against a byte map: random segments below, inside and past
+# the window, conflicting contents, reads interleaved, a sequence space
+# that wraps. 512 cases (64 in the debug pass above, where `Delivery`'s
+# `debug_assert!` also holds the ring within the receive buffer).
+echo "== reassembly vs. a byte map, 512 cases (release) =="
+cargo test -q --release --offline -p unp-tcp --test reassembly
 
 # The same at the transmit trust boundary: frames whose headers lie, on
 # both framings, must never leave under a header their template does not

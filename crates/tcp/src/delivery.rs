@@ -14,7 +14,7 @@ use std::ops::Range;
 use unp_wire::SeqNum;
 
 use crate::config::MSS_DEFAULT;
-use crate::reasm::OooBuffer;
+use crate::reasm::HeldRanges;
 use crate::rtt::RttEstimator;
 use crate::{append_range, ring_slices, Nanos};
 
@@ -80,8 +80,14 @@ pub(crate) struct Delivery {
     snd_fin: Option<SeqNum>,
 
     rcv_nxt: SeqNum,
+    /// The receive ring: `readable` in-order bytes, then the reassembly
+    /// area, where a held byte at `seq` sits at `readable + (seq −
+    /// rcv_nxt)` and holes are zeros. It ends at the last held byte.
     recv_buf: VecDeque<u8>,
-    ooo: OooBuffer,
+    /// In-order bytes at the front of `recv_buf`, not yet read.
+    readable: usize,
+    /// Which of the reassembly area's bytes have arrived.
+    held: HeldRanges,
     /// Sequence number of the peer's FIN, once seen.
     peer_fin: Option<SeqNum>,
 
@@ -106,7 +112,8 @@ impl Delivery {
             snd_fin: None,
             rcv_nxt: SeqNum(0),
             recv_buf: VecDeque::new(),
-            ooo: OooBuffer::new(),
+            readable: 0,
+            held: HeldRanges::default(),
             peer_fin: None,
             rtt: RttEstimator::new(),
             rtt_probe: None,
@@ -155,7 +162,7 @@ impl Delivery {
     }
 
     pub(crate) fn recv_available(&self) -> usize {
-        self.recv_buf.len()
+        self.readable
     }
 
     pub(crate) fn fin_queued(&self) -> bool {
@@ -168,7 +175,7 @@ impl Delivery {
 
     /// The peer's FIN has been received and everything before it read.
     pub(crate) fn at_eof(&self) -> bool {
-        self.peer_fin.is_some() && self.recv_buf.is_empty() && self.ooo.is_empty()
+        self.peer_fin.is_some() && self.readable == 0 && self.held.is_empty()
     }
 
     pub(crate) fn rto(&self) -> Nanos {
@@ -180,9 +187,10 @@ impl Delivery {
     }
 
     /// The window to advertise: what a receive buffer of `cap` bytes has
-    /// free, as far as the 16-bit field can say.
+    /// free, as far as the 16-bit field can say. Held bytes do not count
+    /// against it: they lie inside it.
     pub(crate) fn recv_window(&self, cap: usize) -> u32 {
-        let free = cap.saturating_sub(self.recv_buf.len());
+        let free = cap.saturating_sub(self.readable);
         free.min(u16::MAX as usize) as u32
     }
 
@@ -233,9 +241,10 @@ impl Delivery {
     /// Moves up to `max` bytes from the front of the receive buffer to the
     /// end of `out`; how many.
     pub(crate) fn read(&mut self, max: usize, out: &mut Vec<u8>) -> usize {
-        let take = max.min(self.recv_buf.len());
+        let take = max.min(self.readable);
         append_range(&self.recv_buf, 0, take, out);
         self.recv_buf.drain(..take);
+        self.readable -= take;
         take
     }
 
@@ -382,38 +391,65 @@ impl Delivery {
     }
 
     /// Takes `payload`, received at `seq`, into a `cap`-byte receive
-    /// buffer — or the reassembly queue, or nowhere.
+    /// buffer — in order, or held at its offset for reassembly, or
+    /// nowhere.
+    ///
+    /// Held bytes always fit: they lie below the advertised window's
+    /// edge, `rcv_nxt + min(cap − readable, 65535)`, and that edge never
+    /// moves left — an in-order append moves both of its terms by the
+    /// same amount and a read only shrinks `readable` — so a held byte's
+    /// index, `readable + (seq − rcv_nxt)`, stays below `cap`.
     pub(crate) fn accept_payload(&mut self, seq: SeqNum, payload: &[u8], cap: usize) -> Payload {
         // No new data is accepted once the peer's FIN sequence is known.
         if self.peer_fin.is_some_and(|fin| seq.ge(fin)) {
             return Payload::PastFin;
         }
         if seq.gt(self.rcv_nxt) {
-            let window_edge = self.rcv_nxt + self.recv_window(cap);
-            let room = window_edge.dist(seq).max(0) as usize;
-            let take = payload.len().min(room);
-            if take > 0 {
-                self.ooo.insert(self.rcv_nxt, seq, &payload[..take]);
-            }
-            return Payload::Held(take);
+            return Payload::Held(self.hold(seq, payload, cap));
         }
         // Trim the duplicate prefix.
         let skip = self.rcv_nxt.dist(seq).max(0) as usize;
         if skip >= payload.len() {
             return Payload::Old;
         }
-        let take = self.append(&payload[skip..], cap);
-        // Drain any now-contiguous held segments.
-        let drained = self.ooo.take_contiguous(self.rcv_nxt);
-        self.append(&drained, cap);
-        Payload::InOrder(take)
+        Payload::InOrder(self.append(&payload[skip..], cap))
     }
 
-    /// Appends what fits of `data` at `rcv_nxt`; how much.
+    /// Writes what fits in the window of `data` (at `seq`, beyond
+    /// `rcv_nxt`) into the reassembly area, skipping bytes already held;
+    /// how much fitted.
+    fn hold(&mut self, seq: SeqNum, data: &[u8], cap: usize) -> usize {
+        let window_edge = self.rcv_nxt + self.recv_window(cap);
+        let take = data.len().min(window_edge.dist(seq).max(0) as usize);
+        if take == 0 {
+            return 0;
+        }
+        // `seq`'s index in the ring.
+        let base = self.readable + seq.dist(self.rcv_nxt) as usize;
+        let len = self.recv_buf.len().max(base + take);
+        debug_assert!(len <= cap, "held bytes past the buffer");
+        self.recv_buf.resize(len, 0);
+        let ring = &mut self.recv_buf;
+        self.held.insert(seq, seq + take as u32, |lo, hi| {
+            let (lo, hi) = (lo.dist(seq) as usize, hi.dist(seq) as usize);
+            overwrite(ring, base + lo, &data[lo..hi]);
+        });
+        take
+    }
+
+    /// Writes what fits of `data` at `rcv_nxt` — over any held bytes
+    /// there, which it supersedes — then moves the in-order edge past the
+    /// held run it reaches; how much of `data` fitted.
     fn append(&mut self, data: &[u8], cap: usize) -> usize {
-        let take = data.len().min(cap - self.recv_buf.len());
-        self.recv_buf.extend(&data[..take]);
+        let take = data.len().min(cap - self.readable);
+        let over = take.min(self.recv_buf.len() - self.readable);
+        overwrite(&mut self.recv_buf, self.readable, &data[..over]);
+        self.recv_buf.extend(&data[over..take]);
         self.rcv_nxt += take as u32;
+        self.readable += take;
+        let edge = self.held.advance(self.rcv_nxt);
+        self.readable += edge.dist(self.rcv_nxt) as usize;
+        self.rcv_nxt = edge;
         take
     }
 
@@ -428,5 +464,18 @@ impl Delivery {
         } else {
             FinSeen::Early
         }
+    }
+}
+
+/// Copies `src` over `ring[at..at + src.len()]`, across the ring's seam.
+fn overwrite(ring: &mut VecDeque<u8>, at: usize, src: &[u8]) {
+    let (front, back) = ring.as_mut_slices();
+    if at < front.len() {
+        let n = src.len().min(front.len() - at);
+        front[at..at + n].copy_from_slice(&src[..n]);
+        back[..src.len() - n].copy_from_slice(&src[n..]);
+    } else {
+        let at = at - front.len();
+        back[at..at + src.len()].copy_from_slice(src);
     }
 }

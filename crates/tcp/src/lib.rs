@@ -33,12 +33,11 @@ mod conn;
 mod delivery;
 mod flow;
 pub mod loopback;
-pub mod reasm;
+mod reasm;
 pub mod rtt;
 pub mod tcb;
 
 pub use config::{CongestionControl, TcpConfig};
-pub use reasm::OooBuffer;
 pub use rtt::RttEstimator;
 pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpSink, TcpTimer};
 

@@ -1,216 +1,71 @@
-//! Out-of-order segment reassembly for the TCP receive path.
-//!
-//! Holds payload bytes that arrived beyond `rcv_nxt`, keyed by absolute
-//! sequence number, merging overlaps; when the in-order edge advances, the
-//! contiguous prefix is surrendered to the receive buffer.
-
-use std::collections::BTreeMap;
+//! Out-of-order reassembly for the TCP receive path: which sequence
+//! ranges beyond `rcv_nxt` have arrived. The bytes themselves sit in the
+//! receive ring at their offset (`Delivery`'s `recv_buf`); this list only
+//! says which of them are there, so a held byte is written once and never
+//! moved again.
 
 use unp_wire::SeqNum;
 
-/// Buffer of above-window-edge segments awaiting their predecessors.
+/// The held ranges `[start, end)`: sorted, disjoint and never adjacent
+/// (touching ranges merge). All lie within one receive window above
+/// `rcv_nxt`, so sequence comparisons between them cannot wrap.
 #[derive(Debug, Default)]
-pub struct OooBuffer {
-    /// Segments keyed by the *offset* of their first byte from a fixed
-    /// base, so ordering survives sequence-number wraparound. The base is
-    /// the `rcv_nxt` at first insertion after each drain.
-    segs: BTreeMap<u64, Vec<u8>>,
-    base: Option<SeqNum>,
-    bytes: usize,
-}
+pub(crate) struct HeldRanges(Vec<(SeqNum, SeqNum)>);
 
-impl OooBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> OooBuffer {
-        OooBuffer::default()
+impl HeldRanges {
+    /// True if nothing is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
-    /// Total bytes held (counting overlaps once).
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    fn offset_of(&mut self, rcv_nxt: SeqNum, seq: SeqNum) -> u64 {
-        let base = *self.base.get_or_insert(rcv_nxt);
-        // seq >= base is guaranteed by callers (segment is beyond rcv_nxt,
-        // and base <= rcv_nxt).
-        seq.dist(base) as u64
-    }
-
-    /// Stores a segment starting at `seq` (which must be `> rcv_nxt` and
-    /// within the receive window, enforced by the caller). Overlapping
-    /// bytes are deduplicated; existing data wins (first arrival kept).
-    pub fn insert(&mut self, rcv_nxt: SeqNum, seq: SeqNum, data: &[u8]) {
-        if data.is_empty() {
-            return;
+    /// Holds `[start, end)` (`start` before `end`): calls `fill(lo, hi)`
+    /// for each sub-range not already held — existing data wins, the first
+    /// arrival is kept — then merges it with every range it overlaps or
+    /// touches.
+    pub(crate) fn insert(
+        &mut self,
+        start: SeqNum,
+        end: SeqNum,
+        mut fill: impl FnMut(SeqNum, SeqNum),
+    ) {
+        debug_assert!(start.lt(end), "an empty range");
+        // The first range that ends at or after `start`: everything before
+        // it lies wholly below.
+        let first = self.0.partition_point(|&(_, e)| e.lt(start));
+        let (mut lo, mut past) = (start, first);
+        // Each range that overlaps or touches `[start, end)`: the gap in
+        // front of it is new.
+        while let Some(&(s, e)) = self.0.get(past).filter(|&&(s, _)| s.le(end)) {
+            if lo.lt(s) {
+                fill(lo, s);
+            }
+            lo = lo.max(e);
+            past += 1;
         }
-        let mut start = self.offset_of(rcv_nxt, seq);
-        let end = start + data.len() as u64;
-        let mut data = data.to_vec();
-
-        // Trim against the predecessor segment if it overlaps our front.
-        if let Some((&pstart, pdata)) = self.segs.range(..=start).next_back() {
-            let pend = pstart + pdata.len() as u64;
-            if pend >= end {
-                return; // fully covered
-            }
-            if pend > start {
-                data.drain(..(pend - start) as usize);
-                start = pend;
-            }
+        if lo.lt(end) {
+            fill(lo, end);
         }
-        // Swallow or trim successors that overlap our tail.
-        while let Some((&nstart, ndata)) = self.segs.range(start..).next() {
-            if nstart >= end {
-                break;
-            }
-            let nend = nstart + ndata.len() as u64;
-            if nend <= end {
-                // Fully covered by us: replace (keep our copy of the range).
-                self.bytes -= ndata.len();
-                self.segs.remove(&nstart);
-            } else {
-                // Partial overlap: trim our tail; existing data wins there.
-                data.truncate((nstart - start) as usize);
-                break;
-            }
-        }
-        if !data.is_empty() {
-            self.bytes += data.len();
-            self.segs.insert(start, data);
+        if first == past {
+            self.0.insert(first, (start, end));
+        } else {
+            self.0[first] = (self.0[first].0.min(start), lo.max(end));
+            self.0.drain(first + 1..past);
         }
     }
 
-    /// Pops the contiguous run starting exactly at `rcv_nxt`, if present.
-    /// Returns the bytes; the caller advances `rcv_nxt` by their length.
-    pub fn take_contiguous(&mut self, rcv_nxt: SeqNum) -> Vec<u8> {
-        let Some(base) = self.base else {
-            return Vec::new();
+    /// The in-order edge has reached `edge`: forgets every range below it
+    /// and returns the new edge — the end of a held range `edge` reaches,
+    /// or `edge` itself.
+    pub(crate) fn advance(&mut self, edge: SeqNum) -> SeqNum {
+        let reached = self.0.partition_point(|&(s, _)| s.le(edge));
+        let new_edge = match reached.checked_sub(1).map(|i| self.0[i].1) {
+            Some(end) if end.gt(edge) => end,
+            _ => edge,
         };
-        let mut edge = rcv_nxt.dist(base) as u64;
-        let mut out = Vec::new();
-        while let Some((&start, _)) = self.segs.first_key_value() {
-            if start > edge {
-                break;
-            }
-            let (start, data) = self.segs.pop_first().expect("peeked");
-            let dend = start + data.len() as u64;
-            self.bytes -= data.len();
-            if dend <= edge {
-                continue; // stale (already delivered)
-            }
-            let skip = (edge - start) as usize;
-            out.extend_from_slice(&data[skip..]);
-            edge = dend;
-        }
-        if self.segs.is_empty() {
-            self.base = None;
-        }
-        out
+        self.0.drain(..reached);
+        new_edge
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn s(v: u32) -> SeqNum {
-        SeqNum(v)
-    }
-
-    #[test]
-    fn gap_then_fill() {
-        let mut b = OooBuffer::new();
-        // rcv_nxt = 100; segment at 110 arrives early.
-        b.insert(s(100), s(110), b"later");
-        assert_eq!(b.take_contiguous(s(100)), b"" as &[u8]);
-        // In-order edge reaches 110.
-        assert_eq!(b.take_contiguous(s(110)), b"later");
-        assert!(b.is_empty());
-        assert_eq!(b.bytes(), 0);
-    }
-
-    #[test]
-    fn multiple_gaps_drain_in_order() {
-        let mut b = OooBuffer::new();
-        b.insert(s(100), s(120), b"cc");
-        b.insert(s(100), s(105), b"aa");
-        b.insert(s(100), s(110), b"bb");
-        // Edge at 105: only "aa" contiguous.
-        assert_eq!(b.take_contiguous(s(105)), b"aa");
-        // Edge jumps to 110 (107..110 delivered elsewhere): "bb".
-        assert_eq!(b.take_contiguous(s(110)), b"bb");
-        assert_eq!(b.take_contiguous(s(120)), b"cc");
-    }
-
-    #[test]
-    fn adjacent_segments_merge_on_take() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(10), b"abc");
-        b.insert(s(0), s(13), b"def");
-        assert_eq!(b.take_contiguous(s(10)), b"abcdef");
-    }
-
-    #[test]
-    fn duplicate_segment_ignored() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(10), b"abc");
-        b.insert(s(0), s(10), b"abc");
-        assert_eq!(b.bytes(), 3);
-        assert_eq!(b.take_contiguous(s(10)), b"abc");
-    }
-
-    #[test]
-    fn overlap_front_kept_existing() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(10), b"ABCD"); // covers 10..14
-        b.insert(s(0), s(12), b"xxYZ"); // 12..16; 12..14 overlap
-        assert_eq!(b.take_contiguous(s(10)), b"ABCDYZ");
-    }
-
-    #[test]
-    fn overlap_tail_kept_existing() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(14), b"WXYZ"); // 14..18
-        b.insert(s(0), s(10), b"abcdEF"); // 10..16; tail 14..16 overlaps
-        assert_eq!(b.take_contiguous(s(10)), b"abcdWXYZ");
-    }
-
-    #[test]
-    fn contained_segment_replaced() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(12), b"mm"); // 12..14
-        b.insert(s(0), s(10), b"abcdef"); // 10..16 swallows it
-        assert_eq!(b.bytes(), 6);
-        assert_eq!(b.take_contiguous(s(10)), b"abcdef");
-    }
-
-    #[test]
-    fn works_across_sequence_wrap() {
-        let near = SeqNum(u32::MAX - 2);
-        let mut b = OooBuffer::new();
-        // rcv_nxt just below wrap; segment starts after the wrap point.
-        b.insert(near, near + 6, b"post");
-        assert_eq!(b.take_contiguous(near + 6), b"post");
-    }
-
-    #[test]
-    fn stale_data_below_edge_dropped() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(10), b"abcdef");
-        // Edge has advanced past part of the buffered run.
-        assert_eq!(b.take_contiguous(s(13)), b"def");
-    }
-
-    #[test]
-    fn empty_insert_is_noop() {
-        let mut b = OooBuffer::new();
-        b.insert(s(0), s(10), b"");
-        assert!(b.is_empty());
-    }
-}
+mod tests;

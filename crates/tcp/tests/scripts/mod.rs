@@ -77,7 +77,12 @@ pub fn deliver(dst: &mut Tcb, actions: &[TcpAction], now: u64) -> Vec<TcpAction>
 /// An active opener in `SynSent`, a passive one in `SynReceived`, and the
 /// SYN-ACK between them.
 pub fn half_open(cfg: &TcpConfig) -> (Tcb, Tcb, Vec<TcpAction>) {
-    let (a, syn) = Tcb::connect(A, B, cfg.clone(), ISS_A, 0);
+    half_open_from(cfg, ISS_A)
+}
+
+/// [`half_open`], the opener starting its sequence space at `iss_a`.
+pub fn half_open_from(cfg: &TcpConfig, iss_a: u32) -> (Tcb, Tcb, Vec<TcpAction>) {
+    let (a, syn) = Tcb::connect(A, B, cfg.clone(), iss_a, 0);
     let Some(TcpAction::Send(syn, _)) = syn.first() else {
         panic!("connect emits its SYN first");
     };
@@ -90,7 +95,12 @@ pub fn half_open(cfg: &TcpConfig) -> (Tcb, Tcb, Vec<TcpAction>) {
 /// A pair through the three-way handshake, the SYN sent at 0 and the
 /// SYN-ACK and the ACK each landing at `now`.
 pub fn established(cfg: &TcpConfig, now: u64) -> (Tcb, Tcb) {
-    let (mut a, mut b, synack) = half_open(cfg);
+    established_from(cfg, ISS_A, now)
+}
+
+/// [`established`], the opener starting its sequence space at `iss_a`.
+pub fn established_from(cfg: &TcpConfig, iss_a: u32, now: u64) -> (Tcb, Tcb) {
+    let (mut a, mut b, synack) = half_open_from(cfg, iss_a);
     let ack = deliver(&mut a, &synack, now);
     deliver(&mut b, &ack, now);
     assert_eq!(

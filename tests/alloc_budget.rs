@@ -1,8 +1,10 @@
 //! The allocation budgets tier-1 can see, from one counting allocator.
 //!
 //! **Per frame:** a Table-2 bulk transfer under the user-level library may
-//! touch the general allocator 1.25 times per steady-state frame, and a
-//! one-byte ping-pong on AN1 2.25 times. What is left is named in
+//! touch the general allocator 1.25 times per steady-state frame, the same
+//! transfer at 2 % loss 0.9 times (an out-of-order segment's bytes go
+//! straight into the receive ring), and a one-byte ping-pong on AN1 2.25
+//! times. What is left is named in
 //! DESIGN.md ("Events are data; the allocation budget"): the application's
 //! ops and write buffers. A sent segment's payload goes from the TCB's
 //! send buffer straight into a pooled frame, pooled frames recycle whole
@@ -28,7 +30,7 @@
 //! inside it, stay at the size the component split left them.
 //!
 //! Its own test binary: the counting allocator is process-wide, so it must
-//! not share a process with tests that run concurrently — and the four
+//! not share a process with tests that run concurrently — and the five
 //! tests that read it take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -40,7 +42,10 @@ use std::sync::{Mutex, PoisonError};
 
 use unp::core::app::{EchoApp, PingPongApp, TransferStats};
 use unp::core::experiments::Transfer;
-use unp::core::world::{build_hosts, connect, listen, Eng, Network, OrgKind, World};
+use unp::core::faults::FaultPlan;
+use unp::core::world::{
+    build_hosts, connect, install_faults, listen, Eng, Network, OrgKind, World,
+};
 use unp::sim::MILLIS;
 use unp::tcp::TcpConfig;
 use unp::trace::Ctr;
@@ -101,8 +106,43 @@ static GLOBAL: Counting = Counting;
 /// read 1.54 and 3.05.
 const BULK_BUDGET: f64 = 1.25;
 const PING_BUDGET: f64 = 2.25;
+/// The bulk transfer again at 2 % loss, so segments arrive out of order
+/// and wait for their retransmitted predecessors: its frames read 0.72
+/// allocations each. With a copy of every held segment in a map of its
+/// own and the filled run gathered into a fresh `Vec` (the reassembly
+/// queue before it held only sequence ranges) they read 1.24.
+const LOSSY_BUDGET: f64 = 0.9;
+const LOSSY_SEED: u64 = 1993;
+/// 4 MB lasts about eleven simulated seconds at this loss; the window
+/// opens after slow start and closes well before the FIN.
+const LOSSY_TOTAL: u64 = 4_000_000;
+const LOSSY_WINDOW: [u64; 2] = [300 * MILLIS, 3_000 * MILLIS];
 /// Pings in the one-byte exchange: about five simulated seconds.
 const ROUNDS: usize = 2_000;
+
+/// Allocations per frame sent between the two instants of `window` in a
+/// Table-2 bulk transfer of `total` bytes, `faults` installed if any.
+fn bulk_allocs_per_frame(total: u64, window: [u64; 2], faults: Option<FaultPlan>) -> f64 {
+    let edges = Rc::new(Cell::new([(0u64, 0u64); 2]));
+    let transfer = Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, 1460, total);
+    transfer.run(|w, eng| {
+        if let Some(plan) = faults {
+            install_faults(w, eng, plan);
+        }
+        for (edge, at) in window.into_iter().enumerate() {
+            let edges = Rc::clone(&edges);
+            eng.at(at, move |w, _| {
+                let mut readings = edges.get();
+                readings[edge] = (ALLOCS.load(Relaxed), w.metrics.get(Ctr::FramesSent));
+                edges.set(readings);
+            });
+        }
+    });
+    let [(allocs_open, frames_open), (allocs_close, frames_close)] = edges.get();
+    let frames = frames_close - frames_open;
+    assert!(frames > 300, "the window saw only {frames} frames");
+    (allocs_close - allocs_open) as f64 / frames as f64
+}
 
 #[test]
 fn a_steady_state_bulk_frame_stays_within_its_allocation_budget() {
@@ -110,25 +150,21 @@ fn a_steady_state_bulk_frame_stays_within_its_allocation_budget() {
     // 1 MB at ~8 Mb/s lasts about a simulated second. The window opens
     // once the handshake, slow start and every buffer's growth are behind
     // (200 ms) and closes well before the FIN (700 ms).
-    let window = Rc::new(Cell::new([(0u64, 0u64); 2]));
-    let transfer = Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, 1460, 1_000_000);
-    transfer.run(|_, eng| {
-        for (edge, at) in [200 * MILLIS, 700 * MILLIS].into_iter().enumerate() {
-            let window = Rc::clone(&window);
-            eng.at(at, move |w, _| {
-                let mut edges = window.get();
-                edges[edge] = (ALLOCS.load(Relaxed), w.metrics.get(Ctr::FramesSent));
-                window.set(edges);
-            });
-        }
-    });
-    let [(allocs_open, frames_open), (allocs_close, frames_close)] = window.get();
-    let frames = frames_close - frames_open;
-    assert!(frames > 300, "the window saw only {frames} frames");
-    let per_frame = (allocs_close - allocs_open) as f64 / frames as f64;
+    let per_frame = bulk_allocs_per_frame(1_000_000, [200 * MILLIS, 700 * MILLIS], None);
     assert!(
         per_frame <= BULK_BUDGET,
         "{per_frame:.2} allocations per frame in steady state (budget {BULK_BUDGET})"
+    );
+}
+
+#[test]
+fn a_lossy_bulk_frame_stays_within_its_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    let plan = FaultPlan::lossy(LOSSY_SEED, 0.02);
+    let per_frame = bulk_allocs_per_frame(LOSSY_TOTAL, LOSSY_WINDOW, Some(plan));
+    assert!(
+        per_frame <= LOSSY_BUDGET,
+        "{per_frame:.2} allocations per frame of a lossy transfer (budget {LOSSY_BUDGET})"
     );
 }
 
@@ -302,7 +338,8 @@ fn a_closed_connection_keeps_nothing_on_the_heap() {
 /// `churn`'s peak is TIME_WAIT blocks). The block read 624 B and the
 /// configuration inside it 104 B when `TcpConfig` had six more fields,
 /// the estimator its own copy of the RTO bounds and the timer table a
-/// deadline per kind; they read 488 and 64 on a 64-bit target.
+/// deadline per kind; they read 488 and 64 on a 64-bit target, and the
+/// block 480 once its reassembly queue held only sequence ranges.
 #[test]
 fn a_tcb_stays_under_half_a_kilobyte() {
     let (tcb, cfg) = (size_of::<unp::tcp::Tcb>(), size_of::<TcpConfig>());
