@@ -98,6 +98,10 @@ pub enum Event {
     },
     /// `host`'s timing wheel reaches its earliest deadline.
     WheelFire { host: usize },
+    /// The application's connect RPC to `host`'s registry is paid for:
+    /// the registry takes the call at the front of the host's queue of
+    /// them ([`handshake::connect_rpc`]).
+    Connect { host: usize },
     /// A closure: what `eng.at` and the rare wide captures schedule.
     Call(Closure),
 }
@@ -128,7 +132,8 @@ impl Event {
             | Event::SendSegment { host, .. }
             | Event::Transmit { host, .. }
             | Event::App { host, .. }
-            | Event::WheelFire { host } => Some(*host),
+            | Event::WheelFire { host }
+            | Event::Connect { host } => Some(*host),
             Event::Call(_) => None,
         }
     }
@@ -192,6 +197,7 @@ impl unp_sim::Event<World> for Event {
             Event::Transmit { host, frame } => transmit_frame(w, eng, host, frame),
             Event::App { host, cid, upcall } => app_event(w, eng, host, cid, upcall),
             Event::WheelFire { host } => wheel_fire(w, eng, host),
+            Event::Connect { host } => handshake::connect_rpc(w, eng, host),
             Event::Call(Closure(f)) => f(w, eng),
         }
     }

@@ -110,8 +110,9 @@ pub struct ChanInfo {
 /// One live connection endpoint.
 pub struct Conn {
     /// The TCP state (the paper's "TCP state transferred to user level"),
-    /// in the box the registry handed it over in: a table slot is a
-    /// pointer, so the table's capacity does not cost what it indexes.
+    /// in the box the registry handed it over in, and gets back when the
+    /// connection closes: a table slot is a pointer, so the table's
+    /// capacity does not cost what it indexes.
     pub tcb: Box<Tcb>,
     /// The owning application.
     pub app: Box<dyn crate::app::AppLogic>,
@@ -323,12 +324,13 @@ impl World {
             };
             // Handshake records go with their parked frames and recorded
             // announcements.
-            let [handshakes, chan_owners] = h.userlib.held();
+            let [handshakes, chan_owners, connects] = h.userlib.held();
             let held = [
                 (h.conns.len(), "connections"),
                 (h.conn_index.len(), "connection index entries"),
                 (handshakes, "handshake records"),
                 (chan_owners, "channel owner entries"),
+                (connects, "connect calls waiting for their RPC"),
                 (h.netio.channel_count(), "kernel channels"),
                 (h.netio.flow_table_len(), "flow-table entries"),
                 (

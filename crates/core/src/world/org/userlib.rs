@@ -13,7 +13,7 @@ use unp_buffers::{Frame, OwnerTag, RingId};
 use unp_kernel::{Capability, ChannelId, Delivery, Discard};
 use unp_registry::HsId;
 use unp_sim::{DemuxPath, Nanos};
-use unp_tcp::Tcb;
+use unp_tcp::{Tcb, TcpConfig};
 use unp_trace::{Ctr, Hist};
 use unp_wire::{An1Frame, IpProtocol, Ipv4Addr};
 
@@ -40,13 +40,33 @@ pub(crate) struct UserLib {
     /// per hostile tenant (minted from a destroyed scratch channel on the
     /// storm's first tick).
     stale_caps: HashMap<u64, Capability>,
+    /// Connect calls whose RPC to the registry is being paid for, in the
+    /// order their [`Event::Connect`]s fire: each is scheduled at its
+    /// host CPU charge's completion, those times never decrease, and the
+    /// engine breaks ties by scheduling order, so the front call is the
+    /// one that is due.
+    connects: VecDeque<ConnectCall>,
+}
+
+/// The arguments of an application's connect, waiting for its RPC.
+struct ConnectCall {
+    tenant: Option<OwnerTag>,
+    remote: (Ipv4Addr, u16),
+    cfg: TcpConfig,
+    app: Box<dyn AppLogic>,
+    write_size: usize,
 }
 
 impl UserLib {
-    /// How many handshake records and channel-owner entries are held:
-    /// both must read zero on a drained host ([`World::leaks`]).
-    pub(crate) fn held(&self) -> [usize; 2] {
-        [self.handshakes.len(), self.chan_owner.len()]
+    /// How many handshake records, channel-owner entries and waiting
+    /// connect calls are held: all must read zero on a drained host
+    /// ([`World::leaks`]).
+    pub(crate) fn held(&self) -> [usize; 3] {
+        [
+            self.handshakes.len(),
+            self.chan_owner.len(),
+            self.connects.len(),
+        ]
     }
 
     /// The handshake in flight on `key`, in either phase.

@@ -15,7 +15,7 @@ use unp_tcp::{Tcb, TcpConfig};
 use unp_trace::{Ctr, ReclaimKind};
 use unp_wire::{EtherType, IpProtocol, Ipv4Addr};
 
-use super::{ChanOwner, Handshake, Phase};
+use super::{ChanOwner, ConnectCall, Handshake, Phase};
 use crate::app::AppLogic;
 use crate::world::app::{app_upcall, AppEvent};
 use crate::world::costs::{app_boundary_cost, tcp_seg_cost};
@@ -29,7 +29,8 @@ use crate::world::{ChanInfo, Eng, Host, Nic, PairKey, TimerToken, World};
 
 /// An active open: app → registry RPC, then non-overlapped outbound
 /// processing. `tenant` owns the registry binding and the channel; `None`
-/// is the host's single-app owner.
+/// is the host's single-app owner. The call waits in the host's queue
+/// until its [`Event::Connect`] fires.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn connect(
     w: &mut World,
@@ -42,25 +43,45 @@ pub(crate) fn connect(
     write_size: usize,
 ) {
     let cost = w.costs.registry_rpc + w.costs.registry_connect_processing;
-    host_exec(w, eng, host, cost, move |w, eng| {
-        let owner = tenant.unwrap_or_else(|| w.hosts[host].owner());
-        let now = eng.now();
-        let mut actions = w.reg_spare.take();
-        let registry = &mut w.hosts[host].registry;
-        match registry.connect_into(owner, remote, cfg, now, &mut actions) {
-            Ok((hs, port)) => {
-                let (key, active) = ((port, remote.0, remote.1), Some((owner, app, write_size)));
-                open(w, eng, host, hs, key, active, actions);
-            }
-            // Every ephemeral port is bound: the connect is
-            // refused like a handshake that failed.
-            Err(_) => {
-                w.reg_spare.give(actions);
-                w.metrics.bump(Ctr::HandshakeFailures);
-                reset_unconnected(app, now);
-            }
+    let call = ConnectCall {
+        tenant,
+        remote,
+        cfg,
+        app,
+        write_size,
+    };
+    w.hosts[host].userlib.connects.push_back(call);
+    host_step(w, eng, host, cost, Event::Connect { host });
+}
+
+/// [`Event::Connect`]: the registry takes the connect call at the front
+/// of the host's queue.
+pub(crate) fn connect_rpc(w: &mut World, eng: &mut Eng, host: usize) {
+    let call = w.hosts[host].userlib.connects.pop_front();
+    let ConnectCall {
+        tenant,
+        remote,
+        cfg,
+        app,
+        write_size,
+    } = call.expect("an Event::Connect per queued call");
+    let owner = tenant.unwrap_or_else(|| w.hosts[host].owner());
+    let now = eng.now();
+    let mut actions = w.reg_spare.take();
+    let registry = &mut w.hosts[host].registry;
+    match registry.connect_into(owner, remote, cfg, now, &mut actions) {
+        Ok((hs, port)) => {
+            let (key, active) = ((port, remote.0, remote.1), Some((owner, app, write_size)));
+            open(w, eng, host, hs, key, active, actions);
         }
-    });
+        // Every ephemeral port is bound: the connect is refused like a
+        // handshake that failed.
+        Err(_) => {
+            w.reg_spare.give(actions);
+            w.metrics.bump(Ctr::HandshakeFailures);
+            reset_unconnected(app, now);
+        }
+    }
 }
 
 /// Runs `call` on host `h`'s registry server with an action buffer from
@@ -362,7 +383,7 @@ fn unclaimed(w: &mut World, eng: &mut Eng, h: usize, owner: OwnerTag, tcb: Box<T
     reclaimed(w, h, owner, ReclaimKind::Connection, port);
     let now = eng.now();
     with_registry(w, eng, h, |registry, out| {
-        registry.app_exit_into(owner, vec![*tcb], true, now, out)
+        registry.app_exit_into(owner, [tcb], true, now, out)
     });
 }
 
@@ -391,7 +412,7 @@ pub(crate) fn inherit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnor
         let now = eng.now();
         w.metrics.bump(Ctr::ConnectionsInherited);
         with_registry(w, eng, host, |registry, out| {
-            registry.app_exit_into(owner, vec![*tcb], abnormal, now, out)
+            registry.app_exit_into(owner, [tcb], abnormal, now, out)
         });
     });
 }
@@ -469,14 +490,14 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     // the dead tenant's behalf — inheritance from the kernel sweep, not
     // from the (wedged) library.
     let swept = w.hosts[host].netio.reclaim_owner(tenant);
-    let mut orphan_tcbs: Vec<Tcb> = Vec::new();
+    let mut orphan_tcbs: Vec<Box<Tcb>> = Vec::new();
     for id in swept {
         match w.hosts[host].userlib.chan_owner.get(&id) {
             Some(&ChanOwner::Conn(cid)) => {
                 if let Some(conn) = remove_conn(w, host, cid) {
                     w.metrics.bump(Ctr::ConnectionsClosed);
                     w.metrics.bump(Ctr::ConnectionsInherited);
-                    orphan_tcbs.push(*conn.tcb);
+                    orphan_tcbs.push(conn.tcb);
                 }
             }
             Some(&ChanOwner::Handshake(hs)) => {

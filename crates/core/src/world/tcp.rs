@@ -5,7 +5,7 @@
 
 use unp_buffers::{Frame, FramePool, Staged};
 use unp_kernel::Capability;
-use unp_tcp::{TcpAction, TcpSink};
+use unp_tcp::{TcpAction, TcpSink, TcpTimer};
 use unp_trace::{Ctr, Hist};
 use unp_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpPacket, TcpRepr, IPV4_HEADER_LEN};
 
@@ -179,6 +179,7 @@ pub(super) fn apply_tcp_actions(
         w.metrics.add(Ctr::TcpRexmitSegs, d.rexmits);
         w.metrics.add(Ctr::TcpRttSamples, d.rtt_samples);
     }
+    let mut time_wait = false;
     for out in actions.drain(..) {
         let Some(conn) = w.hosts[h].conns.get(&cid) else {
             break; // connection reaped mid-sequence
@@ -197,6 +198,7 @@ pub(super) fn apply_tcp_actions(
                 send_tcp_segment(w, eng, h, Some(cid), repr, payload, remote);
             }
             TcpAction::SetTimer(t, deadline) => {
+                time_wait |= t == TcpTimer::TimeWait;
                 arm_timer(w, eng, h, TimerToken::Conn(cid, t), deadline);
             }
             TcpAction::CancelTimer(t) => cancel_timer(w, eng, h, TimerToken::Conn(cid, t)),
@@ -258,12 +260,24 @@ pub(super) fn apply_tcp_actions(
                 };
                 w.metrics.bump(Ctr::ConnectionsClosed);
                 // The TCB sat out TIME_WAIT in the library; the registry,
-                // which named the endpoint, now learns the pair is done.
+                // which named the endpoint, now learns the pair is done,
+                // and takes the block it built back for the host's next
+                // connection.
                 if conn.chan.is_some() {
-                    let port = conn.tcb.local().1;
-                    w.hosts[h].registry.connection_closed(port);
+                    let registry = &mut w.hosts[h].registry;
+                    registry.connection_closed(conn.tcb.local().1);
+                    registry.recycle(conn.tcb);
                 }
             }
+        }
+    }
+    // A library connection's block sits out TIME_WAIT without its rings,
+    // which its application has drained by now: the registry keeps them
+    // for the host's next connection.
+    if time_wait {
+        let host = &mut w.hosts[h];
+        if let Some(conn) = host.conns.get_mut(&cid).filter(|c| c.chan.is_some()) {
+            host.registry.keep_rings(&mut conn.tcb);
         }
     }
     w.tcp_spare.give(actions);

@@ -126,7 +126,7 @@ fn the_pending_queue_prints_its_steps_by_name() {
     let app = Box::new(BulkSender::new(50_000, 4096));
     connect(&mut w, &mut eng, 0, remote, TcpConfig::default(), app, 4096);
     let queue = format!("{eng:?}");
-    assert!(queue.ends_with(", 0, Call(<closure>))] }"), "{queue}");
+    assert!(queue.ends_with(", 0, Connect { host: 0 })] }"), "{queue}");
     // Nobody listens: by now the SYN is on the wire and its timer armed.
     eng.run(&mut w, 3);
     let queue = format!("{eng:?}");

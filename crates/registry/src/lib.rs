@@ -25,6 +25,7 @@
 //!   message to the remote peer."
 
 pub mod ports;
+mod spare;
 pub mod udp;
 
 pub use ports::PortAllocator;
@@ -33,6 +34,7 @@ pub use udp::UdpRegistry;
 use std::collections::HashMap;
 use std::num::NonZeroU64;
 
+use spare::Spare;
 use unp_buffers::OwnerTag;
 use unp_filter::programs::DemuxSpec;
 use unp_tcp::{ListenTcb, Tcb, TcpAction, TcpConfig, TcpTimer};
@@ -101,7 +103,8 @@ pub struct DeathReport {
 }
 
 struct Pending {
-    tcb: Tcb,
+    /// The block, in the box it leaves in ([`RegistryAction::Complete`]).
+    tcb: Box<Tcb>,
     owner: OwnerTag,
     remote_ip: Ipv4Addr,
     /// True for connections inherited from exited applications.
@@ -177,6 +180,7 @@ pub struct RegistryServer {
     /// Where a TCB's output waits for [`RegistryServer::route`]; empty
     /// between calls, kept for its capacity.
     tcp_actions: Vec<TcpAction>,
+    spare: Spare,
 }
 
 impl RegistryServer {
@@ -193,6 +197,7 @@ impl RegistryServer {
             // sequence spaces (the 4.3BSD clock-driven scheme's role).
             next_iss: 0x1000_u32.wrapping_add(local_ip.to_u32().wrapping_mul(2654435761)),
             tcp_actions: Vec::new(),
+            spare: Spare::default(),
         }
     }
 
@@ -272,7 +277,8 @@ impl RegistryServer {
             .ok_or(RegistryError::Exhausted)?;
         let iss = self.iss();
         let local = (self.local_ip, port);
-        let tcb = Tcb::connect_into(local, remote, cfg, iss, now, &mut self.tcp_actions);
+        let sink = &mut self.tcp_actions;
+        let tcb = self.spare.connect(local, remote, cfg, iss, now, sink);
         let hs = self.next_id();
         self.index.insert((port, remote.0, remote.1), hs);
         self.conns.insert(
@@ -328,7 +334,8 @@ impl RegistryServer {
             let listener = ListenTcb::new((self.local_ip, repr.dst_port), cfg);
             let iss = self.iss();
             let remote = (src, repr.src_port);
-            let on_syn = listener.on_syn_into(remote, repr, iss, now, &mut self.tcp_actions);
+            let sink = &mut self.tcp_actions;
+            let on_syn = self.spare.on_syn(&listener, remote, repr, iss, now, sink);
             if let Some(tcb) = on_syn {
                 let hs = self.next_id();
                 self.index.insert(key, hs);
@@ -388,6 +395,8 @@ impl RegistryServer {
     /// holds are returned to the registry: on a normal exit the registry
     /// inherits them and completes the close protocol (FIN, TIME_WAIT);
     /// on an abnormal exit it resets the peer. Returns actions to route.
+    /// A block handed back boxed stays in its box, which the spare keeps
+    /// once the registry has ended the connection.
     pub fn app_exit(
         &mut self,
         owner: OwnerTag,
@@ -404,12 +413,13 @@ impl RegistryServer {
     pub fn app_exit_into(
         &mut self,
         owner: OwnerTag,
-        tcbs: Vec<Tcb>,
+        tcbs: impl IntoIterator<Item = impl Into<Box<Tcb>>>,
         abnormal: bool,
         now: Nanos,
         out: &mut Vec<RegistryAction>,
     ) {
-        for mut tcb in tcbs {
+        for tcb in tcbs {
+            let mut tcb = tcb.into();
             let (local, remote) = (tcb.local(), tcb.remote());
             let key = (local.1, remote.0, remote.1);
             if abnormal {
@@ -485,7 +495,7 @@ impl RegistryServer {
 
     fn adopt(
         &mut self,
-        tcb: Tcb,
+        tcb: Box<Tcb>,
         owner: OwnerTag,
         remote_ip: Ipv4Addr,
         key: (u16, Ipv4Addr, u16),
@@ -513,6 +523,27 @@ impl RegistryServer {
     /// closing them instead.
     pub fn connection_closed(&mut self, local_port: u16) {
         self.ports.release(local_port);
+    }
+
+    /// The block of a connection that closed in the library comes back
+    /// for the next connection on this host, with its rings unless it
+    /// gave them up in TIME_WAIT ([`RegistryServer::keep_rings`]).
+    pub fn recycle(&mut self, tcb: Box<Tcb>) {
+        self.spare.keep(tcb);
+    }
+
+    /// Keeps the rings of a library connection's block once it is in
+    /// TIME_WAIT with both drained, for the next connection on this host
+    /// ([`Tcb::take_rings`]; nothing otherwise): the block sits out the
+    /// 2·MSL wait without them.
+    pub fn keep_rings(&mut self, tcb: &mut Tcb) {
+        self.spare.keep_rings(tcb);
+    }
+
+    /// What the spare holds for the host's next connections: closed
+    /// connections' blocks, and ring sets.
+    pub fn spare(&self) -> [usize; 2] {
+        self.spare.held()
     }
 
     /// Number of connections the registry currently tracks (handshakes in
@@ -552,6 +583,8 @@ impl RegistryServer {
             }
         }
         if !(completed || ended) {
+            // An inherited closer sits out TIME_WAIT without its rings.
+            self.spare.keep_rings(&mut p.tcb);
             return;
         }
         let p = self.conns.remove(&hs).expect("live");
@@ -561,10 +594,11 @@ impl RegistryServer {
             out.push(RegistryAction::Complete {
                 hs,
                 owner: p.owner,
-                tcb: Box::new(p.tcb),
+                tcb: p.tcb,
             });
             return;
         }
+        self.spare.keep(p.tcb);
         if p.inherited {
             // The actual 2MSL wait already happened inside the TCB's
             // TIME_WAIT state for orderly closes; for aborts the pair is

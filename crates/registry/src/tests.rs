@@ -449,3 +449,90 @@ fn rst_during_handshake_fails_cleanly() {
     );
     assert_eq!(r.tracked(), 0);
 }
+
+/// The segments among `actions` toward the peer, with their payloads.
+fn sent(actions: &[RegistryAction]) -> Vec<(TcpRepr, Vec<u8>)> {
+    let sends = actions.iter().filter_map(|a| match a {
+        RegistryAction::Send { repr, payload, .. } => Some((*repr, payload.clone())),
+        _ => None,
+    });
+    sends.collect()
+}
+
+/// Hands every segment in `actions` to `dst`; what it answers.
+fn deliver(dst: &mut Tcb, actions: Vec<TcpAction>, now: Nanos) -> Vec<TcpAction> {
+    let mut out = Vec::new();
+    for a in actions {
+        if let TcpAction::Send(repr, payload) = a {
+            out.extend(dst.on_segment(&repr, &payload, now));
+        }
+    }
+    out
+}
+
+/// Hands every segment in `actions` to `peer`; what it answers.
+fn to_peer(peer: &mut Tcb, actions: &[RegistryAction], now: Nanos) -> Vec<TcpAction> {
+    let mut out = Vec::new();
+    for (repr, payload) in sent(actions) {
+        out.extend(peer.on_segment(&repr, &payload, now));
+    }
+    out
+}
+
+/// Hands every segment `peer` emitted to `r`; what it answers.
+fn from_peer(r: &mut RegistryServer, actions: Vec<TcpAction>, now: Nanos) -> Vec<RegistryAction> {
+    let mut out = Vec::new();
+    for a in actions {
+        if let TcpAction::Send(repr, payload) = a {
+            out.extend(r.on_segment(IP_B, &repr, &payload, now));
+        }
+    }
+    out
+}
+
+#[test]
+fn connections_the_registry_ends_leave_their_storage_to_the_next() {
+    let cfg = TcpConfig::default();
+    let mut ra = RegistryServer::new(IP_A);
+    let mut rb = RegistryServer::new(IP_B);
+    rb.listen(OwnerTag(20), 80, cfg.clone()).unwrap();
+    // A handshake its owner's death aborts leaves its block.
+    ra.connect(OwnerTag(10), (IP_B, 90), cfg.clone(), 0)
+        .unwrap();
+    ra.owner_died(OwnerTag(10));
+    assert_eq!(ra.spare(), [1, 0]);
+    // The next connection opens in it.
+    let (_, actions) = ra.connect(OwnerTag(11), (IP_B, 80), cfg, 0).unwrap();
+    assert_eq!(ra.spare(), [0, 0]);
+    let pending = sent(&actions).into_iter();
+    let (done_a, done_b) = run_handshake(
+        &mut ra,
+        &mut rb,
+        pending.map(|(r, p)| (true, r, p)).collect(),
+    );
+    let (mut a, mut b) = (
+        done_a.into_iter().next().unwrap(),
+        done_b.into_iter().next().unwrap(),
+    );
+    // It carries data, then its application exits: the registry inherits
+    // it and closes it. Once it sits out TIME_WAIT with both rings drained
+    // it gives them up, and when the wait is over the registry keeps the
+    // block too.
+    let ack = deliver(&mut b, a.send(b"hello", 1).unwrap().1, 1);
+    deliver(&mut a, ack, 2);
+    let fin = ra.app_exit(OwnerTag(11), vec![a], false, 3);
+    let ack = to_peer(&mut b, &fin, 4);
+    from_peer(&mut ra, ack, 5);
+    assert_eq!(ra.spare(), [0, 0], "FIN_WAIT_2 keeps its rings");
+    let fin = b.close(6).unwrap();
+    let wait = from_peer(&mut ra, fin, 7);
+    assert_eq!(ra.spare(), [0, 1], "TIME_WAIT holds no rings");
+    let Some(&RegistryAction::SetTimer(hs, TcpTimer::TimeWait, at)) = wait
+        .iter()
+        .find(|a| matches!(a, RegistryAction::SetTimer(_, TcpTimer::TimeWait, _)))
+    else {
+        panic!("TIME_WAIT armed: {wait:?}");
+    };
+    ra.on_timer(hs, TcpTimer::TimeWait, at);
+    assert_eq!((ra.tracked(), ra.spare()), (0, [1, 1]));
+}

@@ -27,6 +27,10 @@ pub(crate) const RTO_MAX: Nanos = 64 * SECONDS;
 pub(crate) const ACK_EVERY: u32 = 2;
 /// Delayed-ACK flush interval.
 pub(crate) const DELAYED_ACK_TIMEOUT: Nanos = 200 * MILLIS;
+/// The largest ring capacity a closed connection's storage keeps for the
+/// next connection (`Rings`): the default 16 KiB window. A ring grown
+/// past it by a larger window is freed instead.
+pub(crate) const RING_KEEP_MAX: usize = 16 * 1024;
 
 const _: () = assert!(RTO_MIN < RTO_INITIAL && RTO_INITIAL < RTO_MAX);
 

@@ -9,11 +9,12 @@
 //! state) is the TCB's orchestration, through the other components.
 
 use std::collections::VecDeque;
+use std::mem::take;
 use std::ops::Range;
 
 use unp_wire::SeqNum;
 
-use crate::config::MSS_DEFAULT;
+use crate::config::{MSS_DEFAULT, RING_KEEP_MAX};
 use crate::reasm::HeldRanges;
 use crate::rtt::RttEstimator;
 use crate::{append_range, ring_slices, Nanos};
@@ -64,6 +65,32 @@ pub(crate) enum FinSeen {
     Early,
 }
 
+/// A connection's stream storage, emptied: its send ring, its receive
+/// ring and its list of held ranges, kept for the room they grew to so
+/// that the next connection's block starts with it. Beside the empty
+/// default, only [`crate::Tcb::take_rings`] and a block's reopening make
+/// one, and both clear what they take: a `Rings` holds no stream's bytes.
+#[derive(Debug, Default)]
+pub struct Rings {
+    send: VecDeque<u8>,
+    recv: VecDeque<u8>,
+    held: HeldRanges,
+}
+
+impl Rings {
+    /// The same storage, less any ring whose capacity is past
+    /// [`RING_KEEP_MAX`]; `None` when nothing with any capacity is left.
+    pub(crate) fn kept(mut self) -> Option<Rings> {
+        for ring in [&mut self.send, &mut self.recv] {
+            if ring.capacity() > RING_KEEP_MAX {
+                *ring = VecDeque::new();
+            }
+        }
+        let room = self.send.capacity() + self.recv.capacity() + self.held.capacity();
+        (room > 0).then_some(self)
+    }
+}
+
 /// One connection's byte streams and their sequence numbers.
 #[derive(Debug)]
 pub(crate) struct Delivery {
@@ -100,20 +127,23 @@ pub(crate) struct Delivery {
 }
 
 impl Delivery {
-    /// A send space whose SYN, at `iss`, is the only thing outstanding.
-    pub(crate) fn new(iss: SeqNum) -> Delivery {
+    /// A send space whose SYN, at `iss`, is the only thing outstanding,
+    /// its streams stored in `rings` (empty, as every `Rings` is).
+    pub(crate) fn new(iss: SeqNum, rings: Rings) -> Delivery {
+        let Rings { send, recv, held } = rings;
+        debug_assert!(send.is_empty() && recv.is_empty() && held.is_empty());
         Delivery {
             iss,
             snd_una: iss,
             snd_nxt: iss + 1,
             snd_mss: MSS_DEFAULT,
-            send_buf: VecDeque::new(),
+            send_buf: send,
             fin_queued: false,
             snd_fin: None,
             rcv_nxt: SeqNum(0),
-            recv_buf: VecDeque::new(),
+            recv_buf: recv,
             readable: 0,
-            held: HeldRanges::default(),
+            held,
             peer_fin: None,
             rtt: RttEstimator::new(),
             rtt_probe: None,
@@ -121,7 +151,31 @@ impl Delivery {
         }
     }
 
+    /// Takes the stream storage, cleared, leaving none behind. Whatever
+    /// the rings held goes: `clear` keeps only their capacity.
+    pub(crate) fn rings(&mut self) -> Rings {
+        let (mut send, mut recv) = (take(&mut self.send_buf), take(&mut self.recv_buf));
+        let mut held = take(&mut self.held);
+        send.clear();
+        recv.clear();
+        held.clear();
+        self.readable = 0;
+        Rings { send, recv, held }
+    }
+
+    /// Stores the streams in `rings` in place of this space's own, which
+    /// hold nothing.
+    pub(crate) fn put_rings(&mut self, rings: Rings) {
+        debug_assert!(self.drained() && self.held.is_empty());
+        (self.send_buf, self.recv_buf, self.held) = (rings.send, rings.recv, rings.held);
+    }
+
     // --- reads ---
+
+    /// Nothing is left to resend or to read: both rings are empty.
+    pub(crate) fn drained(&self) -> bool {
+        self.send_buf.is_empty() && self.recv_buf.is_empty()
+    }
 
     pub(crate) fn iss(&self) -> SeqNum {
         self.iss

@@ -38,6 +38,7 @@ pub mod rtt;
 pub mod tcb;
 
 pub use config::{CongestionControl, TcpConfig};
+pub use delivery::Rings;
 pub use rtt::RttEstimator;
 pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpSink, TcpTimer};
 

@@ -18,6 +18,16 @@ impl HeldRanges {
         self.0.is_empty()
     }
 
+    /// How many ranges the list has room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
+    /// Forgets every range, keeping the room.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Holds `[start, end)` (`start` before `end`): calls `fill(lo, hi)`
     /// for each sub-range not already held — existing data wins, the first
     /// arrival is kept — then merges it with every range it overlaps or

@@ -5,13 +5,13 @@
 
 use unp_wire::SeqNum;
 
-use crate::delivery::{Delivery, Payload};
+use crate::delivery::{Delivery, Payload, Rings};
 
 const CAP: usize = 4096;
 
 /// A receive side whose next expected byte is `rcv_nxt`.
 fn expecting(rcv_nxt: u32) -> Delivery {
-    let mut d = Delivery::new(SeqNum(0));
+    let mut d = Delivery::new(SeqNum(0), Rings::default());
     d.accept_syn(SeqNum(rcv_nxt.wrapping_sub(1)), None, 1460);
     d
 }

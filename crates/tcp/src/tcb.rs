@@ -33,7 +33,7 @@ use unp_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
 use crate::config::TcpConfig;
 use crate::congestion::Congestion;
 use crate::conn::ConnMgmt;
-use crate::delivery::Delivery;
+use crate::delivery::{Delivery, Rings};
 use crate::flow::FlowControl;
 use crate::{Nanos, TcpError};
 
@@ -168,18 +168,40 @@ impl ListenTcb {
         now: Nanos,
         out: &mut dyn TcpSink,
     ) -> Option<Tcb> {
-        if !repr.flags.syn || repr.flags.ack || repr.flags.rst {
+        if !opens(repr) {
             return None;
         }
-        let mut tcb = Tcb::new(self.local, remote, self.cfg.clone(), SeqNum(iss));
-        tcb.conn.transition(State::SynReceived);
-        tcb.rod.accept_syn(repr.seq, repr.mss, tcb.cfg.mss_local);
-        tcb.flow.update_send_window(repr);
-        tcb.emit_syn(TcpFlags::syn_ack(), out);
-        tcb.conn
-            .arm_timer(TcpTimer::Retransmit, now + tcb.rod.rto(), out);
+        let cfg = self.cfg.clone();
+        let mut tcb = Tcb::new(self.local, remote, cfg, SeqNum(iss), Rings::default());
+        tcb.open_passive(repr, now, out);
         Some(tcb)
     }
+
+    /// [`ListenTcb::on_syn_into`] in `block`, a closed connection's: the
+    /// block is reopened ([`Tcb::connect_in_place`] says how) and takes
+    /// the SYN exactly as a fresh one would. False, and `block` untouched,
+    /// for a segment that opens nothing.
+    pub fn on_syn_in_place(
+        &self,
+        block: &mut Tcb,
+        remote: (Ipv4Addr, u16),
+        repr: &TcpRepr,
+        iss: u32,
+        now: Nanos,
+        out: &mut dyn TcpSink,
+    ) -> bool {
+        if !opens(repr) {
+            return false;
+        }
+        block.reopen(self.local, remote, self.cfg.clone(), SeqNum(iss));
+        block.open_passive(repr, now, out);
+        true
+    }
+}
+
+/// A segment a listener answers with a new connection: a SYN alone.
+fn opens(repr: &TcpRepr) -> bool {
+    repr.flags.syn && !repr.flags.ack && !repr.flags.rst
 }
 
 /// The transmission control block. See module docs.
@@ -198,16 +220,44 @@ pub struct Tcb {
 }
 
 impl Tcb {
-    fn new(local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16), cfg: TcpConfig, iss: SeqNum) -> Tcb {
+    /// The one constructor: a block in `Closed` for the pair, its streams
+    /// stored in `rings`.
+    fn new(
+        local: (Ipv4Addr, u16),
+        remote: (Ipv4Addr, u16),
+        cfg: TcpConfig,
+        iss: SeqNum,
+        rings: Rings,
+    ) -> Tcb {
         Tcb {
             conn: ConnMgmt::new(local, remote),
-            rod: Delivery::new(iss),
+            rod: Delivery::new(iss, rings),
             flow: FlowControl::new(),
             cc: Congestion::new(cfg.congestion, cfg.mss_local),
             cfg,
             stats: TcpStats::default(),
             harvested: TcpStats::default(),
         }
+    }
+
+    /// Makes this block, whatever connection it served, the one
+    /// [`Tcb::new`] builds for the pair, in the storage it has.
+    ///
+    /// Protection: a recycled ring exposes only what `readable` covers.
+    /// [`Delivery::rings`] `clear`s both rings and the held list, so the
+    /// last connection's bytes stay only in capacity no read can reach —
+    /// a read takes the `readable` in-order bytes at the front, a send
+    /// the bytes the application queued, and the reassembly area grows by
+    /// `resize`, which zero-fills every hole it opens.
+    fn reopen(
+        &mut self,
+        local: (Ipv4Addr, u16),
+        remote: (Ipv4Addr, u16),
+        cfg: TcpConfig,
+        iss: SeqNum,
+    ) {
+        let rings = self.rod.rings();
+        *self = Tcb::new(local, remote, cfg, iss, rings);
     }
 
     /// Opens a connection actively: returns the block in `SynSent` with the
@@ -233,12 +283,71 @@ impl Tcb {
         now: Nanos,
         out: &mut dyn TcpSink,
     ) -> Tcb {
-        let mut tcb = Tcb::new(local, remote, cfg, SeqNum(iss));
-        tcb.conn.transition(State::SynSent);
-        tcb.emit_syn(TcpFlags::SYN, out);
-        tcb.conn
-            .arm_timer(TcpTimer::Retransmit, now + tcb.rod.rto(), out);
+        let mut tcb = Tcb::new(local, remote, cfg, SeqNum(iss), Rings::default());
+        tcb.open_active(now, out);
         tcb
+    }
+
+    /// [`Tcb::connect_into`] in this block, a closed connection's: it keeps
+    /// the capacity of its send ring, receive ring and held list, emptied,
+    /// and every other field is reset as `connect_into` sets it, by the
+    /// same constructor, so what it emits and reads is a fresh block's.
+    pub fn connect_in_place(
+        &mut self,
+        local: (Ipv4Addr, u16),
+        remote: (Ipv4Addr, u16),
+        cfg: TcpConfig,
+        iss: u32,
+        now: Nanos,
+        out: &mut dyn TcpSink,
+    ) {
+        self.reopen(local, remote, cfg, SeqNum(iss));
+        self.open_active(now, out);
+    }
+
+    /// An active open from `Closed`: the SYN and its timer.
+    fn open_active(&mut self, now: Nanos, out: &mut dyn TcpSink) {
+        self.conn.transition(State::SynSent);
+        self.emit_syn(TcpFlags::SYN, out);
+        self.conn
+            .arm_timer(TcpTimer::Retransmit, now + self.rod.rto(), out);
+    }
+
+    /// A passive open from `Closed` by the SYN `repr`: the SYN|ACK and
+    /// its timer.
+    fn open_passive(&mut self, repr: &TcpRepr, now: Nanos, out: &mut dyn TcpSink) {
+        self.conn.transition(State::SynReceived);
+        self.rod.accept_syn(repr.seq, repr.mss, self.cfg.mss_local);
+        self.flow.update_send_window(repr);
+        self.emit_syn(TcpFlags::syn_ack(), out);
+        self.conn
+            .arm_timer(TcpTimer::Retransmit, now + self.rod.rto(), out);
+    }
+
+    /// The block's stream storage, emptied, for the next connection
+    /// ([`Tcb::put_rings`]): once the block is `TimeWait` with both rings
+    /// drained — it has nothing left to resend or to be read, and sits out
+    /// the 2·MSL wait without them — or `Closed`. A ring grown past the
+    /// default 16 KiB window (`config::RING_KEEP_MAX`) is freed, not
+    /// kept. `None` in any other state, or when nothing has any capacity;
+    /// the block keeps working either way, with empty rings.
+    pub fn take_rings(&mut self) -> Option<Rings> {
+        let done = match self.conn.state() {
+            State::Closed => true,
+            State::TimeWait => self.rod.drained(),
+            _ => false,
+        };
+        if !done {
+            return None;
+        }
+        self.rod.rings().kept()
+    }
+
+    /// Stores this block's streams in `rings`, storage another block gave
+    /// up ([`Tcb::take_rings`]), in place of its own, which must hold
+    /// nothing — as a block just opened holds nothing.
+    pub fn put_rings(&mut self, rings: Rings) {
+        self.rod.put_rings(rings);
     }
 
     // ------------------------------------------------------------------

@@ -13,13 +13,15 @@
 //! `Vec`) breaks the bound, and a boxed closure per event or a fresh `Vec`
 //! per call on the per-frame path shows up as a count several times it.
 //!
-//! **Per connection:** a connect → echo → close may make only a couple of
+//! **Per connection:** a connect → echo → close may make only about a
 //! dozen allocations and request only a few kilobytes from the allocator,
 //! and a connection sitting out TIME_WAIT may keep only a few alive
 //! (DESIGN.md, "What a connection costs"). A channel that reserves its
-//! whole modelled ring up front reads 59 KB and 28 KB here; a closure per
-//! step of the hand-off, a fresh parked-frame `Vec` and a fresh ring and
-//! flow-table bucket per channel read 34 allocations.
+//! whole modelled ring up front reads 59 KB and 28 KB here; a fresh block
+//! and fresh stream rings per connection and a closure per connect RPC
+//! read 18.7 allocations, and a closure per step of the hand-off, a fresh
+//! parked-frame `Vec` and a fresh ring and flow-table bucket per channel
+//! besides read 34.
 //!
 //! **Per closed connection:** once TIME_WAIT is over, nothing — a closed
 //! connection is a count and a sum (DESIGN.md, "What a closed connection
@@ -218,15 +220,16 @@ fn a_steady_state_one_byte_exchange_stays_within_its_allocation_budget() {
 const CLIENTS: usize = 4;
 const EVERY: u64 = 100 * MILLIS;
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 80);
-/// Bytes: a connection reads 4.6 KB requested in release and 11.4 KB in
+/// Bytes: a connection reads 3.6 KB requested in release and 10.4 KB in
 /// debug (whose kernel re-derives its demux caches after every channel
-/// event), 2.1 KB kept either way — mostly the records that outlive the
-/// connection (DESIGN.md, "What a connection costs"). Allocations: 20.7 in
-/// release; a closure per hand-off step and a fresh ring and flow-table
-/// bucket per channel read 34.2.
+/// event), 2.0 KB kept either way — mostly the records that outlive the
+/// connection (DESIGN.md, "What a connection costs"). Allocations: 12.7 in
+/// release, where a closed connection's block and rings open the host's
+/// next one; a fresh block and fresh rings per connection and a closure
+/// per connect RPC read 18.7.
 const REQUESTED_BUDGET: u64 = 25_000;
 const KEPT_BUDGET: u64 = 5_500;
-const ALLOCS_BUDGET: f64 = 24.0;
+const ALLOCS_BUDGET: f64 = 15.0;
 
 fn open_one_per_slot(
     w: &mut World,
@@ -335,11 +338,13 @@ fn a_closed_connection_keeps_nothing_on_the_heap() {
 }
 
 /// What a connection keeps in flight is mostly its `Box<Tcb>` (and
-/// `churn`'s peak is TIME_WAIT blocks). The block read 624 B and the
-/// configuration inside it 104 B when `TcpConfig` had six more fields,
-/// the estimator its own copy of the RTO bounds and the timer table a
-/// deadline per kind; they read 488 and 64 on a 64-bit target, and the
-/// block 480 once its reassembly queue held only sequence ranges.
+/// `churn`'s peak is TIME_WAIT blocks, which have given their rings to
+/// the host's next connection and hold nothing else). The block read
+/// 624 B and the configuration inside it 104 B when `TcpConfig` had six
+/// more fields, the estimator its own copy of the RTO bounds and the
+/// timer table a deadline per kind; they read 488 and 64 on a 64-bit
+/// target, and the block 480 once its reassembly queue held only sequence
+/// ranges.
 #[test]
 fn a_tcb_stays_under_half_a_kilobyte() {
     let (tcb, cfg) = (size_of::<unp::tcp::Tcb>(), size_of::<TcpConfig>());

@@ -7,6 +7,8 @@
 use unp::buffers::{BqiTable, Frame, OwnerTag, RingId};
 use unp::filter::programs::DemuxSpec;
 use unp::kernel::{Delivery, HeaderTemplate, NetIoModule, PortSpace, TxError};
+use unp::registry::{RegistryAction, RegistryServer};
+use unp::tcp::{Tcb, TcpAction, TcpConfig};
 use unp::wire::{
     EtherType, EthernetRepr, IpProtocol, Ipv4Addr, Ipv4Repr, MacAddr, SeqNum, TcpFlags, TcpRepr,
 };
@@ -322,4 +324,123 @@ fn cross_tenant_capabilities_do_not_reach_victim_traffic() {
         m.destroy_channel(attacker_id, OwnerTag(2)),
         "own channel ok"
     );
+}
+
+/// Ferries a handshake between `host`'s registry, where `tenant`
+/// connects, and a listener on `peer`'s: the library's block and the
+/// peer's, both established.
+fn open_through(
+    host: &mut RegistryServer,
+    peer: &mut RegistryServer,
+    tenant: OwnerTag,
+) -> (Box<Tcb>, Box<Tcb>) {
+    let (_, first) = host
+        .connect(tenant, (PEER_IP, 80), TcpConfig::default(), 0)
+        .expect("a free ephemeral port");
+    let (mut library, mut remote) = (None, None);
+    // (the host's actions, to route toward the peer; or the peer's)
+    let mut queue = vec![(true, first)];
+    while let Some((toward_peer, actions)) = queue.pop() {
+        for action in actions {
+            match action {
+                RegistryAction::Send { repr, payload, .. } => {
+                    let answer = if toward_peer {
+                        peer.on_segment(VICTIM_IP, &repr, &payload, 0)
+                    } else {
+                        host.on_segment(PEER_IP, &repr, &payload, 0)
+                    };
+                    queue.push((!toward_peer, answer));
+                }
+                RegistryAction::Complete { tcb, .. } if toward_peer => library = Some(tcb),
+                RegistryAction::Complete { tcb, .. } => remote = Some(tcb),
+                _ => {}
+            }
+        }
+    }
+    (
+        library.expect("host side completed"),
+        remote.expect("peer side completed"),
+    )
+}
+
+/// The segments in `actions`, with their payloads.
+fn segments(actions: Vec<TcpAction>) -> Vec<(TcpRepr, Vec<u8>)> {
+    let sends = actions.into_iter().filter_map(|a| match a {
+        TcpAction::Send(repr, payload) => Some((repr, payload)),
+        _ => None,
+    });
+    sends.collect()
+}
+
+/// B's streams: bytes that are never `MARKER`.
+fn stream_b(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 97) as u8 + 1).collect()
+}
+
+const MARKER: u8 = 0xAA;
+
+#[test]
+fn a_recycled_block_shows_the_next_tenant_only_its_own_streams() {
+    let mut host = RegistryServer::new(VICTIM_IP);
+    let mut peer = RegistryServer::new(PEER_IP);
+    peer.listen(OwnerTag(9), 80, TcpConfig::default()).unwrap();
+    let (tenant_a, tenant_b) = (OwnerTag(1), OwnerTag(2));
+
+    // Tenant A fills both rings with the marker: its own writes, never
+    // acknowledged, and the peer's segments 1 and 3 — 2 is lost, so 3
+    // sits in the reassembly area behind a hole.
+    let (mut a, mut peer_a) = open_through(&mut host, &mut peer, tenant_a);
+    let (queued, _lost) = a.send(&[MARKER; 6000], 1).unwrap();
+    assert_eq!(queued, 6000);
+    let (_, sent) = peer_a.send(&[MARKER; 3 * 1460], 1).unwrap();
+    let sent = segments(sent);
+    assert_eq!(sent.len(), 3);
+    for i in [0, 2] {
+        a.on_segment(&sent[i].0, &sent[i].1, 2);
+    }
+    assert_eq!(a.recv_available(), 1460, "the hole holds back segment 3");
+    // A's process dies: its library's connection is reset, and the block
+    // goes back to the registry that built it.
+    a.abort();
+    let used: *const Tcb = &*a;
+    host.recycle(a);
+    assert_eq!(host.spare(), [1, 1], "the block and its rings are spare");
+
+    // Tenant B's next connection on the host gets that block and those
+    // rings.
+    let (mut b, mut peer_b) = open_through(&mut host, &mut peer, tenant_b);
+    assert!(std::ptr::eq(&*b, used), "B's connection reopened A's block");
+    assert_eq!(host.spare(), [0, 0], "and took its rings with it");
+
+    // What B's library reads: the peer's stream, delivered out of order
+    // so that the reassembly area opens holes over A's held bytes.
+    let inbound = stream_b(5 * 1460);
+    let (_, sent) = peer_b.send(&inbound, 3).unwrap();
+    let sent = segments(sent);
+    assert_eq!(sent.len(), 5);
+    let mut read = Vec::new();
+    for i in [3, 1, 4, 0, 2] {
+        b.on_segment(&sent[i].0, &sent[i].1, 4);
+        let (bytes, _) = b.recv(usize::MAX, 4);
+        read.extend(bytes);
+        assert_eq!(
+            read,
+            inbound[..read.len()],
+            "B reads only its peer's stream"
+        );
+    }
+    assert_eq!(read, inbound);
+
+    // What B's library sends: its own stream, and nothing else.
+    let outbound: Vec<u8> = stream_b(7000).into_iter().rev().collect();
+    let (queued, sent) = b.send(&outbound, 5).unwrap();
+    assert_eq!(queued, 7000);
+    let mut on_the_wire = Vec::new();
+    for (repr, payload) in segments(sent) {
+        let at = repr.seq.dist(b.send_sequence().0) as usize;
+        assert_eq!(at, on_the_wire.len(), "segments in order");
+        on_the_wire.extend(payload);
+    }
+    assert!(!on_the_wire.is_empty());
+    assert_eq!(on_the_wire, outbound[..on_the_wire.len()]);
 }
