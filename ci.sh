@@ -170,6 +170,19 @@ if grep -n 'Box::new(p\.tcb)' crates/registry/src/lib.rs; then
   echo "unp-registry boxes a block it hands over (lines above); hand over the box it was built in"; exit 1
 fi
 
+# TIME_WAIT keeps a pair, not a connection (DESIGN §7, "who owns what"):
+# a library connection sits out 2·MSL as a `TimeWait` record while its
+# block goes back to the registry whole, and that record lives on no heap.
+# The greps hold what the types cannot: `core` parking a block through
+# TIME_WAIT and handing over only its rings (`keep_rings`), or the record
+# growing a field that allocates.
+echo "== TIME_WAIT: a heap-free record, the block back at the wait's start =="
+record=crates/tcp/src/time_wait.rs
+if grep -rn 'keep_rings' crates/core/src \
+  || sed -n '/^pub struct TimeWait {/,/^}/p;/^struct Counts {/,/^}/p' $record | grep -nE 'Box<|Vec<'; then
+  echo "core parks a block through TIME_WAIT, or the TIME_WAIT record holds a Box/Vec (lines above)"; exit 1
+fi
+
 # A sent segment's payload is copied once (DESIGN §7, "Stream-path copy
 # budget"): the TCB hands its bytes to the world's sink as slices of its
 # send buffer, and the sink stages them straight into the pooled frame the
@@ -236,10 +249,11 @@ cargo test -q --release --offline --test zero_copy --test demux_differential --t
 # per event or a fresh Vec per call ~14), a one-byte exchange on AN1 at
 # most 2.25 times (reads 2.04; the payload Vec reads 3.05), a warm
 # frame pool may not touch it at all over 1,000 alloc/clone/slice/COW/drop
-# cycles, a connect-echo-close may make at most 15 allocations (reads 12.7;
+# cycles, a connect-echo-close may make at most 15 allocations (reads 11.8;
 # a fresh block and fresh rings per connection and a closure per connect
-# RPC read 18.7), request at most 25 KB and keep 5.5 KB through
-# TIME_WAIT (a ring reserved up front reads 59 KB and 28 KB), and a
+# RPC read 18.7), request at most 25 KB and keep 5.1 KB through
+# TIME_WAIT (reads 1.6 KB; a ring reserved up front reads 59 KB and 28 KB,
+# a block parked through the wait 2.0 KB), and a
 # connection that has closed at both ends may keep 64 B (a scope and a
 # binding report per connection ever made read 445 B). In release, like
 # the ledger whose `allocs_per_frame`, `alloc_bytes_per_frame` and
@@ -277,6 +291,15 @@ cargo test -q --release --offline -p unp-tcp --test reassembly
 # in the debug pass above).
 echo "== reopened blocks vs. fresh ones, 512 cases (release) =="
 cargo test -q --release --offline -p unp-tcp --test recycle
+
+# A TIME_WAIT record against the block it stands in for: random segments
+# around both edges, every timer, sends, closes and aborts, through both
+# ways into TIME_WAIT under random configurations — the same actions,
+# state, sequence numbers and counters after every step, and the 2·MSL
+# wait restarted only by the peer's FIN again. 512 cases (64 in the debug
+# pass above).
+echo "== TIME_WAIT records vs. their blocks, 512 cases (release) =="
+cargo test -q --release --offline -p unp-tcp --test time_wait
 
 # The same at the transmit trust boundary: frames whose headers lie, on
 # both framings, must never leave under a header their template does not

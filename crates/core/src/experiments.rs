@@ -588,7 +588,7 @@ pub fn isolation_scenario(hostile: bool) -> (World, IsolationRun) {
         let mut ids: Vec<u32> = w.hosts[1]
             .conns
             .values()
-            .filter(|c| (81..81 + ISOLATION_INNOCENTS as u16).contains(&c.tcb.local().1))
+            .filter(|c| (81..81 + ISOLATION_INNOCENTS as u16).contains(&c.local_port()))
             .filter_map(|c| c.chan.as_ref().map(|ci| ci.id.0))
             .collect();
         ids.sort_unstable();

@@ -414,14 +414,14 @@ fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Na
                     cid,
                     ci.send_cap,
                     ci.peer_bqi.unwrap_or(0),
-                    c.tcb.local(),
-                    c.tcb.remote(),
+                    c.local_port(),
+                    c.remote(),
                 )
             })
         })
         .min_by_key(|&(cid, ..)| cid)
         .map(|(_, cap, bqi, l, r)| (cap, bqi, l, r));
-    if let Some((send_cap, bqi, local, remote)) = target {
+    if let Some((send_cap, bqi, local_port, remote)) = target {
         // What the tenant transmits raw: an empty ACK claiming `src_port`,
         // built by no TCB (so journaled as fabricated).
         let raw_ack = |w: &mut World, eng: &mut Eng, src_port: u16| {
@@ -443,7 +443,7 @@ fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Na
                 // kernel's checks and burns wire + CPU + tx credit until
                 // the tenant's per-window allowance runs dry.
                 for _ in 0..burst {
-                    raw_ack(w, eng, local.1);
+                    raw_ack(w, eng, local_port);
                 }
             }
             ByzantineKind::CapabilityStorm { .. } => {
@@ -456,7 +456,7 @@ fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Na
                 let junk = vec![0u8; frame_len];
                 let _ = w.hosts[host].netio.transmit(stale, &junk);
                 w.hosts[host].netio.advance_tx_window(now);
-                raw_ack(w, eng, local.1.wrapping_add(1));
+                raw_ack(w, eng, local_port.wrapping_add(1));
                 let c = w.costs.trap;
                 w.hosts[host].cpu.charge(now, c);
             }
@@ -467,7 +467,7 @@ fn byzantine_tick(w: &mut World, eng: &mut Eng, b: ByzantineSchedule, period: Na
                 // anyone — the oracle's baseline comparison proves it.
                 if let Some(peer) = w.hosts.iter().position(|p| p.ip == remote.0) {
                     let local_ip = w.hosts[host].ip;
-                    note_announce(w, peer, (remote.1, local_ip, local.1), bqi);
+                    note_announce(w, peer, (remote.1, local_ip, local_port), bqi);
                 }
             }
             // `install_faults` starts a tick train only for a kind that

@@ -8,7 +8,7 @@ use unp_tcp::{Tcb, TcpSink};
 use super::costs::{app_boundary_cost, tx_copy_cost};
 use super::event::{host_step, Event};
 use super::tcp::{apply_tcp_actions, with_conn, Staging};
-use super::{Eng, World};
+use super::{Conn, Eng, World};
 use crate::app::{AppOp, AppView};
 
 /// An upcall into a connection's application ([`Event::App`]).
@@ -44,9 +44,9 @@ pub(super) fn app_event(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ev: Ap
     };
     let view = AppView {
         now: eng.now(),
-        send_space: conn.tcb.send_space(),
-        pending_tx: conn.pending_tx.len(),
-        remote: Some(conn.tcb.remote()),
+        send_space: conn.send_space(),
+        pending_tx: conn.pending_tx(),
+        remote: Some(conn.remote()),
     };
     let ops = match ev {
         AppEvent::Connected => conn.app.on_connected(&view),
@@ -75,19 +75,21 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
                 let cost = app_boundary_cost(w, h) + tx_copy_cost(w, h, data.len());
                 w.hosts[h].cpu.charge(eng.now(), cost);
                 let (mut actions, lhl) = (w.tcp_spare.take(), w.hosts[h].link_header_len());
-                let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
-                    return w.tcp_spare.give(actions);
+                // A connection sitting out TIME_WAIT takes no more data.
+                let Some(open) = w.hosts[h].conns.get_mut(&cid).and_then(Conn::open) else {
+                    w.tcp_spare.give(actions);
+                    continue;
                 };
                 // `pending_tx` holds only what the TCB refused: a write
                 // that finds it empty goes to the TCB straight from the
                 // app's buffer, and only the tail that did not fit queues.
-                let offered = if conn.pending_tx.is_empty() {
+                let offered = if open.pending_tx.is_empty() {
                     let out = &mut Staging::new(&w.pool, lhl, &mut actions);
-                    offer_tx(&mut conn.tcb, &data, eng.now(), out)
+                    offer_tx(&mut open.tcb, &data, eng.now(), out)
                 } else {
                     None
                 };
-                conn.pending_tx.extend(&data[offered.unwrap_or(0)..]);
+                open.pending_tx.extend(&data[offered.unwrap_or(0)..]);
                 match offered {
                     Some(_) => apply_tcp_actions(w, eng, h, cid, None, actions),
                     None => w.tcp_spare.give(actions),
@@ -95,13 +97,13 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
                 flush_conn_tx(w, eng, h, cid);
             }
             AppOp::Close => {
-                if let Some(conn) = w.hosts[h].conns.get_mut(&cid) {
-                    conn.close_pending = true;
+                if let Some(open) = w.hosts[h].conns.get_mut(&cid).and_then(Conn::open) {
+                    open.close_pending = true;
                 }
                 flush_conn_tx(w, eng, h, cid);
             }
             AppOp::Abort => {
-                with_conn(w, eng, h, cid, None, |conn, out| conn.tcb.abort_into(out));
+                with_conn(w, eng, h, cid, None, |conn, out| conn.abort_into(out));
             }
         }
     }
@@ -124,31 +126,33 @@ fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos, out: &mut dyn TcpSink) -> O
 pub(super) fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
     let (now, lhl) = (eng.now(), w.hosts[h].link_header_len());
     loop {
-        let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
+        let Some(open) = w.hosts[h].conns.get_mut(&cid).and_then(Conn::open) else {
             return;
         };
         let mut actions = w.tcp_spare.take();
-        let queued = conn.pending_tx.make_contiguous();
+        let queued = open.pending_tx.make_contiguous();
         let out = &mut Staging::new(&w.pool, lhl, &mut actions);
-        let Some(n) = offer_tx(&mut conn.tcb, queued, now, out) else {
+        let Some(n) = offer_tx(&mut open.tcb, queued, now, out) else {
             w.tcp_spare.give(actions);
             break;
         };
-        conn.pending_tx.drain(..n);
+        open.pending_tx.drain(..n);
         apply_tcp_actions(w, eng, h, cid, None, actions);
     }
     // Deferred close once everything is queued.
     let close_now = {
-        let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
+        let Some(open) = w.hosts[h].conns.get_mut(&cid).and_then(Conn::open) else {
             return;
         };
-        conn.close_pending && conn.pending_tx.is_empty() && conn.tcb.state().is_synchronized()
+        open.close_pending && open.pending_tx.is_empty() && open.tcb.state().is_synchronized()
     };
     if close_now {
         with_conn(w, eng, h, cid, None, |conn, out| {
-            conn.close_pending = false;
-            // A refused close (already closing) adds nothing.
-            let _ = conn.tcb.close_into(now, out);
+            if let Some(open) = conn.open() {
+                open.close_pending = false;
+                // A refused close (already closing) adds nothing.
+                let _ = open.tcb.close_into(now, out);
+            }
         });
     }
 }

@@ -6,8 +6,6 @@
 //! channels and inheritance are [`handshake`]'s — and the monolithic
 //! answer is given here or in [`monolithic`].
 
-use std::collections::VecDeque;
-
 use unp_buffers::OwnerTag;
 use unp_kernel::{ChannelId, ChannelStats};
 use unp_registry::RegistryError;
@@ -20,7 +18,7 @@ use unp_wire::Ipv4Addr;
 use super::org::monolithic;
 use super::org::userlib::handshake::{self, release_channel};
 use super::tcp::with_conn;
-use super::{ChanInfo, Conn, Eng, Listener, PairKey, TimerToken, World};
+use super::{ChanInfo, Conn, Eng, Listener, TimerToken, World};
 use crate::app::{AppLogic, AppView};
 
 /// Registers a listener on `host`:`port`. `factory` builds the per-
@@ -118,19 +116,9 @@ pub(super) fn install_conn(
     let host = &mut w.hosts[h];
     let id = host.next_conn;
     host.next_conn += 1;
-    host.conn_index.insert(pair_key(&tcb), id);
-    host.conns.insert(
-        id,
-        Conn {
-            tcb,
-            app,
-            chan,
-            pending_tx: VecDeque::new(),
-            close_pending: false,
-            bytes_to_app: 0,
-            write_size,
-        },
-    );
+    let conn = Conn::new(tcb, app, chan, write_size);
+    host.conn_index.insert(conn.pair_key(), id);
+    host.conns.insert(id, conn);
     id
 }
 
@@ -143,10 +131,6 @@ pub(super) fn reset_unconnected(mut app: Box<dyn AppLogic>, now: Nanos) {
         pending_tx: 0,
         remote: None,
     });
-}
-
-pub(super) fn pair_key(tcb: &Tcb) -> PairKey {
-    (tcb.local().1, tcb.remote().0, tcb.remote().1)
 }
 
 /// Every timer kind a connection can arm — what its removal disarms.
@@ -171,8 +155,7 @@ pub(super) fn remove_conn(w: &mut World, h: usize, cid: u32) -> Option<Conn> {
             host.wheel.stop(id);
         }
     }
-    let key = pair_key(&conn.tcb);
-    host.conn_index.remove(&key);
+    host.conn_index.remove(&conn.pair_key());
     let chan_stats = conn
         .chan
         .as_ref()
@@ -191,31 +174,21 @@ fn retire_conn_stats(
     conn: &Conn,
     chan_stats: Option<(ChannelId, ChannelStats)>,
 ) {
-    let tcb = &conn.tcb;
-    let (remote_ip, remote_port) = tcb.remote();
+    let (remote_ip, remote_port) = conn.remote();
     let key = ConnKey {
         host: h as u16,
-        local_port: tcb.local().1,
+        local_port: conn.local_port(),
         remote_ip: remote_ip.0,
         remote_port,
     };
-    let ts = tcb.stats();
     let cs = chan_stats.map(|(_, cs)| cs).unwrap_or_default();
     let scope = ConnScope {
-        segs_out: ts.segs_out,
-        segs_in: ts.segs_in,
-        bytes_rexmit: ts.bytes_rexmit,
-        rto_fires: ts.rto_fires,
-        fast_rexmit: ts.fast_rexmit,
-        dup_acks_in: ts.dup_acks_in,
-        probes: ts.probes,
-        srtt: tcb.srtt(),
         rx_delivered: cs.delivered,
         rx_batched: cs.batched,
         flow_hits: cs.flow_hits,
         listen_hits: cs.listen_hits,
         scan_fallbacks: cs.scan_fallbacks,
-        bytes_to_app: conn.bytes_to_app,
+        ..conn.scope()
     };
     let channel = chan_stats.map(|(id, _)| id.0);
     w.metrics.retire_conn(key, channel, scope);
@@ -243,10 +216,10 @@ pub fn app_exit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnormal: b
     with_conn(w, eng, host, cid, None, |conn, out| {
         conn.app = Box::new(ExitedApp);
         if abnormal {
-            conn.tcb.abort_into(out);
+            conn.abort_into(out);
         } else {
             // A refused close (already closing) adds nothing.
-            let _ = conn.tcb.close_into(now, out);
+            let _ = conn.close_into(now, out);
         }
     });
 }

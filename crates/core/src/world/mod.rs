@@ -18,6 +18,7 @@
 //! on [`Host`] is private to each. DESIGN.md §7 has the map.
 
 mod app;
+mod conn;
 mod costs;
 mod event;
 mod ip;
@@ -28,6 +29,7 @@ pub(crate) mod tcp;
 mod timers;
 
 pub use app::{poke_conn, AppEvent};
+pub use conn::Conn;
 pub use costs::OrgKind;
 pub use event::{host_exec, Closure, Event};
 pub use ip::{bind_udp, send_ping, send_udp};
@@ -37,7 +39,7 @@ pub use org::userlib::handshake::crash_tenant;
 
 pub use crate::faults::install_faults;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use unp_buffers::{Frame, FramePool, OwnerTag};
 use unp_kernel::{Capability, ChannelId, NetIoModule, TenantStats};
@@ -45,7 +47,7 @@ use unp_netdev::{An1Nic, LanceNic, Link, StationId};
 use unp_proto::{ArpCache, IpEndpoint, UdpLayer};
 use unp_registry::{HsId, RegistryAction, RegistryServer};
 use unp_sim::{CostModel, Cpu, Engine, EventId, LinkParams, Nanos};
-use unp_tcp::{Tcb, TcpConfig, TcpTimer};
+use unp_tcp::{TcpConfig, TcpTimer};
 use unp_timers::{TimerId, TimerService, TimerWheel};
 use unp_trace::Metrics;
 use unp_wire::{IpProtocol, Ipv4Addr, MacAddr, AN1_HEADER_LEN, ETHERNET_HEADER_LEN};
@@ -105,28 +107,6 @@ pub struct ChanInfo {
     pub our_bqi: u16,
     /// The BQI we stamp on outgoing data frames (announced by the peer).
     pub peer_bqi: Option<u16>,
-}
-
-/// One live connection endpoint.
-pub struct Conn {
-    /// The TCP state (the paper's "TCP state transferred to user level"),
-    /// in the box the registry handed it over in, and gets back when the
-    /// connection closes: a table slot is a pointer, so the table's
-    /// capacity does not cost what it indexes.
-    pub tcb: Box<Tcb>,
-    /// The owning application.
-    pub app: Box<dyn crate::app::AppLogic>,
-    /// Channel info when running under the UserLibrary organization.
-    pub chan: Option<ChanInfo>,
-    /// App bytes the library holds beyond the TCB's send buffer.
-    pending_tx: VecDeque<u8>,
-    /// The app requested close once `pending_tx` drains.
-    close_pending: bool,
-    /// Bytes handed to the application so far ([`unp_trace::ConnScope::bytes_to_app`]).
-    bytes_to_app: u64,
-    /// Typical application write size (the experiments' "user packet
-    /// size"), used by per-organization copy-elimination rules.
-    pub write_size: usize,
 }
 
 /// One simulated workstation.

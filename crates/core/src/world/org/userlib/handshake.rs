@@ -10,7 +10,7 @@
 
 use unp_buffers::{Frame, OwnerTag};
 use unp_kernel::{ChannelStats, HeaderTemplate};
-use unp_registry::{HsId, RegistryAction, RegistryServer};
+use unp_registry::{Endpoint, HsId, RegistryAction, RegistryServer};
 use unp_tcp::{Tcb, TcpConfig};
 use unp_trace::{Ctr, ReclaimKind};
 use unp_wire::{EtherType, IpProtocol, Ipv4Addr};
@@ -407,12 +407,12 @@ pub(crate) fn inherit(w: &mut World, eng: &mut Eng, host: usize, cid: u32, abnor
     // The registry's inheritance work (reset or orderly close) costs one
     // app↔server interaction plus its usual per-packet device path.
     let cost = w.costs.registry_rpc;
-    let tcb = conn.tcb;
+    let endpoint = conn.into_endpoint();
     host_exec(w, eng, host, cost, move |w, eng| {
         let now = eng.now();
         w.metrics.bump(Ctr::ConnectionsInherited);
         with_registry(w, eng, host, |registry, out| {
-            registry.app_exit_into(owner, [tcb], abnormal, now, out)
+            registry.app_exit_into(owner, [endpoint], abnormal, now, out)
         });
     });
 }
@@ -490,14 +490,14 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
     // the dead tenant's behalf — inheritance from the kernel sweep, not
     // from the (wedged) library.
     let swept = w.hosts[host].netio.reclaim_owner(tenant);
-    let mut orphan_tcbs: Vec<Box<Tcb>> = Vec::new();
+    let mut orphans: Vec<Endpoint> = Vec::new();
     for id in swept {
         match w.hosts[host].userlib.chan_owner.get(&id) {
             Some(&ChanOwner::Conn(cid)) => {
                 if let Some(conn) = remove_conn(w, host, cid) {
                     w.metrics.bump(Ctr::ConnectionsClosed);
                     w.metrics.bump(Ctr::ConnectionsInherited);
-                    orphan_tcbs.push(conn.tcb);
+                    orphans.push(conn.into_endpoint());
                 }
             }
             Some(&ChanOwner::Handshake(hs)) => {
@@ -507,10 +507,10 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
         }
         reclaimed(w, host, tenant, ReclaimKind::Channel, id.0);
     }
-    if !orphan_tcbs.is_empty() {
+    if !orphans.is_empty() {
         let now = eng.now();
         with_registry(w, eng, host, |registry, out| {
-            registry.app_exit_into(tenant, orphan_tcbs, true, now, out)
+            registry.app_exit_into(tenant, orphans, true, now, out)
         });
     }
     let freed = match &mut w.hosts[host].nic {

@@ -5,11 +5,13 @@
 
 use unp_buffers::{Frame, FramePool, Staged};
 use unp_kernel::Capability;
+use unp_registry::Endpoint;
 use unp_tcp::{TcpAction, TcpSink, TcpTimer};
 use unp_trace::{Ctr, Hist};
 use unp_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpPacket, TcpRepr, IPV4_HEADER_LEN};
 
 use super::app::{app_upcall, flush_conn_tx, AppEvent};
+use super::conn::Open;
 use super::costs::{app_boundary_cost, rx_copy_cost, tcp_seg_cost, tx_device_cost};
 use super::event::{host_step, Event};
 use super::lifecycle::remove_conn;
@@ -82,7 +84,7 @@ pub(super) fn conn_segment(
 ) {
     let now = eng.now();
     with_conn(w, eng, h, cid, Some(frame), |conn, out| {
-        conn.tcb.on_segment_into(repr, data, now, out)
+        conn.on_segment_into(repr, data, now, out)
     });
 }
 
@@ -173,8 +175,8 @@ pub(super) fn apply_tcp_actions(
     // Harvest the connection's counter increments into the live registry
     // so windowed samplers see retransmit/RTT activity as it happens, not
     // at teardown. The cumulative per-connection stats are untouched.
-    if let Some(conn) = w.hosts[h].conns.get_mut(&cid) {
-        let d = conn.tcb.take_stats_delta();
+    if let Some(open) = w.hosts[h].conns.get_mut(&cid).and_then(Conn::open) {
+        let d = open.tcb.take_stats_delta();
         w.metrics.add(Ctr::TcpRexmitBytes, d.bytes_rexmit);
         w.metrics.add(Ctr::TcpRexmitSegs, d.rexmits);
         w.metrics.add(Ctr::TcpRttSamples, d.rtt_samples);
@@ -184,7 +186,7 @@ pub(super) fn apply_tcp_actions(
         let Some(conn) = w.hosts[h].conns.get(&cid) else {
             break; // connection reaped mid-sequence
         };
-        let remote = conn.tcb.remote().0;
+        let remote = conn.remote().0;
         let action = match out {
             TcpOut::Segment(repr, payload) => {
                 send_tcp_segment(w, eng, h, Some(cid), repr, payload, remote);
@@ -212,8 +214,9 @@ pub(super) fn apply_tcp_actions(
                 let now = eng.now();
                 let mut data = w.byte_spare.take();
                 let gone = with_conn(w, eng, h, cid, frame, |conn, out| {
-                    let n = conn.tcb.recv_into(usize::MAX, now, &mut data, out);
-                    conn.bytes_to_app += n as u64;
+                    let read =
+                        |open: &mut Open| open.tcb.recv_into(usize::MAX, now, &mut data, out);
+                    conn.bytes_to_app += conn.open().map_or(0, read) as u64;
                 })
                 .is_none();
                 if data.is_empty() {
@@ -249,7 +252,7 @@ pub(super) fn apply_tcp_actions(
                         now: eng.now(),
                         send_space: 0,
                         pending_tx: 0,
-                        remote: Some(conn.tcb.remote()),
+                        remote: Some(conn.remote()),
                     };
                     conn.app.on_reset(&view);
                 }
@@ -259,25 +262,28 @@ pub(super) fn apply_tcp_actions(
                     break;
                 };
                 w.metrics.bump(Ctr::ConnectionsClosed);
-                // The TCB sat out TIME_WAIT in the library; the registry,
-                // which named the endpoint, now learns the pair is done,
-                // and takes the block it built back for the host's next
-                // connection.
+                // The pair sat out TIME_WAIT in the library; the registry,
+                // which named the endpoint, now learns it is done, and
+                // takes back the block it built if it does not have it
+                // back already.
                 if conn.chan.is_some() {
                     let registry = &mut w.hosts[h].registry;
-                    registry.connection_closed(conn.tcb.local().1);
-                    registry.recycle(conn.tcb);
+                    registry.connection_closed(conn.local_port());
+                    if let Endpoint::Block(tcb) = conn.into_endpoint() {
+                        registry.recycle(tcb);
+                    }
                 }
             }
         }
     }
-    // A library connection's block sits out TIME_WAIT without its rings,
-    // which its application has drained by now: the registry keeps them
-    // for the host's next connection.
+    // A library connection sits out TIME_WAIT as a record, its
+    // application having drained the block by now: the block goes back to
+    // the registry for the host's next connection.
     if time_wait {
         let host = &mut w.hosts[h];
-        if let Some(conn) = host.conns.get_mut(&cid).filter(|c| c.chan.is_some()) {
-            host.registry.keep_rings(&mut conn.tcb);
+        let conn = host.conns.get_mut(&cid).filter(|c| c.chan.is_some());
+        if let Some(block) = conn.and_then(Conn::sit_out) {
+            host.registry.recycle(block);
         }
     }
     w.tcp_spare.give(actions);

@@ -61,7 +61,7 @@ pub(super) fn wheel_fire(w: &mut World, eng: &mut Eng, h: usize) {
         match token {
             TimerToken::Conn(cid, t) => {
                 with_conn(w, eng, h, cid, None, |conn, out| {
-                    conn.tcb.on_timer_into(t, now, out)
+                    conn.on_timer_into(t, now, out)
                 });
             }
             TimerToken::Registry(hs, t) => with_registry(w, eng, h, |registry, out| {

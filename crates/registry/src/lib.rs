@@ -24,10 +24,12 @@
 //!   reused"; on abnormal termination "the protocol server issues a reset
 //!   message to the remote peer."
 
+mod endpoint;
 pub mod ports;
 mod spare;
 pub mod udp;
 
+pub use endpoint::Endpoint;
 pub use ports::PortAllocator;
 pub use udp::UdpRegistry;
 
@@ -103,8 +105,9 @@ pub struct DeathReport {
 }
 
 struct Pending {
-    /// The block, in the box it leaves in ([`RegistryAction::Complete`]).
-    tcb: Box<Tcb>,
+    /// The block, in the box it leaves in ([`RegistryAction::Complete`]),
+    /// or an inherited connection's TIME_WAIT record.
+    tcb: Endpoint,
     owner: OwnerTag,
     remote_ip: Ipv4Addr,
     /// True for connections inherited from exited applications.
@@ -284,7 +287,7 @@ impl RegistryServer {
         self.conns.insert(
             hs,
             Pending {
-                tcb,
+                tcb: tcb.into(),
                 owner,
                 remote_ip: remote.0,
                 inherited: false,
@@ -345,7 +348,7 @@ impl RegistryServer {
                 self.conns.insert(
                     hs,
                     Pending {
-                        tcb,
+                        tcb: tcb.into(),
                         owner,
                         remote_ip: src,
                         inherited: false,
@@ -396,7 +399,9 @@ impl RegistryServer {
     /// inherits them and completes the close protocol (FIN, TIME_WAIT);
     /// on an abnormal exit it resets the peer. Returns actions to route.
     /// A block handed back boxed stays in its box, which the spare keeps
-    /// once the registry has ended the connection.
+    /// once the registry has ended the connection or the block sits out
+    /// TIME_WAIT as a record; a connection handed back as its record
+    /// ([`Endpoint::TimeWait`]) sits out the rest of its wait here.
     pub fn app_exit(
         &mut self,
         owner: OwnerTag,
@@ -413,15 +418,15 @@ impl RegistryServer {
     pub fn app_exit_into(
         &mut self,
         owner: OwnerTag,
-        tcbs: impl IntoIterator<Item = impl Into<Box<Tcb>>>,
+        tcbs: impl IntoIterator<Item = impl Into<Endpoint>>,
         abnormal: bool,
         now: Nanos,
         out: &mut Vec<RegistryAction>,
     ) {
         for tcb in tcbs {
             let mut tcb = tcb.into();
-            let (local, remote) = (tcb.local(), tcb.remote());
-            let key = (local.1, remote.0, remote.1);
+            let remote = tcb.remote();
+            let key = (tcb.local_port(), remote.0, remote.1);
             if abnormal {
                 tcb.abort_into(&mut self.tcp_actions);
             } else {
@@ -476,7 +481,7 @@ impl RegistryServer {
             .collect();
         dead_hs.sort_unstable();
         for hs in dead_hs {
-            let port = self.conns[&hs].tcb.local().1;
+            let port = self.conns[&hs].tcb.local_port();
             report.handshakes.push((hs.0.get(), port));
             self.abort_into(hs, out);
         }
@@ -495,7 +500,7 @@ impl RegistryServer {
 
     fn adopt(
         &mut self,
-        tcb: Box<Tcb>,
+        tcb: Endpoint,
         owner: OwnerTag,
         remote_ip: Ipv4Addr,
         key: (u16, Ipv4Addr, u16),
@@ -525,22 +530,15 @@ impl RegistryServer {
         self.ports.release(local_port);
     }
 
-    /// The block of a connection that closed in the library comes back
-    /// for the next connection on this host, with its rings unless it
-    /// gave them up in TIME_WAIT ([`RegistryServer::keep_rings`]).
+    /// The block of a library connection comes back for the next
+    /// connection on this host, with its rings: when the connection
+    /// closes, or as soon as it sits out TIME_WAIT as a record
+    /// ([`Tcb::time_wait`]).
     pub fn recycle(&mut self, tcb: Box<Tcb>) {
         self.spare.keep(tcb);
     }
 
-    /// Keeps the rings of a library connection's block once it is in
-    /// TIME_WAIT with both drained, for the next connection on this host
-    /// ([`Tcb::take_rings`]; nothing otherwise): the block sits out the
-    /// 2·MSL wait without them.
-    pub fn keep_rings(&mut self, tcb: &mut Tcb) {
-        self.spare.keep_rings(tcb);
-    }
-
-    /// What the spare holds for the host's next connections: closed
+    /// What the spare holds for the host's next connections: finished
     /// connections' blocks, and ring sets.
     pub fn spare(&self) -> [usize; 2] {
         self.spare.held()
@@ -583,32 +581,33 @@ impl RegistryServer {
             }
         }
         if !(completed || ended) {
-            // An inherited closer sits out TIME_WAIT without its rings.
-            self.spare.keep_rings(&mut p.tcb);
+            // An inherited closer sits out TIME_WAIT as a record.
+            if let Some(block) = p.tcb.sit_out() {
+                self.spare.keep(block);
+            }
             return;
         }
         let p = self.conns.remove(&hs).expect("live");
-        let (local, remote) = (p.tcb.local(), p.tcb.remote());
-        self.index.remove(&(local.1, remote.0, remote.1));
-        if completed {
-            out.push(RegistryAction::Complete {
-                hs,
-                owner: p.owner,
-                tcb: p.tcb,
-            });
-            return;
+        let (port, remote) = (p.tcb.local_port(), p.tcb.remote());
+        self.index.remove(&(port, remote.0, remote.1));
+        match p.tcb {
+            Endpoint::Block(tcb) if completed => {
+                let owner = p.owner;
+                return out.push(RegistryAction::Complete { hs, owner, tcb });
+            }
+            Endpoint::Block(tcb) => self.spare.keep(tcb),
+            Endpoint::TimeWait(_) => {}
         }
-        self.spare.keep(p.tcb);
         if p.inherited {
-            // The actual 2MSL wait already happened inside the TCB's
-            // TIME_WAIT state for orderly closes; for aborts the pair is
+            // The actual 2MSL wait already happened in TIME_WAIT (the
+            // block's or its record's) for orderly closes; for aborts the pair is
             // quarantined permanently-in-simulation (hosts are
             // short-lived).
-            self.ports.quarantine(local.1, remote, Nanos::MAX);
+            self.ports.quarantine(port, remote, Nanos::MAX);
         } else {
             out.push(RegistryAction::Failed { hs, owner: p.owner });
         }
-        self.ports.release(local.1);
+        self.ports.release(port);
     }
 }
 

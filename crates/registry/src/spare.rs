@@ -6,16 +6,18 @@ use unp_wire::{Ipv4Addr, TcpRepr};
 
 use crate::Nanos;
 
-/// What closed connections left on this host for the next ones: their
-/// blocks, and the rings of blocks that closed or sit out TIME_WAIT
-/// ([`Tcb::take_rings`]). Every block the registry builds is a spare one
-/// when there is one, fitted with spare rings when there are some.
+/// What finished connections left on this host for the next ones: their
+/// blocks, and those blocks' rings ([`Tcb::take_rings`]). A block comes
+/// back when its connection closes or, sooner, when it starts its
+/// TIME_WAIT, which a record sits out in its place ([`Tcb::time_wait`]).
+/// Every block the registry builds is a spare one when there is one,
+/// fitted with spare rings when there are some.
 ///
-/// It needs no count cap: a block comes back only when its connection
-/// ends, and a ring set only from a block that grew it, so the spare never
-/// holds more than the host's own high-water mark of live blocks. Its room
-/// grows to that mark as blocks are built and opened without spare rings,
-/// so that giving storage back never allocates.
+/// It needs no count cap: a block comes back only from a connection that
+/// had it, once, and a ring set only from a block that grew it, so the
+/// spare never holds more than the host's own high-water mark of blocks
+/// in use. Its room grows to that mark as blocks are built and opened
+/// without spare rings, so that giving storage back never allocates.
 #[derive(Default)]
 pub(crate) struct Spare {
     // Each box is a block's own storage, handed over whole
@@ -94,16 +96,12 @@ impl Spare {
         }
     }
 
-    /// Keeps rings a block gave up.
-    pub(crate) fn keep_rings(&mut self, tcb: &mut Tcb) {
+    /// Keeps the block of a connection that ended or sits out TIME_WAIT
+    /// as a record, its rings apart.
+    pub(crate) fn keep(&mut self, mut tcb: Box<Tcb>) {
         if let Some(rings) = tcb.take_rings() {
             self.rings.push(rings);
         }
-    }
-
-    /// Keeps the block of a connection that ended, its rings apart.
-    pub(crate) fn keep(&mut self, mut tcb: Box<Tcb>) {
-        self.keep_rings(&mut tcb);
         self.blocks.push(tcb);
     }
 

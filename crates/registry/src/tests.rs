@@ -515,9 +515,9 @@ fn connections_the_registry_ends_leave_their_storage_to_the_next() {
         done_b.into_iter().next().unwrap(),
     );
     // It carries data, then its application exits: the registry inherits
-    // it and closes it. Once it sits out TIME_WAIT with both rings drained
-    // it gives them up, and when the wait is over the registry keeps the
-    // block too.
+    // it and closes it. Once it enters TIME_WAIT with both rings drained
+    // a record sits out the wait, and the block goes to the spare with its
+    // rings; the wait's end gives back nothing more.
     let ack = deliver(&mut b, a.send(b"hello", 1).unwrap().1, 1);
     deliver(&mut a, ack, 2);
     let fin = ra.app_exit(OwnerTag(11), vec![a], false, 3);
@@ -526,7 +526,7 @@ fn connections_the_registry_ends_leave_their_storage_to_the_next() {
     assert_eq!(ra.spare(), [0, 0], "FIN_WAIT_2 keeps its rings");
     let fin = b.close(6).unwrap();
     let wait = from_peer(&mut ra, fin, 7);
-    assert_eq!(ra.spare(), [0, 1], "TIME_WAIT holds no rings");
+    assert_eq!(ra.spare(), [1, 1], "TIME_WAIT holds no block");
     let Some(&RegistryAction::SetTimer(hs, TcpTimer::TimeWait, at)) = wait
         .iter()
         .find(|a| matches!(a, RegistryAction::SetTimer(_, TcpTimer::TimeWait, _)))

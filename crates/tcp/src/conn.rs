@@ -3,7 +3,9 @@
 //! keepalive probes have gone unanswered.
 //!
 //! [`ConnMgmt::transition`] is the only writer of the state, and it
-//! refuses a move the legal relation does not hold.
+//! refuses a move the legal relation does not hold — but for the end of
+//! TIME_WAIT, which the record answering for the block checks and
+//! journals ([`ConnMgmt::time_wait_left`]).
 
 use unp_wire::Ipv4Addr;
 
@@ -26,7 +28,44 @@ pub enum TcpTimer {
     Keepalive,
 }
 
-const TIMER_KINDS: usize = 5;
+/// Which of a connection's timers are pending with the host, one bit per
+/// [`TcpTimer`] kind, so that a re-arm cancels first and a cancel of an
+/// idle timer says nothing. A block's [`ConnMgmt`] and a TIME_WAIT record
+/// ([`crate::TimeWait`]) keep their timers with it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Armed(u8);
+
+impl Armed {
+    pub(crate) fn arm(&mut self, t: TcpTimer, deadline: Nanos, out: &mut dyn TcpSink) {
+        if self.take(t) {
+            out.push(TcpAction::CancelTimer(t));
+        }
+        self.0 |= 1 << t as u8;
+        out.push(TcpAction::SetTimer(t, deadline));
+    }
+
+    pub(crate) fn cancel(&mut self, t: TcpTimer, out: &mut dyn TcpSink) {
+        if self.take(t) {
+            out.push(TcpAction::CancelTimer(t));
+        }
+    }
+
+    pub(crate) fn is_armed(self, t: TcpTimer) -> bool {
+        self.0 & 1 << t as u8 != 0
+    }
+
+    /// The host delivered `t`: it is no longer pending.
+    pub(crate) fn fired(&mut self, t: TcpTimer) {
+        self.take(t);
+    }
+
+    /// Disarms `t`; whether it was armed.
+    fn take(&mut self, t: TcpTimer) -> bool {
+        let was = self.is_armed(t);
+        self.0 &= !(1 << t as u8);
+        was
+    }
+}
 
 /// One connection's identity, protocol state and timer bookkeeping.
 #[derive(Debug)]
@@ -34,10 +73,7 @@ pub(crate) struct ConnMgmt {
     state: State,
     local: (Ipv4Addr, u16),
     remote: (Ipv4Addr, u16),
-    /// Which timers are pending with the host, by [`TcpTimer`]
-    /// discriminant, so that a re-arm cancels first and a cancel of an
-    /// idle timer says nothing.
-    armed: [bool; TIMER_KINDS],
+    armed: Armed,
     /// Consecutive unanswered keepalive probes.
     keepalive_fails: u32,
 }
@@ -49,7 +85,7 @@ impl ConnMgmt {
             state: State::Closed,
             local,
             remote,
-            armed: [false; TIMER_KINDS],
+            armed: Armed::default(),
             keepalive_fails: 0,
         }
     }
@@ -96,25 +132,36 @@ impl ConnMgmt {
     }
 
     pub(crate) fn arm_timer(&mut self, t: TcpTimer, deadline: Nanos, out: &mut dyn TcpSink) {
-        if std::mem::replace(&mut self.armed[t as usize], true) {
-            out.push(TcpAction::CancelTimer(t));
-        }
-        out.push(TcpAction::SetTimer(t, deadline));
+        self.armed.arm(t, deadline, out);
     }
 
     pub(crate) fn cancel_timer(&mut self, t: TcpTimer, out: &mut dyn TcpSink) {
-        if std::mem::take(&mut self.armed[t as usize]) {
-            out.push(TcpAction::CancelTimer(t));
-        }
+        self.armed.cancel(t, out);
     }
 
     pub(crate) fn timer_armed(&self, t: TcpTimer) -> bool {
-        self.armed[t as usize]
+        self.armed.is_armed(t)
     }
 
     /// The host delivered `t`: it is no longer pending.
     pub(crate) fn timer_fired(&mut self, t: TcpTimer) {
-        self.armed[t as usize] = false;
+        self.armed.fired(t);
+    }
+
+    /// The timers pending with the host.
+    pub(crate) fn armed(&self) -> Armed {
+        self.armed
+    }
+
+    /// What a TIME_WAIT record answering for this block left: its timers,
+    /// and `Closed` if it ended the wait. The record checked and
+    /// journaled that move itself.
+    pub(crate) fn time_wait_left(&mut self, armed: Armed, closed: bool) {
+        debug_assert_eq!(self.state, State::TimeWait);
+        self.armed = armed;
+        if closed {
+            self.state = State::Closed;
+        }
     }
 
     /// Counts a keepalive interval that passed in silence; how many have

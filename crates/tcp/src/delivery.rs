@@ -251,12 +251,7 @@ impl Delivery {
     /// RFC 793's acceptability test for a segment of `seg_len` sequence
     /// numbers at `seq`, against the window a `cap`-byte buffer offers.
     pub(crate) fn seq_acceptable(&self, seq: SeqNum, seg_len: u32, cap: usize) -> bool {
-        match (seg_len, self.recv_window(cap)) {
-            (0, 0) => seq == self.rcv_nxt,
-            (0, w) => seq.in_window(self.rcv_nxt, w),
-            (_, 0) => false,
-            (l, w) => seq.in_window(self.rcv_nxt, w) || (seq + (l - 1)).in_window(self.rcv_nxt, w),
-        }
+        acceptable(seq, seg_len, self.rcv_nxt, self.recv_window(cap))
     }
 
     // --- the handshake ---
@@ -518,6 +513,17 @@ impl Delivery {
         } else {
             FinSeen::Early
         }
+    }
+}
+
+/// RFC 793's acceptability test for a segment of `seg_len` sequence
+/// numbers at `seq`, against a receive window of `wnd` from `rcv_nxt`.
+pub(crate) fn acceptable(seq: SeqNum, seg_len: u32, rcv_nxt: SeqNum, wnd: u32) -> bool {
+    match (seg_len, wnd) {
+        (0, 0) => seq == rcv_nxt,
+        (0, w) => seq.in_window(rcv_nxt, w),
+        (_, 0) => false,
+        (l, w) => seq.in_window(rcv_nxt, w) || (seq + (l - 1)).in_window(rcv_nxt, w),
     }
 }
 

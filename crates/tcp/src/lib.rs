@@ -36,11 +36,13 @@ pub mod loopback;
 mod reasm;
 pub mod rtt;
 pub mod tcb;
+mod time_wait;
 
 pub use config::{CongestionControl, TcpConfig};
 pub use delivery::Rings;
 pub use rtt::RttEstimator;
 pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpSink, TcpTimer};
+pub use time_wait::TimeWait;
 
 /// Time in nanoseconds (shared convention with `unp-sim`).
 pub type Nanos = u64;

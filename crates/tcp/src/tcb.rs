@@ -17,13 +17,16 @@
 //! scopes — connection management, reliable ordered delivery, flow control
 //! and congestion control, each a module of this crate with private
 //! fields. The methods here and in the child modules (`input`: segment
-//! arrival, `output`: the output engine, `timer`: timer expiry) are
+//! arrival, `output`: the output engine, `timer`: timer expiry, `listen`:
+//! the listener, `time_wait`: TIME_WAIT through its record) are
 //! orchestrations: they read across the components and write each
 //! one only through its own methods, so a congestion-control change
 //! cannot touch a sequence number and still compile.
 
 mod input;
+mod listen;
 mod output;
+mod time_wait;
 mod timer;
 
 use std::ops::Range;
@@ -38,6 +41,7 @@ use crate::flow::FlowControl;
 use crate::{Nanos, TcpError};
 
 pub use crate::conn::TcpTimer;
+pub use listen::ListenTcb;
 /// RFC 793 connection states: the journal's [`unp_trace::TcpFsm`], under
 /// the protocol's name for it. `LISTEN` is a [`ListenTcb`]; `Closed` is
 /// where a block starts and the terminal state a live one can reach.
@@ -123,85 +127,6 @@ pub struct TcpStats {
     pub dup_acks_in: u64,
     /// Zero-window probes sent.
     pub probes: u64,
-}
-
-/// A listening endpoint: produces a new [`Tcb`] per SYN.
-#[derive(Debug, Clone)]
-pub struct ListenTcb {
-    local: (Ipv4Addr, u16),
-    cfg: TcpConfig,
-}
-
-impl ListenTcb {
-    /// Creates a listener on `local`.
-    pub fn new(local: (Ipv4Addr, u16), cfg: TcpConfig) -> ListenTcb {
-        ListenTcb { local, cfg }
-    }
-
-    /// The listening address.
-    pub fn local(&self) -> (Ipv4Addr, u16) {
-        self.local
-    }
-
-    /// Handles an incoming SYN addressed to this listener, creating a
-    /// half-open connection in `SynReceived` with its SYN|ACK queued.
-    /// `iss` is the initial send sequence number to use. Non-SYN segments
-    /// return `None` (the caller answers unknown traffic with RST).
-    pub fn on_syn(
-        &self,
-        remote: (Ipv4Addr, u16),
-        repr: &TcpRepr,
-        iss: u32,
-        now: Nanos,
-    ) -> Option<(Tcb, Vec<TcpAction>)> {
-        let mut out = Vec::new();
-        let tcb = self.on_syn_into(remote, repr, iss, now, &mut out)?;
-        Some((tcb, out))
-    }
-
-    /// [`ListenTcb::on_syn`], appending the new block's actions to `out`.
-    pub fn on_syn_into(
-        &self,
-        remote: (Ipv4Addr, u16),
-        repr: &TcpRepr,
-        iss: u32,
-        now: Nanos,
-        out: &mut dyn TcpSink,
-    ) -> Option<Tcb> {
-        if !opens(repr) {
-            return None;
-        }
-        let cfg = self.cfg.clone();
-        let mut tcb = Tcb::new(self.local, remote, cfg, SeqNum(iss), Rings::default());
-        tcb.open_passive(repr, now, out);
-        Some(tcb)
-    }
-
-    /// [`ListenTcb::on_syn_into`] in `block`, a closed connection's: the
-    /// block is reopened ([`Tcb::connect_in_place`] says how) and takes
-    /// the SYN exactly as a fresh one would. False, and `block` untouched,
-    /// for a segment that opens nothing.
-    pub fn on_syn_in_place(
-        &self,
-        block: &mut Tcb,
-        remote: (Ipv4Addr, u16),
-        repr: &TcpRepr,
-        iss: u32,
-        now: Nanos,
-        out: &mut dyn TcpSink,
-    ) -> bool {
-        if !opens(repr) {
-            return false;
-        }
-        block.reopen(self.local, remote, self.cfg.clone(), SeqNum(iss));
-        block.open_passive(repr, now, out);
-        true
-    }
-}
-
-/// A segment a listener answers with a new connection: a SYN alone.
-fn opens(repr: &TcpRepr) -> bool {
-    repr.flags.syn && !repr.flags.ack && !repr.flags.rst
 }
 
 /// The transmission control block. See module docs.
@@ -326,10 +251,10 @@ impl Tcb {
 
     /// The block's stream storage, emptied, for the next connection
     /// ([`Tcb::put_rings`]): once the block is `TimeWait` with both rings
-    /// drained — it has nothing left to resend or to be read, and sits out
-    /// the 2·MSL wait without them — or `Closed`. A ring grown past the
-    /// default 16 KiB window (`config::RING_KEEP_MAX`) is freed, not
-    /// kept. `None` in any other state, or when nothing has any capacity;
+    /// drained — it has nothing left to resend or to be read, and the
+    /// 2·MSL wait needs neither ([`Tcb::time_wait`]) — or `Closed`. A ring
+    /// grown past the default 16 KiB window (`config::RING_KEEP_MAX`) is
+    /// freed, not kept. `None` in any other state, or when nothing has any capacity;
     /// the block keeps working either way, with empty rings.
     pub fn take_rings(&mut self) -> Option<Rings> {
         let done = match self.conn.state() {
@@ -541,6 +466,9 @@ impl Tcb {
     ) -> Result<usize, TcpError> {
         match self.conn.state() {
             State::Established | State::CloseWait | State::SynSent | State::SynReceived => {}
+            State::TimeWait => {
+                return self.answer_time_wait(out, |tw, out| tw.send_into(data, now, out))
+            }
             State::Closed => return Err(TcpError::InvalidState),
             _ => return Err(TcpError::Closing),
         }
@@ -597,11 +525,12 @@ impl Tcb {
             }
             State::SynReceived | State::Established => State::FinWait1,
             State::CloseWait => State::LastAck,
-            State::FinWait1
-            | State::FinWait2
-            | State::Closing
-            | State::LastAck
-            | State::TimeWait => return Err(TcpError::Closing),
+            State::FinWait1 | State::FinWait2 | State::Closing | State::LastAck => {
+                return Err(TcpError::Closing)
+            }
+            State::TimeWait => {
+                return self.answer_time_wait(out, |tw, out| tw.close_into(now, out))
+            }
             State::Closed => return Err(TcpError::InvalidState),
         };
         self.rod.queue_fin();
@@ -623,6 +552,9 @@ impl Tcb {
 
     /// [`Tcb::abort`], appending the RST and the teardown to `out`.
     pub fn abort_into(&mut self, out: &mut dyn TcpSink) {
+        if self.conn.state() == State::TimeWait {
+            return self.answer_time_wait(out, |tw, out| tw.abort_into(out));
+        }
         if self.conn.is_live() || self.conn.state() == State::SynReceived {
             let flags = TcpFlags {
                 rst: true,

@@ -25,6 +25,10 @@ impl Tcb {
         now: Nanos,
         out: &mut dyn TcpSink,
     ) {
+        if self.conn.state() == State::TimeWait {
+            return self
+                .answer_time_wait(out, |tw, out| tw.on_segment_into(repr, payload, now, out));
+        }
         self.stats.segs_in += 1;
         match self.conn.state() {
             State::Closed => {}
@@ -103,10 +107,6 @@ impl Tcb {
             .seq_acceptable(repr.seq, seg_len, self.cfg.recv_buf)
         {
             if !repr.flags.rst {
-                // Includes the TIME_WAIT re-ACK of a retransmitted FIN.
-                if self.conn.state() == State::TimeWait {
-                    self.restart_time_wait(now, out);
-                }
                 self.emit_ack(out);
             }
             return;
@@ -279,12 +279,7 @@ impl Tcb {
                 }
                 self.emit_ack(out);
             }
-            FinSeen::Repeated => {
-                self.emit_ack(out);
-                if self.conn.state() == State::TimeWait {
-                    self.restart_time_wait(now, out);
-                }
-            }
+            FinSeen::Repeated => self.emit_ack(out),
             FinSeen::Early => {}
         }
     }

@@ -3,7 +3,7 @@
 
 use unp_wire::TcpFlags;
 
-use super::{Tcb, TcpAction, TcpSink, TcpTimer, NO_DATA};
+use super::{State, Tcb, TcpAction, TcpSink, TcpTimer, NO_DATA};
 use crate::Nanos;
 
 impl Tcb {
@@ -17,6 +17,9 @@ impl Tcb {
 
     /// [`Tcb::on_timer`], appending what the expiry triggers to `out`.
     pub fn on_timer_into(&mut self, t: TcpTimer, now: Nanos, out: &mut dyn TcpSink) {
+        if self.conn.state() == State::TimeWait {
+            return self.answer_time_wait(out, |tw, out| tw.on_timer_into(t, now, out));
+        }
         self.conn.timer_fired(t);
         match t {
             TcpTimer::Keepalive => {

@@ -359,7 +359,7 @@ fn run(network: Network, org: OrgKind, phase: Phase, lies: &[Lie]) -> Result<(),
             step_until(&mut w, &mut eng, "completion", |w| tracked(w) == 0);
         }
         Phase::Installed => step_until(&mut w, &mut eng, "installation", |w| {
-            let opening = |c: &Conn| matches!(c.tcb.state(), State::SynSent | State::SynReceived);
+            let opening = |c: &Conn| matches!(c.state(), State::SynSent | State::SynReceived);
             let past = |h: &Host| !h.conns.is_empty() && !h.conns.values().any(opening);
             w.hosts.iter().all(past)
         }),
