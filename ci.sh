@@ -186,18 +186,35 @@ fi
 # A sent segment's payload is copied once (DESIGN §7, "Stream-path copy
 # budget"): the TCB hands its bytes to the world's sink as slices of its
 # send buffer, and the sink stages them straight into the pooled frame the
-# NIC sends. The greps hold what the types cannot: a scheduled step of the
-# world carrying an owned byte vector again (`Vec<u8>` in `event.rs`), or
-# the non-test part of `core`'s sources copying a ring range into one
+# NIC sends; a received byte likewise, into the TCB's receive ring, where
+# the application reads it. The greps hold what the types cannot: a
+# scheduled step of the world, or an upcall into an application, carrying
+# an owned byte vector again (`Vec<u8>` in `event.rs` or `app.rs`), or the
+# non-test part of `core`'s sources copying a ring range into one
 # (`copy_range(`).
-echo "== core: one payload copy per sent segment =="
-fields=$(grep -n 'Vec<u8>' crates/core/src/world/event.rs | sed 's|^|crates/core/src/world/event.rs:|' || true)
+echo "== core: one payload copy per sent or received segment =="
+fields=$(grep -Hn 'Vec<u8>' crates/core/src/world/event.rs crates/core/src/world/app.rs || true)
 sites=$(find crates/core/src -name '*.rs' ! -name tests.rs -exec awk '
   FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
   live && /copy_range\(/ { print FILENAME ":" FNR ":" $0 }' {} +)
 if [ -n "$fields$sites" ]; then
   printf '%s\n' "$fields" "$sites" | grep .
-  echo "a world step carries a Vec<u8>, or core copies a ring range into one (lines above)"; exit 1
+  echo "a world step or upcall carries a Vec<u8>, or core copies a ring range into one (lines above)"; exit 1
+fi
+
+# A received byte is read in place (DESIGN §7, "Stream-path copy
+# budget"): at `DataAvailable` the TCB leases the application its
+# readable bytes, and the upcall reads them in the receive ring. The grep
+# holds what the types cannot: the non-test part of `core`'s sources
+# reading a TCB into a buffer of its own again (`recv_into`), or keeping
+# spare read buffers for it (`byte_spare`).
+echo "== core: the application reads the receive ring in place =="
+sites=$(find crates/core/src -name '*.rs' ! -name tests.rs -exec awk '
+  FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && /byte_spare|recv_into/ { print FILENAME ":" FNR ":" $0 }' {} +)
+if [ -n "$sites" ]; then
+  printf '%s\n' "$sites"
+  echo "core copies received bytes out of the TCB (lines above); lease them"; exit 1
 fi
 
 # Each workload in `unp-bench` runs once and is reported once: the
@@ -282,6 +299,15 @@ cargo test -q --release --offline -p unp-tcp --test hostile_peer
 # `debug_assert!` also holds the ring within the receive buffer).
 echo "== reassembly vs. a byte map, 512 cases (release) =="
 cargo test -q --release --offline -p unp-tcp --test reassembly
+
+# A lease against a read: two blocks of one connection through the same
+# random script — segments out of order, lost and repeated, the peer's
+# FIN — one reading where the other leases, its leases handed over later,
+# two or more outstanding, across the ring's seam and out of a spill: the
+# same actions, accessors and bytes, in the same order. 512 cases (64 in
+# the debug pass above).
+echo "== leases vs. reads, 512 cases (release) =="
+cargo test -q --release --offline -p unp-tcp --test lease
 
 # A reopened block against a fresh one: two blocks used by a connection
 # with other ports, ISS, configuration and counters, reopened in place,

@@ -16,8 +16,9 @@ use crate::app::{AppOp, AppView};
 pub enum AppEvent {
     /// The connection is established.
     Connected,
-    /// In-order data, drained from the TCB's receive buffer.
-    Data(Vec<u8>),
+    /// In-order data: this many bytes the TCB leased the application,
+    /// read in place from its receive ring.
+    Data(usize),
     /// Send-buffer space was freed.
     SendSpace,
     /// The peer closed its direction.
@@ -50,14 +51,7 @@ pub(super) fn app_event(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ev: Ap
     };
     let ops = match ev {
         AppEvent::Connected => conn.app.on_connected(&view),
-        AppEvent::Data(d) => {
-            let ops = conn.app.on_data(&d, &view);
-            // Back to `byte_spare`, under its keep rule.
-            if d.capacity() <= w.pool.buf_size() {
-                w.byte_spare.give(d);
-            }
-            ops
-        }
+        AppEvent::Data(n) => conn.data_upcall(n, &view),
         AppEvent::SendSpace => conn.app.on_send_space(&view),
         AppEvent::PeerClosed => conn.app.on_peer_closed(&view),
     };

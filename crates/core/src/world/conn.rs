@@ -13,7 +13,7 @@ use unp_trace::ConnScope;
 use unp_wire::{Ipv4Addr, TcpRepr};
 
 use super::{ChanInfo, PairKey};
-use crate::app::AppLogic;
+use crate::app::{AppLogic, AppOp, AppView};
 
 /// One live connection endpoint.
 pub struct Conn {
@@ -148,6 +148,31 @@ impl Conn {
             Body::Open(open) => open.tcb.on_segment_into(repr, payload, now, out),
             Body::TimeWait(tw) => tw.on_segment_into(repr, payload, now, out),
         }
+    }
+
+    /// Leases the application every readable byte ([`Tcb::lease_into`]);
+    /// how many. A record has none.
+    pub(super) fn lease_into(&mut self, now: Nanos, out: &mut dyn TcpSink) -> usize {
+        let n = self.open().map_or(0, |open| open.tcb.lease_into(now, out));
+        self.bytes_to_app += n as u64;
+        n
+    }
+
+    /// The application's `on_data` upcall over the oldest lease, `n`
+    /// bytes read in place, which it then releases.
+    pub(super) fn data_upcall(&mut self, n: usize, view: &AppView) -> Vec<AppOp> {
+        match &mut self.body {
+            Body::Open(open) => open
+                .tcb
+                .release_lease(n, |data| self.app.on_data(data, view)),
+            // A block with a lease outstanding never becomes a record.
+            Body::TimeWait(_) => unreachable!("a TIME_WAIT record holds no lease"),
+        }
+    }
+
+    /// Bytes leased to the application and not yet released.
+    pub(super) fn leased(&self) -> usize {
+        self.open_ref().map_or(0, |open| open.tcb.leases().total())
     }
 
     pub(super) fn on_timer_into(&mut self, t: TcpTimer, now: Nanos, out: &mut dyn TcpSink) {

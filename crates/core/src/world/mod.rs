@@ -220,15 +220,9 @@ pub struct World {
     /// actions to a buffer drawn from here; [`apply_tcp_actions`] /
     /// [`apply_registry_actions`] drain it and put it back. A list, not
     /// one buffer, because routing re-enters itself (`DataAvailable` →
-    /// `recv`, `SendSpace` → [`flush_conn_tx`]).
+    /// a lease's window update, `SendSpace` → [`flush_conn_tx`]).
     tcp_spare: Spare<tcp::TcpOut>,
     reg_spare: Spare<RegistryAction>,
-    /// Emptied receive buffers: `DataAvailable` drains a TCB into one and
-    /// `app_event` gives it back after the application's `on_data`. Only
-    /// buffers no larger than one pool buffer come back: a lossy
-    /// transfer's reassembly drains many segments into one read, and
-    /// keeping those buffers would hold the burst's peak for good.
-    byte_spare: Spare<u8>,
 }
 
 /// A free-list of emptied `Vec`s, so a buffer's capacity outlives its use.
@@ -326,6 +320,12 @@ impl World {
                 (
                     h.timers.len().abs_diff(h.wheel.pending()),
                     "timers armed outside the table",
+                ),
+                // A drained world has no upcall pending, so a lease left
+                // is one whose `on_data` never ran.
+                (
+                    h.conns.values().filter(|c| c.leased() > 0).count(),
+                    "connections with bytes leased and no upcall pending",
                 ),
             ];
             for (n, what) in held {
@@ -430,7 +430,6 @@ pub fn build_hosts(n: usize, network: Network, org: OrgKind) -> (World, Eng) {
         faults: crate::faults::FaultPlan::none(),
         tcp_spare: Spare(Vec::new()),
         reg_spare: Spare(Vec::new()),
-        byte_spare: Spare(Vec::new()),
     };
     (world, Engine::new())
 }

@@ -11,7 +11,6 @@ use unp_trace::{Ctr, Hist};
 use unp_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpPacket, TcpRepr, IPV4_HEADER_LEN};
 
 use super::app::{app_upcall, flush_conn_tx, AppEvent};
-use super::conn::Open;
 use super::costs::{app_boundary_cost, rx_copy_cost, tcp_seg_cost, tx_device_cost};
 use super::event::{host_step, Event};
 use super::lifecycle::remove_conn;
@@ -209,29 +208,23 @@ pub(super) fn apply_tcp_actions(
                 app_upcall(w, eng, h, cost, cid, AppEvent::Connected);
             }
             TcpAction::DataAvailable => {
-                // Drain the receive buffer into a spare and upcall the
-                // application; `app_event` gives the buffer back.
+                // Lease the readable bytes to the application: they stay
+                // in the TCB's receive ring until `app_event` hands them
+                // to its upcall.
                 let now = eng.now();
-                let mut data = w.byte_spare.take();
-                let gone = with_conn(w, eng, h, cid, frame, |conn, out| {
-                    let read =
-                        |open: &mut Open| open.tcb.recv_into(usize::MAX, now, &mut data, out);
-                    conn.bytes_to_app += conn.open().map_or(0, read) as u64;
-                })
-                .is_none();
-                if data.is_empty() {
-                    w.byte_spare.give(data);
-                } else {
-                    w.metrics.sample(Hist::AppDeliverBytes, data.len() as u64);
+                let Some(n) =
+                    with_conn(w, eng, h, cid, frame, |conn, out| conn.lease_into(now, out))
+                else {
+                    break;
+                };
+                if n > 0 {
+                    w.metrics.sample(Hist::AppDeliverBytes, n as u64);
                     unp_trace::emit_at(h as u16, frame, || unp_trace::Event::AppDeliver {
                         conn: cid as u64,
-                        bytes: data.len() as u32,
+                        bytes: n as u32,
                     });
-                    let cost = app_boundary_cost(w, h) + rx_copy_cost(w, h, data.len());
-                    app_upcall(w, eng, h, cost, cid, AppEvent::Data(data));
-                }
-                if gone {
-                    break;
+                    let cost = app_boundary_cost(w, h) + rx_copy_cost(w, h, n);
+                    app_upcall(w, eng, h, cost, cid, AppEvent::Data(n));
                 }
             }
             TcpAction::SendSpace => {
@@ -278,7 +271,8 @@ pub(super) fn apply_tcp_actions(
     }
     // A library connection sits out TIME_WAIT as a record, its
     // application having drained the block by now: the block goes back to
-    // the registry for the host's next connection.
+    // the registry for the host's next connection. A block with a lease
+    // outstanding, an upcall yet to read it, sits out the wait itself.
     if time_wait {
         let host = &mut w.hosts[h];
         let conn = host.conns.get_mut(&cid).filter(|c| c.chan.is_some());

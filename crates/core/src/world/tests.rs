@@ -512,6 +512,77 @@ fn every_teardown_route_leaves_nothing_behind() {
     }
 }
 
+/// An application's normal exit hands its connection to the registry,
+/// and the library's timers go with the library: the registry arms again
+/// what the connection still waits on. A client exited in TIME_WAIT ends
+/// its wait, and one exited with data in flight that an outage then loses
+/// retransmits it and closes: either way the registry lets the pair go
+/// and the port is free.
+#[test]
+fn an_exited_connection_keeps_its_timers() {
+    use crate::faults::{install_faults, FaultPlan, Outage};
+    for in_flight in [false, true] {
+        let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
+        let client = if in_flight {
+            let (client, _) = mid_transfer(&mut w, &mut eng, None);
+            let mut plan = FaultPlan::clean(1);
+            let (start, end) = (eng.now(), eng.now() + 50 * unp_sim::MILLIS);
+            let cut = Outage {
+                from: None,
+                to: None,
+                start,
+                end,
+            };
+            plan.outages.push(cut);
+            install_faults(&mut w, &mut eng, plan);
+            client
+        } else {
+            let echo = || Box::new(EchoApp) as Box<dyn crate::app::AppLogic>;
+            listen(&mut w, 1, 80, TcpConfig::default(), Box::new(echo));
+            let stats = TransferStats::new_shared();
+            let app = Box::new(PingPongApp::new(64, 1, stats));
+            connect(&mut w, &mut eng, 0, SERVER, TcpConfig::default(), app, 64);
+            let waiting = |w: &World| {
+                let mut conns = w.hosts[0].conns.values();
+                conns.any(|c| c.state() == unp_tcp::State::TimeWait)
+            };
+            while !waiting(&w) {
+                assert!(eng.step(&mut w), "the client never reached TIME_WAIT");
+            }
+            *w.hosts[0].conns.keys().next().expect("the client")
+        };
+        let port = w.hosts[0].conns[&client].local_port();
+        app_exit(&mut w, &mut eng, 0, client, false);
+        assert!(eng.run(&mut w, 5_000_000), "in flight: {in_flight}");
+        let registry = &w.hosts[0].registry;
+        assert_eq!(registry.tracked(), 0, "in flight: {in_flight}");
+        assert!(
+            registry.port_free(port, eng.now()),
+            "in flight: {in_flight}"
+        );
+        assert_eq!(w.leaks(), Vec::<String>::new(), "in flight: {in_flight}");
+    }
+}
+
+/// The zero-leak oracle counts a lease: a world stopped while the
+/// server's application has bytes leased and its upcall not yet run
+/// shows it, and the same world drained shows nothing.
+#[test]
+fn a_lease_left_in_a_world_is_a_leak() {
+    let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
+    mid_transfer(&mut w, &mut eng, None);
+    while !w.hosts[1].conns.values().any(|c| c.leased() > 0) {
+        assert!(eng.step(&mut w), "nothing was ever leased");
+    }
+    let leaks = w.leaks();
+    assert!(
+        leaks.iter().any(|l| l.contains("bytes leased")),
+        "{leaks:?}"
+    );
+    assert!(eng.run(&mut w, 5_000_000), "the transfer did not drain");
+    assert_eq!(w.leaks(), Vec::<String>::new());
+}
+
 #[test]
 fn a_handshake_at_the_tenants_channel_cap_is_refused_before_it_is_sent() {
     type Open = fn(&mut World, &mut Eng, Box<dyn crate::app::AppLogic>);

@@ -77,6 +77,13 @@ impl Endpoint {
         }
     }
 
+    pub(crate) fn rearm_into(&mut self, now: Nanos, out: &mut dyn TcpSink) {
+        match self {
+            Endpoint::Block(tcb) => tcb.rearm_into(now, out),
+            Endpoint::TimeWait(tw) => tw.rearm_into(now, out),
+        }
+    }
+
     pub(crate) fn abort_into(&mut self, out: &mut dyn TcpSink) {
         match self {
             Endpoint::Block(tcb) => tcb.abort_into(out),

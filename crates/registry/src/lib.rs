@@ -112,6 +112,9 @@ struct Pending {
     remote_ip: Ipv4Addr,
     /// True for connections inherited from exited applications.
     inherited: bool,
+    /// An inherited connection the registry reset (its application
+    /// exited abnormally): the pair is quarantined when it ends.
+    reset: bool,
 }
 
 /// The demux binding the registry installs with the network I/O module at
@@ -291,6 +294,7 @@ impl RegistryServer {
                 owner,
                 remote_ip: remote.0,
                 inherited: false,
+                reset: false,
             },
         );
         self.route(hs, out);
@@ -352,6 +356,7 @@ impl RegistryServer {
                         owner,
                         remote_ip: src,
                         inherited: false,
+                        reset: false,
                     },
                 );
                 self.route(hs, out);
@@ -430,10 +435,14 @@ impl RegistryServer {
             if abnormal {
                 tcb.abort_into(&mut self.tcp_actions);
             } else {
-                // Already closing: nothing to add, the TCB finishes as is.
+                // The library's host dropped the connection's timers with
+                // it: the registry arms what the endpoint still waits on,
+                // then closes. Already closing: nothing to add, the TCB
+                // finishes as is.
+                tcb.rearm_into(now, &mut self.tcp_actions);
                 let _ = tcb.close_into(now, &mut self.tcp_actions);
             }
-            let hs = self.adopt(tcb, owner, remote.0, key);
+            let hs = self.adopt(tcb, owner, remote.0, key, abnormal);
             self.route(hs, out);
         }
     }
@@ -504,6 +513,7 @@ impl RegistryServer {
         owner: OwnerTag,
         remote_ip: Ipv4Addr,
         key: (u16, Ipv4Addr, u16),
+        reset: bool,
     ) -> HsId {
         let hs = self.next_id();
         self.index.insert(key, hs);
@@ -514,6 +524,7 @@ impl RegistryServer {
                 owner,
                 remote_ip,
                 inherited: true,
+                reset,
             },
         );
         hs
@@ -599,11 +610,13 @@ impl RegistryServer {
             Endpoint::TimeWait(_) => {}
         }
         if p.inherited {
-            // The actual 2MSL wait already happened in TIME_WAIT (the
-            // block's or its record's) for orderly closes; for aborts the pair is
-            // quarantined permanently-in-simulation (hosts are
-            // short-lived).
-            self.ports.quarantine(port, remote, Nanos::MAX);
+            // An orderly close sat out its TIME_WAIT (the block's or its
+            // record's, on the timer `app_exit_into` armed again) if it
+            // owed one; a reset pair is quarantined
+            // permanently-in-simulation (hosts are short-lived).
+            if p.reset {
+                self.ports.quarantine(port, remote, Nanos::MAX);
+            }
         } else {
             out.push(RegistryAction::Failed { hs, owner: p.owner });
         }

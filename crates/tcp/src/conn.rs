@@ -54,6 +54,21 @@ impl Armed {
         self.0 & 1 << t as u8 != 0
     }
 
+    /// Hands a host that holds none of them every timer pending here,
+    /// each at `deadline(t)`.
+    pub(crate) fn rearm(self, deadline: impl Fn(TcpTimer) -> Nanos, out: &mut dyn TcpSink) {
+        const ALL: [TcpTimer; 5] = [
+            TcpTimer::Retransmit,
+            TcpTimer::Persist,
+            TcpTimer::DelayedAck,
+            TcpTimer::TimeWait,
+            TcpTimer::Keepalive,
+        ];
+        for t in ALL.into_iter().filter(|&t| self.is_armed(t)) {
+            out.push(TcpAction::SetTimer(t, deadline(t)));
+        }
+    }
+
     /// The host delivered `t`: it is no longer pending.
     pub(crate) fn fired(&mut self, t: TcpTimer) {
         self.take(t);

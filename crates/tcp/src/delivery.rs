@@ -91,6 +91,27 @@ impl Rings {
     }
 }
 
+/// Where the bytes a block has leased to its application
+/// ([`crate::Tcb::lease_into`]) and not yet had back lie.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Leases {
+    /// Leased bytes at the front of the receive ring.
+    pub in_ring: usize,
+    /// Leased bytes moved out of the ring, so that it would not grow for
+    /// them: whole leases, older than the ring's.
+    pub spilled: usize,
+    /// The ring's bytes before its seam: an in-ring lease longer than
+    /// this is made contiguous when it is handed over.
+    pub before_seam: usize,
+}
+
+impl Leases {
+    /// Leased bytes outstanding.
+    pub fn total(&self) -> usize {
+        self.in_ring + self.spilled
+    }
+}
+
 /// One connection's byte streams and their sequence numbers.
 #[derive(Debug)]
 pub(crate) struct Delivery {
@@ -107,11 +128,20 @@ pub(crate) struct Delivery {
     snd_fin: Option<SeqNum>,
 
     rcv_nxt: SeqNum,
-    /// The receive ring: `readable` in-order bytes, then the reassembly
-    /// area, where a held byte at `seq` sits at `readable + (seq −
-    /// rcv_nxt)` and holes are zeros. It ends at the last held byte.
+    /// The receive ring: `leased` bytes the application holds, then
+    /// `readable` in-order bytes, then the reassembly area, where a held
+    /// byte at `seq` sits at `leased + readable + (seq − rcv_nxt)` and
+    /// holes are zeros. It ends at the last held byte.
     recv_buf: VecDeque<u8>,
-    /// In-order bytes at the front of `recv_buf`, not yet read.
+    /// In-order bytes at the front of `recv_buf` leased to the
+    /// application ([`Delivery::lease`]) and not yet released. They are
+    /// out of the window's reckoning, as read bytes are.
+    leased: usize,
+    /// Leased bytes moved out of the ring so that it need not grow
+    /// ([`Delivery::make_room`]): whole leases, ahead of the ring's.
+    /// Empty, with no storage, unless a lease is outstanding in it.
+    spill: Vec<u8>,
+    /// In-order bytes after the leased ones, not yet read or leased.
     readable: usize,
     /// Which of the reassembly area's bytes have arrived.
     held: HeldRanges,
@@ -142,6 +172,8 @@ impl Delivery {
             snd_fin: None,
             rcv_nxt: SeqNum(0),
             recv_buf: recv,
+            leased: 0,
+            spill: Vec::new(),
             readable: 0,
             held,
             peer_fin: None,
@@ -152,14 +184,16 @@ impl Delivery {
     }
 
     /// Takes the stream storage, cleared, leaving none behind. Whatever
-    /// the rings held goes: `clear` keeps only their capacity.
+    /// the rings held goes, leases and their spill with them: `clear`
+    /// keeps only the rings' capacity.
     pub(crate) fn rings(&mut self) -> Rings {
         let (mut send, mut recv) = (take(&mut self.send_buf), take(&mut self.recv_buf));
         let mut held = take(&mut self.held);
         send.clear();
         recv.clear();
         held.clear();
-        self.readable = 0;
+        self.spill = Vec::new();
+        (self.leased, self.readable) = (0, 0);
         Rings { send, recv, held }
     }
 
@@ -172,9 +206,10 @@ impl Delivery {
 
     // --- reads ---
 
-    /// Nothing is left to resend or to read: both rings are empty.
+    /// Nothing is left to resend, to read or to release: both rings are
+    /// empty and nothing is spilled.
     pub(crate) fn drained(&self) -> bool {
-        self.send_buf.is_empty() && self.recv_buf.is_empty()
+        self.send_buf.is_empty() && self.recv_buf.is_empty() && self.spill.is_empty()
     }
 
     pub(crate) fn iss(&self) -> SeqNum {
@@ -287,14 +322,57 @@ impl Delivery {
         self.fin_queued = true;
     }
 
-    /// Moves up to `max` bytes from the front of the receive buffer to the
-    /// end of `out`; how many.
+    /// Moves up to `max` readable bytes, those after any leased ones, to
+    /// the end of `out`; how many.
     pub(crate) fn read(&mut self, max: usize, out: &mut Vec<u8>) -> usize {
         let take = max.min(self.readable);
-        append_range(&self.recv_buf, 0, take, out);
-        self.recv_buf.drain(..take);
+        append_range(&self.recv_buf, self.leased, take, out);
+        self.recv_buf.drain(self.leased..self.leased + take);
         self.readable -= take;
         take
+    }
+
+    /// Leases every readable byte to the application, as a read of all of
+    /// them would take them, but leaves them where they are, at the ring's
+    /// front behind any earlier lease; how many.
+    pub(crate) fn lease(&mut self) -> usize {
+        let n = take(&mut self.readable);
+        self.leased += n;
+        n
+    }
+
+    /// The oldest outstanding lease, `n` bytes, as one slice: the ring is
+    /// made contiguous first only when the lease straddles its seam.
+    pub(crate) fn leased(&mut self, n: usize) -> &[u8] {
+        if !self.spill.is_empty() {
+            return &self.spill[..n];
+        }
+        assert!(n <= self.leased, "no lease of {n} bytes outstanding");
+        if self.recv_buf.as_slices().0.len() < n {
+            self.recv_buf.make_contiguous();
+        }
+        &self.recv_buf.as_slices().0[..n]
+    }
+
+    /// Gives back the oldest outstanding lease, `n` bytes.
+    pub(crate) fn release(&mut self, n: usize) {
+        if self.spill.is_empty() {
+            self.recv_buf.drain(..n);
+            self.leased -= n;
+        } else {
+            self.spill.drain(..n);
+            if self.spill.is_empty() {
+                self.spill = Vec::new();
+            }
+        }
+    }
+
+    pub(crate) fn leases(&self) -> Leases {
+        Leases {
+            in_ring: self.leased,
+            spilled: self.spill.len(),
+            before_seam: self.recv_buf.as_slices().0.len(),
+        }
     }
 
     // --- output ---
@@ -446,13 +524,17 @@ impl Delivery {
     /// Held bytes always fit: they lie below the advertised window's
     /// edge, `rcv_nxt + min(cap − readable, 65535)`, and that edge never
     /// moves left — an in-order append moves both of its terms by the
-    /// same amount and a read only shrinks `readable` — so a held byte's
-    /// index, `readable + (seq − rcv_nxt)`, stays below `cap`.
+    /// same amount and a read or a lease only shrinks `readable` — so a
+    /// held byte's index past the leased bytes, `readable + (seq −
+    /// rcv_nxt)`, stays below `cap`.
     pub(crate) fn accept_payload(&mut self, seq: SeqNum, payload: &[u8], cap: usize) -> Payload {
-        // No new data is accepted once the peer's FIN sequence is known.
-        if self.peer_fin.is_some_and(|fin| seq.ge(fin)) {
-            return Payload::PastFin;
-        }
+        // Once the peer's FIN sequence is known, text at or past it is
+        // not the stream's: a segment is cut at the FIN.
+        let payload = match self.peer_fin {
+            Some(fin) if seq.ge(fin) => return Payload::PastFin,
+            Some(fin) => &payload[..payload.len().min(fin.dist(seq) as usize)],
+            None => payload,
+        };
         if seq.gt(self.rcv_nxt) {
             return Payload::Held(self.hold(seq, payload, cap));
         }
@@ -475,9 +557,11 @@ impl Delivery {
         }
         // `seq`'s index in the ring.
         let base = self.readable + seq.dist(self.rcv_nxt) as usize;
-        let len = self.recv_buf.len().max(base + take);
+        let len = (self.recv_buf.len() - self.leased).max(base + take);
         debug_assert!(len <= cap, "held bytes past the buffer");
-        self.recv_buf.resize(len, 0);
+        self.make_room(len);
+        let base = self.leased + base;
+        self.recv_buf.resize(self.leased + len, 0);
         let ring = &mut self.recv_buf;
         self.held.insert(seq, seq + take as u32, |lo, hi| {
             let (lo, hi) = (lo.dist(seq) as usize, hi.dist(seq) as usize);
@@ -491,8 +575,13 @@ impl Delivery {
     /// held run it reaches; how much of `data` fitted.
     fn append(&mut self, data: &[u8], cap: usize) -> usize {
         let take = data.len().min(cap - self.readable);
-        let over = take.min(self.recv_buf.len() - self.readable);
-        overwrite(&mut self.recv_buf, self.readable, &data[..over]);
+        let over = take.min(self.recv_buf.len() - self.leased - self.readable);
+        self.make_room(self.recv_buf.len() - self.leased + take - over);
+        overwrite(
+            &mut self.recv_buf,
+            self.leased + self.readable,
+            &data[..over],
+        );
         self.recv_buf.extend(&data[over..take]);
         self.rcv_nxt += take as u32;
         self.readable += take;
@@ -500,6 +589,19 @@ impl Delivery {
         self.readable += edge.dist(self.rcv_nxt) as usize;
         self.rcv_nxt = edge;
         take
+    }
+
+    /// The ring is about to hold `len` bytes past its leased ones. If
+    /// that would make it grow while it holds leased bytes, the leases
+    /// move out first, into the spill: a ring grows only as far as one
+    /// that was read would have, so a lease never costs it capacity.
+    fn make_room(&mut self, len: usize) {
+        if self.leased == 0 || self.leased + len <= self.recv_buf.capacity() {
+            return;
+        }
+        append_range(&self.recv_buf, 0, self.leased, &mut self.spill);
+        self.recv_buf.drain(..self.leased);
+        self.leased = 0;
     }
 
     /// The peer's FIN, at `fin_seq`.

@@ -39,7 +39,7 @@ pub mod tcb;
 mod time_wait;
 
 pub use config::{CongestionControl, TcpConfig};
-pub use delivery::Rings;
+pub use delivery::{Leases, Rings};
 pub use rtt::RttEstimator;
 pub use tcb::{ListenTcb, State, Tcb, TcpAction, TcpSink, TcpTimer};
 pub use time_wait::TimeWait;

@@ -36,7 +36,7 @@ use unp_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
 use crate::config::TcpConfig;
 use crate::congestion::Congestion;
 use crate::conn::ConnMgmt;
-use crate::delivery::{Delivery, Rings};
+use crate::delivery::{Delivery, Leases, Rings};
 use crate::flow::FlowControl;
 use crate::{Nanos, TcpError};
 
@@ -169,11 +169,12 @@ impl Tcb {
     /// [`Tcb::new`] builds for the pair, in the storage it has.
     ///
     /// Protection: a recycled ring exposes only what `readable` covers.
-    /// [`Delivery::rings`] `clear`s both rings and the held list, so the
-    /// last connection's bytes stay only in capacity no read can reach —
-    /// a read takes the `readable` in-order bytes at the front, a send
-    /// the bytes the application queued, and the reassembly area grows by
-    /// `resize`, which zero-fills every hole it opens.
+    /// [`Delivery::rings`] `clear`s both rings and the held list and
+    /// drops any lease and its spill, so the last connection's bytes stay
+    /// only in capacity no read can reach — a read or a lease takes the
+    /// `readable` in-order bytes at the front, a send the bytes the
+    /// application queued, and the reassembly area grows by `resize`,
+    /// which zero-fills every hole it opens.
     fn reopen(
         &mut self,
         local: (Ipv4Addr, u16),
@@ -251,7 +252,8 @@ impl Tcb {
 
     /// The block's stream storage, emptied, for the next connection
     /// ([`Tcb::put_rings`]): once the block is `TimeWait` with both rings
-    /// drained — it has nothing left to resend or to be read, and the
+    /// drained — it has nothing left to resend, to be read or leased out
+    /// ([`Tcb::lease_into`]), and the
     /// 2·MSL wait needs neither ([`Tcb::time_wait`]) — or `Closed`. A ring
     /// grown past the default 16 KiB window (`config::RING_KEEP_MAX`) is
     /// freed, not kept. `None` in any other state, or when nothing has any capacity;
@@ -499,6 +501,42 @@ impl Tcb {
         out: &mut dyn TcpSink,
     ) -> usize {
         let n = self.rod.read(max, data);
+        self.window_opened(n, out);
+        n
+    }
+
+    /// Leases every readable byte to the application; how many. The
+    /// block does what a [`Tcb::recv_into`] of all of them does —
+    /// `recv_available` falls to zero and the same window update goes to
+    /// `out` — but the bytes stay at the front of its receive ring, behind
+    /// any earlier lease, until [`Tcb::release_lease`] hands them over.
+    /// Leases are handed over oldest first.
+    pub fn lease_into(&mut self, _now: Nanos, out: &mut dyn TcpSink) -> usize {
+        let n = self.rod.lease();
+        self.window_opened(n, out);
+        n
+    }
+
+    /// Hands `upcall` the oldest outstanding lease, `n` bytes as one
+    /// slice, then releases them; what `upcall` returned. The slice is
+    /// exactly the lease: no byte past it, nor one of another lease.
+    ///
+    /// # Panics
+    /// If the oldest lease outstanding is shorter than `n` bytes.
+    pub fn release_lease<R>(&mut self, n: usize, upcall: impl FnOnce(&[u8]) -> R) -> R {
+        let ret = upcall(self.rod.leased(n));
+        self.rod.release(n);
+        ret
+    }
+
+    /// Where the leased bytes outstanding lie.
+    pub fn leases(&self) -> Leases {
+        self.rod.leases()
+    }
+
+    /// `n` bytes left `readable`: a window update if that opened the
+    /// window enough (receiver-side silly-window avoidance).
+    fn window_opened(&mut self, n: usize, out: &mut dyn TcpSink) {
         if n > 0 && self.conn.is_live() {
             let cap = self.cfg.recv_buf;
             let edge = self.rod.rcv_nxt() + self.rod.recv_window(cap);
@@ -506,7 +544,6 @@ impl Tcb {
                 self.emit_ack(out);
             }
         }
-        n
     }
 
     /// Closes the send direction (queues a FIN after any buffered data).

@@ -12,8 +12,10 @@ impl Tcb {
     /// pending, and the counters and final RTT it retires with — while the
     /// block's storage goes to the next connection. `None` unless the
     /// block is in `TimeWait` with both rings drained (nothing to resend,
-    /// nothing left to read), or when a counter is past what the record
-    /// keeps; such a block sits out the wait itself, answering the same.
+    /// nothing left to read, no lease outstanding: a record would drop
+    /// bytes an upcall is yet to read), or when a counter is past what
+    /// the record keeps; such a block sits out the wait itself, answering
+    /// the same.
     pub fn time_wait(&self) -> Option<TimeWait> {
         if self.state() != State::TimeWait || !self.rod.drained() {
             return None;

@@ -4,9 +4,28 @@
 use unp_wire::TcpFlags;
 
 use super::{State, Tcb, TcpAction, TcpSink, TcpTimer, NO_DATA};
+use crate::config::DELAYED_ACK_TIMEOUT;
 use crate::Nanos;
 
 impl Tcb {
+    /// Arms again, a full period from `now`, every timer the block has
+    /// pending, for a host that took the block over without the timers
+    /// its last host held (a registry inheriting an exited application's
+    /// connection): nothing the block waits on — its 2·MSL, a
+    /// retransmission — is left unarmed.
+    pub fn rearm_into(&mut self, now: Nanos, out: &mut dyn TcpSink) {
+        if self.conn.state() == State::TimeWait {
+            return self.answer_time_wait(out, |tw, out| tw.rearm_into(now, out));
+        }
+        let period = |t| match t {
+            TcpTimer::Retransmit | TcpTimer::Persist => self.rod.rto(),
+            TcpTimer::DelayedAck => DELAYED_ACK_TIMEOUT,
+            TcpTimer::TimeWait => self.cfg.time_wait,
+            TcpTimer::Keepalive => self.cfg.keepalive.unwrap_or_default(),
+        };
+        self.conn.armed().rearm(|t| now + period(t), out);
+    }
+
     /// Handles a timer firing. The host calls this when a wheel token for
     /// this connection expires.
     pub fn on_timer(&mut self, t: TcpTimer, now: Nanos) -> Vec<TcpAction> {

@@ -216,6 +216,15 @@ impl TimeWait {
         }
     }
 
+    /// [`Tcb::rearm_into`] for the record: the 2·MSL wait restarts from
+    /// `now`, and any other timer pending fires at once, with nothing
+    /// left to do.
+    pub fn rearm_into(&mut self, now: Nanos, out: &mut dyn TcpSink) {
+        let wait = self.time_wait;
+        let deadline = |t| now + if t == TcpTimer::TimeWait { wait } else { 0 };
+        self.armed.rearm(deadline, out);
+    }
+
     /// The connection takes no more data.
     pub fn send_into(
         &mut self,

@@ -244,3 +244,24 @@ fn a_byte_at_the_windows_last_byte_fills_the_buffer() {
     let (data, _) = b.recv(usize::MAX, 4 * MS);
     assert_eq!((data.len(), data[cap - 1]), (cap, b'z'));
 }
+
+/// Text past the peer's FIN is not the stream's: a block in `CloseWait`
+/// fed ten bytes at the peer's SYN — one sequence number below its FIN,
+/// two below `rcv_nxt` — takes none of them, and says nothing is readable.
+#[test]
+fn text_past_the_peers_fin_is_cut_at_the_fin() {
+    let cfg = TcpConfig::default();
+    let (_a, mut b, _ack) = scripts::half_closed(&cfg);
+    let seg = TcpRepr {
+        src_port: A.1,
+        dst_port: B.1,
+        seq: SeqNum(scripts::ISS_A),
+        ack_num: b.send_sequence().1,
+        flags: TcpFlags::ack(),
+        window: u16::MAX,
+        mss: None,
+    };
+    let out = b.on_segment(&seg, &[b'x'; 10], 20 * MS);
+    assert!(!out.contains(&TcpAction::DataAvailable), "{out:?}");
+    assert_eq!((b.recv_available(), b.at_eof()), (0, true));
+}
