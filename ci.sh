@@ -217,6 +217,24 @@ if [ -n "$sites" ]; then
   echo "core copies received bytes out of the TCB (lines above); lease them"; exit 1
 fi
 
+# A stream byte is not moved to be read or sent (DESIGN §7, "Stream-path
+# copy budget"): a lease reaches the application as the two slices on
+# either side of the receive ring's seam, and a write the TCB refused
+# waits in the application's own buffers, offered back as their slices
+# in one `send_into`. The greps hold what the types cannot: the non-test
+# part of `unp-tcp`'s or `core`'s sources rotating a ring to read it as
+# one slice (`make_contiguous`), or a connection copying refused bytes
+# into a byte queue of its own (`VecDeque<u8>` in `world/conn.rs`).
+echo "== stream bytes are not moved to be read or sent =="
+sites=$(find crates/tcp/src crates/core/src -name '*.rs' ! -name tests.rs -exec awk '
+  FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && /make_contiguous/ { print FILENAME ":" FNR ":" $0 }' {} +)
+queues=$(grep -Hn 'VecDeque<u8>' crates/core/src/world/conn.rs || true)
+if [ -n "$sites$queues" ]; then
+  printf '%s\n' "$sites" "$queues" | grep .
+  echo "a stream ring is rotated to be read, or refused bytes are copied into a queue (lines above)"; exit 1
+fi
+
 # Each workload in `unp-bench` runs once and is reported once: the
 # million-channel population is built by the demux scale sweep (its
 # footprint and the monitor's memory bound read the same modules) and by
@@ -272,7 +290,10 @@ cargo test -q --release --offline --test zero_copy --test demux_differential --t
 # TIME_WAIT (reads 1.6 KB; a ring reserved up front reads 59 KB and 28 KB,
 # a block parked through the wait 2.0 KB), and a
 # connection that has closed at both ends may keep 64 B (a scope and a
-# binding report per connection ever made read 445 B). In release, like
+# binding report per connection ever made read 445 B), and the lossy bulk
+# transfer may keep 400 KB live at once (reads 352 KB; stream rings that
+# double past their buffer size and refused writes copied into a queue of
+# the library's own read 458 KB). In release, like
 # the ledger whose `allocs_per_frame`, `alloc_bytes_per_frame` and
 # `peak_heap_bytes` they mirror.
 echo "== allocation budgets (release) =="
@@ -308,6 +329,16 @@ cargo test -q --release --offline -p unp-tcp --test reassembly
 # the debug pass above).
 echo "== leases vs. reads, 512 cases (release) =="
 cargo test -q --release --offline -p unp-tcp --test lease
+
+# A gathered write against a contiguous one: two blocks of one connection
+# in the same state — before the handshake completes, with data in
+# flight, a full send buffer, a zero window, a queued FIN, TIME_WAIT,
+# Closed, Nagle on and off — take the same random write, one as a single
+# slice and one cut into parts: the same count, actions and accessors,
+# and the same segments as the peer acknowledges the rest. 512 cases (64
+# in the debug pass above).
+echo "== gathered sends vs. contiguous writes, 512 cases (release) =="
+cargo test -q --release --offline -p unp-tcp --test gathered_send
 
 # A reopened block against a fresh one: two blocks used by a connection
 # with other ports, ISS, configuration and counters, reopened in place,

@@ -76,14 +76,15 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
                 };
                 // `pending_tx` holds only what the TCB refused: a write
                 // that finds it empty goes to the TCB straight from the
-                // app's buffer, and only the tail that did not fit queues.
+                // app's buffer, and only a write with a tail that did not
+                // fit waits, in that buffer.
                 let offered = if open.pending_tx.is_empty() {
                     let out = &mut Staging::new(&w.pool, lhl, &mut actions);
-                    offer_tx(&mut open.tcb, &data, eng.now(), out)
+                    offer_tx(&mut open.tcb, [&data[..]], eng.now(), out)
                 } else {
                     None
                 };
-                open.pending_tx.extend(&data[offered.unwrap_or(0)..]);
+                open.pending_tx.push(data, offered.unwrap_or(0));
                 match offered {
                     Some(_) => apply_tcp_actions(w, eng, h, cid, None, actions),
                     None => w.tcp_spare.give(actions),
@@ -103,17 +104,23 @@ fn apply_app_ops(w: &mut World, eng: &mut Eng, h: usize, cid: u32, ops: Vec<AppO
     }
 }
 
-/// Offers `bytes` to the TCB in a single `send` of as many as fit. One
-/// call, because segment boundaries (Nagle, sender silly-window
-/// avoidance) depend on how many bytes one `send` sees. `None` when
-/// nothing fits or the connection no longer takes data; otherwise the
-/// count taken, with what the write triggered appended to `out`.
-fn offer_tx(tcb: &mut Tcb, bytes: &[u8], now: Nanos, out: &mut dyn TcpSink) -> Option<usize> {
-    let n = bytes.len().min(tcb.send_space());
-    if n == 0 {
+/// Offers `bytes`, the parts in order, to the TCB in a single `send` of
+/// as many as fit. One call, because segment boundaries (Nagle, sender
+/// silly-window avoidance) depend on how many bytes one `send` sees.
+/// `None` when there is no byte to offer, nothing fits or the connection
+/// no longer takes data; otherwise the count taken, with what the write
+/// triggered appended to `out`.
+fn offer_tx<'a>(
+    tcb: &mut Tcb,
+    bytes: impl IntoIterator<Item = &'a [u8], IntoIter: Clone>,
+    now: Nanos,
+    out: &mut dyn TcpSink,
+) -> Option<usize> {
+    let bytes = bytes.into_iter();
+    if tcb.send_space() == 0 || bytes.clone().all(<[u8]>::is_empty) {
         return None;
     }
-    tcb.send_into(&bytes[..n], now, out).ok()
+    tcb.send_into(bytes, now, out).ok()
 }
 
 /// Moves pending app bytes into the TCB and issues a deferred close.
@@ -124,13 +131,12 @@ pub(super) fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
             return;
         };
         let mut actions = w.tcp_spare.take();
-        let queued = open.pending_tx.make_contiguous();
         let out = &mut Staging::new(&w.pool, lhl, &mut actions);
-        let Some(n) = offer_tx(&mut open.tcb, queued, now, out) else {
+        let Some(n) = offer_tx(&mut open.tcb, open.pending_tx.slices(), now, out) else {
             w.tcp_spare.give(actions);
             break;
         };
-        open.pending_tx.drain(..n);
+        open.pending_tx.consume(n);
         apply_tcp_actions(w, eng, h, cid, None, actions);
     }
     // Deferred close once everything is queued.

@@ -42,12 +42,65 @@ pub(super) struct Open {
     /// pointer, so the table's capacity does not cost what it indexes.
     pub(super) tcb: Box<Tcb>,
     /// App bytes the library holds beyond the TCB's send buffer.
-    pub(super) pending_tx: VecDeque<u8>,
+    pub(super) pending_tx: Pending,
     /// The app requested close once `pending_tx` drains.
     pub(super) close_pending: bool,
     /// Typical application write size (the experiments' "user packet
     /// size").
     pub(super) write_size: usize,
+}
+
+/// Application writes the TCB refused, in the buffers the application
+/// handed over (`AppOp::Send`), moved in and never copied, oldest first.
+#[derive(Default)]
+pub(super) struct Pending {
+    bufs: VecDeque<Vec<u8>>,
+    /// Bytes of the front buffer the TCB has taken already.
+    taken: usize,
+}
+
+impl Pending {
+    /// Bytes waiting.
+    pub(super) fn len(&self) -> usize {
+        self.bufs.iter().map(Vec::len).sum::<usize>() - self.taken
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.bufs.is_empty()
+    }
+
+    /// Keeps what the TCB did not take of a write, `data`, of which it
+    /// took the first `taken` bytes (none unless nothing else waits).
+    pub(super) fn push(&mut self, data: Vec<u8>, taken: usize) {
+        debug_assert!(taken == 0 || self.bufs.is_empty());
+        if taken < data.len() {
+            if self.bufs.is_empty() {
+                self.taken = taken;
+            }
+            self.bufs.push_back(data);
+        }
+    }
+
+    /// The bytes waiting, in order, where they lie.
+    pub(super) fn slices(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        let skips = std::iter::once(self.taken).chain(std::iter::repeat(0));
+        self.bufs.iter().zip(skips).map(|(buf, skip)| &buf[skip..])
+    }
+
+    /// The TCB took the first `n` bytes waiting: each buffer they empty
+    /// goes.
+    pub(super) fn consume(&mut self, mut n: usize) {
+        while let Some(front) = self.bufs.front() {
+            let left = front.len() - self.taken;
+            if n < left {
+                self.taken += n;
+                return;
+            }
+            n -= left;
+            self.bufs.pop_front();
+            self.taken = 0;
+        }
+    }
 }
 
 impl Conn {
@@ -59,7 +112,7 @@ impl Conn {
     ) -> Conn {
         let open = Open {
             tcb,
-            pending_tx: VecDeque::new(),
+            pending_tx: Pending::default(),
             close_pending: false,
             write_size,
         };
@@ -159,12 +212,18 @@ impl Conn {
     }
 
     /// The application's `on_data` upcall over the oldest lease, `n`
-    /// bytes read in place, which it then releases.
+    /// bytes read in place, which it then releases: one call per slice
+    /// the lease lies in (two when it straddles the ring's seam), their
+    /// operations in order.
     pub(super) fn data_upcall(&mut self, n: usize, view: &AppView) -> Vec<AppOp> {
         match &mut self.body {
-            Body::Open(open) => open
-                .tcb
-                .release_lease(n, |data| self.app.on_data(data, view)),
+            Body::Open(open) => open.tcb.release_lease(n, |[front, back]| {
+                let mut ops = self.app.on_data(front, view);
+                if !back.is_empty() {
+                    ops.extend(self.app.on_data(back, view));
+                }
+                ops
+            }),
             // A block with a lease outstanding never becomes a record.
             Body::TimeWait(_) => unreachable!("a TIME_WAIT record holds no lease"),
         }

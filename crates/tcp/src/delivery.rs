@@ -17,7 +17,7 @@ use unp_wire::SeqNum;
 use crate::config::{MSS_DEFAULT, RING_KEEP_MAX};
 use crate::reasm::HeldRanges;
 use crate::rtt::RttEstimator;
-use crate::{append_range, ring_slices, Nanos};
+use crate::{append_range, overwrite, reserve, ring_slices, Nanos};
 
 /// What [`Delivery::retransmit_head`] resends.
 pub(crate) enum Rexmit {
@@ -100,9 +100,6 @@ pub struct Leases {
     /// Leased bytes moved out of the ring, so that it would not grow for
     /// them: whole leases, older than the ring's.
     pub spilled: usize,
-    /// The ring's bytes before its seam: an in-ring lease longer than
-    /// this is made contiguous when it is handed over.
-    pub before_seam: usize,
 }
 
 impl Leases {
@@ -310,10 +307,27 @@ impl Delivery {
 
     // --- the application's side ---
 
-    /// Appends what fits of `data` in a `cap`-byte send buffer; how much.
-    pub(crate) fn queue(&mut self, data: &[u8], cap: usize) -> usize {
-        let take = (cap - self.send_buf.len()).min(data.len());
-        self.send_buf.extend(&data[..take]);
+    /// Appends what fits of `data`, its parts in order, in a `cap`-byte
+    /// send buffer; how much.
+    pub(crate) fn queue<'a>(
+        &mut self,
+        data: impl IntoIterator<Item = &'a [u8], IntoIter: Clone>,
+        cap: usize,
+    ) -> usize {
+        let (parts, room) = (data.into_iter(), cap - self.send_buf.len());
+        // The parts' bytes, counted up to the part that fills the room.
+        let fits = |sum: usize, part: &[u8]| Some(sum + part.len()).filter(|&n| n < room);
+        let take = parts.clone().try_fold(0, fits).unwrap_or(room);
+        let (len, mut left) = (self.send_buf.len() + take, take);
+        reserve(&mut self.send_buf, len, cap);
+        for part in parts {
+            let n = part.len().min(left);
+            self.send_buf.extend(&part[..n]);
+            left -= n;
+            if left == 0 {
+                break;
+            }
+        }
         take
     }
 
@@ -341,17 +355,15 @@ impl Delivery {
         n
     }
 
-    /// The oldest outstanding lease, `n` bytes, as one slice: the ring is
-    /// made contiguous first only when the lease straddles its seam.
-    pub(crate) fn leased(&mut self, n: usize) -> &[u8] {
+    /// The oldest outstanding lease, `n` bytes, where it lies: as the two
+    /// slices on either side of the ring's seam (the second empty unless
+    /// the lease straddles it), or in the spill.
+    pub(crate) fn leased(&self, n: usize) -> [&[u8]; 2] {
         if !self.spill.is_empty() {
-            return &self.spill[..n];
+            return [&self.spill[..n], &[]];
         }
         assert!(n <= self.leased, "no lease of {n} bytes outstanding");
-        if self.recv_buf.as_slices().0.len() < n {
-            self.recv_buf.make_contiguous();
-        }
-        &self.recv_buf.as_slices().0[..n]
+        ring_slices(&self.recv_buf, 0, n)
     }
 
     /// Gives back the oldest outstanding lease, `n` bytes.
@@ -371,7 +383,6 @@ impl Delivery {
         Leases {
             in_ring: self.leased,
             spilled: self.spill.len(),
-            before_seam: self.recv_buf.as_slices().0.len(),
         }
     }
 
@@ -559,7 +570,7 @@ impl Delivery {
         let base = self.readable + seq.dist(self.rcv_nxt) as usize;
         let len = (self.recv_buf.len() - self.leased).max(base + take);
         debug_assert!(len <= cap, "held bytes past the buffer");
-        self.make_room(len);
+        self.make_room(len, cap);
         let base = self.leased + base;
         self.recv_buf.resize(self.leased + len, 0);
         let ring = &mut self.recv_buf;
@@ -576,7 +587,7 @@ impl Delivery {
     fn append(&mut self, data: &[u8], cap: usize) -> usize {
         let take = data.len().min(cap - self.readable);
         let over = take.min(self.recv_buf.len() - self.leased - self.readable);
-        self.make_room(self.recv_buf.len() - self.leased + take - over);
+        self.make_room(self.recv_buf.len() - self.leased + take - over, cap);
         overwrite(
             &mut self.recv_buf,
             self.leased + self.readable,
@@ -591,17 +602,18 @@ impl Delivery {
         take
     }
 
-    /// The ring is about to hold `len` bytes past its leased ones. If
-    /// that would make it grow while it holds leased bytes, the leases
-    /// move out first, into the spill: a ring grows only as far as one
-    /// that was read would have, so a lease never costs it capacity.
-    fn make_room(&mut self, len: usize) {
-        if self.leased == 0 || self.leased + len <= self.recv_buf.capacity() {
-            return;
+    /// The ring is about to hold `len` bytes past its leased ones, and
+    /// grows for them if it must ([`reserve`], up to `cap`). If it would
+    /// grow while it holds leased bytes, the leases move out first, into
+    /// the spill: a ring grows only as far as one that was read would
+    /// have, so a lease never costs it capacity.
+    fn make_room(&mut self, len: usize, cap: usize) {
+        if self.leased > 0 && self.leased + len > self.recv_buf.capacity() {
+            append_range(&self.recv_buf, 0, self.leased, &mut self.spill);
+            self.recv_buf.drain(..self.leased);
+            self.leased = 0;
         }
-        append_range(&self.recv_buf, 0, self.leased, &mut self.spill);
-        self.recv_buf.drain(..self.leased);
-        self.leased = 0;
+        reserve(&mut self.recv_buf, self.leased + len, cap);
     }
 
     /// The peer's FIN, at `fin_seq`.
@@ -626,18 +638,5 @@ pub(crate) fn acceptable(seq: SeqNum, seg_len: u32, rcv_nxt: SeqNum, wnd: u32) -
         (0, w) => seq.in_window(rcv_nxt, w),
         (_, 0) => false,
         (l, w) => seq.in_window(rcv_nxt, w) || (seq + (l - 1)).in_window(rcv_nxt, w),
-    }
-}
-
-/// Copies `src` over `ring[at..at + src.len()]`, across the ring's seam.
-fn overwrite(ring: &mut VecDeque<u8>, at: usize, src: &[u8]) {
-    let (front, back) = ring.as_mut_slices();
-    if at < front.len() {
-        let n = src.len().min(front.len() - at);
-        front[at..at + n].copy_from_slice(&src[..n]);
-        back[..src.len() - n].copy_from_slice(&src[n..]);
-    } else {
-        let at = at - front.len();
-        back[at..at + src.len()].copy_from_slice(src);
     }
 }

@@ -96,6 +96,29 @@ pub(crate) fn append_range(
     out.extend_from_slice(back);
 }
 
+/// Makes room in a stream ring for `len` bytes in all, growing it as
+/// `VecDeque` does — to twice its capacity, or to `len` if that is more —
+/// but never past `cap`, the size of the buffer it stands for.
+pub(crate) fn reserve(ring: &mut std::collections::VecDeque<u8>, len: usize, cap: usize) {
+    if len > ring.capacity() {
+        let room = (2 * ring.capacity()).clamp(len, cap.max(len));
+        ring.reserve_exact(room - ring.len());
+    }
+}
+
+/// Copies `src` over `ring[at..at + src.len()]`, across the ring's seam.
+pub(crate) fn overwrite(ring: &mut std::collections::VecDeque<u8>, at: usize, src: &[u8]) {
+    let (front, back) = ring.as_mut_slices();
+    if at < front.len() {
+        let n = src.len().min(front.len() - at);
+        front[at..at + n].copy_from_slice(&src[..n]);
+        back[..src.len() - n].copy_from_slice(&src[n..]);
+    } else {
+        let at = at - front.len();
+        back[at..at + src.len()].copy_from_slice(src);
+    }
+}
+
 /// Errors surfaced to the socket layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpError {

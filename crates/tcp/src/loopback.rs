@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use unp_wire::{Ipv4Addr, TcpPacket, TcpRepr};
 
 use crate::tcb::{ListenTcb, State, Tcb, TcpAction, TcpTimer};
-use crate::{Nanos, TcpConfig};
+use crate::{ring_slices, Nanos, TcpConfig};
 
 /// Which endpoint, for addressing within the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,17 +327,12 @@ impl Loopback {
         let mut collected = Vec::new();
         // Write as much as the send buffer accepts.
         while !ep.to_send.is_empty() {
-            let queued = ep.to_send.make_contiguous();
-            match tcb.send(&queued[..queued.len().min(4096)], now) {
-                Ok((0, actions)) => {
-                    collected.extend(actions);
-                    break;
-                }
-                Ok((n, actions)) => {
+            let queued = ring_slices(&ep.to_send, 0, ep.to_send.len().min(4096));
+            match tcb.send_into(queued, now, &mut collected) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => {
                     ep.to_send.drain(..n);
-                    collected.extend(actions);
                 }
-                Err(_) => break,
             }
         }
         // A close() in SYN-SENT deletes the block (RFC 793), so an app that

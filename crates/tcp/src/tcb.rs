@@ -455,14 +455,18 @@ impl Tcb {
     /// fills; the caller waits for [`TcpAction::SendSpace`]).
     pub fn send(&mut self, data: &[u8], now: Nanos) -> Result<(usize, Vec<TcpAction>), TcpError> {
         let mut out = Vec::new();
-        let take = self.send_into(data, now, &mut out)?;
+        let take = self.send_into([data], now, &mut out)?;
         Ok((take, out))
     }
 
-    /// [`Tcb::send`], appending what the write triggers to `out`.
-    pub fn send_into(
+    /// [`Tcb::send`] of the bytes of `data`'s parts, in order, appending
+    /// what the write triggers to `out`. It is one write however the
+    /// bytes are cut: they are queued, then one output pass sends what
+    /// they let it, so Nagle and sender silly-window avoidance see what
+    /// one contiguous write of them would show.
+    pub fn send_into<'a>(
         &mut self,
-        data: &[u8],
+        data: impl IntoIterator<Item = &'a [u8], IntoIter: Clone>,
         now: Nanos,
         out: &mut dyn TcpSink,
     ) -> Result<usize, TcpError> {
@@ -517,13 +521,15 @@ impl Tcb {
         n
     }
 
-    /// Hands `upcall` the oldest outstanding lease, `n` bytes as one
-    /// slice, then releases them; what `upcall` returned. The slice is
-    /// exactly the lease: no byte past it, nor one of another lease.
+    /// Hands `upcall` the oldest outstanding lease, `n` bytes where they
+    /// lie — the two slices on either side of the receive ring's seam,
+    /// the second empty unless the lease straddles it — then releases
+    /// them; what `upcall` returned. The slices, in order, are exactly
+    /// the lease: no byte past it, nor one of another lease.
     ///
     /// # Panics
     /// If the oldest lease outstanding is shorter than `n` bytes.
-    pub fn release_lease<R>(&mut self, n: usize, upcall: impl FnOnce(&[u8]) -> R) -> R {
+    pub fn release_lease<R>(&mut self, n: usize, upcall: impl FnOnce([&[u8]; 2]) -> R) -> R {
         let ret = upcall(self.rod.leased(n));
         self.rod.release(n);
         ret

@@ -226,9 +226,9 @@ impl TimeWait {
     }
 
     /// The connection takes no more data.
-    pub fn send_into(
+    pub fn send_into<'a>(
         &mut self,
-        _data: &[u8],
+        _data: impl IntoIterator<Item = &'a [u8]>,
         _now: Nanos,
         _out: &mut dyn TcpSink,
     ) -> Result<usize, TcpError> {

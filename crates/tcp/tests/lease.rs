@@ -8,10 +8,11 @@
 //! (`Tcb::release_lease`) later, oldest first, with more segments landing
 //! in between and more than one lease outstanding. After every step both
 //! blocks have emitted the same actions and read the same through every
-//! accessor, and every released lease is exactly the bytes the reader read
-//! at its lease point. The runs also count the leases handed over across
-//! the ring's seam and the leases spilled out of the ring, and hold that
-//! the scripts reach both. Tier-1 runs 64 cases; `ci.sh` runs 512 in
+//! accessor, and every released lease — its two slices, one on either
+//! side of the ring's seam, concatenated — is exactly the bytes the reader
+//! read at its lease point. The runs also count the leases handed over in
+//! two slices and the leases spilled out of the ring, and hold that the
+//! scripts reach both. Tier-1 runs 64 cases; `ci.sh` runs 512 in
 //! release.
 
 mod scripts;
@@ -69,8 +70,8 @@ fn byte(seq: u32, tag: u8) -> u8 {
 /// How often the runs took the paths a lease has besides a read's.
 #[derive(Debug, Default)]
 struct Counts {
-    /// Leases handed over across the ring's seam (made contiguous first).
-    rotations: usize,
+    /// Leases handed over as two slices, across the ring's seam.
+    two_slice: usize,
     /// Arrivals that moved the leased bytes out of the ring.
     spills: usize,
     /// The most leases outstanding at once.
@@ -100,10 +101,10 @@ fn last_ack(out: &[TcpAction]) -> Option<SeqNum> {
 /// Hands over the leaser's oldest lease, which must be `want`.
 fn release(leaser: &mut Tcb, want: &[u8], counts: &mut Counts) -> Result<(), TestCaseError> {
     let before = leaser.leases();
-    if before.spilled == 0 && before.before_seam < want.len() {
-        counts.rotations += 1;
-    }
-    let got = leaser.release_lease(want.len(), |bytes| bytes.to_vec());
+    let got = leaser.release_lease(want.len(), |[front, back]| {
+        counts.two_slice += usize::from(!back.is_empty());
+        [front, back].concat()
+    });
     prop_assert!(
         got == want,
         "a lease of {} bytes read otherwise",
@@ -211,7 +212,7 @@ fn a_lease_then_its_release_reads_as_a_read() {
     }
     // The scripts reach what a lease adds to a read, every run.
     assert!(
-        counts.rotations > 0 && counts.spills > 0 && counts.outstanding >= 2,
+        counts.two_slice > 0 && counts.spills > 0 && counts.outstanding >= 2,
         "{counts:?} over {cases} cases"
     );
 }
@@ -238,7 +239,7 @@ fn a_block_with_a_lease_outstanding_is_not_a_record() {
     assert_eq!(b.state(), unp_tcp::State::TimeWait);
     assert!(b.time_wait().is_none(), "a record would drop the lease");
     assert_eq!(b.take_rings().map(|_| ()), None, "the rings hold the lease");
-    assert_eq!(b.release_lease(n, |bytes| bytes.to_vec()), b"leased");
+    assert_eq!(b.release_lease(n, |bytes| bytes.concat()), b"leased");
     assert!(
         b.time_wait().is_some(),
         "released, the wait can be a record"

@@ -159,7 +159,7 @@ impl Pair {
                     })
                     .collect();
                 let mut out = Vec::new();
-                let took = self.ends[e].send_into(&data, now, &mut out);
+                let took = self.ends[e].send_into([&data[..]], now, &mut out);
                 self.seen.push(Seen::View(e, format!("{took:?}")));
                 self.emitted(e, out);
                 e

@@ -181,7 +181,7 @@ impl Twin {
     fn send(&mut self, data: &[u8], now: u64) -> Result<(usize, Vec<TcpAction>), TcpError> {
         let returned = self.by_vec.send(data, now);
         let actions = returned.as_ref().map_or(&[][..], |(_, a)| &a[..]);
-        let taken = self.same(actions, |tcb, out| tcb.send_into(data, now, out));
+        let taken = self.same(actions, |tcb, out| tcb.send_into([data], now, out));
         for taken in taken {
             match (&returned, taken) {
                 (Ok((n, _)), Ok(m)) => assert_eq!(*n, m),

@@ -325,7 +325,7 @@ macro_rules! waiting {
                 now: u64,
                 out: &mut dyn TcpSink,
             ) -> Result<usize, TcpError> {
-                <$ty>::send_into(self, d, now, out)
+                <$ty>::send_into(self, [d], now, out)
             }
             fn close_into(&mut self, now: u64, out: &mut dyn TcpSink) -> Result<(), TcpError> {
                 <$ty>::close_into(self, now, out)

@@ -57,10 +57,12 @@ use unp::tcp::{State, TcpConfig};
 use unp::trace::Ctr;
 use unp::wire::Ipv4Addr;
 
-/// Allocations made, bytes they asked for, and bytes currently live.
+/// Allocations made, bytes they asked for, bytes currently live, and
+/// the most bytes live at once.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Held by whichever test is reading the counters.
 static TURN: Mutex<()> = Mutex::new(());
@@ -68,7 +70,8 @@ static TURN: Mutex<()> = Mutex::new(());
 fn grew(bytes: usize) {
     ALLOCS.fetch_add(1, Relaxed);
     REQUESTED.fetch_add(bytes as u64, Relaxed);
-    LIVE.fetch_add(bytes as u64, Relaxed);
+    let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Relaxed);
 }
 
 /// `System`, with every allocation counted.
@@ -124,6 +127,13 @@ const PING_BUDGET: f64 = 2.25;
 const LOSSY_BUDGET: f64 = 0.88;
 const LOSSY_BYTES_BUDGET: f64 = 935.0;
 const LOSSY_SEED: u64 = 1993;
+/// The same transfer may keep 400 KB live at once: it reads 352 KB, with
+/// its 64 KiB stream rings grown to the buffer size and no further and a
+/// write the sender's TCB refused waiting in the application's own
+/// buffer. With rings doubling past the buffer size, as `VecDeque` grows
+/// them, and every refused byte copied into a queue of the library's
+/// own, it read 458 KB.
+const LOSSY_PEAK_BUDGET: u64 = 400_000;
 /// 4 MB lasts about eleven simulated seconds at this loss; the window
 /// opens after slow start and closes well before the FIN.
 const LOSSY_TOTAL: u64 = 4_000_000;
@@ -133,8 +143,15 @@ const ROUNDS: usize = 2_000;
 
 /// Allocations, and bytes they requested, per frame sent between the two
 /// instants of `window` in a Table-2 bulk transfer of `total` bytes,
-/// `faults` installed if any.
-fn bulk_allocs_per_frame(total: u64, window: [u64; 2], faults: Option<FaultPlan>) -> [f64; 2] {
+/// `faults` installed if any; and the most bytes the transfer kept live
+/// at once, its world included.
+fn bulk_allocs_per_frame(
+    total: u64,
+    window: [u64; 2],
+    faults: Option<FaultPlan>,
+) -> ([f64; 2], u64) {
+    let live_before = LIVE.load(Relaxed);
+    PEAK.store(live_before, Relaxed);
     let edges = Rc::new(Cell::new([(0u64, 0u64, 0u64); 2]));
     let transfer = Transfer::table2(Network::Ethernet, OrgKind::UserLibrary, 1460, total);
     transfer.run(|w, eng| {
@@ -155,7 +172,9 @@ fn bulk_allocs_per_frame(total: u64, window: [u64; 2], faults: Option<FaultPlan>
         edges.get();
     let frames = frames_close - frames_open;
     assert!(frames > 300, "the window saw only {frames} frames");
-    [allocs_close - allocs_open, bytes_close - bytes_open].map(|n| n as f64 / frames as f64)
+    let per_frame =
+        [allocs_close - allocs_open, bytes_close - bytes_open].map(|n| n as f64 / frames as f64);
+    (per_frame, PEAK.load(Relaxed) - live_before)
 }
 
 #[test]
@@ -164,7 +183,7 @@ fn a_steady_state_bulk_frame_stays_within_its_allocation_budget() {
     // 1 MB at ~8 Mb/s lasts about a simulated second. The window opens
     // once the handshake, slow start and every buffer's growth are behind
     // (200 ms) and closes well before the FIN (700 ms).
-    let [per_frame, _] = bulk_allocs_per_frame(1_000_000, [200 * MILLIS, 700 * MILLIS], None);
+    let ([per_frame, _], _) = bulk_allocs_per_frame(1_000_000, [200 * MILLIS, 700 * MILLIS], None);
     assert!(
         per_frame <= BULK_BUDGET,
         "{per_frame:.2} allocations per frame in steady state (budget {BULK_BUDGET})"
@@ -175,11 +194,22 @@ fn a_steady_state_bulk_frame_stays_within_its_allocation_budget() {
 fn a_lossy_bulk_frame_stays_within_its_allocation_budget() {
     let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let plan = FaultPlan::lossy(LOSSY_SEED, 0.02);
-    let [per_frame, bytes] = bulk_allocs_per_frame(LOSSY_TOTAL, LOSSY_WINDOW, Some(plan));
+    let ([per_frame, bytes], _) = bulk_allocs_per_frame(LOSSY_TOTAL, LOSSY_WINDOW, Some(plan));
     assert!(
         per_frame <= LOSSY_BUDGET && bytes <= LOSSY_BYTES_BUDGET,
         "per frame of a lossy transfer: {per_frame:.2} allocations (budget {LOSSY_BUDGET}), \
          {bytes:.0} bytes requested (budget {LOSSY_BYTES_BUDGET})"
+    );
+}
+
+#[test]
+fn a_lossy_transfer_keeps_no_more_heap_than_its_buffers_hold() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    let plan = FaultPlan::lossy(LOSSY_SEED, 0.02);
+    let (_, peak) = bulk_allocs_per_frame(LOSSY_TOTAL, LOSSY_WINDOW, Some(plan));
+    assert!(
+        peak <= LOSSY_PEAK_BUDGET,
+        "a lossy transfer kept {peak} bytes live at once (budget {LOSSY_PEAK_BUDGET})"
     );
 }
 
