@@ -235,6 +235,19 @@ if [ -n "$sites$queues" ]; then
   echo "a stream ring is rotated to be read, or refused bytes are copied into a queue (lines above)"; exit 1
 fi
 
+# The timing wheel keeps one slab (DESIGN §7): each slot is the head of
+# a doubly linked list of nodes that all live in one vector, as in Varghese
+# & Lauck's wheel, and a freed node is the next timer's. The grep holds
+# what the types cannot: a vector per slot again (`Vec<Vec<`), or a map
+# from id to position (`HashMap`), in the non-test part of the wheel.
+echo "== unp-timers: the wheel keeps one slab =="
+sites=$(awk '/^#\[cfg\(test\)\]/ { exit } /HashMap|Vec<Vec</ { print FILENAME ":" FNR ":" $0 }' \
+  crates/timers/src/wheel.rs)
+if [ -n "$sites" ]; then
+  printf '%s\n' "$sites"
+  echo "the timing wheel keeps a vector per slot or an id map (lines above); link its nodes in one slab"; exit 1
+fi
+
 # Each workload in `unp-bench` runs once and is reported once: the
 # million-channel population is built by the demux scale sweep (its
 # footprint and the monitor's memory bound read the same modules) and by
@@ -284,10 +297,10 @@ cargo test -q --release --offline --test zero_copy --test demux_differential --t
 # per event or a fresh Vec per call ~14), a one-byte exchange on AN1 at
 # most 2.25 times (reads 2.04; the payload Vec reads 3.05), a warm
 # frame pool may not touch it at all over 1,000 alloc/clone/slice/COW/drop
-# cycles, a connect-echo-close may make at most 15 allocations (reads 11.8;
+# cycles, a connect-echo-close may make at most 15 allocations (reads 10.7;
 # a fresh block and fresh rings per connection and a closure per connect
-# RPC read 18.7), request at most 25 KB and keep 5.1 KB through
-# TIME_WAIT (reads 1.6 KB; a ring reserved up front reads 59 KB and 28 KB,
+# RPC read 18.7), request at most 25 KB and keep 4.95 KB through
+# TIME_WAIT (reads 1.4 KB; a ring reserved up front reads 59 KB and 28 KB,
 # a block parked through the wait 2.0 KB), and a
 # connection that has closed at both ends may keep 64 B (a scope and a
 # binding report per connection ever made read 445 B), and the lossy bulk
@@ -303,8 +316,12 @@ cargo test -q --release --offline -p unp-buffers --test pool_allocations
 # The timing wheel against its sorted-list oracle after every operation:
 # the release build runs the property at 512 cases (64 in the debug pass
 # above), across all four levels, the overflow list and multi-rotation
-# advances that the tick-by-tick wheel could not afford to be tested on.
-echo "== timing wheel equivalence, 512 cases (release) =="
+# advances that the tick-by-tick wheel could not afford to be tested on,
+# with stops of stale ids (some on reused nodes) and of forged ones. The
+# same run holds the wheel's heap to a fixed 4 KB plus 112 B per timer at
+# its high-water mark (`--test footprint`: reads 3.9 KB for 13 and 15.4 KB
+# for 151; the vector-per-slot wheel read 10.6 and 42.4 KB).
+echo "== timing wheel equivalence and footprint, 512 cases (release) =="
 cargo test -q --release --offline -p unp-timers
 
 # The hostile-peer property at the TCB seam: every live state under

@@ -3,17 +3,24 @@
 //!
 //! Four levels of 64 slots each, with a ~1 ms base tick (2²⁰ ns), cover
 //! deadlines up to ≈ 4.9 hours; anything farther sits in an overflow list
-//! that is re-placed as the horizon advances. One occupancy word per
-//! level (a bit per non-empty slot) is what keeps every operation off
-//! the population: start and stop are O(1); `next_deadline` reads the
-//! first occupied slot of each level in rotation order from its cursor;
-//! `advance` jumps from one occupied slot or due cascade to the next, so
-//! it costs O(k) for the k timers fired or cascaded plus O(1) per stop it
-//! makes, however much empty time lies between. Each list's earliest
-//! deadline is kept beside it, so no query scans a list; stopping the
-//! timer that *is* its list's earliest rescans that one list.
-
-use std::collections::HashMap;
+//! that is re-placed as the horizon advances. As in their wheel, each
+//! slot is the head of a doubly linked list of timer nodes. The nodes
+//! live in one slab, and `start` takes the most recently freed one, so
+//! the wheel allocates only past its high-water mark of pending timers.
+//! One occupancy word per level (a bit per non-empty slot) is what keeps
+//! every operation off the population: start and stop are O(1);
+//! `next_deadline` reads the first occupied slot of each level in
+//! rotation order from its cursor; `advance` jumps from one occupied slot
+//! or due cascade to the next, so it costs O(k) for the k timers fired or
+//! cascaded plus O(1) per stop it makes, however much empty time lies
+//! between. Each list's earliest deadline is kept beside its head, so no
+//! query scans a list; stopping the timer that *is* its list's earliest
+//! rescans that one list.
+//!
+//! A [`TimerId`] is its node's index (low 32 bits) and the low 32 bits of
+//! its start's sequence number (high 32 bits), so an id whose timer has
+//! fired or been stopped — even one whose node a later timer now holds —
+//! and an id the wheel never issued stop nothing.
 
 use crate::{Nanos, TimerId, TimerService};
 
@@ -25,62 +32,75 @@ const SLOT_SHIFT: u32 = 6;
 const SLOTS: usize = 1 << SLOT_SHIFT;
 /// Number of levels.
 const LEVELS: usize = 4;
-/// Index in `lists` of the overflow list; slot `s` of level `l` is
-/// `lists[l * SLOTS + s]`.
+/// The list number of the overflow list; slot `s` of level `l` is list
+/// `l * SLOTS + s`.
 const OVERFLOW: usize = LEVELS * SLOTS;
+/// No node: the end of a list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Ticks one slot of level `l` spans (`SLOTS^l`).
 const fn unit(l: usize) -> u64 {
     1 << (SLOT_SHIFT * l as u32)
 }
 
-struct Entry<T> {
-    token: T,
-    /// Where the timer sits — `lists[home][pos]` — so `stop` can remove
-    /// it without a search.
-    home: usize,
-    pos: usize,
+struct Node<T> {
+    /// `None` while the node is on the free list.
+    token: Option<T>,
+    deadline: Nanos,
+    /// Starts before this one: `(deadline, seq)` is the fire order, and
+    /// the low 32 bits are the generation its [`TimerId`] carries.
+    seq: u64,
+    /// Neighbours on its list (on the free list, `next` only).
+    prev: u32,
+    next: u32,
+    /// The list it is on.
+    home: u16,
 }
 
 /// A hierarchical timing wheel. See module docs.
 pub struct TimerWheel<T> {
-    /// `(deadline, id)` of every pending timer, by the slot whose span
-    /// its deadline falls in. Live timers only: `stop` removes eagerly, so
-    /// a wheel that is never advanced does not grow. Ids count starts, so
-    /// `(deadline, id)` is also the fire order.
-    lists: Vec<Vec<(Nanos, u64)>>,
-    /// `earliest[home]` is the least deadline in `lists[home]`; stale
-    /// while that list is empty.
-    earliest: Vec<Nanos>,
+    /// Every node ever needed at once: pending timers on their slots'
+    /// lists, freed ones on the free list.
+    nodes: Vec<Node<T>>,
+    /// The most recently freed node.
+    free: u32,
+    /// `heads[home]` is the first node of list `home`. Live timers only:
+    /// `stop` unlinks eagerly, so a wheel that is never advanced does not
+    /// grow.
+    heads: Box<[u32; OVERFLOW + 1]>,
+    /// `earliest[home]` is the least deadline on list `home`; stale
+    /// while that list is empty. Both arrays are boxed, so moving a wheel
+    /// moves two pointers, not 3 KB.
+    earliest: Box<[Nanos; OVERFLOW + 1]>,
     /// `occupied[l]` has bit `s` set iff slot `s` of level `l` is non-empty.
     occupied: [u64; LEVELS],
-    entries: HashMap<u64, Entry<T>>,
     /// The tick being processed: every earlier tick is fully harvested,
     /// this one up to the last `advance`'s `now`.
     current_tick: u64,
-    next_id: u64,
-    /// `advance`'s working lists, empty between calls and kept for their
-    /// capacity: the slot being cascaded, and everything due.
-    cascading: Vec<(Nanos, u64)>,
-    ripe: Vec<(Nanos, u64)>,
+    next_seq: u64,
+    pending: usize,
+    /// `advance`'s due nodes, empty between calls and kept for its
+    /// capacity.
+    ripe: Vec<u32>,
 }
 
 impl<T> TimerWheel<T> {
     /// Creates a wheel whose notion of "now" starts at `start` nanoseconds.
     pub fn new(start: Nanos) -> TimerWheel<T> {
         TimerWheel {
-            lists: (0..=OVERFLOW).map(|_| Vec::new()).collect(),
-            earliest: vec![0; OVERFLOW + 1],
+            nodes: Vec::new(),
+            free: NIL,
+            heads: Box::new([NIL; OVERFLOW + 1]),
+            earliest: Box::new([0; OVERFLOW + 1]),
             occupied: [0; LEVELS],
-            entries: HashMap::new(),
             current_tick: start >> TICK_SHIFT,
-            next_id: 0,
-            cascading: Vec::new(),
+            next_seq: 0,
+            pending: 0,
             ripe: Vec::new(),
         }
     }
 
-    /// Index in `lists` of the level-`l` slot `tick` falls in.
+    /// The list number of the level-`l` slot `tick` falls in.
     fn slot_of(l: usize, tick: u64) -> usize {
         l * SLOTS + ((tick / unit(l)) % SLOTS as u64) as usize
     }
@@ -91,9 +111,13 @@ impl<T> TimerWheel<T> {
         self.occupied[l].rotate_right((from % SLOTS as u64) as u32)
     }
 
-    /// Pushes the timer onto the list its deadline belongs in and returns
-    /// where it landed.
-    fn place(&mut self, deadline: Nanos, id: u64) -> (usize, usize) {
+    fn node(&mut self, i: u32) -> &mut Node<T> {
+        &mut self.nodes[i as usize]
+    }
+
+    /// Links node `i` at the head of the list its deadline belongs on.
+    fn place(&mut self, i: u32) {
+        let deadline = self.nodes[i as usize].deadline;
         // A deadline behind the cursor is due at the next advance.
         let tick = (deadline >> TICK_SHIFT).max(self.current_tick);
         let delta = tick - self.current_tick;
@@ -105,54 +129,80 @@ impl<T> TimerWheel<T> {
             }
             None => OVERFLOW,
         };
-        let list = &mut self.lists[home];
-        if list.is_empty() || deadline < self.earliest[home] {
+        let head = self.heads[home];
+        if head == NIL || deadline < self.earliest[home] {
             self.earliest[home] = deadline;
         }
-        list.push((deadline, id));
-        (home, list.len() - 1)
+        if head != NIL {
+            self.node(head).prev = i;
+        }
+        let node = self.node(i);
+        (node.prev, node.next, node.home) = (NIL, head, home as u16);
+        self.heads[home] = i;
     }
 
-    /// Clears `home`'s occupancy bit once its list has emptied.
+    /// Takes node `i` off its list and returns the list, whose occupancy
+    /// bit and earliest deadline are the caller's to settle.
+    fn unlink(&mut self, i: u32) -> usize {
+        let Node {
+            prev, next, home, ..
+        } = self.nodes[i as usize];
+        let home = usize::from(home);
+        match prev {
+            NIL => self.heads[home] = next,
+            prev => self.node(prev).next = next,
+        }
+        if next != NIL {
+            self.node(next).prev = prev;
+        }
+        home
+    }
+
+    /// Brings list `home`'s occupancy bit and earliest deadline up to
+    /// date after it lost a timer due at `gone`.
+    fn settle(&mut self, home: usize, gone: Nanos) {
+        if self.heads[home] == NIL {
+            self.vacate(home);
+        } else if gone == self.earliest[home] {
+            let mut least = Nanos::MAX;
+            let mut i = self.heads[home];
+            while i != NIL {
+                let node = &self.nodes[i as usize];
+                least = least.min(node.deadline);
+                i = node.next;
+            }
+            self.earliest[home] = least;
+        }
+    }
+
+    /// Clears the occupancy bit of list `home`, now empty.
     fn vacate(&mut self, home: usize) {
-        if home < OVERFLOW && self.lists[home].is_empty() {
+        if home < OVERFLOW {
             self.occupied[home / SLOTS] &= !(1 << (home % SLOTS));
         }
     }
 
-    /// Removes `lists[home][pos]` by swapping the list's last timer into
-    /// its place. List order is free: fire order is fixed by the sort in
-    /// `advance`.
-    fn unplace(&mut self, home: usize, pos: usize) {
-        let list = &mut self.lists[home];
-        let (deadline, _) = list.swap_remove(pos);
-        if let Some((_, moved)) = list.get(pos) {
-            self.entries
-                .get_mut(moved)
-                .expect("listed ids are live")
-                .pos = pos;
-        }
-        if deadline == self.earliest[home] {
-            if let Some(next) = list.iter().map(|&(deadline, _)| deadline).min() {
-                self.earliest[home] = next;
-            }
-        }
-        self.vacate(home);
+    /// Puts node `i`, off every list, on the free list, and returns its
+    /// token.
+    fn release(&mut self, i: u32) -> T {
+        let free = std::mem::replace(&mut self.free, i);
+        let node = self.node(i);
+        node.next = free;
+        let token = node.token.take().expect("a listed node holds a token");
+        self.pending -= 1;
+        token
     }
 
-    /// Empties `home`'s list and places each of its timers again, now
-    /// that the cursor is closer to their deadlines. The list trades
-    /// buffers with `cascading`, so neither gives up its capacity.
+    /// Empties list `home` and places each of its timers again, now that
+    /// the cursor is closer to their deadlines.
     fn cascade(&mut self, home: usize) {
-        let mut timers =
-            std::mem::replace(&mut self.lists[home], std::mem::take(&mut self.cascading));
+        let mut i = std::mem::replace(&mut self.heads[home], NIL);
         self.vacate(home);
-        for (deadline, id) in timers.drain(..) {
-            let (home, pos) = self.place(deadline, id);
-            let e = self.entries.get_mut(&id).expect("listed ids are live");
-            (e.home, e.pos) = (home, pos);
+        while i != NIL {
+            let next = self.nodes[i as usize].next;
+            self.place(i);
+            i = next;
         }
-        self.cascading = timers;
     }
 
     /// The first tick after the current one that has work — a non-empty
@@ -169,7 +219,7 @@ impl<T> TimerWheel<T> {
                 stop = stop.min((next + ahead.trailing_zeros() as u64) * unit(l));
             }
         }
-        if !self.lists[OVERFLOW].is_empty() {
+        if self.heads[OVERFLOW] != NIL {
             let top = unit(LEVELS - 1);
             stop = stop.min((self.current_tick / top + 1) * top);
         }
@@ -179,17 +229,45 @@ impl<T> TimerWheel<T> {
 
 impl<T> TimerService<T> for TimerWheel<T> {
     fn start(&mut self, deadline: Nanos, token: T) -> TimerId {
-        let id = self.next_id;
-        self.next_id += 1;
-        let (home, pos) = self.place(deadline, id);
-        self.entries.insert(id, Entry { token, home, pos });
-        TimerId(id)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let node = Node {
+            token: Some(token),
+            deadline,
+            seq,
+            prev: NIL,
+            next: NIL,
+            home: 0,
+        };
+        let i = match self.free {
+            NIL => {
+                let i = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("fewer than 2^32 - 1 timers pending");
+                self.nodes.push(node);
+                i
+            }
+            i => {
+                self.free = std::mem::replace(self.node(i), node).next;
+                i
+            }
+        };
+        self.place(i);
+        self.pending += 1;
+        TimerId(seq << 32 | u64::from(i))
     }
 
     fn stop(&mut self, id: TimerId) -> Option<T> {
-        let e = self.entries.remove(&id.0)?;
-        self.unplace(e.home, e.pos);
-        Some(e.token)
+        let i = id.0 as u32;
+        let node = self.nodes.get(i as usize)?;
+        if node.token.is_none() || node.seq as u32 != (id.0 >> 32) as u32 {
+            return None;
+        }
+        let deadline = node.deadline;
+        let home = self.unlink(i);
+        self.settle(home, deadline);
+        Some(self.release(i))
     }
 
     fn advance(&mut self, now: Nanos, fired: &mut Vec<T>) {
@@ -204,34 +282,43 @@ impl<T> TimerService<T> for TimerWheel<T> {
                     break;
                 }
                 let home = Self::slot_of(l, tick);
-                if !self.lists[home].is_empty() {
+                if self.heads[home] != NIL {
                     self.cascade(home);
                 }
             }
             // Retry overflow placement as the top level's cursor advances.
-            if tick.is_multiple_of(unit(LEVELS - 1)) && !self.lists[OVERFLOW].is_empty() {
+            if tick.is_multiple_of(unit(LEVELS - 1)) && self.heads[OVERFLOW] != NIL {
                 self.cascade(OVERFLOW);
             }
             // Harvest the level-0 slot for this tick.
             let home = Self::slot_of(0, tick);
+            let mut i = self.heads[home];
             if tick < target {
                 // The whole tick has elapsed: everything in it is ripe.
                 // Then skip the empty time up to the next tick with work.
-                self.ripe.append(&mut self.lists[home]);
+                while i != NIL {
+                    self.ripe.push(i);
+                    i = self.nodes[i as usize].next;
+                }
+                self.heads[home] = NIL;
                 self.vacate(home);
                 self.current_tick = self.next_stop(target);
             } else {
                 // Partial tick: fire only sub-tick deadlines `<= now`; the
                 // rest stay in the slot for a later advance, which starts
-                // on this tick again.
-                let mut pos = 0;
-                while let Some(&(deadline, id)) = self.lists[home].get(pos) {
+                // on this tick again. Whatever stays is due after all that
+                // went, so a list that lost a timer lost its earliest.
+                let due = self.ripe.len();
+                while i != NIL {
+                    let Node { deadline, next, .. } = self.nodes[i as usize];
                     if deadline <= now {
-                        self.ripe.push((deadline, id));
-                        self.unplace(home, pos);
-                    } else {
-                        pos += 1;
+                        self.unlink(i);
+                        self.ripe.push(i);
                     }
+                    i = next;
+                }
+                if self.ripe.len() > due {
+                    self.settle(home, self.earliest[home]);
                 }
                 break;
             }
@@ -239,11 +326,14 @@ impl<T> TimerService<T> for TimerWheel<T> {
 
         // A slot is a whole tick, and several slots may have been
         // harvested: sort into fire order.
-        self.ripe.sort_unstable();
-        for (_, id) in self.ripe.drain(..) {
-            let e = self.entries.remove(&id).expect("ripe ids are live");
-            fired.push(e.token);
-        }
+        let nodes = &self.nodes;
+        self.ripe.sort_unstable_by_key(|&i| {
+            let node = &nodes[i as usize];
+            (node.deadline, node.seq)
+        });
+        let mut ripe = std::mem::take(&mut self.ripe);
+        fired.extend(ripe.drain(..).map(|i| self.release(i)));
+        self.ripe = ripe;
     }
 
     fn next_deadline(&self) -> Option<Nanos> {
@@ -271,20 +361,49 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 ));
             }
         }
-        if !self.lists[OVERFLOW].is_empty() {
+        if self.heads[OVERFLOW] != NIL {
             offer(OVERFLOW);
         }
         earliest
     }
 
     fn pending(&self) -> usize {
-        self.entries.len()
+        self.pending
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Timers listed, after checking every list against the fields kept
+    /// beside it: an occupancy bit is set exactly where a slot's list is
+    /// non-empty, a non-empty list's recorded earliest deadline is its
+    /// least, and each listed node is live, knows its list and links back
+    /// to the node before it.
+    fn listed<T>(w: &TimerWheel<T>) -> usize {
+        let mut count = 0;
+        for home in 0..=OVERFLOW {
+            let (level, slot) = (home / SLOTS, home % SLOTS);
+            let (mut prev, mut i, mut least) = (NIL, w.heads[home], None::<Nanos>);
+            while i != NIL {
+                let node = &w.nodes[i as usize];
+                assert!(node.token.is_some(), "level {level} slot {slot}");
+                assert_eq!((node.home as usize, node.prev), (home, prev));
+                least = Some(least.map_or(node.deadline, |l| l.min(node.deadline)));
+                (prev, i) = (i, node.next);
+                count += 1;
+            }
+            if home < OVERFLOW {
+                let bit = w.occupied[level] >> slot & 1;
+                assert_eq!(bit == 1, least.is_some(), "level {level} slot {slot}");
+            }
+            if let Some(least) = least {
+                assert_eq!(w.earliest[home], least, "level {level} slot {slot}");
+            }
+        }
+        count
+    }
 
     #[test]
     fn fires_at_exact_tick_boundaries() {
@@ -331,6 +450,7 @@ mod tests {
             assert!(w.stop(*id).is_some());
         }
         assert_eq!(w.pending(), 0);
+        assert_eq!(listed(&w), 0);
         let mut fired = Vec::new();
         w.advance(200 << TICK_SHIFT, &mut fired);
         assert!(fired.is_empty());
@@ -340,26 +460,10 @@ mod tests {
     fn a_wheel_that_is_never_advanced_holds_only_live_ids() {
         // A request/response flow stops every RTO and delayed-ACK timer
         // before it fires, so nothing ever calls `advance`: `stop` itself
-        // must take the id out of its slot. Deadlines cover every level
+        // must take the timer off its slot. Deadlines cover every level
         // and the overflow list; eight timers are outstanding at any time
-        // so `stop` removes from the middle of shared slots too.
+        // so `stop` unlinks from the middle of shared slots too.
         let mut w: TimerWheel<u64> = TimerWheel::new(0);
-        // What the lists hold — and, on the way, that an occupancy bit is
-        // set exactly where a slot's list is non-empty and that each
-        // non-empty list's recorded earliest deadline is its least.
-        let held = |w: &TimerWheel<u64>| {
-            for (home, list) in w.lists.iter().enumerate() {
-                let (level, slot) = (home / SLOTS, home % SLOTS);
-                if home < OVERFLOW {
-                    let bit = w.occupied[level] >> slot & 1;
-                    assert_eq!(bit == 1, !list.is_empty(), "level {level} slot {slot}");
-                }
-                if let Some(least) = list.iter().map(|&(deadline, _)| deadline).min() {
-                    assert_eq!(w.earliest[home], least, "level {level} slot {slot}");
-                }
-            }
-            w.lists.iter().map(Vec::len).sum::<usize>()
-        };
         let keepers: Vec<u64> = (0..5).map(|l| 3u64 << (TICK_SHIFT + 6 * l)).collect();
         for (i, &d) in keepers.iter().enumerate() {
             w.start(d, i as u64);
@@ -375,20 +479,61 @@ mod tests {
                 assert!(w.stop(id).is_some());
             }
             if i % 50_000 == 0 {
-                assert_eq!(held(&w), w.pending(), "at pair {i}");
+                assert_eq!(listed(&w), w.pending(), "at pair {i}");
             }
         }
         for id in window {
             assert!(w.stop(id).is_some());
         }
         assert_eq!(w.pending(), keepers.len());
-        assert_eq!(held(&w), keepers.len());
-        // The recorded positions survived all the swap-removes: the
-        // keepers still fire, in deadline order.
+        assert_eq!(listed(&w), keepers.len());
+        // Freed nodes were reused: the slab never outgrew the most
+        // timers pending at once (five keepers and eight in the window).
+        assert!(
+            w.nodes.len() <= keepers.len() + 8,
+            "{} nodes",
+            w.nodes.len()
+        );
+        // The links survived all the unlinks from mid-list: the keepers
+        // still fire, in deadline order.
         let mut fired = Vec::new();
         w.advance(*keepers.last().unwrap(), &mut fired);
         assert_eq!(fired, vec![0, 1, 2, 3, 4]);
-        assert_eq!(held(&w), 0);
+        assert_eq!(listed(&w), 0);
+    }
+
+    #[test]
+    fn a_fired_stopped_or_forged_id_stops_nothing() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(0);
+        let fired_id = w.start(1 << TICK_SHIFT, 1);
+        let stopped = w.start(5 << TICK_SHIFT, 2);
+        assert_eq!(w.stop(stopped), Some(2));
+        let mut fired = Vec::new();
+        w.advance(2 << TICK_SHIFT, &mut fired);
+        assert_eq!(fired, vec![1]);
+        // Both nodes go to the next two timers; their old ids still miss.
+        let a = w.start(10 << TICK_SHIFT, 3);
+        let b = w.start(11 << TICK_SHIFT, 4);
+        let (old, new) = (
+            [fired_id.0 as u32, stopped.0 as u32],
+            [a.0 as u32, b.0 as u32],
+        );
+        assert!(
+            new.iter().all(|i| old.contains(i)),
+            "nodes {new:?} reuse {old:?}"
+        );
+        for id in [
+            fired_id,
+            stopped,
+            TimerId(u64::MAX),
+            TimerId(7),
+            TimerId(a.0 ^ 1 << 32),
+        ] {
+            assert_eq!(w.stop(id), None, "{id:?}");
+        }
+        assert_eq!((w.pending(), listed(&w)), (2, 2));
+        assert_eq!(w.next_deadline(), Some(10 << TICK_SHIFT));
+        assert_eq!((w.stop(a), w.stop(b)), (Some(3), Some(4)));
     }
 
     #[test]
@@ -425,6 +570,7 @@ mod tests {
             id = w.start((20 + i) << TICK_SHIFT, 1);
         }
         assert_eq!(w.pending(), 1);
+        assert_eq!(w.nodes.len(), 1);
         let mut fired = Vec::new();
         w.advance(100 << TICK_SHIFT, &mut fired);
         assert_eq!(fired, vec![1]);

@@ -4,14 +4,23 @@
 //! semantic change. Every op is followed by a comparison of `pending` and
 //! `next_deadline`, so the wheel's occupancy-word shortcuts are refereed
 //! at every state the script reaches, not only when something fires.
+//! Stops include ids that fired or were stopped long ago — some of whose
+//! slab nodes a later timer holds, which the runs count — and ids the
+//! wheel never issued.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use unp_timers::{SortedTimerList, TimerId, TimerService, TimerWheel};
 
 /// log2 of the wheel's tick in nanoseconds, and of its slots per level.
 const TICK_SHIFT: u32 = 20;
 const SLOT_SHIFT: u32 = 6;
+
+/// The slab node a wheel id names: its low 32 bits.
+fn node_of(id: TimerId) -> u32 {
+    id.0 as u32
+}
 
 /// The two services driven in lockstep, with the token → id map that
 /// lets a script stop any timer it ever started, fired ones included.
@@ -54,6 +63,29 @@ impl Pair {
         prop_assert_eq!(stopped, self.list.stop(lid), "stop results diverged");
         prop_assert_eq!(stopped.is_some(), self.live.contains(&token));
         self.live.retain(|&t| t != token);
+        self.check()
+    }
+
+    /// Whether a timer started after `token` was given `token`'s node.
+    fn reused(&self, token: u64) -> bool {
+        let node = node_of(self.ids[token as usize].0);
+        self.ids[token as usize + 1..]
+            .iter()
+            .any(|&(wid, _)| node_of(wid) == node)
+    }
+
+    /// Stops `forged` on the wheel alone, unless the wheel issued it: it
+    /// must stop nothing and leave the wheel as the oracle is.
+    fn stop_forged(&mut self, forged: u64) -> Result<(), TestCaseError> {
+        if self.ids.iter().any(|&(wid, _)| wid.0 == forged) {
+            return Ok(());
+        }
+        prop_assert_eq!(
+            self.wheel.stop(TimerId(forged)),
+            None,
+            "forged id {:#x}",
+            forged
+        );
         self.check()
     }
 
@@ -102,6 +134,9 @@ enum Op {
     /// Stop the nth timer ever started, which may have fired or been
     /// stopped already.
     StopAny(usize),
+    /// Stop an id the wheel never issued: a random generation on one of
+    /// the first 16 nodes, which may or may not exist yet.
+    StopForged(u64),
     Advance {
         by: u64,
     },
@@ -133,6 +168,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_span(30).prop_map(|ago| Op::StartPast { ago }),
         any::<usize>().prop_map(Op::StopLive),
         any::<usize>().prop_map(Op::StopAny),
+        (any::<u64>(), 0u64..16)
+            .prop_map(|(generation, node)| Op::StopForged(generation << 32 | node)),
         arb_span(40).prop_map(|by| Op::Advance { by }),
         Just(Op::AdvanceToNext),
         (0u32..4, 0u64..3)
@@ -140,48 +177,69 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
-
-    #[test]
-    fn wheel_equals_sorted_list(ops in proptest::collection::vec(arb_op(), 1..120)) {
-        let mut p = Pair::new();
-        for op in ops {
-            match op {
-                Op::Start { delay } => {
-                    p.start(p.now + delay)?;
+/// Runs `ops` against both services in lockstep, counting the stops of
+/// an old id whose node a later timer was given.
+fn wheel_is_its_oracle(ops: Vec<Op>, reused_stops: &mut usize) -> Result<(), TestCaseError> {
+    let mut p = Pair::new();
+    for op in ops {
+        match op {
+            Op::Start { delay } => {
+                p.start(p.now + delay)?;
+            }
+            Op::StartAtEdge { level, back } => {
+                let reach = 1u64 << (TICK_SHIFT + SLOT_SHIFT * (level + 1));
+                p.start(p.now + reach - back.min(reach))?;
+            }
+            Op::StartPast { ago } => {
+                p.start(p.now.saturating_sub(ago))?;
+            }
+            Op::StopLive(n) => {
+                if !p.live.is_empty() {
+                    p.stop(p.live[n % p.live.len()])?;
                 }
-                Op::StartAtEdge { level, back } => {
-                    let reach = 1u64 << (TICK_SHIFT + SLOT_SHIFT * (level + 1));
-                    p.start(p.now + reach - back.min(reach))?;
+            }
+            Op::StopAny(n) => {
+                if !p.ids.is_empty() {
+                    let token = (n % p.ids.len()) as u64;
+                    *reused_stops += usize::from(p.reused(token));
+                    p.stop(token)?;
                 }
-                Op::StartPast { ago } => {
-                    p.start(p.now.saturating_sub(ago))?;
+            }
+            Op::StopForged(forged) => p.stop_forged(forged)?,
+            Op::Advance { by } => p.advance_to(p.now + by)?,
+            Op::AdvanceToNext => {
+                if let Some(next) = p.list.next_deadline() {
+                    p.advance_to(next.max(p.now))?;
                 }
-                Op::StopLive(n) => {
-                    if !p.live.is_empty() {
-                        p.stop(p.live[n % p.live.len()])?;
-                    }
-                }
-                Op::StopAny(n) => {
-                    if !p.ids.is_empty() {
-                        p.stop((n % p.ids.len()) as u64)?;
-                    }
-                }
-                Op::Advance { by } => p.advance_to(p.now + by)?,
-                Op::AdvanceToNext => {
-                    if let Some(next) = p.list.next_deadline() {
-                        p.advance_to(next.max(p.now))?;
-                    }
-                }
-                Op::AdvanceToBoundary { level, rotations } => {
-                    let shift = TICK_SHIFT + SLOT_SHIFT * level;
-                    let boundary = ((p.now >> shift) + 1) << shift;
-                    p.advance_to(boundary + (rotations << (shift + SLOT_SHIFT)))?;
-                }
+            }
+            Op::AdvanceToBoundary { level, rotations } => {
+                let shift = TICK_SHIFT + SLOT_SHIFT * level;
+                let boundary = ((p.now >> shift) + 1) << shift;
+                p.advance_to(boundary + (rotations << (shift + SLOT_SHIFT)))?;
             }
         }
     }
+    Ok(())
+}
+
+#[test]
+fn wheel_equals_sorted_list() {
+    let cases = if cfg!(debug_assertions) { 64 } else { 512 };
+    let script = proptest::collection::vec(arb_op(), 1..120);
+    let mut reused_stops = 0;
+    for case in 0..cases {
+        let seed = 0x7133_e1e1 ^ (case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let ops = script.generate(&mut TestRng::from_seed(seed));
+        if let Err(e) = wheel_is_its_oracle(ops, &mut reused_stops) {
+            panic!("case {}/{cases} (seed {seed:#x}): {e}", case + 1);
+        }
+    }
+    // The scripts reach the stale id only a slab has: one whose node a
+    // later timer holds.
+    assert!(
+        reused_stops >= 1,
+        "{reused_stops} stops of a reused node over {cases} cases"
+    );
 }
 
 /// The two orderings `next_deadline` must not get wrong, spelled out: a
